@@ -22,17 +22,22 @@ from repro.workloads import eembc_suite
 #: Required end-to-end advantage of the stack-distance engine.
 MIN_SPEEDUP = 3.0
 
-#: Timing repetitions; the minimum is reported (least-noise estimator).
+#: Interleaved timing rounds.  Each round times both engines back to
+#: back, in alternating order, so host drift hits both sides alike.
 ROUNDS = 3
 
+ENGINES = ("legacy", "stackdist")
 
-def _time_suite(engine: str) -> float:
-    specs = eembc_suite()
-    best = float("inf")
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        characterize_suite(specs, seed=0, engine=engine)
-        best = min(best, time.perf_counter() - start)
+
+def _time_suite_interleaved(specs) -> dict:
+    """Per-engine minimum wall seconds over the interleaved rounds."""
+    best = dict.fromkeys(ENGINES, float("inf"))
+    for round_index in range(ROUNDS):
+        order = ENGINES if round_index % 2 == 0 else ENGINES[::-1]
+        for engine in order:
+            start = time.perf_counter()
+            characterize_suite(specs, seed=0, engine=engine)
+            best[engine] = min(best[engine], time.perf_counter() - start)
     return best
 
 
@@ -43,8 +48,9 @@ def test_bench_characterization_speed(benchmark):
     characterize_suite(specs[:1], seed=0, engine="legacy")
     characterize_suite(specs[:1], seed=0)
 
-    legacy_seconds = _time_suite("legacy")
-    stackdist_seconds = _time_suite("stackdist")
+    best = _time_suite_interleaved(specs)
+    legacy_seconds = best["legacy"]
+    stackdist_seconds = best["stackdist"]
     speedup = legacy_seconds / stackdist_seconds
 
     # pytest-benchmark records the new engine as the tracked series.

@@ -23,20 +23,30 @@ associativity simultaneously.  The remaining counters fall out too:
   of an A-way cache is ``sum over sets of min(distinct_lines(set), A)``
   — with LRU a set holds ``min(distinct, A)`` lines forever after.
 
-For the Table-1 space this collapses 18 trace replays to, per line
-size, two fully vectorised passes — direct-mapped hits are "the
-previous access to this set touched the same line", and 2-way hits add
-"the line starting the run two runs back in this set", both computable
-from one stable argsort by set index — plus a single Python-level pass
-maintaining the 4-deep truncated stacks of the remaining partition.
-The engine is bit-for-bit equivalent to the reference
+Every partition is measured by the same set-sorted, run-compressed
+pass:
+
+* **set order** — a stable radix argsort of the set indices makes each
+  set's accesses contiguous, still in trace order;
+* **depth 0** — an access repeating the line before it in set order
+  hits at depth 0; collapsing those repeats leaves *runs*, each run's
+  line differing from the previous run's;
+* **depth 1** — a run hits at depth 1 iff its line equals the line two
+  runs back (equal lines share a set, so the run between is in the same
+  set too);
+* **deeper** — one Python loop over the runs only, keeping the top of
+  the LRU stack in local variables.  It needs no per-set state: lines
+  left over from the previous set can never match the current set's.
+
+Distinct lines, hence compulsory misses and per-set occupancy, come
+from one sort of the trace's distinct byte addresses, shared by every
+line size.  The engine is bit-for-bit equivalent to the reference
 :class:`~repro.cache.cache.Cache` model (property-tested).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +60,7 @@ __all__ = [
     "simulate_many",
 ]
 
-#: Sentinel "no line" value; real line addresses are non-negative.
+#: Sentinel "no line" value; negative addresses are rejected up front.
 _EMPTY = -1
 
 
@@ -127,7 +137,7 @@ class StackDistanceProfile:
         write_hits = sum(self.write_depth_hist[:assoc])
         misses = self.accesses - hits
         write_misses = self.write_accesses - write_hits
-        occupancy = sum(min(d, assoc) for d in self.set_distinct)
+        occupancy = sum(d if d < assoc else assoc for d in self.set_distinct)
         stats = CacheStats(
             accesses=self.accesses,
             hits=hits,
@@ -152,12 +162,12 @@ class StackDistanceProfile:
             )
 
 
-def _as_line_addrs(addresses: Sequence[int], line_b: int) -> np.ndarray:
-    """Vectorised byte address -> line address conversion (int64 end-to-end)."""
+def _as_addresses(addresses: Sequence[int]) -> np.ndarray:
+    """Byte addresses as a one-dimensional int64 array."""
     addr = np.asarray(addresses, dtype=np.int64)
     if addr.ndim != 1:
         raise ValueError("addresses must be one-dimensional")
-    return addr // line_b
+    return addr
 
 
 def _as_write_mask(
@@ -171,267 +181,137 @@ def _as_write_mask(
     return mask
 
 
-def _direct_mapped_profile(
-    la: np.ndarray,
-    write_mask: Optional[np.ndarray],
-    *,
-    line_b: int,
-    num_sets: int,
-) -> StackDistanceProfile:
-    """Fully vectorised profile of a direct-mapped partition.
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the elements that differ from their predecessor."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
 
-    A direct-mapped access hits iff the previous access to its set
-    touched the same line.  A stable sort by set index makes "previous
-    access to the same set" adjacent, so the whole partition reduces to
-    one argsort and a shifted comparison; no per-access Python loop.
+
+def _drop_repeats(values: np.ndarray) -> np.ndarray:
+    """``values`` without elements equal to their predecessor."""
+    return values[_run_starts(values)]
+
+
+def _distinct_addresses(addr: np.ndarray) -> np.ndarray:
+    """Sorted distinct byte addresses; negative ones are rejected.
+
+    Same values as ``np.unique``, which is several times slower here.
+    Coarser line addresses follow by floor division, which keeps the
+    array sorted.
     """
-    n = int(la.size)
-    writes_total = int(write_mask.sum()) if write_mask is not None else 0
-    if n == 0:
-        return StackDistanceProfile(
-            line_b=line_b, num_sets=num_sets, max_assoc=1,
-            accesses=0, write_accesses=0,
-            depth_hist=(0, 0), write_depth_hist=(0, 0),
-            compulsory_misses=0, set_distinct=(0,) * num_sets,
-        )
-    order = np.argsort(la % num_sets, kind="stable")
-    sorted_lines = la[order]
-    # Equal consecutive line addresses imply the same set, and distinct
-    # sets cannot share a line address, so no explicit set-boundary
-    # check is needed.
-    same_as_prev = sorted_lines[1:] == sorted_lines[:-1]
-    hits = int(same_as_prev.sum())
-    if write_mask is not None:
-        write_hits = int((same_as_prev & write_mask[order][1:]).sum())
-    else:
-        write_hits = 0
-    unique_lines = np.unique(la)
-    distinct = np.bincount(unique_lines % num_sets, minlength=num_sets)
-    return StackDistanceProfile(
-        line_b=line_b,
-        num_sets=num_sets,
-        max_assoc=1,
-        accesses=n,
-        write_accesses=writes_total,
-        depth_hist=(hits, n - hits),
-        write_depth_hist=(write_hits, writes_total - write_hits),
-        compulsory_misses=int(unique_lines.size),
-        set_distinct=tuple(int(d) for d in distinct),
-    )
+    distinct = _drop_repeats(np.sort(addr))
+    if distinct.size and distinct[0] < 0:
+        first = int(addr[addr < 0][0])
+        raise ValueError(f"address must be non-negative, got {first}")
+    return distinct
 
 
-def _looped_profile(
+def _four_deep_depths(runs: np.ndarray) -> np.ndarray:
+    """Stack depth (1..3, or 4 for a miss) of every run, 4-deep LRU.
+
+    ``p0`` is always the previous run's line, which differs from the
+    current one by construction, so the MRU slot is never tested.  No
+    per-set state is kept: a set's runs are contiguous in set order, so
+    lines left over from the previous set can never match.
+    """
+    depths = bytearray(b"\x04") * runs.size
+    p0 = p1 = p2 = p3 = _EMPTY
+    for i, line in enumerate(runs.tolist()):
+        if line == p1:
+            depths[i] = 1
+            p1 = p0
+        elif line == p2:
+            depths[i] = 2
+            p2 = p1
+            p1 = p0
+        else:
+            if line == p3:
+                depths[i] = 3
+            p3 = p2
+            p2 = p1
+            p1 = p0
+        p0 = line
+    return np.frombuffer(depths, dtype=np.uint8)
+
+
+def _deep_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
+    """Stack depth (1..max_assoc - 1, or max_assoc for a miss) of every run."""
+    depths = [max_assoc] * runs.size
+    stack: List[int] = []  # MRU first, truncated at max_assoc lines
+    for i, line in enumerate(runs.tolist()):
+        try:
+            depth = stack.index(line, 1)
+        except ValueError:
+            if len(stack) == max_assoc:
+                stack.pop()
+        else:
+            depths[i] = depth
+            del stack[depth]
+        stack.insert(0, line)
+    return np.asarray(depths, dtype=np.int64)
+
+
+def _partition_profile(
     la: np.ndarray,
-    write_mask: Optional[np.ndarray],
+    mask: Optional[np.ndarray],
+    lines: np.ndarray,
     *,
     line_b: int,
     num_sets: int,
     max_assoc: int,
 ) -> StackDistanceProfile:
-    """Generic single-partition pass for any truncation depth.
+    """Measure one partition in a single set-sorted, run-compressed pass.
 
-    Maintains one MRU-first list per set, truncated at ``max_assoc``
-    (the top of the unbounded LRU stack evolves identically), and
-    histograms the depth of every access.
+    ``la`` holds the trace's line addresses and ``lines`` its sorted
+    distinct line addresses.
     """
+    if max_assoc == 3:
+        max_assoc = 4  # the 4-deep pass costs no more than a 3-deep one
     n = int(la.size)
-    writes_total = int(write_mask.sum()) if write_mask is not None else 0
-    la_list = la.tolist()  # iterating a list is much faster than an ndarray
-    set_list = (la % num_sets).tolist()
-    write_iter = write_mask.tolist() if write_mask is not None else repeat(False)
+    # Set order.  Keys of 16 bits or fewer get numpy's stable radix sort;
+    # a power-of-two set count takes a bit mask, much cheaper than int64 %.
+    low_bits = num_sets - 1
+    keys = la & low_bits if not num_sets & low_bits else la % num_sets
+    order = np.argsort(keys.astype(np.min_scalar_type(low_bits)), kind="stable")
+    sorted_lines = la[order]
+    # Depth 0: every access that does not start a run.  Equal lines
+    # share a set, so runs never span a set boundary.
+    starts = _run_starts(sorted_lines)
+    runs = sorted_lines[starts]
 
-    stacks: List[List[int]] = [[] for _ in range(num_sets)]
-    hist = [0] * (max_assoc + 1)
-    write_hist = [0] * (max_assoc + 1)
-    distinct = [0] * num_sets
-    seen: set = set()
+    # Depth of every run start: 1 .. max_assoc - 1, or max_assoc (miss).
+    if max_assoc == 1:
+        depths = np.ones(runs.size, dtype=np.uint8)
+    elif max_assoc == 2:
+        depths = np.full(runs.size, 2, dtype=np.uint8)
+        depths[2:] -= runs[2:] == runs[:-2]
+    elif max_assoc == 4:
+        depths = _four_deep_depths(runs)
+    else:
+        depths = _deep_depths(runs, max_assoc)
+    hist = np.bincount(depths, minlength=max_assoc + 1)
+    hist[0] = n - runs.size
 
-    for line, set_index, is_write in zip(la_list, set_list, write_iter):
-        stack = stacks[set_index]
-        try:
-            depth = stack.index(line)
-        except ValueError:
-            depth = max_assoc
-            if line not in seen:
-                seen.add(line)
-                distinct[set_index] += 1
-            stack.insert(0, line)
-            if len(stack) > max_assoc:
-                stack.pop()
-        else:
-            if depth:
-                del stack[depth]
-                stack.insert(0, line)
-        hist[depth] += 1
-        if is_write:
-            write_hist[depth] += 1
+    if mask is not None:
+        sorted_writes = mask[order]
+        run_writes = sorted_writes[starts]
+        write_hist = np.bincount(depths[run_writes], minlength=max_assoc + 1)
+        write_hist[0] = int(sorted_writes.sum()) - int(run_writes.sum())
+    else:
+        write_hist = np.zeros(max_assoc + 1, dtype=np.int64)
 
+    distinct = np.bincount(lines % num_sets, minlength=num_sets)
     return StackDistanceProfile(
         line_b=line_b,
         num_sets=num_sets,
         max_assoc=max_assoc,
         accesses=n,
-        write_accesses=writes_total,
-        depth_hist=tuple(hist),
-        write_depth_hist=tuple(write_hist),
-        compulsory_misses=len(seen),
-        set_distinct=tuple(distinct),
-    )
-
-
-def _two_way_profile(
-    la: np.ndarray,
-    write_mask: Optional[np.ndarray],
-    *,
-    line_b: int,
-    num_sets: int,
-) -> StackDistanceProfile:
-    """Fully vectorised profile of a 2-way partition.
-
-    In the stable sort-by-set view, each set's accesses form *runs* of
-    repeated line addresses.  The 2-deep stack before an access is
-    ``[current run's line, previous run's line]``, so the access hits
-    at depth 0 iff it continues the current run, and a run-starting
-    access hits at depth 1 iff its line equals the run-start line two
-    runs back in the same set (the previous run's line differs from it
-    by construction).  Both conditions are fixed-lag comparisons on the
-    sorted arrays; no per-access Python loop.
-    """
-    n = int(la.size)
-    writes_total = int(write_mask.sum()) if write_mask is not None else 0
-    if n == 0:
-        return StackDistanceProfile(
-            line_b=line_b, num_sets=num_sets, max_assoc=2,
-            accesses=0, write_accesses=0,
-            depth_hist=(0, 0, 0), write_depth_hist=(0, 0, 0),
-            compulsory_misses=0, set_distinct=(0,) * num_sets,
-        )
-    order = np.argsort(la % num_sets, kind="stable")
-    sorted_lines = la[order]
-    # Depth-0 hit: previous same-set access touched the same line (line
-    # equality implies set equality, so no boundary check is needed).
-    depth0 = np.zeros(n, dtype=bool)
-    depth0[1:] = sorted_lines[1:] == sorted_lines[:-1]
-    hits0 = int(depth0.sum())
-    # Depth-1 hit: the access starts a new run and matches the line two
-    # runs back within the same set.
-    run_start_idx = np.flatnonzero(~depth0)
-    run_lines = sorted_lines[run_start_idx]
-    run_sets = (run_lines % num_sets)
-    depth1_at_start = np.zeros(run_start_idx.size, dtype=bool)
-    if run_start_idx.size > 2:
-        # Same set two runs back implies the run between is also in the
-        # same set (runs are sorted by set), so the stack's second entry
-        # is exactly that run's line.
-        depth1_at_start[2:] = (run_lines[2:] == run_lines[:-2]) & (
-            run_sets[2:] == run_sets[:-2]
-        )
-    hits1 = int(depth1_at_start.sum())
-    if write_mask is not None:
-        sorted_writes = write_mask[order]
-        write_hits0 = int((depth0 & sorted_writes).sum())
-        write_hits1 = int((depth1_at_start & sorted_writes[run_start_idx]).sum())
-    else:
-        write_hits0 = write_hits1 = 0
-    unique_lines = np.unique(la)
-    distinct = np.bincount(unique_lines % num_sets, minlength=num_sets)
-    return StackDistanceProfile(
-        line_b=line_b,
-        num_sets=num_sets,
-        max_assoc=2,
-        accesses=n,
-        write_accesses=writes_total,
-        depth_hist=(hits0, hits1, n - hits0 - hits1),
-        write_depth_hist=(
-            write_hits0,
-            write_hits1,
-            writes_total - write_hits0 - write_hits1,
-        ),
-        compulsory_misses=int(unique_lines.size),
-        set_distinct=tuple(int(d) for d in distinct),
-    )
-
-
-def _four_way_profile(
-    la: np.ndarray,
-    write_mask: Optional[np.ndarray],
-    *,
-    line_b: int,
-    num_sets: int,
-) -> StackDistanceProfile:
-    """Single-pass 4-deep stack profile; the engine's only hot Python loop.
-
-    Per line size of the Table-1 space, the direct-mapped and 2-way
-    partitions are handled vectorised, leaving exactly one partition
-    that needs a per-access traversal.  The truncated stacks are kept
-    in four flat parallel lists (one per stack position) so every state
-    transition is a handful of list indexing operations.
-    """
-    n = int(la.size)
-    writes_total = int(write_mask.sum()) if write_mask is not None else 0
-    la_list = la.tolist()
-    set_list = (la % num_sets).tolist()
-    write_iter = write_mask.tolist() if write_mask is not None else repeat(False)
-
-    # Stack positions 0 (MRU) .. 3 (LRU) per set.
-    pos0 = [_EMPTY] * num_sets
-    pos1 = [_EMPTY] * num_sets
-    pos2 = [_EMPTY] * num_sets
-    pos3 = [_EMPTY] * num_sets
-
-    h0 = h1 = h2 = h3 = 0
-    wh0 = wh1 = wh2 = wh3 = 0
-    distinct = [0] * num_sets
-    seen: set = set()
-
-    for line, set_index, is_write in zip(la_list, set_list, write_iter):
-        d0 = pos0[set_index]
-        if d0 == line:
-            h0 += 1
-            if is_write:
-                wh0 += 1
-        else:
-            d1 = pos1[set_index]
-            if d1 == line:
-                h1 += 1
-                if is_write:
-                    wh1 += 1
-                pos1[set_index] = d0
-                pos0[set_index] = line
-            else:
-                d2 = pos2[set_index]
-                if d2 == line:
-                    h2 += 1
-                    if is_write:
-                        wh2 += 1
-                    pos2[set_index] = d1
-                    pos1[set_index] = d0
-                    pos0[set_index] = line
-                else:
-                    if pos3[set_index] == line:
-                        h3 += 1
-                        if is_write:
-                            wh3 += 1
-                    elif line not in seen:
-                        seen.add(line)
-                        distinct[set_index] += 1
-                    pos3[set_index] = d2
-                    pos2[set_index] = d1
-                    pos1[set_index] = d0
-                    pos0[set_index] = line
-
-    hits = h0 + h1 + h2 + h3
-    write_hits = wh0 + wh1 + wh2 + wh3
-    return StackDistanceProfile(
-        line_b=line_b,
-        num_sets=num_sets,
-        max_assoc=4,
-        accesses=n,
-        write_accesses=writes_total,
-        depth_hist=(h0, h1, h2, h3, n - hits),
-        write_depth_hist=(wh0, wh1, wh2, wh3, writes_total - write_hits),
-        compulsory_misses=len(seen),
-        set_distinct=tuple(distinct),
+        write_accesses=int(write_hist.sum()),
+        depth_hist=tuple(hist.tolist()),
+        write_depth_hist=tuple(write_hist.tolist()),
+        compulsory_misses=int(lines.size),
+        set_distinct=tuple(distinct.tolist()),
     )
 
 
@@ -451,47 +331,13 @@ def profile_trace(
     """
     if line_b <= 0 or num_sets <= 0 or max_assoc <= 0:
         raise ValueError("line_b, num_sets and max_assoc must be positive")
-    la = _as_line_addrs(addresses, line_b)
-    mask = _as_write_mask(writes, int(la.size))
+    addr = _as_addresses(addresses)
+    mask = _as_write_mask(writes, int(addr.size))
+    lines = _drop_repeats(_distinct_addresses(addr) // line_b)
     return _partition_profile(
-        la, mask, line_b=line_b, num_sets=num_sets, max_assoc=max_assoc
+        addr // line_b, mask, lines,
+        line_b=line_b, num_sets=num_sets, max_assoc=max_assoc,
     )
-
-
-def _partition_profile(
-    la: np.ndarray,
-    mask: Optional[np.ndarray],
-    *,
-    line_b: int,
-    num_sets: int,
-    max_assoc: int,
-) -> StackDistanceProfile:
-    """Pick the fastest measuring pass able to answer ``max_assoc``."""
-    if max_assoc == 1:
-        return _direct_mapped_profile(la, mask, line_b=line_b, num_sets=num_sets)
-    if max_assoc == 2:
-        return _two_way_profile(la, mask, line_b=line_b, num_sets=num_sets)
-    if max_assoc <= 4:
-        # A 4-deep profile answers 3-way queries too.
-        return _four_way_profile(la, mask, line_b=line_b, num_sets=num_sets)
-    return _looped_profile(
-        la, mask, line_b=line_b, num_sets=num_sets, max_assoc=max_assoc
-    )
-
-
-def _profiles_for_line_size(
-    la: np.ndarray,
-    mask: Optional[np.ndarray],
-    line_b: int,
-    partitions: Dict[int, int],
-) -> Dict[int, StackDistanceProfile]:
-    """Profile every ``num_sets -> max_assoc`` partition of one line size."""
-    return {
-        num_sets: _partition_profile(
-            la, mask, line_b=line_b, num_sets=num_sets, max_assoc=max_assoc
-        )
-        for num_sets, max_assoc in partitions.items()
-    }
 
 
 def simulate_many(
@@ -502,8 +348,7 @@ def simulate_many(
     """Exact LRU, write-allocate statistics for many configurations at once.
 
     Groups ``configs`` by ``(line_b, num_sets)`` partition, measures
-    each partition in a single pass over the trace (fused and
-    vectorised where the partition structure allows), and reads every
+    each partition in a single pass over the trace, and reads every
     configuration's :class:`CacheStats` off its partition's stack
     -distance profile.  Produces results identical to running
     :func:`repro.cache.cache.simulate_trace` per configuration, which
@@ -512,15 +357,10 @@ def simulate_many(
     The returned mapping preserves the order of first appearance in
     ``configs``; duplicates collapse onto one entry.
     """
-    unique_configs: List[CacheConfig] = []
-    for config in configs:
-        if config not in unique_configs:
-            unique_configs.append(config)
-
-    addr = np.asarray(addresses, dtype=np.int64)
-    if addr.ndim != 1:
-        raise ValueError("addresses must be one-dimensional")
+    unique_configs = list(dict.fromkeys(configs))
+    addr = _as_addresses(addresses)
     mask = _as_write_mask(writes, int(addr.size))
+    distinct = _distinct_addresses(addr)
 
     by_line: Dict[int, Dict[int, int]] = {}
     for config in unique_configs:
@@ -531,10 +371,12 @@ def simulate_many(
     profiles: Dict[Tuple[int, int], StackDistanceProfile] = {}
     for line_b, partitions in by_line.items():
         la = addr // line_b
-        for num_sets, profile in _profiles_for_line_size(
-            la, mask, line_b, partitions
-        ).items():
-            profiles[(line_b, num_sets)] = profile
+        lines = _drop_repeats(distinct // line_b)
+        for num_sets, max_assoc in partitions.items():
+            profiles[(line_b, num_sets)] = _partition_profile(
+                la, mask, lines,
+                line_b=line_b, num_sets=num_sets, max_assoc=max_assoc,
+            )
 
     return {
         config: profiles[(config.line_b, config.num_sets)].stats_for_assoc(

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.cache.cache import Cache
+from repro.cache.cache import Cache, simulate_trace_per_config
 from repro.cache.config import DESIGN_SPACE, CacheConfig
 from repro.cache.stackdist import (
     StackDistanceProfile,
     profile_trace,
     simulate_many,
 )
+from repro.characterization import expand_suite
+from repro.workloads import eembc_suite
+
+#: Measuring depths of the engine: direct-mapped, vectorised 2-deep,
+#: 4-deep loop (3 and 4) and the generic loop.
+PARTITION_DEPTHS = (1, 2, 3, 4, 8)
 
 
 def _profile(addresses, *, line_b=64, num_sets=4, max_assoc=4, writes=None):
@@ -83,6 +89,33 @@ class TestProfileTrace:
         with pytest.raises(ValueError):
             _profile(np.zeros((2, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize("max_assoc", PARTITION_DEPTHS)
+    def test_empty_trace_every_depth(self, max_assoc):
+        profile = _profile([], num_sets=16, max_assoc=max_assoc, writes=[])
+        assert sum(profile.depth_hist) == sum(profile.write_depth_hist) == 0
+        assert profile.compulsory_misses == 0
+        assert profile.set_distinct == (0,) * 16
+        for assoc in range(1, max_assoc + 1):
+            # An assoc-KB, assoc-way cache of 64B lines has 16 sets.
+            ref = Cache(CacheConfig(assoc, assoc, 64)).run_trace([], [])
+            assert profile.stats_for_assoc(assoc) == ref
+
+    @pytest.mark.parametrize("max_assoc", PARTITION_DEPTHS)
+    def test_single_access_every_depth(self, max_assoc):
+        trace, writes = [3 * 64 + 5], [True]  # line 3, set 3
+        profile = _profile(
+            trace, num_sets=16, max_assoc=max_assoc, writes=writes
+        )
+        # A 3-deep request is measured by the 4-deep pass.
+        assert profile.max_assoc == (4 if max_assoc == 3 else max_assoc)
+        miss_only = (0,) * profile.max_assoc + (1,)
+        assert profile.depth_hist == profile.write_depth_hist == miss_only
+        assert profile.compulsory_misses == 1
+        assert profile.set_distinct == (0, 0, 0, 1) + (0,) * 12
+        for assoc in range(1, max_assoc + 1):
+            ref = Cache(CacheConfig(assoc, assoc, 64)).run_trace(trace, writes)
+            assert profile.stats_for_assoc(assoc) == ref
+
     def test_assoc_out_of_range_rejected(self):
         profile = _profile([0, 64], max_assoc=2)
         with pytest.raises(ValueError):
@@ -146,3 +179,39 @@ class TestSimulateMany:
     def test_mismatched_writes_rejected(self):
         with pytest.raises(ValueError, match="writes mask length"):
             simulate_many([0, 64], (CacheConfig(4, 2, 32),), writes=[True])
+
+    @pytest.mark.parametrize("trace, first", [([-1], -1), ([0, 64, -70, -1], -70)])
+    def test_negative_addresses_rejected_like_cache(self, trace, first):
+        # Line -1 used to collide with the 4-deep pass's empty-slot
+        # sentinel and count as a hit.
+        message = f"address must be non-negative, got {first}"
+        with pytest.raises(ValueError, match=message):
+            Cache(DESIGN_SPACE[0]).run_trace(trace)
+        with pytest.raises(ValueError, match=message):
+            simulate_many(trace, DESIGN_SPACE)
+        with pytest.raises(ValueError, match=message):
+            _profile(trace, max_assoc=4)
+
+
+class TestDatasetVariantTrace:
+    """Every depth bucket of the 4-deep pass, on a real dataset trace."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        spec = next(s for s in eembc_suite() if s.name == "aifftr")
+        return expand_suite([spec], 2)[1].generate_trace(seed=0)
+
+    def test_every_depth_bucket_is_populated(self, trace):
+        profile = profile_trace(
+            trace.addresses, line_b=64, num_sets=32, max_assoc=4,
+            writes=trace.writes,
+        )
+        assert all(profile.depth_hist), profile.depth_hist
+        assert all(profile.write_depth_hist), profile.write_depth_hist
+        # 2KB_1W, 4KB_2W and 8KB_4W at 64B lines share this partition.
+        for size_kb, assoc in ((2, 1), (4, 2), (8, 4)):
+            config = CacheConfig(size_kb, assoc, 64)
+            legacy = simulate_trace_per_config(
+                trace.addresses, config, writes=trace.writes
+            )
+            assert profile.stats_for_assoc(assoc) == legacy, config.name

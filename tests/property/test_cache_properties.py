@@ -15,6 +15,50 @@ traces = st.lists(
     max_size=400,
 )
 
+#: Addresses a multiple of this apart map to the same set in every
+#: configuration below (it is a multiple of every num_sets * line_b).
+_SAME_SET_STRIDE = 24 * 1024
+
+#: In-line byte offsets, so that finer line sizes see neighbouring lines.
+_offsets = st.sampled_from((0, 16, 40, 63))
+
+
+def _local_line(tag, set_index, offset):
+    """One of a few lines in three adjacent 64B sets."""
+    return tag * _SAME_SET_STRIDE + set_index * 64 + offset
+
+
+#: A run of one line repeated.
+_runs = st.builds(
+    lambda tag, set_index, offset, k: [_local_line(tag, set_index, offset)] * k,
+    st.integers(0, 5), st.integers(0, 2), _offsets, st.integers(1, 5),
+)
+
+#: 2-4 lines of one set cycled: ABAB hits at depth 1, ABCABC at depth
+#: 2, ABCDABCD at depth 3.
+_cycles = st.builds(
+    lambda tags, set_index, offset, k: [
+        _local_line(tag, set_index, offset) for tag in tags
+    ] * k,
+    st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True),
+    st.integers(0, 2), _offsets, st.integers(1, 3),
+)
+
+#: Locality-heavy traces: they hit at every stack depth 0-3, which the
+#: uniform ``traces`` rarely do.
+local_traces = st.lists(
+    st.one_of(_runs, _cycles), min_size=1, max_size=30
+).map(lambda segments: [a for segment in segments for a in segment])
+
+#: Associativities 1-4 (3 included, measured by the 4-deep pass) and a
+#: set count that is not a power of two (3KB direct-mapped: 48 sets).
+local_configs = DESIGN_SPACE + (
+    CacheConfig(3, 3, 64),
+    CacheConfig(6, 3, 32),
+    CacheConfig(12, 3, 16),
+    CacheConfig(3, 1, 64),
+)
+
 
 def _reference_stats(trace, config, writes=None):
     cache = Cache(config, policy="lru")
@@ -74,6 +118,21 @@ class TestStackDistanceEngineEquivalence:
         writes = rng.random(len(trace)) < 0.4
         legacy = simulate_trace_per_config(trace, config, writes=writes)
         assert simulate_trace(trace, config, writes=writes) == legacy
+
+    @given(trace=local_traces, seed=st.integers(0, 2**16), with_writes=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_locality_heavy_traces_match_both_oracles(
+        self, trace, seed, with_writes
+    ):
+        writes = None
+        if with_writes:
+            writes = (np.random.default_rng(seed).random(len(trace)) < 0.4).tolist()
+        many = simulate_many(trace, local_configs, writes=writes)
+        for config in local_configs:
+            ref = _reference_stats(trace, config, writes)
+            assert many[config] == ref, config.name
+            legacy = simulate_trace_per_config(trace, config, writes=writes)
+            assert many[config] == legacy, config.name
 
     @given(trace=traces)
     @settings(max_examples=20, deadline=None)
