@@ -459,12 +459,11 @@ def _add_telemetry_args(
     note = (" (the policy name is inserted before the suffix, like "
             "--trace)" if per_policy else "")
     parser.add_argument("--telemetry-out", metavar="PATH",
-                        help="append chunk-boundary JSONL telemetry "
-                             "samples here" + note)
+                        help="append JSONL telemetry samples here"
+                             + note)
     parser.add_argument("--telemetry-every", type=int, default=1000,
                         help="completions between samples "
-                             "(default: 1000; the streaming engine "
-                             "samples at every arrival-buffer refill)")
+                             "(default: 1000)")
     parser.add_argument("--sampled-trace", metavar="PATH",
                         help="write every Nth dispatch/completion as a "
                              "typed trace event (sampled=true) here"

@@ -1,9 +1,10 @@
-"""Glue between :class:`SchedulerSimulation` and the fast engine.
+"""Glue between :class:`SchedulerSimulation` and the simulation core.
 
-:func:`run_fast` builds a :class:`~repro.sim.fast.FastSimulation` from a
-configured :class:`~repro.core.simulation.SchedulerSimulation`, runs the
-arrival stream through it, and then writes the fast engine's end-of-run
-state back into the reference object — engine clock and counters, core
+:func:`run_fast` runs an arrival batch through the
+:class:`~repro.sim.fast.FastSimulation` front end of a configured
+:class:`~repro.core.simulation.SchedulerSimulation`, then writes the
+finished stream's run state and the fast tables' knowledge state back
+into the reference object — engine clock and counters, core
 occupancy/tuner/residency state, the profiling table, tuning sessions
 and the decision accumulators — so post-run introspection
 (``sim.engine.processed``, ``sim.cores[i].busy_cycles``,
@@ -21,7 +22,7 @@ from repro.core.tuning import TuningHeuristic
 from repro.sim.fast import FastSimulation
 from repro.workloads.arrivals import JobArrival
 
-__all__ = ["build_fast", "run_fast"]
+__all__ = ["build_fast", "fresh_fast", "run_fast"]
 
 
 def build_fast(sim) -> FastSimulation:
@@ -43,50 +44,63 @@ def build_fast(sim) -> FastSimulation:
     )
 
 
+def fresh_fast(sim) -> FastSimulation:
+    """``sim``'s prebuilt :class:`FastSimulation`, or a new one.
+
+    The prebuilt engine is used while it is still unused: engine
+    selection can change between construction and run if the caller
+    toggles hooks, and one FastSimulation backs exactly one run.
+    """
+    fast = sim._fast
+    if fast is None or fast.stream is not None:
+        fast = build_fast(sim)
+    return fast
+
+
 def run_fast(sim, arrivals: Sequence[JobArrival]) -> SimulationResult:
     """Run ``sim``'s configuration on the fast engine.
 
     ``sim`` must have been constructed with the obs/validate/faults
-    hooks all off (engine resolution guarantees this).  Uses the
-    engine prebuilt at construction when available and still fresh
-    (engine selection can change between construction and run if the
-    caller toggles hooks, and an engine instance runs exactly once).
+    hooks all off (engine resolution guarantees this).
     """
-    fast = sim._fast
-    if fast is None or fast.final_state is not None:
-        fast = build_fast(sim)
+    fast = fresh_fast(sim)
     result = fast.run(arrivals)
     _write_back(sim, fast, result)
     return result
 
 
 def _write_back(sim, fast: FastSimulation, result: SimulationResult) -> None:
-    """Install the fast engine's final state on the reference object."""
-    state = fast.final_state
+    """Install the finished run's state on the reference object."""
+    s = fast.stream._s
+    cfg_objs = fast.cfg_objs
     engine = sim.engine
-    engine._now = state["now"]
-    engine._processed = state["processed"]
-    engine._sequence = state["sequence"]
+    engine._now = s["now"]
+    engine._processed = s["processed"]
+    # The reference numbers every arrival event before the first start.
+    engine._sequence = s["generated"] + s["seq"]
 
-    sim.queue.enqueued_total = state["enqueued_total"]
-    sim.queue.max_length = state["max_queue_len"]
+    sim.queue.enqueued_total = s["enqueued_total"]
+    sim.queue.max_length = s["max_queue_len"]
 
-    for core, snap in zip(sim.cores, state["cores"]):
+    for ci, core in enumerate(sim.cores):
         core.current_job = None
-        core.dvfs = snap.get("dvfs")
-        core.busy_until = snap["busy_until"]
-        core.busy_cycles = snap["busy_cycles"]
-        core.executions = snap["executions"]
-        core.epoch = snap["epoch"]
-        core.run_started_at = snap["run_started_at"]
-        core._residency_closed = snap["residency_closed"]
-        core._residency_start = snap["residency_start"]
-        core._residency_busy = snap["residency_busy"]
+        core.dvfs = s["core_dvfs"][ci]
+        core.busy_until = s["busy_until"][ci]
+        core.busy_cycles = s["busy_cycles"][ci]
+        core.executions = s["execs"][ci]
+        core.epoch = s["epoch"][ci]
+        core.run_started_at = s["run_started"][ci]
+        core._residency_closed = [
+            (start, end, cfg_objs[cid], busy)
+            for start, end, cid, busy in s["res_closed"][ci]
+        ]
+        core._residency_start = s["res_start"][ci]
+        core._residency_busy = s["res_busy"][ci]
         tuner = core.tuner
-        tuner._current = snap["config"]
-        tuner.reconfigurations = snap["reconfigurations"]
-        tuner.total_cycles = snap["reconfig_cycles"]
-        tuner.total_energy_nj = snap["reconfig_energy_nj"]
+        tuner._current = cfg_objs[s["cur_cfg"][ci]]
+        tuner.reconfigurations = s["recfg_count"][ci]
+        tuner.total_cycles = s["recfg_cycles_core"][ci]
+        tuner.total_energy_nj = s["recfg_nj_core"][ci]
 
     # Rebuild the profiling table in the fast run's touch order (the
     # reference table's dict order is observable through benchmarks(),
@@ -100,7 +114,7 @@ def _write_back(sim, fast: FastSimulation, result: SimulationResult) -> None:
         if fast.pred_raw[b] is not None:
             profile.predicted_size_kb = fast.pred_raw[b]
         for cid in fast.executed[b]:
-            config = fast.cfg_objs[cid]
+            config = cfg_objs[cid]
             entry = fast._est[b][cid]
             profile.executions[config] = ExecutionRecord(
                 config=config,
@@ -117,17 +131,16 @@ def _write_back(sim, fast: FastSimulation, result: SimulationResult) -> None:
     }
     sim.heuristic = heuristic
 
-    acc = state["accumulators"]
-    sim._dynamic_nj = acc["dynamic_nj"]
-    sim._busy_static_nj = acc["busy_static_nj"]
-    sim._reconfig_nj = acc["reconfig_nj"]
-    sim._reconfig_cycles = acc["reconfig_cycles"]
-    sim._profiling_overhead_nj = acc["profiling_overhead_nj"]
-    sim._stall_decisions = acc["stall_decisions"]
-    sim._non_best_decisions = acc["non_best_decisions"]
-    sim._tuning_executions = acc["tuning_executions"]
-    sim._profiling_executions = acc["profiling_executions"]
-    sim._preemption_count = acc["preemption_count"]
+    sim._dynamic_nj = s["dynamic_nj"]
+    sim._busy_static_nj = s["busy_static_nj"]
+    sim._reconfig_nj = s["reconfig_nj"]
+    sim._reconfig_cycles = s["reconfig_cycles"]
+    sim._profiling_overhead_nj = s["profiling_overhead_nj"]
+    sim._stall_decisions = s["stall_decisions"]
+    sim._non_best_decisions = s["non_best_decisions"]
+    sim._tuning_executions = s["tuning_executions"]
+    sim._profiling_executions = s["profiling_executions"]
+    sim._preemption_count = s["preemption_count"]
     sim._records = list(result.jobs)
-    if "power" in state:
-        sim._power_pool.load_state(state["power"])
+    if fast._power_pool is not None:
+        sim._power_pool.load_state(fast._power_pool.state_dict())

@@ -370,9 +370,9 @@ class SchedulerSimulation:
         self.metrics = metrics
         #: Sampled telemetry sink (:mod:`repro.obs.telemetry`) for the
         #: fast and streaming engines.  Deliberately NOT part of
-        #: :meth:`_fast_eligible`: telemetry fires on chunk boundaries
-        #: only, so requesting it keeps ``engine="auto"`` on the fast
-        #: path.
+        #: :meth:`_fast_eligible`: telemetry fires once every
+        #: ``sample_every`` completions only, so requesting it keeps
+        #: ``engine="auto"`` on the fast path.
         self.telemetry = telemetry
         #: Job id the policy just flagged as a non-best dispatch; consumed
         #: by :meth:`_start` to categorise the execution it opens.
@@ -603,9 +603,9 @@ class SchedulerSimulation:
     ):
         """Open-system run: consume an unbounded arrival process.
 
-        Drives a :class:`~repro.sim.stream.StreamingSimulation` built
-        from this simulation's configuration — the fast engine's event
-        loop fed in bounded chunks from ``process``, with streaming
+        Drives a :class:`~repro.sim.stream.StreamingSimulation` over
+        this simulation's fast-engine tables — the one event loop fed
+        in bounded chunks from ``process``, with streaming
         metric accumulation, admission control and deterministic
         checkpoint/resume — and returns its
         :class:`~repro.sim.stream.StreamResult`.
@@ -622,8 +622,8 @@ class SchedulerSimulation:
         exactly like ``engine='fast'`` — tracing, metrics, validation
         and fault injection are rejected up front.  Sampled telemetry
         (the ``telemetry`` constructor argument) is the exception: it
-        fires at refill boundaries in O(1) memory, so it rides along on
-        the fast path and into the stream's checkpoints.
+        fires every ``sample_every`` completions in O(1) memory, so it
+        rides along on the fast path and into the stream's checkpoints.
         """
         if self.policy.orders_queue:
             raise ValueError(
@@ -641,29 +641,15 @@ class SchedulerSimulation:
                 "engine='auto' or 'fast') and either attach sampled "
                 "telemetry (telemetry=Telemetry(...), or "
                 "--telemetry-out / --progress on the CLI) for "
-                "chunk-boundary time-series, or read windowed metrics "
+                "sampled time-series, or read windowed metrics "
                 "from the StreamResult — waiting/turnaround "
                 "P50/P90/P99 snapshots, throughput, energy and shed "
                 "rates are accumulated in O(1) memory."
             )
+        from repro.core.fastpath import fresh_fast
         from repro.sim.stream import StreamingSimulation, read_checkpoint
 
-        streaming = StreamingSimulation(
-            self.system,
-            self.policy,
-            self.store,
-            predictor=self.predictor,
-            energy_table=self.energy_table,
-            tuner_costs=self._tuner_costs,
-            profiling_overhead_fraction=self.profiling_overhead_fraction,
-            discipline=self.discipline,
-            preemptive=self.preemptive,
-            preemption_quantum_cycles=self.preemption_quantum_cycles,
-            preload_profiles=self._preload_profiles_requested,
-            config=config,
-            telemetry=self.telemetry,
-            power=self.power,
-        )
+        streaming = StreamingSimulation.over(fresh_fast(self), config)
         if resume_from is not None:
             snapshot = (
                 read_checkpoint(resume_from)

@@ -1,16 +1,17 @@
 """Low-overhead sampled telemetry for the fast and streaming engines.
 
-The fast and streaming engines (:mod:`repro.sim.fast`,
-:mod:`repro.sim.stream`) compile the per-event observability hooks out
-of their hot loops — that is what makes them fast — so a run at the
-scale the ROADMAP cares about (millions of jobs, sustained load) used
-to be a black box until the final result.  :class:`Telemetry` closes
-that gap without reopening the hot path: the engines feed it only at
-**chunk boundaries** (every arrival-buffer refill for the streaming
-engine, every ``sample_every`` completions for the closed-batch fast
-engine), where it *reads* engine state — queue depth, per-core busy
-cycles and cache configuration, jobs done, windowed P² wait quantiles,
-energy accrued, throughput — and appends one versioned JSONL sample.
+The simulation core behind both engines — one event loop,
+:meth:`repro.sim.stream.StreamingSimulation.advance`, with the
+closed-batch front end in :mod:`repro.sim.fast` — compiles the
+per-event observability hooks out of its hot loop; that is what makes
+it fast.  A run at the scale the ROADMAP cares about (millions of
+jobs, sustained load) would otherwise be a black box until the final
+result.  :class:`Telemetry` closes that gap without reopening the hot
+path: the loop feeds it once every ``sample_every`` completions on
+both front ends, plus a final sample at drain, where it *reads* engine
+state — queue depth, per-core busy cycles and cache configuration,
+jobs done, P² wait quantiles, energy accrued, throughput — and appends
+one versioned JSONL sample.
 
 Three invariants make it safe and resumable:
 
@@ -45,7 +46,6 @@ import time
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from .events import EnergyAccrued, JobCompleted
-from .metrics import Histogram
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -58,7 +58,7 @@ __all__ = [
 #: Version of the JSONL sample schema (header line + sample lines).
 TELEMETRY_SCHEMA_VERSION = 1
 
-#: Default completions between fast-engine samples.
+#: Default completions between samples.
 DEFAULT_SAMPLE_EVERY = 1000
 
 
@@ -71,7 +71,7 @@ def _encode(payload: dict) -> str:
 
 
 class Telemetry:
-    """Chunk-boundary telemetry sink for the fast/streaming engines.
+    """Sampled telemetry sink for the fast/streaming engines.
 
     Parameters
     ----------
@@ -82,8 +82,7 @@ class Telemetry:
         Sampled-trace destination (typed events, ``sampled=true``).
         Requires ``trace_every >= 1``.
     sample_every:
-        Completions between samples on the closed-batch fast engine
-        (the streaming engine samples at every arrival-buffer refill).
+        Completions between samples, the same on both front ends.
     trace_every:
         Re-emit every Nth dispatch and completion as a typed event;
         ``0`` disables sampled tracing entirely.
@@ -138,9 +137,6 @@ class Telemetry:
         self.last_sample: Optional[dict] = None
         #: Set once the final sample of a run has been written.
         self.finalized = False
-        #: Wait-time window the *fast* engine feeds at sample time (the
-        #: streaming engine passes its own histogram snapshot instead).
-        self.wait_hist = Histogram("telemetry.waiting_cycles")
 
         self._progress = progress
         self._progress_len = 0

@@ -1,6 +1,7 @@
 """Discrete-event simulation substrate: events, a deterministic event
-engine, the FIFO ready queue, the struct-of-arrays fast engine and the
-open-system streaming engine built on top of it.
+engine, the FIFO ready queue, and the simulation core — one
+struct-of-arrays event loop (:class:`StreamingSimulation`) with an
+open-system and a closed-batch (:class:`FastSimulation`) front end.
 """
 
 from .engine import EventEngine

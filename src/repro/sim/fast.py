@@ -1,34 +1,33 @@
-"""Struct-of-arrays fast simulation engine (the reference loop's twin).
+"""Construction-time tables of the simulation core, and its batch front end.
 
-:class:`FastSimulation` replays exactly the semantics of
+The scheduler's event loop exists once, in
+:meth:`repro.sim.stream.StreamingSimulation.advance`.  It has two front
+ends: the open-system stream itself, and :meth:`FastSimulation.run`,
+which replays a closed batch with exactly the semantics of
 :class:`~repro.core.simulation.SchedulerSimulation` — same four
-policies, same arrival streams, same event ordering, same floating-point
-operation order — but on flat data:
+policies, same event ordering, same floating-point operation order.
 
-* **jobs** live in preallocated NumPy ``int64``/``float64`` arrays
-  (arrival/start/completion cycles, priorities, labels) whose working
-  copies are plain Python lists indexed by job slot (NumPy scalar reads
-  box on every access; list reads do not);
-* the **event schedule** is a flat arrival array stable-sorted once by
-  ``numpy.argsort`` plus a small tuple heap for completions, instead of
-  one heapq ``Event`` object per occurrence;
-* **characterisation and energy lookups** are precomputed once into
-  (benchmark × config) matrices — total cycles, dynamic/static/total
-  energy, per-config static leakage and reconfiguration costs — so the
-  hot loop never walks ``store.get(name).result(config).estimate``
-  chains;
-* the **obs/validate/faults hooks are compiled out**: there is no
-  recorder, metrics registry, validator or injector branch anywhere in
-  the loop.  Engine selection in
-  :class:`~repro.core.simulation.SchedulerSimulation` guarantees this
-  engine only ever runs when all of those are off, and PRs 3–5 proved
-  the hooks are observation-only (traced/validated/empty-fault runs are
-  bit-identical to plain ones), so skipping them cannot change results.
+:class:`FastSimulation` holds the flat data that loop reads:
 
-Event batching happens *between* scheduler decision points: arrivals and
-completions are drained from flat arrays, but a full dispatch round runs
-after every event — including stale (preempted-epoch) completions — so
-stall/non-best decision counts match the reference exactly.
+* **configuration interning** — cache configurations become integer
+  ids ascending in :class:`~repro.cache.config.CacheConfig` order, so
+  integer comparisons reproduce config tie-breaks;
+* **characterisation rows** — one ``(cycles, dynamic_nj, static_nj,
+  total_nj)`` tuple per (benchmark × config), plus per-config static
+  leakage and reconfiguration costs, so the loop never walks
+  ``store.get(name).result(config).estimate`` chains;
+* **the system layout** and the **knowledge state** (profiling table,
+  predictions, explored configs, tuning sessions) the loop updates in
+  place.
+
+A closed batch is a finite stream: :meth:`FastSimulation.run` sorts the
+arrivals stably by arrival cycle and feeds them from a list through a
+:class:`~repro.sim.stream.StreamingSimulation` with
+``StreamConfig(max_jobs=len(arrivals), retain_jobs=True)``.  The
+**obs/validate/faults hooks are compiled out** of that loop: engine
+selection in :class:`~repro.core.simulation.SchedulerSimulation` only
+routes a run here when all of them are off, and they are
+observation-only, so skipping them cannot change results.
 
 Bit-identity with the reference engine across the policy × discipline ×
 preemption grid is enforced by
@@ -38,31 +37,38 @@ preemption grid is enforced by
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.cache.config import BASE_CONFIG, CacheConfig
 from repro.cache.tuner import TunerCostModel
 from repro.characterization.store import CharacterizationStore
 from repro.core.policies import SchedulingPolicy
 from repro.core.predictor import BestCorePredictor
-from repro.core.results import JobRecord, SimulationResult
+from repro.core.results import SimulationResult
 from repro.core.tuning import TuningSession
 from repro.energy.tables import EnergyTable
-from repro.obs.events import CATEGORIES as _CATEGORIES
-from repro.power.budget import TokenPool, normalize_power, pick_degraded
+from repro.power.budget import TokenPool, normalize_power
 from repro.workloads.arrivals import JobArrival
 
 __all__ = ["FastSimulation"]
 
-_NEG_INF = float("-inf")
-_INF = float("inf")
+_arrival_cycle = attrgetter("arrival_cycle")
+
+
+class _ArrivalList:
+    """A finite arrival source: the whole sorted batch as one chunk."""
+
+    def __init__(self, arrivals: List[JobArrival]) -> None:
+        self._arrivals = arrivals
+
+    def next_chunk(self) -> List[JobArrival]:
+        chunk, self._arrivals = self._arrivals, []
+        return chunk
 
 
 class FastSimulation:
-    """One fast simulation run of one policy on one system.
+    """Tables of the simulation core, and its closed-batch front end.
 
     Construction mirrors
     :class:`~repro.core.simulation.SchedulerSimulation` (same defaults,
@@ -76,11 +82,10 @@ class FastSimulation:
     already maintains, so results stay bit-identical telemetry-on vs
     telemetry-off.
 
-    After :meth:`run`, :attr:`final_state` holds the reference-shaped
-    end-of-run state (engine counters, per-core occupancy and residency,
-    profiling-table knowledge, tuning sessions) so the glue layer can
-    write it back into a :class:`SchedulerSimulation` and keep its
-    post-run introspection surface intact.
+    After :meth:`run`, :attr:`stream` is the finished
+    :class:`~repro.sim.stream.StreamingSimulation` that ran the batch;
+    its run state plus this object's knowledge state are what the glue
+    layer writes back into a :class:`SchedulerSimulation`.
     """
 
     DISCIPLINES = ("fifo", "priority", "edf")
@@ -130,7 +135,7 @@ class FastSimulation:
         self.preemptive = preemptive
         self.preemption_quantum_cycles = preemption_quantum_cycles
         # Sampled telemetry sink (repro.obs.telemetry).  Unlike the
-        # per-event hooks this engine compiles out, telemetry fires on
+        # per-event hooks the loop compiles out, telemetry fires on
         # completion-count thresholds only, so attaching it keeps the
         # fast path fast and the results bit-identical.
         self.telemetry = telemetry
@@ -144,7 +149,9 @@ class FastSimulation:
         self._power_pool = (
             TokenPool(self.power) if self.power is not None else None
         )
-        self.final_state: Optional[dict] = None
+        #: The stream that ran (or is running) on these tables.  Set
+        #: once: the stream consumes the knowledge state below.
+        self.stream = None
 
         # -- configuration interning ------------------------------------
         # Config ids ascend in CacheConfig's natural (size, assoc, line)
@@ -182,7 +189,7 @@ class FastSimulation:
             for cfg in self.cfg_objs
         ]
 
-        # -- benchmark interning + estimate matrices --------------------
+        # -- benchmark interning + characterisation rows ----------------
         self.bench_names: List[str] = list(store.names())
         self.bids: Dict[str, int] = {
             name: i for i, name in enumerate(self.bench_names)
@@ -192,9 +199,7 @@ class FastSimulation:
         # (cycles, dynamic_nj, static_nj, total_nj) scalars per
         # benchmark (None = the store was never characterised for that
         # config).  Total uses the same addition order as
-        # EnergyBreakdown.total_nj.  The NumPy matrix views of this
-        # table (est_cycles & co) are materialised lazily on first
-        # access — nothing in the hot loop reads them.
+        # EnergyBreakdown.total_nj.
         cfg_ids_get = self.cfg_ids.get
         rows: List[List[Optional[tuple]]] = []
         for name in self.bench_names:
@@ -213,7 +218,6 @@ class FastSimulation:
                 )
             rows.append(row)
         self._est = rows
-        self._est_matrices: Optional[tuple] = None
 
         # -- system layout ----------------------------------------------
         cores = system.cores
@@ -260,62 +264,6 @@ class FastSimulation:
 
         if preload_profiles:
             self._preload_profiles()
-
-    # -- characterisation matrix views ---------------------------------------
-
-    def _matrices(self) -> tuple:
-        cached = self._est_matrices
-        if cached is None:
-            rows = self._est
-            cached = (
-                np.array(
-                    [[r[0] if r else 0 for r in row] for row in rows],
-                    dtype=np.int64,
-                ),
-                np.array(
-                    [[r[1] if r else 0.0 for r in row] for row in rows],
-                    dtype=np.float64,
-                ),
-                np.array(
-                    [[r[2] if r else 0.0 for r in row] for row in rows],
-                    dtype=np.float64,
-                ),
-                np.array(
-                    [[r[3] if r else 0.0 for r in row] for row in rows],
-                    dtype=np.float64,
-                ),
-                np.array(
-                    [[r is not None for r in row] for row in rows],
-                    dtype=bool,
-                ),
-            )
-            self._est_matrices = cached
-        return cached
-
-    @property
-    def est_cycles(self) -> np.ndarray:
-        """(benchmark × config) total-cycle matrix."""
-        return self._matrices()[0]
-
-    @property
-    def est_dynamic(self) -> np.ndarray:
-        """(benchmark × config) dynamic-energy matrix (nJ)."""
-        return self._matrices()[1]
-
-    @property
-    def est_static(self) -> np.ndarray:
-        """(benchmark × config) static-energy matrix (nJ)."""
-        return self._matrices()[2]
-
-    @property
-    def est_total(self) -> np.ndarray:
-        """(benchmark × config) total-energy matrix (nJ)."""
-        return self._matrices()[3]
-
-    @property
-    def est_valid(self) -> np.ndarray:
-        """(benchmark × config) characterised-at-all mask."""
-        return self._matrices()[4]
 
     # -- helpers -------------------------------------------------------------
 
@@ -388,1081 +336,32 @@ class FastSimulation:
                 self.tuned[b].add(size_kb)
                 self._touch(b)
 
-    # -- main loop -----------------------------------------------------------
+    # -- closed-batch front end ----------------------------------------------
 
     def run(self, arrivals: Sequence[JobArrival]) -> SimulationResult:
         """Simulate the full arrival stream to completion."""
-        if self.final_state is not None:
-            raise RuntimeError("a FastSimulation runs exactly once")
+        # Imported here: repro.sim.stream builds on this module.
+        from repro.sim.stream import StreamConfig, StreamingSimulation
+
         if not arrivals:
             raise ValueError("need at least one arrival")
-
-        n = len(arrivals)
-        # Job arrays (struct-of-arrays).  NumPy holds the canonical
-        # copies, built in one conversion each; the loop reads plain
-        # Python lists because scalar indexing into ndarrays boxes on
-        # every access.
-        bids_get = self.bids.get
-        jbid = []
+        bids = self.bids
         for arrival in arrivals:
-            b = bids_get(arrival.benchmark)
-            if b is None:
+            if arrival.benchmark not in bids:
                 raise KeyError(
                     f"benchmark {arrival.benchmark!r} missing from the "
                     "characterisation store"
                 )
-            jbid.append(b)
-        jlab = [a.job_id for a in arrivals]
-        jarr = [a.arrival_cycle for a in arrivals]
-        jprio = [a.priority for a in arrivals]
-        jdl: List[Optional[int]] = [a.deadline_cycle for a in arrivals]
-        label_np = np.array(jlab, dtype=np.int64)
-        arr_np = np.array(jarr, dtype=np.int64)
-        prio_np = np.array(jprio, dtype=np.int64)
-        # The flat sorted event schedule: arrival slots in stable
-        # (cycle, input order) order — the exact order the reference
-        # heap pops equal-time arrivals (kind ties break on sequence).
-        order = np.argsort(arr_np, kind="stable")
-        self.arrival_schedule = arr_np[order]
-        sched_time = self.arrival_schedule.tolist()
-        order = order.tolist()
-
-        jstart: List[Optional[int]] = [None] * n
-        jcomp = [0] * n
-        remaining = [1.0] * n
-        jpre = [0] * n
-        last_enq: List[Optional[int]] = [None] * n
-        waiting = [0] * n
-        charged = [0.0] * n
-
-        # Per-job urgency for the preemption comparison, precomputed
-        # (priority/deadline are immutable).
-        discipline = self.discipline
-        if discipline == "priority":
-            urgency = [float(p) for p in jprio]
-            sort_key: Optional[list] = [-p for p in jprio]
-        elif discipline == "edf":
-            urgency = [
-                _NEG_INF if d is None else -float(d) for d in jdl
-            ]
-            sort_key = [_INF if d is None else d for d in jdl]
-        else:
-            urgency = [0.0] * n
-            sort_key = None
-
-        # Per-core state (parallel lists indexed by core).
-        C = self.n_cores
-        cur_job = [-1] * C
-        busy_until = [0] * C
-        busy_cycles = [0] * C
-        run_started = [0] * C
-        epoch = [0] * C
-        execs = [0] * C
-        cur_cfg = list(self.core_reset_cid)
-        recfg_count = [0] * C
-        recfg_cycles_core = [0] * C
-        recfg_nj_core = [0.0] * C
-        res_closed: List[list] = [[] for _ in range(C)]
-        res_start = [0] * C
-        res_busy = [0] * C
-        pending: List[Optional[tuple]] = [None] * C
-
-        # Local aliases for the hot loop.
-        est = self._est
-        executed = self.executed
-        best_known = self.best_known
-        profiled = self.profiled
-        pred_raw = self.pred_raw
-        pred_size = self.pred_size
-        tuned = self.tuned
-        cfg_sizes = self.cfg_sizes
-        cfg_static = self.cfg_static_nj
-        cfg_objs = self.cfg_objs
-        cfg_ids = self.cfg_ids
-        recfg_cycles_from = self.recfg_cycles_from
-        recfg_nj_from = self.recfg_nj_from
-        cfg_names = self.cfg_names
-        core_sizes = self.core_sizes
-        core_cfg_ids = self.core_cfg_ids
-        cores_by_size = self.cores_by_size
-        profiling_order = self.profiling_order
-        base_cid = self.base_cid
-        bench_names = self.bench_names
-        store = self.store
-        predictor = self.predictor
-        pof = self.profiling_overhead_fraction
-        policy = self.policy
-        requires_profiling = policy.requires_profiling
-        uses_predictor = policy.uses_predictor
-        pol = {"base": 0, "optimal": 1, "energy_centric": 2}.get(
-            policy.name, 3
+        # Stable by arrival cycle: the order the reference heap pops
+        # equal-time arrivals (their sequence numbers follow the input
+        # order).  The stream rejects decreasing times.
+        ordered = sorted(arrivals, key=_arrival_cycle)
+        stream = StreamingSimulation.over(
+            self,
+            StreamConfig(max_jobs=len(ordered), retain_jobs=True),
+            front_end="fast",
         )
-        preemptive = self.preemptive
-        quantum = self.preemption_quantum_cycles
-        touched = self.touched
-        touch_order = self.touch_order
-        nearest_size = self._nearest_size
-        core_range = range(C)
-        sessions = self.sessions
-
-        # Power axis locals.  ``pool is None`` is the only extra branch
-        # the power-off loop pays.
-        pool = self._power_pool
-        if pool is None:
-            dvfs_points: Optional[tuple] = None
-            nominal_point = None
-            n_points = 1
-            slack_pct = 0.0
-        else:
-            table = self.power.dvfs
-            dvfs_points = None if table is None else tuple(table)
-            nominal_point = None if table is None else table.default
-            n_points = 1 if dvfs_points is None else len(dvfs_points)
-            slack_pct = self.power.slack_pct
-        core_dvfs: List[Optional[str]] = [None] * C
-
-        # Per-(benchmark, size) tuning-session state cache:
-        # ``(done, cid, config)`` where ``cid`` is the interned id of the
-        # best config (done) or the next sweep config (in progress), or
-        # -1 when that config is not in this system's design space.  The
-        # steady state (every session done) then costs two int-keyed
-        # dict reads per decision instead of a session-object attribute
-        # chain plus a CacheConfig hash.
-        sess_state: List[Dict[int, tuple]] = [
-            {} for _ in self.bench_names
-        ]
-
-        def sess(b: int, size_kb: int) -> tuple:
-            state = sess_state[b].get(size_kb)
-            if state is None:
-                key = (b, size_kb)
-                session = sessions.get(key)
-                if session is None:
-                    session = TuningSession(size_kb=size_kb)
-                    sessions[key] = session
-                cfg = (
-                    session.best_config
-                    if session.done
-                    else session.next_config()
-                )
-                state = (session.done, cfg_ids.get(cfg, -1), cfg)
-                sess_state[b][size_kb] = state
-            return state
-
-        # Event and queue state.
-        queue: Dict[int, bool] = {}
-        view: Optional[list] = None
-        comp_heap: List[tuple] = []
-        # Occupied-core count: a core with no job always has
-        # ``busy_until <= now`` (completions fire at busy_until,
-        # preemption rewinds it to now), so ``n_busy < C`` is exactly
-        # "some core is idle" without a per-round scan.
-        n_busy = 0
-        seq = n  # arrivals consumed sequence numbers 0..n-1
-        processed = 0
-        now = 0
-        enqueued_total = 0
-        max_queue_len = 0
-
-        # Accounting accumulators (same op order as the reference).
-        dynamic_nj = 0.0
-        busy_static_nj = 0.0
-        reconfig_nj = 0.0
-        reconfig_cycles = 0
-        profiling_overhead_nj = 0.0
-        stall_decisions = 0
-        non_best_decisions = 0
-        tuning_executions = 0
-        profiling_executions = 0
-        preemption_count = 0
-        non_best_pending = False
-        preempted_now: set = set()
-        preempted_now_cycle = -1
-
-        records: List[tuple] = []
-
-        # Telemetry thresholds.  Telemetry-off parks the sample
-        # threshold past the run and the trace thresholds at -1, so the
-        # only hot-loop cost is one integer compare per completion (plus
-        # one per start while sampled tracing is on).  Everything the
-        # sample reads is state the loop already maintains — no extra
-        # accounting, which is what keeps telemetry-on bit-identical.
-        tel = self.telemetry
-        done_ct = 0
-        rec_i = 0  # completions already fed into the waiting window
-        if tel is None:
-            tel_every = tr_every = 0
-            tel_next = n + 1
-            tr_comp_next = tr_start_next = -1
-        else:
-            tel_every = tel.sample_every
-            tel_next = tel_every
-            tr_every = tel.trace_every
-            if tr_every > 0:
-                tr_comp_next = tr_every
-                tr_start_next = n + tr_every  # seq starts at n
-            else:
-                tr_comp_next = tr_start_next = -1
-            tel.begin({
-                "engine": "fast",
-                "policy": policy.name,
-                "discipline": discipline,
-                "preemptive": preemptive,
-                "jobs": n,
-            })
-
-        fifo = sort_key is None
-
-        # -- the event loop ----------------------------------------------
-        # The per-decision helpers (choose/start/complete/try_preempt/
-        # dispatch) are inlined into this single loop body: in CPython a
-        # variable captured by any nested function becomes a closure
-        # cell everywhere in the frame, so keeping hot state out of
-        # every closure (only the cold-path ``sess`` remains) turns
-        # each access into a plain local load.
-        #
-        # A dispatch round is skipped when every core is occupied and
-        # preemption is off: the reference's dispatch scans for an idle
-        # core before consulting the policy, so an all-busy round has no
-        # observable effect (no decisions, no counters).
-        ai = 0
-        while ai < n or comp_heap:
-            if comp_heap and not (
-                ai < n and sched_time[ai] < comp_heap[0][0]
-            ):
-                now, _, ci, cepoch = heappop(comp_heap)
-                if cepoch == epoch[ci]:
-                    # ---- job completion ----------------------------
-                    (jid, cid, prof, tun, fraction_at_start,
-                     _, _, _, _, e_tot, cat) = pending[ci]
-                    pending[ci] = None
-                    cur_job[ci] = -1
-                    n_busy -= 1
-                    jcomp[jid] = now
-                    remaining[jid] = 0.0
-                    if pool is not None:
-                        pool.consume(jlab[jid])
-                    b = jbid[jid]
-                    full = fraction_at_start == 1.0
-                    if full:
-                        # Execution-record bookkeeping (every full run).
-                        if not touched[b]:
-                            touched[b] = True
-                            touch_order.append(b)
-                        ex = executed[b]
-                        if cid not in ex:
-                            ex[cid] = True
-                            size = cfg_sizes[cid]
-                            bk = best_known[b]
-                            best = bk.get(size)
-                            if (
-                                best is None
-                                or e_tot < best[0]
-                                or (e_tot == best[0] and cid < best[1])
-                            ):
-                                bk[size] = (e_tot, cid)
-                    if prof:
-                        if not touched[b]:
-                            touched[b] = True
-                            touch_order.append(b)
-                        profiled[b] = True
-                        if uses_predictor:
-                            size = predictor.predict_size_kb(
-                                bench_names[b],
-                                store.counters(bench_names[b]),
-                            )
-                            if size <= 0:
-                                raise ValueError(
-                                    "predicted size must be positive"
-                                )
-                            pred_raw[b] = size
-                            pred_size[b] = nearest_size(size)
-                    if full and tun and uses_predictor:
-                        size_kb = cfg_sizes[cid]
-                        done, next_cid, _ = sess(b, size_kb)
-                        if not done and next_cid == cid:
-                            session = sessions[(b, size_kb)]
-                            session.record(cfg_objs[cid], e_tot)
-                            if session.done:
-                                best = session.best_config
-                                sess_state[b][size_kb] = (
-                                    True, cfg_ids.get(best, -1), best,
-                                )
-                                if not touched[b]:
-                                    touched[b] = True
-                                    touch_order.append(b)
-                                tuned[b].add(size_kb)
-                            else:
-                                nxt = session.next_config()
-                                sess_state[b][size_kb] = (
-                                    False, cfg_ids.get(nxt, -1), nxt,
-                                )
-                    records.append((jid, ci, cid, prof, tun))
-                    done_ct += 1
-                    if done_ct == tel_next:
-                        # Chunk boundary: feed the completions since the
-                        # last sample into the waiting window, then read
-                        # the loop's own state into one JSONL sample.
-                        tel_next += tel_every
-                        ow = tel.wait_hist.observe
-                        while rec_i < done_ct:
-                            ow(waiting[records[rec_i][0]])
-                            rec_i += 1
-                        tel.sample(
-                            engine="fast", now=now, done=done_ct,
-                            total=n, queue=len(queue), busy=n_busy,
-                            cores=[
-                                [busy_cycles[i], cfg_names[cur_cfg[i]]]
-                                for i in core_range
-                            ],
-                            dynamic_nj=dynamic_nj,
-                            busy_static_nj=busy_static_nj,
-                            reconfig_nj=reconfig_nj,
-                            profiling_overhead_nj=profiling_overhead_nj,
-                            stalls=stall_decisions,
-                            non_best=non_best_decisions,
-                            preemptions=preemption_count,
-                            waiting=tel.wait_hist.snapshot(),
-                            jobs_per_mcycle=(
-                                done_ct * 1e6 / now if now else 0.0
-                            ),
-                        )
-                    if done_ct == tr_comp_next:
-                        tr_comp_next += tr_every
-                        tel.emit_completion(
-                            cycle=now, job_id=jlab[jid], core_index=ci,
-                            benchmark=bench_names[b],
-                            config=cfg_names[cid],
-                            category=_CATEGORIES[cat],
-                            energy_nj=charged[jid],
-                            waiting_cycles=waiting[jid],
-                        )
-                # A stale completion (preempted epoch) still opens a
-                # dispatch round, exactly like the reference.
-            else:
-                jid = order[ai]
-                now = sched_time[ai]
-                ai += 1
-                last_enq[jid] = now
-                queue[jid] = True
-                view = None
-                enqueued_total += 1
-                if len(queue) > max_queue_len:
-                    max_queue_len = len(queue)
-            processed += 1
-            if n_busy >= C and not preemptive:
-                continue
-
-            # ---- dispatch rounds --------------------------------------
-            while True:
-                if n_busy < C and queue:
-                    # Under FIFO the dict's insertion order IS the
-                    # view, so iterate it live (the only mutation —
-                    # del on assignment — is immediately followed by
-                    # a break).
-                    if fifo:
-                        v = queue
-                    elif view is not None:
-                        v = view
-                    else:
-                        v = view = sorted(
-                            queue, key=sort_key.__getitem__
-                        )
-                    assigned = False
-                    # Benchmarks that already stalled during THIS scan
-                    # pass: the stall evaluation reads only core/now/
-                    # session state, all of which is fixed until a
-                    # start ends the pass, so a repeat evaluation for
-                    # the same benchmark is deterministic — skip the
-                    # arithmetic and repeat its counter increment.
-                    scan_stalled = set()
-                    for jid in v:
-                        # ---- placement decision --------------------
-                        # Idleness is just ``cur_job[ci] < 0``: an
-                        # unoccupied core always has ``busy_until <=
-                        # now`` (completions fire at ``busy_until``,
-                        # preemption rewinds it to ``now``), so the
-                        # reference's ``now >= busy_until`` conjunct
-                        # is vacuous.  ``continue`` means this job
-                        # waits; the scan moves to the next one.
-                        b = jbid[jid]
-                        assignment = None
-                        if requires_profiling and not profiled[b]:
-                            # Unprofiled: profiling core, base config.
-                            for ci, supports_base in profiling_order:
-                                if cur_job[ci] < 0 and supports_base:
-                                    assignment = (
-                                        ci, base_cid, True, False,
-                                    )
-                                    break
-                            if assignment is None:
-                                continue
-                        elif pol == 0:  # base
-                            for ci in core_range:
-                                if cur_job[ci] < 0:
-                                    assignment = (
-                                        ci, cur_cfg[ci], False, False,
-                                    )
-                                    break
-                            if assignment is None:
-                                continue
-                        elif pol == 1:  # optimal
-                            idle = []
-                            for ci in core_range:
-                                if cur_job[ci] < 0:
-                                    idle.append(ci)
-                            if not idle:
-                                continue
-                            ex = executed[b]
-                            for ci in idle:
-                                for cid in core_cfg_ids[ci]:
-                                    if cid not in ex:
-                                        assignment = (
-                                            ci, cid, False, True,
-                                        )
-                                        break
-                                if assignment is not None:
-                                    break
-                            if assignment is None:
-                                best_ci = -1
-                                best_key = None
-                                for ci in idle:
-                                    key = (
-                                        best_known[b][core_sizes[ci]][0],
-                                        ci,
-                                    )
-                                    if best_key is None or key < best_key:
-                                        best_key = key
-                                        best_ci = ci
-                                assignment = (
-                                    best_ci,
-                                    best_known[b][core_sizes[best_ci]][1],
-                                    False,
-                                    False,
-                                )
-                        else:
-                            # Predictor-driven policies share the size
-                            # lookup.
-                            if pred_raw[b] is None:
-                                raise RuntimeError(
-                                    f"{bench_names[b]} has no "
-                                    "prediction; profiling must "
-                                    "precede prediction-based "
-                                    "scheduling"
-                                )
-                            size_kb = pred_size[b]
-                            if pol == 2:  # energy_centric
-                                for ci in core_range:
-                                    if (
-                                        cur_job[ci] < 0
-                                        and core_sizes[ci] == size_kb
-                                    ):
-                                        done, cid, cfg = (
-                                            sess_state[b].get(size_kb)
-                                            or sess(b, size_kb)
-                                        )
-                                        if cid < 0:
-                                            raise KeyError(cfg)
-                                        assignment = (
-                                            ci, cid, False, not done,
-                                        )
-                                        break
-                                if assignment is None:
-                                    continue
-                            else:
-                                # proposed — a best-size match wins
-                                # outright, so the scan can stop at
-                                # the first one; idle_nb only matters
-                                # when none exists.
-                                if b in scan_stalled:
-                                    stall_decisions += 1
-                                    continue
-                                best_size_ci = -1
-                                idle_nb = []
-                                for ci in core_range:
-                                    if cur_job[ci] < 0:
-                                        if core_sizes[ci] == size_kb:
-                                            best_size_ci = ci
-                                            break
-                                        idle_nb.append(ci)
-                                if best_size_ci >= 0:
-                                    done, cid, cfg = (
-                                        sess_state[b].get(size_kb)
-                                        or sess(b, size_kb)
-                                    )
-                                    if cid < 0:
-                                        raise KeyError(cfg)
-                                    assignment = (
-                                        best_size_ci, cid,
-                                        False, not done,
-                                    )
-                                elif not idle_nb:
-                                    continue
-                                else:
-                                    stb = sess_state[b]
-                                    nb = []
-                                    for ci in idle_nb:
-                                        sz = core_sizes[ci]
-                                        done, cid, cfg = (
-                                            stb.get(sz) or sess(b, sz)
-                                        )
-                                        if not done:
-                                            if cid < 0:
-                                                raise KeyError(cfg)
-                                            assignment = (
-                                                ci, cid, False, True,
-                                            )
-                                            break
-                                        nb.append((ci, cid, cfg))
-                                    if assignment is None:
-                                        best_done, best_cid, best_cfg = (
-                                            stb.get(size_kb)
-                                            or sess(b, size_kb)
-                                        )
-                                        if not best_done:
-                                            stall_decisions += 1
-                                            scan_stalled.add(b)
-                                            continue
-                                        if best_cid < 0:
-                                            raise KeyError(best_cfg)
-                                        if best_cid not in executed[b]:
-                                            # Parity with the
-                                            # table-eviction guard
-                                            # (fault-only).
-                                            stall_decisions += 1
-                                            scan_stalled.add(b)
-                                            continue
-                                        eb = est[b]
-                                        cand_ci = -1
-                                        cand_cid = -1
-                                        cand_key = None
-                                        for ci, scid, scfg in nb:
-                                            if scid < 0:
-                                                raise KeyError(scfg)
-                                            key = (eb[scid][3], ci)
-                                            if (
-                                                cand_key is None
-                                                or key < cand_key
-                                            ):
-                                                cand_key = key
-                                                cand_ci = ci
-                                                cand_cid = scid
-                                        wait_cycles = None
-                                        for ci in cores_by_size[size_kb]:
-                                            rem = (
-                                                busy_until[ci] - now
-                                                if cur_job[ci] >= 0
-                                                else 0
-                                            )
-                                            if rem < 0:
-                                                rem = 0
-                                            if (
-                                                wait_cycles is None
-                                                or rem < wait_cycles
-                                            ):
-                                                wait_cycles = rem
-                                        stall_energy = (
-                                            eb[best_cid][3]
-                                            + wait_cycles
-                                            * cfg_static[cur_cfg[cand_ci]]
-                                        )
-                                        if stall_energy <= eb[cand_cid][3]:
-                                            stall_decisions += 1
-                                            scan_stalled.add(b)
-                                            continue
-                                        non_best_decisions += 1
-                                        non_best_pending = True
-                                        assignment = (
-                                            cand_ci, cand_cid,
-                                            False, False,
-                                        )
-
-                        # ---- power gate ----------------------------
-                        # Mirrors SchedulerSimulation._power_gate with
-                        # the point pinned to nominal (engine selection
-                        # keeps policies that override choose_dvfs on
-                        # the reference engine).  All arithmetic repeats
-                        # repro.energy.scaling.scaled_charges operation
-                        # for operation.
-                        dvfs_point = None
-                        if pool is not None:
-                            ci, cid, prof, tun = assignment
-                            entry = est[b][cid]
-                            if entry is None:
-                                store.estimate(
-                                    bench_names[b], cfg_objs[cid]
-                                )
-                            tot_cycles, dyn, sta, _ = entry
-                            fraction = remaining[jid]
-                            if fraction == 1.0:
-                                g_dyn = dyn
-                                g_sta = sta
-                            else:
-                                g_dyn = dyn * fraction
-                                g_sta = sta * fraction
-                            dvfs_point = nominal_point
-                            price = g_dyn + g_sta
-                            csize = core_sizes[ci]
-                            if not pool.affordable(price, csize):
-                                eb = est[b]
-                                cfg_ladder = (
-                                    (cid,) if prof or tun
-                                    else core_cfg_ids[ci]
-                                )
-                                options = (
-                                    (None,) if dvfs_points is None
-                                    else dvfs_points
-                                )
-                                candidates = []
-                                rank = 0
-                                for ccid in cfg_ladder:
-                                    centry = eb[ccid]
-                                    if centry is None:
-                                        rank += n_points
-                                        continue
-                                    ctot, cdyn, csta, _ = centry
-                                    if fraction == 1.0:
-                                        cwork0 = ctot
-                                        cd0 = cdyn
-                                        cs0 = csta
-                                    else:
-                                        cwork0 = int(
-                                            round(ctot * fraction)
-                                        )
-                                        if cwork0 < 1:
-                                            cwork0 = 1
-                                        cd0 = cdyn * fraction
-                                        cs0 = csta * fraction
-                                    for option in options:
-                                        if (
-                                            option is None
-                                            or option.is_nominal
-                                        ):
-                                            cwork = cwork0
-                                            cd = cd0
-                                            cs = cs0
-                                        else:
-                                            cwork = int(round(
-                                                cwork0
-                                                / option.freq_scale
-                                            ))
-                                            if cwork < 1:
-                                                cwork = 1
-                                            cd = cd0 * option.dyn_factor
-                                            cs = (
-                                                cs0
-                                                * option.static_factor
-                                            )
-                                        candidates.append((
-                                            cd + cs, cwork, rank,
-                                            (ccid, option),
-                                        ))
-                                        rank += 1
-                                chosen = pick_degraded(
-                                    pool, csize, price, candidates,
-                                    now=now,
-                                    arrival_cycle=jarr[jid],
-                                    deadline_cycle=jdl[jid],
-                                    slack_pct=slack_pct,
-                                )
-                                if chosen is not None:
-                                    dcid, option = chosen
-                                    pool.degraded += 1
-                                    dvfs_point = option
-                                    assignment = (ci, dcid, prof, tun)
-                                elif pool.idle():
-                                    pool.overdrafts += 1
-                                else:
-                                    pool.throttled += 1
-                                    continue
-
-                        # ---- job start -----------------------------
-                        del queue[jid]
-                        view = None
-                        ci, cid, prof, tun = assignment
-                        prev = cur_cfg[ci]
-                        if cid != prev:
-                            cost_cyc = recfg_cycles_from[prev]
-                            cost_nj = recfg_nj_from[prev]
-                            res_closed[ci].append(
-                                (res_start[ci], now, prev, res_busy[ci])
-                            )
-                            res_start[ci] = now
-                            res_busy[ci] = 0
-                            cur_cfg[ci] = cid
-                            recfg_count[ci] += 1
-                            recfg_cycles_core[ci] += cost_cyc
-                            recfg_nj_core[ci] += cost_nj
-                        else:
-                            cost_cyc = 0
-                            cost_nj = 0.0
-                        reconfig_nj += cost_nj
-                        reconfig_cycles += cost_cyc
-
-                        entry = est[b][cid]
-                        if entry is None:
-                            # Raise the reference's KeyError at the
-                            # same point.
-                            store.estimate(bench_names[b], cfg_objs[cid])
-                        tot_cycles, dyn, sta, tot = entry
-                        fraction = remaining[jid]
-                        if not 0.0 < fraction <= 1.0:
-                            raise RuntimeError(
-                                f"job {jlab[jid]} has invalid "
-                                f"remaining fraction {fraction}"
-                            )
-                        overhead_cycles = 0
-                        overhead_nj = 0.0
-                        if prof:
-                            overhead_cycles = int(round(tot_cycles * pof))
-                            overhead_nj = tot * pof
-                            profiling_overhead_nj += overhead_nj
-                            profiling_executions += 1
-                        if tun and fraction == 1.0:
-                            tuning_executions += 1
-
-                        if fraction == 1.0:
-                            # IEEE multiplication by 1.0 is exact, so
-                            # the common full-run case can skip the
-                            # scaling bit-identically.
-                            dynamic_charge = dyn
-                            static_charge = sta
-                            work = tot_cycles
-                        else:
-                            dynamic_charge = dyn * fraction
-                            static_charge = sta * fraction
-                            work = int(round(tot_cycles * fraction))
-                            if work < 1:
-                                work = 1
-                        if pool is not None:
-                            if (
-                                dvfs_point is not None
-                                and not dvfs_point.is_nominal
-                            ):
-                                work = int(round(
-                                    work / dvfs_point.freq_scale
-                                ))
-                                if work < 1:
-                                    work = 1
-                                dynamic_charge = (
-                                    dynamic_charge
-                                    * dvfs_point.dyn_factor
-                                )
-                                static_charge = (
-                                    static_charge
-                                    * dvfs_point.static_factor
-                                )
-                            pool.grant(
-                                jlab[jid],
-                                dynamic_charge + static_charge,
-                                core_sizes[ci],
-                            )
-                            core_dvfs[ci] = (
-                                None if dvfs_point is None
-                                else dvfs_point.name
-                            )
-                        dynamic_nj += dynamic_charge
-                        busy_static_nj += static_charge
-                        charged[jid] += dynamic_charge + static_charge
-                        service = work + cost_cyc + overhead_cycles
-                        if jstart[jid] is None:
-                            jstart[jid] = now
-                        enq = last_enq[jid]
-                        waiting[jid] += now - (
-                            enq if enq is not None else jarr[jid]
-                        )
-                        last_enq[jid] = None
-                        cur_job[ci] = jid
-                        n_busy += 1
-                        run_started[ci] = now
-                        busy_until[ci] = now + service
-                        busy_cycles[ci] += service
-                        res_busy[ci] += service
-                        execs[ci] += 1
-                        epoch[ci] += 1
-
-                        if prof:
-                            cat = 0
-                        elif tun:
-                            cat = 1
-                        elif non_best_pending:
-                            cat = 2
-                        else:
-                            cat = 3
-                        non_best_pending = False
-
-                        pending[ci] = (
-                            jid, cid, prof, tun, fraction,
-                            dynamic_charge, static_charge, overhead_nj,
-                            tot_cycles, tot, cat,
-                        )
-                        heappush(
-                            comp_heap,
-                            (now + service, seq, ci, epoch[ci]),
-                        )
-                        seq += 1
-                        if seq == tr_start_next:
-                            tr_start_next += tr_every
-                            tel.emit_dispatch(
-                                cycle=now, job_id=jlab[jid],
-                                core_index=ci,
-                                benchmark=bench_names[b],
-                                category=_CATEGORIES[cat],
-                                dynamic_nj=dynamic_charge,
-                                static_nj=static_charge,
-                                overhead_nj=overhead_nj,
-                                service_cycles=service,
-                            )
-                        assigned = True
-                        break  # core states changed; rescan
-                    if assigned:
-                        continue
-
-                # Nothing could be placed (or no core is idle): try a
-                # preemption, otherwise the dispatch round is over.
-                if not preemptive:
-                    break
-                if preempted_now_cycle != now:
-                    preempted_now_cycle = now
-                    preempted_now.clear()
-                running = []
-                for ci in core_range:
-                    vj = cur_job[ci]
-                    if (
-                        vj >= 0
-                        and jlab[vj] not in preempted_now
-                        and not pending[ci][2]
-                        and busy_until[ci] > now
-                        and now - run_started[ci] >= quantum
-                        and busy_until[ci] - now >= quantum
-                    ):
-                        running.append(ci)
-                if not running:
-                    break
-                victim_ci = -1
-                victim_urgency = 0.0
-                for ci in running:
-                    u = urgency[cur_job[ci]]
-                    if victim_ci < 0 or u < victim_urgency:
-                        victim_ci = ci
-                        victim_urgency = u
-                if fifo:
-                    v = queue
-                elif view is not None:
-                    v = view
-                else:
-                    v = view = sorted(queue, key=sort_key.__getitem__)
-                preempted = False
-                for jid in v:
-                    if urgency[jid] <= victim_urgency:
-                        continue
-                    # Preempt the victim core; requeue the remaining
-                    # work.
-                    (vjid, _, _, _, fraction_at_start, dync, stac,
-                     ovhc, _, _, _) = pending[victim_ci]
-                    pending[victim_ci] = None
-                    service = (
-                        busy_until[victim_ci] - run_started[victim_ci]
-                    )
-                    ran = now - run_started[victim_ci]
-                    fraction_run = ran / service if service else 0.0
-                    unused = busy_until[victim_ci] - now
-                    busy_cycles[victim_ci] -= unused
-                    res_busy[victim_ci] -= unused
-                    cur_job[victim_ci] = -1
-                    n_busy -= 1
-                    busy_until[victim_ci] = now
-                    epoch[victim_ci] += 1
-                    preempted_now.add(jlab[vjid])
-                    preemption_count += 1
-                    refund = 1.0 - fraction_run
-                    refund_dynamic = dync * refund
-                    refund_static = stac * refund
-                    refund_overhead = ovhc * refund
-                    dynamic_nj -= refund_dynamic
-                    busy_static_nj -= refund_static
-                    profiling_overhead_nj -= refund_overhead
-                    charged[vjid] -= refund_dynamic + refund_static
-                    if pool is not None:
-                        pool.refund(
-                            jlab[vjid], refund_dynamic + refund_static
-                        )
-                    remaining[vjid] = (
-                        fraction_at_start * (1.0 - fraction_run)
-                    )
-                    jpre[vjid] += 1
-                    last_enq[vjid] = now
-                    queue[vjid] = True
-                    view = None
-                    enqueued_total += 1
-                    if len(queue) > max_queue_len:
-                        max_queue_len = len(queue)
-                    preempted = True
-                    break
-                if not preempted:
-                    break
-
-        if queue:  # pragma: no cover - unreachable without faults
-            raise RuntimeError(
-                f"simulation drained with {len(queue)} jobs still queued"
-            )
-
-        if tel is not None:
-            # Final sample at drain time (marked ``final``), whether or
-            # not the completion count landed on a threshold.
-            ow = tel.wait_hist.observe
-            while rec_i < done_ct:
-                ow(waiting[records[rec_i][0]])
-                rec_i += 1
-            tel.sample(
-                engine="fast", now=now, done=done_ct, total=n,
-                queue=0, busy=n_busy,
-                cores=[
-                    [busy_cycles[i], cfg_names[cur_cfg[i]]]
-                    for i in core_range
-                ],
-                dynamic_nj=dynamic_nj,
-                busy_static_nj=busy_static_nj,
-                reconfig_nj=reconfig_nj,
-                profiling_overhead_nj=profiling_overhead_nj,
-                stalls=stall_decisions,
-                non_best=non_best_decisions,
-                preemptions=preemption_count,
-                waiting=tel.wait_hist.snapshot(),
-                jobs_per_mcycle=done_ct * 1e6 / now if now else 0.0,
-                final=True,
-            )
-
-        # -- result assembly ----------------------------------------------
-        # JobRecord is a frozen dataclass: its generated __init__ routes
-        # every field through object.__setattr__ and then validates
-        # invariants the simulation already guarantees (arrival <= start
-        # <= completion, waiting >= 0).  Building via __new__ + __dict__
-        # skips that per-record overhead; the generated __eq__/__hash__
-        # read attributes, so the records compare identically.
-        new_record = JobRecord.__new__
-        job_records = []
-        for jid, ci, cid, prof, tun in records:
-            record = new_record(JobRecord)
-            record.__dict__.update({
-                "job_id": jlab[jid],
-                "benchmark": bench_names[jbid[jid]],
-                "arrival_cycle": jarr[jid],
-                "start_cycle": jstart[jid],
-                "completion_cycle": jcomp[jid],
-                "core_index": ci,
-                "config_name": cfg_names[cid],
-                "profiled": prof,
-                "tuning": tun,
-                "energy_nj": charged[jid],
-                "priority": jprio[jid],
-                "deadline_cycle": jdl[jid],
-                "preemptions": jpre[jid],
-                "waiting_cycles": waiting[jid],
-            })
-            job_records.append(record)
-        makespan = max(
-            (r.completion_cycle for r in job_records), default=0
-        )
-        idle_nj = 0.0
-        for ci in core_range:
-            per_power: Dict[float, int] = {}
-            intervals = res_closed[ci] + [
-                (res_start[ci], makespan, cur_cfg[ci], res_busy[ci])
-            ]
-            for interval_start, interval_end, icid, ibusy in intervals:
-                idle_cycles = (interval_end - interval_start) - ibusy
-                if idle_cycles < 0:  # pragma: no cover - invariant
-                    raise RuntimeError(
-                        f"{self.core_names[ci]} busy beyond the makespan"
-                    )
-                power = cfg_static[icid]
-                per_power[power] = per_power.get(power, 0) + idle_cycles
-            for power, cycles in per_power.items():
-                idle_nj += cycles * power
-        # Plain loops rather than comprehensions: on CPython < 3.12 a
-        # comprehension body is a nested scope, so variables it reads
-        # would become closure cells — slowing every access to them in
-        # the hot loop above.
-        predictions = {}
-        exploration_counts = {}
-        for b in self.touch_order:
-            if pred_raw[b] is not None:
-                predictions[bench_names[b]] = pred_raw[b]
-            exploration_counts[bench_names[b]] = len(executed[b])
-        core_busy = {}
-        for ci in core_range:
-            core_busy[ci] = busy_cycles[ci]
-        result = SimulationResult(
-            policy=policy.name,
-            jobs_completed=len(job_records),
-            makespan_cycles=makespan,
-            idle_energy_nj=idle_nj,
-            dynamic_energy_nj=(
-                dynamic_nj + reconfig_nj + profiling_overhead_nj
-            ),
-            busy_static_energy_nj=busy_static_nj,
-            reconfig_energy_nj=reconfig_nj,
-            profiling_overhead_nj=profiling_overhead_nj,
-            reconfig_cycles=reconfig_cycles,
-            stall_decisions=stall_decisions,
-            non_best_decisions=non_best_decisions,
-            tuning_executions=tuning_executions,
-            profiling_executions=profiling_executions,
-            preemption_count=preemption_count,
-            core_busy_cycles=core_busy,
-            exploration_counts=exploration_counts,
-            predictions_kb=predictions,
-            jobs=job_records,
-        )
-
-        # Reference-shaped end-of-run state for the glue layer (plain
-        # loops for the same closure-cell reason as above).
-        core_snaps = []
-        for ci in core_range:
-            residency_closed = []
-            for s, e, icid, ibusy in res_closed[ci]:
-                residency_closed.append((s, e, cfg_objs[icid], ibusy))
-            snap = {
-                "busy_until": busy_until[ci],
-                "busy_cycles": busy_cycles[ci],
-                "executions": execs[ci],
-                "epoch": epoch[ci],
-                "run_started_at": run_started[ci],
-                "config": cfg_objs[cur_cfg[ci]],
-                "reconfigurations": recfg_count[ci],
-                "reconfig_cycles": recfg_cycles_core[ci],
-                "reconfig_energy_nj": recfg_nj_core[ci],
-                "residency_closed": residency_closed,
-                "residency_start": res_start[ci],
-                "residency_busy": res_busy[ci],
-            }
-            if pool is not None:
-                snap["dvfs"] = core_dvfs[ci]
-            core_snaps.append(snap)
-        self.final_state = {
-            "now": now,
-            "processed": processed,
-            "sequence": seq,
-            "enqueued_total": enqueued_total,
-            "max_queue_len": max_queue_len,
-            "cores": core_snaps,
-            "accumulators": {
-                "dynamic_nj": dynamic_nj,
-                "busy_static_nj": busy_static_nj,
-                "reconfig_nj": reconfig_nj,
-                "reconfig_cycles": reconfig_cycles,
-                "profiling_overhead_nj": profiling_overhead_nj,
-                "stall_decisions": stall_decisions,
-                "non_best_decisions": non_best_decisions,
-                "tuning_executions": tuning_executions,
-                "profiling_executions": profiling_executions,
-                "preemption_count": preemption_count,
-            },
-        }
-        if pool is not None:
-            # The pool object itself is the live account; the snapshot
-            # keeps final_state self-contained for the glue layer and
-            # streaming checkpoints.
-            self.final_state["power"] = pool.state_dict()
-        return result
+        stream.start(_ArrivalList(ordered))
+        while stream.advance():
+            pass
+        return stream.batch_result()

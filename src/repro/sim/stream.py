@@ -1,10 +1,20 @@
-"""Open-system streaming driver on top of the fast engine.
+"""The scheduler's one event loop, and its open-system front end.
 
-:class:`StreamingSimulation` runs the exact event loop of
-:class:`~repro.sim.fast.FastSimulation` — same policies, same event
-ordering, same floating-point operation order — against an *unbounded*
-:class:`~repro.workloads.arrivals.ArrivalProcess` instead of a
-materialised arrival list, in bounded memory:
+:meth:`StreamingSimulation.advance` is the only copy of the scheduler's
+hot loop outside the reference engine: profile once, predict the best
+core, stall or run on a non-best core, tune — with the same policies,
+event ordering and floating-point operation order as
+:class:`~repro.core.simulation.SchedulerSimulation`.  It reads the
+construction-time tables and knowledge state of a
+:class:`~repro.sim.fast.FastSimulation` and has two front ends:
+
+* **the open-system stream** (:meth:`StreamingSimulation.run`) against
+  an *unbounded* :class:`~repro.workloads.arrivals.ArrivalProcess`, in
+  bounded memory;
+* **the closed batch** (:meth:`~repro.sim.fast.FastSimulation.run`): a
+  finite stream fed from a sorted list with ``retain_jobs=True``.
+
+What the loop carries beyond the scheduler itself:
 
 * **chunked refill** — arrivals are pulled one fixed chunk at a time
   (O(chunk) arrival memory) and admitted in generation order, which the
@@ -15,13 +25,11 @@ materialised arrival list, in bounded memory:
   so job memory is O(in-flight jobs), not O(jobs ever);
 * **streaming accumulation** — waiting/turnaround distributions flow
   into :class:`~repro.obs.metrics.Histogram` P² estimators
-  (P50/P90/P99), energy into the same scalar accumulators the fast
-  engine uses, and idle leakage into per-core per-power integer cycle
-  counts folded incrementally at each reconfiguration.  The fold is
-  bit-identical to the fast engine's end-of-run residency walk: integer
-  cycle sums are exact and order-free, and dict key order (first-seen
-  static power) is chronological in both engines, so the final
-  ``cycles * power`` multiply-accumulate runs in the same order;
+  (P50/P90/P99), energy into scalar accumulators, and idle leakage into
+  per-core per-power integer cycle counts folded at each
+  reconfiguration.  A retained run keeps every job record, so it feeds
+  the two histograms lazily from those records, in completion order,
+  only when a result, snapshot or telemetry sample reads them;
 * **admission control** — an optional bounded ready queue with
   ``drop`` (reject the arrival), ``shed`` (evict the least-entitled
   queued job) or ``block`` (delay the arrival source) policies, so
@@ -33,10 +41,11 @@ materialised arrival list, in bounded memory:
   and finishing the run is bit-identical to never having stopped.
 
 Bounded-queue and warm-up machinery never touches the arithmetic of
-the simulation itself, so an unbounded-queue stream truncated to N
-jobs is bit-identical to the closed-batch fast engine run on
-``poisson_arrivals(count=N)`` — enforced by
-``tests/sim/test_streaming.py``.
+the simulation itself, so an unbounded-queue stream truncated to N jobs
+is bit-identical to the closed batch ``poisson_arrivals(count=N)`` —
+enforced by ``tests/sim/test_streaming_engine.py``, while
+``tests/sim/test_fast_engine_equivalence.py`` holds the batch front end
+to the reference loop.
 """
 
 from __future__ import annotations
@@ -71,8 +80,10 @@ __all__ = [
 #: Snapshot schema version; bumped on any layout change.  Loading a
 #: snapshot with a different version fails loudly.  v2 added the
 #: ``telemetry`` section (sample count + output byte offsets); v3 added
-#: the power axis (token-pool account + per-core DVFS points).
-STREAM_SNAPSHOT_VERSION = 3
+#: the power axis (token-pool account + per-core DVFS points); v4 added
+#: the closed residency intervals of retained runs and moved telemetry
+#: samples from arrival refills to completion counts.
+STREAM_SNAPSHOT_VERSION = 4
 
 #: Bounded-queue admission policies.
 ADMISSION_POLICIES = ("drop", "shed", "block")
@@ -92,8 +103,8 @@ class StreamConfig:
     from the waiting/turnaround statistics (the run itself is
     untouched).  ``queue_capacity`` + ``admission`` bound the ready
     queue; ``retain_jobs`` keeps every per-job record and assembles a
-    full closed-batch :class:`SimulationResult` (O(jobs) memory —
-    intended for equivalence testing, off by default).
+    full closed-batch :class:`SimulationResult` (O(jobs) memory — what
+    the closed-batch front end runs with; off by default).
     """
 
     max_jobs: Optional[int] = None
@@ -282,14 +293,16 @@ def _session_from_dict(state: dict) -> TuningSession:
 
 
 class StreamingSimulation:
-    """One open-system streaming run of one policy on one system.
+    """One run of the simulation core's event loop over arrivals.
 
     Construction mirrors :class:`FastSimulation` (same arguments, same
-    validation) plus a :class:`StreamConfig`.  Drive it either with
-    :meth:`run` (to completion, with optional periodic checkpoints) or
-    with :meth:`start` + :meth:`advance` for stepwise control;
-    :meth:`result` summarises a finished run.  :meth:`snapshot` /
-    :meth:`restore` implement deterministic checkpoint/resume.
+    validation) plus a :class:`StreamConfig`; :meth:`over` instead
+    runs on an existing :class:`FastSimulation`'s tables.  Drive it
+    either with :meth:`run` (to completion, with optional periodic
+    checkpoints) or with :meth:`start` + :meth:`advance` for stepwise
+    control; :meth:`result` summarises a finished run.
+    :meth:`snapshot` / :meth:`restore` implement deterministic
+    checkpoint/resume.
     """
 
     def __init__(
@@ -312,7 +325,7 @@ class StreamingSimulation:
     ) -> None:
         if config is None:
             raise ValueError("a StreamConfig is required")
-        self.f = FastSimulation(
+        fast = FastSimulation(
             system,
             policy,
             store,
@@ -324,14 +337,46 @@ class StreamingSimulation:
             preemptive=preemptive,
             preemption_quantum_cycles=preemption_quantum_cycles,
             preload_profiles=preload_profiles,
+            telemetry=telemetry,
             power=power,
         )
+        self._attach(fast, config, "stream")
+
+    @classmethod
+    def over(
+        cls,
+        fast: FastSimulation,
+        config: StreamConfig,
+        *,
+        front_end: str = "stream",
+    ) -> "StreamingSimulation":
+        """A stream running on ``fast``'s tables and knowledge state.
+
+        The stream consumes ``fast``: its knowledge state evolves with
+        the run, so one :class:`FastSimulation` backs one stream.
+        ``front_end`` names the caller in the telemetry header and
+        samples (``"fast"`` for the closed-batch front end).
+        """
+        stream = cls.__new__(cls)
+        stream._attach(fast, config, front_end)
+        return stream
+
+    def _attach(
+        self, fast: FastSimulation, config: StreamConfig, front_end: str
+    ) -> None:
+        if config is None:
+            raise ValueError("a StreamConfig is required")
+        if fast.stream is not None:
+            raise RuntimeError("a FastSimulation runs exactly once")
+        fast.stream = self
+        self.f = fast
         self.config = config
-        # Sampled telemetry sink (repro.obs.telemetry), fed once per
-        # arrival-buffer refill — the stream's natural chunk boundary —
-        # plus a final sample at drain.  Its byte offsets ride in the
-        # checkpoint, so kill/resume reproduces byte-identical files.
-        self.telemetry = telemetry
+        self.front_end = front_end
+        # Sampled telemetry sink (repro.obs.telemetry), fed every
+        # ``sample_every`` completions plus a final sample at drain.
+        # Its byte offsets ride in the checkpoint, so kill/resume
+        # reproduces byte-identical files.
+        self.telemetry = fast.telemetry
         self.process: Optional[ArrivalProcess] = None
         self._s: Optional[dict] = None
         self._wait_hist = Histogram("stream.waiting_cycles")
@@ -370,6 +415,8 @@ class StreamingSimulation:
             "urgency": [], "sortkey": [],
             "free_slots": [],
             "records": [],
+            # retained records already fed into the histograms
+            "fed": 0,
             # event/queue state
             "queue": {},
             "comp_heap": [],
@@ -389,6 +436,7 @@ class StreamingSimulation:
             "recfg_count": [0] * C,
             "recfg_cycles_core": [0] * C,
             "recfg_nj_core": [0.0] * C,
+            "res_closed": [[] for _ in range(C)],
             "res_start": [0] * C,
             "res_busy": [0] * C,
             "pending": [None] * C,
@@ -434,7 +482,7 @@ class StreamingSimulation:
         """Deterministic run metadata for the telemetry header line."""
         f = self.f
         return {
-            "engine": "stream",
+            "engine": self.front_end,
             "policy": f.policy.name,
             "discipline": f.discipline,
             "preemptive": f.preemptive,
@@ -503,11 +551,15 @@ class StreamingSimulation:
         """Process events until a budget is hit or the stream drains.
 
         Returns ``True`` while events may remain (call again), ``False``
-        once the run is finished.  The loop body is the fast engine's,
-        inlined and closure-cell-free for the same CPython reasons
-        (see :mod:`repro.sim.fast`); every state mutation lands in
-        structures owned by ``self._s``, so stopping between any two
-        events is exact.
+        once the run is finished.  The per-decision helpers (choose /
+        start / complete / preempt / dispatch) are inlined into this
+        one loop body: in CPython a variable captured by a nested
+        function (or, before 3.12, by a comprehension) becomes a closure
+        cell everywhere in the frame, so hot state stays out of every
+        closure — only the cold-path ``sess`` helper captures anything —
+        and each access is a plain local load.  Every state mutation
+        lands in structures owned by ``self._s``, so stopping between
+        any two events is exact.
         """
         s = self._s
         if s is None:
@@ -574,7 +626,8 @@ class StreamingSimulation:
         disc = self.DISC_IDS[f.discipline]
         fifo = disc == 0
 
-        # Power axis locals (the fast engine's, on the inner sim).
+        # Power axis locals.  ``pool is None`` is the only extra branch
+        # the power-off loop pays.
         pool = f._power_pool
         if pool is None:
             dvfs_points: Optional[tuple] = None
@@ -622,6 +675,7 @@ class StreamingSimulation:
         recfg_count = s["recfg_count"]
         recfg_cycles_core = s["recfg_cycles_core"]
         recfg_nj_core = s["recfg_nj_core"]
+        res_closed = s["res_closed"]
         res_start = s["res_start"]
         res_busy = s["res_busy"]
         pending = s["pending"]
@@ -660,18 +714,20 @@ class StreamingSimulation:
         wait_observe = self._wait_hist.observe
         turn_observe = self._turn_hist.observe
 
-        # Telemetry thresholds.  Samples fire only inside the chunked
-        # refill (cold path); sampled-trace thresholds are recomputed
-        # from the persisted ``completed``/``seq`` counters, so a
-        # resumed run re-emits exactly the events an uninterrupted run
-        # would, without checkpointing the thresholds themselves.
-        # Telemetry-off parks both at -1: one int compare per
-        # completion/start is the entire hot-loop cost.
+        # Telemetry thresholds, recomputed from the persisted
+        # ``completed``/``seq`` counters, so a resumed run samples and
+        # re-emits exactly what an uninterrupted run would, without
+        # checkpointing the thresholds themselves.  Telemetry-off parks
+        # them all at -1: one int compare per completion/start is the
+        # entire hot-loop cost.  Everything a sample reads is state the
+        # loop already maintains, which keeps telemetry-on bit-identical.
         tel = self.telemetry
         if tel is None:
-            tr_every = 0
-            tr_comp_next = tr_start_next = -1
+            tel_every = tr_every = 0
+            tel_next = tr_comp_next = tr_start_next = -1
         else:
+            tel_every = tel.sample_every
+            tel_next = tel_every * (completed // tel_every) + tel_every
             tr_every = tel.trace_every
             if tr_every > 0:
                 tr_comp_next = tr_every * (completed // tr_every) + tr_every
@@ -683,6 +739,12 @@ class StreamingSimulation:
         more = True
 
         def sess(b: int, size_kb: int) -> tuple:
+            # Per-(benchmark, size) tuning-session state cache:
+            # ``(done, cid, config)`` where ``cid`` is the interned id of
+            # the best config (done) or the next sweep config (in
+            # progress), or -1 when that config is not in this system's
+            # design space.  The steady state (every session done) costs
+            # two int-keyed dict reads per decision.
             state = sess_state[b].get(size_kb)
             if state is None:
                 key = (b, size_kb)
@@ -734,33 +796,6 @@ class StreamingSimulation:
                     abuf = raw
                     atimes = [x.arrival_cycle for x in raw]
                     abuf_i = 0
-                    if tel is not None:
-                        # Chunk boundary (cold path, once per refill):
-                        # read the loop's own state into one sample.
-                        tel.sample(
-                            engine="stream", now=now, done=completed,
-                            total=max_jobs, generated=generated,
-                            admitted=admitted, dropped=dropped,
-                            shed=shed, queue=len(queue), busy=n_busy,
-                            cores=[
-                                [busy_cycles[i],
-                                 cfg_names[cur_cfg[i]]]
-                                for i in core_range
-                            ],
-                            dynamic_nj=dynamic_nj,
-                            busy_static_nj=busy_static_nj,
-                            reconfig_nj=reconfig_nj,
-                            profiling_overhead_nj=(
-                                profiling_overhead_nj
-                            ),
-                            stalls=stall_decisions,
-                            non_best=non_best_decisions,
-                            preemptions=preemption_count,
-                            waiting=self._wait_hist.snapshot(),
-                            jobs_per_mcycle=(
-                                completed * 1e6 / now if now else 0.0
-                            ),
-                        )
                 have_arr = deferred is None and abuf_i < len(abuf)
                 if comp_heap and not (
                     have_arr and atimes[abuf_i] < comp_heap[0][0]
@@ -780,6 +815,8 @@ class StreamingSimulation:
                         b = jbid[jid]
                         full = fraction_at_start == 1.0
                         if full:
+                            # Execution-record bookkeeping (every full
+                            # run).
                             if not touched[b]:
                                 touched[b] = True
                                 touch_order.append(b)
@@ -844,11 +881,31 @@ class StreamingSimulation:
                         if now > makespan:
                             makespan = now
                         if retain:
+                            # Statistics come from the records later
+                            # (see _feed_retained): two P² observations
+                            # per job would dominate a short batch.
                             records.append((jid, ci, cid, prof, tun))
-                        if jarr[jid] >= warmup:
+                        elif jarr[jid] >= warmup:
                             observed += 1
                             wait_observe(waiting[jid])
                             turn_observe(now - jarr[jid])
+                        if completed == tel_next:
+                            tel_next += tel_every
+                            self._sample(
+                                now=now, done=completed,
+                                generated=generated, admitted=admitted,
+                                dropped=dropped, shed=shed,
+                                queue=len(queue), busy=n_busy,
+                                dynamic_nj=dynamic_nj,
+                                busy_static_nj=busy_static_nj,
+                                reconfig_nj=reconfig_nj,
+                                profiling_overhead_nj=(
+                                    profiling_overhead_nj
+                                ),
+                                stalls=stall_decisions,
+                                non_best=non_best_decisions,
+                                preemptions=preemption_count,
+                            )
                         if completed == tr_comp_next:
                             tr_comp_next += tr_every
                             tel.emit_completion(
@@ -863,7 +920,7 @@ class StreamingSimulation:
                         if recycle:
                             free_slots.append(jid)
                     # A stale completion (preempted epoch) still opens
-                    # a dispatch round, exactly like the fast engine.
+                    # a dispatch round, exactly like the reference.
                 elif have_arr:
                     a = abuf[abuf_i]
                     t = atimes[abuf_i]
@@ -927,32 +984,23 @@ class StreamingSimulation:
                     blocked_cycles += now - a_admit.arrival_cycle
                 else:
                     if tel is not None:
-                        # Final sample at drain (idempotent: the sink
-                        # ignores samples after the ``final`` one).
-                        tel.sample(
-                            engine="stream", now=now, done=completed,
-                            total=max_jobs, generated=generated,
-                            admitted=admitted, dropped=dropped,
-                            shed=shed, queue=len(queue), busy=n_busy,
-                            cores=[
-                                [busy_cycles[i],
-                                 cfg_names[cur_cfg[i]]]
-                                for i in core_range
-                            ],
+                        # Final sample at drain, whether or not the
+                        # completion count landed on a threshold
+                        # (idempotent: the sink ignores samples after
+                        # the ``final`` one).
+                        self._sample(
+                            final=True,
+                            now=now, done=completed,
+                            generated=generated, admitted=admitted,
+                            dropped=dropped, shed=shed,
+                            queue=len(queue), busy=n_busy,
                             dynamic_nj=dynamic_nj,
                             busy_static_nj=busy_static_nj,
                             reconfig_nj=reconfig_nj,
-                            profiling_overhead_nj=(
-                                profiling_overhead_nj
-                            ),
+                            profiling_overhead_nj=profiling_overhead_nj,
                             stalls=stall_decisions,
                             non_best=non_best_decisions,
                             preemptions=preemption_count,
-                            waiting=self._wait_hist.snapshot(),
-                            jobs_per_mcycle=(
-                                completed * 1e6 / now if now else 0.0
-                            ),
-                            final=True,
                         )
                     more = False
                     break
@@ -1025,12 +1073,23 @@ class StreamingSimulation:
                     max_queue_len = len(queue)
             processed += 1
             ev_done += 1
+            # A dispatch round is skipped when every core is occupied
+            # and preemption is off: the reference's dispatch scans for
+            # an idle core before consulting the policy, so an all-busy
+            # round has no observable effect.  (A core with no job
+            # always has ``busy_until <= now`` — completions fire at
+            # busy_until, preemption rewinds it to now — so
+            # ``n_busy < C`` is exactly "some core is idle".)
             if n_busy >= C and not preemptive:
                 continue
 
-            # ---- dispatch rounds (verbatim fast-engine semantics) -----
+            # ---- dispatch rounds --------------------------------------
             while True:
                 if n_busy < C and queue:
+                    # Under FIFO the dict's insertion order IS the
+                    # view, so iterate it live (the only mutation —
+                    # del on assignment — is immediately followed by
+                    # a break).
                     if fifo:
                         v = queue
                     elif view is not None:
@@ -1040,11 +1099,22 @@ class StreamingSimulation:
                             queue, key=sort_key.__getitem__
                         )
                     assigned = False
+                    # Benchmarks that already stalled during THIS scan
+                    # pass: the stall evaluation reads only core/now/
+                    # session state, all of which is fixed until a
+                    # start ends the pass, so a repeat evaluation for
+                    # the same benchmark is deterministic — skip the
+                    # arithmetic and repeat its counter increment.
                     scan_stalled = set()
                     for jid in v:
+                        # ---- placement decision --------------------
+                        # Idleness is just ``cur_job[ci] < 0``;
+                        # ``continue`` means this job waits and the
+                        # scan moves to the next one.
                         b = jbid[jid]
                         assignment = None
                         if requires_profiling and not profiled[b]:
+                            # Unprofiled: profiling core, base config.
                             for ci, supports_base in profiling_order:
                                 if cur_job[ci] < 0 and supports_base:
                                     assignment = (
@@ -1097,6 +1167,8 @@ class StreamingSimulation:
                                     False,
                                 )
                         else:
+                            # Predictor-driven policies share the size
+                            # lookup.
                             if pred_raw[b] is None:
                                 raise RuntimeError(
                                     f"{bench_names[b]} has no "
@@ -1124,7 +1196,10 @@ class StreamingSimulation:
                                 if assignment is None:
                                     continue
                             else:
-                                # proposed
+                                # proposed — a best-size match wins
+                                # outright, so the scan can stop at
+                                # the first one; idle_nb only matters
+                                # when none exists.
                                 if b in scan_stalled:
                                     stall_decisions += 1
                                     continue
@@ -1177,6 +1252,9 @@ class StreamingSimulation:
                                         if best_cid < 0:
                                             raise KeyError(best_cfg)
                                         if best_cid not in executed[b]:
+                                            # Parity with the
+                                            # table-eviction guard
+                                            # (fault-only).
                                             stall_decisions += 1
                                             scan_stalled.add(b)
                                             continue
@@ -1229,8 +1307,12 @@ class StreamingSimulation:
                                         )
 
                         # ---- power gate ----------------------------
-                        # Verbatim fast-engine gate (see repro.sim.fast
-                        # for the arithmetic notes).
+                        # Mirrors SchedulerSimulation._power_gate with
+                        # the point pinned to nominal (engine selection
+                        # keeps policies that override choose_dvfs on
+                        # the reference engine).  All arithmetic repeats
+                        # repro.energy.scaling.scaled_charges operation
+                        # for operation.
                         dvfs_point = None
                         if pool is not None:
                             ci, cid, prof, tun = assignment
@@ -1333,10 +1415,11 @@ class StreamingSimulation:
                             cost_nj = recfg_nj_from[prev]
                             # Fold the closed residency interval into
                             # the per-power idle ledger right away
-                            # (bit-identical to the batch engine's
-                            # end-of-run walk: integer sums are exact,
-                            # and first-seen power order is
-                            # chronological in both).
+                            # (bit-identical to a walk over the
+                            # intervals at the end: integer sums are
+                            # exact, and first-seen power order is
+                            # chronological either way).  A retained
+                            # run also keeps the interval itself.
                             idle_cycles = (
                                 (now - res_start[ci]) - res_busy[ci]
                             )
@@ -1344,6 +1427,11 @@ class StreamingSimulation:
                                 raise RuntimeError(
                                     f"core {ci} busy beyond its "
                                     "residency interval"
+                                )
+                            if retain:
+                                res_closed[ci].append(
+                                    (res_start[ci], now, prev,
+                                     res_busy[ci])
                                 )
                             power = cfg_static[prev]
                             pp = per_power[ci]
@@ -1364,6 +1452,8 @@ class StreamingSimulation:
 
                         entry = est[b][cid]
                         if entry is None:
+                            # Raise the reference's KeyError at the
+                            # same point.
                             store.estimate(
                                 bench_names[b], cfg_objs[cid]
                             )
@@ -1387,6 +1477,9 @@ class StreamingSimulation:
                             tuning_executions += 1
 
                         if fraction == 1.0:
+                            # IEEE multiplication by 1.0 is exact, so
+                            # the common full-run case can skip the
+                            # scaling bit-identically.
                             dynamic_charge = dyn
                             static_charge = sta
                             work = tot_cycles
@@ -1480,6 +1573,8 @@ class StreamingSimulation:
                     if assigned:
                         continue
 
+                # Nothing could be placed (or no core is idle): try a
+                # preemption, otherwise the dispatch round is over.
                 if not preemptive:
                     break
                 if preempted_now_cycle != now:
@@ -1516,6 +1611,8 @@ class StreamingSimulation:
                 for jid in v:
                     if urgency[jid] <= victim_urgency:
                         continue
+                    # Preempt the victim core; requeue the remaining
+                    # work.
                     (vjid, _, _, _, fraction_at_start, dync, stac,
                      ovhc, _, _, _) = pending[victim_ci]
                     pending[victim_ci] = None
@@ -1594,7 +1691,9 @@ class StreamingSimulation:
         s["shed"] = shed
         s["forced"] = forced
         s["blocked_cycles"] = blocked_cycles
-        s["observed"] = observed
+        if recycle:
+            # A retained run's count belongs to _feed_retained.
+            s["observed"] = observed
         s["makespan"] = makespan
         s["last_arrival_cycle"] = last_arrival_cycle
         if not more and queue:
@@ -1605,28 +1704,90 @@ class StreamingSimulation:
 
     DISC_IDS = {"fifo": 0, "priority": 1, "edf": 2}
 
+    # -- statistics and telemetry (cold paths) -------------------------------
+
+    def _feed_retained(self) -> None:
+        """Feed retained completions into the waiting/turnaround stats.
+
+        A retained run keeps every record, so its histograms are fed
+        here — in completion order, with the warm-up filter — only when
+        something reads them.  P² state depends on the order of the
+        observations, not on when they are made, so this equals feeding
+        at every completion.
+        """
+        s = self._s
+        records = s["records"]
+        fed = s["fed"]
+        if fed == len(records):
+            return
+        jarr = s["jarr"]
+        jcomp = s["jcomp"]
+        waiting = s["waiting"]
+        warmup = self.config.warmup_cycles
+        wait_observe = self._wait_hist.observe
+        turn_observe = self._turn_hist.observe
+        observed = s["observed"]
+        for i in range(fed, len(records)):
+            jid = records[i][0]
+            arrival = jarr[jid]
+            if arrival >= warmup:
+                observed += 1
+                wait_observe(waiting[jid])
+                turn_observe(jcomp[jid] - arrival)
+        s["observed"] = observed
+        s["fed"] = len(records)
+
+    def _sample(self, *, final: bool = False, **fields) -> None:
+        """Append one telemetry sample: loop scalars plus per-core state.
+
+        :meth:`advance` passes its live scalar locals; the per-core
+        lists are read from the run state, which the loop mutates in
+        place.
+        """
+        s = self._s
+        cfg_names = self.f.cfg_names
+        cores = []
+        for busy, cid in zip(s["busy_cycles"], s["cur_cfg"]):
+            cores.append([busy, cfg_names[cid]])
+        if self.config.retain_jobs:
+            self._feed_retained()
+        now = fields["now"]
+        self.telemetry.sample(
+            final=final,
+            engine=self.front_end,
+            total=self.config.max_jobs,
+            cores=cores,
+            waiting=self._wait_hist.snapshot(),
+            jobs_per_mcycle=fields["done"] * 1e6 / now if now else 0.0,
+            **fields,
+        )
+
     # -- result assembly -----------------------------------------------------
 
-    def result(self) -> StreamResult:
-        """Summarise a finished run (raises while events remain)."""
-        s = self._s
-        if s is None:
+    def _require_finished(self) -> None:
+        if self._s is None:
             raise RuntimeError("call start() or restore() first")
         if not self.finished:
             raise RuntimeError(
                 "the stream still has pending events; advance() to "
                 "completion before asking for the result"
             )
+
+    def _idle_energy(self) -> float:
+        """Idle leakage of the whole run, from the per-power ledgers.
+
+        Each core's open residency interval is closed against the
+        makespan on a copied ledger, so this is idempotent; the
+        multiply-accumulate runs in first-seen power order, exactly
+        like a walk over the residency intervals.
+        """
+        s = self._s
         f = self.f
         cfg_static = f.cfg_static_nj
         makespan = s["makespan"]
         res_start = s["res_start"]
         res_busy = s["res_busy"]
         cur_cfg = s["cur_cfg"]
-        # Close each core's open residency interval against the
-        # makespan — on a (copied) ledger, so result() is idempotent —
-        # then multiply-accumulate in first-seen power order, exactly
-        # the batch engine's walk.
         idle_nj = 0.0
         for ci in range(f.n_cores):
             pp = dict(s["per_power"][ci])
@@ -1639,21 +1800,26 @@ class StreamingSimulation:
             pp[power] = pp.get(power, 0) + idle_cycles
             for power, cycles in pp.items():
                 idle_nj += cycles * power
+        return idle_nj
 
-        dynamic_total = (
-            s["dynamic_nj"]
-            + s["reconfig_nj"]
-            + s["profiling_overhead_nj"]
-        )
+    def _core_busy(self) -> Dict[int, int]:
         core_busy = {}
-        for ci in range(f.n_cores):
-            core_busy[ci] = s["busy_cycles"][ci]
+        for ci, busy in enumerate(self._s["busy_cycles"]):
+            core_busy[ci] = busy
+        return core_busy
 
-        sim_result = None
-        if self.config.retain_jobs:
-            sim_result = self._assemble_sim_result(idle_nj, core_busy)
-
+    def result(self) -> StreamResult:
+        """Summarise a finished run (raises while events remain)."""
+        self._require_finished()
+        s = self._s
+        f = self.f
         config = self.config
+        idle_nj = self._idle_energy()
+        sim_result = None
+        if config.retain_jobs:
+            self._feed_retained()
+            sim_result = self._assemble_sim_result(idle_nj)
+        pool = f._power_pool
         return StreamResult(
             policy=f.policy.name,
             discipline=f.discipline,
@@ -1668,9 +1834,13 @@ class StreamingSimulation:
             forced_admissions=s["forced"],
             blocked_cycles=s["blocked_cycles"],
             observed_jobs=s["observed"],
-            makespan_cycles=makespan,
+            makespan_cycles=s["makespan"],
             idle_energy_nj=idle_nj,
-            dynamic_energy_nj=dynamic_total,
+            dynamic_energy_nj=(
+                s["dynamic_nj"]
+                + s["reconfig_nj"]
+                + s["profiling_overhead_nj"]
+            ),
             busy_static_energy_nj=s["busy_static_nj"],
             reconfig_energy_nj=s["reconfig_nj"],
             profiling_overhead_nj=s["profiling_overhead_nj"],
@@ -1682,30 +1852,41 @@ class StreamingSimulation:
             preemption_count=s["preemption_count"],
             enqueued_total=s["enqueued_total"],
             max_queue_len=s["max_queue_len"],
-            core_busy_cycles=core_busy,
+            core_busy_cycles=self._core_busy(),
             waiting=self._wait_hist.snapshot(),
             turnaround=self._turn_hist.snapshot(),
             sim_result=sim_result,
             power=(
                 None
-                if f._power_pool is None
+                if pool is None
                 else {
-                    "granted_nj": f._power_pool.granted_nj,
-                    "refunded_nj": f._power_pool.refunded_nj,
-                    "consumed_nj": f._power_pool.consumed_nj,
-                    "grants": f._power_pool.grants,
-                    "refunds": f._power_pool.refunds,
-                    "throttled": f._power_pool.throttled,
-                    "degraded": f._power_pool.degraded,
-                    "overdrafts": f._power_pool.overdrafts,
+                    "granted_nj": pool.granted_nj,
+                    "refunded_nj": pool.refunded_nj,
+                    "consumed_nj": pool.consumed_nj,
+                    "grants": pool.grants,
+                    "refunds": pool.refunds,
+                    "throttled": pool.throttled,
+                    "degraded": pool.degraded,
+                    "overdrafts": pool.overdrafts,
                 }
             ),
         )
 
-    def _assemble_sim_result(
-        self, idle_nj: float, core_busy: Dict[int, int]
-    ) -> SimulationResult:
-        """The closed-batch result (retain mode), fast-engine-shaped."""
+    def batch_result(self) -> SimulationResult:
+        """The closed-batch result of a finished retained run.
+
+        Unlike :meth:`result` it leaves the waiting/turnaround
+        histograms unfed: the batch front end never reads them.
+        """
+        self._require_finished()
+        if not self.config.retain_jobs:
+            raise RuntimeError(
+                "batch_result() needs StreamConfig(retain_jobs=True)"
+            )
+        return self._assemble_sim_result(self._idle_energy())
+
+    def _assemble_sim_result(self, idle_nj: float) -> SimulationResult:
+        """The closed-batch result (retain mode) from the job records."""
         s = self._s
         f = self.f
         jlab = s["jlab"]
@@ -1720,6 +1901,12 @@ class StreamingSimulation:
         charged = s["charged"]
         bench_names = f.bench_names
         cfg_names = f.cfg_names
+        # JobRecord is a frozen dataclass: its generated __init__ routes
+        # every field through object.__setattr__ and then validates
+        # invariants the simulation already guarantees (arrival <= start
+        # <= completion, waiting >= 0).  Building via __new__ + __dict__
+        # skips that per-record overhead; the generated __eq__/__hash__
+        # read attributes, so the records compare identically.
         new_record = JobRecord.__new__
         job_records = []
         for jid, ci, cid, prof, tun in s["records"]:
@@ -1768,7 +1955,7 @@ class StreamingSimulation:
             tuning_executions=s["tuning_executions"],
             profiling_executions=s["profiling_executions"],
             preemption_count=s["preemption_count"],
-            core_busy_cycles=core_busy,
+            core_busy_cycles=self._core_busy(),
             exploration_counts=exploration_counts,
             predictions_kb=predictions,
             jobs=job_records,
@@ -1806,6 +1993,9 @@ class StreamingSimulation:
         s = self._s
         if s is None:
             raise RuntimeError("call start() or restore() first")
+        if self.config.retain_jobs:
+            # The P² state must cover every record the snapshot holds.
+            self._feed_retained()
         f = self.f
         abuf_i = s["abuf_i"]
         engine = {
@@ -1844,6 +2034,10 @@ class StreamingSimulation:
             "recfg_count": list(s["recfg_count"]),
             "recfg_cycles_core": list(s["recfg_cycles_core"]),
             "recfg_nj_core": list(s["recfg_nj_core"]),
+            "res_closed": [
+                [list(interval) for interval in intervals]
+                for intervals in s["res_closed"]
+            ],
             "res_start": list(s["res_start"]),
             "res_busy": list(s["res_busy"]),
             "pending": [
@@ -1944,6 +2138,7 @@ class StreamingSimulation:
 
         engine = snapshot["engine"]
         abuf = [_arrival_from_list(x) for x in engine["abuf"]]
+        records = [tuple(r) for r in engine["records"]]
         state = {
             "jbid": list(engine["jbid"]),
             "jlab": list(engine["jlab"]),
@@ -1960,7 +2155,9 @@ class StreamingSimulation:
             "urgency": list(engine["urgency"]),
             "sortkey": list(engine["sortkey"]),
             "free_slots": list(engine["free_slots"]),
-            "records": [tuple(r) for r in engine["records"]],
+            "records": records,
+            # snapshot() feeds every retained record before writing
+            "fed": len(records),
             "queue": dict.fromkeys(engine["queue"], True),
             "comp_heap": [tuple(e) for e in engine["comp_heap"]],
             "abuf": abuf,
@@ -1982,6 +2179,10 @@ class StreamingSimulation:
             "recfg_count": list(engine["recfg_count"]),
             "recfg_cycles_core": list(engine["recfg_cycles_core"]),
             "recfg_nj_core": list(engine["recfg_nj_core"]),
+            "res_closed": [
+                [tuple(interval) for interval in intervals]
+                for intervals in engine["res_closed"]
+            ],
             "res_start": list(engine["res_start"]),
             "res_busy": list(engine["res_busy"]),
             "pending": [

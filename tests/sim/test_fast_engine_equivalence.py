@@ -15,6 +15,8 @@ must be rejected up front.
 """
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +81,7 @@ def _assert_state_parity(ref, fast):
     """Post-run object state must match what the reference leaves."""
     assert fast.engine.now == ref.engine.now
     assert fast.engine.processed == ref.engine.processed
+    assert fast.engine._sequence == ref.engine._sequence
     assert fast.queue.enqueued_total == ref.queue.enqueued_total
     assert fast.queue.max_length == ref.queue.max_length
     for rc, fc in zip(ref.cores, fast.cores):
@@ -121,14 +124,23 @@ class TestGoldenGrid:
             if discipline != "fifo"
             else arrivals_for(SUITE_NAMES * 8, gap=30_000)
         )
-        ref, fast = _pair(
-            policy, store, oracle, energy_table,
-            discipline=discipline, preemptive=preemptive,
-        )
-        ref_result = ref.run(arrivals)
-        fast_result = fast.run(arrivals)
-        assert ref_result == fast_result
-        _assert_state_parity(ref, fast)
+        # The same jobs out of arrival order, in equal-time pairs: the
+        # fast front end sorts the batch stably, the reference heap
+        # breaks time ties by input order.
+        shuffled = [
+            replace(a, arrival_cycle=a.arrival_cycle - a.arrival_cycle % 60_000)
+            for a in arrivals
+        ]
+        random.Random(3).shuffle(shuffled)
+        for batch in (arrivals, shuffled):
+            ref, fast = _pair(
+                policy, store, oracle, energy_table,
+                discipline=discipline, preemptive=preemptive,
+            )
+            ref_result = ref.run(batch)
+            fast_result = fast.run(batch)
+            assert ref_result == fast_result
+            _assert_state_parity(ref, fast)
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_preloaded_profiles(self, policy, store, oracle, energy_table):

@@ -133,6 +133,34 @@ class TestKillAndResume:
             resumed.snapshot(), sort_keys=True
         ) == json.dumps(straight.snapshot(), sort_keys=True)
 
+    @pytest.mark.parametrize("kill_at", (1, N_JOBS // 2, N_JOBS - 1))
+    def test_retained_resume_is_bit_identical(
+        self, kill_at, store, oracle, energy_table, specs
+    ):
+        # A retained run feeds its statistics lazily, so the snapshot
+        # must carry exactly the completions before the kill.
+        config = StreamConfig(
+            max_jobs=N_JOBS, warmup_cycles=1_000_000, retain_jobs=True
+        )
+        args = ("proposed", "priority", True, store, oracle,
+                energy_table)
+        straight = _engine(*args, config=config)
+        straight.start(_process(specs, qos=True))
+        baseline = _finish(straight)
+        assert baseline.sim_result is not None
+
+        killed = _engine(*args, config=config)
+        killed.start(_process(specs, qos=True))
+        killed.advance(max_completions=kill_at)
+        snapshot = json.loads(json.dumps(killed.snapshot()))
+
+        resumed = _engine(*args, config=config)
+        result = resumed.resume(snapshot, _process(specs, qos=True))
+        assert result == baseline
+        assert json.dumps(
+            resumed.snapshot(), sort_keys=True
+        ) == json.dumps(straight.snapshot(), sort_keys=True)
+
     def test_double_kill_chain(
         self, store, oracle, energy_table, specs
     ):

@@ -349,6 +349,36 @@ class TestStreamBounds:
         )
         assert result.turnaround["min"] >= waiting["min"]
 
+    def test_retained_statistics_match_recycled(
+        self, store, oracle, energy_table, specs
+    ):
+        # A retained run feeds its histograms lazily from the job
+        # records; a recycled run feeds them at every completion.
+        recycled, retained = (
+            _streaming(
+                "proposed", store, oracle, energy_table,
+                StreamConfig(
+                    max_jobs=N_JOBS, warmup_cycles=3_000_000,
+                    retain_jobs=retain,
+                ),
+            ).run(_process(specs))
+            for retain in (False, True)
+        )
+        assert 0 < retained.observed_jobs < retained.jobs_completed
+        assert retained.observed_jobs == recycled.observed_jobs
+        assert retained.waiting == recycled.waiting
+        assert retained.turnaround == recycled.turnaround
+
+
+class TestHotLoop:
+    def test_advance_keeps_hot_state_out_of_closure_cells(self):
+        # Before CPython 3.12 a name captured by a nested function or a
+        # comprehension becomes a closure cell for the whole frame, and
+        # every access to it pays an extra indirection.  Only the
+        # cold-path session helper may capture anything.
+        cells = set(StreamingSimulation.advance.__code__.co_cellvars)
+        assert cells <= {"cfg_ids", "sess_state", "sessions"}
+
 
 class TestValidation:
     def test_config_requires_a_bound(self):

@@ -607,6 +607,21 @@ class TestTelemetryCli:
         capsys.readouterr()
         assert tel.read_bytes() == baseline
 
+    def test_stream_samples_every_n_completions(self, capsys, tmp_path):
+        from repro.obs import read_telemetry
+
+        tel = tmp_path / "t.jsonl"
+        assert main([
+            "stream", "--max-jobs", "300", "--seed", "2",
+            "--telemetry-out", str(tel), "--telemetry-every", "40",
+        ]) == 0
+        capsys.readouterr()
+        header, samples = read_telemetry(tel)
+        assert header["sample_every"] == 40
+        assert samples[-1]["final"] is True
+        assert samples[-1]["done"] == 300
+        assert [s["done"] for s in samples[:-1]] == list(range(40, 300, 40))
+
     def test_stream_resume_with_telemetry_needs_the_flag(
         self, capsys, tmp_path
     ):
