@@ -23,30 +23,31 @@ per-task payloads stay tiny.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import logging
 import math
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.characterization.store import CharacterizationStore
-from repro.core.policies import (
-    ALL_POLICY_NAMES,
-    DEADLINE_POLICY_NAMES,
-    POLICY_NAMES,
-    make_policy,
-)
+from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.predictor import BestCorePredictor, OraclePredictor
-from repro.core.simulation import SchedulerSimulation
-from repro.core.system import base_system, paper_system
+from repro.core.simulation import (
+    SchedulerSimulation,
+    make_simulation,
+    select_engine,
+)
 from repro.energy.tables import EnergyTable
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.power.budget import PowerConfig, normalize_power
 from repro.power.dvfs import DvfsTable
 from repro.workloads.arrivals import uniform_arrivals
+from repro.workloads.dag import check_graph_shape, generate_task_graphs
 from repro.workloads.eembc import eembc_suite
 
 logger = logging.getLogger(__name__)
@@ -59,6 +60,7 @@ __all__ = [
     "ReplicationResult",
     "ReplicationSpec",
     "StreamLoad",
+    "campaign_specs",
     "power_grid",
     "run_campaign",
 ]
@@ -85,7 +87,8 @@ class StreamLoad:
     grid's ``(count, gap)`` loads become ``(max_jobs,
     mean_interarrival_cycles)`` of the stream, and the replication seed
     seeds the process.  Hashable/picklable pure data, like
-    :class:`~repro.faults.plan.FaultPlan`.
+    :class:`~repro.faults.plan.FaultPlan`; construction runs
+    :class:`~repro.sim.stream.StreamConfig`'s checks on the fields.
     """
 
     #: Arrival process kind (see
@@ -103,6 +106,20 @@ class StreamLoad:
     #: tuple of ``(name, value)`` pairs so the spec stays hashable.
     process_args: Tuple[Tuple[str, float], ...] = ()
 
+    def __post_init__(self) -> None:
+        self.config(max_jobs=1)
+
+    def config(self, max_jobs: int):
+        """The :class:`~repro.sim.stream.StreamConfig` of one replication."""
+        from repro.sim.stream import StreamConfig
+
+        return StreamConfig(
+            max_jobs=max_jobs,
+            warmup_cycles=self.warmup_cycles,
+            queue_capacity=self.queue_capacity,
+            admission=self.admission,
+        )
+
 
 @dataclass(frozen=True)
 class DagLoad:
@@ -118,7 +135,9 @@ class DagLoad:
     :attr:`CampaignCell.observed` under ``dag.*`` keys.  DAG campaigns
     are reference-engine territory, so the metrics/validation/fault
     hooks all compose with this axis; the open-system ``stream`` axis
-    does not.  Hashable/picklable pure data, like :class:`StreamLoad`.
+    does not.  Hashable/picklable pure data, like :class:`StreamLoad`;
+    construction runs the generator's shape checks
+    (:func:`~repro.workloads.dag.check_graph_shape`).
     """
 
     #: Tasks per graph, drawn uniformly from this range.
@@ -130,6 +149,9 @@ class DagLoad:
     deadline_slack: float = 2.5
     #: DAG-level criticality is drawn from ``1..criticality_levels``.
     criticality_levels: int = 3
+
+    def __post_init__(self) -> None:
+        check_graph_shape(**dataclasses.asdict(self))
 
 
 def power_grid(
@@ -297,6 +319,14 @@ _T_CRITICAL_95 = {
 }
 
 
+#: Cell fields that mark a cell's summary label when away from their
+#: default (``base+plan@reference~poisson^dag%cap=...``).
+_LABEL_MARKS = (
+    ("faults", "+{}"), ("engine", "@{}"), ("stream", "~{}"),
+    ("dag", "^dag"), ("power", "%{}"),
+)
+
+
 def _t_critical(df: int) -> float:
     """Two-tailed 95 % t critical value for ``df`` degrees of freedom."""
     if df < 1:
@@ -339,79 +369,61 @@ class CampaignResult:
     wall_seconds: float
     workers: int
 
-    def cell(
-        self,
-        policy: str,
-        *,
-        count: Optional[int] = None,
-        mean_interarrival_cycles: Optional[int] = None,
-        faults: Optional[str] = None,
-        power: Optional[str] = None,
-    ) -> CampaignCell:
-        """The unique cell matching the selectors.
+    def cell(self, policy: str, **selectors) -> CampaignCell:
+        """The unique cell of ``policy`` matching the selectors.
 
-        Load, fault and power selectors may be omitted when the campaign
-        swept only one load / fault plan / power configuration;
-        ambiguous or empty selections raise ``KeyError``.  ``faults``
-        matches the plan name and ``power`` the
-        :attr:`~repro.power.budget.PowerConfig.label`; pass the string
-        ``"none"`` to select the clean / unconstrained cell of a mixed
-        campaign.
+        Each selector names a :class:`CampaignCell` field (``count``,
+        ``mean_interarrival_cycles``, ``faults``, ``power``,
+        ``engine``, ``stream``, ``dag``, ...).  ``None`` matches every
+        cell, so a selector may be omitted when the campaign swept one
+        value of that axis; the string ``"none"`` selects the cells
+        whose field is ``None`` (the clean / unconstrained /
+        closed-batch cell of a mixed campaign); any other value must
+        equal the field (``faults`` is the plan name, ``power`` the
+        :attr:`~repro.power.budget.PowerConfig.label`).  Ambiguous or
+        empty selections raise ``KeyError``.
         """
-
-        def faults_match(cell: CampaignCell) -> bool:
-            if faults is None:
-                return True
-            if faults == "none":
-                return cell.faults is None
-            return cell.faults == faults
-
-        def power_match(cell: CampaignCell) -> bool:
-            if power is None:
-                return True
-            if power == "none":
-                return cell.power is None
-            return cell.power == power
-
+        names = [f.name for f in dataclasses.fields(CampaignCell)]
+        unknown = sorted(set(selectors) - set(names))
+        if unknown:
+            raise TypeError(
+                f"unknown cell selectors {unknown}; choose from {names}"
+            )
+        wanted = {"policy": policy}
+        wanted.update(
+            (name, None if value == "none" else value)
+            for name, value in selectors.items()
+            if value is not None
+        )
         matches = [
             cell
             for cell in self.cells
-            if cell.policy == policy
-            and (count is None or cell.count == count)
-            and (
-                mean_interarrival_cycles is None
-                or cell.mean_interarrival_cycles == mean_interarrival_cycles
-            )
-            and faults_match(cell)
-            and power_match(cell)
+            if all(getattr(cell, name) == value
+                   for name, value in wanted.items())
         ]
         if not matches:
-            raise KeyError(
-                f"no campaign cell matches policy={policy!r}, count={count}, "
-                f"mean_interarrival_cycles={mean_interarrival_cycles}"
-            )
+            raise KeyError(f"no campaign cell matches {wanted}")
         if len(matches) > 1:
             raise KeyError(
-                f"{len(matches)} campaign cells match policy={policy!r}; "
-                "pass count= / mean_interarrival_cycles= / faults= / "
-                "power= to disambiguate"
+                f"{len(matches)} campaign cells match {wanted}; pass "
+                "count= / mean_interarrival_cycles= / faults= / power= "
+                "(or another cell field) to disambiguate"
             )
         return matches[0]
 
     def summary(self) -> str:
         """Text table of per-cell mean ± CI for the headline metrics."""
+        defaults = {
+            f.name: f.default for f in dataclasses.fields(CampaignCell)
+        }
+
         def label_for(cell: CampaignCell) -> str:
+            # Every axis field away from its default marks the label.
             label = cell.policy
-            if cell.faults is not None:
-                label = f"{label}+{cell.faults}"
-            if cell.engine != "auto":
-                label = f"{label}@{cell.engine}"
-            if cell.stream is not None:
-                label = f"{label}~{cell.stream}"
-            if cell.dag:
-                label = f"{label}^dag"
-            if cell.power is not None:
-                label = f"{label}%{cell.power}"
+            for name, mark in _LABEL_MARKS:
+                value = getattr(cell, name)
+                if value != defaults[name]:
+                    label += mark.format(value)
             return label
 
         width = max([15] + [len(label_for(cell)) for cell in self.cells])
@@ -452,137 +464,105 @@ def _init_worker(
     collect_metrics: bool = False,
     validate: bool = False,
 ) -> None:
-    _WORKER_STATE["store"] = store
-    _WORKER_STATE["predictor"] = predictor
-    _WORKER_STATE["energy_table"] = energy_table
-    _WORKER_STATE["discipline"] = discipline
-    _WORKER_STATE["collect_metrics"] = collect_metrics
-    _WORKER_STATE["validate"] = validate
+    _WORKER_STATE.update(
+        store=store, predictor=predictor, energy_table=energy_table,
+        discipline=discipline, collect_metrics=collect_metrics,
+        validate=validate,
+    )
 
 
-def _pool_observed(simulation: SchedulerSimulation) -> Dict[str, float]:
-    """Flat ``power.*`` gauges of a powered run's token pool."""
-    pool = simulation.power_pool
-    if pool is None:
-        return {}
-    return {
-        "power.granted_nj": pool.granted_nj,
-        "power.refunded_nj": pool.refunded_nj,
-        "power.consumed_nj": pool.consumed_nj,
-        "power.grants": float(pool.grants),
-        "power.refunds": float(pool.refunds),
-        "power.throttled": float(pool.throttled),
-        "power.degraded": float(pool.degraded),
-        "power.overdrafts": float(pool.overdrafts),
-    }
+#: :class:`~repro.sim.stream.StreamResult` fields a streamed replication
+#: reports as ``stream.*``.
+_STREAM_FIELDS = (
+    "jobs_generated", "jobs_dropped", "jobs_shed", "shed_rate",
+    "blocked_cycles", "observed_jobs", "throughput_jobs_per_mcycle",
+    "energy_rate_nj_per_cycle",
+)
 
 
 def _run_replication(spec: ReplicationSpec) -> ReplicationResult:
     """Simulate one grid point (executed inside a worker process)."""
     start = time.perf_counter()
-    policy = make_policy(spec.policy)
-    system = base_system() if spec.policy == "base" else paper_system()
     registry = (
-        MetricsRegistry() if _WORKER_STATE.get("collect_metrics") else None
+        MetricsRegistry() if _WORKER_STATE["collect_metrics"] else None
     )
-    simulation = SchedulerSimulation(
-        system,
-        policy,
+    simulation = make_simulation(
+        spec.policy,
         _WORKER_STATE["store"],
-        predictor=(
-            _WORKER_STATE["predictor"] if policy.uses_predictor else None
-        ),
-        energy_table=_WORKER_STATE["energy_table"],
+        _WORKER_STATE["predictor"],
+        _WORKER_STATE["energy_table"],
         discipline=_WORKER_STATE["discipline"],
         metrics=registry,
-        validate=_WORKER_STATE.get("validate", False),
+        validate=_WORKER_STATE["validate"],
         faults=spec.fault_plan,
         engine=spec.engine,
         power=spec.power,
     )
     if spec.stream is not None:
-        return _stream_replication(spec, simulation, start)
-    if spec.dag is not None:
-        return _dag_replication(spec, simulation, registry, start)
+        result, observed = _stream_run(spec, simulation)
+        power = result.power
+        mean_waiting_cycles = result.waiting.get("mean", 0.0)
+    else:
+        run = _batch_run if spec.dag is None else _dag_run
+        result, load_observed = run(spec, simulation)
+        observed = dict(registry.scalars()) if registry is not None else {}
+        observed.update(load_observed)
+        pool = simulation.power_pool
+        power = None if pool is None else pool.counts()
+        mean_waiting_cycles = result.mean_waiting_cycles
+    # A powered run's token-pool account rides back as ``power.*``.
+    for key, value in (power or {}).items():
+        observed[f"power.{key}"] = float(value)
+    return ReplicationResult(
+        spec=spec,
+        jobs_completed=result.jobs_completed,
+        makespan_cycles=result.makespan_cycles,
+        total_energy_nj=result.total_energy_nj,
+        idle_energy_nj=result.idle_energy_nj,
+        dynamic_energy_nj=result.dynamic_energy_nj,
+        mean_waiting_cycles=mean_waiting_cycles,
+        non_best_decisions=result.non_best_decisions,
+        seconds=time.perf_counter() - start,
+        observed=observed,
+    )
+
+
+def _batch_run(spec: ReplicationSpec, simulation: SchedulerSimulation):
+    """Closed batch: the run's result and no load-specific outcomes."""
     arrivals = uniform_arrivals(
         eembc_suite(),
         count=spec.count,
         seed=spec.seed,
         mean_interarrival_cycles=spec.mean_interarrival_cycles,
     )
-    result = simulation.run(arrivals)
-    observed = dict(registry.scalars()) if registry is not None else {}
-    observed.update(_pool_observed(simulation))
-    return ReplicationResult(
-        spec=spec,
-        jobs_completed=result.jobs_completed,
-        makespan_cycles=result.makespan_cycles,
-        total_energy_nj=result.total_energy_nj,
-        idle_energy_nj=result.idle_energy_nj,
-        dynamic_energy_nj=result.dynamic_energy_nj,
-        mean_waiting_cycles=result.mean_waiting_cycles,
-        non_best_decisions=result.non_best_decisions,
-        seconds=time.perf_counter() - start,
-        observed=observed,
-    )
+    return simulation.run(arrivals), {}
 
 
-def _dag_replication(
-    spec: ReplicationSpec,
-    simulation: SchedulerSimulation,
-    registry: Optional[MetricsRegistry],
-    start: float,
-) -> ReplicationResult:
-    """Task-graph variant of one grid point (precedence-gated run)."""
-    from repro.workloads.dag import generate_task_graphs
-
-    load = spec.dag
+def _dag_run(spec: ReplicationSpec, simulation: SchedulerSimulation):
+    """Task-graph load: the run's result and its ``dag.*`` outcomes."""
     graphs = generate_task_graphs(
         count=spec.count,
         seed=spec.seed,
         benchmarks=[s.name for s in eembc_suite()],
-        tasks_min=load.tasks_min,
-        tasks_max=load.tasks_max,
-        edge_density=load.edge_density,
-        deadline_slack=load.deadline_slack,
-        criticality_levels=load.criticality_levels,
         mean_interarrival_cycles=spec.mean_interarrival_cycles,
+        **dataclasses.asdict(spec.dag),
     )
     result = simulation.run_dags(graphs)
     # Deadline/slack outcomes ride back through ``observed`` alongside
     # any registry scalars, so cells aggregate them like every other
     # per-replication metric.
-    observed = dict(registry.scalars()) if registry is not None else {}
-    observed.update(
-        {
-            "dag.graphs": float(len(graphs)),
-            "dag.tasks": float(sum(g.task_count for g in graphs)),
-            "dag.edges": float(sum(g.edge_count for g in graphs)),
-            "dag.deadline_jobs": float(result.deadline_jobs),
-            "dag.deadline_misses": float(result.deadline_misses),
-            "dag.deadline_miss_rate": result.deadline_miss_rate,
-        }
-    )
-    observed.update(_pool_observed(simulation))
-    return ReplicationResult(
-        spec=spec,
-        jobs_completed=result.jobs_completed,
-        makespan_cycles=result.makespan_cycles,
-        total_energy_nj=result.total_energy_nj,
-        idle_energy_nj=result.idle_energy_nj,
-        dynamic_energy_nj=result.dynamic_energy_nj,
-        mean_waiting_cycles=result.mean_waiting_cycles,
-        non_best_decisions=result.non_best_decisions,
-        seconds=time.perf_counter() - start,
-        observed=observed,
-    )
+    return result, {
+        "dag.graphs": float(len(graphs)),
+        "dag.tasks": float(sum(g.task_count for g in graphs)),
+        "dag.edges": float(sum(g.edge_count for g in graphs)),
+        "dag.deadline_jobs": float(result.deadline_jobs),
+        "dag.deadline_misses": float(result.deadline_misses),
+        "dag.deadline_miss_rate": result.deadline_miss_rate,
+    }
 
 
-def _stream_replication(
-    spec: ReplicationSpec, simulation: SchedulerSimulation, start: float
-) -> ReplicationResult:
-    """Open-system variant of one grid point."""
-    from repro.sim.stream import StreamConfig
+def _stream_run(spec: ReplicationSpec, simulation: SchedulerSimulation):
+    """Open-system load: the stream's result and its windowed metrics."""
     from repro.workloads.arrivals import make_process
 
     load = spec.stream
@@ -593,29 +573,13 @@ def _stream_replication(
         seed=spec.seed,
         **dict(load.process_args),
     )
-    result = simulation.stream(
-        process,
-        StreamConfig(
-            max_jobs=spec.count,
-            warmup_cycles=load.warmup_cycles,
-            queue_capacity=load.queue_capacity,
-            admission=load.admission,
-        ),
-    )
+    result = simulation.stream(process, load.config(spec.count))
     # The windowed stream metrics ride back through ``observed`` (flat
     # floats, exactly like registry scalars) so cells aggregate the
     # quantile snapshots without retaining per-job state anywhere.
     observed = {
-        "stream.jobs_generated": float(result.jobs_generated),
-        "stream.jobs_dropped": float(result.jobs_dropped),
-        "stream.jobs_shed": float(result.jobs_shed),
-        "stream.shed_rate": result.shed_rate,
-        "stream.blocked_cycles": float(result.blocked_cycles),
-        "stream.observed_jobs": float(result.observed_jobs),
-        "stream.throughput_jobs_per_mcycle": (
-            result.throughput_jobs_per_mcycle
-        ),
-        "stream.energy_rate_nj_per_cycle": result.energy_rate_nj_per_cycle,
+        f"stream.{name}": float(getattr(result, name))
+        for name in _STREAM_FIELDS
     }
     for prefix, snapshot in (
         ("stream.waiting", result.waiting),
@@ -623,21 +587,7 @@ def _stream_replication(
     ):
         for key, value in snapshot.items():
             observed[f"{prefix}.{key}"] = value
-    if result.power is not None:
-        for key, value in result.power.items():
-            observed[f"power.{key}"] = float(value)
-    return ReplicationResult(
-        spec=spec,
-        jobs_completed=result.jobs_completed,
-        makespan_cycles=result.makespan_cycles,
-        total_energy_nj=result.total_energy_nj,
-        idle_energy_nj=result.idle_energy_nj,
-        dynamic_energy_nj=result.dynamic_energy_nj,
-        mean_waiting_cycles=result.waiting.get("mean", 0.0),
-        non_best_decisions=result.non_best_decisions,
-        seconds=time.perf_counter() - start,
-        observed=observed,
-    )
+    return result, observed
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -645,6 +595,101 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - platform without fork
         return multiprocessing.get_context()
+
+
+def campaign_specs(
+    *,
+    policies: Sequence[str] = POLICY_NAMES,
+    seeds: Sequence[int] = (0,),
+    loads: Sequence[Tuple[int, int]] = ((1000, 56_000),),
+    fault_plans: Sequence[Optional[FaultPlan]] = (None,),
+    power_configs: Sequence[Optional[PowerConfig]] = (None,),
+    engine: str = "auto",
+    stream: Optional[StreamLoad] = None,
+    dag: Optional[DagLoad] = None,
+    collect_metrics: bool = False,
+    validate: bool = False,
+) -> Tuple[ReplicationSpec, ...]:
+    """The checked replication grid of one :func:`run_campaign` call.
+
+    Takes :func:`run_campaign`'s axis and hook arguments and returns
+    the cartesian product of the axes as specs, in grid order (policy,
+    load, fault plan, power configuration, seed).  Every spec-shaped
+    check runs here, before a store, predictor or worker exists: each
+    axis needs at least one value and no repeated one (a repeat would
+    silently double a cell's ``n``), loads must be positive, the
+    ``dag`` and ``stream`` axes exclude each other, and
+    :func:`~repro.core.simulation.select_engine` rules once per
+    distinct spec shape.  Raises :class:`ValueError` naming the
+    problem.
+    """
+    # Each axis with the label that keys its cells: two values with the
+    # same label would land in one cell.
+    axes = (
+        ("policies", policies, str),
+        ("loads", loads, tuple),
+        ("fault_plans", fault_plans,
+         lambda plan: "clean" if plan is None else plan.name),
+        ("power_configs", [normalize_power(p) for p in power_configs],
+         lambda power: "unconstrained" if power is None else power.label),
+        ("seeds", seeds, int),
+    )
+    for axis, values, label in axes:
+        if not values:
+            raise ValueError(f"need at least one {axis} entry")
+        seen = set()
+        for value in values:
+            key = label(value)
+            if key in seen:
+                raise ValueError(
+                    f"campaign axis {axis} repeats {key!r}; values on an "
+                    "axis must be unique (each keys its own cells)"
+                )
+            seen.add(key)
+    for count, gap in loads:
+        if count <= 0:
+            raise ValueError("load count must be positive")
+        if gap <= 0:
+            raise ValueError("mean_interarrival_cycles must be positive")
+    if dag is not None and stream is not None:
+        raise ValueError(
+            "the dag and stream axes are mutually exclusive: task-graph "
+            "runs are closed-batch on the reference engine, streaming is "
+            "open-system on the fast engine"
+        )
+    specs = tuple(
+        ReplicationSpec(
+            policy=policy,
+            seed=seed,
+            count=count,
+            mean_interarrival_cycles=gap,
+            fault_plan=plan,
+            engine=engine,
+            stream=stream,
+            dag=dag,
+            power=power,
+        )
+        for policy, (count, gap), plan, power, seed in itertools.product(
+            *(values for _, values, _ in axes)
+        )
+    )
+    if stream is not None:
+        load = "stream"
+    else:
+        load = "batch" if dag is None else "dag"
+    shapes = dict.fromkeys(
+        (spec.policy, spec.fault_plan is not None, spec.power is not None)
+        for spec in specs
+    )
+    for policy, faulted, powered in shapes:
+        select_engine(
+            engine,
+            make_policy(policy),
+            hooks=collect_metrics or validate or faulted,
+            power=powered,
+            load=load,
+        )
+    return specs
 
 
 def run_campaign(
@@ -668,6 +713,10 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a (policy × load × fault plan × seed) grid, optionally parallel.
 
+    The grid and every check on it come from :func:`campaign_specs`,
+    before any worker starts; which engine runs which combination is
+    the one table in ``docs/performance.md`` ("Engine selection").
+
     Parameters
     ----------
     store:
@@ -679,7 +728,8 @@ def run_campaign(
         store.
     policies:
         Policy names to sweep (see
-        :data:`~repro.core.policies.POLICY_NAMES`).
+        :data:`~repro.core.policies.POLICY_NAMES`; the deadline-aware
+        ``edf``/``heft`` policies are accepted too).
     seeds:
         Replication seeds; each seed generates an independent arrival
         stream per load, and cells aggregate over seeds.
@@ -716,13 +766,10 @@ def run_campaign(
     engine:
         Simulation engine for every replication (``auto`` / ``fast`` /
         ``reference``, see
-        :class:`~repro.core.simulation.SchedulerSimulation`).  The
-        default ``auto`` picks the fast engine for clean runs and the
-        reference engine whenever metrics/validation/faults are on;
-        requesting ``fast`` together with any of those hooks raises
-        ``ValueError`` before any replication starts.  Non-default
-        engines appear in the cell labels (``policy@engine``) so
-        differently pinned results are never silently aggregated.
+        :class:`~repro.core.simulation.SchedulerSimulation`).
+        Non-default engines appear in the cell labels
+        (``policy@engine``) so differently pinned results are never
+        silently aggregated.
     stream:
         Open-system load axis (:class:`StreamLoad`).  When set, every
         replication consumes a generator-backed arrival process through
@@ -730,9 +777,7 @@ def run_campaign(
         ``loads`` become ``(max_jobs, mean_interarrival_cycles)`` of
         the stream, and the windowed waiting/turnaround quantiles,
         throughput and shed rates come back through
-        :attr:`CampaignCell.observed` under ``stream.*`` keys.  Like
-        ``engine='fast'``, streaming rejects the metrics/validation/
-        fault hooks up front.
+        :attr:`CampaignCell.observed` under ``stream.*`` keys.
     dag:
         Task-graph load axis (:class:`DagLoad`).  When set, every
         replication generates a seed-keyed DAG set and runs it with
@@ -740,13 +785,7 @@ def run_campaign(
         (:meth:`~repro.core.simulation.SchedulerSimulation.run_dags`):
         ``loads`` become ``(graph count, mean graph interarrival)``,
         and deadline/slack outcomes come back through
-        :attr:`CampaignCell.observed` under ``dag.*`` keys.  DAG
-        campaigns run on the reference engine, so ``collect_metrics``,
-        ``validate`` and ``fault_plans`` all compose with this axis;
-        ``stream`` and ``engine='fast'`` do not.  The deadline-aware
-        ``edf``/``heft`` policies
-        (:data:`~repro.core.policies.DEADLINE_POLICY_NAMES`) are
-        accepted alongside the paper's four.
+        :attr:`CampaignCell.observed` under ``dag.*`` keys.
     power_configs:
         Power budget / DVFS configurations to sweep as a grid axis (see
         :mod:`repro.power` and the :func:`power_grid` helper); each
@@ -755,12 +794,10 @@ def run_campaign(
         leaves campaign behaviour bit-identical to before the axis
         existed.  Labels must be unique within the sweep (they key the
         cells); entries whose configuration enables nothing normalise
-        to ``None``.  The axis composes with every engine and with the
-        ``dag``/``stream``/``fault_plans`` axes; powered replications
-        ship their token-pool gauges back through
-        :attr:`CampaignCell.observed` under ``power.*`` keys, and
-        combined with ``dag`` the per-cell (energy, deadline-miss)
-        pairs feed :func:`repro.analysis.render_frontier`.
+        to ``None``.  Powered replications ship their token-pool gauges
+        back through :attr:`CampaignCell.observed` under ``power.*``
+        keys, and combined with ``dag`` the per-cell (energy,
+        deadline-miss) pairs feed :func:`repro.analysis.render_frontier`.
     progress:
         ``progress(done, total)`` callback invoked after every finished
         replication (and once with ``(0, total)`` before the first), in
@@ -769,147 +806,30 @@ def run_campaign(
         ``pool.imap`` so results stream back as they finish; the
         replications and aggregates are identical either way.
     """
-    if not policies:
-        raise ValueError("need at least one policy")
-    for name in policies:
-        if name not in ALL_POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {name!r}; choose from {ALL_POLICY_NAMES}"
-            )
-    ordering = [p for p in policies if p in DEADLINE_POLICY_NAMES]
-    if ordering and engine == "fast":
-        raise ValueError(
-            f"engine='fast' does not implement the policy-ordered ready "
-            f"queue of {ordering}; deadline-aware policies run on the "
-            "reference engine only (use engine='auto' or "
-            "engine='reference')"
-        )
-    if ordering and stream is not None:
-        raise ValueError(
-            f"an open-system stream campaign cannot sweep the "
-            f"deadline-aware policies {ordering}: streaming is "
-            "fast-engine only and policy-ordered queues are "
-            "reference-engine only"
-        )
-    if not seeds:
-        raise ValueError("need at least one replication seed")
-    if not loads:
-        raise ValueError("need at least one load")
-    for count, gap in loads:
-        if count <= 0:
-            raise ValueError("load count must be positive")
-        if gap <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
-    if not fault_plans:
-        raise ValueError("need at least one fault-plan entry (None = clean)")
-    plan_names = [p.name for p in fault_plans if p is not None]
-    if len(plan_names) != len(set(plan_names)):
-        raise ValueError("fault plan names must be unique within a campaign")
-    if not power_configs:
-        raise ValueError(
-            "need at least one power entry (None = unconstrained)"
-        )
-    power_configs = tuple(normalize_power(p) for p in power_configs)
-    if sum(1 for p in power_configs if p is None) > 1:
-        raise ValueError(
-            "only one unconstrained power entry (None, or a disabled "
-            "PowerConfig) is allowed per campaign"
-        )
-    power_labels = [p.label for p in power_configs if p is not None]
-    if len(power_labels) != len(set(power_labels)):
-        raise ValueError(
-            "power configuration labels must be unique within a campaign"
-        )
-    if engine not in SchedulerSimulation.ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from "
-            f"{SchedulerSimulation.ENGINES}"
-        )
-    if engine == "fast" and (
-        collect_metrics or validate or any(p is not None for p in fault_plans)
-    ):
-        # Fail the whole campaign up front instead of deep inside a
-        # worker process on the first replication.
-        raise ValueError(
-            "engine='fast' is incompatible with collect_metrics, validate "
-            "and fault plans; drop those options or use engine='reference'"
-        )
-    if stream is not None:
-        if (
-            collect_metrics
-            or validate
-            or any(p is not None for p in fault_plans)
-            or engine == "reference"
-        ):
-            raise ValueError(
-                "an open-system stream campaign is incompatible with "
-                "collect_metrics, validate, fault plans and "
-                "engine='reference': streaming runs hook-free on the "
-                "fast engine.  Drop those options and read the windowed "
-                "stream.* metrics from CampaignCell.observed instead."
-            )
-        from repro.sim.stream import ADMISSION_POLICIES
-
-        if stream.admission not in ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {stream.admission!r}; "
-                f"choose from {ADMISSION_POLICIES}"
-            )
-    if dag is not None:
-        if stream is not None:
-            raise ValueError(
-                "the dag and stream axes are mutually exclusive: "
-                "task-graph runs are closed-batch on the reference "
-                "engine, streaming is open-system on the fast engine"
-            )
-        if engine == "fast":
-            raise ValueError(
-                "engine='fast' does not implement precedence gating; "
-                "DAG campaigns run on the reference engine (use "
-                "engine='auto' or engine='reference')"
-            )
-        if not 0 < dag.tasks_min <= dag.tasks_max:
-            raise ValueError("need 0 < tasks_min <= tasks_max")
-        if not 0.0 <= dag.edge_density <= 1.0:
-            raise ValueError("edge_density must be within [0, 1]")
-        if dag.deadline_slack <= 0:
-            raise ValueError("deadline_slack must be positive")
-        if dag.criticality_levels < 1:
-            raise ValueError("criticality_levels must be >= 1")
-
+    specs = campaign_specs(
+        policies=policies,
+        seeds=seeds,
+        loads=loads,
+        fault_plans=fault_plans,
+        power_configs=power_configs,
+        engine=engine,
+        stream=stream,
+        dag=dag,
+        collect_metrics=collect_metrics,
+        validate=validate,
+    )
     if predictor is None:
         predictor = OraclePredictor(store)
     if energy_table is None:
         energy_table = EnergyTable()
-
-    specs = [
-        ReplicationSpec(
-            policy=policy,
-            seed=seed,
-            count=count,
-            mean_interarrival_cycles=gap,
-            fault_plan=plan,
-            engine=engine,
-            stream=stream,
-            dag=dag,
-            power=pcfg,
-        )
-        for policy in policies
-        for count, gap in loads
-        for plan in fault_plans
-        for pcfg in power_configs
-        for seed in seeds
-    ]
 
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, len(specs)))
 
     logger.info(
-        "campaign: %d replications (%d policies x %d loads x %d plans "
-        "x %d seeds), %d worker(s), metrics %s",
-        len(specs), len(policies), len(loads), len(fault_plans), len(seeds),
-        workers, "on" if collect_metrics else "off",
+        "campaign: %d replications, %d worker(s), metrics %s",
+        len(specs), workers, "on" if collect_metrics else "off",
     )
     start = time.perf_counter()
     if progress is not None:
@@ -940,68 +860,46 @@ def run_campaign(
     wall_seconds = time.perf_counter() - start
     logger.info("campaign: finished in %.2fs", wall_seconds)
 
-    powered = any(p is not None for p in power_configs)
+    # A cell is every replication of one spec-minus-seed, in first-seen
+    # (grid) order.  Specs are frozen pure data, so the worker pool's
+    # pickled round trip keeps them equal and hashable.
+    groups: Dict[ReplicationSpec, List[ReplicationResult]] = {}
+    for replication in replications:
+        key = dataclasses.replace(replication.spec, seed=0)
+        groups.setdefault(key, []).append(replication)
     cells = []
-    for policy in policies:
-        for count, gap in loads:
-            for plan in fault_plans:
-                for pcfg in power_configs:
-                    members = [
-                        r
-                        for r in replications
-                        if r.spec.policy == policy
-                        and r.spec.count == count
-                        and r.spec.mean_interarrival_cycles == gap
-                        # Value equality, not identity: the worker pool
-                        # pickles specs, so the replication's plan and
-                        # power config are round-tripped copies.  Both
-                        # are frozen pure-data dataclasses, and sweep
-                        # entries are validated unique, so equality is
-                        # exact membership.
-                        and r.spec.fault_plan == plan
-                        and r.spec.power == pcfg
-                    ]
-                    metrics = {
-                        name: _aggregate([m.metric(name) for m in members])
-                        for name in CAMPAIGN_METRICS
-                    }
-                    # Registry scalars aggregate over the union of keys
-                    # (missing keys default to 0.0, matching a
-                    # never-incremented counter), so cells stay
-                    # well-formed even across heterogeneous runs.
-                    observed: Dict[str, MetricAggregate] = {}
-                    if members and (
-                        collect_metrics
-                        or stream is not None
-                        or dag is not None
-                        or powered
-                    ):
-                        keys = sorted(
-                            {key for m in members for key in m.observed}
-                        )
-                        observed = {
-                            key: _aggregate(
-                                [m.observed.get(key, 0.0) for m in members]
-                            )
-                            for key in keys
-                        }
-                    cells.append(
-                        CampaignCell(
-                            policy=policy,
-                            count=count,
-                            mean_interarrival_cycles=gap,
-                            metrics=metrics,
-                            n=len(members),
-                            observed=observed,
-                            faults=None if plan is None else plan.name,
-                            engine=engine,
-                            stream=(
-                                None if stream is None else stream.process
-                            ),
-                            dag=dag is not None,
-                            power=None if pcfg is None else pcfg.label,
-                        )
+    for spec, members in groups.items():
+        # Observed scalars aggregate over the union of keys (missing
+        # keys default to 0.0, matching a never-incremented counter), so
+        # cells stay well-formed even across heterogeneous runs.
+        keys = sorted({key for m in members for key in m.observed})
+        cells.append(
+            CampaignCell(
+                policy=spec.policy,
+                count=spec.count,
+                mean_interarrival_cycles=spec.mean_interarrival_cycles,
+                metrics={
+                    name: _aggregate([m.metric(name) for m in members])
+                    for name in CAMPAIGN_METRICS
+                },
+                n=len(members),
+                observed={
+                    key: _aggregate(
+                        [m.observed.get(key, 0.0) for m in members]
                     )
+                    for key in keys
+                },
+                faults=(
+                    None if spec.fault_plan is None else spec.fault_plan.name
+                ),
+                engine=spec.engine,
+                stream=(
+                    None if spec.stream is None else spec.stream.process
+                ),
+                dag=spec.dag is not None,
+                power=None if spec.power is None else spec.power.label,
+            )
+        )
 
     return CampaignResult(
         replications=tuple(replications),

@@ -98,10 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=1)
     compare.add_argument("--interarrival", type=int, default=56_000,
                          help="mean inter-arrival gap in cycles")
-    compare.add_argument("--predictor", choices=("ann", "oracle"),
-                         default="ann")
-    compare.add_argument("--discipline", choices=("fifo", "priority", "edf"),
-                         default="fifo")
+    _add_run_args(compare, predictor="ann", hooks=True, sweep=False)
     compare.add_argument("--csv", metavar="PATH",
                          help="write per-system summary CSV")
     compare.add_argument("--json", metavar="PATH",
@@ -112,25 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write per-policy JSONL event traces "
                               "(policy name is inserted before the "
                               "suffix: out.jsonl -> out.base.jsonl ...)")
-    compare.add_argument("--metrics-out", metavar="PATH",
-                         help="write per-policy metrics-registry "
-                              "snapshots as JSON")
-    compare.add_argument("--validate", action="store_true",
-                         help="run with the energy-conservation ledger "
-                              "and invariant checks attached")
-    compare.add_argument("--faults", metavar="PATH",
-                         help="inject the fault plan in this JSON file "
-                              "into every policy's run (see the faults "
-                              "subcommand)")
-    compare.add_argument("--engine",
-                         choices=("auto", "fast", "reference"),
-                         default="auto",
-                         help="simulation engine: 'fast' is the "
-                              "struct-of-arrays loop (bit-identical, "
-                              "~10x faster, incompatible with --trace/"
-                              "--metrics-out/--validate/--faults); "
-                              "'auto' picks it whenever those hooks "
-                              "are off (default: auto)")
     _add_power_args(compare, sweep=False)
     _add_telemetry_args(compare, per_policy=True)
 
@@ -195,76 +173,25 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--interarrival", nargs="+", type=int,
                           default=[56_000],
                           help="mean inter-arrival gaps (cycles) to sweep")
-    campaign.add_argument("--predictor", choices=("ann", "oracle"),
-                          default="oracle")
-    campaign.add_argument("--discipline",
-                          choices=("fifo", "priority", "edf"),
-                          default="fifo")
+    _add_run_args(campaign, predictor="oracle", hooks=True, sweep=True)
     campaign.add_argument("--workers", type=int, default=None,
                           help="worker processes (default: one per CPU)")
     campaign.add_argument("--json", metavar="PATH",
                           help="write per-replication results JSON")
-    campaign.add_argument("--metrics-out", metavar="PATH",
-                          help="collect per-replication metrics across "
-                               "the worker pool and write per-cell "
-                               "aggregates as JSON")
-    campaign.add_argument("--validate", action="store_true",
-                          help="attach the energy-conservation ledger "
-                               "and invariant checks to every "
-                               "replication")
-    campaign.add_argument("--faults", nargs="+", metavar="PATH",
-                          help="fault-plan JSON files to add as a grid "
-                               "axis (a clean no-fault cell is always "
-                               "included)")
-    campaign.add_argument("--engine",
-                          choices=("auto", "fast", "reference"),
-                          default="auto",
-                          help="simulation engine for every replication "
-                               "('fast' is incompatible with "
-                               "--metrics-out/--validate/--faults; "
-                               "default: auto)")
     campaign.add_argument("--stream",
                           choices=("poisson", "mmpp", "diurnal"),
                           default=None,
                           help="open-system load axis: stream each "
                                "replication's arrivals through the "
                                "streaming engine (--jobs bounds the "
-                               "stream; incompatible with "
-                               "--metrics-out/--validate/--faults)")
-    campaign.add_argument("--queue-capacity", type=int, default=None,
-                          help="ready-queue bound for --stream runs "
-                               "(default: unbounded)")
-    campaign.add_argument("--admission",
-                          choices=("drop", "shed", "block"),
-                          default="block",
-                          help="admission policy under a full queue "
-                               "for --stream runs (default: block)")
-    campaign.add_argument("--warmup", type=int, default=0,
-                          help="metrics warm-up in cycles for --stream "
-                               "runs")
+                               "stream)")
+    _add_admission_args(campaign, note=" (--stream only)")
     campaign.add_argument("--dag", action="store_true",
                           help="task-graph load axis: every replication "
                                "generates --jobs task graphs "
                                "(precedence edges + per-task deadlines) "
-                               "and runs them on the reference engine "
-                               "(incompatible with --stream and "
-                               "--engine fast)")
-    campaign.add_argument("--dag-tasks-min", type=int, default=3,
-                          help="minimum tasks per generated graph "
-                               "(--dag only; default: 3)")
-    campaign.add_argument("--dag-tasks-max", type=int, default=8,
-                          help="maximum tasks per generated graph "
-                               "(--dag only; default: 8)")
-    campaign.add_argument("--dag-edge-density", type=float, default=0.35,
-                          help="probability of a forward precedence "
-                               "edge (--dag only; default: 0.35)")
-    campaign.add_argument("--dag-deadline-slack", type=float, default=2.5,
-                          help="deadline slack multiplier over the "
-                               "critical path (--dag only; default: "
-                               "2.5)")
-    campaign.add_argument("--dag-criticality-levels", type=int, default=3,
-                          help="number of DAG criticality levels "
-                               "(--dag only; default: 3)")
+                               "and runs them on the reference engine")
+    _add_dag_shape_args(campaign, prefix="dag-", note=" (--dag only)")
     _add_power_args(campaign, sweep=True)
     campaign.add_argument("--frontier", action="store_true",
                           help="print the energy / deadline-miss "
@@ -296,20 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--interarrival", type=float, default=56_000.0,
                         help="mean inter-arrival gap in cycles")
     stream.add_argument("--seed", type=int, default=1)
-    stream.add_argument("--warmup", type=int, default=0,
-                        help="exclude jobs arriving before this cycle "
-                             "from the latency quantiles")
-    stream.add_argument("--queue-capacity", type=int, default=None,
-                        help="ready-queue bound (default: unbounded)")
-    stream.add_argument("--admission",
-                        choices=("drop", "shed", "block"),
-                        default="block",
-                        help="admission policy under a full queue")
-    stream.add_argument("--discipline",
-                        choices=("fifo", "priority", "edf"),
-                        default="fifo")
-    stream.add_argument("--predictor", choices=("ann", "oracle"),
-                        default="oracle")
+    _add_admission_args(stream, note="")
+    _add_run_args(stream, predictor="oracle", hooks=False, sweep=False)
     stream.add_argument("--checkpoint", metavar="PATH",
                         help="write an atomic snapshot here "
                              "periodically and at the end")
@@ -394,17 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "function of it)")
     dag.add_argument("--count", type=int, default=8,
                      help="number of task graphs to generate")
-    dag.add_argument("--tasks-min", type=int, default=3,
-                     help="minimum tasks per graph")
-    dag.add_argument("--tasks-max", type=int, default=8,
-                     help="maximum tasks per graph")
-    dag.add_argument("--edge-density", type=float, default=0.35,
-                     help="probability of each forward precedence edge")
-    dag.add_argument("--deadline-slack", type=float, default=2.5,
-                     help="deadline slack multiplier over the critical "
-                          "path")
-    dag.add_argument("--criticality-levels", type=int, default=3,
-                     help="number of DAG criticality levels")
+    _add_dag_shape_args(dag, prefix="", note="")
     dag.add_argument("--interarrival", type=int, default=250_000,
                      help="mean graph inter-arrival gap in cycles")
     dag.add_argument("--name", default="generated",
@@ -450,6 +355,92 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--jobs", type=int, default=5000)
     reproduce.add_argument("--seed", type=int, default=1)
     return parser
+
+
+def _add_run_args(
+    parser: argparse.ArgumentParser, *, predictor: str, hooks: bool,
+    sweep: bool,
+) -> None:
+    """The simulation flag group shared by compare, campaign and stream.
+
+    ``predictor`` is the ``--predictor`` default.  ``hooks`` adds
+    ``--engine`` and the full-fidelity hooks; ``sweep`` makes
+    ``--faults`` take several plans (a campaign grid axis).
+    """
+    parser.add_argument("--predictor", choices=("ann", "oracle"),
+                        default=predictor)
+    parser.add_argument("--discipline", choices=("fifo", "priority", "edf"),
+                        default="fifo")
+    if not hooks:
+        return
+    parser.add_argument("--engine", choices=("auto", "fast", "reference"),
+                        default="auto",
+                        help="simulation engine: 'fast' is the "
+                             "struct-of-arrays loop (bit-identical, "
+                             "~10x faster, without the per-event hooks); "
+                             "'auto' picks it whenever it can run "
+                             "(default: auto; see the engine table in "
+                             "docs/performance.md)")
+    parser.add_argument("--validate", action="store_true",
+                        help="attach the energy-conservation ledger and "
+                             "invariant checks to every run")
+    if sweep:
+        parser.add_argument("--faults", nargs="+", metavar="PATH",
+                            help="fault-plan JSON files to add as a grid "
+                                 "axis (a clean no-fault cell is always "
+                                 "included)")
+    else:
+        parser.add_argument("--faults", metavar="PATH",
+                            help="inject the fault plan in this JSON file "
+                                 "into every policy's run (see the "
+                                 "faults subcommand)")
+    parser.add_argument("--metrics-out", metavar="PATH",
+                        help="attach a metrics registry to every run and "
+                             "write the snapshots (per policy, or per "
+                             "campaign cell) as JSON")
+
+
+def _add_admission_args(parser: argparse.ArgumentParser, *, note: str) -> None:
+    """The open-system queue flag group shared by stream and campaign."""
+    parser.add_argument("--queue-capacity", type=int, default=None,
+                        help="ready-queue bound (default: unbounded)" + note)
+    parser.add_argument("--admission", choices=("drop", "shed", "block"),
+                        default="block",
+                        help="admission policy under a full queue "
+                             "(default: block)" + note)
+    parser.add_argument("--warmup", type=int, default=0,
+                        help="exclude jobs arriving before this cycle "
+                             "from the latency quantiles" + note)
+
+
+#: Task-graph shape flags: (name, type, default, help).
+_DAG_SHAPE = (
+    ("tasks_min", int, 3, "minimum tasks per graph"),
+    ("tasks_max", int, 8, "maximum tasks per graph"),
+    ("edge_density", float, 0.35,
+     "probability of each forward precedence edge"),
+    ("deadline_slack", float, 2.5,
+     "deadline slack multiplier over the critical path"),
+    ("criticality_levels", int, 3, "number of DAG criticality levels"),
+)
+
+
+def _add_dag_shape_args(
+    parser: argparse.ArgumentParser, *, prefix: str, note: str
+) -> None:
+    """The task-graph shape flag group of ``dag generate`` and
+    ``campaign --dag`` (``--tasks-min`` / ``--dag-tasks-min`` ...)."""
+    for name, kind, default, text in _DAG_SHAPE:
+        parser.add_argument(f"--{prefix}{name.replace('_', '-')}",
+                            type=kind, default=default,
+                            help=f"{text}{note} (default: {default})")
+
+
+def _dag_shape(args, prefix: str) -> dict:
+    """The shape flags as keyword arguments for the DAG generator."""
+    return {
+        name: getattr(args, prefix + name) for name, _, _, _ in _DAG_SHAPE
+    }
 
 
 def _add_telemetry_args(
@@ -524,18 +515,12 @@ def _parse_dvfs(value: Optional[str]):
 
 def _parse_power(args):
     """Single-run power flags → normalised config (or ``None``)."""
-    from repro.power.budget import PowerConfig, normalize_power
+    from repro.campaign import power_grid
 
-    cap = args.power_cap
-    if cap is not None and cap == float("inf"):
-        cap = None
-    return normalize_power(
-        PowerConfig(
-            cap_nj=cap,
-            slack_pct=args.power_slack,
-            dvfs=_parse_dvfs(args.dvfs),
-        )
-    )
+    return power_grid(
+        [args.power_cap], slacks=[args.power_slack],
+        dvfs=_parse_dvfs(args.dvfs),
+    )[0]
 
 
 def _parse_power_grid(args):
@@ -549,6 +534,15 @@ def _parse_power_grid(args):
             caps.append(cap)
     return power_grid(
         caps, slacks=tuple(args.power_slack), dvfs=_parse_dvfs(args.dvfs)
+    )
+
+
+def _power_counts(counts) -> str:
+    """The token-pool account of one powered run, on one line."""
+    return " ".join(
+        [f"{name}={counts[name]:.0f}" for name in
+         ("grants", "refunds", "throttled", "degraded", "overdrafts")]
+        + [f"consumed={counts['consumed_nj'] / 1e6:.3f} mJ"]
     )
 
 
@@ -592,41 +586,16 @@ def _make_telemetry(args, *, label: str = "", policy: str = None):
 
 
 def _cmd_compare(args) -> int:
-    from repro.core.simulation import SchedulerSimulation
-    from repro.core.policies import POLICY_NAMES, make_policy
-    from repro.core.system import base_system, paper_system
+    from repro.core import (
+        POLICY_NAMES,
+        make_policy,
+        make_simulation,
+        select_engine,
+    )
     from repro.experiment import default_predictor, default_store
     from repro.obs import JsonlRecorder, MetricsRegistry
     from repro.workloads import eembc_suite, uniform_arrivals
 
-    if args.engine == "fast" and (
-        args.trace or args.metrics_out or args.validate or args.faults
-    ):
-        print(
-            "error: --engine fast is incompatible with --trace, "
-            "--metrics-out, --validate and --faults; drop those "
-            "options or use --engine reference",
-            file=sys.stderr,
-        )
-        return 2
-    if _wants_telemetry(args):
-        if args.trace or args.metrics_out or args.validate or args.faults:
-            print(
-                "error: --telemetry-out/--sampled-trace/--progress are "
-                "the sampled observability of the fast engine and are "
-                "incompatible with the full-fidelity hooks (--trace, "
-                "--metrics-out, --validate, --faults); drop one side",
-                file=sys.stderr,
-            )
-            return 2
-        if args.engine == "reference":
-            print(
-                "error: --engine reference has the full-fidelity hooks "
-                "instead of sampled telemetry; drop --engine reference "
-                "or the telemetry flags",
-                file=sys.stderr,
-            )
-            return 2
     fault_plan = None
     if args.faults:
         from repro.faults import load_plan
@@ -640,6 +609,16 @@ def _cmd_compare(args) -> int:
               f"({', '.join(fault_plan.classes()) or 'empty'})")
     try:
         power = _parse_power(args)
+        arrivals = uniform_arrivals(
+            eembc_suite(), count=args.jobs, seed=args.seed,
+            mean_interarrival_cycles=args.interarrival,
+        )
+        hooks = bool(args.trace or args.metrics_out or args.validate
+                     or fault_plan is not None)
+        for name in POLICY_NAMES:
+            select_engine(args.engine, make_policy(name), hooks=hooks,
+                          telemetry=_wants_telemetry(args),
+                          power=power is not None)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -649,24 +628,17 @@ def _cmd_compare(args) -> int:
     predictor = default_predictor(
         store, kind=args.predictor, seed=args.seed
     )
-    arrivals = uniform_arrivals(
-        eembc_suite(), count=args.jobs, seed=args.seed,
-        mean_interarrival_cycles=args.interarrival,
-    )
     results = {}
     snapshots = {}
     pools = {}
     for name in POLICY_NAMES:
-        policy = make_policy(name)
-        system = base_system() if name == "base" else paper_system()
         recorder = None
         registry = MetricsRegistry() if args.metrics_out else None
         if args.trace:
             recorder = JsonlRecorder(_per_policy_path(args.trace, name))
         telemetry = _make_telemetry(args, label=name, policy=name)
-        sim = SchedulerSimulation(
-            system, policy, store,
-            predictor=predictor if policy.uses_predictor else None,
+        sim = make_simulation(
+            name, store, predictor,
             discipline=args.discipline,
             recorder=recorder,
             metrics=registry,
@@ -694,11 +666,7 @@ def _cmd_compare(args) -> int:
         print()
         print(f"power accounting ({power.label}):")
         for name, pool in pools.items():
-            print(f"  {name}: grants={pool.grants} "
-                  f"refunds={pool.refunds} throttled={pool.throttled} "
-                  f"degraded={pool.degraded} "
-                  f"overdrafts={pool.overdrafts} "
-                  f"consumed={pool.consumed_nj / 1e6:.3f} mJ")
+            print(f"  {name}: {_power_counts(pool.counts())}")
     if args.summaries:
         for result in results.values():
             print()
@@ -709,23 +677,14 @@ def _cmd_compare(args) -> int:
     if args.json:
         results_to_json(results, args.json)
         print(f"wrote results JSON to {args.json}")
-    if args.trace:
-        names = ", ".join(
-            str(_per_policy_path(args.trace, name)) for name in results
-        )
-        print(f"wrote event traces: {names}")
-    if args.telemetry_out:
-        names = ", ".join(
-            str(_per_policy_path(args.telemetry_out, name))
-            for name in results
-        )
-        print(f"wrote telemetry time series: {names}")
-    if args.sampled_trace:
-        names = ", ".join(
-            str(_per_policy_path(args.sampled_trace, name))
-            for name in results
-        )
-        print(f"wrote sampled traces: {names}")
+    for template, what in ((args.trace, "event traces"),
+                           (args.telemetry_out, "telemetry time series"),
+                           (args.sampled_trace, "sampled traces")):
+        if template:
+            names = ", ".join(
+                str(_per_policy_path(template, name)) for name in results
+            )
+            print(f"wrote {what}: {names}")
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
             json.dump(snapshots, handle, indent=2, sort_keys=True)
@@ -891,84 +850,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    import dataclasses
+    import itertools
+
+    from repro.campaign import DagLoad, StreamLoad, campaign_specs
     from repro.experiment import (
         default_predictor,
         default_store,
         run_campaign,
     )
 
-    if args.engine == "fast" and (
-        args.metrics_out or args.validate or args.faults
-    ):
+    if args.frontier and not args.dag:
         print(
-            "error: --engine fast is incompatible with --metrics-out, "
-            "--validate and --faults; drop those options or use "
-            "--engine reference",
+            "error: --frontier needs --dag (the frontier plots the "
+            "deadline-miss rate, and only the DAG axis carries "
+            "deadlines)",
             file=sys.stderr,
         )
         return 2
-    ordering = sorted(set(args.policies) & {"edf", "heft"})
-    if ordering and args.engine == "fast":
-        print(
-            f"error: policies {ordering} order the ready queue, which "
-            "the fast engine does not implement; use --engine auto or "
-            "--engine reference",
-            file=sys.stderr,
-        )
-        return 2
-    if ordering and args.stream:
-        print(
-            f"error: policies {ordering} are incompatible with "
-            "--stream (the streaming engine runs discipline-ordered "
-            "queues only; use --discipline edf instead)",
-            file=sys.stderr,
-        )
-        return 2
-    dag_load = None
-    if args.dag:
-        if args.stream:
-            print(
-                "error: --dag and --stream are mutually exclusive load "
-                "axes",
-                file=sys.stderr,
-            )
-            return 2
-        if args.engine == "fast":
-            print(
-                "error: --dag needs the reference engine for "
-                "precedence gating; use --engine auto or "
-                "--engine reference",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.campaign import DagLoad
-
-        dag_load = DagLoad(
-            tasks_min=args.dag_tasks_min,
-            tasks_max=args.dag_tasks_max,
-            edge_density=args.dag_edge_density,
-            deadline_slack=args.dag_deadline_slack,
-            criticality_levels=args.dag_criticality_levels,
-        )
-    stream_load = None
-    if args.stream:
-        if args.metrics_out or args.validate or args.faults:
-            print(
-                "error: --stream is incompatible with --metrics-out, "
-                "--validate and --faults (streaming runs hook-free on "
-                "the fast engine); the windowed stream.* metrics are "
-                "in the campaign output instead",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.campaign import StreamLoad
-
-        stream_load = StreamLoad(
-            process=args.stream,
-            warmup_cycles=args.warmup,
-            queue_capacity=args.queue_capacity,
-            admission=args.admission,
-        )
     fault_plans = (None,)
     if args.faults:
         from repro.faults import load_plan
@@ -981,25 +880,31 @@ def _cmd_campaign(args) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
     try:
-        power_configs = _parse_power_grid(args)
+        grid = dict(
+            policies=tuple(args.policies),
+            seeds=tuple(args.seeds),
+            loads=list(itertools.product(args.jobs, args.interarrival)),
+            fault_plans=fault_plans,
+            power_configs=_parse_power_grid(args),
+            engine=args.engine,
+            stream=None if args.stream is None else StreamLoad(
+                process=args.stream,
+                warmup_cycles=args.warmup,
+                queue_capacity=args.queue_capacity,
+                admission=args.admission,
+            ),
+            dag=DagLoad(**_dag_shape(args, "dag_")) if args.dag else None,
+            collect_metrics=bool(args.metrics_out),
+            validate=args.validate,
+        )
+        campaign_specs(**grid)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.frontier and not args.dag:
-        print(
-            "error: --frontier needs --dag (the frontier plots the "
-            "deadline-miss rate, and only the DAG axis carries "
-            "deadlines)",
-            file=sys.stderr,
-        )
         return 2
     store = default_store()
     predictor = None
     if args.predictor == "ann":
         predictor = default_predictor(store, kind="ann")
-    loads = [
-        (count, gap) for count in args.jobs for gap in args.interarrival
-    ]
     progress = None
     if args.progress:
         def progress(done: int, total: int) -> None:
@@ -1009,19 +914,10 @@ def _cmd_campaign(args) -> int:
     result = run_campaign(
         store,
         predictor,
-        policies=tuple(args.policies),
-        seeds=tuple(args.seeds),
-        loads=loads,
         discipline=args.discipline,
         workers=args.workers,
-        collect_metrics=bool(args.metrics_out),
-        validate=args.validate,
-        fault_plans=fault_plans,
-        engine=args.engine,
-        stream=stream_load,
-        dag=dag_load,
-        power_configs=power_configs,
         progress=progress,
+        **grid,
     )
     print(result.summary())
     if args.frontier:
@@ -1034,8 +930,6 @@ def _cmd_campaign(args) -> int:
             print(f"error: {error.args[0]}", file=sys.stderr)
             return 2
     if args.json:
-        import dataclasses
-
         payload = [
             dataclasses.asdict(replication)
             for replication in result.replications
@@ -1044,21 +938,13 @@ def _cmd_campaign(args) -> int:
             json.dump(payload, handle, indent=2)
         print(f"\nwrote replication results JSON to {args.json}")
     if args.metrics_out:
-        import dataclasses
-
+        # Every cell field but the headline aggregates and the
+        # engine/stream labels.
         payload = [
             {
-                "policy": cell.policy,
-                "count": cell.count,
-                "mean_interarrival_cycles": cell.mean_interarrival_cycles,
-                "faults": cell.faults,
-                "dag": cell.dag,
-                "power": cell.power,
-                "n": cell.n,
-                "observed": {
-                    key: dataclasses.asdict(aggregate)
-                    for key, aggregate in cell.observed.items()
-                },
+                key: value
+                for key, value in dataclasses.asdict(cell).items()
+                if key not in ("metrics", "engine", "stream")
             }
             for cell in result.cells
         ]
@@ -1071,9 +957,7 @@ def _cmd_campaign(args) -> int:
 def _cmd_stream(args) -> int:
     import dataclasses
 
-    from repro.core.policies import make_policy
-    from repro.core.simulation import SchedulerSimulation
-    from repro.core.system import base_system, paper_system
+    from repro.core import make_policy, make_simulation, select_engine
     from repro.experiment import default_predictor, default_store
     from repro.sim.stream import StreamConfig
     from repro.workloads import eembc_suite, make_process
@@ -1115,27 +999,27 @@ def _cmd_stream(args) -> int:
             queue_capacity=args.queue_capacity,
             admission=args.admission,
         )
+        power = _parse_power(args)
+        policy = make_policy(args.policy)
+        select_engine("auto", policy, telemetry=_wants_telemetry(args),
+                      power=power is not None, load="stream")
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
     store = default_store()
-    policy = make_policy(args.policy)
     predictor = None
     if policy.uses_predictor:
         predictor = default_predictor(
             store, kind=args.predictor, seed=args.seed
         )
-    system = base_system() if args.policy == "base" else paper_system()
     try:
-        power = _parse_power(args)
         telemetry = _make_telemetry(args, label=f"stream:{args.policy}")
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    sim = SchedulerSimulation(
-        system, policy, store,
-        predictor=predictor, discipline=args.discipline,
+    sim = make_simulation(
+        args.policy, store, predictor, discipline=args.discipline,
         telemetry=telemetry, power=power,
     )
     try:
@@ -1184,14 +1068,7 @@ def _cmd_stream(args) -> int:
               f"p99={snapshot['p99'] / 1e3:.1f} "
               f"mean={snapshot['mean'] / 1e3:.1f}")
     if result.power is not None:
-        counts = result.power
-        print(f"power ({power.label}): "
-              f"grants={counts['grants']:.0f} "
-              f"refunds={counts['refunds']:.0f} "
-              f"throttled={counts['throttled']:.0f} "
-              f"degraded={counts['degraded']:.0f} "
-              f"overdrafts={counts['overdrafts']:.0f} "
-              f"consumed={counts['consumed_nj'] / 1e6:.3f} mJ")
+        print(f"power ({power.label}): {_power_counts(result.power)}")
     if args.checkpoint:
         print(f"checkpoint: {args.checkpoint}")
     if args.telemetry_out:
@@ -1207,18 +1084,14 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _cmd_trace(args) -> int:
+def _read_trace(path: Path, *, check: bool = False):
+    """``(events, sampled)`` of a JSONL trace, or ``None`` after printing
+    the error; ``check`` schema-validates every line first."""
     from repro.obs import event_from_dict, validate_event_dict
-    from repro.obs.report import (
-        decision_breakdown,
-        render_trace_report,
-        trace_summary,
-    )
 
-    path = Path(args.path)
     if not path.exists():
         print(f"error: no such trace file: {path}", file=sys.stderr)
-        return 2
+        return None
     events = []
     sampled = False
     with open(path, "r", encoding="utf-8") as handle:
@@ -1228,7 +1101,7 @@ def _cmd_trace(args) -> int:
                 continue
             try:
                 payload = json.loads(line)
-                if args.validate:
+                if check:
                     validate_event_dict(payload)
                 sampled = sampled or payload.get("sampled") is True
                 events.append(event_from_dict(payload))
@@ -1236,10 +1109,24 @@ def _cmd_trace(args) -> int:
                 print(
                     f"error: {path}:{line_number}: {error}", file=sys.stderr
                 )
-                return 2
+                return None
     if not events:
         print(f"error: {path} contains no events", file=sys.stderr)
+        return None
+    return events, sampled
+
+
+def _cmd_trace(args) -> int:
+    from repro.obs.report import (
+        decision_breakdown,
+        render_trace_report,
+        trace_summary,
+    )
+
+    loaded = _read_trace(Path(args.path), check=args.validate)
+    if loaded is None:
         return 2
+    events, sampled = loaded
     print(render_trace_report(events, lenient=sampled))
     if args.json:
         payload = {
@@ -1253,31 +1140,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from repro.obs import event_from_dict
     from repro.validate import ValidationError, replay_trace
 
     path = Path(args.path)
-    if not path.exists():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
-        return 2
-    events = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(event_from_dict(json.loads(line)))
-            except ValueError as error:
-                print(
-                    f"error: {path}:{line_number}: {error}", file=sys.stderr
-                )
-                return 2
-    if not events:
-        print(f"error: {path} contains no events", file=sys.stderr)
+    loaded = _read_trace(path)
+    if loaded is None:
         return 2
     try:
-        report = replay_trace(events)
+        report = replay_trace(loaded[0])
     except ValidationError as error:
         print(f"{path}: FAILED {error.check}", file=sys.stderr)
         print(f"  {error.detail}", file=sys.stderr)
@@ -1365,13 +1235,9 @@ def _cmd_dag(args) -> int:
         graphs = generate_task_graphs(
             count=args.count,
             seed=args.seed,
-            tasks_min=args.tasks_min,
-            tasks_max=args.tasks_max,
-            edge_density=args.edge_density,
-            deadline_slack=args.deadline_slack,
-            criticality_levels=args.criticality_levels,
             mean_interarrival_cycles=args.interarrival,
             name=args.name,
+            **_dag_shape(args, ""),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

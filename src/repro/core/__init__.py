@@ -32,7 +32,7 @@ from .predictor import (
 from .profiling import ApplicationProfile, ExecutionRecord, ProfilingTable
 from .results import BenchmarkStats, JobRecord, SimulationResult
 from .scheduler import Assignment, CoreState, Job
-from .simulation import SchedulerSimulation
+from .simulation import SchedulerSimulation, make_simulation, select_engine
 from .system import CoreSpec, SystemConfig, base_system, paper_system, scaled_system
 from .tuning import TuningHeuristic, TuningSession
 
@@ -70,9 +70,11 @@ __all__ = [
     "evaluate_stall_decision",
     "load_ann_predictor",
     "make_policy",
+    "make_simulation",
     "paper_system",
     "save_ann_predictor",
     "scaled_system",
     "remaining_energy_nj",
+    "select_engine",
     "training_config_key",
 ]

@@ -24,12 +24,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.cache.config import BASE_CONFIG
 from repro.cache.tuner import TunerCostModel
 from repro.characterization.store import CharacterizationStore
-from repro.core.policies import SchedulingPolicy
+from repro.core.policies import SchedulingPolicy, make_policy
 from repro.core.predictor import BestCorePredictor
 from repro.core.profiling import ProfilingTable
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.scheduler import Assignment, CoreState, Job
-from repro.core.system import SystemConfig
+from repro.core.system import SystemConfig, base_system, paper_system
 from repro.core.tuning import TuningHeuristic
 from repro.energy.tables import EnergyTable
 from repro.obs.events import (
@@ -56,7 +56,17 @@ from repro.sim.events import Event, EventKind
 from repro.sim.queueing import ReadyQueue
 from repro.workloads.arrivals import JobArrival
 
-__all__ = ["SchedulerSimulation"]
+__all__ = ["ENGINES", "LOADS", "SchedulerSimulation", "make_simulation",
+           "select_engine"]
+
+#: Engine selection modes accepted by the ``engine`` parameter.
+ENGINES = ("auto", "fast", "reference")
+
+#: Load shapes :func:`select_engine` rules on: a closed arrival batch
+#: (:meth:`SchedulerSimulation.run`), task graphs
+#: (:meth:`~SchedulerSimulation.run_dags`) or an open-system stream
+#: (:meth:`~SchedulerSimulation.stream`).
+LOADS = ("batch", "dag", "stream")
 
 #: Counters pre-registered when a metrics registry is attached, so every
 #: traced run reports a uniform key set (campaign cells aggregate these
@@ -101,6 +111,84 @@ _POWER_COUNTERS = (
     "sim.power.degraded",
     "sim.power.overdrafts",
 )
+
+
+def select_engine(
+    engine: str,
+    policy: SchedulingPolicy,
+    *,
+    hooks: bool = False,
+    telemetry: bool = False,
+    power: bool = False,
+    load: str = "batch",
+) -> str:
+    """The engine that runs one simulation: ``"fast"`` or ``"reference"``.
+
+    The one engine × feature rule (tabulated in ``docs/performance.md``,
+    "Engine selection").  :class:`SchedulerSimulation`,
+    :func:`~repro.campaign.run_campaign` and the CLI all ask it, so every
+    front end accepts and rejects the same runs with the same message.
+    ``hooks`` says whether a trace recorder, metrics registry, validation
+    or fault injection is attached, ``telemetry`` and ``power`` whether
+    sampled telemetry or an enabled power configuration is, and ``load``
+    is one of :data:`LOADS`.  A combination no engine runs raises
+    :class:`ValueError` naming the conflict.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if load not in LOADS:
+        raise ValueError(f"unknown load {load!r}; choose from {LOADS}")
+    # The core implements the power gate itself, but a policy that
+    # *chooses* operating points needs the reference loop's
+    # per-dispatch hook.
+    picks_dvfs = (
+        power
+        and type(policy).choose_dvfs is not SchedulingPolicy.choose_dvfs
+    )
+    needs_reference = (
+        hooks or policy.orders_queue or picks_dvfs
+        or engine == "reference" or load == "dag"
+    )
+    if telemetry and needs_reference:
+        raise ValueError(
+            "telemetry is incompatible with the reference engine, which "
+            "this run needs (hooks, an ordering or DVFS-choosing policy, "
+            "task graphs or engine='reference'); the reference engine has "
+            "the full-fidelity hooks (--trace/--metrics-out/--validate/"
+            "--faults) instead.  Drop one side"
+        )
+    if engine != "fast" and load != "stream":
+        return "reference" if needs_reference else "fast"
+    # An explicit fast engine or a stream: the simulation core runs it.
+    if policy.orders_queue:
+        raise ValueError(
+            f"the fast engine and streaming do not implement the "
+            f"policy-ordered ready queue of policy {policy.name!r}; use "
+            "engine='auto' or 'reference' for batches and task graphs, or "
+            "discipline='edf' (--discipline edf) in a stream"
+        )
+    if hooks or picks_dvfs:
+        raise ValueError(
+            "the fast engine and streaming are incompatible with tracing, "
+            "metrics, validation, fault injection and DVFS-choosing "
+            "policies: the simulation core compiles those hooks out.  Drop "
+            "them or use engine='reference' for a batch; for visibility on "
+            "the core, attach sampled telemetry (--telemetry-out, "
+            "--progress) or read a stream's windowed metrics"
+        )
+    if engine == "reference":
+        raise ValueError(
+            "streaming runs on the simulation core only, so it is "
+            "incompatible with engine='reference'; use engine='auto' and "
+            "read the stream's windowed metrics instead of per-event hooks"
+        )
+    if load == "dag":
+        raise ValueError(
+            "engine='fast' does not implement precedence gating, which "
+            "hooks the reference loop's completion path; use "
+            "engine='auto' or engine='reference' for task graphs"
+        )
+    return "fast"
 
 
 class _PendingExecution:
@@ -226,19 +314,18 @@ class SchedulerSimulation:
         oracle loop in this module; ``"fast"`` is the struct-of-arrays
         engine (:mod:`repro.sim.fast`) with the obs/validate/faults
         hooks compiled out — bit-identical results, an order of
-        magnitude faster, but incompatible with tracing, metrics,
-        validation and fault injection (requesting both raises
-        :class:`ValueError`).  The default ``"auto"`` picks the fast
-        engine exactly when all four hooks are off (see
-        ``docs/performance.md``).
+        magnitude faster.  The default ``"auto"`` picks the fast engine
+        whenever it can run the simulation.  :func:`select_engine` is
+        the rule; a combination no engine runs raises
+        :class:`ValueError` here, or in :meth:`run_dags` /
+        :meth:`stream` for those loads (see ``docs/performance.md``).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` sink.  Unlike
         the four per-event hooks above it is *sampled* observability —
         fed at chunk boundaries by the fast and streaming engines, so
         attaching it keeps ``engine="auto"`` on the fast path and the
-        results bit-identical.  Requires the fast engine (attaching it
-        alongside hooks, which force the reference engine, raises
-        :class:`ValueError`).  See ``docs/observability.md``.
+        results bit-identical.  Requires the fast engine.  See
+        ``docs/observability.md``.
     power:
         Optional :class:`~repro.power.PowerConfig`: a power-token
         budget (global and/or per-cluster caps priced in nJ from the
@@ -256,7 +343,7 @@ class SchedulerSimulation:
     DISCIPLINES = ("fifo", "priority", "edf")
 
     #: Engine selection modes accepted by the ``engine`` parameter.
-    ENGINES = ("auto", "fast", "reference")
+    ENGINES = ENGINES
 
     def __init__(
         self,
@@ -298,17 +385,6 @@ class SchedulerSimulation:
             )
         if preemption_quantum_cycles < 0:
             raise ValueError("preemption_quantum_cycles must be >= 0")
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {self.ENGINES}"
-            )
-        if engine == "fast" and policy.orders_queue:
-            raise ValueError(
-                f"engine='fast' does not implement the policy-ordered "
-                f"ready queue of policy {policy.name!r}; deadline-aware "
-                "ordering policies run on the reference engine only "
-                "(use engine='auto' or engine='reference')"
-            )
         self.engine_mode = engine
         self.discipline = discipline
         self.preemptive = preemptive
@@ -369,10 +445,9 @@ class SchedulerSimulation:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.metrics = metrics
         #: Sampled telemetry sink (:mod:`repro.obs.telemetry`) for the
-        #: fast and streaming engines.  Deliberately NOT part of
-        #: :meth:`_fast_eligible`: telemetry fires once every
-        #: ``sample_every`` completions only, so requesting it keeps
-        #: ``engine="auto"`` on the fast path.
+        #: fast and streaming engines.  Not a hook: telemetry fires once
+        #: every ``sample_every`` completions only, so requesting it
+        #: keeps ``engine="auto"`` on the fast path.
         self.telemetry = telemetry
         #: Job id the policy just flagged as a non-best dispatch; consumed
         #: by :meth:`_start` to categorise the execution it opens.
@@ -427,23 +502,7 @@ class SchedulerSimulation:
                     for name in _POWER_COUNTERS:
                         metrics.counter(name)
 
-        if engine == "fast" and not self._fast_eligible():
-            raise ValueError(
-                "engine='fast' is incompatible with tracing, metrics, "
-                "validation and fault injection; drop those hooks or "
-                "use engine='reference'.  For low-overhead visibility "
-                "on the fast engine, attach sampled telemetry instead "
-                "(telemetry=Telemetry(...), or --telemetry-out / "
-                "--progress on the CLI)"
-            )
-        if telemetry is not None and self._resolve_engine() == "reference":
-            raise ValueError(
-                "telemetry is the sampled observability of the fast and "
-                "streaming engines; the reference engine has the "
-                "full-fidelity hooks (recorder/metrics/validate/faults) "
-                "instead.  Drop the hooks so engine='auto' picks the "
-                "fast engine, or drop telemetry"
-            )
+        resolved = self._resolve_engine()
 
         if preload_profiles:
             self._preload_profiles()
@@ -453,36 +512,29 @@ class SchedulerSimulation:
         # reconfiguration costs) are construction-time state, exactly
         # like the reference's preloaded profiles above.
         self._fast = None
-        if self._resolve_engine() == "fast":
+        if resolved == "fast":
             from repro.core.fastpath import build_fast
 
             self._fast = build_fast(self)
 
     # -- engine selection ----------------------------------------------------
 
-    def _fast_eligible(self) -> bool:
-        """Whether the hook-free fast engine may run this simulation."""
-        return (
-            not self.recorder.enabled
-            and self.metrics is None
-            and self._validator is None
-            and self._faults is None
-            and not self.policy.orders_queue
-            # The fast engine implements the power gate itself, but a
-            # policy that *chooses* operating points needs the
-            # reference loop's per-dispatch hook.
-            and (
-                self.power is None
-                or type(self.policy).choose_dvfs
-                is SchedulingPolicy.choose_dvfs
-            )
+    def _resolve_engine(self, load: str = "batch") -> str:
+        """The engine a ``load`` run of this simulation uses
+        (:func:`select_engine` over its current hooks)."""
+        return select_engine(
+            self.engine_mode,
+            self.policy,
+            hooks=(
+                self.recorder.enabled
+                or self.metrics is not None
+                or self._validator is not None
+                or self._faults is not None
+            ),
+            telemetry=self.telemetry is not None,
+            power=self.power is not None,
+            load=load,
         )
-
-    def _resolve_engine(self) -> str:
-        """The engine :meth:`run` will actually use."""
-        if self.engine_mode == "auto":
-            return "fast" if self._fast_eligible() else "reference"
-        return self.engine_mode
 
     def _preload_profiles(self) -> None:
         """Install design-time profiling/tuning knowledge (§IV.B)."""
@@ -617,35 +669,15 @@ class SchedulerSimulation:
         dict or a checkpoint file path) continues a previous run
         bit-identically instead of starting fresh.
 
-        Streaming is fast-engine-only: an unbounded run cannot retain
-        per-event traces, per-job records or mid-run hook state, so —
-        exactly like ``engine='fast'`` — tracing, metrics, validation
-        and fault injection are rejected up front.  Sampled telemetry
-        (the ``telemetry`` constructor argument) is the exception: it
-        fires every ``sample_every`` completions in O(1) memory, so it
-        rides along on the fast path and into the stream's checkpoints.
+        Streaming runs on the simulation core only: an unbounded run
+        cannot retain per-event traces, per-job records or mid-run hook
+        state, so :func:`select_engine` rejects the hooks up front.
+        Sampled telemetry (the ``telemetry`` constructor argument) is
+        the exception: it fires every ``sample_every`` completions in
+        O(1) memory, so it rides along on the fast path and into the
+        stream's checkpoints.
         """
-        if self.policy.orders_queue:
-            raise ValueError(
-                f"streaming does not support the policy-ordered ready "
-                f"queue of policy {self.policy.name!r} (reference engine "
-                "only); use a queue discipline (e.g. discipline='edf') "
-                "for deadline ordering in open-system runs"
-            )
-        if self.engine_mode == "reference" or not self._fast_eligible():
-            raise ValueError(
-                "streaming is incompatible with tracing, metrics, "
-                "validation, fault injection and engine='reference': "
-                "an open-system run is unbounded, so per-event hooks "
-                "would retain unbounded state.  Drop the hooks (use "
-                "engine='auto' or 'fast') and either attach sampled "
-                "telemetry (telemetry=Telemetry(...), or "
-                "--telemetry-out / --progress on the CLI) for "
-                "sampled time-series, or read windowed metrics "
-                "from the StreamResult — waiting/turnaround "
-                "P50/P90/P99 snapshots, throughput, energy and shed "
-                "rates are accumulated in O(1) memory."
-            )
+        self._resolve_engine("stream")
         from repro.core.fastpath import fresh_fast
         from repro.sim.stream import StreamingSimulation, read_checkpoint
 
@@ -680,21 +712,33 @@ class SchedulerSimulation:
             return run_fast(self, arrivals)
         if not arrivals:
             raise ValueError("need at least one arrival")
-        for arrival in arrivals:
-            if arrival.benchmark not in self.store:
-                raise KeyError(
-                    f"benchmark {arrival.benchmark!r} missing from the "
-                    "characterisation store"
-                )
-            job = Job(
+        self._check_benchmarks(arrival.benchmark for arrival in arrivals)
+        self._drain(
+            Job(
                 job_id=arrival.job_id,
                 benchmark=arrival.benchmark,
                 arrival_cycle=arrival.arrival_cycle,
                 priority=arrival.priority,
                 deadline_cycle=arrival.deadline_cycle,
             )
+            for arrival in arrivals
+        )
+        return self._result()
+
+    def _check_benchmarks(self, names) -> None:
+        """Reject a workload naming a benchmark the store lacks."""
+        for name in names:
+            if name not in self.store:
+                raise KeyError(
+                    f"benchmark {name!r} missing from the "
+                    "characterisation store"
+                )
+
+    def _drain(self, jobs) -> None:
+        """Schedule ``jobs`` as arrivals and run the reference loop dry."""
+        for job in jobs:
             self.engine.schedule_at(
-                arrival.arrival_cycle, EventKind.ARRIVAL, payload=job
+                job.arrival_cycle, EventKind.ARRIVAL, payload=job
             )
         if self._faults is not None:
             self._faults.schedule_windows()
@@ -703,7 +747,6 @@ class SchedulerSimulation:
             raise RuntimeError(
                 f"simulation drained with {len(self.queue)} jobs still queued"
             )
-        return self._result()
 
     def run_dags(self, graphs) -> SimulationResult:
         """Simulate a task-graph workload with precedence gating.
@@ -722,27 +765,14 @@ class SchedulerSimulation:
         DAG runs are reference-engine only: precedence gating hooks the
         completion path, which the struct-of-arrays fast engine
         compiles out.  ``engine='auto'`` routes here transparently;
-        ``engine='fast'`` is rejected up front, naming the limitation.
+        :func:`select_engine` rejects ``engine='fast'`` up front, naming
+        the limitation.
         """
         from repro.workloads.dag import TaskGraph
 
         if not graphs:
             raise ValueError("need at least one task graph")
-        if self.engine_mode == "fast":
-            raise ValueError(
-                "engine='fast' does not implement precedence gating: a "
-                "DAG task is released only when its predecessors "
-                "complete, which hooks the reference loop's completion "
-                "path.  Use engine='auto' or engine='reference' for "
-                "task-graph workloads"
-            )
-        if self.telemetry is not None:
-            raise ValueError(
-                "telemetry is the sampled observability of the fast and "
-                "streaming engines, and DAG runs are reference-engine "
-                "only; drop telemetry (attach recorder/metrics hooks "
-                "for full-fidelity DAG observability instead)"
-            )
+        self._resolve_engine("dag")
         seen_graphs: set = set()
         for graph in graphs:
             if not isinstance(graph, TaskGraph):
@@ -752,12 +782,7 @@ class SchedulerSimulation:
             if graph.graph_id in seen_graphs:
                 raise ValueError(f"duplicate graph id {graph.graph_id}")
             seen_graphs.add(graph.graph_id)
-            for task in graph.tasks:
-                if task.benchmark not in self.store:
-                    raise KeyError(
-                        f"benchmark {task.benchmark!r} missing from the "
-                        "characterisation store"
-                    )
+            self._check_benchmarks(task.benchmark for task in graph.tasks)
 
         self._dag_successors = {}
         self._dag_remaining = {}
@@ -797,17 +822,7 @@ class SchedulerSimulation:
         self.policy.observe_graphs(assignments, self)
         if self.metrics is not None:
             self.metrics.counter("sim.dag.graphs").inc(len(graphs))
-        for job in roots:
-            self.engine.schedule_at(
-                job.arrival_cycle, EventKind.ARRIVAL, payload=job
-            )
-        if self._faults is not None:
-            self._faults.schedule_windows()
-        self.engine.run(self._handle)
-        if self.queue:
-            raise RuntimeError(
-                f"simulation drained with {len(self.queue)} jobs still queued"
-            )
+        self._drain(roots)
         unreleased = sorted(
             job_id
             for job_id, count in self._dag_remaining.items()
@@ -1740,3 +1755,26 @@ class SchedulerSimulation:
         if self._validator is not None:
             self._validator.finish(result, makespan)
         return result
+
+
+def make_simulation(policy_name, store, predictor=None, energy_table=None,
+                    system=None, **kwargs) -> "SchedulerSimulation":
+    """A simulation for ``policy_name`` with the conventional system.
+
+    ``base`` runs on the homogeneous baseline system, everything else on
+    the paper's heterogeneous four-core system; the predictor is only
+    attached when the policy consults one.  Extra ``kwargs`` (recorder,
+    metrics, discipline, validate, faults, engine, power, ...) pass
+    straight through to :class:`SchedulerSimulation`.
+    """
+    policy = make_policy(policy_name)
+    if system is None:
+        system = base_system() if policy_name == "base" else paper_system()
+    return SchedulerSimulation(
+        system,
+        policy,
+        store,
+        predictor=predictor if policy.uses_predictor else None,
+        energy_table=energy_table,
+        **kwargs,
+    )

@@ -45,11 +45,10 @@ from repro.core.modelstore import (
     save_ann_predictor,
     training_config_key,
 )
-from repro.core.policies import POLICY_NAMES, make_policy
+from repro.core.policies import POLICY_NAMES
 from repro.core.predictor import AnnPredictor, BestCorePredictor, OraclePredictor
 from repro.core.results import SimulationResult
-from repro.core.simulation import SchedulerSimulation
-from repro.core.system import base_system, paper_system
+from repro.core.simulation import make_simulation
 from repro.energy.tables import EnergyTable
 from repro.workloads.arrivals import JobArrival, uniform_arrivals
 from repro.workloads.eembc import eembc_suite
@@ -344,20 +343,12 @@ def run_four_systems(
     hooks, the default resolves to the fast engine.
     """
     energy_table = EnergyTable()
-    results: Dict[str, SimulationResult] = {}
-    for name in policies:
-        policy = make_policy(name)
-        system = base_system() if name == "base" else paper_system()
-        simulation = SchedulerSimulation(
-            system,
-            policy,
-            store,
-            predictor=predictor if policy.uses_predictor else None,
-            energy_table=energy_table,
-            engine=engine,
-        )
-        results[name] = simulation.run(arrivals)
-    return results
+    return {
+        name: make_simulation(
+            name, store, predictor, energy_table, engine=engine
+        ).run(arrivals)
+        for name in policies
+    }
 
 
 def quick_experiment(

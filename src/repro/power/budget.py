@@ -226,6 +226,19 @@ class TokenPool:
         """granted − refunded − outstanding, exact by construction."""
         return self.granted_nj - self.refunded_nj - self.outstanding_nj
 
+    def counts(self) -> Dict[str, float]:
+        """The pool's account: token totals (nJ) and event counts."""
+        return {
+            "granted_nj": self.granted_nj,
+            "refunded_nj": self.refunded_nj,
+            "consumed_nj": self.consumed_nj,
+            "grants": self.grants,
+            "refunds": self.refunds,
+            "throttled": self.throttled,
+            "degraded": self.degraded,
+            "overdrafts": self.overdrafts,
+        }
+
     def idle(self) -> bool:
         """No grants held anywhere — the progress-guarantee condition."""
         return not self._held

@@ -1856,20 +1856,7 @@ class StreamingSimulation:
             waiting=self._wait_hist.snapshot(),
             turnaround=self._turn_hist.snapshot(),
             sim_result=sim_result,
-            power=(
-                None
-                if pool is None
-                else {
-                    "granted_nj": pool.granted_nj,
-                    "refunded_nj": pool.refunded_nj,
-                    "consumed_nj": pool.consumed_nj,
-                    "grants": pool.grants,
-                    "refunds": pool.refunds,
-                    "throttled": pool.throttled,
-                    "degraded": pool.degraded,
-                    "overdrafts": pool.overdrafts,
-                }
-            ),
+            power=None if pool is None else pool.counts(),
         )
 
     def batch_result(self) -> SimulationResult:

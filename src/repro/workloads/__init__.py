@@ -19,6 +19,7 @@ from .benchmark import BenchmarkSpec, InstructionMix, Trace
 from .dag import (
     TaskGraph,
     TaskSpec,
+    check_graph_shape,
     dag_arrivals,
     describe_graphs,
     dump_graphs,
@@ -77,6 +78,7 @@ __all__ = [
     "Trace",
     "TraceComponent",
     "TraceMix",
+    "check_graph_shape",
     "collect_counters",
     "dag_arrivals",
     "describe_graphs",

@@ -38,6 +38,7 @@ from .eembc import EEMBC_NAMES
 __all__ = [
     "TaskSpec",
     "TaskGraph",
+    "check_graph_shape",
     "dag_arrivals",
     "describe_graphs",
     "dump_graphs",
@@ -258,6 +259,27 @@ def describe_graphs(graphs: Sequence[TaskGraph]) -> str:
     return "\n".join([header] + [g.describe() for g in graphs])
 
 
+def check_graph_shape(
+    *,
+    tasks_min: int,
+    tasks_max: int,
+    edge_density: float,
+    deadline_slack: float,
+    criticality_levels: int,
+) -> None:
+    """Reject a graph shape :func:`generate_task_graphs` cannot draw."""
+    if not 0 <= tasks_min <= tasks_max:
+        raise ValueError("need 0 <= tasks_min <= tasks_max")
+    if tasks_min < 1:
+        raise ValueError("tasks_min must be at least 1")
+    if not 0.0 <= edge_density <= 1.0:
+        raise ValueError("edge_density must be within [0, 1]")
+    if deadline_slack <= 0:
+        raise ValueError("deadline_slack must be positive")
+    if criticality_levels < 1:
+        raise ValueError("criticality_levels must be >= 1")
+
+
 def generate_task_graphs(
     count: int = 8,
     seed: int = 0,
@@ -291,16 +313,10 @@ def generate_task_graphs(
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    if not 0 <= tasks_min <= tasks_max:
-        raise ValueError("need 0 <= tasks_min <= tasks_max")
-    if tasks_min < 1:
-        raise ValueError("tasks_min must be at least 1")
-    if not 0.0 <= edge_density <= 1.0:
-        raise ValueError("edge_density must be within [0, 1]")
-    if deadline_slack <= 0:
-        raise ValueError("deadline_slack must be positive")
-    if criticality_levels < 1:
-        raise ValueError("criticality_levels must be >= 1")
+    check_graph_shape(
+        tasks_min=tasks_min, tasks_max=tasks_max, edge_density=edge_density,
+        deadline_slack=deadline_slack, criticality_levels=criticality_levels,
+    )
     if mean_interarrival_cycles < 0:
         raise ValueError("mean_interarrival_cycles must be non-negative")
     if service_estimate_cycles <= 0:

@@ -3,8 +3,9 @@
 One home for the simulation scaffolding that used to be copy-pasted
 across ``tests/core/conftest.py``, ``tests/validate/conftest.py``,
 ``tests/obs/conftest.py`` and the benchmark files: the small
-mixed-best-size characterisation store, the oracle predictor, the
-simulation factory and the arrival-stream builders.  The per-directory
+mixed-best-size characterisation store, the oracle predictor and the
+arrival-stream builders.  The simulation factory, ``make_simulation``,
+lives in :mod:`repro.core` and is re-exported here.  The per-directory
 conftests stay as thin delegating wrappers (so existing
 ``from .conftest import ...`` sites keep working and each suite keeps
 its historical gap default), but the logic lives here.
@@ -12,10 +13,8 @@ its historical gap default), but the logic lives here.
 
 from repro.characterization.explorer import characterize_suite
 from repro.characterization.store import CharacterizationStore
-from repro.core.policies import make_policy
+from repro.core import make_simulation
 from repro.core.predictor import OraclePredictor
-from repro.core.simulation import SchedulerSimulation
-from repro.core.system import base_system, paper_system
 from repro.energy.tables import EnergyTable
 from repro.workloads.arrivals import JobArrival, with_qos
 from repro.workloads.eembc import eembc_benchmark
@@ -51,29 +50,6 @@ def build_oracle(store):
 def build_energy_table():
     """The default per-configuration energy model."""
     return EnergyTable()
-
-
-def make_simulation(policy_name, store, predictor=None, energy_table=None,
-                    system=None, **kwargs):
-    """A simulation for ``policy_name`` with the conventional system.
-
-    ``base`` runs on the homogeneous baseline system, everything else on
-    the paper's heterogeneous four-core system; the predictor is only
-    attached when the policy consults one.  Extra ``kwargs`` (recorder,
-    metrics, discipline, validate, faults, ...) pass straight through to
-    :class:`~repro.core.simulation.SchedulerSimulation`.
-    """
-    policy = make_policy(policy_name)
-    if system is None:
-        system = base_system() if policy_name == "base" else paper_system()
-    return SchedulerSimulation(
-        system,
-        policy,
-        store,
-        predictor=predictor if policy.uses_predictor else None,
-        energy_table=energy_table,
-        **kwargs,
-    )
 
 
 def arrivals_for(names, gap=200_000, start=0):

@@ -1,6 +1,7 @@
 """Tests for the process-parallel replication campaign runner."""
 
 import math
+import re
 
 import pytest
 
@@ -450,12 +451,14 @@ class TestDagAxis:
                          stream=StreamLoad())
 
     def test_rejects_bad_dag_load(self, store):
-        for bad in (DagLoad(tasks_min=5, tasks_max=2),
-                    DagLoad(edge_density=1.5),
-                    DagLoad(deadline_slack=0.0),
-                    DagLoad(criticality_levels=0)):
+        # DagLoad checks its fields when constructed, so each bad load
+        # is built inside the raises block.
+        for bad in ({"tasks_min": 5, "tasks_max": 2},
+                    {"edge_density": 1.5},
+                    {"deadline_slack": 0.0},
+                    {"criticality_levels": 0}):
             with pytest.raises(ValueError):
-                self.dag_campaign(store, dag=bad)
+                self.dag_campaign(store, dag=DagLoad(**bad))
 
     def test_repeat_run_deterministic(self, store):
         a = self.dag_campaign(store)
@@ -583,6 +586,18 @@ class TestValidation:
             run_campaign(store, loads=((0, 56_000),))
         with pytest.raises(ValueError):
             run_campaign(store, loads=((10, 0),))
+
+    @pytest.mark.parametrize("axis, value", [
+        ("policies", "base"),
+        ("seeds", 1),
+        ("loads", (50, 56_000)),
+    ])
+    def test_repeated_axis_value(self, store, axis, value):
+        # A repeat would run identical replications into one cell and
+        # silently double its n.
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{axis} repeats {value!r}")):
+            run_campaign(store, **{axis: (value, value)})
 
     def test_reexported_from_experiment(self):
         assert exported is run_campaign

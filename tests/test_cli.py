@@ -529,6 +529,29 @@ class TestStreamCommand:
         assert "incompatible" in capsys.readouterr().err
 
 
+class TestHostileInput:
+    @pytest.mark.parametrize("argv", [
+        "campaign --policies base --seeds 1 --jobs 0",
+        "campaign --policies base --seeds 1 --jobs 10 --interarrival -5",
+        "campaign --policies base --seeds 1 --jobs 10 --dag "
+        "--dag-tasks-min 0",
+        "campaign --policies base --seeds 1 --jobs 10 --dag "
+        "--dag-edge-density 2",
+        "campaign --policies base --seeds 1 --jobs 10 --stream poisson "
+        "--queue-capacity 0",
+        "campaign --policies base --seeds 1 --jobs 10 --stream poisson "
+        "--engine reference",
+        "campaign --policies base base --seeds 1 --jobs 10",
+        "compare --jobs 0 --predictor oracle",
+    ])
+    def test_rejected_before_any_run(self, argv, capsys):
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestTelemetryCli:
     def test_parser_telemetry_flags(self):
         for command, extra in (("compare", []), ("stream", [])):
