@@ -11,12 +11,15 @@ EXPERIMENTS.md).
 """
 
 import sys
+import time
 from pathlib import Path
+from typing import Callable, Dict
 
 import pytest
 
 # benchmarks/ is not a package, so make the repo root importable: the
-# QoS ablation shares its scenario builders with tests/scenarios.py.
+# QoS ablation shares its scenario builders with tests/scenarios.py,
+# and the speed benchmarks time the references in tests/oracles.py.
 _ROOT = str(Path(__file__).resolve().parent.parent)
 if _ROOT not in sys.path:
     sys.path.insert(0, _ROOT)
@@ -33,6 +36,26 @@ SEED = 1
 
 #: Arrival count of the headline evaluation (paper: 5000).
 N_JOBS = 5000
+
+
+def interleaved_min_seconds(
+    sides: Dict[str, Callable[[], object]], rounds: int
+) -> Dict[str, float]:
+    """Per-side minimum wall seconds of ``sides`` (name -> callable).
+
+    Every round calls each side once, in reverse order on odd rounds,
+    so host drift and warm-up hit all sides alike.  The minimum is the
+    least-noise estimate of what the code costs.  The benchmarks that
+    compare two code paths all time them with this one estimator.
+    """
+    names = list(sides)
+    best = dict.fromkeys(names, float("inf"))
+    for round_index in range(rounds):
+        for name in names if round_index % 2 == 0 else names[::-1]:
+            start = time.perf_counter()
+            sides[name]()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -21,14 +21,10 @@ ENSEMBLE_SIZES = (1, 3, 10, 30)
 
 def evaluate(n_members, dataset, split, dataset_store, seed=2):
     predictor = AnnPredictor(n_members=n_members, seed=seed)
-    # The batched engine keeps the 30-member sweep cheap; equivalence to
-    # the sequential reference is covered by tests/ann/test_batched.py
-    # and benchmarks/test_bench_predictor_training_speed.py.
     predictor.fit(
         split.train,
         val_dataset=split.val,
         config=TrainingConfig(epochs=200, seed=seed),
-        engine="batched",
     )
     pred = predictor.predict_sizes_kb(split.test.features)
     accuracy = class_accuracy(pred, split.test.labels_kb)

@@ -3,52 +3,54 @@
 The headline number of the performance work: one full-suite
 characterisation (15 benchmarks x 18 configurations) measured with the
 single-pass stack-distance engine against the seed implementation's
-per-configuration trace replay.  Both engines are run through the same
-:func:`characterize_suite` front end, so the ratio includes trace
-generation and energy modelling — it is the end-to-end speedup a user
-sees, not a cherry-picked kernel ratio.
+per-configuration trace replay (``characterize_per_config`` in
+``tests/oracles.py``).  Both sides generate the traces and evaluate the
+energy model, so the ratio includes trace generation and energy
+modelling — it is the end-to-end speedup a user sees, not a
+cherry-picked kernel ratio.
 
 Run with ``pytest benchmarks/test_bench_characterization_speed.py
 --benchmark-only -s`` to see the throughput table.
 """
 
-import time
+from conftest import interleaved_min_seconds
 
 from repro.analysis import format_table
+from repro.cache.config import DESIGN_SPACE
 from repro.characterization import characterize_suite
 from repro.characterization.parallel import characterize_suite_parallel
 from repro.workloads import eembc_suite
+from tests.oracles import characterize_per_config
 
 #: Required end-to-end advantage of the stack-distance engine.
 MIN_SPEEDUP = 3.0
 
-#: Interleaved timing rounds.  Each round times both engines back to
-#: back, in alternating order, so host drift hits both sides alike.
+#: Interleaved timing rounds (see ``interleaved_min_seconds``).
 ROUNDS = 3
 
-ENGINES = ("legacy", "stackdist")
 
-
-def _time_suite_interleaved(specs) -> dict:
-    """Per-engine minimum wall seconds over the interleaved rounds."""
-    best = dict.fromkeys(ENGINES, float("inf"))
-    for round_index in range(ROUNDS):
-        order = ENGINES if round_index % 2 == 0 else ENGINES[::-1]
-        for engine in order:
-            start = time.perf_counter()
-            characterize_suite(specs, seed=0, engine=engine)
-            best[engine] = min(best[engine], time.perf_counter() - start)
-    return best
+def _legacy_suite(specs) -> dict:
+    """The suite characterised by the per-configuration replay oracle."""
+    return {
+        spec.name: characterize_per_config(spec, DESIGN_SPACE, seed=0)
+        for spec in specs
+    }
 
 
 def test_bench_characterization_speed(benchmark):
     specs = eembc_suite()
 
     # Warm both paths (imports, allocator) before timing anything.
-    characterize_suite(specs[:1], seed=0, engine="legacy")
+    _legacy_suite(specs[:1])
     characterize_suite(specs[:1], seed=0)
 
-    best = _time_suite_interleaved(specs)
+    best = interleaved_min_seconds(
+        {
+            "legacy": lambda: _legacy_suite(specs),
+            "stackdist": lambda: characterize_suite(specs, seed=0),
+        },
+        ROUNDS,
+    )
     legacy_seconds = best["legacy"]
     stackdist_seconds = best["stackdist"]
     speedup = legacy_seconds / stackdist_seconds
@@ -84,7 +86,7 @@ def test_bench_characterization_speed(benchmark):
     print(timing.summary())
 
     # Same numbers, much faster.
-    legacy = characterize_suite(specs, seed=0, engine="legacy")
+    legacy = _legacy_suite(specs)
     fast = result.characterizations
     assert set(legacy) == set(fast)
     for name in legacy:

@@ -2,30 +2,32 @@
 
 The headline number of the batched training engine: fitting the paper's
 full 30-member bagged ensemble through :meth:`AnnPredictor.fit` with the
-vectorised stacked-pass trainer against the per-member reference loop.
-Both engines run the identical pipeline (log-compress → standardise →
-bootstrap → MSE/Adam with early stopping), so the ratio is the
-end-to-end speedup a user sees — and the resulting members must be
-*identical*, which is asserted per member below.
+vectorised stacked-pass trainer against the per-member reference loop
+(``fit_predictor_sequential`` in ``tests/oracles.py``).  Both run the
+identical pipeline (log-compress → standardise → bootstrap → MSE/Adam
+with early stopping), so the ratio is the end-to-end speedup a user
+sees — and the resulting members must be *identical*, which is asserted
+per member below.
 
 Run with ``pytest benchmarks/test_bench_predictor_training_speed.py
 --benchmark-only -s`` to see the timing table.
 """
 
-import time
-
 import numpy as np
+
+from conftest import interleaved_min_seconds
 
 from repro.analysis import format_table
 from repro.ann.bagging import PAPER_ENSEMBLE_SIZE
 from repro.ann.training import TrainingConfig
 from repro.core.predictor import AnnPredictor
 from repro.experiment import default_dataset
+from tests.oracles import fit_predictor_sequential
 
 #: Required end-to-end advantage of the batched engine.
 MIN_SPEEDUP = 3.0
 
-#: Timing repetitions; the minimum is reported (least-noise estimator).
+#: Interleaved timing rounds (see ``interleaved_min_seconds``).
 ROUNDS = 3
 
 #: The paper's training budget for the headline comparison.
@@ -34,24 +36,16 @@ EPOCHS = 200
 SEED = 0
 
 
-def _fit(split, engine: str) -> AnnPredictor:
-    predictor = AnnPredictor(n_members=PAPER_ENSEMBLE_SIZE, seed=SEED)
-    predictor.fit(
-        split.train,
-        val_dataset=split.val,
-        config=TrainingConfig(epochs=EPOCHS, seed=SEED),
-        engine=engine,
-    )
-    return predictor
-
-
-def _time_fit(split, engine: str) -> float:
-    best = float("inf")
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        _fit(split, engine)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _fit(split, engine: str, n_members=PAPER_ENSEMBLE_SIZE, epochs=EPOCHS):
+    """A predictor fitted by ``engine``: batched, or the sequential
+    reference."""
+    predictor = AnnPredictor(n_members=n_members, seed=SEED)
+    config = TrainingConfig(epochs=epochs, seed=SEED)
+    if engine == "sequential":
+        return fit_predictor_sequential(
+            predictor, split.train, val_dataset=split.val, config=config
+        )
+    return predictor.fit(split.train, val_dataset=split.val, config=config)
 
 
 def test_bench_predictor_training_speed(benchmark):
@@ -59,17 +53,18 @@ def test_bench_predictor_training_speed(benchmark):
     split = dataset.split(seed=SEED, by_family=False)
 
     # Warm both paths (imports, allocator) before timing anything.
-    warm = AnnPredictor(n_members=2, seed=SEED)
-    warm.fit(split.train, val_dataset=split.val,
-             config=TrainingConfig(epochs=2, seed=SEED),
-             engine="sequential")
-    warm = AnnPredictor(n_members=2, seed=SEED)
-    warm.fit(split.train, val_dataset=split.val,
-             config=TrainingConfig(epochs=2, seed=SEED),
-             engine="batched")
+    for engine in ("sequential", "batched"):
+        _fit(split, engine, n_members=2, epochs=2)
 
-    sequential_seconds = _time_fit(split, "sequential")
-    batched_seconds = _time_fit(split, "batched")
+    best = interleaved_min_seconds(
+        {
+            engine: (lambda engine=engine: _fit(split, engine))
+            for engine in ("sequential", "batched")
+        },
+        ROUNDS,
+    )
+    sequential_seconds = best["sequential"]
+    batched_seconds = best["batched"]
     speedup = sequential_seconds / batched_seconds
 
     # pytest-benchmark records the batched engine as the tracked series.

@@ -10,10 +10,10 @@ change in what gets computed.
 
 Timing protocol: simulations are constructed outside the timed region
 (the fast engine precompiles its tables at construction), rounds are
-interleaved ref/fast/ref/fast so drift hits both engines alike, and the
-ratio is the global-min estimator — min over *all* reference times
-divided by min over *all* fast times — the least-noise estimate of the
-true cost ratio.
+interleaved with the engine that runs first alternating, so drift hits
+both engines alike, and the ratio is of the per-side minima
+(``interleaved_min_seconds``) — the least-noise estimate of the true
+cost ratio.
 
 The measured numbers are also written to ``BENCH_simulation_speed.json``
 so CI can upload them as an artifact.
@@ -23,8 +23,9 @@ the throughput table.
 """
 
 import json
-import time
 from pathlib import Path
+
+from conftest import interleaved_min_seconds
 
 from repro.analysis import format_table
 from repro.core import (
@@ -38,10 +39,9 @@ from repro.workloads import eembc_suite, uniform_arrivals
 #: Required end-to-end advantage of the struct-of-arrays engine.
 MIN_SPEEDUP = 10.0
 
-#: Interleaved timing rounds; the global minimum per engine is used.
+#: Timing rounds x repetitions: each engine runs ROUNDS * REPS fresh
+#: simulations, interleaved with the other engine's.
 ROUNDS = 3
-
-#: Repetitions inside each round (each one is a fresh simulation).
 REPS = 3
 
 N_JOBS = 1500
@@ -58,12 +58,11 @@ def _make_sim(store, engine):
     )
 
 
-def _timed_run(store, engine, arrivals):
-    """One construction-excluded run; returns (seconds, result)."""
-    sim = _make_sim(store, engine)
-    start = time.perf_counter()
-    result = sim.run(arrivals)
-    return time.perf_counter() - start, result
+def _prebuilt_runs(store, engine, arrivals, count):
+    """A callable running one of ``count`` simulations built up front,
+    so construction stays outside the timed region."""
+    sims = [_make_sim(store, engine) for _ in range(count)]
+    return lambda: sims.pop().run(arrivals)
 
 
 def test_bench_simulation_speed(benchmark, store):
@@ -73,30 +72,28 @@ def test_bench_simulation_speed(benchmark, store):
     )
 
     # Warm both paths (imports, allocator, branch caches) before timing.
-    _, ref_result = _timed_run(store, "reference", arrivals)
-    _, fast_result = _timed_run(store, "fast", arrivals)
+    ref_result = _make_sim(store, "reference").run(arrivals)
+    fast_result = _make_sim(store, "fast").run(arrivals)
 
     # Oracle equivalence: the speedup must not change a single bit.
     assert fast_result == ref_result, "fast engine diverged from reference"
     assert ref_result.jobs_completed == N_JOBS
 
     # Interleaved rounds: drift (thermal, GC pressure) hits both engines.
-    ref_times, fast_times = [], []
-    for _ in range(ROUNDS):
-        for _ in range(REPS):
-            seconds, _ = _timed_run(store, "reference", arrivals)
-            ref_times.append(seconds)
-        for _ in range(REPS):
-            seconds, _ = _timed_run(store, "fast", arrivals)
-            fast_times.append(seconds)
-
-    ref_seconds = min(ref_times)
-    fast_seconds = min(fast_times)
+    best = interleaved_min_seconds(
+        {
+            engine: _prebuilt_runs(store, engine, arrivals, ROUNDS * REPS)
+            for engine in ("reference", "fast")
+        },
+        ROUNDS * REPS,
+    )
+    ref_seconds = best["reference"]
+    fast_seconds = best["fast"]
     speedup = ref_seconds / fast_seconds
 
     # pytest-benchmark records the fast engine as the tracked series.
     benchmark.pedantic(
-        lambda: _timed_run(store, "fast", arrivals),
+        lambda: _make_sim(store, "fast").run(arrivals),
         rounds=ROUNDS,
         iterations=1,
     )

@@ -14,8 +14,9 @@ is slow.
 Shared-host noise dwarfs the true cost (one sample is ~20 us and the
 streaming engine takes ~1000 of them per million jobs), so a single
 off-then-on measurement can swing past the gate on machine drift
-alone.  The harness therefore alternates telemetry-off and
-telemetry-on rounds and gates on ``min(on) / min(off)`` — interleaving
+alone.  The harness therefore interleaves telemetry-off and
+telemetry-on rounds, alternating which runs first, and gates on
+``min(on) / min(off)`` (``interleaved_min_seconds``) — interleaving
 exposes both sides to the same drift and the minimum is the classic
 robust estimator for "how fast can this code actually go".
 
@@ -29,8 +30,9 @@ see the comparison table.
 
 import dataclasses
 import json
-import time
 from pathlib import Path
+
+from conftest import interleaved_min_seconds
 
 from repro.analysis import format_table
 from repro.core import OraclePredictor, make_policy, paper_system
@@ -60,7 +62,7 @@ MEAN_GAP = 56_000.0
 
 
 def _run_stream(store, jobs, telemetry=None):
-    """One construction-excluded streaming run: (seconds, result)."""
+    """One streaming run; returns its result."""
     streaming = StreamingSimulation(
         paper_system(),
         make_policy("proposed"),
@@ -72,46 +74,51 @@ def _run_stream(store, jobs, telemetry=None):
     process = PoissonProcess(
         eembc_suite(), mean_interarrival_cycles=MEAN_GAP, seed=SEED
     )
-    start = time.perf_counter()
-    result = streaming.run(process)
-    return time.perf_counter() - start, result
+    return streaming.run(process)
 
 
 def test_bench_telemetry_overhead(benchmark, store, tmp_path):
     # Warm the path (imports, allocator, characterisation rows).
     _run_stream(store, 20_000)
 
-    off_times, on_times = [], []
-    off_result = on_result = None
-    last_telemetry = None
-    for _ in range(ROUNDS):
-        seconds, off_result = _run_stream(store, STREAM_JOBS)
-        off_times.append(seconds)
+    results = {"off": [], "on": []}
+    telemetries = []
 
+    def telemetry_on():
         telemetry = Telemetry(
             out=tmp_path / "telemetry.jsonl",
             trace_out=tmp_path / "sampled.jsonl",
             trace_every=TRACE_EVERY,
         )
-        seconds, on_result = _run_stream(
-            store, STREAM_JOBS, telemetry=telemetry
+        results["on"].append(
+            _run_stream(store, STREAM_JOBS, telemetry=telemetry)
         )
         telemetry.close()
-        on_times.append(seconds)
+        telemetries.append(telemetry)
 
-        # Non-perturbation before performance: identical results,
-        # every round.
+    best = interleaved_min_seconds(
+        {
+            "off": lambda: results["off"].append(
+                _run_stream(store, STREAM_JOBS)
+            ),
+            "on": telemetry_on,
+        },
+        ROUNDS,
+    )
+
+    # Non-perturbation before performance: identical results, every
+    # round.
+    for off_result, on_result in zip(results["off"], results["on"]):
         assert dataclasses.asdict(on_result) == dataclasses.asdict(
             off_result
         )
-        last_telemetry = telemetry
 
-    telemetry = last_telemetry
+    telemetry = telemetries[-1]
     assert telemetry.samples > 100  # one per 1000 completions
     assert telemetry.trace_events > 100
 
-    off_seconds = min(off_times)
-    on_seconds = min(on_times)
+    off_seconds = best["off"]
+    on_seconds = best["on"]
     overhead = on_seconds / off_seconds
     off_jps = STREAM_JOBS / off_seconds
     on_jps = STREAM_JOBS / on_seconds
@@ -149,8 +156,6 @@ def test_bench_telemetry_overhead(benchmark, store, tmp_path):
         "mean_interarrival_cycles": MEAN_GAP,
         "trace_every": TRACE_EVERY,
         "rounds": ROUNDS,
-        "off_seconds_per_round": off_times,
-        "on_seconds_per_round": on_times,
         "off_seconds": off_seconds,
         "on_seconds": on_seconds,
         "off_jobs_per_second": off_jps,

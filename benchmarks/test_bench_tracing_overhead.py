@@ -16,7 +16,7 @@ test_bench_fig6_energy_vs_base, so its history doubles as the
 regression record for the observability hooks.
 """
 
-import time
+from conftest import interleaved_min_seconds
 
 from repro.core import (
     OraclePredictor,
@@ -47,16 +47,6 @@ def make_run(store, recorder=None, metrics=None):
     return sim.run(arrivals)
 
 
-def best_of(fn, rounds=3):
-    """Minimum wall time over a few rounds (robust against GC noise)."""
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def test_bench_tracing_overhead(benchmark, store):
     # Timed kernel: the default (NullRecorder) path.
     untraced = benchmark.pedantic(
@@ -78,11 +68,16 @@ def test_bench_tracing_overhead(benchmark, store):
     assert lines == [encode_event(e) for e in second.events]
 
     # Relative cost of full tracing vs the NullRecorder default.
-    null_seconds = best_of(lambda: make_run(store))
-    traced_seconds = best_of(
-        lambda: make_run(store, recorder=ListRecorder(),
-                         metrics=MetricsRegistry())
+    best = interleaved_min_seconds(
+        {
+            "null": lambda: make_run(store),
+            "traced": lambda: make_run(store, recorder=ListRecorder(),
+                                       metrics=MetricsRegistry()),
+        },
+        rounds=3,
     )
+    null_seconds = best["null"]
+    traced_seconds = best["traced"]
     overhead = traced_seconds / null_seconds - 1.0
 
     print()

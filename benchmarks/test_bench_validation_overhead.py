@@ -12,7 +12,7 @@ Two contracts of the `repro.validate` layer (docs/validation.md):
   single attribute check per hook site (~0 cost).
 """
 
-import time
+from conftest import interleaved_min_seconds
 
 from repro.core import (
     OraclePredictor,
@@ -41,16 +41,6 @@ def make_run(store, validate=False):
     return sim.run(arrivals)
 
 
-def best_of(fn, rounds=3):
-    """Minimum wall time over a few rounds (robust against GC noise)."""
-    times = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def test_bench_validation_overhead(benchmark, store):
     # Timed kernel: the validated path.
     validated = benchmark.pedantic(
@@ -63,8 +53,15 @@ def test_bench_validation_overhead(benchmark, store):
     assert validated == plain, "validation perturbed the simulation"
 
     # Relative cost of the invariant checks + ledger vs the default.
-    plain_seconds = best_of(lambda: make_run(store))
-    validated_seconds = best_of(lambda: make_run(store, validate=True))
+    best = interleaved_min_seconds(
+        {
+            "plain": lambda: make_run(store),
+            "validated": lambda: make_run(store, validate=True),
+        },
+        rounds=3,
+    )
+    plain_seconds = best["plain"]
+    validated_seconds = best["validated"]
     overhead = validated_seconds / plain_seconds - 1.0
 
     print()

@@ -1,6 +1,6 @@
 """From-scratch artificial neural network substrate (numpy only):
-dense layers, activations, losses, optimisers, a training loop with
-early stopping, and the paper's 30-member bagging ensemble.
+dense layers, activations, and the paper's 30-member bagging ensemble
+with its stacked-pass trainer (MSE loss, Adam, early stopping).
 """
 
 from .activations import (
@@ -15,47 +15,34 @@ from .activations import (
 )
 from .bagging import (
     PAPER_ENSEMBLE_SIZE,
-    TRAINING_ENGINES,
     BaggedRegressor,
     bootstrap_indices,
 )
 from .batched import train_ensemble_batched
 from .layers import Dense
-from .losses import LOSS_NAMES, HuberLoss, Loss, MAELoss, MSELoss, make_loss
 from .metrics import class_accuracy, confusion_counts, mae, mse, r2_score
 from .neighbors import KNNRegressor
 from .network import MLP, PAPER_TOPOLOGY
-from .optimizers import OPTIMIZER_NAMES, Adam, Optimizer, SGD, make_optimizer
 from .preprocessing import StandardScaler, log_transform, snap_to_classes
 from .tree import DecisionTreeRegressor, RandomForestRegressor
-from .training import TrainingConfig, TrainingHistory, train
+from .training import TrainingConfig, TrainingHistory
 
 __all__ = [
     "ACTIVATION_NAMES",
     "Activation",
-    "Adam",
     "BaggedRegressor",
     "DecisionTreeRegressor",
     "Dense",
-    "HuberLoss",
     "Identity",
     "KNNRegressor",
-    "LOSS_NAMES",
     "LeakyReLU",
-    "Loss",
-    "MAELoss",
     "MLP",
-    "MSELoss",
-    "OPTIMIZER_NAMES",
-    "Optimizer",
     "PAPER_ENSEMBLE_SIZE",
     "PAPER_TOPOLOGY",
     "RandomForestRegressor",
     "ReLU",
-    "SGD",
     "Sigmoid",
     "StandardScaler",
-    "TRAINING_ENGINES",
     "Tanh",
     "TrainingConfig",
     "TrainingHistory",
@@ -65,11 +52,8 @@ __all__ = [
     "log_transform",
     "mae",
     "make_activation",
-    "make_loss",
-    "make_optimizer",
     "mse",
     "r2_score",
     "snap_to_classes",
-    "train",
     "train_ensemble_batched",
 ]

@@ -20,31 +20,21 @@ import numpy as np
 
 from .batched import train_ensemble_batched
 from .network import MLP, PAPER_TOPOLOGY
-from .training import TrainingConfig, TrainingHistory, train
+from .training import TrainingConfig, TrainingHistory
 
-__all__ = [
-    "BaggedRegressor",
-    "PAPER_ENSEMBLE_SIZE",
-    "TRAINING_ENGINES",
-    "bootstrap_indices",
-]
+__all__ = ["BaggedRegressor", "PAPER_ENSEMBLE_SIZE", "bootstrap_indices"]
 
 #: The paper trained 30 ANNs.
 PAPER_ENSEMBLE_SIZE = 30
-
-#: Ensemble-training engines accepted by :meth:`BaggedRegressor.fit`.
-#: ``batched`` (the default) trains all members in one stacked pass
-#: (:mod:`repro.ann.batched`); ``sequential`` is the per-member
-#: reference loop the batched engine is property-tested against.
-TRAINING_ENGINES = ("batched", "sequential")
 
 
 def bootstrap_indices(seed: int, n_members: int, n: int) -> np.ndarray:
     """Per-member bootstrap resample matrix, shape ``(n_members, n)``.
 
     Member ``i`` draws its resample from ``default_rng(seed + i)`` —
-    the single source of bootstrap randomness for *both* training
-    engines, so their members see identical data.
+    the single source of bootstrap randomness, shared with the
+    per-member reference trainer in ``tests/oracles.py`` so both see
+    identical data.
     """
     if n_members <= 0:
         raise ValueError("n_members must be positive")
@@ -108,20 +98,12 @@ class BaggedRegressor:
         x_val: Optional[np.ndarray] = None,
         y_val: Optional[np.ndarray] = None,
         config: TrainingConfig = TrainingConfig(),
-        engine: str = "batched",
     ) -> List[TrainingHistory]:
         """Train every member on its own bootstrap resample.
 
-        ``engine`` selects between the vectorised stacked-pass trainer
-        (``batched``, the default) and the per-member reference loop
-        (``sequential``); both consume identical per-member bootstrap
-        and shuffle RNG streams and produce equivalent members.
+        All members train in one stacked pass
+        (:func:`~repro.ann.batched.train_ensemble_batched`).
         """
-        if engine not in TRAINING_ENGINES:
-            raise ValueError(
-                f"unknown training engine {engine!r}; "
-                f"choose from {TRAINING_ENGINES}"
-            )
         x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
         y_train = np.asarray(y_train, dtype=float)
         if y_train.ndim == 1:
@@ -129,40 +111,16 @@ class BaggedRegressor:
         n = x_train.shape[0]
         if n == 0:
             raise ValueError("empty training set")
-        bootstrap = bootstrap_indices(self.seed, self.n_members, n)
-        if engine == "batched":
-            histories = train_ensemble_batched(
-                self.members,
-                x_train,
-                y_train,
-                bootstrap=bootstrap,
-                x_val=x_val,
-                y_val=y_val,
-                config=config,
-                seeds=[config.seed + i for i in range(self.n_members)],
-            )
-            self._trained = True
-            return histories
-        histories: List[TrainingHistory] = []
-        for i, member in enumerate(self.members):
-            member_config = TrainingConfig(
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                learning_rate=config.learning_rate,
-                patience=config.patience,
-                shuffle=config.shuffle,
-                seed=config.seed + i,
-            )
-            histories.append(
-                train(
-                    member,
-                    x_train[bootstrap[i]],
-                    y_train[bootstrap[i]],
-                    x_val=x_val,
-                    y_val=y_val,
-                    config=member_config,
-                )
-            )
+        histories = train_ensemble_batched(
+            self.members,
+            x_train,
+            y_train,
+            bootstrap=bootstrap_indices(self.seed, self.n_members, n),
+            x_val=x_val,
+            y_val=y_val,
+            config=config,
+            seeds=[config.seed + i for i in range(self.n_members)],
+        )
         self._trained = True
         return histories
 

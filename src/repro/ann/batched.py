@@ -1,11 +1,10 @@
 """Batched (vectorised) ensemble training engine.
 
-The sequential reference (:func:`repro.ann.training.train` called once
-per ensemble member by :class:`repro.ann.bagging.BaggedRegressor`)
-spends its time in Python loop overhead: the paper's 30-member ensemble
-multiplies every forward/backward/optimiser dispatch by 30 on matrices
-of at most a few hundred floats.  This engine trains **all members in
-one stacked pass**:
+The per-member reference (``train`` in ``tests/oracles.py``, called
+once per ensemble member) spends its time in Python loop overhead:
+the paper's 30-member ensemble multiplies every forward/backward/
+optimiser dispatch by 30 on matrices of at most a few hundred floats.
+This engine trains **all members in one stacked pass**:
 
 * parameters are held as ``(members, in, out)`` tensors, one stack per
   layer, and the forward/backward passes are batched matmuls
@@ -22,10 +21,9 @@ own shuffle RNG stream (``config.seed + i``, as the reference does), the
 Adam step count ``t`` is shared by all active members because members
 only ever *leave* the lockstep batch loop, and reductions run over the
 same contiguous data per member — and is property-tested against the
-sequential loop in ``tests/ann/test_batched.py``.
+per-member reference in ``tests/ann/test_batched.py``.
 
-The engine implements the reference's defaults (MSE loss, Adam); those
-are the only settings :class:`~repro.ann.bagging.BaggedRegressor` uses.
+The loss is MSE and the optimiser Adam, the reference's only settings.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def train_ensemble_batched(
     ----------
     members:
         Homogeneous ensemble (same topology and activations); their
-        weights are updated in place, exactly as the sequential
+        weights are updated in place, exactly as the per-member
         reference leaves them.
     x_train, y_train:
         Shared training pool, ``(n, in)`` and ``(n, out)``.
@@ -84,11 +82,11 @@ def train_ensemble_batched(
         trains every member on the pool as-is.
     x_val, y_val:
         Shared validation set driving per-member early stopping and
-        best-weight restoration (semantics of
-        :func:`repro.ann.training.train`).
+        best-weight restoration: with a validation set each member ends
+        on its best-validation weights, without one on its final
+        weights.
     config:
-        Hyperparameters; the engine implements the reference defaults
-        (MSE loss, Adam optimiser).
+        Hyperparameters (MSE loss and Adam are fixed).
     seeds:
         Per-member shuffle seeds; defaults to ``config.seed + i``,
         matching :class:`~repro.ann.bagging.BaggedRegressor`.

@@ -1,4 +1,4 @@
-"""Dense (fully connected) layer with explicit backpropagation."""
+"""Dense (fully connected) layer."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .activations import Activation, Identity, make_activation
+from .activations import Activation, Identity
 
 __all__ = ["Dense"]
 
@@ -16,9 +16,6 @@ class Dense:
 
     Weights use the classic Glorot/Xavier uniform initialisation, which
     suits the tanh hidden layers of the paper's small MLP.
-
-    The layer caches the last forward inputs so ``backward`` can compute
-    parameter gradients; call ``forward`` before every ``backward``.
     """
 
     def __init__(
@@ -40,24 +37,6 @@ class Dense:
             -limit, limit, size=(in_features, out_features)
         )
         self.bias = np.zeros(out_features)
-        # Gradients mirror the parameter shapes.
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._last_input: Optional[np.ndarray] = None
-        self._last_preact: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_activation_name(
-        cls,
-        in_features: int,
-        out_features: int,
-        activation: str,
-        rng: Optional[np.random.Generator] = None,
-    ) -> "Dense":
-        """Construct with an activation looked up by name."""
-        return cls(
-            in_features, out_features, make_activation(activation), rng=rng
-        )
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute the layer output for a batch ``(n, in_features)``."""
@@ -66,23 +45,7 @@ class Dense:
             raise ValueError(
                 f"expected input width {self.in_features}, got {x.shape[1]}"
             )
-        self._last_input = x
-        self._last_preact = x @ self.weights + self.bias
-        return self.activation.forward(self._last_preact)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulate parameter gradients; return gradient w.r.t. input."""
-        if self._last_input is None or self._last_preact is None:
-            raise RuntimeError("backward() called before forward()")
-        grad_preact = self.activation.backward(self._last_preact, grad_out)
-        self.grad_weights = self._last_input.T @ grad_preact
-        self.grad_bias = grad_preact.sum(axis=0)
-        return grad_preact @ self.weights.T
-
-    def zero_grad(self) -> None:
-        """Reset accumulated gradients."""
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
+        return self.activation.forward(x @ self.weights + self.bias)
 
     @property
     def parameter_count(self) -> int:

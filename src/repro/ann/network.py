@@ -16,7 +16,6 @@ import numpy as np
 
 from .activations import make_activation
 from .layers import Dense
-from .losses import Loss
 
 __all__ = ["MLP", "PAPER_TOPOLOGY"]
 
@@ -93,29 +92,6 @@ class MLP:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Alias of :meth:`forward` for inference call sites."""
         return self.forward(x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate through all layers; returns input gradient."""
-        grad = grad_out
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def zero_grad(self) -> None:
-        """Reset every layer's gradients."""
-        for layer in self.layers:
-            layer.zero_grad()
-
-    def train_batch(self, x: np.ndarray, y: np.ndarray, loss: Loss) -> float:
-        """One forward/backward pass; returns the batch loss.
-
-        Gradients are left in the layers for the optimiser to consume.
-        """
-        pred = self.forward(x)
-        value = loss.value(pred, y)
-        self.zero_grad()
-        self.backward(loss.gradient(pred, y))
-        return value
 
     def get_weights(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Copies of all ``(weights, bias)`` pairs, input-to-output order."""

@@ -1,17 +1,14 @@
-"""Training loop with mini-batching and early stopping."""
+"""Training hyperparameters and the per-member loss history.
+
+The trainer itself is :func:`repro.ann.batched.train_ensemble_batched`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
-from .losses import Loss, MSELoss
-from .network import MLP
-from .optimizers import Adam, Optimizer
-
-__all__ = ["TrainingConfig", "TrainingHistory", "train"]
+__all__ = ["TrainingConfig", "TrainingHistory"]
 
 
 @dataclass(frozen=True)
@@ -51,76 +48,3 @@ class TrainingHistory:
     def epochs_run(self) -> int:
         """Number of epochs actually executed."""
         return len(self.train_loss)
-
-
-def train(
-    net: MLP,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    *,
-    x_val: Optional[np.ndarray] = None,
-    y_val: Optional[np.ndarray] = None,
-    config: TrainingConfig = TrainingConfig(),
-    loss: Optional[Loss] = None,
-    optimizer: Optional[Optimizer] = None,
-) -> TrainingHistory:
-    """Train ``net`` in place; returns the loss history.
-
-    With a validation set, the best-validation weights are restored at
-    the end (classic early stopping, matching the paper's use of a
-    validation split).  Without one, the final weights stand.
-    """
-    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
-    y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
-    if y_train.shape[0] != x_train.shape[0]:
-        raise ValueError("x_train and y_train row counts differ")
-    has_val = x_val is not None and y_val is not None and len(x_val) > 0
-    if has_val:
-        x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
-        y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
-        if y_val.shape[0] != x_val.shape[0]:
-            raise ValueError("x_val and y_val row counts differ")
-
-    loss_fn = loss if loss is not None else MSELoss()
-    opt = optimizer if optimizer is not None else Adam(config.learning_rate)
-    rng = np.random.default_rng(config.seed)
-    history = TrainingHistory()
-
-    best_val = np.inf
-    best_weights = None
-    epochs_since_best = 0
-    n = x_train.shape[0]
-
-    for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            epoch_loss += net.train_batch(x_train[idx], y_train[idx], loss_fn)
-            opt.step(net.layers)
-            batches += 1
-        history.train_loss.append(epoch_loss / max(batches, 1))
-
-        if has_val:
-            val_value = loss_fn.value(net.forward(x_val), y_val)
-            history.val_loss.append(val_value)
-            if val_value < best_val - 1e-12:
-                best_val = val_value
-                best_weights = net.get_weights()
-                history.best_epoch = epoch
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                if (
-                    config.patience is not None
-                    and epochs_since_best >= config.patience
-                ):
-                    history.stopped_early = True
-                    break
-
-    if has_val and best_weights is not None:
-        net.set_weights(best_weights)
-    elif not has_val:
-        history.best_epoch = history.epochs_run - 1
-    return history

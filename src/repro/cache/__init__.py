@@ -10,7 +10,7 @@ characterisation engine (:mod:`repro.cache.stackdist`), replacement policies
 (:mod:`repro.cache.tuner`).
 """
 
-from .cache import AccessResult, Cache, simulate_trace, simulate_trace_per_config
+from .cache import AccessResult, Cache, simulate_trace
 from .config import (
     BASE_CONFIG,
     CACHE_SIZES_KB,
@@ -68,5 +68,4 @@ __all__ = [
     "profile_trace",
     "simulate_many",
     "simulate_trace",
-    "simulate_trace_per_config",
 ]

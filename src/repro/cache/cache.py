@@ -18,11 +18,6 @@ Two complementary implementations are provided:
     trace traversal.  The fast path and the reference model produce
     identical statistics (tested property).
 
-:func:`simulate_trace_per_config`
-    The seed implementation: one per-access Python replay per
-    configuration.  Retained as an independent cross-check and as the
-    baseline the characterisation-speed benchmark measures against.
-
 Addresses are byte addresses; the cache indexes by ``(address // line_b)
 % num_sets`` like real hardware with power-of-two geometry.
 """
@@ -39,7 +34,7 @@ from .replacement import ReplacementPolicy, make_policy
 from .stackdist import simulate_many
 from .stats import CacheStats
 
-__all__ = ["Cache", "AccessResult", "simulate_trace", "simulate_trace_per_config"]
+__all__ = ["Cache", "AccessResult", "simulate_trace"]
 
 
 @dataclass(frozen=True)
@@ -266,87 +261,3 @@ def simulate_trace(
     """
     return simulate_many(addresses, (config,), writes=writes)[config]
 
-
-def simulate_trace_per_config(
-    addresses: Sequence[int],
-    config: CacheConfig,
-    writes: Optional[Sequence[bool]] = None,
-) -> CacheStats:
-    """The seed fast path: one per-access Python replay per configuration.
-
-    Superseded by the stack-distance engine (one pass per set partition
-    instead of one per configuration) but kept as an independent
-    implementation for property tests and as the old-engine baseline of
-    ``benchmarks/test_bench_characterization_speed.py``.
-    """
-    if isinstance(addresses, np.ndarray):
-        line_addrs = (addresses.astype(np.int64) // config.line_b).tolist()
-    else:
-        line_b = config.line_b
-        line_addrs = [int(a) // line_b for a in addresses]
-
-    if writes is None:
-        write_list: Optional[List[bool]] = None
-    elif isinstance(writes, np.ndarray):
-        write_list = writes.astype(bool).tolist()
-    else:
-        write_list = [bool(w) for w in writes]
-    if write_list is not None and len(write_list) != len(line_addrs):
-        raise ValueError("writes mask length must match addresses length")
-
-    num_sets = config.num_sets
-    assoc = config.assoc
-    # Per-set MRU-first list of resident line addresses; assoc <= 4 in the
-    # design space so membership tests on these lists are effectively O(1).
-    sets: List[List[int]] = [[] for _ in range(num_sets)]
-    seen: set = set()
-
-    hits = 0
-    misses = 0
-    write_hits = 0
-    write_misses = 0
-    writes_total = 0
-    compulsory = 0
-    evictions = 0
-    fills = 0
-
-    for i, la in enumerate(line_addrs):
-        mru = sets[la % num_sets]
-        is_write = write_list[i] if write_list is not None else False
-        if is_write:
-            writes_total += 1
-        if la in mru:
-            hits += 1
-            if is_write:
-                write_hits += 1
-            if mru[0] != la:
-                mru.remove(la)
-                mru.insert(0, la)
-        else:
-            misses += 1
-            if is_write:
-                write_misses += 1
-            if la not in seen:
-                compulsory += 1
-                seen.add(la)
-            mru.insert(0, la)
-            fills += 1
-            if len(mru) > assoc:
-                mru.pop()
-                evictions += 1
-
-    stats = CacheStats(
-        accesses=len(line_addrs),
-        hits=hits,
-        misses=misses,
-        read_accesses=len(line_addrs) - writes_total,
-        write_accesses=writes_total,
-        read_misses=misses - write_misses,
-        write_misses=write_misses,
-        evictions=evictions,
-        writebacks=0,
-        fills=fills,
-        compulsory_misses=compulsory,
-    )
-    stats.validate()
-    return stats

@@ -11,7 +11,6 @@ on-disk caches are keyed by seed, design space and generator version.
 
 from .dataset import Dataset, DatasetSplit, build_dataset, expand_suite
 from .explorer import (
-    CHARACTERIZATION_ENGINES,
     GENERATOR_VERSION,
     BenchmarkCharacterization,
     ConfigResult,
@@ -25,7 +24,6 @@ from .sweep import SweepPoint, sweep_instructions, sweep_working_set
 
 __all__ = [
     "BenchmarkCharacterization",
-    "CHARACTERIZATION_ENGINES",
     "CharacterizationStore",
     "ConfigResult",
     "Dataset",

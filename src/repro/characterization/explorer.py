@@ -12,11 +12,6 @@ and everything is collected into a :class:`BenchmarkCharacterization`.
 The scheduler simulation is then a pure table-driven discrete-event
 simulation, exactly like the paper's: physical executions (profiling,
 tuning, normal runs) *charge* the energies and cycles recorded here.
-
-``engine="legacy"`` selects the seed per-configuration replay
-(:func:`repro.cache.cache.simulate_trace_per_config`); it produces
-identical results and exists as the baseline for the
-characterisation-speed benchmark and as a cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.cache.cache import Cache, simulate_trace, simulate_trace_per_config
+from repro.cache.cache import Cache, simulate_trace
 from repro.cache.config import BASE_CONFIG, DESIGN_SPACE, CacheConfig
 from repro.cache.stackdist import simulate_many
 from repro.cache.stats import CacheStats
@@ -35,7 +30,6 @@ from repro.workloads.counters import HardwareCounters, collect_counters
 __all__ = [
     "ConfigResult",
     "BenchmarkCharacterization",
-    "CHARACTERIZATION_ENGINES",
     "GENERATOR_VERSION",
     "characterize_benchmark",
     "characterize_suite",
@@ -46,9 +40,6 @@ __all__ = [
 #: invalidates previously persisted characterisations; on-disk caches
 #: are keyed by it (see :mod:`repro.experiment`).
 GENERATOR_VERSION = "2"
-
-#: Selectable cache-measurement engines.
-CHARACTERIZATION_ENGINES = ("stackdist", "legacy")
 
 
 @dataclass(frozen=True)
@@ -130,16 +121,13 @@ def characterize_benchmark(
     *,
     seed: int = 0,
     write_back: bool = False,
-    engine: str = "stackdist",
 ) -> BenchmarkCharacterization:
     """Run one benchmark through every configuration.
 
     The trace is generated once per benchmark (same dynamic execution on
     every configuration, as on real hardware) and measured cold per
-    configuration.  With the default ``stackdist`` engine all
-    configurations sharing a set partition are served by one pass over
-    the trace; ``engine="legacy"`` replays the trace once per
-    configuration like the seed implementation (identical results).
+    configuration.  All configurations sharing a set partition are
+    served by one stack-distance pass over the trace.
 
     ``write_back=True`` characterises write-back caches with the
     reference per-access model (several times slower than the default
@@ -148,10 +136,6 @@ def characterize_benchmark(
     """
     if not configs:
         raise ValueError("need at least one configuration")
-    if engine not in CHARACTERIZATION_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {CHARACTERIZATION_ENGINES}"
-        )
     model = energy_model if energy_model is not None else EnergyModel()
     trace = spec.generate_trace(seed=seed)
 
@@ -164,13 +148,6 @@ def characterize_benchmark(
             stats_by_config[config] = cache.run_trace(
                 trace.addresses, trace.writes
             )
-    elif engine == "legacy":
-        stats_by_config = {
-            config: simulate_trace_per_config(
-                trace.addresses, config, writes=trace.writes
-            )
-            for config in configs
-        }
     else:
         stats_by_config = simulate_many(
             trace.addresses, configs, writes=trace.writes
@@ -207,7 +184,6 @@ def characterize_suite(
     energy_model: Optional[EnergyModel] = None,
     *,
     seed: int = 0,
-    engine: str = "stackdist",
     workers: Optional[int] = 1,
 ) -> Dict[str, BenchmarkCharacterization]:
     """Characterise a whole suite; returns name → characterisation.
@@ -224,7 +200,7 @@ def characterize_suite(
 
         result = characterize_suite_parallel(
             specs, configs, energy_model,
-            seed=seed, engine=engine, workers=workers,
+            seed=seed, workers=workers,
         )
         return dict(result.characterizations)
     out: Dict[str, BenchmarkCharacterization] = {}
@@ -232,6 +208,6 @@ def characterize_suite(
         if spec.name in out:
             raise ValueError(f"duplicate benchmark name: {spec.name}")
         out[spec.name] = characterize_benchmark(
-            spec, configs, energy_model, seed=seed, engine=engine
+            spec, configs, energy_model, seed=seed
         )
     return out

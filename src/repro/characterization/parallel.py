@@ -5,7 +5,7 @@ every task generates its own trace from the deterministic
 ``(benchmark name, seed)`` pair (:func:`repro.utils.rng.stable_seed`),
 so the fan-out is bit-for-bit equivalent to the serial sweep regardless
 of scheduling order or worker count.  Workers receive the full task
-payload (spec, configurations, energy model, seed, engine) and return a
+payload (spec, configurations, energy model, seed) and return a
 finished :class:`~repro.characterization.explorer.BenchmarkCharacterization`
 plus its :class:`~repro.characterization.instrumentation.TaskTiming`.
 
@@ -46,13 +46,13 @@ class SuiteSweepResult:
 
 
 def _run_task(
-    payload: Tuple[BenchmarkSpec, Tuple[CacheConfig, ...], Optional[EnergyModel], int, str],
+    payload: Tuple[BenchmarkSpec, Tuple[CacheConfig, ...], Optional[EnergyModel], int],
 ) -> Tuple[str, BenchmarkCharacterization, TaskTiming]:
     """Characterise one benchmark (executed inside a worker process)."""
-    spec, configs, energy_model, seed, engine = payload
+    spec, configs, energy_model, seed = payload
     start = time.perf_counter()
     characterization = characterize_benchmark(
-        spec, configs, energy_model, seed=seed, engine=engine
+        spec, configs, energy_model, seed=seed
     )
     seconds = time.perf_counter() - start
     timing = TaskTiming(
@@ -77,7 +77,6 @@ def characterize_suite_parallel(
     energy_model: Optional[EnergyModel] = None,
     *,
     seed: int = 0,
-    engine: str = "stackdist",
     workers: Optional[int] = None,
 ) -> SuiteSweepResult:
     """Characterise a suite over a process pool, with timing.
@@ -86,7 +85,7 @@ def characterize_suite_parallel(
     ----------
     specs:
         Benchmarks to characterise; names must be unique.
-    configs, energy_model, seed, engine:
+    configs, energy_model, seed:
         Forwarded to :func:`characterize_benchmark` unchanged.
     workers:
         Worker processes; ``None`` means one per CPU.  Clamped to the
@@ -107,13 +106,12 @@ def characterize_suite_parallel(
     workers = max(1, min(workers, len(specs) or 1))
 
     payloads = [
-        (spec, tuple(configs), energy_model, seed, engine) for spec in specs
+        (spec, tuple(configs), energy_model, seed) for spec in specs
     ]
 
     logger.info(
-        "sweep: characterising %d benchmarks over %d worker(s) "
-        "(engine=%s, seed=%d)",
-        len(specs), workers, engine, seed,
+        "sweep: characterising %d benchmarks over %d worker(s) (seed=%d)",
+        len(specs), workers, seed,
     )
     start = time.perf_counter()
     if workers == 1 or len(specs) <= 1:

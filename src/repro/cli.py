@@ -145,10 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: one per CPU)")
-    sweep.add_argument("--engine", choices=("stackdist", "legacy"),
-                       default="stackdist",
-                       help="cache-measurement engine (legacy = per-config "
-                            "replay baseline)")
     sweep.add_argument("--out", metavar="PATH",
                        help="write the characterisation store JSON here")
     sweep.add_argument("--metrics-out", metavar="PATH",
@@ -724,17 +720,22 @@ def _cmd_train(args) -> int:
 
     from repro.ann.metrics import class_accuracy
     from repro.ann.training import TrainingConfig
+    from repro.characterization import expand_suite
     from repro.core.predictor import AnnPredictor
     from repro.experiment import default_dataset
     from repro.workloads import eembc_suite
 
+    # Bad numbers fail here, not after the dataset build.
+    try:
+        expand_suite(eembc_suite(), args.variants)
+        predictor = AnnPredictor(n_members=args.members, seed=args.seed)
+        config = TrainingConfig(epochs=args.epochs, seed=args.seed)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     dataset, store = default_dataset(args.variants, seed=args.seed)
     split = dataset.split(seed=args.seed, by_family=False)
-    predictor = AnnPredictor(n_members=args.members, seed=args.seed)
-    predictor.fit(
-        split.train, val_dataset=split.val,
-        config=TrainingConfig(epochs=args.epochs, seed=args.seed),
-    )
+    predictor.fit(split.train, val_dataset=split.val, config=config)
     test_pred = predictor.predict_sizes_kb(split.test.features)
     accuracy = class_accuracy(test_pred, split.test.labels_kb)
     degradations = []
@@ -753,7 +754,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_locality(args) -> int:
-    from repro.cache import CACHE_SIZES_KB
+    from repro.cache import CACHE_SIZES_KB, CacheConfig
     from repro.workloads import (
         eembc_benchmark,
         miss_ratio_curve,
@@ -763,6 +764,12 @@ def _cmd_locality(args) -> int:
 
     try:
         spec = eembc_benchmark(args.benchmark)
+        # The direct-mapped geometries miss_ratio_curve will build,
+        # checked before the trace is generated.
+        for size_kb in CACHE_SIZES_KB:
+            CacheConfig(size_kb=size_kb, assoc=1, line_b=args.line)
+        if args.window <= 0:
+            raise ValueError(f"--window must be positive, got {args.window}")
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -809,8 +816,7 @@ def _cmd_sweep(args) -> int:
     from repro.workloads import eembc_suite
 
     result = characterize_suite_parallel(
-        eembc_suite(), seed=args.seed,
-        engine=args.engine, workers=args.workers,
+        eembc_suite(), seed=args.seed, workers=args.workers,
     )
     rows = []
     for task in result.timing.tasks:
@@ -1318,7 +1324,11 @@ def _cmd_bench(args) -> int:
 def _cmd_reproduce(args) -> int:
     from repro.reporting import write_report
 
-    write_report(args.out, n_jobs=args.jobs, seed=args.seed)
+    try:
+        write_report(args.out, n_jobs=args.jobs, seed=args.seed)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -102,14 +102,8 @@ class AnnPredictor(BestCorePredictor):
         *,
         val_dataset: Optional[Dataset] = None,
         config: TrainingConfig = TrainingConfig(),
-        engine: str = "batched",
     ) -> "AnnPredictor":
-        """Train on a characterised dataset (features → best size).
-
-        ``engine`` selects the ensemble-training engine
-        (see :data:`repro.ann.bagging.TRAINING_ENGINES`); both engines
-        produce identical members.
-        """
+        """Train on a characterised dataset (features → best size)."""
         if tuple(dataset.feature_names) != self.feature_names:
             raise ValueError(
                 "dataset feature names do not match the predictor's: "
@@ -121,9 +115,7 @@ class AnnPredictor(BestCorePredictor):
         if val_dataset is not None and len(val_dataset) > 0:
             x_val = self.scaler.transform(self._pre(val_dataset.features))
             y_val = np.log2(val_dataset.labels_kb)[:, None]
-        self.ensemble.fit(
-            x, y, x_val=x_val, y_val=y_val, config=config, engine=engine
-        )
+        self.ensemble.fit(x, y, x_val=x_val, y_val=y_val, config=config)
         self._fitted = True
         return self
 

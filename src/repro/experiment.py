@@ -255,7 +255,6 @@ def default_predictor(
     n_members: int = 10,
     epochs: int = 200,
     seed: int = 0,
-    engine: str = "batched",
     model_cache_path: Optional[Union[str, Path]] = DEFAULT_MODEL_CACHE,
     dataset_cache_path: Optional[Union[str, Path]] = DEFAULT_DATASET_CACHE,
 ) -> BestCorePredictor:
@@ -273,9 +272,7 @@ def default_predictor(
     weights are cached content-addressed under ``model_cache_path``
     (key: dataset fingerprint, topology, training config, seed) — a
     repeat call with identical inputs loads them and performs zero
-    training epochs.  ``engine`` selects the ensemble-training engine;
-    both engines produce identical weights, so it is not part of the
-    cache key.
+    training epochs.
     """
     if kind == "oracle":
         if store is None:
@@ -313,12 +310,7 @@ def default_predictor(
     # deployed benchmarks' families are represented in training.  Pass
     # ``by_family=True`` to Dataset.split for held-out-family evaluation.
     split = dataset.split(seed=seed, by_family=False)
-    predictor.fit(
-        split.train,
-        val_dataset=split.val,
-        config=config,
-        engine=engine,
-    )
+    predictor.fit(split.train, val_dataset=split.val, config=config)
     if model_cache_path is not None:
         save_ann_predictor(
             _keyed_cache_path(model_cache_path, meta), predictor, meta

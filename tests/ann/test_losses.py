@@ -1,15 +1,9 @@
-"""Tests for loss functions."""
+"""Tests for the reference trainer's loss function."""
 
 import numpy as np
 import pytest
 
-from repro.ann.losses import (
-    LOSS_NAMES,
-    HuberLoss,
-    MAELoss,
-    MSELoss,
-    make_loss,
-)
+from tests.oracles import MSELoss
 
 
 def numerical_gradient(loss, pred, target, eps=1e-6):
@@ -46,52 +40,9 @@ class TestMSE:
         assert np.allclose(analytic, numeric, atol=1e-5)
 
 
-class TestMAE:
-    def test_value(self):
-        pred = np.array([[1.0], [-1.0]])
-        target = np.array([[0.0], [0.0]])
-        assert MAELoss().value(pred, target) == pytest.approx(1.0)
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(1)
-        pred = rng.normal(size=(5, 2)) + 0.1
-        target = np.zeros((5, 2))
-        analytic = MAELoss().gradient(pred, target)
-        numeric = numerical_gradient(MAELoss(), pred, target)
-        assert np.allclose(analytic, numeric, atol=1e-5)
-
-
-class TestHuber:
-    def test_quadratic_inside_delta(self):
-        loss = HuberLoss(delta=2.0)
-        pred = np.array([[1.0]])
-        target = np.array([[0.0]])
-        assert loss.value(pred, target) == pytest.approx(0.5)
-
-    def test_linear_outside_delta(self):
-        loss = HuberLoss(delta=1.0)
-        pred = np.array([[5.0]])
-        target = np.array([[0.0]])
-        assert loss.value(pred, target) == pytest.approx(1.0 * (5.0 - 0.5))
-
-    def test_gradient_matches_numerical(self):
-        rng = np.random.default_rng(2)
-        pred = rng.normal(scale=2.0, size=(6, 1))
-        target = np.zeros((6, 1))
-        loss = HuberLoss(delta=1.0)
-        analytic = loss.gradient(pred, target)
-        numeric = numerical_gradient(loss, pred, target)
-        assert np.allclose(analytic, numeric, atol=1e-5)
-
-    def test_delta_validated(self):
-        with pytest.raises(ValueError):
-            HuberLoss(delta=0.0)
-
-
 class TestValidation:
-    @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_shape_mismatch_rejected(self, name):
-        loss = make_loss(name)
+    def test_shape_mismatch_rejected(self):
+        loss = MSELoss()
         with pytest.raises(ValueError):
             loss.value(np.zeros((2, 1)), np.zeros((3, 1)))
         with pytest.raises(ValueError):
@@ -100,10 +51,3 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             MSELoss().value(np.zeros((0, 1)), np.zeros((0, 1)))
-
-    def test_make_loss_unknown(self):
-        with pytest.raises(ValueError):
-            make_loss("hinge")
-
-    def test_registry(self):
-        assert set(LOSS_NAMES) == {"huber", "mae", "mse"}

@@ -1,16 +1,16 @@
-"""Tests for SGD and Adam optimisers."""
+"""Tests for the reference trainer's Adam optimiser."""
 
 import numpy as np
 import pytest
 
 from repro.ann.layers import Dense
-from repro.ann.losses import MSELoss
 from repro.ann.network import MLP
-from repro.ann.optimizers import (
-    OPTIMIZER_NAMES,
+from tests.oracles import (
     Adam,
-    SGD,
-    make_optimizer,
+    MSELoss,
+    dense_backward,
+    dense_forward,
+    train_batch,
 )
 
 
@@ -27,46 +27,12 @@ def train_steps(opt, steps=200):
     y = 3.0 * x
     loss = MSELoss()
     for _ in range(steps):
-        pred = layer.forward(x)
-        layer.zero_grad()
-        layer.backward(loss.gradient(pred, y))
-        opt.step(net)
+        pred, cache = dense_forward(layer, x)
+        _, grad_weights, grad_bias = dense_backward(
+            layer, cache, loss.gradient(pred, y)
+        )
+        opt.step(net, [(grad_weights, grad_bias)])
     return layer
-
-
-class TestSGD:
-    def test_plain_sgd_step_math(self):
-        layer = quadratic_layer()
-        layer.weights[:] = 0.0
-        layer.grad_weights[:] = 2.0
-        layer.grad_bias[:] = 1.0
-        SGD(learning_rate=0.1, momentum=0.0).step([layer])
-        assert layer.weights[0, 0] == pytest.approx(-0.2)
-        assert layer.bias[0] == pytest.approx(-0.1)
-
-    def test_momentum_accumulates(self):
-        layer = quadratic_layer()
-        layer.weights[:] = 0.0
-        opt = SGD(learning_rate=0.1, momentum=0.5)
-        layer.grad_weights[:] = 1.0
-        layer.grad_bias[:] = 0.0
-        opt.step([layer])
-        first = layer.weights[0, 0]
-        layer.grad_weights[:] = 1.0
-        opt.step([layer])
-        second_step = layer.weights[0, 0] - first
-        # v2 = 0.5*(-0.1) - 0.1 = -0.15
-        assert second_step == pytest.approx(-0.15)
-
-    def test_converges_on_quadratic(self):
-        layer = train_steps(SGD(learning_rate=0.05, momentum=0.9))
-        assert layer.weights[0, 0] == pytest.approx(3.0, abs=1e-2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SGD(momentum=1.0)
 
 
 class TestAdam:
@@ -78,9 +44,8 @@ class TestAdam:
         # With bias correction, Adam's first update has magnitude ~lr.
         layer = quadratic_layer()
         layer.weights[:] = 0.0
-        layer.grad_weights[:] = 7.0
-        layer.grad_bias[:] = 0.0
-        Adam(learning_rate=0.01).step([layer])
+        grads = [(np.full_like(layer.weights, 7.0), np.zeros_like(layer.bias))]
+        Adam(learning_rate=0.01).step([layer], grads)
         assert abs(layer.weights[0, 0]) == pytest.approx(0.01, rel=1e-3)
 
     def test_validation(self):
@@ -100,20 +65,7 @@ class TestAdam:
         opt = Adam(learning_rate=0.01)
         first = loss.value(net.forward(x), y)
         for _ in range(300):
-            net.train_batch(x, y, loss)
-            opt.step(net.layers)
+            _, grads = train_batch(net, x, y, loss)
+            opt.step(net.layers, grads)
         final = loss.value(net.forward(x), y)
         assert final < first / 10
-
-
-class TestFactory:
-    def test_names(self):
-        assert set(OPTIMIZER_NAMES) == {"adam", "sgd"}
-
-    def test_make(self):
-        assert isinstance(make_optimizer("sgd"), SGD)
-        assert isinstance(make_optimizer("adam", learning_rate=0.5), Adam)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_optimizer("rmsprop")

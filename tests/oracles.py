@@ -1,0 +1,438 @@
+"""Reference implementations the product's engines are checked against.
+
+``src/`` has one cache-measurement engine (:mod:`repro.cache.stackdist`)
+and one ensemble trainer (:mod:`repro.ann.batched`).  Both are
+optimised rewrites, and both promise bit-identical results to the
+straightforward code kept here:
+
+* **Cache oracle** — :func:`simulate_trace_per_config` replays a trace
+  access by access, once per configuration;
+  :func:`characterize_per_config` builds a full
+  :class:`~repro.characterization.explorer.BenchmarkCharacterization`
+  from it.
+* **Training oracle** — :func:`train` fits one MLP at a time with
+  per-layer backpropagation (:func:`dense_forward` /
+  :func:`dense_backward`), :class:`MSELoss` and :class:`Adam`;
+  :func:`fit_sequential` and :func:`fit_predictor_sequential` run it
+  member by member over a :class:`~repro.ann.bagging.BaggedRegressor`
+  or an :class:`~repro.core.predictor.AnnPredictor`.
+
+An oracle must never call the engine it checks:
+``tests/test_oracles.py`` fails if this module imports either one.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.ann.bagging import BaggedRegressor, bootstrap_indices
+from repro.ann.layers import Dense
+from repro.ann.network import MLP
+from repro.ann.training import TrainingConfig, TrainingHistory
+from repro.cache.config import BASE_CONFIG, CacheConfig
+from repro.cache.stats import CacheStats
+from repro.characterization.dataset import Dataset
+from repro.characterization.explorer import (
+    BenchmarkCharacterization,
+    ConfigResult,
+)
+from repro.core.predictor import AnnPredictor
+from repro.energy.model import EnergyModel
+from repro.workloads.benchmark import BenchmarkSpec
+from repro.workloads.counters import collect_counters
+
+#: Per-layer ``(grad_weights, grad_bias)`` pairs, input-to-output order.
+Gradients = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def simulate_trace_per_config(
+    addresses: Sequence[int],
+    config: CacheConfig,
+    writes: Optional[Sequence[bool]] = None,
+) -> CacheStats:
+    """The seed fast path: one per-access Python replay per configuration.
+
+    Superseded by the stack-distance engine (one pass per set partition
+    instead of one per configuration) but kept as an independent
+    implementation for property tests and as the old-engine baseline of
+    ``benchmarks/test_bench_characterization_speed.py``.
+    """
+    if isinstance(addresses, np.ndarray):
+        line_addrs = (addresses.astype(np.int64) // config.line_b).tolist()
+    else:
+        line_b = config.line_b
+        line_addrs = [int(a) // line_b for a in addresses]
+
+    if writes is None:
+        write_list: Optional[List[bool]] = None
+    elif isinstance(writes, np.ndarray):
+        write_list = writes.astype(bool).tolist()
+    else:
+        write_list = [bool(w) for w in writes]
+    if write_list is not None and len(write_list) != len(line_addrs):
+        raise ValueError("writes mask length must match addresses length")
+
+    num_sets = config.num_sets
+    assoc = config.assoc
+    # Per-set MRU-first list of resident line addresses; assoc <= 4 in the
+    # design space so membership tests on these lists are effectively O(1).
+    sets: List[List[int]] = [[] for _ in range(num_sets)]
+    seen: set = set()
+
+    hits = 0
+    misses = 0
+    write_hits = 0
+    write_misses = 0
+    writes_total = 0
+    compulsory = 0
+    evictions = 0
+    fills = 0
+
+    for i, la in enumerate(line_addrs):
+        mru = sets[la % num_sets]
+        is_write = write_list[i] if write_list is not None else False
+        if is_write:
+            writes_total += 1
+        if la in mru:
+            hits += 1
+            if is_write:
+                write_hits += 1
+            if mru[0] != la:
+                mru.remove(la)
+                mru.insert(0, la)
+        else:
+            misses += 1
+            if is_write:
+                write_misses += 1
+            if la not in seen:
+                compulsory += 1
+                seen.add(la)
+            mru.insert(0, la)
+            fills += 1
+            if len(mru) > assoc:
+                mru.pop()
+                evictions += 1
+
+    stats = CacheStats(
+        accesses=len(line_addrs),
+        hits=hits,
+        misses=misses,
+        read_accesses=len(line_addrs) - writes_total,
+        write_accesses=writes_total,
+        read_misses=misses - write_misses,
+        write_misses=write_misses,
+        evictions=evictions,
+        writebacks=0,
+        fills=fills,
+        compulsory_misses=compulsory,
+    )
+    stats.validate()
+    return stats
+
+
+def characterize_per_config(
+    spec: BenchmarkSpec,
+    configs: Sequence[CacheConfig],
+    energy_model: Optional[EnergyModel] = None,
+    seed: int = 0,
+) -> BenchmarkCharacterization:
+    """:func:`~repro.characterization.explorer.characterize_benchmark`
+    with every configuration (and the base configuration the counters
+    need) measured by :func:`simulate_trace_per_config`."""
+    model = energy_model if energy_model is not None else EnergyModel()
+    trace = spec.generate_trace(seed=seed)
+    results = {}
+    for config in configs:
+        stats = simulate_trace_per_config(
+            trace.addresses, config, writes=trace.writes
+        )
+        estimate = model.estimate(config, spec.instructions, stats)
+        results[config] = ConfigResult(
+            config=config, stats=stats, estimate=estimate
+        )
+    if BASE_CONFIG in results:
+        base_stats = results[BASE_CONFIG].stats
+        base_cycles = results[BASE_CONFIG].total_cycles
+    else:
+        base_stats = simulate_trace_per_config(
+            trace.addresses, BASE_CONFIG, writes=trace.writes
+        )
+        base_cycles = model.estimate(
+            BASE_CONFIG, spec.instructions, base_stats
+        ).total_cycles
+    counters = collect_counters(spec, trace, base_stats, base_cycles)
+    return BenchmarkCharacterization(
+        benchmark=spec.name, counters=counters, results=results
+    )
+
+
+def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:
+    if pred.shape != target.shape:
+        raise ValueError(
+            f"prediction shape {pred.shape} != target shape {target.shape}"
+        )
+    if pred.size == 0:
+        raise ValueError("loss evaluated on empty arrays")
+
+
+class MSELoss:
+    """Mean squared error."""
+
+    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
+        _check_shapes(pred, target)
+        diff = pred - target
+        return float(np.mean(diff * diff))
+
+    def gradient(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+        _check_shapes(pred, target)
+        return 2.0 * (pred - target) / pred.size
+
+
+class Adam:
+    """Adam: adaptive moments (Kingma & Ba)."""
+
+    def __init__(
+        self,
+        learning_rate: float = 0.01,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ) -> None:
+        if learning_rate <= 0:
+            raise ValueError(
+                f"learning_rate must be positive, got {learning_rate}"
+            )
+        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
+            raise ValueError("betas must be in [0, 1)")
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        self.learning_rate = learning_rate
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self._m = {}
+        self._v = {}
+        self._t = 0
+
+    def step(self, layers: Sequence[Dense], grads: Gradients) -> None:
+        """Apply one update to every layer from its ``grads`` entry."""
+        self._t += 1
+        t = self._t
+        for layer, layer_grads in zip(layers, grads):
+            key = id(layer)
+            m = self._m.get(
+                key, (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+            )
+            v = self._v.get(
+                key, (np.zeros_like(layer.weights), np.zeros_like(layer.bias))
+            )
+            params = (layer.weights, layer.bias)
+            new_m, new_v = [], []
+            for (mi, vi, gi, pi) in zip(m, v, layer_grads, params):
+                mi = self.beta1 * mi + (1 - self.beta1) * gi
+                vi = self.beta2 * vi + (1 - self.beta2) * gi * gi
+                m_hat = mi / (1 - self.beta1**t)
+                v_hat = vi / (1 - self.beta2**t)
+                pi -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+                new_m.append(mi)
+                new_v.append(vi)
+            self._m[key] = tuple(new_m)
+            self._v[key] = tuple(new_v)
+
+
+def dense_forward(
+    layer: Dense, x: np.ndarray
+) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+    """``layer.forward(x)`` plus the ``(input, pre-activation)`` cache
+    :func:`dense_backward` needs."""
+    x = np.atleast_2d(x)
+    preact = x @ layer.weights + layer.bias
+    return layer.activation.forward(preact), (x, preact)
+
+
+def dense_backward(
+    layer: Dense,
+    cache: Tuple[np.ndarray, np.ndarray],
+    grad_out: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients w.r.t. ``(input, weights, bias)`` of one layer."""
+    x, preact = cache
+    grad_preact = layer.activation.backward(preact, grad_out)
+    grad_weights = x.T @ grad_preact
+    grad_bias = grad_preact.sum(axis=0)
+    return grad_preact @ layer.weights.T, grad_weights, grad_bias
+
+
+def mlp_forward(
+    net: MLP, x: np.ndarray
+) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """``net.forward(x)`` plus every layer's backward cache."""
+    out = np.atleast_2d(np.asarray(x, dtype=float))
+    caches = []
+    for layer in net.layers:
+        out, cache = dense_forward(layer, out)
+        caches.append(cache)
+    return out, caches
+
+
+def mlp_backward(
+    net: MLP,
+    caches: List[Tuple[np.ndarray, np.ndarray]],
+    grad_out: np.ndarray,
+) -> Gradients:
+    """Backpropagate through all layers; returns per-layer gradients."""
+    grads: Gradients = []
+    grad = grad_out
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+        grad, grad_weights, grad_bias = dense_backward(layer, cache, grad)
+        grads.append((grad_weights, grad_bias))
+    return grads[::-1]
+
+
+def train_batch(
+    net: MLP, x: np.ndarray, y: np.ndarray, loss: MSELoss
+) -> Tuple[float, Gradients]:
+    """One forward/backward pass: the batch loss and the gradients."""
+    pred, caches = mlp_forward(net, x)
+    value = loss.value(pred, y)
+    return value, mlp_backward(net, caches, loss.gradient(pred, y))
+
+
+def train(
+    net: MLP,
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    *,
+    x_val: Optional[np.ndarray] = None,
+    y_val: Optional[np.ndarray] = None,
+    config: TrainingConfig = TrainingConfig(),
+) -> TrainingHistory:
+    """Train ``net`` in place; returns the loss history.
+
+    With a validation set, the best-validation weights are restored at
+    the end (classic early stopping, matching the paper's use of a
+    validation split).  Without one, the final weights stand.
+    """
+    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
+    y_train = np.atleast_2d(np.asarray(y_train, dtype=float))
+    if y_train.shape[0] != x_train.shape[0]:
+        raise ValueError("x_train and y_train row counts differ")
+    has_val = x_val is not None and y_val is not None and len(x_val) > 0
+    if has_val:
+        x_val = np.atleast_2d(np.asarray(x_val, dtype=float))
+        y_val = np.atleast_2d(np.asarray(y_val, dtype=float))
+        if y_val.shape[0] != x_val.shape[0]:
+            raise ValueError("x_val and y_val row counts differ")
+
+    loss_fn = MSELoss()
+    opt = Adam(config.learning_rate)
+    rng = np.random.default_rng(config.seed)
+    history = TrainingHistory()
+
+    best_val = np.inf
+    best_weights = None
+    epochs_since_best = 0
+    n = x_train.shape[0]
+
+    for epoch in range(config.epochs):
+        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        epoch_loss = 0.0
+        batches = 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            value, grads = train_batch(
+                net, x_train[idx], y_train[idx], loss_fn
+            )
+            epoch_loss += value
+            opt.step(net.layers, grads)
+            batches += 1
+        history.train_loss.append(epoch_loss / max(batches, 1))
+
+        if has_val:
+            val_value = loss_fn.value(net.forward(x_val), y_val)
+            history.val_loss.append(val_value)
+            if val_value < best_val - 1e-12:
+                best_val = val_value
+                best_weights = net.get_weights()
+                history.best_epoch = epoch
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+                if (
+                    config.patience is not None
+                    and epochs_since_best >= config.patience
+                ):
+                    history.stopped_early = True
+                    break
+
+    if has_val and best_weights is not None:
+        net.set_weights(best_weights)
+    elif not has_val:
+        history.best_epoch = history.epochs_run - 1
+    return history
+
+
+def fit_sequential(
+    regressor: BaggedRegressor,
+    x_train: np.ndarray,
+    y_train: np.ndarray,
+    *,
+    x_val: Optional[np.ndarray] = None,
+    y_val: Optional[np.ndarray] = None,
+    config: TrainingConfig = TrainingConfig(),
+) -> List[TrainingHistory]:
+    """:meth:`BaggedRegressor.fit`, one :func:`train` call per member.
+
+    Member ``i`` trains on bootstrap row ``i`` of
+    :func:`~repro.ann.bagging.bootstrap_indices` with shuffle seed
+    ``config.seed + i``, exactly the data and RNG streams the batched
+    trainer gives it.
+    """
+    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
+    y_train = np.asarray(y_train, dtype=float)
+    if y_train.ndim == 1:
+        y_train = y_train[:, None]
+    n = x_train.shape[0]
+    if n == 0:
+        raise ValueError("empty training set")
+    bootstrap = bootstrap_indices(regressor.seed, regressor.n_members, n)
+    histories = [
+        train(
+            member,
+            x_train[bootstrap[i]],
+            y_train[bootstrap[i]],
+            x_val=x_val,
+            y_val=y_val,
+            config=dataclasses.replace(config, seed=config.seed + i),
+        )
+        for i, member in enumerate(regressor.members)
+    ]
+    regressor._trained = True
+    return histories
+
+
+def fit_predictor_sequential(
+    predictor: AnnPredictor,
+    dataset: Dataset,
+    *,
+    val_dataset: Optional[Dataset] = None,
+    config: TrainingConfig = TrainingConfig(),
+) -> AnnPredictor:
+    """:meth:`AnnPredictor.fit` with the ensemble trained by
+    :func:`fit_sequential`; the feature scaling is repeated as is."""
+    x = predictor.scaler.fit_transform(predictor._pre(dataset.features))
+    y = np.log2(dataset.labels_kb)[:, None]
+    x_val = y_val = None
+    if val_dataset is not None and len(val_dataset) > 0:
+        x_val = predictor.scaler.transform(
+            predictor._pre(val_dataset.features)
+        )
+        y_val = np.log2(val_dataset.labels_kb)[:, None]
+    fit_sequential(
+        predictor.ensemble, x, y, x_val=x_val, y_val=y_val, config=config
+    )
+    predictor._fitted = True
+    return predictor

@@ -9,6 +9,7 @@ from repro.ann.bagging import BaggedRegressor
 from repro.ann.network import MLP
 from repro.ann.preprocessing import StandardScaler, snap_to_classes
 from repro.ann.training import TrainingConfig
+from tests.oracles import fit_sequential
 
 finite_floats = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False
@@ -166,9 +167,8 @@ class TestTrainingEngineProperties:
         b = BaggedRegressor(
             in_features=3, n_members=n_members, hidden=(hidden,), seed=seed
         )
-        ha = a.fit(x, y, x_val=x_val, y_val=y_val, config=config,
-                   engine="sequential")
-        hb = b.fit(x, y, x_val=x_val, y_val=y_val, config=config,
-                   engine="batched")
+        ha = fit_sequential(a, x, y, x_val=x_val, y_val=y_val,
+                            config=config)
+        hb = b.fit(x, y, x_val=x_val, y_val=y_val, config=config)
         assert [h.epochs_run for h in ha] == [h.epochs_run for h in hb]
         assert (a.member_predictions(x) == b.member_predictions(x)).all()

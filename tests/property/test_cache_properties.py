@@ -3,9 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.cache import Cache, simulate_trace, simulate_trace_per_config
+from repro.cache.cache import Cache, simulate_trace
 from repro.cache.config import DESIGN_SPACE, CacheConfig
 from repro.cache.stackdist import simulate_many
+from tests.oracles import simulate_trace_per_config
 
 configs = st.sampled_from(DESIGN_SPACE)
 

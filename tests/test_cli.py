@@ -41,7 +41,6 @@ class TestParser:
         args = build_parser().parse_args(["sweep"])
         assert args.seed == 0
         assert args.workers is None
-        assert args.engine == "stackdist"
         assert args.out is None
 
     def test_sweep_rejects_unknown_engine(self):
@@ -543,6 +542,13 @@ class TestHostileInput:
         "--engine reference",
         "campaign --policies base base --seeds 1 --jobs 10",
         "compare --jobs 0 --predictor oracle",
+        "train --epochs 0",
+        "train --members 0",
+        "train --variants 0",
+        "locality a2time --line 0",
+        "locality a2time --line 48",
+        "locality a2time --window 0",
+        "reproduce --jobs 0",
     ])
     def test_rejected_before_any_run(self, argv, capsys):
         code = main(argv.split())

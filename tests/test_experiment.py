@@ -228,25 +228,6 @@ class TestDefaultPredictor:
         # Distinct seeds → distinct content-addressed model files.
         assert len(list(tmp_path.glob("model.*.json"))) == 2
 
-    def test_engines_cache_interchangeably(self, tmp_path, monkeypatch):
-        """Both engines produce the same weights, so either may serve
-        the other's cache entry."""
-        kwargs = dict(
-            variants_per_family=2,
-            n_members=2,
-            epochs=5,
-            seed=0,
-            model_cache_path=tmp_path / "model.json",
-            dataset_cache_path=tmp_path / "dataset.json",
-        )
-        default_predictor(None, engine="sequential", **kwargs)
-
-        def boom(*args, **kwargs):
-            raise AssertionError("trained despite a cached model")
-
-        monkeypatch.setattr(AnnPredictor, "fit", boom)
-        default_predictor(None, engine="batched", **kwargs)
-
     def test_passed_store_seeds_dataset_build(self, monkeypatch, tmp_path):
         """Satellite fix: kind='ann' no longer ignores its store."""
         store = default_store(cache_path=None, seed=0)

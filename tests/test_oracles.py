@@ -1,0 +1,42 @@
+"""The reference implementations in tests/oracles.py stay independent.
+
+An oracle that called the engine it checks would pass every
+equivalence test while checking nothing, so the module may import
+neither engine: not the module, and none of the names it exports.
+"""
+
+import ast
+from pathlib import Path
+
+from repro.ann import batched
+from repro.cache import stackdist
+
+ENGINE_MODULES = {"repro.cache.stackdist", "repro.ann.batched"}
+
+#: What the engines export, plus ``simulate_trace``, the one-config
+#: front end of the stack-distance engine.
+ENGINE_NAMES = set(stackdist.__all__) | set(batched.__all__) | {
+    "simulate_trace"
+}
+
+
+def _imports():
+    """``(module, name)`` per import in tests/oracles.py; ``name`` is
+    ``None`` for a plain ``import module``."""
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.module or "", alias.name
+
+
+def test_oracles_import_neither_engine():
+    imports = list(_imports())
+    assert any(module.startswith("repro.") for module, _ in imports)
+    for module, name in imports:
+        assert module not in ENGINE_MODULES, module
+        assert f"{module}.{name}" not in ENGINE_MODULES, (module, name)
+        assert name not in ENGINE_NAMES, (module, name)
