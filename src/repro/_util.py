@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
-__all__ = ["stable_seed"]
+__all__ = ["load_json_document", "stable_seed"]
 
 
 def stable_seed(*parts: object) -> int:
@@ -17,3 +18,21 @@ def stable_seed(*parts: object) -> int:
     """
     digest = hashlib.blake2s(repr(parts).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
+
+
+def load_json_document(path, kind: str, build):
+    """``build(payload)`` for the JSON object stored at ``path``.
+
+    A file that is not JSON, not an object, or that ``build`` rejects
+    (wrong, missing or mistyped fields) raises :class:`ValueError`
+    naming ``path`` and the ``kind`` of document expected, so a CLI can
+    print one ``error:`` line for it.  :class:`OSError` passes through.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        return build(payload)
+    except (ValueError, TypeError) as error:
+        raise ValueError(f"{path} is not a valid {kind}: {error}") from None

@@ -678,15 +678,13 @@ def campaign_specs(
     else:
         load = "batch" if dag is None else "dag"
     shapes = dict.fromkeys(
-        (spec.policy, spec.fault_plan is not None, spec.power is not None)
-        for spec in specs
+        (spec.policy, spec.fault_plan is not None) for spec in specs
     )
-    for policy, faulted, powered in shapes:
+    for policy, faulted in shapes:
         select_engine(
             engine,
             make_policy(policy),
             hooks=collect_metrics or validate or faulted,
-            power=powered,
             load=load,
         )
     return specs

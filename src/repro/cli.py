@@ -613,8 +613,7 @@ def _cmd_compare(args) -> int:
                      or fault_plan is not None)
         for name in POLICY_NAMES:
             select_engine(args.engine, make_policy(name), hooks=hooks,
-                          telemetry=_wants_telemetry(args),
-                          power=power is not None)
+                          telemetry=_wants_telemetry(args))
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -965,7 +964,7 @@ def _cmd_stream(args) -> int:
 
     from repro.core import make_policy, make_simulation, select_engine
     from repro.experiment import default_predictor, default_store
-    from repro.sim.stream import StreamConfig
+    from repro.sim.stream import StreamConfig, read_checkpoint
     from repro.workloads import eembc_suite, make_process
 
     if args.max_jobs is None and args.duration is None:
@@ -1008,8 +1007,9 @@ def _cmd_stream(args) -> int:
         power = _parse_power(args)
         policy = make_policy(args.policy)
         select_engine("auto", policy, telemetry=_wants_telemetry(args),
-                      power=power is not None, load="stream")
-    except ValueError as error:
+                      load="stream")
+        snapshot = read_checkpoint(args.checkpoint) if args.resume else None
+    except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
@@ -1034,7 +1034,7 @@ def _cmd_stream(args) -> int:
             config,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
-            resume_from=args.checkpoint if args.resume else None,
+            resume_from=snapshot,
         )
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

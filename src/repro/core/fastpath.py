@@ -33,11 +33,9 @@ def build_fast(sim) -> FastSimulation:
         sim.store,
         predictor=sim.predictor,
         energy_table=sim.energy_table,
-        tuner_costs=sim._tuner_costs,
         profiling_overhead_fraction=sim.profiling_overhead_fraction,
         discipline=sim.discipline,
         preemptive=sim.preemptive,
-        preemption_quantum_cycles=sim.preemption_quantum_cycles,
         preload_profiles=sim._preload_profiles_requested,
         telemetry=sim.telemetry,
         power=sim.power,

@@ -71,7 +71,7 @@ class SchedulingPolicy(ABC):
     uses_predictor: bool = False
     #: Whether the policy imposes its own ready-queue order via
     #: :meth:`queue_key` (overriding the simulation's discipline).
-    #: Ordering policies are reference-engine only.
+    #: Ordering policies run on the reference loop.
     orders_queue: bool = False
     #: Bumped whenever the policy's queue order may have changed for
     #: reasons other than a queue mutation (e.g. a rank update on
@@ -109,20 +109,6 @@ class SchedulingPolicy(ABC):
 
     def on_dispatch(self, job: Job, sim) -> None:
         """Called after every dispatch; rank-updating policies react here."""
-
-    # -- power hook (no-op for the paper's four systems) --------------------
-
-    def choose_dvfs(self, job: Job, core: CoreState, table) -> Optional[str]:
-        """Operating-point name for dispatching ``job`` on ``core``.
-
-        Called by the power gate when a
-        :class:`~repro.power.DvfsTable` is configured.  Returning
-        ``None`` (the default) selects the table's nominal point; the
-        gate may still lower the point when the dispatch cannot afford
-        its token price.  Overriding this hook forces the reference
-        engine (the fast engine inlines only the default behaviour).
-        """
-        return None
 
     # -- shared helpers ------------------------------------------------------
 

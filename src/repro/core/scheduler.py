@@ -4,6 +4,11 @@
 * :class:`CoreState` — a core's run-time state (tuner, occupancy,
   accounting).
 * :class:`Assignment` — a policy's dispatch decision.
+
+It also holds what both event loops (the reference loop and the
+simulation core) share as fixed model constants — the disciplines, the
+tuner's cost model and the preemption quantum — and the one check of a
+simulation's run options.
 """
 
 from __future__ import annotations
@@ -15,7 +20,53 @@ from repro.cache.config import CacheConfig
 from repro.cache.tuner import CacheTuner, TunerCostModel
 from repro.core.system import CoreSpec
 
-__all__ = ["Job", "CoreState", "Assignment"]
+__all__ = [
+    "Assignment",
+    "CoreState",
+    "DISCIPLINES",
+    "Job",
+    "PREEMPTION_QUANTUM_CYCLES",
+    "TUNER_COSTS",
+    "check_run_options",
+]
+
+#: Ready-queue service orders: ``fifo`` (the paper), ``priority``
+#: (static priority, FIFO within a level) or ``edf`` (earliest deadline
+#: first; deadline-free jobs go last).
+DISCIPLINES = ("fifo", "priority", "edf")
+
+#: The reconfiguration cost model of every core's tuner.
+TUNER_COSTS = TunerCostModel()
+
+#: Minimum execution window around a preemption: a running job is only
+#: eligible as a victim once it has executed this many cycles *and*
+#: still has at least this many cycles left.  This models OS scheduling
+#: granularity and prevents preemption storms from fragmenting
+#: executions into one-cycle slivers.
+PREEMPTION_QUANTUM_CYCLES = 10_000
+
+
+def check_run_options(
+    policy,
+    predictor,
+    profiling_overhead_fraction: float,
+    discipline: str,
+    preemptive: bool,
+) -> None:
+    """Reject run options no event loop can simulate (``ValueError``)."""
+    if policy.uses_predictor and predictor is None:
+        raise ValueError(f"policy {policy.name!r} needs a predictor")
+    if profiling_overhead_fraction < 0:
+        raise ValueError("profiling_overhead_fraction must be >= 0")
+    if discipline not in DISCIPLINES:
+        raise ValueError(
+            f"unknown discipline {discipline!r}; choose from {DISCIPLINES}"
+        )
+    if preemptive and discipline == "fifo":
+        raise ValueError(
+            "preemption needs an urgency order; use the 'priority' "
+            "or 'edf' discipline"
+        )
 
 
 @dataclass
@@ -87,10 +138,9 @@ class Assignment:
         True when this execution is a tuning-heuristic exploration step.
     dvfs:
         Operating-point name for this dispatch when the power axis has
-        a DVFS table (``None`` = nominal / power axis off).  Policies
-        may set it via :meth:`SchedulingPolicy.choose_dvfs`; the power
-        gate resolves it and may lower it when degrading an
-        unaffordable dispatch.
+        a DVFS table (``None`` = power axis off).  Policies leave it
+        unset; the power gate fills in the table's nominal point, or a
+        lower one when it degrades an unaffordable dispatch.
     """
 
     core_index: int
@@ -103,13 +153,9 @@ class Assignment:
 class CoreState:
     """Run-time state of one core inside the simulation."""
 
-    def __init__(
-        self,
-        spec: CoreSpec,
-        tuner_costs: TunerCostModel = TunerCostModel(),
-    ) -> None:
+    def __init__(self, spec: CoreSpec) -> None:
         self.spec = spec
-        self.tuner = CacheTuner(spec.reset_config, tuner_costs)
+        self.tuner = CacheTuner(spec.reset_config, TUNER_COSTS)
         self.current_job: Optional[Job] = None
         self.busy_until = 0
         self.busy_cycles = 0

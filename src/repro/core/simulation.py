@@ -22,13 +22,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.config import BASE_CONFIG
-from repro.cache.tuner import TunerCostModel
 from repro.characterization.store import CharacterizationStore
 from repro.core.policies import SchedulingPolicy, make_policy
 from repro.core.predictor import BestCorePredictor
 from repro.core.profiling import ProfilingTable
 from repro.core.results import JobRecord, SimulationResult
-from repro.core.scheduler import Assignment, CoreState, Job
+from repro.core.scheduler import (
+    PREEMPTION_QUANTUM_CYCLES,
+    Assignment,
+    CoreState,
+    Job,
+    check_run_options,
+)
 from repro.core.system import SystemConfig, base_system, paper_system
 from repro.core.tuning import TuningHeuristic
 from repro.energy.tables import EnergyTable
@@ -53,6 +58,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import EventEngine
 from repro.sim.events import Event, EventKind
+from repro.sim.fast import CORE_POLICIES, core_branch
 from repro.sim.queueing import ReadyQueue
 from repro.workloads.arrivals import JobArrival
 
@@ -119,7 +125,6 @@ def select_engine(
     *,
     hooks: bool = False,
     telemetry: bool = False,
-    power: bool = False,
     load: str = "batch",
 ) -> str:
     """The engine that runs one simulation: ``"fast"`` or ``"reference"``.
@@ -129,52 +134,41 @@ def select_engine(
     :func:`~repro.campaign.run_campaign` and the CLI all ask it, so every
     front end accepts and rejects the same runs with the same message.
     ``hooks`` says whether a trace recorder, metrics registry, validation
-    or fault injection is attached, ``telemetry`` and ``power`` whether
-    sampled telemetry or an enabled power configuration is, and ``load``
-    is one of :data:`LOADS`.  A combination no engine runs raises
+    or fault injection is attached, ``telemetry`` whether sampled
+    telemetry is, and ``load`` is one of :data:`LOADS`.  The simulation
+    core runs exactly the policy classes in
+    :data:`~repro.sim.fast.CORE_POLICIES`; every other class needs the
+    reference loop.  A combination no engine runs raises
     :class:`ValueError` naming the conflict.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if load not in LOADS:
         raise ValueError(f"unknown load {load!r}; choose from {LOADS}")
-    # The core implements the power gate itself, but a policy that
-    # *chooses* operating points needs the reference loop's
-    # per-dispatch hook.
-    picks_dvfs = (
-        power
-        and type(policy).choose_dvfs is not SchedulingPolicy.choose_dvfs
-    )
     needs_reference = (
-        hooks or policy.orders_queue or picks_dvfs
+        hooks or type(policy) not in CORE_POLICIES
         or engine == "reference" or load == "dag"
     )
     if telemetry and needs_reference:
         raise ValueError(
             "telemetry is incompatible with the reference engine, which "
-            "this run needs (hooks, an ordering or DVFS-choosing policy, "
-            "task graphs or engine='reference'); the reference engine has "
-            "the full-fidelity hooks (--trace/--metrics-out/--validate/"
-            "--faults) instead.  Drop one side"
+            "this run needs (hooks, a policy class the simulation core "
+            "does not implement, task graphs or engine='reference'); the "
+            "reference engine has the full-fidelity hooks (--trace/"
+            "--metrics-out/--validate/--faults) instead.  Drop one side"
         )
     if engine != "fast" and load != "stream":
         return "reference" if needs_reference else "fast"
     # An explicit fast engine or a stream: the simulation core runs it.
-    if policy.orders_queue:
-        raise ValueError(
-            f"the fast engine and streaming do not implement the "
-            f"policy-ordered ready queue of policy {policy.name!r}; use "
-            "engine='auto' or 'reference' for batches and task graphs, or "
-            "discipline='edf' (--discipline edf) in a stream"
-        )
-    if hooks or picks_dvfs:
+    core_branch(policy)
+    if hooks:
         raise ValueError(
             "the fast engine and streaming are incompatible with tracing, "
-            "metrics, validation, fault injection and DVFS-choosing "
-            "policies: the simulation core compiles those hooks out.  Drop "
-            "them or use engine='reference' for a batch; for visibility on "
-            "the core, attach sampled telemetry (--telemetry-out, "
-            "--progress) or read a stream's windowed metrics"
+            "metrics, validation and fault injection: the simulation core "
+            "compiles those hooks out.  Drop them or use "
+            "engine='reference' for a batch; for visibility on the core, "
+            "attach sampled telemetry (--telemetry-out, --progress) or "
+            "read a stream's windowed metrics"
         )
     if engine == "reference":
         raise ValueError(
@@ -244,29 +238,23 @@ class SchedulerSimulation:
     energy_table:
         Per-configuration energy constants (defaults to a fresh table
         sharing the store's energy model assumptions).
-    tuner_costs:
-        Reconfiguration cost model.
     profiling_overhead_fraction:
         Extra cycles/energy charged on a profiling run for reading and
         storing the hardware counters.
     discipline:
-        Ready-queue service order: ``fifo`` (the paper), ``priority``
-        (static priority, FIFO within a level) or ``edf`` (earliest
-        deadline first; deadline-free jobs go last).  The latter two
-        implement the paper's priority/deadline future work (§VIII).
+        Ready-queue service order, one of
+        :data:`~repro.core.scheduler.DISCIPLINES`: ``fifo`` (the paper),
+        ``priority`` or ``edf``.  The latter two implement the paper's
+        priority/deadline future work (§VIII).
     preemptive:
         With the ``priority``/``edf`` disciplines, allow a waiting job
         to preempt a strictly less urgent running job (naive preemption:
         the victim loses its cache state, its partial execution's energy
         is charged pro-rata, and it re-enters the ready queue with its
-        remaining work).  Profiling runs are never preempted.  This is
-        the paper's "systems with preemption" future work.
-    preemption_quantum_cycles:
-        Minimum execution window around a preemption: a running job is
-        only eligible as a victim once it has executed this many cycles
-        *and* still has at least this many cycles left.  This models OS
-        scheduling granularity and prevents preemption storms from
-        fragmenting executions into one-cycle slivers.
+        remaining work).  Profiling runs are never preempted, and a job
+        is only a victim once it has run, and still has left, at least
+        :data:`~repro.core.scheduler.PREEMPTION_QUANTUM_CYCLES`.  This
+        is the paper's "systems with preemption" future work.
     preload_profiles:
         §IV.B: "This profiling could be eliminated if the applications
         were known a priori with profiling-based statistics recorded at
@@ -339,9 +327,6 @@ class SchedulerSimulation:
         ``power=None`` on every engine.  See ``docs/power.md``.
     """
 
-    #: Queue disciplines supported by the dispatcher.
-    DISCIPLINES = ("fifo", "priority", "edf")
-
     #: Engine selection modes accepted by the ``engine`` parameter.
     ENGINES = ENGINES
 
@@ -353,11 +338,9 @@ class SchedulerSimulation:
         *,
         predictor: Optional[BestCorePredictor] = None,
         energy_table: Optional[EnergyTable] = None,
-        tuner_costs: TunerCostModel = TunerCostModel(),
         profiling_overhead_fraction: float = 0.003,
         discipline: str = "fifo",
         preemptive: bool = False,
-        preemption_quantum_cycles: int = 10_000,
         preload_profiles: bool = False,
         recorder: Optional[TraceRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -367,28 +350,13 @@ class SchedulerSimulation:
         telemetry=None,
         power=None,
     ) -> None:
-        if policy.uses_predictor and predictor is None:
-            raise ValueError(
-                f"policy {policy.name!r} needs a predictor"
-            )
-        if profiling_overhead_fraction < 0:
-            raise ValueError("profiling_overhead_fraction must be >= 0")
-        if discipline not in self.DISCIPLINES:
-            raise ValueError(
-                f"unknown discipline {discipline!r}; "
-                f"choose from {self.DISCIPLINES}"
-            )
-        if preemptive and discipline == "fifo":
-            raise ValueError(
-                "preemption needs an urgency order; use the 'priority' "
-                "or 'edf' discipline"
-            )
-        if preemption_quantum_cycles < 0:
-            raise ValueError("preemption_quantum_cycles must be >= 0")
+        check_run_options(
+            policy, predictor, profiling_overhead_fraction, discipline,
+            preemptive,
+        )
         self.engine_mode = engine
         self.discipline = discipline
         self.preemptive = preemptive
-        self.preemption_quantum_cycles = preemption_quantum_cycles
         #: Jobs already preempted at the *current* timestamp (bounds
         #: churn when the policy then declines the freed core).  Only
         #: one timestamp's set is ever retained — keyed storage would
@@ -404,8 +372,6 @@ class SchedulerSimulation:
             energy_table if energy_table is not None else EnergyTable()
         )
         self.profiling_overhead_fraction = profiling_overhead_fraction
-        #: Kept for the fast path, which builds its own core state.
-        self._tuner_costs = tuner_costs
         self._preload_profiles_requested = preload_profiles
         #: ((queue.mutations, policy.order_version), view) pair backing
         #: :meth:`_queue_view`.
@@ -425,7 +391,7 @@ class SchedulerSimulation:
         self.engine = EventEngine()
         self.queue: ReadyQueue[Job] = ReadyQueue()
         self.cores: List[CoreState] = [
-            CoreState(spec, tuner_costs) for spec in system.cores
+            CoreState(spec) for spec in system.cores
         ]
         self.table = ProfilingTable()
         self.heuristic = TuningHeuristic()
@@ -532,7 +498,6 @@ class SchedulerSimulation:
                 or self._faults is not None
             ),
             telemetry=self.telemetry is not None,
-            power=self.power is not None,
             load=load,
         )
 
@@ -970,7 +935,7 @@ class SchedulerSimulation:
             self._preempted_now_cycle = self.now
             self._preempted_now.clear()
         already = self._preempted_now
-        quantum = self.preemption_quantum_cycles
+        quantum = PREEMPTION_QUANTUM_CYCLES
         running = [
             core for core in self.cores
             if core.current_job is not None
@@ -1091,9 +1056,9 @@ class SchedulerSimulation:
 
         Returns the (possibly degraded) assignment to start, or ``None``
         when the job must wait for tokens.  The preferred option is the
-        policy's choice at the policy's operating point (nominal when
-        the policy abstains); when it is unaffordable, strictly cheaper
-        (config × DVFS) options *on the same core* are tried most
+        policy's choice at the DVFS table's nominal point; when it is
+        unaffordable, strictly cheaper (config × DVFS) options *on the
+        same core* are tried most
         expensive first — the minimal degradation — subject to the
         slack-percentage deadline test.  Profiling and tuning runs pin
         their configuration, so only the DVFS axis may degrade them.
@@ -1108,12 +1073,7 @@ class SchedulerSimulation:
         pool = self._power_pool
         core = self.cores[assignment.core_index]
         table = power.dvfs
-        point = None
-        if table is not None:
-            name = assignment.dvfs
-            if name is None:
-                name = self.policy.choose_dvfs(job, core, table)
-            point = table.default if name is None else table.get(name)
+        point = None if table is None else table.default
         preferred = Assignment(
             core_index=assignment.core_index,
             config=assignment.config,

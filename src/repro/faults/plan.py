@@ -44,6 +44,8 @@ import random
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Tuple
 
+from repro._util import load_json_document
+
 __all__ = [
     "CoreFault",
     "PredictorFault",
@@ -330,12 +332,12 @@ class FaultPlan:
 
 
 def load_plan(path) -> FaultPlan:
-    """Read a :meth:`FaultPlan.to_json` document back into a plan."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: fault plan must be a JSON object")
-    return FaultPlan.from_dict(payload)
+    """Read a :meth:`FaultPlan.to_json` document back into a plan.
+
+    Raises :class:`ValueError` naming ``path`` when it does not hold a
+    valid plan.
+    """
+    return load_json_document(path, "fault plan", FaultPlan.from_dict)
 
 
 def generate_plan(

@@ -8,7 +8,7 @@ are created on first use and live for the registry's lifetime:
 * :class:`Counter` — monotonically increasing event counts;
 * :class:`Gauge` — last-written point-in-time values;
 * :class:`Histogram` — running count/sum/min/max plus streaming
-  quantile estimates (p50/p90/p99 by default) via the P² algorithm
+  quantile estimates (p50/p90/p99) via the P² algorithm
   [Jain & Chlamtac 1985], so no samples are stored regardless of how
   many observations arrive.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -191,8 +191,8 @@ class P2Quantile:
         self._desired = [float(x) for x in state["desired"]]
 
 
-#: Default histogram quantiles (reported as p50 / p90 / p99).
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
+#: The quantiles every histogram tracks (reported as p50 / p90 / p99).
+QUANTILES = (0.5, 0.9, 0.99)
 
 
 def _quantile_key(p: float) -> str:
@@ -204,15 +204,13 @@ class Histogram:
 
     __slots__ = ("name", "count", "total", "min", "max", "_estimators")
 
-    def __init__(
-        self, name: str, quantiles: Sequence[float] = DEFAULT_QUANTILES
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._estimators = tuple(P2Quantile(p) for p in quantiles)
+        self._estimators = tuple(P2Quantile(p) for p in QUANTILES)
 
     def observe(self, value: float) -> None:
         """Feed one observation."""
@@ -232,7 +230,7 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, p: float) -> float:
-        """Current estimate for one of the configured quantiles."""
+        """Current estimate for one of :data:`QUANTILES`."""
         for estimator in self._estimators:
             if estimator.p == p:
                 return estimator.value
@@ -302,13 +300,11 @@ class MetricsRegistry:
             instrument = self._gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(
-        self, name: str, quantiles: Sequence[float] = DEFAULT_QUANTILES
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram called ``name`` (created empty on first use)."""
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = self._histograms[name] = Histogram(name, quantiles)
+            instrument = self._histograms[name] = Histogram(name)
         return instrument
 
     @contextmanager

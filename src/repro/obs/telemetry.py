@@ -422,7 +422,8 @@ def read_telemetry(path) -> Tuple[dict, List[dict]]:
     """Parse a telemetry JSONL file into ``(header, samples)``.
 
     Validates the header kind and schema version; unknown line kinds
-    raise so schema drift is caught instead of silently skipped.
+    raise so schema drift is caught instead of silently skipped.  Every
+    error is a :class:`ValueError` naming ``path`` (and the line).
     """
     header: Optional[dict] = None
     samples: List[dict] = []
@@ -431,7 +432,18 @@ def read_telemetry(path) -> Tuple[dict, List[dict]]:
             line = line.strip()
             if not line:
                 continue
-            payload = json.loads(line)
+            try:
+                payload = json.loads(line)
+            except ValueError as error:
+                raise ValueError(
+                    f"{path}:{lineno}: not a telemetry JSONL line "
+                    f"({error})"
+                ) from None
+            if not isinstance(payload, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: not a telemetry JSONL line "
+                    "(expected a JSON object)"
+                )
             kind = payload.get("kind")
             if lineno == 1:
                 if kind != "telemetry":

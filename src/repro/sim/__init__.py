@@ -6,7 +6,7 @@ open-system and a closed-batch (:class:`FastSimulation`) front end.
 
 from .engine import EventEngine
 from .events import Event, EventKind
-from .fast import FastSimulation
+from .fast import CORE_POLICIES, FastSimulation
 from .queueing import ReadyQueue
 from .stream import (
     ADMISSION_POLICIES,
@@ -19,6 +19,7 @@ from .stream import (
 
 __all__ = [
     "ADMISSION_POLICIES",
+    "CORE_POLICIES",
     "Event",
     "EventEngine",
     "EventKind",

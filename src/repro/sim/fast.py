@@ -20,6 +20,13 @@ policies, same event ordering, same floating-point operation order.
   predictions, explored configs, tuning sessions) the loop updates in
   place.
 
+:data:`CORE_POLICIES` declares which policies the loop implements: the
+paper's four systems, keyed by exact class.  It is the only answer to
+"can the core run this policy?" —
+:func:`~repro.core.simulation.select_engine` routes every other class
+(the ordering policies, any subclass) to the reference loop, and
+:class:`FastSimulation` rejects it.
+
 A closed batch is a finite stream: :meth:`FastSimulation.run` sorts the
 arrivals stably by arrival cycle and feeds them from a list through a
 :class:`~repro.sim.stream.StreamingSimulation` with
@@ -41,17 +48,58 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.config import BASE_CONFIG, CacheConfig
-from repro.cache.tuner import TunerCostModel
 from repro.characterization.store import CharacterizationStore
-from repro.core.policies import SchedulingPolicy
+from repro.core.policies import (
+    BasePolicy,
+    EnergyCentricPolicy,
+    OptimalPolicy,
+    ProposedPolicy,
+    SchedulingPolicy,
+)
 from repro.core.predictor import BestCorePredictor
 from repro.core.results import SimulationResult
+from repro.core.scheduler import TUNER_COSTS, check_run_options
 from repro.core.tuning import TuningSession
 from repro.energy.tables import EnergyTable
 from repro.power.budget import TokenPool, normalize_power
 from repro.workloads.arrivals import JobArrival
 
-__all__ = ["FastSimulation"]
+__all__ = ["CORE_POLICIES", "FastSimulation", "core_branch"]
+
+#: The policies the simulation core implements, keyed by exact class,
+#: and the placement branch of
+#: :meth:`~repro.sim.stream.StreamingSimulation.advance` each one
+#: takes.  A subclass is not in the table even when it only renames
+#: its parent: the loop inlines these four ``choose`` methods, so it
+#: cannot run an override.
+CORE_POLICIES = {
+    BasePolicy: 0,
+    OptimalPolicy: 1,
+    EnergyCentricPolicy: 2,
+    ProposedPolicy: 3,
+}
+
+
+def core_branch(policy: SchedulingPolicy) -> int:
+    """``policy``'s branch in :data:`CORE_POLICIES`.
+
+    Raises :class:`ValueError` naming the class when the simulation
+    core does not implement it.
+    """
+    branch = CORE_POLICIES.get(type(policy))
+    if branch is None:
+        names = ", ".join(cls.__name__ for cls in CORE_POLICIES)
+        raise ValueError(
+            "the fast engine and streaming run the simulation core, which "
+            f"implements exactly the policy classes {names}; "
+            f"{type(policy).__name__} (policy {policy.name!r}) is not one "
+            "of them, so neither its own choose() nor a policy-ordered "
+            "ready queue runs there.  Use engine='auto' or 'reference' "
+            "for batches and task graphs, or discipline='edf' "
+            "(--discipline edf) in a stream"
+        )
+    return branch
+
 
 _arrival_cycle = attrgetter("arrival_cycle")
 
@@ -72,7 +120,8 @@ class FastSimulation:
 
     Construction mirrors
     :class:`~repro.core.simulation.SchedulerSimulation` (same defaults,
-    same validation errors); :meth:`run` returns a bit-identical
+    same validation errors) and also rejects a policy class outside
+    :data:`CORE_POLICIES`; :meth:`run` returns a bit-identical
     :class:`~repro.core.results.SimulationResult`.  The observability /
     validation / fault hooks are deliberately absent — use the reference
     engine when any of them is needed.  The one observability surface
@@ -88,8 +137,6 @@ class FastSimulation:
     layer writes back into a :class:`SchedulerSimulation`.
     """
 
-    DISCIPLINES = ("fifo", "priority", "edf")
-
     def __init__(
         self,
         system,
@@ -98,31 +145,18 @@ class FastSimulation:
         *,
         predictor: Optional[BestCorePredictor] = None,
         energy_table: Optional[EnergyTable] = None,
-        tuner_costs: TunerCostModel = TunerCostModel(),
         profiling_overhead_fraction: float = 0.003,
         discipline: str = "fifo",
         preemptive: bool = False,
-        preemption_quantum_cycles: int = 10_000,
         preload_profiles: bool = False,
         telemetry=None,
         power=None,
     ) -> None:
-        if policy.uses_predictor and predictor is None:
-            raise ValueError(f"policy {policy.name!r} needs a predictor")
-        if profiling_overhead_fraction < 0:
-            raise ValueError("profiling_overhead_fraction must be >= 0")
-        if discipline not in self.DISCIPLINES:
-            raise ValueError(
-                f"unknown discipline {discipline!r}; "
-                f"choose from {self.DISCIPLINES}"
-            )
-        if preemptive and discipline == "fifo":
-            raise ValueError(
-                "preemption needs an urgency order; use the 'priority' "
-                "or 'edf' discipline"
-            )
-        if preemption_quantum_cycles < 0:
-            raise ValueError("preemption_quantum_cycles must be >= 0")
+        check_run_options(
+            policy, predictor, profiling_overhead_fraction, discipline,
+            preemptive,
+        )
+        core_branch(policy)
         self.system = system
         self.policy = policy
         self.store = store
@@ -133,18 +167,15 @@ class FastSimulation:
         self.profiling_overhead_fraction = profiling_overhead_fraction
         self.discipline = discipline
         self.preemptive = preemptive
-        self.preemption_quantum_cycles = preemption_quantum_cycles
         # Sampled telemetry sink (repro.obs.telemetry).  Unlike the
         # per-event hooks the loop compiles out, telemetry fires on
         # completion-count thresholds only, so attaching it keeps the
         # fast path fast and the results bit-identical.
         self.telemetry = telemetry
-        # Power axis (cap + DVFS).  Engine selection only routes a
-        # powered run here when the policy does not override
-        # ``choose_dvfs``, so the preferred operating point is always
-        # the table's nominal one; the gate can still *degrade* to a
-        # lower point.  ``None`` keeps the loop's pre-power code paths
-        # byte-for-byte.
+        # Power axis (cap + DVFS).  The preferred operating point is
+        # always the table's nominal one, as in the reference loop; the
+        # gate can still *degrade* to a lower point.  ``None`` keeps the
+        # loop's pre-power code paths byte-for-byte.
         self.power = normalize_power(power)
         self._power_pool = (
             TokenPool(self.power) if self.power is not None else None
@@ -179,13 +210,13 @@ class FastSimulation:
         # Reconfiguration cost depends only on the *outgoing* config
         # (its line count is what gets flushed).
         self.recfg_cycles_from = [
-            tuner_costs.control_cycles
-            + tuner_costs.flush_cycles_per_line * cfg.num_lines
+            TUNER_COSTS.control_cycles
+            + TUNER_COSTS.flush_cycles_per_line * cfg.num_lines
             for cfg in self.cfg_objs
         ]
         self.recfg_nj_from = [
-            tuner_costs.control_energy_nj
-            + tuner_costs.flush_energy_per_line_nj * cfg.num_lines
+            TUNER_COSTS.control_energy_nj
+            + TUNER_COSTS.flush_energy_per_line_nj * cfg.num_lines
             for cfg in self.cfg_objs
         ]
 

@@ -58,14 +58,15 @@ from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
+from repro._util import load_json_document
 from repro.cache.config import CacheConfig
-from repro.cache.tuner import TunerCostModel
 from repro.core.results import JobRecord, SimulationResult
+from repro.core.scheduler import DISCIPLINES, PREEMPTION_QUANTUM_CYCLES
 from repro.core.tuning import TuningSession
 from repro.obs.events import CATEGORIES as _CATEGORIES
 from repro.obs.metrics import Histogram
 from repro.power.budget import pick_degraded
-from repro.sim.fast import FastSimulation
+from repro.sim.fast import FastSimulation, core_branch
 from repro.workloads.arrivals import ArrivalProcess, JobArrival
 
 __all__ = [
@@ -221,10 +222,36 @@ class StreamResult:
         }
 
 
+#: Sections every snapshot carries besides its version (``telemetry``
+#: is optional).
+_SNAPSHOT_SECTIONS = ("fingerprint", "process", "engine", "knowledge", "stats")
+
+
+def _checked_snapshot(snapshot) -> dict:
+    """``snapshot``, if it has this build's version and sections."""
+    if not isinstance(snapshot, dict):
+        raise ValueError("a stream snapshot is a JSON object")
+    version = snapshot.get("version")
+    if version != STREAM_SNAPSHOT_VERSION:
+        raise ValueError(
+            f"unsupported stream snapshot version {version!r}; "
+            f"this build reads version {STREAM_SNAPSHOT_VERSION}"
+        )
+    for section in _SNAPSHOT_SECTIONS:
+        if not isinstance(snapshot.get(section), dict):
+            raise ValueError(
+                f"stream snapshot has no {section!r} section"
+            )
+    return snapshot
+
+
 def read_checkpoint(path: str) -> dict:
-    """Load a checkpoint file written by :meth:`write_checkpoint`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """Load a checkpoint file written by :meth:`write_checkpoint`.
+
+    Raises :class:`ValueError` naming ``path`` when the file is not
+    JSON or not a stream snapshot this build can resume.
+    """
+    return load_json_document(path, "stream checkpoint", _checked_snapshot)
 
 
 def _arrival_to_list(arrival: JobArrival) -> list:
@@ -313,11 +340,9 @@ class StreamingSimulation:
         *,
         predictor=None,
         energy_table=None,
-        tuner_costs: TunerCostModel = TunerCostModel(),
         profiling_overhead_fraction: float = 0.003,
         discipline: str = "fifo",
         preemptive: bool = False,
-        preemption_quantum_cycles: int = 10_000,
         preload_profiles: bool = False,
         config: StreamConfig = None,
         telemetry=None,
@@ -331,11 +356,9 @@ class StreamingSimulation:
             store,
             predictor=predictor,
             energy_table=energy_table,
-            tuner_costs=tuner_costs,
             profiling_overhead_fraction=profiling_overhead_fraction,
             discipline=discipline,
             preemptive=preemptive,
-            preemption_quantum_cycles=preemption_quantum_cycles,
             preload_profiles=preload_profiles,
             telemetry=telemetry,
             power=power,
@@ -612,18 +635,16 @@ class StreamingSimulation:
         policy = f.policy
         requires_profiling = policy.requires_profiling
         uses_predictor = policy.uses_predictor
-        pol = {"base": 0, "optimal": 1, "energy_centric": 2}.get(
-            policy.name, 3
-        )
+        pol = core_branch(policy)
         preemptive = f.preemptive
-        quantum = f.preemption_quantum_cycles
+        quantum = PREEMPTION_QUANTUM_CYCLES
         touched = f.touched
         touch_order = f.touch_order
         nearest_size = f._nearest_size
         C = f.n_cores
         core_range = range(C)
         sessions = f.sessions
-        disc = self.DISC_IDS[f.discipline]
+        disc = DISCIPLINES.index(f.discipline)
         fifo = disc == 0
 
         # Power axis locals.  ``pool is None`` is the only extra branch
@@ -1307,10 +1328,8 @@ class StreamingSimulation:
                                         )
 
                         # ---- power gate ----------------------------
-                        # Mirrors SchedulerSimulation._power_gate with
-                        # the point pinned to nominal (engine selection
-                        # keeps policies that override choose_dvfs on
-                        # the reference engine).  All arithmetic repeats
+                        # Mirrors SchedulerSimulation._power_gate, whose
+                        # preferred point is nominal.  All arithmetic repeats
                         # repro.energy.scaling.scaled_charges operation
                         # for operation.
                         dvfs_point = None
@@ -1702,8 +1721,6 @@ class StreamingSimulation:
             )
         return more
 
-    DISC_IDS = {"fifo": 0, "priority": 1, "edf": 2}
-
     # -- statistics and telemetry (cold paths) -------------------------------
 
     def _feed_retained(self) -> None:
@@ -1957,7 +1974,8 @@ class StreamingSimulation:
             "policy": f.policy.name,
             "discipline": f.discipline,
             "preemptive": f.preemptive,
-            "preemption_quantum_cycles": f.preemption_quantum_cycles,
+            # Still fingerprinted so existing v4 checkpoints resume.
+            "preemption_quantum_cycles": PREEMPTION_QUANTUM_CYCLES,
             "profiling_overhead_fraction": f.profiling_overhead_fraction,
             "core_sizes": list(f.core_sizes),
             "benchmarks": list(f.bench_names),
@@ -2102,12 +2120,7 @@ class StreamingSimulation:
             raise RuntimeError(
                 "restore() needs a freshly constructed engine"
             )
-        version = snapshot.get("version")
-        if version != STREAM_SNAPSHOT_VERSION:
-            raise ValueError(
-                f"unsupported stream snapshot version {version!r}; "
-                f"this build reads version {STREAM_SNAPSHOT_VERSION}"
-            )
+        _checked_snapshot(snapshot)
         self.process = process
         expected = self._fingerprint()
         found = snapshot["fingerprint"]

@@ -526,12 +526,7 @@ class QoSProcess(ArrivalProcess):
         deadline_fraction: float = 1.0,
         seed: int = 0,
     ) -> None:
-        if priority_levels <= 0:
-            raise ValueError("priority_levels must be positive")
-        if deadline_slack <= 0:
-            raise ValueError("deadline_slack must be positive")
-        if not 0.0 <= deadline_fraction <= 1.0:
-            raise ValueError("deadline_fraction must be within [0, 1]")
+        _check_qos(priority_levels, deadline_slack, deadline_fraction)
         self.inner = inner
         self.names = list(inner.names)
         self.seed = seed
@@ -543,29 +538,14 @@ class QoSProcess(ArrivalProcess):
         self._rng = np.random.default_rng(seed)
 
     def next_chunk(self) -> List[JobArrival]:
-        rng = self._rng
-        levels = self.priority_levels
-        fraction = self.deadline_fraction
-        slack = self.deadline_slack
-        estimate = self.service_estimate
-        out: List[JobArrival] = []
-        for arrival in self.inner.next_chunk():
-            priority = int(rng.integers(0, levels))
-            deadline: Optional[int] = None
-            if rng.random() < fraction:
-                nominal = int(estimate(arrival.benchmark))
-                if nominal <= 0:
-                    raise ValueError(
-                        f"service estimate must be positive for "
-                        f"{arrival.benchmark!r}"
-                    )
-                deadline = arrival.arrival_cycle + int(
-                    round(slack * nominal)
-                )
-            out.append(
-                replace(arrival, priority=priority, deadline_cycle=deadline)
-            )
-        return out
+        return _annotate_qos(
+            self.inner.next_chunk(),
+            self._rng,
+            self.service_estimate,
+            self.priority_levels,
+            self.deadline_slack,
+            self.deadline_fraction,
+        )
 
     def params(self) -> Dict[str, object]:
         return {
@@ -643,13 +623,39 @@ def with_qos(
       execution time (typically the base-configuration cycles from the
       characterisation store).
     """
+    _check_qos(priority_levels, deadline_slack, deadline_fraction)
+    return _annotate_qos(
+        arrivals,
+        np.random.default_rng(seed),
+        service_estimate,
+        priority_levels,
+        deadline_slack,
+        deadline_fraction,
+    )
+
+
+def _check_qos(
+    priority_levels: int, deadline_slack: float, deadline_fraction: float
+) -> None:
     if priority_levels <= 0:
         raise ValueError("priority_levels must be positive")
     if deadline_slack <= 0:
         raise ValueError("deadline_slack must be positive")
     if not 0.0 <= deadline_fraction <= 1.0:
         raise ValueError("deadline_fraction must be within [0, 1]")
-    rng = np.random.default_rng(seed)
+
+
+def _annotate_qos(
+    arrivals: Sequence[JobArrival],
+    rng: np.random.Generator,
+    service_estimate: Callable[[str], int],
+    priority_levels: int,
+    deadline_slack: float,
+    deadline_fraction: float,
+) -> List[JobArrival]:
+    """The per-job QoS draws of :func:`with_qos` and
+    :class:`QoSProcess`: a priority, then a deadline coin flip, per job
+    in order."""
     annotated: List[JobArrival] = []
     for arrival in arrivals:
         priority = int(rng.integers(0, priority_levels))

@@ -32,6 +32,8 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro._util import load_json_document
+
 from .arrivals import JobArrival
 from .eembc import EEMBC_NAMES
 
@@ -208,7 +210,7 @@ class TaskGraph:
             raise ValueError(f"unknown TaskGraph fields: {sorted(unknown)}")
         data = dict(payload)
         data["tasks"] = tuple(
-            TaskSpec.from_dict(t) if isinstance(t, dict) else t
+            t if isinstance(t, TaskSpec) else TaskSpec.from_dict(t)
             for t in data.get("tasks", ())
         )
         return cls(**data)
@@ -238,15 +240,19 @@ def dump_graphs(graphs: Sequence[TaskGraph], path: str) -> None:
 
 
 def load_graphs(path: str) -> List[TaskGraph]:
-    """Load a graph set written by :func:`dump_graphs`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or "graphs" not in payload:
-        raise ValueError(f"{path} does not hold a task-graph document")
-    graphs = payload["graphs"]
-    if not isinstance(graphs, list):
-        raise ValueError(f"{path} 'graphs' entry must be a list")
-    return [TaskGraph.from_dict(entry) for entry in graphs]
+    """Load a graph set written by :func:`dump_graphs`.
+
+    Raises :class:`ValueError` naming ``path`` when it does not hold a
+    valid graph set.
+    """
+
+    def build(payload: Dict) -> List[TaskGraph]:
+        graphs = payload.get("graphs")
+        if not isinstance(graphs, list):
+            raise ValueError("expected a 'graphs' list")
+        return [TaskGraph.from_dict(entry) for entry in graphs]
+
+    return load_json_document(path, "task-graph document", build)
 
 
 def describe_graphs(graphs: Sequence[TaskGraph]) -> str:

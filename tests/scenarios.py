@@ -14,12 +14,16 @@ its historical gap default), but the logic lives here.
 from repro.characterization.explorer import characterize_suite
 from repro.characterization.store import CharacterizationStore
 from repro.core import make_simulation
+from repro.core.policies import BasePolicy, ProposedPolicy
 from repro.core.predictor import OraclePredictor
 from repro.energy.tables import EnergyTable
 from repro.workloads.arrivals import JobArrival, with_qos
 from repro.workloads.eembc import eembc_benchmark
 
 __all__ = [
+    "BaseLikeProposedPolicy",
+    "CUSTOM_POLICIES",
+    "RenamedBasePolicy",
     "SUITE_NAMES",
     "arrivals_for",
     "build_energy_table",
@@ -34,6 +38,26 @@ __all__ = [
 
 #: Small mixed-best-size suite: 2KB, 4KB and 8KB winners.
 SUITE_NAMES = ("puwmod", "idctrn", "pntrch", "a2time")
+
+
+class RenamedBasePolicy(BasePolicy):
+    """A plug-in policy: the base system under another name."""
+
+    name = "renamed_base"
+
+
+class BaseLikeProposedPolicy(ProposedPolicy):
+    """A plug-in policy: the proposed system's profiling and predictor
+    flags, but the base system's dispatch (first idle core, current
+    configuration)."""
+
+    def choose(self, job, sim):
+        return BasePolicy.choose(self, job, sim)
+
+
+#: Plug-in policies the simulation core does not implement: subclasses
+#: of the paper's policies, which must run on the reference loop.
+CUSTOM_POLICIES = (RenamedBasePolicy, BaseLikeProposedPolicy)
 
 
 def build_small_store(names=SUITE_NAMES):

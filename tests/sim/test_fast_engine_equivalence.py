@@ -11,7 +11,10 @@ grid, under preloaded profiles, and on Hypothesis-generated streams.
 Engine *selection* is pinned here too: ``auto`` must pick the fast
 engine exactly when tracing, metrics, validation and fault injection
 are all off, and an explicit ``engine="fast"`` with any hook attached
-must be rejected up front.
+must be rejected up front.  A plug-in policy (any class outside
+:data:`~repro.sim.fast.CORE_POLICIES`, even a subclass of a paper
+policy) must run on the reference loop under ``auto``, and the core's
+front ends must refuse it rather than run a built-in policy instead.
 """
 
 import itertools
@@ -24,10 +27,14 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign import run_campaign
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.simulation import SchedulerSimulation
+from repro.core.system import paper_system
 from repro.obs import ListRecorder, MetricsRegistry
-from repro.workloads.arrivals import JobArrival
+from repro.sim.stream import StreamConfig, StreamingSimulation
+from repro.workloads.arrivals import JobArrival, PoissonProcess
+from repro.workloads.eembc import eembc_benchmark
 
 from tests.scenarios import (
+    CUSTOM_POLICIES,
     SUITE_NAMES,
     arrivals_for,
     build_energy_table,
@@ -252,6 +259,66 @@ class TestEngineSelection:
         fast.run(arrivals)
         with pytest.raises(RuntimeError, match="runs exactly once"):
             fast.run(arrivals)
+
+
+class TestCustomPolicies:
+    """Plug-in policies: the reference loop, or a refusal — never a
+    built-in policy's result under the plug-in's name."""
+
+    def _sim(self, cls, store, oracle, energy_table, engine="auto"):
+        return SchedulerSimulation(
+            paper_system(), cls(), store, predictor=oracle,
+            energy_table=energy_table, engine=engine,
+        )
+
+    @pytest.mark.parametrize("cls", CUSTOM_POLICIES,
+                             ids=lambda cls: cls.__name__)
+    def test_auto_runs_the_reference_loop(self, cls, store, oracle,
+                                          energy_table):
+        arrivals = arrivals_for(SUITE_NAMES * 6, gap=30_000)
+        auto = self._sim(cls, store, oracle, energy_table)
+        assert auto._resolve_engine() == "reference"
+        reference = self._sim(cls, store, oracle, energy_table,
+                              engine="reference")
+        assert auto.run(arrivals) == reference.run(arrivals)
+
+    def test_subclass_does_not_run_its_parent(self, store, oracle,
+                                              energy_table):
+        # The core's proposed branch would ignore the override.
+        arrivals = arrivals_for(SUITE_NAMES * 6, gap=30_000)
+        plugin = self._sim(CUSTOM_POLICIES[1], store, oracle,
+                           energy_table).run(arrivals)
+        builtin = make_simulation(
+            "proposed", store, predictor=oracle, energy_table=energy_table,
+        ).run(arrivals)
+        assert plugin.total_energy_nj != builtin.total_energy_nj
+
+    @pytest.mark.parametrize("cls", CUSTOM_POLICIES,
+                             ids=lambda cls: cls.__name__)
+    def test_core_front_ends_refuse(self, cls, store, oracle,
+                                    energy_table):
+        from repro.sim.fast import FastSimulation
+
+        name = cls.__name__
+        with pytest.raises(ValueError, match=name):
+            self._sim(cls, store, oracle, energy_table, engine="fast")
+        process = PoissonProcess(
+            [eembc_benchmark(n) for n in SUITE_NAMES],
+            mean_interarrival_cycles=30_000, seed=0,
+        )
+        config = StreamConfig(max_jobs=8)
+        with pytest.raises(ValueError, match=name):
+            self._sim(cls, store, oracle, energy_table).stream(
+                process, config
+            )
+        with pytest.raises(ValueError, match=name):
+            StreamingSimulation(
+                paper_system(), cls(), store, predictor=oracle,
+                energy_table=energy_table, config=config,
+            )
+        with pytest.raises(ValueError, match=name):
+            FastSimulation(paper_system(), cls(), store, predictor=oracle,
+                           energy_table=energy_table)
 
 
 class TestCampaignEngine:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.telemetry import TELEMETRY_SCHEMA_VERSION
 
 
 class TestParser:
@@ -528,6 +529,10 @@ class TestStreamCommand:
         assert "incompatible" in capsys.readouterr().err
 
 
+#: A fault plan whose core fault has a wrong field and misses the rest.
+BAD_PLAN = '{"name": "x", "core_faults": [{"core": 0}]}'
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("argv", [
         "campaign --policies base --seeds 1 --jobs 0",
@@ -555,6 +560,37 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,content,kind", [
+        ("faults describe {path}", BAD_PLAN, "fault plan"),
+        ("faults describe {path}", "not json", "fault plan"),
+        ("compare --jobs 10 --predictor oracle --faults {path}",
+         BAD_PLAN, "fault plan"),
+        ("compare --jobs 10 --predictor oracle --faults {path}",
+         "not json", "fault plan"),
+        ("campaign --policies base --seeds 1 --jobs 10 --faults {path}",
+         BAD_PLAN, "fault plan"),
+        ("dag describe {path}", '{"graphs": [{"graph_id": 0}]}',
+         "task-graph document"),
+        ("dag describe {path}", "not json", "task-graph document"),
+        ("stream --checkpoint {path} --resume --max-jobs 100",
+         '{"version": 4}', "stream checkpoint"),
+        ("stream --checkpoint {path} --resume --max-jobs 100",
+         '{"version": 4, "fingerprint": {"pol', "stream checkpoint"),
+        ("telemetry report {path}",
+         '{"kind": "telemetry", "schema": %d}\ngarbage\n'
+         % TELEMETRY_SCHEMA_VERSION, "telemetry JSONL line"),
+    ])
+    def test_malformed_file_is_named(self, argv, content, kind, capsys,
+                                     tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        code = main(argv.format(path=path).split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {path}")
+        assert kind in err
         assert "Traceback" not in err
 
 

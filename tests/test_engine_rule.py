@@ -14,6 +14,11 @@ the other per-event observability hook, stands in for it.  Campaigns
 take no telemetry, ``compare`` runs only the paper's policies, and the
 ``stream`` command has no ``--engine`` or hook flags; a row no command
 expresses is checked on the library front ends only.
+
+Plug-in policies (subclasses of the paper's policies, which no command
+can name) are checked on the library front ends: the rule routes every
+class outside :data:`~repro.sim.fast.CORE_POLICIES` to the reference
+loop, and the core's own constructors refuse it with the same message.
 """
 
 import itertools
@@ -24,15 +29,22 @@ import pytest
 
 from repro.campaign import DagLoad, StreamLoad, run_campaign
 from repro.cli import main
-from repro.core import OraclePredictor, make_policy, make_simulation
-from repro.core.policies import ProposedPolicy
+from repro.core import (
+    OraclePredictor,
+    SchedulerSimulation,
+    make_policy,
+    make_simulation,
+    paper_system,
+)
 from repro.core.simulation import select_engine
 from repro.experiment import default_store
 from repro.obs import Telemetry
 from repro.obs.recorder import ListRecorder
-from repro.sim.stream import StreamConfig
+from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads import eembc_suite, make_process, uniform_arrivals
 from repro.workloads.dag import generate_task_graphs
+
+from tests.scenarios import CUSTOM_POLICIES, RenamedBasePolicy
 
 ROWS = list(itertools.product(
     ("auto", "fast", "reference"),
@@ -65,25 +77,30 @@ def verdict(call):
 
 
 def simulate(store, engine, hook, telemetry, policy, load):
-    sim = make_simulation(
-        policy, store, OraclePredictor(store),
+    """Run one row; ``policy`` is a name or a policy class."""
+    kwargs = dict(
         engine=engine,
         validate=hook == "validate",
         recorder=ListRecorder() if hook == "recorder" else None,
         telemetry=Telemetry() if telemetry else None,
     )
+    if isinstance(policy, str):
+        sim = make_simulation(policy, store, OraclePredictor(store),
+                              **kwargs)
+    else:
+        sim = SchedulerSimulation(paper_system(), policy(), store,
+                                  predictor=OraclePredictor(store), **kwargs)
     if load == "batch":
-        sim.run(uniform_arrivals(eembc_suite(), count=6, seed=0))
-    elif load == "dag":
-        sim.run_dags(
+        return sim.run(uniform_arrivals(eembc_suite(), count=6, seed=0))
+    if load == "dag":
+        return sim.run_dags(
             generate_task_graphs(count=2, seed=0, tasks_min=2, tasks_max=3)
         )
-    else:
-        sim.stream(
-            make_process("poisson", eembc_suite(),
-                         mean_interarrival_cycles=56_000, seed=0),
-            StreamConfig(max_jobs=6),
-        )
+    return sim.stream(
+        make_process("poisson", eembc_suite(),
+                     mean_interarrival_cycles=56_000, seed=0),
+        StreamConfig(max_jobs=6),
+    )
 
 
 def campaign(store, engine, hook, policy, load):
@@ -171,11 +188,47 @@ def test_table_covers_accepts_and_rejects():
     assert len({v for v in verdicts if v is not None}) == 5
 
 
-class _ChoosesDvfs(ProposedPolicy):
-    """A policy overriding ``choose_dvfs`` (it keeps the default point)."""
+CUSTOM_ROWS = list(itertools.product(
+    CUSTOM_POLICIES, ("auto", "fast", "reference"), ("batch", "dag", "stream"),
+))
 
-    def choose_dvfs(self, job, core, table):
-        return None
+
+@pytest.mark.parametrize(
+    "cls,engine,load", CUSTOM_ROWS,
+    ids=["-".join((cls.__name__, engine, load))
+         for cls, engine, load in CUSTOM_ROWS],
+)
+def test_plugin_policies_run_on_the_reference_loop(cls, engine, load,
+                                                    store):
+    """A policy class the core does not implement runs where the
+    reference loop can run it, and is refused, by name, elsewhere."""
+    expected = verdict(lambda: select_engine(engine, cls(), load=load))
+    if load == "stream" or engine == "fast":
+        assert cls.__name__ in expected
+    else:
+        assert expected is None
+        assert select_engine(engine, cls(), load=load) == "reference"
+    assert verdict(
+        lambda: simulate(store, engine, "none", False, cls, load)
+    ) == expected
+    if engine == "auto" and load != "stream":
+        assert simulate(store, "auto", "none", False, cls, load) == (
+            simulate(store, "reference", "none", False, cls, load)
+        )
+
+
+@pytest.mark.parametrize("cls", CUSTOM_POLICIES,
+                         ids=lambda cls: cls.__name__)
+def test_core_constructors_refuse_plugin_policies(cls, store):
+    with pytest.raises(ValueError, match=cls.__name__) as refused:
+        StreamingSimulation(
+            paper_system(), cls(), store,
+            predictor=OraclePredictor(store),
+            config=StreamConfig(max_jobs=6),
+        )
+    assert str(refused.value) == verdict(
+        lambda: select_engine("fast", cls())
+    )
 
 
 #: Column features of the engine table in docs/performance.md, in order.
@@ -184,8 +237,7 @@ _TABLE_COLUMNS = (
     {"hooks": True},
     {"telemetry": True},
     {"policy": "edf"},
-    {"power": True},
-    {"power": True, "policy": _ChoosesDvfs()},
+    {"policy": RenamedBasePolicy()},
 )
 _TABLE_LOADS = {"batch": "batch", "task": "dag", "stream": "stream"}
 
