@@ -10,7 +10,9 @@ are created on first use and live for the registry's lifetime:
 * :class:`Histogram` — running count/sum/min/max plus streaming
   quantile estimates (p50/p90/p99) via the P² algorithm
   [Jain & Chlamtac 1985], so no samples are stored regardless of how
-  many observations arrive.
+  many observations arrive.  ``observe(*values)`` takes one value or a
+  whole block; a block costs one call per estimator and ends in the
+  same state as its values fed one at a time.
 
 :meth:`MetricsRegistry.snapshot` returns a nested plain-dict view;
 :meth:`MetricsRegistry.scalars` flattens it to ``name -> float`` (with
@@ -20,6 +22,7 @@ across the fork pool for per-cell aggregation.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -83,53 +86,106 @@ class P2Quantile:
         self._desired = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
         self._increments = [0.0, p / 2, p, (1 + p) / 2, 1.0]
 
-    def observe(self, x: float) -> None:
-        """Feed one observation."""
+    def observe(self, *values: float) -> None:
+        """Feed a block of observations, in order.
+
+        The five marker heights, positions and desired positions live
+        in local variables for the whole block, so ``n`` values cost one
+        call instead of ``n``.  Each value runs the same floating-point
+        operations in the same order as a one-value call, so any split
+        of a sequence into blocks ends in the same state.
+        """
         q = self._heights
-        if len(q) < 5:
-            q.append(x)
+        start = 0
+        while len(q) < 5:
+            # Exact regime: keep the sorted samples themselves.
+            if start == len(values):
+                return
+            q.append(values[start])
             q.sort()
+            start += 1
+        if start == len(values):
             return
-        n = self._positions
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            for i in range(1, 4):
-                if x >= q[i]:
-                    k = i
-        for i in range(k + 1, 5):
-            n[i] += 1
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            d = desired[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (
-                d <= -1 and n[i - 1] - n[i] < -1
-            ):
+        if start:
+            values = values[start:]
+        q0, q1, q2, q3, q4 = q
+        n0, n1, n2, n3, n4 = self._positions
+        d0, d1, d2, d3, d4 = self._desired
+        _, i1, i2, i3, i4 = self._increments
+        for x in values:
+            # Find the cell k (q[k] <= x < q[k+1]), widening the end
+            # cells, and shift the positions of markers k+1..4.
+            if x < q0:
+                q0 = x
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x >= q4:
+                q4 = x
+            elif x >= q3:
+                pass
+            elif x >= q2:
+                n3 += 1
+            elif x >= q1:
+                n2 += 1
+                n3 += 1
+            else:
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            n4 += 1
+            # desired[0] never moves: its increment is 0.0.
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            d4 += i4
+            # Adjust markers 1, 2, 3 in turn: a parabolic step when it
+            # keeps the heights ordered, otherwise a linear one.
+            d = d1 - n1
+            if (d >= 1 and n2 - n1 > 1) or (d <= -1 and n0 - n1 < -1):
                 step = 1 if d >= 0 else -1
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
+                candidate = q1 + step / (n2 - n0) * (
+                    (n1 - n0 + step) * (q2 - q1) / (n2 - n1)
+                    + (n2 - n1 - step) * (q1 - q0) / (n1 - n0)
+                )
+                if q0 < candidate < q2:
+                    q1 = candidate
+                elif step > 0:
+                    q1 = q1 + step * (q2 - q1) / (n2 - n1)
                 else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+                    q1 = q1 + step * (q0 - q1) / (n0 - n1)
+                n1 += step
+            d = d2 - n2
+            if (d >= 1 and n3 - n2 > 1) or (d <= -1 and n1 - n2 < -1):
+                step = 1 if d >= 0 else -1
+                candidate = q2 + step / (n3 - n1) * (
+                    (n2 - n1 + step) * (q3 - q2) / (n3 - n2)
+                    + (n3 - n2 - step) * (q2 - q1) / (n2 - n1)
+                )
+                if q1 < candidate < q3:
+                    q2 = candidate
+                elif step > 0:
+                    q2 = q2 + step * (q3 - q2) / (n3 - n2)
+                else:
+                    q2 = q2 + step * (q1 - q2) / (n1 - n2)
+                n2 += step
+            d = d3 - n3
+            if (d >= 1 and n4 - n3 > 1) or (d <= -1 and n2 - n3 < -1):
+                step = 1 if d >= 0 else -1
+                candidate = q3 + step / (n4 - n2) * (
+                    (n3 - n2 + step) * (q4 - q3) / (n4 - n3)
+                    + (n4 - n3 - step) * (q3 - q2) / (n3 - n2)
+                )
+                if q2 < candidate < q4:
+                    q3 = candidate
+                elif step > 0:
+                    q3 = q3 + step * (q4 - q3) / (n4 - n3)
+                else:
+                    q3 = q3 + step * (q2 - q3) / (n2 - n3)
+                n3 += step
+        q[:] = (q0, q1, q2, q3, q4)
+        self._positions = [n0, n1, n2, n3, n4]
+        self._desired = [d0, d1, d2, d3, d4]
 
     @property
     def value(self) -> float:
@@ -200,7 +256,8 @@ def _quantile_key(p: float) -> str:
 
 
 class Histogram:
-    """Streaming distribution summary: count/sum/min/max + quantiles."""
+    """Streaming distribution summary: count/sum/min/max + quantiles,
+    fed by ``observe(*values)``."""
 
     __slots__ = ("name", "count", "total", "min", "max", "_estimators")
 
@@ -212,17 +269,41 @@ class Histogram:
         self.max = float("-inf")
         self._estimators = tuple(P2Quantile(p) for p in QUANTILES)
 
-    def observe(self, value: float) -> None:
-        """Feed one observation."""
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+    def observe(self, *values: float) -> None:
+        """Feed a block of observations, in order.
+
+        Each value goes through ``float()``; count, sum, min and max
+        fold in one pass, then every quantile estimator takes the whole
+        block.  A non-finite value (or a sum that overflows) raises
+        :class:`ValueError` naming the histogram, with its state
+        untouched: one NaN would otherwise poison the sum, the mean and
+        the P² markers for the rest of the stream.
+        """
+        block = []
+        append = block.append
+        total = self.total
+        low = self.min
+        high = self.max
+        for value in values:
+            value = float(value)
+            append(value)
+            total += value
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+        if not math.isfinite(total):
+            bad = [v for v in block if not math.isfinite(v)]
+            raise ValueError(
+                f"histogram {self.name!r} takes finite values only, got "
+                + (f"{bad[0]!r}" if bad else f"a sum of {total!r}")
+            )
+        self.count += len(block)
+        self.total = total
+        self.min = low
+        self.max = high
         for estimator in self._estimators:
-            estimator.observe(value)
+            estimator.observe(*block)
 
     @property
     def mean(self) -> float:

@@ -27,9 +27,13 @@ What the loop carries beyond the scheduler itself:
   into :class:`~repro.obs.metrics.Histogram` P² estimators
   (P50/P90/P99), energy into scalar accumulators, and idle leakage into
   per-core per-power integer cycle counts folded at each
-  reconfiguration.  A retained run keeps every job record, so it feeds
-  the two histograms lazily from those records, in completion order,
-  only when a result, snapshot or telemetry sample reads them;
+  reconfiguration.  A recycled run buffers its observations and feeds
+  the histograms in blocks of :data:`OBSERVE_BLOCK`, flushing before a
+  telemetry sample and before :meth:`~StreamingSimulation.advance`
+  returns, so no buffered value is ever part of a snapshot.  A retained
+  run keeps every job record, so it feeds the two histograms lazily
+  from those records, in completion order, only when a result,
+  snapshot or telemetry sample reads them;
 * **admission control** — an optional bounded ready queue with
   ``drop`` (reject the arrival), ``shed`` (evict the least-entitled
   queued job) or ``block`` (delay the arrival source) policies, so
@@ -71,6 +75,7 @@ from repro.workloads.arrivals import ArrivalProcess, JobArrival
 
 __all__ = [
     "ADMISSION_POLICIES",
+    "OBSERVE_BLOCK",
     "STREAM_SNAPSHOT_VERSION",
     "StreamConfig",
     "StreamResult",
@@ -88,6 +93,11 @@ STREAM_SNAPSHOT_VERSION = 4
 
 #: Bounded-queue admission policies.
 ADMISSION_POLICIES = ("drop", "shed", "block")
+
+#: Observations a recycled run buffers before feeding the waiting and
+#: turnaround histograms one block at a time (bounded memory, one
+#: P² call per block instead of one per job).
+OBSERVE_BLOCK = 4096
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
@@ -732,8 +742,15 @@ class StreamingSimulation:
         makespan = s["makespan"]
         last_arrival_cycle = s["last_arrival_cycle"]
         sess_state = s["sess_state"]
-        wait_observe = self._wait_hist.observe
-        turn_observe = self._turn_hist.observe
+        # Observed waiting/turnaround values awaiting their block feed:
+        # flushed when full, before a telemetry sample reads the
+        # histograms and before returning, so they are always empty
+        # between calls and never part of a snapshot.
+        wait_block: list = []
+        turn_block: list = []
+        wait_push = wait_block.append
+        turn_push = turn_block.append
+        flush_at = observed + OBSERVE_BLOCK
 
         # Telemetry thresholds, recomputed from the persisted
         # ``completed``/``seq`` counters, so a resumed run samples and
@@ -908,10 +925,14 @@ class StreamingSimulation:
                             records.append((jid, ci, cid, prof, tun))
                         elif jarr[jid] >= warmup:
                             observed += 1
-                            wait_observe(waiting[jid])
-                            turn_observe(now - jarr[jid])
+                            wait_push(waiting[jid])
+                            turn_push(now - jarr[jid])
+                            if observed == flush_at:
+                                flush_at += OBSERVE_BLOCK
+                                self._observe(wait_block, turn_block)
                         if completed == tel_next:
                             tel_next += tel_every
+                            self._observe(wait_block, turn_block)
                             self._sample(
                                 now=now, done=completed,
                                 generated=generated, admitted=admitted,
@@ -1009,6 +1030,7 @@ class StreamingSimulation:
                         # completion count landed on a threshold
                         # (idempotent: the sink ignores samples after
                         # the ``final`` one).
+                        self._observe(wait_block, turn_block)
                         self._sample(
                             final=True,
                             now=now, done=completed,
@@ -1713,6 +1735,7 @@ class StreamingSimulation:
         if recycle:
             # A retained run's count belongs to _feed_retained.
             s["observed"] = observed
+            self._observe(wait_block, turn_block)
         s["makespan"] = makespan
         s["last_arrival_cycle"] = last_arrival_cycle
         if not more and queue:
@@ -1741,18 +1764,28 @@ class StreamingSimulation:
         jcomp = s["jcomp"]
         waiting = s["waiting"]
         warmup = self.config.warmup_cycles
-        wait_observe = self._wait_hist.observe
-        turn_observe = self._turn_hist.observe
         observed = s["observed"]
+        waits: list = []
+        turns: list = []
         for i in range(fed, len(records)):
             jid = records[i][0]
             arrival = jarr[jid]
             if arrival >= warmup:
                 observed += 1
-                wait_observe(waiting[jid])
-                turn_observe(jcomp[jid] - arrival)
+                waits.append(waiting[jid])
+                turns.append(jcomp[jid] - arrival)
+                if len(waits) == OBSERVE_BLOCK:
+                    self._observe(waits, turns)
+        self._observe(waits, turns)
         s["observed"] = observed
         s["fed"] = len(records)
+
+    def _observe(self, waits: list, turns: list) -> None:
+        """Feed one block of waiting/turnaround values, then empty it."""
+        self._wait_hist.observe(*waits)
+        self._turn_hist.observe(*turns)
+        waits.clear()
+        turns.clear()
 
     def _sample(self, *, final: bool = False, **fields) -> None:
         """Append one telemetry sample: loop scalars plus per-core state.

@@ -1,8 +1,12 @@
 """Counters, gauges, P² streaming quantiles and the registry."""
 
+import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     Counter,
@@ -11,6 +15,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     P2Quantile,
 )
+
+from tests.oracles import HistogramOracle
 
 
 def test_counter():
@@ -244,6 +250,90 @@ def test_histogram_snapshot():
     assert histogram.quantile(0.5) == 2.5
     with pytest.raises(KeyError):
         histogram.quantile(0.42)
+
+
+#: Observation values: ints and floats, with a small pool of repeated
+#: values (negatives and zero among them) so ties are common.
+_VALUES = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+    st.sampled_from([-3.0, -1, 0, 0.0, 2.5, 7, 7.0]),
+)
+
+_SEQUENCES = st.one_of(
+    # Fewer than five values: the exact-interpolation regime.
+    st.lists(_VALUES, max_size=5),
+    st.lists(_VALUES, min_size=6, max_size=600),
+    # A long run of one value between two random stretches.
+    st.tuples(
+        st.lists(_VALUES, max_size=40),
+        _VALUES,
+        st.integers(min_value=0, max_value=300),
+        st.lists(_VALUES, max_size=40),
+    ).map(lambda t: t[0] + [t[1]] * t[2] + t[3]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_SEQUENCES, data=st.data())
+def test_histogram_block_feed_matches_per_value_oracle(values, data):
+    """Any split of any sequence into blocks ends where the per-value
+    update (tests/oracles.py) ends, down to every marker."""
+    cuts = sorted(data.draw(st.lists(
+        st.integers(min_value=0, max_value=len(values)), max_size=12
+    )))
+    bounds = [0] + cuts + [len(values)]
+    histogram = Histogram("h")
+    for lo, hi in zip(bounds, bounds[1:]):
+        histogram.observe(*values[lo:hi])
+
+    oracle = HistogramOracle()
+    for value in values:
+        oracle.observe(value)
+
+    assert json.dumps(histogram.state_dict()) == json.dumps(
+        oracle.state_dict()
+    )
+    assert histogram.snapshot() == oracle.snapshot()
+
+
+def test_histogram_empty_block_is_a_no_op():
+    histogram = Histogram("h")
+    histogram.observe(3.0, 1.0)
+    before = histogram.state_dict()
+    histogram.observe()
+    assert histogram.state_dict() == before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_histogram_rejects_non_finite_values(bad):
+    """A non-finite value raises, names the histogram and changes
+    nothing: the histogram goes on as if it had never been offered."""
+    first = [12.0 + i / 1000 for i in range(10)]
+    rest = [12.0, 11.999, 12.001, 12.0, 12.0]
+    histogram = Histogram("latency")
+    for value in first:
+        histogram.observe(value)
+    before = histogram.state_dict()
+    with pytest.raises(ValueError, match="'latency'"):
+        histogram.observe(bad)
+    with pytest.raises(ValueError, match="'latency'"):
+        histogram.observe(1.0, bad, 2.0)
+    assert histogram.state_dict() == before
+    histogram.observe(*rest)
+
+    clean = Histogram("latency")
+    clean.observe(*first, *rest)
+    assert histogram.state_dict() == clean.state_dict()
+    assert histogram.snapshot() == clean.snapshot()
+    assert math.isfinite(histogram.snapshot()["mean"])
+
+
+def test_histogram_rejects_an_overflowing_sum():
+    histogram = Histogram("h")
+    with pytest.raises(ValueError, match="sum"):
+        histogram.observe(1e308, 1e308)
+    assert histogram.count == 0
 
 
 def test_registry_create_on_first_use():

@@ -16,15 +16,19 @@ straightforward code kept here:
   :func:`fit_sequential` and :func:`fit_predictor_sequential` run it
   member by member over a :class:`~repro.ann.bagging.BaggedRegressor`
   or an :class:`~repro.core.predictor.AnnPredictor`.
+* **Streaming-statistics oracle** — :class:`HistogramOracle` keeps
+  count/sum/min/max and three :class:`P2Oracle` estimators fed one
+  value at a time, the update :class:`~repro.obs.metrics.Histogram`
+  runs over whole blocks.
 
 An oracle must never call the engine it checks:
-``tests/test_oracles.py`` fails if this module imports either one.
+``tests/test_oracles.py`` fails if this module imports any of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -436,3 +440,136 @@ def fit_predictor_sequential(
     )
     predictor._fitted = True
     return predictor
+
+
+class P2Oracle:
+    """One P² quantile estimator [Jain & Chlamtac 1985], fed one value
+    per call: the per-value update that
+    :meth:`repro.obs.metrics.P2Quantile.observe` runs over a block with
+    its markers in local variables."""
+
+    def __init__(self, p: float) -> None:
+        self.p = p
+        self._heights: List[float] = []
+        self._positions = [1, 2, 3, 4, 5]
+        self._desired = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
+        self._increments = [0.0, p / 2, p, (1 + p) / 2, 1.0]
+
+    def observe(self, x: float) -> None:
+        q = self._heights
+        if len(q) < 5:
+            q.append(x)
+            q.sort()
+            return
+        n = self._positions
+        if x < q[0]:
+            q[0] = x
+            k = 0
+        elif x >= q[4]:
+            q[4] = x
+            k = 3
+        else:
+            k = 0
+            for i in range(1, 4):
+                if x >= q[i]:
+                    k = i
+        for i in range(k + 1, 5):
+            n[i] += 1
+        desired = self._desired
+        for i in range(5):
+            desired[i] += self._increments[i]
+        for i in (1, 2, 3):
+            d = desired[i] - n[i]
+            if (d >= 1 and n[i + 1] - n[i] > 1) or (
+                d <= -1 and n[i - 1] - n[i] < -1
+            ):
+                step = 1 if d >= 0 else -1
+                candidate = self._parabolic(i, step)
+                if q[i - 1] < candidate < q[i + 1]:
+                    q[i] = candidate
+                else:
+                    q[i] = self._linear(i, step)
+                n[i] += step
+
+    def _parabolic(self, i: int, d: int) -> float:
+        q, n = self._heights, self._positions
+        return q[i] + d / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
+        )
+
+    def _linear(self, i: int, d: int) -> float:
+        q, n = self._heights, self._positions
+        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+
+    @property
+    def value(self) -> float:
+        q = self._heights
+        if not q:
+            return 0.0
+        if len(q) < 5:
+            rank = self.p * (len(q) - 1)
+            low = int(rank)
+            high = min(low + 1, len(q) - 1)
+            return q[low] + (q[high] - q[low]) * (rank - low)
+        return q[2]
+
+    def state_dict(self) -> dict:
+        return {
+            "p": self.p,
+            "heights": list(self._heights),
+            "positions": list(self._positions),
+            "desired": list(self._desired),
+        }
+
+
+class HistogramOracle:
+    """:class:`~repro.obs.metrics.Histogram` fed one value per call:
+    the same ``state_dict()`` and ``snapshot()`` layouts, tracking
+    p50/p90/p99 with :class:`P2Oracle`."""
+
+    QUANTILES = {"p50": 0.5, "p90": 0.9, "p99": 0.99}
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
+        self.estimators = {
+            key: P2Oracle(p) for key, p in self.QUANTILES.items()
+        }
+
+    def observe(self, value: float) -> None:
+        value = float(value)
+        self.count += 1
+        self.total += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        for estimator in self.estimators.values():
+            estimator.observe(value)
+
+    def snapshot(self) -> Dict[str, float]:
+        empty = self.count == 0
+        summary = {
+            "count": float(self.count),
+            "sum": self.total,
+            "mean": self.total / self.count if self.count else 0.0,
+            "min": 0.0 if empty else self.min,
+            "max": 0.0 if empty else self.max,
+        }
+        for key, estimator in self.estimators.items():
+            summary[key] = estimator.value
+        return summary
+
+    def state_dict(self) -> dict:
+        return {
+            "count": self.count,
+            "total": self.total,
+            "min": self.min,
+            "max": self.max,
+            "estimators": [
+                e.state_dict() for e in self.estimators.values()
+            ],
+        }

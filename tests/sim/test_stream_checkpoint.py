@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core.policies import make_policy
 from repro.core.system import base_system, paper_system
 from repro.sim.stream import (
+    OBSERVE_BLOCK,
     STREAM_SNAPSHOT_VERSION,
     StreamConfig,
     StreamingSimulation,
@@ -203,6 +204,75 @@ class TestKillAndResume:
             json.loads(json.dumps(killed.snapshot())), _process(specs)
         )
         assert result == baseline
+
+
+class TestBlockBoundaries:
+    """Kill points on and beside a histogram block boundary.
+
+    A recycled run buffers its waiting/turnaround observations and
+    feeds the histograms ``OBSERVE_BLOCK`` at a time.  The buffer is
+    flushed before :meth:`advance` returns, so a snapshot at any
+    completion count holds every observation made so far.
+    """
+
+    LONG_JOBS = 6_000
+    ARGS = ("proposed", "fifo", False)
+
+    @pytest.fixture(scope="class")
+    def straight(self, store, oracle, energy_table, specs):
+        engine = _engine(
+            *self.ARGS, store, oracle, energy_table,
+            config=StreamConfig(max_jobs=self.LONG_JOBS),
+        )
+        engine.start(_process(specs))
+        result = _finish(engine)
+        return result, json.dumps(engine.snapshot(), sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "kill_at",
+        (OBSERVE_BLOCK - 1, OBSERVE_BLOCK, OBSERVE_BLOCK + 1, 4_999),
+    )
+    def test_resume_across_block_boundary(
+        self, kill_at, straight, store, oracle, energy_table, specs
+    ):
+        baseline, final_snapshot = straight
+        config = StreamConfig(max_jobs=self.LONG_JOBS)
+        args = (*self.ARGS, store, oracle, energy_table)
+        killed = _engine(*args, config=config)
+        killed.start(_process(specs))
+        killed.advance(max_completions=kill_at)
+        snapshot = json.loads(json.dumps(killed.snapshot()))
+        # No warm-up: every completion is one observation, all of them
+        # already in the histograms.
+        assert snapshot["engine"]["completed"] == kill_at
+        assert snapshot["engine"]["observed"] == kill_at
+        for name in ("waiting", "turnaround"):
+            assert snapshot["stats"][name]["count"] == kill_at
+
+        resumed = _engine(*args, config=config)
+        assert resumed.resume(snapshot, _process(specs)) == baseline
+        assert json.dumps(
+            resumed.snapshot(), sort_keys=True
+        ) == final_snapshot
+
+    def test_histograms_hold_every_observation_between_calls(
+        self, store, oracle, energy_table, specs
+    ):
+        engine = _engine(
+            *self.ARGS, store, oracle, energy_table,
+            config=StreamConfig(
+                max_jobs=self.LONG_JOBS, warmup_cycles=3_000_000
+            ),
+        )
+        engine.start(_process(specs))
+        more = True
+        while more:
+            more = engine.advance(max_events=2_503)
+            snapshot = engine.snapshot()
+            observed = snapshot["engine"]["observed"]
+            for name in ("waiting", "turnaround"):
+                assert snapshot["stats"][name]["count"] == observed
+        assert OBSERVE_BLOCK < observed < self.LONG_JOBS
 
 
 class TestCheckpointFiles:

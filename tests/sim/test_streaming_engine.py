@@ -20,16 +20,19 @@ too, including the up-front rejection of hook-bearing configurations
 has the full-suite store streaming replications need).
 """
 
+import io
 import itertools
+import json
 
 import pytest
 
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.system import base_system, paper_system
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Telemetry
 from repro.sim.fast import FastSimulation
 from repro.sim.stream import (
     ADMISSION_POLICIES,
+    OBSERVE_BLOCK,
     StreamConfig,
     StreamingSimulation,
 )
@@ -41,6 +44,7 @@ from repro.workloads.arrivals import (
 )
 from repro.workloads.eembc import eembc_benchmark
 
+from tests.oracles import HistogramOracle
 from tests.scenarios import (
     SUITE_NAMES,
     build_energy_table,
@@ -368,6 +372,80 @@ class TestStreamBounds:
         assert retained.observed_jobs == recycled.observed_jobs
         assert retained.waiting == recycled.waiting
         assert retained.turnaround == recycled.turnaround
+
+
+class TestBlockFeed:
+    """Statistics fed in blocks equal the per-value oracle's.
+
+    The run spans more than two histogram blocks, with a warm-up, so
+    block flushes, telemetry flushes and the warm-up filter all occur.
+    """
+
+    LONG_JOBS = 9_000
+    WARMUP = 3_000_000
+
+    def _run(self, specs, store, oracle, energy_table, *, retain,
+             telemetry=None):
+        return _streaming(
+            "proposed", store, oracle, energy_table,
+            StreamConfig(
+                max_jobs=self.LONG_JOBS, warmup_cycles=self.WARMUP,
+                retain_jobs=retain,
+            ),
+            telemetry=telemetry,
+        ).run(_process(specs))
+
+    @pytest.fixture(scope="class")
+    def retained(self, specs, store, oracle, energy_table):
+        return self._run(specs, store, oracle, energy_table, retain=True)
+
+    def _observed(self, jobs):
+        """Jobs the statistics see, in completion order."""
+        return [job for job in jobs if job.arrival_cycle >= self.WARMUP]
+
+    def test_recycled_statistics_match_retained_and_oracle(
+        self, retained, specs, store, oracle, energy_table
+    ):
+        recycled = self._run(
+            specs, store, oracle, energy_table, retain=False
+        )
+        observed = self._observed(retained.sim_result.jobs)
+        assert 2 * OBSERVE_BLOCK < len(observed) < self.LONG_JOBS
+        assert recycled.observed_jobs == len(observed)
+
+        waiting, turnaround = HistogramOracle(), HistogramOracle()
+        for job in observed:
+            waiting.observe(job.waiting_cycles)
+            turnaround.observe(job.completion_cycle - job.arrival_cycle)
+        assert recycled.waiting == retained.waiting == waiting.snapshot()
+        assert (
+            recycled.turnaround
+            == retained.turnaround
+            == turnaround.snapshot()
+        )
+
+    def test_telemetry_samples_match_oracle(
+        self, retained, specs, store, oracle, energy_table
+    ):
+        out = io.StringIO()
+        self._run(
+            specs, store, oracle, energy_table, retain=False,
+            telemetry=Telemetry(out=out, sample_every=7),
+        )
+        lines = [json.loads(line) for line in out.getvalue().splitlines()]
+        samples = [line for line in lines if line["kind"] == "sample"]
+        assert len(samples) >= self.LONG_JOBS // 7
+
+        jobs = retained.sim_result.jobs
+        waiting = HistogramOracle()
+        fed = 0
+        for sample in samples:
+            # A sample reads the histogram after ``done`` completions.
+            for job in self._observed(jobs[fed:sample["done"]]):
+                waiting.observe(job.waiting_cycles)
+            fed = sample["done"]
+            assert sample["waiting"] == waiting.snapshot(), sample["i"]
+        assert fed == self.LONG_JOBS
 
 
 class TestHotLoop:

@@ -2,7 +2,9 @@
 
 An oracle that called the engine it checks would pass every
 equivalence test while checking nothing, so the module may import
-neither engine: not the module, and none of the names it exports.
+none of the engines: not the module, and none of the names it exports.
+The engines are the stack-distance cache engine, the batched ensemble
+trainer and the block-fed P² update of the streaming histograms.
 """
 
 import ast
@@ -10,14 +12,20 @@ from pathlib import Path
 
 from repro.ann import batched
 from repro.cache import stackdist
+from repro.obs import metrics
 
-ENGINE_MODULES = {"repro.cache.stackdist", "repro.ann.batched"}
+ENGINE_MODULES = {
+    "repro.cache.stackdist", "repro.ann.batched", "repro.obs.metrics"
+}
 
 #: What the engines export, plus ``simulate_trace``, the one-config
 #: front end of the stack-distance engine.
-ENGINE_NAMES = set(stackdist.__all__) | set(batched.__all__) | {
-    "simulate_trace"
-}
+ENGINE_NAMES = (
+    set(stackdist.__all__)
+    | set(batched.__all__)
+    | set(metrics.__all__)
+    | {"simulate_trace"}
+)
 
 
 def _imports():
