@@ -21,7 +21,7 @@ exposes both sides to the same drift and the minimum is the classic
 robust estimator for "how fast can this code actually go".
 
 The measured numbers are written to ``BENCH_telemetry_overhead.json``
-so CI can upload them as an artifact (``repro bench report`` folds it
+so CI can upload them as an artifact (``repro report .`` folds it
 into the perf-trajectory table).
 
 Run with ``pytest benchmarks/test_bench_telemetry_overhead.py -s`` to

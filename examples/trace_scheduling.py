@@ -15,9 +15,10 @@ This example:
    category),
 4. cross-checks the trace against the live metrics registry.
 
-The same analysis is available from the command line::
+The same analysis, followed by the energy-conservation ledger replay,
+is available from the command line::
 
-    python -m repro trace run.jsonl --validate
+    python -m repro report run.jsonl
 
 Run with::
 

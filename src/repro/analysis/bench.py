@@ -109,14 +109,14 @@ def load_bench_artifacts(
     """``(path, payload)`` for every ``BENCH_*.json`` under ``directory``.
 
     Sorted by file name so the report order is stable.  A file that is
-    not valid JSON raises ``ValueError`` naming the file.
+    not UTF-8 JSON raises ``ValueError`` naming the file.
     """
     artifacts: List[Tuple[Path, dict]] = []
     for path in sorted(Path(directory).glob("BENCH_*.json")):
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}: not valid JSON ({error})") from error
+        except ValueError as error:  # also UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON ({error})") from None
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: expected a JSON object")
         artifacts.append((path, payload))

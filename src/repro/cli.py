@@ -17,21 +17,20 @@ any code:
 * ``stream`` — open-system streaming run (:mod:`repro.sim.stream`):
   unbounded generator-backed arrivals in bounded memory, with
   admission control and deterministic ``--checkpoint``/``--resume``;
-* ``trace`` — analyse a JSONL simulation trace (summary, decision
-  breakdown, per-core timeline);
-* ``validate`` — replay a JSONL trace against the energy-conservation
-  ledger (:mod:`repro.validate`) and report whether it balances;
 * ``faults`` — generate or describe deterministic fault-injection
   plans (:mod:`repro.faults`); ``--faults plan.json`` injects one into
   ``compare``/``campaign`` runs;
 * ``dag`` — generate or describe deterministic task-graph workloads
   (:mod:`repro.workloads.dag`); ``campaign --dag`` switches the grid
   to DAG replications with deadline-aware ``edf``/``heft`` policies;
-* ``telemetry`` — analyse a sampled-telemetry JSONL time series
-  (written by ``--telemetry-out``) as a table, Prometheus-style
-  exposition or JSON;
-* ``bench`` — one perf-trajectory table over the ``BENCH_*.json``
-  artifacts the tier-2 benchmark suite writes;
+* ``report`` — report on what a run wrote, by the kind of ``PATH``: a
+  JSONL trace (summary, decision breakdown, per-core timeline, then
+  the replay against the energy-conservation ledger of
+  :mod:`repro.validate`; a sampled trace skips the replay), a
+  sampled-telemetry JSONL time series (table, ``--prom`` exposition),
+  or a directory of the tier-2 suite's ``BENCH_*.json`` artifacts (one
+  perf-trajectory table); every file goes through the line reader
+  :func:`repro.obs.iter_jsonl`;
 * ``reproduce`` — regenerate the full evaluation into ``results/``.
 
 ``-v``/``-vv`` (or ``--log-level``) enable the library's diagnostic
@@ -53,6 +52,8 @@ trade-off frontier.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import logging
 import sys
@@ -241,25 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_power_args(stream, sweep=False)
     _add_telemetry_args(stream, per_policy=False)
 
-    trace = sub.add_parser(
-        "trace",
-        help="analyse a JSONL simulation trace",
-    )
-    trace.add_argument("path", help="JSONL trace file (see --trace)")
-    trace.add_argument("--validate", action="store_true",
-                       help="schema-check every line before analysing")
-    trace.add_argument("--json", metavar="PATH",
-                       help="write summary + decision breakdown JSON")
-
-    validate = sub.add_parser(
-        "validate",
-        help="replay a JSONL trace against the energy-conservation "
-             "ledger",
-    )
-    validate.add_argument("path", help="JSONL trace file (see --trace)")
-    validate.add_argument("--json", metavar="PATH",
-                          help="write the replay report as JSON")
-
     faults = sub.add_parser(
         "faults",
         help="generate or describe a deterministic fault-injection plan",
@@ -311,36 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     dag.add_argument("--name", default="generated",
                      help="graph name prefix (default: generated)")
 
-    telemetry = sub.add_parser(
-        "telemetry",
-        help="analyse a sampled-telemetry JSONL time series "
-             "(see --telemetry-out)",
+    report = sub.add_parser(
+        "report",
+        help="report on what a run wrote: a JSONL trace (with its "
+             "ledger replay), a telemetry JSONL time series, or a "
+             "directory of BENCH_*.json artifacts",
     )
-    telemetry.add_argument("action", choices=("report",),
-                           help="report: render the time series as a "
-                                "table")
-    telemetry.add_argument("path",
-                           help="telemetry JSONL file written by "
-                                "--telemetry-out")
-    telemetry.add_argument("--prom", metavar="PATH",
-                           help="write the last sample as a "
-                                "Prometheus-style text exposition")
-    telemetry.add_argument("--json", metavar="PATH",
-                           help="write the parsed header + samples as "
-                                "JSON")
-
-    bench = sub.add_parser(
-        "bench",
-        help="report over the BENCH_*.json benchmark artifacts",
-    )
-    bench.add_argument("action", choices=("report",),
-                       help="report: one perf-trajectory table of "
-                            "measured values vs thresholds")
-    bench.add_argument("--dir", default=".",
-                       help="directory holding BENCH_*.json artifacts "
-                            "(default: current directory)")
-    bench.add_argument("--json", metavar="PATH",
-                       help="write the per-check rows as JSON")
+    report.add_argument("path",
+                        help="trace or telemetry JSONL file (see --trace, "
+                             "--sampled-trace, --telemetry-out), or a "
+                             "directory holding BENCH_*.json artifacts")
+    report.add_argument("--json", metavar="PATH",
+                        help="write the report as JSON")
+    report.add_argument("--prom", metavar="PATH",
+                        help="telemetry only: write the last sample as a "
+                             "Prometheus-style text exposition")
 
     reproduce = sub.add_parser(
         "reproduce",
@@ -855,7 +822,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    import dataclasses
     import itertools
 
     from repro.campaign import DagLoad, StreamLoad, campaign_specs
@@ -960,8 +926,6 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    import dataclasses
-
     from repro.core import make_policy, make_simulation, select_engine
     from repro.experiment import default_predictor, default_store
     from repro.sim.stream import StreamConfig, read_checkpoint
@@ -1090,87 +1054,6 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _read_trace(path: Path, *, check: bool = False):
-    """``(events, sampled)`` of a JSONL trace, or ``None`` after printing
-    the error; ``check`` schema-validates every line first."""
-    from repro.obs import event_from_dict, validate_event_dict
-
-    if not path.exists():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
-        return None
-    events = []
-    sampled = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                if check:
-                    validate_event_dict(payload)
-                sampled = sampled or payload.get("sampled") is True
-                events.append(event_from_dict(payload))
-            except ValueError as error:
-                print(
-                    f"error: {path}:{line_number}: {error}", file=sys.stderr
-                )
-                return None
-    if not events:
-        print(f"error: {path} contains no events", file=sys.stderr)
-        return None
-    return events, sampled
-
-
-def _cmd_trace(args) -> int:
-    from repro.obs.report import (
-        decision_breakdown,
-        render_trace_report,
-        trace_summary,
-    )
-
-    loaded = _read_trace(Path(args.path), check=args.validate)
-    if loaded is None:
-        return 2
-    events, sampled = loaded
-    print(render_trace_report(events, lenient=sampled))
-    if args.json:
-        payload = {
-            "summary": trace_summary(events),
-            "decision_breakdown": decision_breakdown(events),
-        }
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"\nwrote trace analysis JSON to {args.json}")
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    from repro.validate import ValidationError, replay_trace
-
-    path = Path(args.path)
-    loaded = _read_trace(path)
-    if loaded is None:
-        return 2
-    try:
-        report = replay_trace(loaded[0])
-    except ValidationError as error:
-        print(f"{path}: FAILED {error.check}", file=sys.stderr)
-        print(f"  {error.detail}", file=sys.stderr)
-        return 1
-    print(f"{path}: OK")
-    print(report.summary())
-    if args.json:
-        import dataclasses
-
-        with open(args.json, "w") as handle:
-            json.dump(
-                dataclasses.asdict(report), handle, indent=2, sort_keys=True
-            )
-        print(f"\nwrote replay report JSON to {args.json}")
-    return 0
-
-
 def _cmd_faults(args) -> int:
     from repro.faults import FAULT_CLASSES, generate_plan, load_plan
 
@@ -1255,57 +1138,115 @@ def _cmd_dag(args) -> int:
     return 0
 
 
-def _cmd_telemetry(args) -> int:
+def _cmd_report(args) -> int:
+    """Report on a BENCH_*.json directory, a telemetry file or a trace.
+
+    A file is telemetry when its first line is the telemetry header,
+    and a trace otherwise; a trace whose first line carries the
+    ``sampled`` marker skips the ledger replay.
+    """
+    from repro.obs import iter_jsonl
+
+    path = Path(args.path)
+    try:
+        if path.is_dir():
+            kind = "bench"
+        else:
+            with contextlib.closing(iter_jsonl(path)) as records:
+                _, first = next(records, (0, {}))
+            kind = "telemetry" if first.get("kind") == "telemetry" \
+                else "trace"
+        if args.prom and kind != "telemetry":
+            print(f"error: {path}: --prom applies to telemetry files only",
+                  file=sys.stderr)
+            return 2
+        if kind == "bench":
+            return _report_bench(path, args)
+        if kind == "telemetry":
+            return _report_telemetry(path, args)
+        return _report_trace(path, args, sampled=first.get("sampled") is True)
+    except OSError as error:  # names the input or an output file
+        print(f"error: {error.filename or path}: "
+              f"{error.strerror or error}", file=sys.stderr)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
+def _report_trace(path: Path, args, *, sampled: bool) -> int:
+    """The trace report, then the ledger replay of a full trace."""
+    from repro.obs import read_trace
+    from repro.obs.report import (
+        decision_breakdown,
+        render_trace_report,
+        trace_summary,
+    )
+    from repro.validate import ValidationError, replay_trace
+
+    events = read_trace(path)
+    if not events:
+        raise ValueError(f"{path}: contains no events")
+    ledger = None
+    if not sampled:
+        try:
+            ledger = replay_trace(events)
+        except ValidationError as error:
+            print(f"{path}: FAILED {error.check}", file=sys.stderr)
+            print(f"  {error.detail}", file=sys.stderr)
+            return 1
+    print(render_trace_report(events, lenient=sampled))
+    print()
+    if ledger is None:
+        print(f"{path}: ledger not checked (a sampled trace lacks the "
+              "events the replay needs)")
+    else:
+        print(f"{path}: OK")
+        print(ledger.summary())
+    if args.json:
+        payload = {
+            "summary": trace_summary(events),
+            "decision_breakdown": decision_breakdown(events),
+            "ledger": None if ledger is None else dataclasses.asdict(ledger),
+        }
+        _dump_json(args.json, payload)
+        print(f"\nwrote trace report JSON to {args.json}")
+    return 0
+
+
+def _report_telemetry(path: Path, args) -> int:
     from repro.obs import (
         read_telemetry,
         render_prometheus,
         render_telemetry_report,
     )
 
-    path = Path(args.path)
-    if not path.exists():
-        print(f"error: no such telemetry file: {path}", file=sys.stderr)
-        return 2
-    try:
-        header, samples = read_telemetry(path)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    header, samples = read_telemetry(path)
     print(render_telemetry_report(header, samples))
     if args.prom:
         if not samples:
-            print("error: --prom needs at least one sample",
+            print(f"error: {path}: --prom needs at least one sample",
                   file=sys.stderr)
             return 2
         with open(args.prom, "w", encoding="utf-8") as handle:
             handle.write(render_prometheus(samples[-1]))
         print(f"\nwrote Prometheus exposition to {args.prom}")
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump({"header": header, "samples": samples},
-                      handle, indent=2, sort_keys=True)
+        _dump_json(args.json, {"header": header, "samples": samples})
         print(f"wrote telemetry JSON to {args.json}")
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import dataclasses
-
+def _report_bench(path: Path, args) -> int:
     from repro.analysis.bench import (
         bench_checks,
         load_bench_artifacts,
         render_bench_report,
     )
 
-    try:
-        artifacts = load_bench_artifacts(args.dir)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    artifacts = load_bench_artifacts(path)
     if not artifacts:
-        print(f"error: no BENCH_*.json artifacts in {args.dir} "
-              "(run pytest benchmarks/ to produce them)",
-              file=sys.stderr)
+        print(f"error: {path}: no BENCH_*.json artifacts "
+              "(run pytest benchmarks/ to produce them)", file=sys.stderr)
         return 2
     print(render_bench_report(artifacts))
     if args.json:
@@ -1315,10 +1256,14 @@ def _cmd_bench(args) -> int:
             }
             for check in bench_checks(artifacts)
         ]
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
+        _dump_json(args.json, payload)
         print(f"\nwrote per-check JSON to {args.json}")
     return 0
+
+
+def _dump_json(target: str, payload) -> None:
+    with open(target, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
 
 
 def _cmd_reproduce(args) -> int:
@@ -1355,12 +1300,9 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "campaign": _cmd_campaign,
     "stream": _cmd_stream,
-    "trace": _cmd_trace,
-    "validate": _cmd_validate,
     "faults": _cmd_faults,
     "dag": _cmd_dag,
-    "telemetry": _cmd_telemetry,
-    "bench": _cmd_bench,
+    "report": _cmd_report,
     "reproduce": _cmd_reproduce,
 }
 

@@ -15,6 +15,9 @@ reproduction:
 * :mod:`repro.obs.report` — per-core timeline and decision-breakdown
   reconstruction from a trace.
 
+Every JSONL artifact (trace or telemetry) is read line by line through
+:func:`iter_jsonl`, which names ``path:line`` for any malformed line.
+
 Observation never perturbs the simulation: recorders and registries
 only ever *read* simulation state, and a traced run is bit-identical to
 an untraced one.
@@ -54,6 +57,7 @@ from .recorder import (
     NullRecorder,
     TraceRecorder,
     encode_event,
+    iter_jsonl,
     iter_trace,
     read_trace,
     write_trace,
@@ -61,7 +65,6 @@ from .recorder import (
 from .report import (
     ExecutionSegment,
     decision_breakdown,
-    load_trace,
     per_core_timeline,
     render_trace_report,
     trace_summary,
@@ -113,8 +116,8 @@ __all__ = [
     "decision_breakdown",
     "encode_event",
     "event_from_dict",
+    "iter_jsonl",
     "iter_trace",
-    "load_trace",
     "per_core_timeline",
     "read_telemetry",
     "read_trace",

@@ -11,15 +11,18 @@ way, it only reads).
 * :class:`JsonlRecorder` streams them to a JSONL file with a canonical
   encoding (sorted keys, compact separators), so two runs of the same
   deterministic scenario produce byte-identical files.
+
+:func:`iter_jsonl` is the one line reader for every JSONL artifact a run
+writes: traces here and telemetry in :mod:`repro.obs.telemetry`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .events import TraceEvent, event_from_dict
+from .events import TraceEvent, event_from_dict, validate_event_dict
 
 __all__ = [
     "TraceRecorder",
@@ -29,6 +32,7 @@ __all__ = [
     "JsonlRecorder",
     "encode_event",
     "write_trace",
+    "iter_jsonl",
     "iter_trace",
     "read_trace",
 ]
@@ -131,20 +135,47 @@ def write_trace(
         return recorder.count
 
 
-def iter_trace(path: Union[str, Path]) -> Iterator[TraceEvent]:
-    """Lazily parse a JSONL trace back into typed events."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+def iter_jsonl(path: Union[str, Path]) -> Iterator[Tuple[int, dict]]:
+    """``(line number, object)`` for every non-blank line of a JSONL file.
+
+    Each line must be UTF-8 text holding one JSON object; anything else
+    raises ``ValueError`` naming ``path:line``.  A missing path or a
+    directory raises the ``OSError`` of opening it.
+    """
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            if not raw.strip():
                 continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as error:
+                payload = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError as error:
+                raise ValueError(
+                    f"{path}:{line_number}: not UTF-8 text ({error})"
+                ) from None
+            except ValueError as error:
                 raise ValueError(
                     f"{path}:{line_number}: not valid JSON ({error})"
                 ) from None
-            yield event_from_dict(payload)
+            if not isinstance(payload, dict):
+                raise ValueError(
+                    f"{path}:{line_number}: expected a JSON object, got "
+                    f"{type(payload).__name__}"
+                )
+            yield line_number, payload
+
+
+def iter_trace(path: Union[str, Path]) -> Iterator[TraceEvent]:
+    """Lazily parse a JSONL trace back into typed events.
+
+    Every line is schema-checked (:func:`validate_event_dict`) first, so
+    a malformed event raises ``ValueError`` naming ``path:line``.
+    """
+    for line_number, payload in iter_jsonl(path):
+        try:
+            validate_event_dict(payload)
+        except ValueError as error:
+            raise ValueError(f"{path}:{line_number}: {error}") from None
+        yield event_from_dict(payload)
 
 
 def read_trace(path: Union[str, Path]) -> List[TraceEvent]:

@@ -17,8 +17,7 @@ Everything here is a pure function of the event list, so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 from .events import (
     CATEGORIES,
@@ -32,11 +31,9 @@ from .events import (
     StallDecision,
     TraceEvent,
 )
-from .recorder import read_trace
 
 __all__ = [
     "ExecutionSegment",
-    "load_trace",
     "per_core_timeline",
     "decision_breakdown",
     "trace_summary",
@@ -63,11 +60,6 @@ class ExecutionSegment:
     def cycles(self) -> int:
         """Occupied cycles of the window."""
         return self.end_cycle - self.start_cycle
-
-
-def load_trace(path: Union[str, Path]) -> List[TraceEvent]:
-    """Parse a JSONL trace file into typed events (alias of read_trace)."""
-    return read_trace(path)
 
 
 def per_core_timeline(

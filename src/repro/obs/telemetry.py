@@ -33,9 +33,10 @@ Three invariants make it safe and resumable:
 
 On top of the samples, every ``trace_every``-th dispatch/completion is
 re-emitted through the typed :mod:`repro.obs.events` schema (marked
-``"sampled": true``) so the ``repro trace`` / replay tooling keeps
-working on fast-engine runs, and :func:`render_prometheus` turns the
-latest sample into a Prometheus-style text exposition.
+``"sampled": true``) so ``repro report`` keeps working on fast-engine
+runs (without the ledger replay, which needs every event), and
+:func:`render_prometheus` turns the latest sample into a
+Prometheus-style text exposition.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import time
 from typing import Dict, List, Optional, TextIO, Tuple, Union
 
 from .events import EnergyAccrued, JobCompleted
+from .recorder import iter_jsonl
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
@@ -421,51 +423,35 @@ class Telemetry:
 def read_telemetry(path) -> Tuple[dict, List[dict]]:
     """Parse a telemetry JSONL file into ``(header, samples)``.
 
-    Validates the header kind and schema version; unknown line kinds
-    raise so schema drift is caught instead of silently skipped.  Every
-    error is a :class:`ValueError` naming ``path`` (and the line).
+    Lines come through :func:`~repro.obs.recorder.iter_jsonl`.  Validates
+    the header kind and schema version; unknown line kinds raise so
+    schema drift is caught instead of silently skipped.  Every error is
+    a :class:`ValueError` naming ``path`` (and the line).
     """
     header: Optional[dict] = None
     samples: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError as error:
+    for lineno, payload in iter_jsonl(path):
+        kind = payload.get("kind")
+        if header is None:
+            if kind != "telemetry":
                 raise ValueError(
-                    f"{path}:{lineno}: not a telemetry JSONL line "
-                    f"({error})"
-                ) from None
-            if not isinstance(payload, dict):
-                raise ValueError(
-                    f"{path}:{lineno}: not a telemetry JSONL line "
-                    "(expected a JSON object)"
+                    f"{path}: first line is {kind!r}, expected the "
+                    "'telemetry' header"
                 )
-            kind = payload.get("kind")
-            if lineno == 1:
-                if kind != "telemetry":
-                    raise ValueError(
-                        f"{path}: first line is {kind!r}, expected the "
-                        "'telemetry' header"
-                    )
-                schema = payload.get("schema")
-                if schema != TELEMETRY_SCHEMA_VERSION:
-                    raise ValueError(
-                        f"{path}: unsupported telemetry schema "
-                        f"{schema!r}; this build reads version "
-                        f"{TELEMETRY_SCHEMA_VERSION}"
-                    )
-                header = payload
-            elif kind == "sample":
-                samples.append(payload)
-            else:
+            schema = payload.get("schema")
+            if schema != TELEMETRY_SCHEMA_VERSION:
                 raise ValueError(
-                    f"{path}:{lineno}: unknown telemetry line kind "
-                    f"{kind!r}"
+                    f"{path}: unsupported telemetry schema "
+                    f"{schema!r}; this build reads version "
+                    f"{TELEMETRY_SCHEMA_VERSION}"
                 )
+            header = payload
+        elif kind == "sample":
+            samples.append(payload)
+        else:
+            raise ValueError(
+                f"{path}:{lineno}: unknown telemetry line kind {kind!r}"
+            )
     if header is None:
         raise ValueError(f"{path}: empty telemetry file")
     return header, samples

@@ -273,10 +273,6 @@ class TokenPool:
         grant, _ = self._held.pop(job_id)
         return grant
 
-    def release_all(self) -> None:
-        """Forget every held grant (terminal cleanup only)."""
-        self._held.clear()
-
     # -- checkpoint ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:

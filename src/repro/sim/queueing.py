@@ -1,14 +1,12 @@
 """Ready queue.
 
 The paper processes arrivals "on a FIFO basis"; stalled jobs are
-"enqueued back into the ready queue".  :class:`ReadyQueue` implements
-that discipline with one refinement the paper implies: a job re-enqueued
-because it chose to stall keeps its original arrival order (it returns to
-the *front* among re-enqueued jobs), so a stalling job is reconsidered
-before strictly younger arrivals.
+"enqueued back into the ready queue".  :class:`ReadyQueue` keeps jobs in
+arrival order: a job that chooses to stall is simply left where it is,
+so it keeps its seniority over younger arrivals; a preempted job is
+pushed again at the back.
 
-Waiting-time accounting is built in because idle/stall energy attribution
-needs it.
+Occupancy statistics (total enqueued, peak length) are built in.
 
 Implementation: a flat list with tombstones and an identity index
 instead of a deque.  The dispatcher's hot operation — remove a specific
@@ -37,18 +35,16 @@ _COMPACT_MIN_DEAD = 64
 
 
 class ReadyQueue(Generic[T]):
-    """FIFO queue with stall re-enqueue and occupancy statistics."""
+    """FIFO queue with identity removal and occupancy statistics."""
 
     def __init__(self) -> None:
         self._items: List[Optional[T]] = []
-        self._head = 0
         self._size = 0
         #: id(item) -> slot index (first occurrence wins).
         self._pos: Dict[int, int] = {}
         self.enqueued_total = 0
-        self.requeued_total = 0
         self.max_length = 0
-        #: Bumps on every membership change (push/pop/remove/drain).
+        #: Bumps on every membership change (push/remove).
         self.mutations = 0
 
     def __len__(self) -> int:
@@ -58,15 +54,10 @@ class ReadyQueue(Generic[T]):
         return self._size > 0
 
     def __iter__(self) -> Iterator[T]:
-        items = self._items
-        return (
-            items[i]
-            for i in range(self._head, len(items))
-            if items[i] is not None
-        )
+        return (item for item in self._items if item is not None)
 
     def push(self, item: T) -> None:
-        """Enqueue a newly arrived job at the back."""
+        """Enqueue a job at the back."""
         self._pos.setdefault(id(item), len(self._items))
         self._items.append(item)
         self._size += 1
@@ -74,49 +65,6 @@ class ReadyQueue(Generic[T]):
         if self._size > self.max_length:
             self.max_length = self._size
         self.mutations += 1
-
-    def push_front(self, item: T) -> None:
-        """Re-enqueue a stalled job at the front (keeps its seniority)."""
-        if self._head > 0:
-            self._head -= 1
-            self._items[self._head] = item
-            self._pos.setdefault(id(item), self._head)
-        else:
-            self._items.insert(0, item)
-            self._reindex()
-        self._size += 1
-        self.requeued_total += 1
-        if self._size > self.max_length:
-            self.max_length = self._size
-        self.mutations += 1
-
-    def pop(self) -> T:
-        """Dequeue the oldest job."""
-        items = self._items
-        head = self._head
-        n = len(items)
-        while head < n and items[head] is None:
-            head += 1
-        if head >= n:
-            self._head = head
-            raise IndexError("pop from an empty ready queue")
-        item = items[head]
-        items[head] = None
-        self._head = head + 1
-        self._pos.pop(id(item), None)
-        self._size -= 1
-        self.mutations += 1
-        return item
-
-    def peek(self) -> Optional[T]:
-        """The oldest job without removing it, or ``None`` if empty."""
-        items = self._items
-        head = self._head
-        n = len(items)
-        while head < n and items[head] is None:
-            head += 1
-        self._head = head  # skipping tombstones is not a mutation
-        return items[head] if head < n else None
 
     def remove(self, item: T) -> bool:
         """Remove a specific job; returns whether it was present.
@@ -129,8 +77,7 @@ class ReadyQueue(Generic[T]):
             self._items[index] = None
             del self._pos[id(item)]
         else:
-            for i in range(self._head, len(self._items)):
-                candidate = self._items[i]
+            for i, candidate in enumerate(self._items):
                 if candidate is not None and candidate == item:
                     self._items[i] = None
                     self._pos.pop(id(candidate), None)
@@ -140,31 +87,15 @@ class ReadyQueue(Generic[T]):
         self._size -= 1
         self.mutations += 1
         if (
-            len(self._items) - self._head - self._size > _COMPACT_MIN_DEAD
-            and len(self._items) - self._head > 2 * self._size
+            len(self._items) - self._size > _COMPACT_MIN_DEAD
+            and len(self._items) > 2 * self._size
         ):
             self._compact()
         return True
 
-    def drain(self) -> List[T]:
-        """Remove and return everything, oldest first."""
-        items = [item for item in self._items if item is not None]
-        self._items = []
-        self._head = 0
-        self._size = 0
-        self._pos = {}
-        self.mutations += 1
-        return items
-
     def _compact(self) -> None:
         self._items = [item for item in self._items if item is not None]
-        self._head = 0
-        self._reindex()
-
-    def _reindex(self) -> None:
         pos: Dict[int, int] = {}
-        for i in range(self._head, len(self._items)):
-            item = self._items[i]
-            if item is not None:
-                pos.setdefault(id(item), i)
+        for i, item in enumerate(self._items):
+            pos.setdefault(id(item), i)
         self._pos = pos

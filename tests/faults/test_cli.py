@@ -88,7 +88,7 @@ class TestCompareWithFaults:
         for name in POLICY_NAMES:
             trace_path = tmp_path / f"run.{name}.jsonl"
             assert trace_path.exists()
-            assert main(["validate", str(trace_path)]) == 0
+            assert main(["report", str(trace_path)]) == 0
             assert ": OK" in capsys.readouterr().out
 
     def test_compare_missing_plan_file(self, capsys, tmp_path):

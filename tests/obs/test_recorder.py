@@ -10,6 +10,7 @@ from repro.obs.recorder import (
     ListRecorder,
     NullRecorder,
     encode_event,
+    iter_jsonl,
     iter_trace,
     read_trace,
     write_trace,
@@ -100,3 +101,9 @@ def test_iter_trace_skips_blank_lines(tmp_path):
         encode_event(EVENTS[0]) + "\n\n" + encode_event(EVENTS[1]) + "\n"
     )
     assert list(iter_trace(path)) == EVENTS[:2]
+
+
+def test_iter_jsonl_numbers_lines_and_skips_blanks(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    path.write_text('{"a": 1}\n\n  \n{"b": 2}\r\n')
+    assert list(iter_jsonl(path)) == [(1, {"a": 1}), (4, {"b": 2})]

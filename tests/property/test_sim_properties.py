@@ -53,19 +53,7 @@ class TestQueueProperties:
         queue = ReadyQueue()
         for item in items:
             queue.push(item)
-        assert queue.drain() == items
-
-    @given(
-        items=st.lists(st.integers(0, 1000), min_size=1, max_size=50),
-        front=st.integers(-10, -1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_push_front_always_first(self, items, front):
-        queue = ReadyQueue()
-        for item in items:
-            queue.push(item)
-        queue.push_front(front)
-        assert queue.pop() == front
+        assert list(queue) == items
 
     @given(items=st.lists(st.integers(), min_size=0, max_size=100))
     @settings(max_examples=50, deadline=None)

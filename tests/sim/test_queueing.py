@@ -1,7 +1,5 @@
 """Tests for the FIFO ready queue."""
 
-import pytest
-
 from repro.sim.queueing import ReadyQueue
 
 
@@ -10,7 +8,9 @@ class TestFIFO:
         queue = ReadyQueue()
         for item in "abc":
             queue.push(item)
-        assert [queue.pop() for _ in range(3)] == ["a", "b", "c"]
+        assert list(queue) == ["a", "b", "c"]
+        assert queue.remove("a")
+        assert list(queue) == ["b", "c"]
 
     def test_len_and_bool(self):
         queue = ReadyQueue()
@@ -19,17 +19,6 @@ class TestFIFO:
         assert queue
         assert len(queue) == 1
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            ReadyQueue().pop()
-
-    def test_peek(self):
-        queue = ReadyQueue()
-        assert queue.peek() is None
-        queue.push("x")
-        assert queue.peek() == "x"
-        assert len(queue) == 1  # peek does not remove
-
     def test_iteration_order(self):
         queue = ReadyQueue()
         for i in range(4):
@@ -37,30 +26,16 @@ class TestFIFO:
         assert list(queue) == [0, 1, 2, 3]
 
 
-class TestRequeue:
-    def test_push_front_preserves_seniority(self):
-        queue = ReadyQueue()
-        queue.push("young")
-        queue.push_front("stalled")
-        assert queue.pop() == "stalled"
-
-    def test_requeue_counted(self):
-        queue = ReadyQueue()
-        queue.push("a")
-        queue.push_front("b")
-        assert queue.enqueued_total == 1
-        assert queue.requeued_total == 1
-
-
 class TestStats:
     def test_max_length_tracked(self):
         queue = ReadyQueue()
         for i in range(5):
             queue.push(i)
-        for _ in range(3):
-            queue.pop()
+        for i in range(3):
+            queue.remove(i)
         queue.push(9)
         assert queue.max_length == 5
+        assert queue.enqueued_total == 6
 
     def test_remove(self):
         queue = ReadyQueue()
@@ -70,9 +45,17 @@ class TestStats:
         assert not queue.remove(42)
         assert list(queue) == [0, 2]
 
-    def test_drain(self):
+    def test_compaction_keeps_order_and_identity_removal(self):
+        jobs = [[i] for i in range(300)]  # distinct objects, by identity
         queue = ReadyQueue()
-        for i in range(3):
-            queue.push(i)
-        assert queue.drain() == [0, 1, 2]
-        assert not queue
+        for job in jobs:
+            queue.push(job)
+        for job in jobs[:250]:
+            assert queue.remove(job)
+        # Enough tombstones were left to force at least one compaction.
+        assert len(queue._items) < 300
+        assert list(queue) == jobs[250:]
+        assert queue.remove(jobs[-1])
+        assert queue.remove([260])  # an equal list that is not queued
+        assert list(queue) == jobs[250:260] + jobs[261:299]
+        assert len(queue) == 48

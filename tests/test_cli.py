@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -90,18 +92,37 @@ class TestParser:
 
     def test_trace_command_args(self):
         args = build_parser().parse_args(
-            ["trace", "t.jsonl", "--validate", "--json", "out.json"]
+            ["report", "t.jsonl", "--json", "out.json", "--prom", "t.prom"]
         )
         assert args.path == "t.jsonl"
-        assert args.validate
         assert args.json == "out.json"
+        assert args.prom == "t.prom"
+        # The schema check is always on, so there is no flag for it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "t.jsonl", "--validate"])
 
     def test_validate_command_args(self):
+        # A trace's ledger replay is part of `report`.
         args = build_parser().parse_args(
-            ["validate", "t.jsonl", "--json", "out.json"]
+            ["report", "t.jsonl", "--json", "out.json"]
         )
         assert args.path == "t.jsonl"
         assert args.json == "out.json"
+        assert args.prom is None
+
+    def test_reader_commands_folded_into_report(self):
+        for argv in (["trace", "t.jsonl"], ["validate", "t.jsonl"],
+                     ["telemetry", "report", "t.jsonl"],
+                     ["bench", "report"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        (sub,) = [action for action in build_parser()._actions
+                  if action.dest == "command"]
+        assert len(sub.choices) == 12
+        assert {option for action in sub.choices["report"]._actions
+                for option in action.option_strings} == {
+            "-h", "--help", "--json", "--prom",
+        }
 
     def test_validate_flags_on_compare_and_campaign(self):
         args = build_parser().parse_args(["compare", "--validate"])
@@ -225,8 +246,8 @@ class TestCommands:
         capsys.readouterr()
         analysis_path = tmp_path / "analysis.json"
         code = main([
-            "trace", str(tmp_path / "run.proposed.jsonl"),
-            "--validate", "--json", str(analysis_path),
+            "report", str(tmp_path / "run.proposed.jsonl"),
+            "--json", str(analysis_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -237,16 +258,22 @@ class TestCommands:
         payload = json_module.loads(analysis_path.read_text())
         assert payload["summary"]["jobs_completed"] == 40
         assert "non_best" in payload["decision_breakdown"]
+        assert payload["ledger"]["completions"] == 40
 
     def test_trace_missing_file(self, capsys, tmp_path):
-        assert main(["trace", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no such trace file" in capsys.readouterr().err
+        path = tmp_path / "nope.jsonl"
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: No such file"
+        )
 
     def test_trace_rejects_malformed_line(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind":"job_arrived","cycle":0}\n')
-        assert main(["trace", str(path), "--validate"]) == 2
-        assert "missing fields" in capsys.readouterr().err
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ")
+        assert "missing fields" in err
 
     def test_campaign_metrics_out(self, capsys, tmp_path):
         metrics_path = tmp_path / "cells.json"
@@ -290,7 +317,7 @@ class TestCommands:
         capsys.readouterr()
         report_path = tmp_path / "report.json"
         code = main([
-            "validate", str(tmp_path / "run.proposed.jsonl"),
+            "report", str(tmp_path / "run.proposed.jsonl"),
             "--json", str(report_path),
         ])
         assert code == 0
@@ -299,7 +326,7 @@ class TestCommands:
         assert "ledger: conserved" in out
         import json as json_module
 
-        payload = json_module.loads(report_path.read_text())
+        payload = json_module.loads(report_path.read_text())["ledger"]
         assert payload["completions"] == 40
         assert payload["unfinished_jobs"] == []
 
@@ -321,19 +348,22 @@ class TestCommands:
                 lines[index] = json_module.dumps(payload)
                 break
         path.write_text("\n".join(lines) + "\n")
-        assert main(["validate", str(path)]) == 1
+        assert main(["report", str(path)]) == 1
         err = capsys.readouterr().err
         assert "FAILED" in err
         assert "replay.attribution" in err
 
     def test_validate_missing_file(self, capsys, tmp_path):
-        assert main(["validate", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no such trace file" in capsys.readouterr().err
+        path = tmp_path / "nope.jsonl"
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: No such file"
+        )
 
     def test_validate_rejects_malformed_line(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind":"mystery","cycle":0}\n')
-        assert main(["validate", str(path)]) == 2
+        assert main(["report", str(path)]) == 2
         assert "unknown event kind" in capsys.readouterr().err
 
     def test_compare_summaries_flag(self, capsys):
@@ -578,9 +608,9 @@ class TestHostileInput:
          '{"version": 4}', "stream checkpoint"),
         ("stream --checkpoint {path} --resume --max-jobs 100",
          '{"version": 4, "fingerprint": {"pol', "stream checkpoint"),
-        ("telemetry report {path}",
+        ("report {path}",
          '{"kind": "telemetry", "schema": %d}\ngarbage\n'
-         % TELEMETRY_SCHEMA_VERSION, "telemetry JSONL line"),
+         % TELEMETRY_SCHEMA_VERSION, "not valid JSON"),
     ])
     def test_malformed_file_is_named(self, argv, content, kind, capsys,
                                      tmp_path):
@@ -592,6 +622,66 @@ class TestHostileInput:
         assert err.startswith(f"error: {path}")
         assert kind in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("content", [
+        b"[1, 2]\n",
+        b'{"kind": "job_arrived"}\n',
+        b'{"kind": "job_arrived", "cycle": "x", "job_id": 0, '
+        b'"benchmark": "a2time"}\n',
+        b'{"kind": "job_arrived", \xff\xfe}\n',
+        b'{"kind": "mystery", "cycle": 0}\n',
+    ], ids=["list", "missing-fields", "string-cycle", "not-utf8",
+            "unknown-kind"])
+    def test_malformed_trace_line_is_named(self, content, capsys, tmp_path):
+        from repro.obs import read_trace
+
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(content)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ")
+        assert "Traceback" not in err
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
+            read_trace(path)
+
+    def test_empty_trace_is_named(self, capsys, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(b"")
+        assert main(["report", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: contains no events\n"
+        )
+
+    def test_telemetry_line_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"kind": "telemetry", "schema": %d}\n\xff\n'
+                         % TELEMETRY_SCHEMA_VERSION)
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: not UTF-8")
+
+    def test_directory_is_named(self, capsys, tmp_path):
+        from repro.obs import read_trace
+
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {tmp_path}: no BENCH_"
+        )
+        bad = tmp_path / "BENCH_bad.json"
+        bad.write_bytes(b'{"speedup": "\xff"}')
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        with pytest.raises(OSError, match=re.escape(str(tmp_path))):
+            read_trace(tmp_path)
+
+    def test_prom_needs_telemetry(self, capsys, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"kind": "mystery", "cycle": 0}\n')
+        assert main(["report", str(path), "--prom", "p.prom"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: --prom applies to telemetry files only"
+        )
 
 
 class TestTelemetryCli:
@@ -643,7 +733,7 @@ class TestTelemetryCli:
 
         prom = tmp_path / "t.prom"
         code = main([
-            "telemetry", "report", str(tel), "--prom", str(prom),
+            "report", str(tel), "--prom", str(prom),
             "--json", str(tmp_path / "t.json"),
         ])
         assert code == 0
@@ -653,8 +743,26 @@ class TestTelemetryCli:
         assert "repro_done 200" in prom.read_text()
 
         # The sampled trace flows through the trace tooling.
-        assert main(["trace", str(trace), "--validate"]) == 0
+        assert main(["report", str(trace)]) == 0
         assert "sampled trace:" in capsys.readouterr().out
+
+    def test_sampled_trace_report_skips_the_ledger(self, capsys, tmp_path):
+        assert main([
+            "compare", "--jobs", "60", "--seed", "0",
+            "--predictor", "oracle",
+            "--sampled-trace", str(tmp_path / "s.jsonl"),
+            "--sampled-trace-every", "5",
+        ]) == 0
+        capsys.readouterr()
+        path = tmp_path / "s.proposed.jsonl"
+        out_json = tmp_path / "s.json"
+        assert main(["report", str(path), "--json", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("sampled trace:")
+        assert f"{path}: ledger not checked" in out
+        import json as json_module
+
+        assert json_module.loads(out_json.read_text())["ledger"] is None
 
     def test_stream_telemetry_resume_is_byte_identical(
         self, capsys, tmp_path
@@ -727,9 +835,12 @@ class TestTelemetryCli:
         assert "campaign: 2/2 replications" in err
 
     def test_telemetry_report_missing_file(self, capsys, tmp_path):
-        code = main(["telemetry", "report", str(tmp_path / "no.jsonl")])
+        path = tmp_path / "no.jsonl"
+        code = main(["report", str(path), "--prom", str(tmp_path / "p")])
         assert code == 2
-        assert "no such telemetry file" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: No such file"
+        )
 
 
 class TestBenchCli:
@@ -741,10 +852,7 @@ class TestBenchCli:
             "min_speedup_required": 10.0,
         }))
         out_json = tmp_path / "rows.json"
-        code = main([
-            "bench", "report", "--dir", str(tmp_path),
-            "--json", str(out_json),
-        ])
+        code = main(["report", str(tmp_path), "--json", str(out_json)])
         assert code == 0
         out = capsys.readouterr().out
         assert "speedup" in out and "all within bounds" in out
@@ -753,9 +861,11 @@ class TestBenchCli:
         assert rows[0]["ok"] is True
 
     def test_bench_report_empty_dir(self, capsys, tmp_path):
-        code = main(["bench", "report", "--dir", str(tmp_path)])
+        code = main(["report", str(tmp_path)])
         assert code == 2
-        assert "no BENCH_" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ")
+        assert "no BENCH_" in err
 
 
 class TestDagSubcommand:
