@@ -36,6 +36,7 @@ from repro.core.scheduler import (
 )
 from repro.core.system import SystemConfig, base_system, paper_system
 from repro.core.tuning import TuningHeuristic
+from repro.energy.scaling import scaled_charges
 from repro.energy.tables import EnergyTable
 from repro.obs.events import (
     ConfigInstalled,
@@ -56,6 +57,13 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.power.budget import (
+    TokenPool,
+    degradation_ladder,
+    nominal_prices,
+    normalize_power,
+    pick_degraded,
+)
 from repro.sim.engine import EventEngine
 from repro.sim.events import Event, EventKind
 from repro.sim.fast import CORE_POLICIES, core_branch
@@ -457,13 +465,13 @@ class SchedulerSimulation:
         self.power = None
         self._power_pool = None
         if power is not None:
-            # Imported lazily: the default path stays free of the power
-            # layer entirely.
-            from repro.power.budget import TokenPool, normalize_power
-
             self.power = normalize_power(power)
             if self.power is not None:
                 self._power_pool = TokenPool(self.power)
+                #: (benchmark, core size, pinned config or None) →
+                #: ``(ladder, prices)`` of a full execution; derived
+                #: state, built on first use.
+                self._power_ladders: Dict[tuple, tuple] = {}
                 if metrics is not None:
                     for name in _POWER_COUNTERS:
                         metrics.counter(name)
@@ -1066,9 +1074,6 @@ class SchedulerSimulation:
         preferred option is granted as an *overdraft* — the progress
         guarantee that a drained system always dispatches.
         """
-        from repro.energy.scaling import scaled_charges
-        from repro.power.budget import pick_degraded
-
         power = self.power
         pool = self._power_pool
         core = self.cores[assignment.core_index]
@@ -1081,53 +1086,47 @@ class SchedulerSimulation:
             tuning=assignment.tuning,
             dvfs=None if point is None else point.name,
         )
-        fraction = job.remaining_fraction
-        estimate = self._estimate(job.benchmark, assignment.config)
-        work, dynamic, static = scaled_charges(
-            estimate.total_cycles,
-            estimate.energy.dynamic_nj,
-            estimate.energy.static_nj,
-            fraction,
-            point,
-        )
-        price = dynamic + static
         size_kb = core.spec.cache_size_kb
+        # Profiling and tuning runs pin their configuration: only the
+        # DVFS axis may degrade them.
+        pin = (
+            assignment.config
+            if assignment.profiling or assignment.tuning else None
+        )
+        fraction = job.remaining_fraction
+        ladder = price = None
+        if fraction == 1.0:
+            # A full execution's ladder depends only on the benchmark,
+            # the core size and the pin: build it once per run.
+            key = (job.benchmark, size_kb, pin)
+            entry = self._power_ladders.get(key)
+            if entry is None:
+                entry = self._power_ladder(job.benchmark, core, pin, 1.0)
+                self._power_ladders[key] = entry
+            ladder, prices = entry
+            price = prices.get(assignment.config)
+        if price is None:
+            # A preempted remainder (or a config off the ladder) is
+            # priced live.
+            estimate = self._estimate(job.benchmark, assignment.config)
+            _, dynamic, static = scaled_charges(
+                estimate.total_cycles,
+                estimate.energy.dynamic_nj,
+                estimate.energy.static_nj,
+                fraction,
+                point,
+            )
+            price = dynamic + static
         if pool.affordable(price, size_kb):
             return preferred
 
-        # Degradation ladder: (config × operating point) on this core,
-        # enumerated configs-ascending × table order so the fast engine
-        # ranks candidates identically.
-        points = (point,) if table is None else tuple(table)
-        if assignment.profiling or assignment.tuning:
-            configs = (assignment.config,)
-        else:
-            configs = core.spec.configs
-        candidates = []
-        rank = 0
-        for config in configs:
-            try:
-                cand = self._estimate(job.benchmark, config)
-            except KeyError:
-                rank += len(points)
-                continue
-            for option in points:
-                cand_work, cand_dyn, cand_sta = scaled_charges(
-                    cand.total_cycles,
-                    cand.energy.dynamic_nj,
-                    cand.energy.static_nj,
-                    fraction,
-                    option,
-                )
-                candidates.append(
-                    (cand_dyn + cand_sta, cand_work, rank, (config, option))
-                )
-                rank += 1
+        if ladder is None:
+            ladder, _ = self._power_ladder(job.benchmark, core, pin, fraction)
         chosen = pick_degraded(
             pool,
             size_kb,
             price,
-            candidates,
+            ladder,
             now=self.now,
             arrival_cycle=job.arrival_cycle,
             deadline_cycle=job.deadline_cycle,
@@ -1188,6 +1187,29 @@ class SchedulerSimulation:
             )
         return None
 
+    def _power_ladder(self, benchmark: str, core: CoreState, pin, fraction):
+        """``(ladder, prices)`` for ``fraction`` of ``benchmark`` on
+        ``core``: the sorted degradation ladder over the core's configs
+        (or the pinned one) × the DVFS table, and each config's price
+        at the nominal point, the gate's preferred option."""
+        table = self.power.dvfs
+        points = (None,) if table is None else tuple(table)
+        rows = []
+        for config in (core.spec.configs if pin is None else (pin,)):
+            try:
+                estimate = self._estimate(benchmark, config)
+            except KeyError:
+                rows.append(None)
+                continue
+            rows.append((
+                config,
+                estimate.total_cycles,
+                estimate.energy.dynamic_nj,
+                estimate.energy.static_nj,
+            ))
+        ladder = degradation_ladder(rows, points, fraction)
+        return ladder, nominal_prices(ladder)
+
     def _start(self, job: Job, assignment: Assignment) -> None:
         core = self.cores[assignment.core_index]
         if not core.spec.supports(assignment.config):
@@ -1229,8 +1251,6 @@ class SchedulerSimulation:
 
         token_grant = None
         if self._power_pool is not None:
-            from repro.energy.scaling import scaled_charges
-
             point = None
             if self.power.dvfs is not None and assignment.dvfs is not None:
                 point = self.power.dvfs.get(assignment.dvfs)

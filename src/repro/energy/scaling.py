@@ -19,9 +19,10 @@ one dispatch.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.power.dvfs import DvfsPoint
+if TYPE_CHECKING:  # repro.power.budget imports this module
+    from repro.power.dvfs import DvfsPoint
 
 __all__ = ["scaled_charges"]
 

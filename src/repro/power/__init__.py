@@ -1,4 +1,4 @@
-"""Power-token budgets and DVFS operating points (ROADMAP item 4).
+"""Power-token budgets and DVFS operating points.
 
 See ``docs/power.md`` for the token model, the DVFS scaling rules and
 the frontier workflow.
@@ -7,6 +7,7 @@ the frontier workflow.
 from .budget import (
     PowerConfig,
     TokenPool,
+    degradation_ladder,
     normalize_power,
     pick_degraded,
     slack_admissible,
@@ -17,6 +18,7 @@ __all__ = [
     "PowerConfig",
     "TokenPool",
     "normalize_power",
+    "degradation_ladder",
     "pick_degraded",
     "slack_admissible",
     "DvfsPoint",

@@ -13,8 +13,16 @@ engine-agnostic: the reference, fast and streaming engines all drive the
 same pool through ``affordable`` / ``grant`` / ``refund`` / ``consume``,
 and its :meth:`TokenPool.state_dict` round-trips through streaming
 checkpoints.  Outstanding tokens are tracked per held grant (bounded by
-the core count), so availability checks are exact — no drift from
-running-sum accumulation.
+the core count), and every grant, refund or settlement re-sums them
+with ``math.fsum``, so availability checks are exact — no drift from
+running-sum accumulation — and read a stored total.
+
+An unaffordable dispatch walks a *degradation ladder*: the cheaper
+(config × DVFS point) options on the same core.
+:func:`degradation_ladder` prices and sorts one ladder, which an engine
+builds once per (benchmark, core size, pinned config) for full
+executions; :func:`pick_degraded` walks it in order and returns the
+first rung the pool and the deadline slack admit.
 
 The rigorous conservation *check* (granted − refunded equals the
 ledger's net dispatch charges at ``2**-40`` relative tolerance) lives in
@@ -27,15 +35,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .dvfs import DvfsTable
+from repro.energy.scaling import scaled_charges
+
+from .dvfs import DvfsPoint, DvfsTable
 
 __all__ = [
     "PowerConfig",
     "TokenPool",
     "normalize_power",
     "slack_admissible",
+    "degradation_ladder",
+    "nominal_prices",
     "pick_degraded",
 ]
 
@@ -154,41 +166,83 @@ def slack_admissible(
     return now + work_cycles <= limit
 
 
+#: One ladder rung: ``(price_nj, work_cycles, rank, (payload, point))``.
+Rung = Tuple[float, int, int, Tuple[object, Optional[DvfsPoint]]]
+
+
+def degradation_ladder(
+    rows: Sequence[Optional[Tuple[object, int, float, float]]],
+    points: Sequence[Optional[DvfsPoint]],
+    fraction: float,
+) -> Tuple[Rung, ...]:
+    """Price every (config × operating point) option, least degraded first.
+
+    ``rows`` holds one ``(payload, total_cycles, dynamic_nj, static_nj)``
+    per configuration in the engine's ascending config order, or
+    ``None`` for a configuration the store lacks; ``points`` is the DVFS
+    table in order (``(None,)`` without one).  A rung's ``rank`` is its
+    enumeration index — a missing row still uses up ``len(points)``
+    ranks — so every engine breaks price ties identically.  Prices come
+    from :func:`~repro.energy.scaling.scaled_charges`, the arithmetic
+    the dispatch itself is charged with.  The rungs are sorted by
+    ``(-price, rank)``.
+    """
+    rungs = []
+    rank = 0
+    for row in rows:
+        if row is None:
+            rank += len(points)
+            continue
+        payload, total_cycles, dynamic_nj, static_nj = row
+        for point in points:
+            work, dynamic, static = scaled_charges(
+                total_cycles, dynamic_nj, static_nj, fraction, point
+            )
+            rungs.append((dynamic + static, work, rank, (payload, point)))
+            rank += 1
+    rungs.sort(key=lambda rung: (-rung[0], rung[2]))
+    return tuple(rungs)
+
+
+def nominal_prices(ladder: Sequence[Rung]) -> Dict[object, float]:
+    """Each payload's price at the nominal point (or without DVFS): the
+    gate's preferred option, priced by the same ``scaled_charges``."""
+    return {
+        payload: price
+        for price, _, _, (payload, point) in ladder
+        if point is None or point.is_nominal
+    }
+
+
 def pick_degraded(
     pool: "TokenPool",
     size_kb: int,
     preferred_price_nj: float,
-    candidates: Iterable[Tuple[float, int, int, object]],
+    ladder: Sequence[Rung],
     *,
     now: int,
     arrival_cycle: int,
     deadline_cycle: Optional[int],
     slack_pct: float,
-) -> Optional[object]:
-    """Pick the least-degraded affordable candidate, or ``None``.
+) -> Optional[Tuple[object, Optional[DvfsPoint]]]:
+    """The least-degraded affordable ``(payload, point)``, or ``None``.
 
-    ``candidates`` are ``(price_nj, work_cycles, rank, payload)`` tuples;
-    ``rank`` is the engine's deterministic enumeration index (configs in
-    natural ascending order × operating points in table order), shared by
-    the reference and fast engines so ties break identically.  Only
-    candidates strictly cheaper than the preferred price are considered,
-    most expensive (least degraded) first.
+    ``ladder`` comes from :func:`degradation_ladder`, so the first rung
+    strictly cheaper than the preferred price that fits the pool's
+    global and cluster headroom and passes :func:`slack_admissible` is
+    the most expensive such option, ties going to the lowest rank.
     """
-    best = None
-    for price, work, rank, payload in candidates:
+    room, cluster_room = pool.headroom(size_kb)
+    for price, work, _, option in ladder:
         if not price < preferred_price_nj:
             continue
-        key = (-price, rank)
-        if best is not None and key >= best[0]:
+        if price > room or price > cluster_room:
             continue
-        if not slack_admissible(
+        if slack_admissible(
             now, work, arrival_cycle, deadline_cycle, slack_pct
         ):
-            continue
-        if not pool.affordable(price, size_kb):
-            continue
-        best = (key, payload)
-    return None if best is None else best[1]
+            return option
+    return None
 
 
 class TokenPool:
@@ -200,6 +254,11 @@ class TokenPool:
         self._cluster_caps: Dict[int, float] = dict(config.cluster_caps_nj)
         #: job id → (grant_nj, size_kb); bounded by the core count.
         self._held: Dict[int, Tuple[float, int]] = {}
+        #: ``math.fsum`` of the held grants, globally and per capped
+        #: cluster, re-summed by :meth:`_resum` whenever ``_held``
+        #: changes.
+        self._outstanding = 0.0
+        self._cluster_outstanding = dict.fromkeys(self._cluster_caps, 0.0)
         self.granted_nj = 0.0
         self.refunded_nj = 0.0
         self.grants = 0
@@ -210,12 +269,18 @@ class TokenPool:
 
     # -- availability -------------------------------------------------
 
+    def _resum(self) -> None:
+        held = self._held.values()
+        self._outstanding = math.fsum([grant for grant, _ in held])
+        for size in self._cluster_caps:
+            self._cluster_outstanding[size] = math.fsum(
+                [grant for grant, held_size in held if held_size == size]
+            )
+
     @property
     def outstanding_nj(self) -> float:
         """Tokens currently held by running executions (exact)."""
-        if not self._held:
-            return 0.0
-        return math.fsum(grant for grant, _ in self._held.values())
+        return self._outstanding
 
     def cluster_outstanding_nj(self, size_kb: int) -> float:
         held = [g for g, size in self._held.values() if size == size_kb]
@@ -244,12 +309,18 @@ class TokenPool:
         return not self._held
 
     def affordable(self, price_nj: float, size_kb: int) -> bool:
-        if price_nj > self._cap - self.outstanding_nj:
-            return False
+        room, cluster_room = self.headroom(size_kb)
+        return price_nj <= room and price_nj <= cluster_room
+
+    def headroom(self, size_kb: int) -> Tuple[float, float]:
+        """``(global, cluster)`` tokens a new grant on a ``size_kb``
+        core may take; ``inf`` where no cap applies."""
         cluster_cap = self._cluster_caps.get(size_kb)
-        if cluster_cap is None:
-            return True
-        return price_nj <= cluster_cap - self.cluster_outstanding_nj(size_kb)
+        return (
+            self._cap - self._outstanding,
+            _INF if cluster_cap is None
+            else cluster_cap - self._cluster_outstanding[size_kb],
+        )
 
     # -- mutation -----------------------------------------------------
 
@@ -257,6 +328,7 @@ class TokenPool:
         if job_id in self._held:
             raise RuntimeError(f"job {job_id} already holds a token grant")
         self._held[job_id] = (price_nj, size_kb)
+        self._resum()
         self.granted_nj += price_nj
         self.grants += 1
 
@@ -264,6 +336,7 @@ class TokenPool:
         """Return tokens on preemption; the unrefunded remainder is
         consumed.  Returns the grant that was released."""
         grant, _ = self._held.pop(job_id)
+        self._resum()
         self.refunded_nj += refund_nj
         self.refunds += 1
         return grant
@@ -271,6 +344,7 @@ class TokenPool:
     def consume(self, job_id: int) -> float:
         """Settle a grant on completion; returns the grant amount."""
         grant, _ = self._held.pop(job_id)
+        self._resum()
         return grant
 
     # -- checkpoint ---------------------------------------------------
@@ -295,6 +369,7 @@ class TokenPool:
             int(job_id): (float(grant), int(size))
             for job_id, grant, size in state["held"]
         }
+        self._resum()
         self.granted_nj = float(state["granted_nj"])
         self.refunded_nj = float(state["refunded_nj"])
         self.grants = int(state["grants"])

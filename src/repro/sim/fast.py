@@ -61,7 +61,12 @@ from repro.core.results import SimulationResult
 from repro.core.scheduler import TUNER_COSTS, check_run_options
 from repro.core.tuning import TuningSession
 from repro.energy.tables import EnergyTable
-from repro.power.budget import TokenPool, normalize_power
+from repro.power.budget import (
+    TokenPool,
+    degradation_ladder,
+    nominal_prices,
+    normalize_power,
+)
 from repro.workloads.arrivals import JobArrival
 
 __all__ = ["CORE_POLICIES", "FastSimulation", "core_branch"]
@@ -180,6 +185,10 @@ class FastSimulation:
         self._power_pool = (
             TokenPool(self.power) if self.power is not None else None
         )
+        #: (benchmark id, core size, pinned config id or None) →
+        #: ``(ladder, prices)`` of a full execution (:meth:`_power_ladder`);
+        #: derived state, so it stays out of snapshots.
+        self._power_ladders: Dict[tuple, tuple] = {}
         #: The stream that ran (or is running) on these tables.  Set
         #: once: the stream consumes the knowledge state below.
         self.stream = None
@@ -366,6 +375,24 @@ class FastSimulation:
                     session.record(config, est[3])
                 self.tuned[b].add(size_kb)
                 self._touch(b)
+
+    def _power_ladder(
+        self, b: int, ci: int, pin: Optional[int], fraction: float
+    ) -> tuple:
+        """``(ladder, prices)`` for ``fraction`` of benchmark ``b`` on
+        core ``ci``: the sorted degradation ladder over the core's
+        config ids (or the pinned one) × the DVFS table, and each id's
+        price at the nominal point.  Mirrors
+        ``SchedulerSimulation._power_ladder``."""
+        table = self.power.dvfs
+        points = (None,) if table is None else tuple(table)
+        est = self._est[b]
+        rows = []
+        for cid in self.core_cfg_ids[ci] if pin is None else (pin,):
+            entry = est[cid]
+            rows.append(None if entry is None else (cid,) + entry[:3])
+        ladder = degradation_ladder(rows, points, fraction)
+        return ladder, nominal_prices(ladder)
 
     # -- closed-batch front end ----------------------------------------------
 

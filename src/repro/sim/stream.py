@@ -67,6 +67,7 @@ from repro.cache.config import CacheConfig
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.scheduler import DISCIPLINES, PREEMPTION_QUANTUM_CYCLES
 from repro.core.tuning import TuningSession
+from repro.energy.scaling import scaled_charges
 from repro.obs.events import CATEGORIES as _CATEGORIES
 from repro.obs.metrics import Histogram
 from repro.power.budget import pick_degraded
@@ -660,16 +661,12 @@ class StreamingSimulation:
         # Power axis locals.  ``pool is None`` is the only extra branch
         # the power-off loop pays.
         pool = f._power_pool
-        if pool is None:
-            dvfs_points: Optional[tuple] = None
-            nominal_point = None
-            n_points = 1
-            slack_pct = 0.0
-        else:
+        ladders = f._power_ladders
+        nominal_point = None
+        slack_pct = 0.0
+        if pool is not None:
             table = f.power.dvfs
-            dvfs_points = None if table is None else tuple(table)
             nominal_point = None if table is None else table.default
-            n_points = 1 if dvfs_points is None else len(dvfs_points)
             slack_pct = f.power.slack_pct
 
         # -- run-state locals (scalars written back on exit) ------------
@@ -1350,95 +1347,51 @@ class StreamingSimulation:
                                         )
 
                         # ---- power gate ----------------------------
-                        # Mirrors SchedulerSimulation._power_gate, whose
-                        # preferred point is nominal.  All arithmetic repeats
-                        # repro.energy.scaling.scaled_charges operation
-                        # for operation.
+                        # SchedulerSimulation._power_gate on interned
+                        # ids: the preferred point is nominal, a full
+                        # execution's ladder is built once per run.
                         dvfs_point = None
                         if pool is not None:
                             ci, cid, prof, tun = assignment
-                            entry = est[b][cid]
-                            if entry is None:
-                                store.estimate(
-                                    bench_names[b], cfg_objs[cid]
-                                )
-                            tot_cycles, dyn, sta, _ = entry
-                            fraction = remaining[jid]
-                            if fraction == 1.0:
-                                g_dyn = dyn
-                                g_sta = sta
-                            else:
-                                g_dyn = dyn * fraction
-                                g_sta = sta * fraction
-                            dvfs_point = nominal_point
-                            price = g_dyn + g_sta
                             csize = core_sizes[ci]
+                            pin = cid if prof or tun else None
+                            fraction = remaining[jid]
+                            ladder = price = None
+                            if fraction == 1.0:
+                                key = (b, csize, pin)
+                                cached = ladders.get(key)
+                                if cached is None:
+                                    cached = f._power_ladder(b, ci, pin, 1.0)
+                                    ladders[key] = cached
+                                ladder, prices = cached
+                                price = prices.get(cid)
+                            if price is None:
+                                entry = est[b][cid]
+                                if entry is None:
+                                    store.estimate(
+                                        bench_names[b], cfg_objs[cid]
+                                    )
+                                _, g_dyn, g_sta = scaled_charges(
+                                    entry[0], entry[1], entry[2],
+                                    fraction, nominal_point,
+                                )
+                                price = g_dyn + g_sta
+                            dvfs_point = nominal_point
                             if not pool.affordable(price, csize):
-                                eb = est[b]
-                                cfg_ladder = (
-                                    (cid,) if prof or tun
-                                    else core_cfg_ids[ci]
-                                )
-                                options = (
-                                    (None,) if dvfs_points is None
-                                    else dvfs_points
-                                )
-                                candidates = []
-                                rank = 0
-                                for ccid in cfg_ladder:
-                                    centry = eb[ccid]
-                                    if centry is None:
-                                        rank += n_points
-                                        continue
-                                    ctot, cdyn, csta, _ = centry
-                                    if fraction == 1.0:
-                                        cwork0 = ctot
-                                        cd0 = cdyn
-                                        cs0 = csta
-                                    else:
-                                        cwork0 = int(
-                                            round(ctot * fraction)
-                                        )
-                                        if cwork0 < 1:
-                                            cwork0 = 1
-                                        cd0 = cdyn * fraction
-                                        cs0 = csta * fraction
-                                    for option in options:
-                                        if (
-                                            option is None
-                                            or option.is_nominal
-                                        ):
-                                            cwork = cwork0
-                                            cd = cd0
-                                            cs = cs0
-                                        else:
-                                            cwork = int(round(
-                                                cwork0
-                                                / option.freq_scale
-                                            ))
-                                            if cwork < 1:
-                                                cwork = 1
-                                            cd = cd0 * option.dyn_factor
-                                            cs = (
-                                                cs0
-                                                * option.static_factor
-                                            )
-                                        candidates.append((
-                                            cd + cs, cwork, rank,
-                                            (ccid, option),
-                                        ))
-                                        rank += 1
+                                if ladder is None:
+                                    ladder, _ = f._power_ladder(
+                                        b, ci, pin, fraction
+                                    )
                                 chosen = pick_degraded(
-                                    pool, csize, price, candidates,
+                                    pool, csize, price, ladder,
                                     now=now,
                                     arrival_cycle=jarr[jid],
                                     deadline_cycle=jdl[jid],
                                     slack_pct=slack_pct,
                                 )
                                 if chosen is not None:
-                                    dcid, option = chosen
+                                    dcid, dvfs_point = chosen
                                     pool.degraded += 1
-                                    dvfs_point = option
                                     assignment = (ci, dcid, prof, tun)
                                 elif pool.idle():
                                     pool.overdrafts += 1

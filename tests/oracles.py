@@ -1,9 +1,10 @@
 """Reference implementations the product's engines are checked against.
 
-``src/`` has one cache-measurement engine (:mod:`repro.cache.stackdist`)
-and one ensemble trainer (:mod:`repro.ann.batched`).  Both are
-optimised rewrites, and both promise bit-identical results to the
-straightforward code kept here:
+``src/`` has one cache-measurement engine (:mod:`repro.cache.stackdist`),
+one ensemble trainer (:mod:`repro.ann.batched`), one block-fed
+histogram and one power-gate ladder walk.  Each is an optimised
+rewrite that promises bit-identical results to the straightforward
+code kept here:
 
 * **Cache oracle** — :func:`simulate_trace_per_config` replays a trace
   access by access, once per configuration;
@@ -20,6 +21,13 @@ straightforward code kept here:
   count/sum/min/max and three :class:`P2Oracle` estimators fed one
   value at a time, the update :class:`~repro.obs.metrics.Histogram`
   runs over whole blocks.
+* **Power-gate oracle** — :func:`degradation_candidates` enumerates a
+  degradation ladder unsorted, with the per-dispatch arithmetic of
+  :func:`~repro.energy.scaling.scaled_charges` written out inline, and
+  :func:`pick_degraded_scan` scans it for the least-degraded option a
+  freshly summed pool affords: the search
+  :func:`repro.power.budget.pick_degraded` makes as a first-hit walk
+  over a ladder sorted once.
 
 An oracle must never call the engine it checks:
 ``tests/test_oracles.py`` fails if this module imports any of them.
@@ -28,6 +36,7 @@ An oracle must never call the engine it checks:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -573,3 +582,86 @@ class HistogramOracle:
                 e.state_dict() for e in self.estimators.values()
             ],
         }
+
+
+def degradation_candidates(
+    rows: Sequence[Optional[Tuple[object, int, float, float]]],
+    points: Sequence[Optional[object]],
+    fraction: float,
+) -> List[Tuple[float, int, int, Tuple[object, object]]]:
+    """Every ``(price_nj, work_cycles, rank, (payload, point))`` option
+    of one dispatch, in enumeration order: rows (configs ascending,
+    ``None`` for a config the store lacks, which still uses up
+    ``len(points)`` ranks) × DVFS points in table order.  The streaming
+    engine's inline pricing, as it ran on every refused dispatch."""
+    candidates = []
+    rank = 0
+    for row in rows:
+        if row is None:
+            rank += len(points)
+            continue
+        payload, total_cycles, dynamic_nj, static_nj = row
+        if fraction == 1.0:
+            work0 = total_cycles
+            dyn0 = dynamic_nj
+            sta0 = static_nj
+        else:
+            work0 = max(1, int(round(total_cycles * fraction)))
+            dyn0 = dynamic_nj * fraction
+            sta0 = static_nj * fraction
+        for point in points:
+            if point is None or point.is_nominal:
+                work, dyn, sta = work0, dyn0, sta0
+            else:
+                work = max(1, int(round(work0 / point.freq_scale)))
+                dyn = dyn0 * point.dyn_factor
+                sta = sta0 * point.static_factor
+            candidates.append((dyn + sta, work, rank, (payload, point)))
+            rank += 1
+    return candidates
+
+
+def pick_degraded_scan(
+    pool,
+    size_kb: int,
+    preferred_price_nj: float,
+    candidates,
+    *,
+    now: int,
+    arrival_cycle: int,
+    deadline_cycle: Optional[int],
+    slack_pct: float,
+):
+    """The least-degraded affordable candidate, or ``None``: a full
+    scan for the minimum ``(-price, rank)`` among candidates strictly
+    cheaper than the preferred price that meet the STOMP slack test
+    and fit the pool, whose held grants are summed afresh here."""
+    held = pool.state_dict()["held"]
+    config = pool.config
+    cap = math.inf if config.cap_nj is None else config.cap_nj
+    cluster_cap = dict(config.cluster_caps_nj).get(size_kb)
+    outstanding = math.fsum(grant for _, grant, _ in held)
+    cluster = math.fsum(grant for _, grant, size in held if size == size_kb)
+
+    def affordable(price):
+        if price > cap - outstanding:
+            return False
+        return cluster_cap is None or price <= cluster_cap - cluster
+
+    def admissible(work):
+        if deadline_cycle is None:
+            return True
+        budget = deadline_cycle - arrival_cycle
+        return now + work <= deadline_cycle + slack_pct / 100.0 * budget
+
+    best = None
+    for price, work, rank, payload in candidates:
+        if not price < preferred_price_nj:
+            continue
+        key = (-price, rank)
+        if best is not None and key >= best[0]:
+            continue
+        if not admissible(work) or not affordable(price):
+            continue
+        best = (key, payload)
+    return None if best is None else best[1]

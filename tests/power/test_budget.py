@@ -6,6 +6,8 @@ from repro.campaign import power_grid
 from repro.power.budget import (
     PowerConfig,
     TokenPool,
+    degradation_ladder,
+    nominal_prices,
     normalize_power,
     pick_degraded,
     slack_admissible,
@@ -15,6 +17,17 @@ from repro.power.dvfs import (
     DvfsPoint,
     DvfsTable,
 )
+
+
+def _ladder(*rows):
+    """A DVFS-free ladder from ``(payload, work_cycles, price_nj)`` rows
+    (``None`` for a missing config), priced as dynamic energy alone."""
+    return degradation_ladder(
+        [None if row is None else (row[0], row[1], row[2], 0.0)
+         for row in rows],
+        (None,),
+        1.0,
+    )
 
 
 class TestPowerConfig:
@@ -142,38 +155,36 @@ class TestSlackAndLadder:
         pool = TokenPool(PowerConfig(cap_nj=100.0))
         picked = pick_degraded(
             pool, 4, 200.0,
-            [
-                (90.0, 1000, 0, "a"),
-                (95.0, 1100, 1, "b"),
-                (40.0, 2000, 2, "c"),
-            ],
+            _ladder(("a", 1000, 90.0), ("b", 1100, 95.0), ("c", 2000, 40.0)),
             now=0, arrival_cycle=0, deadline_cycle=None, slack_pct=0.0,
         )
-        assert picked == "b"  # most expensive affordable option
+        assert picked == ("b", None)  # most expensive affordable option
 
     def test_pick_degraded_ties_break_on_rank(self):
         pool = TokenPool(PowerConfig(cap_nj=100.0))
+        # Ranks 1 and 3: a missing config still uses up a rank.
+        ladder = _ladder(None, ("early", 1000, 50.0), None, ("late", 1000, 50.0))
+        assert [rung[2] for rung in ladder] == [1, 3]
         picked = pick_degraded(
-            pool, 4, 200.0,
-            [(50.0, 1000, 3, "late"), (50.0, 1000, 1, "early")],
+            pool, 4, 200.0, ladder,
             now=0, arrival_cycle=0, deadline_cycle=None, slack_pct=0.0,
         )
-        assert picked == "early"
+        assert picked == ("early", None)
 
     def test_pick_degraded_honours_slack_and_budget(self):
         pool = TokenPool(PowerConfig(cap_nj=100.0))
         # The cheaper option misses even the slack-extended deadline.
         picked = pick_degraded(
             pool, 4, 200.0,
-            [(90.0, 5_000, 0, "slow"), (80.0, 300, 1, "fast")],
+            _ladder(("slow", 5_000, 90.0), ("fast", 300, 80.0)),
             now=800, arrival_cycle=0, deadline_cycle=1000, slack_pct=20.0,
         )
-        assert picked == "fast"
+        assert picked == ("fast", None)
         # Nothing affordable at all -> None.
         pool.grant(1, 95.0, 4)
         assert pick_degraded(
             pool, 4, 200.0,
-            [(90.0, 100, 0, "x")],
+            _ladder(("x", 100, 90.0)),
             now=0, arrival_cycle=0, deadline_cycle=None, slack_pct=0.0,
         ) is None
 
@@ -181,9 +192,22 @@ class TestSlackAndLadder:
         pool = TokenPool(PowerConfig(cap_nj=1e6))
         assert pick_degraded(
             pool, 4, 50.0,
-            [(50.0, 100, 0, "same"), (60.0, 100, 1, "worse")],
+            _ladder(("same", 100, 50.0), ("worse", 100, 60.0)),
             now=0, arrival_cycle=0, deadline_cycle=None, slack_pct=0.0,
         ) is None
+
+    def test_ladder_prices_through_scaled_charges(self):
+        eco = DvfsPoint("eco", 0.8, 0.5)
+        nominal = DEFAULT_DVFS_TABLE.default
+        ladder = degradation_ladder(
+            [("a", 1000, 60.0, 40.0)], (nominal, eco), 0.5
+        )
+        assert ladder == (
+            (50.0, 500, 0, ("a", nominal)),
+            (0.5 * 60.0 * eco.dyn_factor + 0.5 * 40.0 * eco.static_factor,
+             625, 1, ("a", eco)),
+        )
+        assert nominal_prices(ladder) == {"a": 50.0}
 
 
 class TestDvfs:

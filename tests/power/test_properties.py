@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.config import configs_for_size
 from repro.core.policies import make_policy
 from repro.core.system import paper_system
 from repro.power.budget import PowerConfig, TokenPool
@@ -169,6 +170,59 @@ class TestPinnedMonotoneFrontier:
             == ref_sim.power_pool.state_dict()
         )
 
+    @pytest.mark.parametrize("discipline", ("priority", "edf"))
+    def test_reference_and_fast_agree_dvfs_cluster_preemptive(
+        self, discipline, small_store, oracle, energy_table
+    ):
+        """DVFS, a cluster cap and preemption: both engines walk the
+        same memoised ladders, and price preempted remainders live."""
+        runs = {}
+        for engine in ("reference", "fast"):
+            sim = make_simulation(
+                "proposed", small_store, oracle, energy_table,
+                discipline=discipline, preemptive=True, engine=engine,
+                power=LADDER_POWER,
+            )
+            runs[engine] = (sim, sim.run(_pinned_arrivals()))
+        (ref_sim, ref), (fast_sim, fast) = runs["reference"], runs["fast"]
+        assert ref == fast
+        state = ref_sim.power_pool.state_dict()
+        assert fast_sim.power_pool.state_dict() == state
+        assert state["degraded"] > 0 and state["refunds"] > 0
+
+        # One memo entry per (benchmark, core size, pin) key at most,
+        # however many preemptions there were.
+        memo = ref_sim._power_ladders
+        sizes = {spec.cache_size_kb for spec in paper_system().cores}
+        keys_per_bench = sum(1 + len(configs_for_size(s)) for s in sizes)
+        assert 0 < len(memo) <= len(SUITE_NAMES) * keys_per_bench
+        for benchmark, size, pin in memo:
+            assert pin is None or pin.size_kb == size
+
+        # The fast engine memoised the same ladders, on interned ids.
+        engine = fast_sim._fast
+        fast_memo = {
+            (engine.bench_names[b], size,
+             None if pin is None else engine.cfg_objs[pin]):
+            [(price, work, rank, engine.cfg_objs[cid], point)
+             for price, work, rank, (cid, point) in ladder]
+            for (b, size, pin), (ladder, _) in engine._power_ladders.items()
+        }
+        assert fast_memo == {
+            key: [(price, work, rank, config, point)
+                  for price, work, rank, (config, point) in ladder]
+            for key, (ladder, _) in memo.items()
+        }
+
+
+#: DVFS plus a 4 KB cluster cap: under the pinned stream, both
+#: preemptive disciplines degrade through the ladder.
+LADDER_POWER = PowerConfig(
+    cap_nj=300_000.0,
+    cluster_caps_nj=((4, 150_000.0),),
+    slack_pct=25.0,
+    dvfs=DEFAULT_DVFS_TABLE,
+)
 
 STREAM_POWER = PowerConfig(
     cap_nj=300_000.0,

@@ -4,7 +4,8 @@ An oracle that called the engine it checks would pass every
 equivalence test while checking nothing, so the module may import
 none of the engines: not the module, and none of the names it exports.
 The engines are the stack-distance cache engine, the batched ensemble
-trainer and the block-fed P² update of the streaming histograms.
+trainer, the block-fed P² update of the streaming histograms and the
+power gate's ladder builder and walk.
 """
 
 import ast
@@ -13,9 +14,11 @@ from pathlib import Path
 from repro.ann import batched
 from repro.cache import stackdist
 from repro.obs import metrics
+from repro.power import budget
 
 ENGINE_MODULES = {
-    "repro.cache.stackdist", "repro.ann.batched", "repro.obs.metrics"
+    "repro.cache.stackdist", "repro.ann.batched", "repro.obs.metrics",
+    "repro.power.budget",
 }
 
 #: What the engines export, plus ``simulate_trace``, the one-config
@@ -24,6 +27,7 @@ ENGINE_NAMES = (
     set(stackdist.__all__)
     | set(batched.__all__)
     | set(metrics.__all__)
+    | set(budget.__all__)
     | {"simulate_trace"}
 )
 
