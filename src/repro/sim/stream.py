@@ -116,7 +116,9 @@ class StreamConfig:
     untouched).  ``queue_capacity`` + ``admission`` bound the ready
     queue; ``retain_jobs`` keeps every per-job record and assembles a
     full closed-batch :class:`SimulationResult` (O(jobs) memory — what
-    the closed-batch front end runs with; off by default).
+    the closed-batch front end runs with; off by default).  The four
+    counts are ``int`` (not ``bool``) and ``retain_jobs`` is a
+    ``bool``; any other type raises :class:`ValueError`.
     """
 
     max_jobs: Optional[int] = None
@@ -127,6 +129,17 @@ class StreamConfig:
     retain_jobs: bool = False
 
     def __post_init__(self) -> None:
+        optional = ("max_jobs", "duration_cycles", "queue_capacity")
+        for name in optional + ("warmup_cycles",):
+            value = getattr(self, name)
+            if value is None and name in optional:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.retain_jobs, bool):
+            raise ValueError(
+                f"retain_jobs must be a bool, got {self.retain_jobs!r}"
+            )
         if self.max_jobs is None and self.duration_cycles is None:
             raise ValueError(
                 "an open-system run needs a bound: set max_jobs and/or "
@@ -771,6 +784,11 @@ class StreamingSimulation:
                 tr_comp_next = tr_start_next = -1
 
         view: Optional[list] = None
+        # True while every queued job is known to be blocked under the
+        # current cores and knowledge (see the dispatch scan below).
+        # Never persisted: a resumed run starts unsettled.
+        settled = False
+        may_settle = pol != 3
         more = True
 
         def sess(b: int, size_kb: int) -> tuple:
@@ -836,6 +854,7 @@ class StreamingSimulation:
                     have_arr and atimes[abuf_i] < comp_heap[0][0]
                 ):
                     now, _, ci, cepoch = heappop(comp_heap)
+                    settled = False
                     if cepoch == epoch[ci]:
                         # ---- job completion ------------------------
                         (jid, cid, prof, tun, fraction_at_start,
@@ -1126,11 +1145,30 @@ class StreamingSimulation:
             # ---- dispatch rounds --------------------------------------
             while True:
                 if n_busy < C and queue:
+                    # Placement reads only the benchmark, the core
+                    # occupancy and the knowledge state (plus ``now``
+                    # in proposed's stall test), none of which changes
+                    # until a start ends the pass.  Two consequences:
+                    # * ``blocked`` memoises, per pass, each benchmark
+                    #   that found no placement, with its stall-counter
+                    #   increment; a repeat is skipped and repeats the
+                    #   increment.
+                    # * A pass that places nothing leaves the queue
+                    #   ``settled``: until a start, a completion (stale
+                    #   ones too) or a preemption, every queued job
+                    #   stays blocked, so an arrival's round tests only
+                    #   the job just admitted.  Proposed never settles
+                    #   (its stall test reads ``now`` and bumps the
+                    #   counter per visit), nor does a pass in which
+                    #   the power gate throttled a job (the degradation
+                    #   slack test reads ``now`` and the pool).
                     # Under FIFO the dict's insertion order IS the
                     # view, so iterate it live (the only mutation —
                     # del on assignment — is immediately followed by
                     # a break).
-                    if fifo:
+                    if settled:
+                        v = (jid,)
+                    elif fifo:
                         v = queue
                     elif view is not None:
                         v = view
@@ -1138,20 +1176,18 @@ class StreamingSimulation:
                         v = view = sorted(
                             queue, key=sort_key.__getitem__
                         )
+                    settled = may_settle
                     assigned = False
-                    # Benchmarks that already stalled during THIS scan
-                    # pass: the stall evaluation reads only core/now/
-                    # session state, all of which is fixed until a
-                    # start ends the pass, so a repeat evaluation for
-                    # the same benchmark is deterministic — skip the
-                    # arithmetic and repeat its counter increment.
-                    scan_stalled = set()
+                    blocked = {}
                     for jid in v:
                         # ---- placement decision --------------------
                         # Idleness is just ``cur_job[ci] < 0``;
                         # ``continue`` means this job waits and the
                         # scan moves to the next one.
                         b = jbid[jid]
+                        if b in blocked:
+                            stall_decisions += blocked[b]
+                            continue
                         assignment = None
                         if requires_profiling and not profiled[b]:
                             # Unprofiled: profiling core, base config.
@@ -1162,6 +1198,7 @@ class StreamingSimulation:
                                     )
                                     break
                             if assignment is None:
+                                blocked[b] = 0
                                 continue
                         elif pol == 0:  # base
                             for ci in core_range:
@@ -1234,15 +1271,13 @@ class StreamingSimulation:
                                         )
                                         break
                                 if assignment is None:
+                                    blocked[b] = 0
                                     continue
                             else:
                                 # proposed — a best-size match wins
                                 # outright, so the scan can stop at
                                 # the first one; idle_nb only matters
                                 # when none exists.
-                                if b in scan_stalled:
-                                    stall_decisions += 1
-                                    continue
                                 best_size_ci = -1
                                 idle_nb = []
                                 for ci in core_range:
@@ -1287,7 +1322,7 @@ class StreamingSimulation:
                                         )
                                         if not best_done:
                                             stall_decisions += 1
-                                            scan_stalled.add(b)
+                                            blocked[b] = 1
                                             continue
                                         if best_cid < 0:
                                             raise KeyError(best_cfg)
@@ -1296,7 +1331,7 @@ class StreamingSimulation:
                                             # table-eviction guard
                                             # (fault-only).
                                             stall_decisions += 1
-                                            scan_stalled.add(b)
+                                            blocked[b] = 1
                                             continue
                                         eb = est[b]
                                         cand_ci = -1
@@ -1337,7 +1372,7 @@ class StreamingSimulation:
                                             <= eb[cand_cid][3]
                                         ):
                                             stall_decisions += 1
-                                            scan_stalled.add(b)
+                                            blocked[b] = 1
                                             continue
                                         non_best_decisions += 1
                                         non_best_pending = True
@@ -1397,6 +1432,7 @@ class StreamingSimulation:
                                     pool.overdrafts += 1
                                 else:
                                     pool.throttled += 1
+                                    settled = False
                                     continue
 
                         # ---- job start -----------------------------
@@ -1565,6 +1601,7 @@ class StreamingSimulation:
                         assigned = True
                         break  # core states changed; rescan
                     if assigned:
+                        settled = False
                         continue
 
                 # Nothing could be placed (or no core is idle): try a
@@ -1646,6 +1683,7 @@ class StreamingSimulation:
                     enqueued_total += 1
                     if len(queue) > max_queue_len:
                         max_queue_len = len(queue)
+                    settled = False
                     preempted = True
                     break
                 if not preempted:

@@ -214,6 +214,29 @@ class TestPinnedMonotoneFrontier:
             for key, (ladder, _) in memo.items()
         }
 
+    @pytest.mark.parametrize("discipline", ("fifo", "edf"))
+    def test_reference_and_fast_agree_congested_energy_centric(
+        self, discipline, small_store, oracle, energy_table
+    ):
+        """A backed-up energy-centric queue under a cluster cap and
+        DVFS: a dispatch pass that throttles a job must not leave the
+        core treating the queue as settled."""
+        arrivals = qos_arrivals(repeats=30, gap=5_000, seed=2)
+        runs = {}
+        for engine in ("reference", "fast"):
+            sim = make_simulation(
+                "energy_centric", small_store, oracle, energy_table,
+                discipline=discipline, preemptive=False, engine=engine,
+                power=LADDER_POWER,
+            )
+            runs[engine] = (sim, sim.run(arrivals))
+        (ref_sim, ref), (fast_sim, fast) = runs["reference"], runs["fast"]
+        assert ref == fast
+        state = ref_sim.power_pool.state_dict()
+        assert fast_sim.power_pool.state_dict() == state
+        assert state["throttled"] > 0
+        assert ref_sim.queue.max_length >= 20
+
 
 #: DVFS plus a 4 KB cluster cap: under the pinned stream, both
 #: preemptive disciplines degrade through the ladder.

@@ -168,27 +168,70 @@ class TestGoldenGrid:
         assert ref_result == fast_result
         assert ref_result.stall_decisions > 0  # the path was exercised
 
+    @pytest.mark.parametrize("policy,discipline,preemptive", GRID)
+    def test_congested_scans_match(
+        self, policy, discipline, preemptive, store, oracle, energy_table
+    ):
+        # A backed-up queue: most dispatch passes place nothing, so the
+        # core's per-pass placement memo and its settled-queue arrival
+        # rounds carry the run.
+        arrivals = (
+            qos_arrivals(repeats=30, gap=5_000)
+            if discipline != "fifo"
+            else arrivals_for(SUITE_NAMES * 30, gap=5_000)
+        )
+        ref, fast = _pair(
+            policy, store, oracle, energy_table,
+            discipline=discipline, preemptive=preemptive,
+        )
+        assert ref.run(arrivals) == fast.run(arrivals)
+        _assert_state_parity(ref, fast)
+        assert ref.queue.max_length >= 20
+
+
+def _jobs(max_cycle):
+    """Random ``(benchmark, arrival cycle, priority, has deadline)``
+    rows with arrival cycles in ``0..max_cycle``."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(SUITE_NAMES),
+            st.integers(0, max_cycle),
+            st.integers(0, 3),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+
+
+_AXES = dict(
+    policy=st.sampled_from(POLICY_NAMES),
+    discipline=st.sampled_from(DISCIPLINES),
+    preemptive=st.booleans(),
+)
+
 
 class TestPropertyEquivalence:
-    @given(
-        raw=st.lists(
-            st.tuples(
-                st.sampled_from(SUITE_NAMES),
-                st.integers(0, 2_000_000),   # arrival cycle
-                st.integers(0, 3),           # priority
-                st.booleans(),               # has deadline
-            ),
-            min_size=1,
-            max_size=25,
-        ),
-        policy=st.sampled_from(POLICY_NAMES),
-        discipline=st.sampled_from(DISCIPLINES),
-        preemptive=st.booleans(),
-    )
+    @given(raw=_jobs(2_000_000), **_AXES)
     @settings(max_examples=60, deadline=None)
     def test_random_streams_bit_identical(self, raw, policy, discipline,
                                           preemptive, store, oracle,
                                           energy_table):
+        self._check(raw, policy, discipline, preemptive, store, oracle,
+                    energy_table)
+
+    @given(raw=_jobs(200_000), **_AXES)  # dense: queues form
+    @settings(max_examples=60, deadline=None)
+    def test_dense_random_streams_bit_identical(
+        self, raw, policy, discipline, preemptive, store, oracle,
+        energy_table,
+    ):
+        self._check(raw, policy, discipline, preemptive, store, oracle,
+                    energy_table)
+
+    @staticmethod
+    def _check(raw, policy, discipline, preemptive, store, oracle,
+               energy_table):
         if preemptive and discipline == "fifo":
             discipline = "priority"
         arrivals = [

@@ -206,6 +206,68 @@ class TestKillAndResume:
         assert result == baseline
 
 
+class TestCongestedResume:
+    """Kill points while the ready queue is backed up.
+
+    Under ``energy_centric`` (and ``optimal`` while benchmarks wait
+    for profiling) many dispatch passes find nothing to place, and the
+    core then treats the queue as settled until a start, completion or
+    preemption.  That is loop-local state: a snapshot holds none of
+    it, and a resumed run must start unsettled rather than inherit
+    it.
+    """
+
+    CAPACITY = 12
+
+    @staticmethod
+    def _process(specs, discipline):
+        process = PoissonProcess(
+            specs, mean_interarrival_cycles=15_000.0, seed=SEED
+        )
+        if discipline == "edf":
+            # Half the jobs without a deadline: EDF order is not
+            # arrival order.
+            process = QoSProcess(
+                process,
+                service_estimate=lambda name: 400_000,
+                deadline_fraction=0.5,
+                seed=SEED,
+            )
+        return process
+
+    @pytest.mark.parametrize("policy", ("energy_centric", "optimal"))
+    @pytest.mark.parametrize("admission", ("shed", "block"))
+    @pytest.mark.parametrize("discipline", ("fifo", "edf"))
+    def test_resume_is_bit_identical(
+        self, policy, admission, discipline, store, oracle, energy_table,
+        specs,
+    ):
+        config = StreamConfig(
+            max_jobs=N_JOBS, queue_capacity=self.CAPACITY,
+            admission=admission,
+        )
+        args = (policy, discipline, False, store, oracle, energy_table)
+        straight = _engine(*args, config=config)
+        straight.start(self._process(specs, discipline))
+        baseline = _finish(straight)
+        final = json.dumps(straight.snapshot(), sort_keys=True)
+
+        for kill_at in (15, 30, 45):
+            killed = _engine(*args, config=config)
+            killed.start(self._process(specs, discipline))
+            killed.advance(max_completions=kill_at)
+            snapshot = json.loads(json.dumps(killed.snapshot()))
+            assert snapshot["version"] == STREAM_SNAPSHOT_VERSION == 4
+            assert len(snapshot["engine"]["queue"]) >= self.CAPACITY - 2
+
+            resumed = _engine(*args, config=config)
+            result = resumed.resume(
+                snapshot, self._process(specs, discipline)
+            )
+            assert result == baseline
+            assert json.dumps(resumed.snapshot(), sort_keys=True) == final
+
+
 class TestBlockBoundaries:
     """Kill points on and beside a histogram block boundary.
 

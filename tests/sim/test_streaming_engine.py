@@ -470,6 +470,27 @@ class TestValidation:
     def test_admission_policies_tuple(self):
         assert ADMISSION_POLICIES == ("drop", "shed", "block")
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_jobs", 50.5),
+        ("max_jobs", True),
+        ("max_jobs", "50"),
+        ("duration_cycles", 1e6),
+        ("warmup_cycles", 0.0),
+        ("warmup_cycles", False),
+        ("warmup_cycles", None),
+        ("queue_capacity", 2.5),
+        ("queue_capacity", True),
+    ])
+    def test_config_requires_int_counts(self, field, value):
+        kwargs = {"max_jobs": 10, field: value}
+        with pytest.raises(ValueError, match=rf"{field}.*{value!r}"):
+            StreamConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_config_requires_bool_retain_jobs(self, value):
+        with pytest.raises(ValueError, match=rf"retain_jobs.*{value!r}"):
+            StreamConfig(max_jobs=10, retain_jobs=value)
+
     def test_engine_requires_config(self, store, oracle, energy_table):
         with pytest.raises(ValueError, match="StreamConfig"):
             StreamingSimulation(

@@ -389,6 +389,10 @@ class TestStreamAxis:
                 stream=StreamLoad(admission="bounce"),
             )
 
+    def test_rejects_non_integer_queue_capacity(self):
+        with pytest.raises(ValueError, match="queue_capacity.*2.5"):
+            StreamLoad(queue_capacity=2.5)
+
 
 class TestDagAxis:
     def dag_campaign(self, store, workers=1, policies=("base", "edf"),
