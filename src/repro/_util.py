@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
-__all__ = ["load_json_document", "stable_seed"]
+__all__ = ["check_finite", "load_json_document", "stable_seed"]
 
 
 def stable_seed(*parts: object) -> int:
@@ -36,3 +37,17 @@ def load_json_document(path, kind: str, build):
         return build(payload)
     except (ValueError, TypeError) as error:
         raise ValueError(f"{path} is not a valid {kind}: {error}") from None
+
+
+def check_finite(name: str, value, *, minimum: float = None) -> float:
+    """``float(value)`` if finite and positive (or ``>= minimum``), else
+    :class:`ValueError` naming ``name`` and the value.  (``value <= 0``
+    alone lets NaN through: every comparison with NaN is false.)"""
+    number = float(value)
+    if minimum is None:
+        bounded, bound = number > 0, "positive"
+    else:
+        bounded, bound = number >= minimum, f">= {minimum:g}"
+    if not (bounded and math.isfinite(number)):
+        raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
+    return number

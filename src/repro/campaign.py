@@ -33,20 +33,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro._util import check_finite
 from repro.characterization.store import CharacterizationStore
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.predictor import BestCorePredictor, OraclePredictor
-from repro.core.simulation import (
-    SchedulerSimulation,
-    make_simulation,
-    select_engine,
-)
+from repro.core.simulation import make_simulation, select_engine
 from repro.energy.tables import EnergyTable
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.power.budget import PowerConfig, normalize_power
 from repro.power.dvfs import DvfsTable
-from repro.workloads.arrivals import uniform_arrivals
+from repro.workloads.arrivals import make_process, uniform_arrivals
 from repro.workloads.dag import check_graph_shape, generate_task_graphs
 from repro.workloads.eembc import eembc_suite
 
@@ -63,6 +60,7 @@ __all__ = [
     "campaign_specs",
     "power_grid",
     "run_campaign",
+    "run_spec",
 ]
 
 #: Metrics aggregated per campaign cell, in report order.
@@ -88,7 +86,9 @@ class StreamLoad:
     mean_interarrival_cycles)`` of the stream, and the replication seed
     seeds the process.  Hashable/picklable pure data, like
     :class:`~repro.faults.plan.FaultPlan`; construction runs
-    :class:`~repro.sim.stream.StreamConfig`'s checks on the fields.
+    :class:`~repro.sim.stream.StreamConfig`'s checks on the fields and
+    the arrival process's checks on ``process_args``.  ``repro stream``
+    is one spec with this load.
     """
 
     #: Arrival process kind (see
@@ -105,16 +105,21 @@ class StreamLoad:
     #: Extra keyword arguments for the process constructor, as a sorted
     #: tuple of ``(name, value)`` pairs so the spec stays hashable.
     process_args: Tuple[Tuple[str, float], ...] = ()
+    #: Stop generating at this cycle (``None`` = bounded by the job
+    #: count alone; a spec with no count needs it).
+    duration_cycles: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.config(max_jobs=1)
+        make_process(self.process, eembc_suite(), **dict(self.process_args))
 
-    def config(self, max_jobs: int):
+    def config(self, max_jobs: Optional[int]):
         """The :class:`~repro.sim.stream.StreamConfig` of one replication."""
         from repro.sim.stream import StreamConfig
 
         return StreamConfig(
             max_jobs=max_jobs,
+            duration_cycles=self.duration_cycles,
             warmup_cycles=self.warmup_cycles,
             queue_capacity=self.queue_capacity,
             admission=self.admission,
@@ -198,12 +203,14 @@ def power_grid(
 
 @dataclass(frozen=True)
 class ReplicationSpec:
-    """One point of the campaign grid: policy × load × fault plan × seed."""
+    """One simulated run (a campaign replication, one of ``compare``'s
+    four, or ``stream``): policy × load × fault plan × power × seed."""
 
     policy: str
     seed: int
-    #: Jobs in the arrival stream.
-    count: int
+    #: Jobs in the arrival stream (``None`` only for a stream bounded by
+    #: :attr:`StreamLoad.duration_cycles`).
+    count: Optional[int]
     #: Mean gap between arrivals (smaller = heavier load).
     mean_interarrival_cycles: int
     #: Fault plan injected into the replication (``None`` = clean run).
@@ -451,24 +458,60 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-# Shared read-only state, installed once per worker by the pool
-# initializer (or once in-process on the serial path).
+def run_spec(
+    spec: ReplicationSpec,
+    store: CharacterizationStore,
+    predictor: Optional[BestCorePredictor] = None,
+    *,
+    energy_table: Optional[EnergyTable] = None,
+    discipline: str = "fifo",
+    checkpoint: Optional[dict] = None,
+    **sinks,
+):
+    """Run one spec: the only code that turns a spec into a simulation.
+
+    Builds the spec's load (uniform arrivals, task graphs or an arrival
+    process) and simulation, runs it, and returns ``(result, simulation,
+    load)``.  The store, predictor, energy table and discipline are run
+    context.  ``sinks`` (``recorder``, ``metrics``, ``validate``,
+    ``telemetry``) observe the run and never change its result;
+    ``checkpoint`` holds a stream's ``checkpoint_path`` /
+    ``checkpoint_every`` / ``resume_from``.
+    """
+    simulation = make_simulation(
+        spec.policy, store, predictor, energy_table, discipline=discipline,
+        faults=spec.fault_plan, engine=spec.engine, power=spec.power,
+        **sinks,
+    )
+    arrival_args = dict(
+        seed=spec.seed, mean_interarrival_cycles=spec.mean_interarrival_cycles
+    )
+    if spec.stream is not None:
+        load = make_process(spec.stream.process, eembc_suite(),
+                            **arrival_args, **dict(spec.stream.process_args))
+        config = spec.stream.config(spec.count)
+        result = simulation.stream(load, config, **(checkpoint or {}))
+    elif spec.dag is not None:
+        load = generate_task_graphs(
+            count=spec.count, benchmarks=[s.name for s in eembc_suite()],
+            **arrival_args, **dataclasses.asdict(spec.dag),
+        )
+        result = simulation.run_dags(load)
+    else:
+        load = uniform_arrivals(eembc_suite(), count=spec.count,
+                                **arrival_args)
+        result = simulation.run(load)
+    return result, simulation, load
+
+
+# Whether to attach a metrics registry, and run_spec's keyword arguments:
+# installed once per worker by the pool initializer (or in-process).
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(
-    store: CharacterizationStore,
-    predictor: BestCorePredictor,
-    energy_table: EnergyTable,
-    discipline: str,
-    collect_metrics: bool = False,
-    validate: bool = False,
-) -> None:
-    _WORKER_STATE.update(
-        store=store, predictor=predictor, energy_table=energy_table,
-        discipline=discipline, collect_metrics=collect_metrics,
-        validate=validate,
-    )
+def _init_worker(collect_metrics: bool, run_kwargs: dict) -> None:
+    _WORKER_STATE.update(collect_metrics=collect_metrics,
+                         run_kwargs=run_kwargs)
 
 
 #: :class:`~repro.sim.stream.StreamResult` fields a streamed replication
@@ -486,27 +529,40 @@ def _run_replication(spec: ReplicationSpec) -> ReplicationResult:
     registry = (
         MetricsRegistry() if _WORKER_STATE["collect_metrics"] else None
     )
-    simulation = make_simulation(
-        spec.policy,
-        _WORKER_STATE["store"],
-        _WORKER_STATE["predictor"],
-        _WORKER_STATE["energy_table"],
-        discipline=_WORKER_STATE["discipline"],
-        metrics=registry,
-        validate=_WORKER_STATE["validate"],
-        faults=spec.fault_plan,
-        engine=spec.engine,
-        power=spec.power,
+    result, simulation, load = run_spec(
+        spec, metrics=registry, **_WORKER_STATE["run_kwargs"]
     )
     if spec.stream is not None:
-        result, observed = _stream_run(spec, simulation)
+        # The windowed stream metrics ride back through ``observed``
+        # (flat floats, exactly like registry scalars) so cells
+        # aggregate the quantile snapshots without retaining per-job
+        # state anywhere.
+        observed = {
+            f"stream.{name}": float(getattr(result, name))
+            for name in _STREAM_FIELDS
+        }
+        for prefix, snapshot in (
+            ("stream.waiting", result.waiting),
+            ("stream.turnaround", result.turnaround),
+        ):
+            for key, value in snapshot.items():
+                observed[f"{prefix}.{key}"] = value
         power = result.power
         mean_waiting_cycles = result.waiting.get("mean", 0.0)
     else:
-        run = _batch_run if spec.dag is None else _dag_run
-        result, load_observed = run(spec, simulation)
         observed = dict(registry.scalars()) if registry is not None else {}
-        observed.update(load_observed)
+        if spec.dag is not None:
+            # Deadline/slack outcomes ride back through ``observed``
+            # alongside any registry scalars, so cells aggregate them
+            # like every other per-replication metric.
+            observed.update({
+                "dag.graphs": float(len(load)),
+                "dag.tasks": float(sum(g.task_count for g in load)),
+                "dag.edges": float(sum(g.edge_count for g in load)),
+                "dag.deadline_jobs": float(result.deadline_jobs),
+                "dag.deadline_misses": float(result.deadline_misses),
+                "dag.deadline_miss_rate": result.deadline_miss_rate,
+            })
         pool = simulation.power_pool
         power = None if pool is None else pool.counts()
         mean_waiting_cycles = result.mean_waiting_cycles
@@ -527,69 +583,6 @@ def _run_replication(spec: ReplicationSpec) -> ReplicationResult:
     )
 
 
-def _batch_run(spec: ReplicationSpec, simulation: SchedulerSimulation):
-    """Closed batch: the run's result and no load-specific outcomes."""
-    arrivals = uniform_arrivals(
-        eembc_suite(),
-        count=spec.count,
-        seed=spec.seed,
-        mean_interarrival_cycles=spec.mean_interarrival_cycles,
-    )
-    return simulation.run(arrivals), {}
-
-
-def _dag_run(spec: ReplicationSpec, simulation: SchedulerSimulation):
-    """Task-graph load: the run's result and its ``dag.*`` outcomes."""
-    graphs = generate_task_graphs(
-        count=spec.count,
-        seed=spec.seed,
-        benchmarks=[s.name for s in eembc_suite()],
-        mean_interarrival_cycles=spec.mean_interarrival_cycles,
-        **dataclasses.asdict(spec.dag),
-    )
-    result = simulation.run_dags(graphs)
-    # Deadline/slack outcomes ride back through ``observed`` alongside
-    # any registry scalars, so cells aggregate them like every other
-    # per-replication metric.
-    return result, {
-        "dag.graphs": float(len(graphs)),
-        "dag.tasks": float(sum(g.task_count for g in graphs)),
-        "dag.edges": float(sum(g.edge_count for g in graphs)),
-        "dag.deadline_jobs": float(result.deadline_jobs),
-        "dag.deadline_misses": float(result.deadline_misses),
-        "dag.deadline_miss_rate": result.deadline_miss_rate,
-    }
-
-
-def _stream_run(spec: ReplicationSpec, simulation: SchedulerSimulation):
-    """Open-system load: the stream's result and its windowed metrics."""
-    from repro.workloads.arrivals import make_process
-
-    load = spec.stream
-    process = make_process(
-        load.process,
-        eembc_suite(),
-        mean_interarrival_cycles=spec.mean_interarrival_cycles,
-        seed=spec.seed,
-        **dict(load.process_args),
-    )
-    result = simulation.stream(process, load.config(spec.count))
-    # The windowed stream metrics ride back through ``observed`` (flat
-    # floats, exactly like registry scalars) so cells aggregate the
-    # quantile snapshots without retaining per-job state anywhere.
-    observed = {
-        f"stream.{name}": float(getattr(result, name))
-        for name in _STREAM_FIELDS
-    }
-    for prefix, snapshot in (
-        ("stream.waiting", result.waiting),
-        ("stream.turnaround", result.turnaround),
-    ):
-        for key, value in snapshot.items():
-            observed[f"{prefix}.{key}"] = value
-    return result, observed
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     try:
         return multiprocessing.get_context("fork")
@@ -607,18 +600,21 @@ def campaign_specs(
     engine: str = "auto",
     stream: Optional[StreamLoad] = None,
     dag: Optional[DagLoad] = None,
-    collect_metrics: bool = False,
-    validate: bool = False,
+    hooks: bool = False,
+    telemetry: bool = False,
 ) -> Tuple[ReplicationSpec, ...]:
-    """The checked replication grid of one :func:`run_campaign` call.
+    """The checked specs of a campaign grid, ``compare`` or ``stream``.
 
-    Takes :func:`run_campaign`'s axis and hook arguments and returns
-    the cartesian product of the axes as specs, in grid order (policy,
-    load, fault plan, power configuration, seed).  Every spec-shaped
-    check runs here, before a store, predictor or worker exists: each
-    axis needs at least one value and no repeated one (a repeat would
-    silently double a cell's ``n``), loads must be positive, the
-    ``dag`` and ``stream`` axes exclude each other, and
+    Takes :func:`run_campaign`'s axis arguments and returns the
+    cartesian product of the axes as specs, in grid order (policy,
+    load, fault plan, power configuration, seed).  ``hooks`` and
+    ``telemetry`` say whether the runs attach per-event hooks or
+    sampled telemetry.  Every spec-shaped check runs here, before a
+    store, predictor or worker exists: each axis needs at least one
+    value and no repeated one (a repeat would silently double a cell's
+    ``n``), loads must be positive and finite (a stream bounded by
+    ``duration_cycles`` may have no count), the ``dag`` and ``stream``
+    axes exclude each other, and
     :func:`~repro.core.simulation.select_engine` rules once per
     distinct spec shape.  Raises :class:`ValueError` naming the
     problem.
@@ -647,10 +643,11 @@ def campaign_specs(
                 )
             seen.add(key)
     for count, gap in loads:
-        if count <= 0:
+        if count is None and stream is not None:
+            stream.config(count)  # needs a duration_cycles bound
+        elif count is None or count <= 0:
             raise ValueError("load count must be positive")
-        if gap <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
+        check_finite("mean_interarrival_cycles", gap)
     if dag is not None and stream is not None:
         raise ValueError(
             "the dag and stream axes are mutually exclusive: task-graph "
@@ -684,7 +681,8 @@ def campaign_specs(
         select_engine(
             engine,
             make_policy(policy),
-            hooks=collect_metrics or validate or faulted,
+            hooks=hooks or faulted,
+            telemetry=telemetry,
             load=load,
         )
     return specs
@@ -813,8 +811,7 @@ def run_campaign(
         engine=engine,
         stream=stream,
         dag=dag,
-        collect_metrics=collect_metrics,
-        validate=validate,
+        hooks=collect_metrics or validate,
     )
     if predictor is None:
         predictor = OraclePredictor(store)
@@ -832,9 +829,12 @@ def run_campaign(
     start = time.perf_counter()
     if progress is not None:
         progress(0, len(specs))
+    run_kwargs = dict(
+        store=store, predictor=predictor, energy_table=energy_table,
+        discipline=discipline, validate=validate,
+    )
     if workers == 1 or len(specs) <= 1:
-        _init_worker(store, predictor, energy_table, discipline,
-                     collect_metrics, validate)
+        _init_worker(collect_metrics, run_kwargs)
         replications = []
         for spec in specs:
             replications.append(_run_replication(spec))
@@ -845,8 +845,7 @@ def run_campaign(
         with ctx.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(store, predictor, energy_table, discipline,
-                      collect_metrics, validate),
+            initargs=(collect_metrics, run_kwargs),
         ) as pool:
             if progress is None:
                 replications = pool.map(_run_replication, specs)

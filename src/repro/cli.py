@@ -549,15 +549,10 @@ def _make_telemetry(args, *, label: str = "", policy: str = None):
 
 
 def _cmd_compare(args) -> int:
-    from repro.core import (
-        POLICY_NAMES,
-        make_policy,
-        make_simulation,
-        select_engine,
-    )
+    from repro.campaign import campaign_specs, run_spec
+    from repro.core import POLICY_NAMES
     from repro.experiment import default_predictor, default_store
     from repro.obs import JsonlRecorder, MetricsRegistry
-    from repro.workloads import eembc_suite, uniform_arrivals
 
     fault_plan = None
     if args.faults:
@@ -572,15 +567,17 @@ def _cmd_compare(args) -> int:
               f"({', '.join(fault_plan.classes()) or 'empty'})")
     try:
         power = _parse_power(args)
-        arrivals = uniform_arrivals(
-            eembc_suite(), count=args.jobs, seed=args.seed,
-            mean_interarrival_cycles=args.interarrival,
+        specs = campaign_specs(
+            policies=POLICY_NAMES, seeds=(args.seed,),
+            loads=((args.jobs, args.interarrival),),
+            fault_plans=(fault_plan,), power_configs=(power,),
+            engine=args.engine, telemetry=_wants_telemetry(args),
+            hooks=bool(args.trace or args.metrics_out or args.validate),
         )
-        hooks = bool(args.trace or args.metrics_out or args.validate
-                     or fault_plan is not None)
-        for name in POLICY_NAMES:
-            select_engine(args.engine, make_policy(name), hooks=hooks,
-                          telemetry=_wants_telemetry(args))
+        telemetry = {
+            name: _make_telemetry(args, label=name, policy=name)
+            for name in POLICY_NAMES
+        }
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -593,30 +590,26 @@ def _cmd_compare(args) -> int:
     results = {}
     snapshots = {}
     pools = {}
-    for name in POLICY_NAMES:
+    for spec in specs:
+        name = spec.policy
         recorder = None
         registry = MetricsRegistry() if args.metrics_out else None
         if args.trace:
             recorder = JsonlRecorder(_per_policy_path(args.trace, name))
-        telemetry = _make_telemetry(args, label=name, policy=name)
-        sim = make_simulation(
-            name, store, predictor,
-            discipline=args.discipline,
-            recorder=recorder,
-            metrics=registry,
-            validate=args.validate,
-            faults=fault_plan,
-            engine=args.engine,
-            telemetry=telemetry,
-            power=power,
-        )
         try:
-            results[name] = sim.run(arrivals)
+            results[name], sim, _ = run_spec(
+                spec, store, predictor,
+                discipline=args.discipline,
+                recorder=recorder,
+                metrics=registry,
+                validate=args.validate,
+                telemetry=telemetry[name],
+            )
         finally:
             if recorder is not None:
                 recorder.close()
-            if telemetry is not None:
-                telemetry.close()
+            if telemetry[name] is not None:
+                telemetry[name].close()
         if registry is not None:
             snapshots[name] = registry.snapshot()
         pools[name] = sim.power_pool
@@ -865,10 +858,8 @@ def _cmd_campaign(args) -> int:
                 admission=args.admission,
             ),
             dag=DagLoad(**_dag_shape(args, "dag_")) if args.dag else None,
-            collect_metrics=bool(args.metrics_out),
-            validate=args.validate,
         )
-        campaign_specs(**grid)
+        campaign_specs(hooks=bool(args.metrics_out or args.validate), **grid)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -887,6 +878,8 @@ def _cmd_campaign(args) -> int:
         predictor,
         discipline=args.discipline,
         workers=args.workers,
+        collect_metrics=bool(args.metrics_out),
+        validate=args.validate,
         progress=progress,
         **grid,
     )
@@ -926,10 +919,10 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    from repro.core import make_policy, make_simulation, select_engine
+    from repro.campaign import StreamLoad, campaign_specs, run_spec
+    from repro.core import make_policy
     from repro.experiment import default_predictor, default_store
-    from repro.sim.stream import StreamConfig, read_checkpoint
-    from repro.workloads import eembc_suite, make_process
+    from repro.sim.stream import read_checkpoint
 
     if args.max_jobs is None and args.duration is None:
         print(
@@ -947,58 +940,49 @@ def _cmd_stream(args) -> int:
         )
         return 2
 
-    process_args = {}
-    if args.process == "mmpp":
-        process_args["burst_factor"] = args.burst_factor
-    elif args.process == "diurnal":
-        process_args["amplitude"] = args.amplitude
-        process_args["period_cycles"] = args.period
     try:
-        process = make_process(
-            args.process,
-            eembc_suite(),
-            mean_interarrival_cycles=args.interarrival,
-            seed=args.seed,
-            **process_args,
-        )
-        config = StreamConfig(
-            max_jobs=args.max_jobs,
-            duration_cycles=args.duration,
+        power = _parse_power(args)
+        load = StreamLoad(
+            process=args.process,
             warmup_cycles=args.warmup,
             queue_capacity=args.queue_capacity,
             admission=args.admission,
+            process_args={
+                "poisson": (),
+                "mmpp": (("burst_factor", args.burst_factor),),
+                "diurnal": (("amplitude", args.amplitude),
+                            ("period_cycles", args.period)),
+            }[args.process],
+            duration_cycles=args.duration,
         )
-        power = _parse_power(args)
-        policy = make_policy(args.policy)
-        select_engine("auto", policy, telemetry=_wants_telemetry(args),
-                      load="stream")
+        (spec,) = campaign_specs(
+            policies=(args.policy,), seeds=(args.seed,),
+            loads=((args.max_jobs, args.interarrival),),
+            power_configs=(power,), stream=load,
+            telemetry=_wants_telemetry(args),
+        )
         snapshot = read_checkpoint(args.checkpoint) if args.resume else None
+        telemetry = _make_telemetry(args, label=f"stream:{args.policy}")
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
     store = default_store()
     predictor = None
-    if policy.uses_predictor:
+    if make_policy(args.policy).uses_predictor:
         predictor = default_predictor(
             store, kind=args.predictor, seed=args.seed
         )
     try:
-        telemetry = _make_telemetry(args, label=f"stream:{args.policy}")
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    sim = make_simulation(
-        args.policy, store, predictor, discipline=args.discipline,
-        telemetry=telemetry, power=power,
-    )
-    try:
-        result = sim.stream(
-            process,
-            config,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume_from=snapshot,
+        result, _, _ = run_spec(
+            spec, store, predictor,
+            discipline=args.discipline,
+            telemetry=telemetry,
+            checkpoint=dict(
+                checkpoint_path=args.checkpoint,
+                checkpoint_every=args.checkpoint_every,
+                resume_from=snapshot,
+            ),
         )
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

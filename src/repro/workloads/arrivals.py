@@ -32,6 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro._util import check_finite
+
 from .benchmark import BenchmarkSpec
 
 __all__ = [
@@ -119,8 +121,7 @@ def uniform_arrivals(
         raise ValueError(f"count must be positive, got {count}")
     if horizon_cycles is None:
         horizon_cycles = count * mean_interarrival_cycles
-    if horizon_cycles <= 0:
-        raise ValueError("horizon_cycles must be positive")
+    check_finite("horizon_cycles", horizon_cycles)
     rng = np.random.default_rng(seed)
     times = np.sort(rng.integers(0, horizon_cycles, size=count))
     names = _draw_benchmarks(specs, count, rng)
@@ -260,9 +261,9 @@ class PoissonProcess(ArrivalProcess):
         chunk: int = STREAM_CHUNK,
     ) -> None:
         super().__init__(specs, seed=seed, chunk=chunk)
-        if mean_interarrival_cycles <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
-        self.mean_interarrival_cycles = float(mean_interarrival_cycles)
+        self.mean_interarrival_cycles = check_finite(
+            "mean_interarrival_cycles", mean_interarrival_cycles
+        )
         self._clock = 0.0
 
     def next_chunk(self) -> List[JobArrival]:
@@ -333,16 +334,18 @@ class MMPPProcess(ArrivalProcess):
         chunk: int = STREAM_CHUNK,
     ) -> None:
         super().__init__(specs, seed=seed, chunk=chunk)
-        if mean_interarrival_cycles <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
-        if burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
-        if mean_normal_sojourn_cycles <= 0 or mean_burst_sojourn_cycles <= 0:
-            raise ValueError("phase sojourns must be positive")
-        self.mean_interarrival_cycles = float(mean_interarrival_cycles)
-        self.burst_factor = float(burst_factor)
-        self.mean_normal_sojourn_cycles = float(mean_normal_sojourn_cycles)
-        self.mean_burst_sojourn_cycles = float(mean_burst_sojourn_cycles)
+        self.mean_interarrival_cycles = check_finite(
+            "mean_interarrival_cycles", mean_interarrival_cycles
+        )
+        self.burst_factor = check_finite(
+            "burst_factor", burst_factor, minimum=1.0
+        )
+        self.mean_normal_sojourn_cycles = check_finite(
+            "mean_normal_sojourn_cycles", mean_normal_sojourn_cycles
+        )
+        self.mean_burst_sojourn_cycles = check_finite(
+            "mean_burst_sojourn_cycles", mean_burst_sojourn_cycles
+        )
         self._gap_means = (
             self.mean_interarrival_cycles,
             self.mean_interarrival_cycles / self.burst_factor,
@@ -441,14 +444,12 @@ class DiurnalProcess(ArrivalProcess):
         chunk: int = STREAM_CHUNK,
     ) -> None:
         super().__init__(specs, seed=seed, chunk=chunk)
-        if mean_interarrival_cycles <= 0:
-            raise ValueError("mean_interarrival_cycles must be positive")
-        if period_cycles <= 0:
-            raise ValueError("period_cycles must be positive")
+        self.mean_interarrival_cycles = check_finite(
+            "mean_interarrival_cycles", mean_interarrival_cycles
+        )
+        self.period_cycles = check_finite("period_cycles", period_cycles)
         if not 0.0 <= amplitude < 1.0:
             raise ValueError("amplitude must be within [0, 1)")
-        self.mean_interarrival_cycles = float(mean_interarrival_cycles)
-        self.period_cycles = float(period_cycles)
         self.amplitude = float(amplitude)
         self.phase = float(phase)
         self._clock = 0.0

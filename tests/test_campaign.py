@@ -591,6 +591,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_campaign(store, loads=((10, 0),))
 
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_gap(self, store, gap):
+        # Past the grid check, both fail inside numpy, in a worker.
+        with pytest.raises(ValueError, match="mean_interarrival_cycles "
+                                             f"must be positive and finite, "
+                                             f"got {gap}"):
+            run_campaign(store, loads=((5, gap),))
+
+    def test_count_free_load_needs_a_duration_bound(self, store):
+        with pytest.raises(ValueError, match="load count"):
+            run_campaign(store, loads=((None, 56_000),))
+        with pytest.raises(ValueError, match="duration_cycles"):
+            run_campaign(store, loads=((None, 56_000),), stream=StreamLoad())
+
     @pytest.mark.parametrize("axis, value", [
         ("policies", "base"),
         ("seeds", 1),

@@ -577,6 +577,11 @@ class TestHostileInput:
         "--engine reference",
         "campaign --policies base base --seeds 1 --jobs 10",
         "compare --jobs 0 --predictor oracle",
+        "compare --jobs 10 --predictor oracle --telemetry-every 0 "
+        "--telemetry-out t.jsonl",
+        "compare --jobs 10 --predictor oracle --sampled-trace s.jsonl "
+        "--sampled-trace-every 0",
+        "stream --process mmpp --interarrival nan --max-jobs 10",
         "train --epochs 0",
         "train --members 0",
         "train --variants 0",
@@ -630,9 +635,10 @@ class TestHostileInput:
         b'{"kind": "job_arrived", "cycle": "x", "job_id": 0, '
         b'"benchmark": "a2time"}\n',
         b'{"kind": "job_arrived", \xff\xfe}\n',
+        b'\xff\xfe\n',
         b'{"kind": "mystery", "cycle": 0}\n',
     ], ids=["list", "missing-fields", "string-cycle", "not-utf8",
-            "unknown-kind"])
+            "bare-not-utf8", "unknown-kind"])
     def test_malformed_trace_line_is_named(self, content, capsys, tmp_path):
         from repro.obs import read_trace
 

@@ -4,8 +4,10 @@ Each row of the table is one (engine, hook, telemetry, policy, load)
 combination.  :func:`~repro.core.simulation.select_engine` gives the
 verdict, and every front end that can express the row must agree with
 it: :class:`~repro.core.simulation.SchedulerSimulation` (``run`` /
-``run_dags`` / ``stream``), :func:`~repro.campaign.run_campaign` and the
-CLI all accept the row, or all reject it with the rule's message.
+``run_dags`` / ``stream``), :func:`~repro.campaign.run_spec` (the one run
+path behind ``compare``, ``stream`` and campaigns),
+:func:`~repro.campaign.run_campaign` and the CLI all accept the row, or
+all reject it with the rule's message.
 
 The ``recorder`` hook is a trace recorder on a simulation and ``compare
 --trace`` on the CLI.  Campaigns attach no trace recorder, so there the
@@ -16,9 +18,10 @@ take no telemetry, ``compare`` runs only the paper's policies, and the
 expresses is checked on the library front ends only.
 
 Plug-in policies (subclasses of the paper's policies, which no command
-can name) are checked on the library front ends: the rule routes every
-class outside :data:`~repro.sim.fast.CORE_POLICIES` to the reference
-loop, and the core's own constructors refuse it with the same message.
+or spec can name) are checked on :class:`SchedulerSimulation`: the rule
+routes every class outside :data:`~repro.sim.fast.CORE_POLICIES` to the
+reference loop, and the core's own constructors refuse it with the same
+message.
 """
 
 import itertools
@@ -27,7 +30,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import DagLoad, StreamLoad, run_campaign
+from repro.campaign import (
+    DagLoad,
+    ReplicationSpec,
+    StreamLoad,
+    run_campaign,
+    run_spec,
+)
 from repro.cli import main
 from repro.core import (
     OraclePredictor,
@@ -103,6 +112,25 @@ def simulate(store, engine, hook, telemetry, policy, load):
     )
 
 
+def spec_run(store, engine, hook, telemetry, policy, load):
+    """Run one row as a :class:`ReplicationSpec` through ``run_spec``."""
+    spec = ReplicationSpec(
+        policy=policy,
+        seed=0,
+        count=2 if load == "dag" else 6,
+        mean_interarrival_cycles=56_000,
+        engine=engine,
+        stream=StreamLoad() if load == "stream" else None,
+        dag=DagLoad(tasks_min=2, tasks_max=3) if load == "dag" else None,
+    )
+    return run_spec(
+        spec, store, OraclePredictor(store),
+        validate=hook == "validate",
+        recorder=ListRecorder() if hook == "recorder" else None,
+        telemetry=Telemetry() if telemetry else None,
+    )
+
+
 def campaign(store, engine, hook, policy, load):
     run_campaign(
         store,
@@ -157,6 +185,7 @@ def test_front_ends_agree_with_the_rule(row, store, capsys, tmp_path):
     ))
 
     assert verdict(lambda: simulate(store, *row)) == expected
+    assert verdict(lambda: spec_run(store, *row)) == expected
     if not telemetry:
         assert verdict(
             lambda: campaign(store, engine, hook, policy, load)

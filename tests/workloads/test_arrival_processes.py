@@ -234,6 +234,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="amplitude"):
             DiurnalProcess(SPECS, amplitude=1.0)
 
+    # NaN compares false against every bound, so a ``<= 0`` check lets
+    # it through, and a NaN rate spins the rejection loops of
+    # ``next_chunk`` forever.  These tests never call ``next_chunk``.
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("cls,field", [
+        (PoissonProcess, "mean_interarrival_cycles"),
+        (MMPPProcess, "mean_interarrival_cycles"),
+        (MMPPProcess, "burst_factor"),
+        (MMPPProcess, "mean_normal_sojourn_cycles"),
+        (MMPPProcess, "mean_burst_sojourn_cycles"),
+        (DiurnalProcess, "mean_interarrival_cycles"),
+        (DiurnalProcess, "period_cycles"),
+    ], ids=lambda p: p if isinstance(p, str) else p.__name__)
+    def test_non_finite_parameters_rejected(self, cls, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .* "
+                                             f"and finite, got {value}$"):
+            cls(SPECS, **{field: value})
+
     def test_qos_validation(self):
         inner = PoissonProcess(SPECS)
         with pytest.raises(ValueError, match="priority_levels"):

@@ -59,6 +59,13 @@ class TestUniformArrivals:
         with pytest.raises(ValueError):
             uniform_arrivals([], count=10)
 
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_non_finite_gap_rejected(self, gap):
+        with pytest.raises(ValueError, match="horizon_cycles must be "
+                                             "positive and finite"):
+            uniform_arrivals(eembc_suite(), count=10,
+                             mean_interarrival_cycles=gap)
+
 
 class TestPoissonArrivals:
     def test_count_and_order(self):
