@@ -23,20 +23,19 @@ associativity simultaneously.  The remaining counters fall out too:
   of an A-way cache is ``sum over sets of min(distinct_lines(set), A)``
   — with LRU a set holds ``min(distinct, A)`` lines forever after.
 
-Every partition is measured by the same set-sorted, run-compressed
-pass:
+Each line size's trace is compressed once, in trace order: an access
+repeating the line before it hits at depth 0 in every partition (see
+:func:`_compress`).  Every partition is then measured by the same
+set-sorted, run-compressed pass:
 
 * **set order** — a stable radix argsort of the set indices makes each
   set's accesses contiguous, still in trace order;
 * **depth 0** — an access repeating the line before it in set order
   hits at depth 0; collapsing those repeats leaves *runs*, each run's
   line differing from the previous run's;
-* **depth 1** — a run hits at depth 1 iff its line equals the line two
-  runs back (equal lines share a set, so the run between is in the same
-  set too);
-* **deeper** — one Python loop over the runs only, keeping the top of
-  the LRU stack in local variables.  It needs no per-set state: lines
-  left over from the previous set can never match the current set's.
+* **deeper** — one numpy pass per stack level: a reset-and-count
+  recurrence (one running maximum) over the runs locates each stack
+  slot (:func:`_run_depths`).  Lines of an earlier set never match.
 
 Distinct lines, hence compulsory misses and per-set occupancy, come
 from one sort of the trace's distinct byte addresses, shared by every
@@ -47,7 +46,7 @@ line size.  The engine is bit-for-bit equivalent to the reference
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,7 +136,7 @@ class StackDistanceProfile:
         write_hits = sum(self.write_depth_hist[:assoc])
         misses = self.accesses - hits
         write_misses = self.write_accesses - write_hits
-        occupancy = sum(d if d < assoc else assoc for d in self.set_distinct)
+        occupancy = int(np.minimum(self.set_distinct, assoc).sum())
         stats = CacheStats(
             accesses=self.accesses,
             hits=hits,
@@ -197,8 +196,8 @@ def _distinct_addresses(addr: np.ndarray) -> np.ndarray:
     """Sorted distinct byte addresses; negative ones are rejected.
 
     Same values as ``np.unique``, which is several times slower here.
-    Coarser line addresses follow by floor division, which keeps the
-    array sorted.
+    Line addresses follow by floor division (a shift for a power-of-two
+    line size), which keeps the array sorted.
     """
     distinct = _drop_repeats(np.sort(addr))
     if distinct.size and distinct[0] < 0:
@@ -207,49 +206,49 @@ def _distinct_addresses(addr: np.ndarray) -> np.ndarray:
     return distinct
 
 
-def _four_deep_depths(runs: np.ndarray) -> np.ndarray:
-    """Stack depth (1..3, or 4 for a miss) of every run, 4-deep LRU.
+def _compress(
+    la: np.ndarray, mask: Optional[np.ndarray]
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Drop every access repeating the line just before it in trace order.
 
-    ``p0`` is always the previous run's line, which differs from the
-    current one by construction, so the MRU slot is never tested.  No
-    per-set state is kept: a set's runs are contiguous in set order, so
-    lines left over from the previous set can never match.
+    Such an access hits at depth 0 in every partition of its line size
+    and never starts a set-order run, so the runs, and the write flag of
+    each run's first access, are those of the full trace.
     """
-    depths = bytearray(b"\x04") * runs.size
-    p0 = p1 = p2 = p3 = _EMPTY
-    for i, line in enumerate(runs.tolist()):
-        if line == p1:
-            depths[i] = 1
-            p1 = p0
-        elif line == p2:
-            depths[i] = 2
-            p2 = p1
-            p1 = p0
-        else:
-            if line == p3:
-                depths[i] = 3
-            p3 = p2
-            p2 = p1
-            p1 = p0
-        p0 = line
-    return np.frombuffer(depths, dtype=np.uint8)
+    keep = _run_starts(la)
+    return la[keep], None if mask is None else mask[keep]
 
 
-def _deep_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
-    """Stack depth (1..max_assoc - 1, or max_assoc for a miss) of every run."""
-    depths = [max_assoc] * runs.size
-    stack: List[int] = []  # MRU first, truncated at max_assoc lines
-    for i, line in enumerate(runs.tolist()):
-        try:
-            depth = stack.index(line, 1)
-        except ValueError:
-            if len(stack) == max_assoc:
-                stack.pop()
-        else:
-            depths[i] = depth
-            del stack[depth]
-        stack.insert(0, line)
-    return np.asarray(depths, dtype=np.int64)
+def _run_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
+    """Stack depth (1 .. max_assoc - 1, or max_assoc for a miss) of every run.
+
+    Exact LRU, level by level.  With ``suffix_L[k]`` the length of the
+    longest stretch of runs ending at run ``k`` that holds at most ``L``
+    distinct lines, stack slot ``L`` before run ``i`` holds
+    ``runs[i - 1 - suffix_L[i - 1]]`` (no line if negative).
+    ``suffix_1`` is all ones, as adjacent runs differ, and
+    ``suffix_{L+1}[k]`` is ``suffix_{L+1}[k - 1] + 1`` if run ``k`` hit
+    at a depth <= ``L``, else ``suffix_L[k - 1] + 1``.  The loop carries
+    ``src[i] = i - suffix_L[i - 1]``, an index into ``[no line] + runs``;
+    it is non-decreasing, so the next level's ``src[i]`` is its running
+    maximum over the runs before ``i`` deeper than ``L``.  A run's depth
+    is one plus the number of levels it is deeper than.  A set's runs
+    are contiguous, so an earlier set's lines never match.
+    """
+    depths = np.ones(runs.size, dtype=np.min_scalar_type(max_assoc))
+    slots = np.concatenate(([_EMPTY], runs))
+    src = np.arange(-1, runs.size - 1)
+    src[:1] = 0
+    deeper = np.ones(runs.size, dtype=bool)
+    for level in range(1, max_assoc):
+        deeper &= slots[src] != runs
+        depths += deeper
+        if level == max_assoc - 1:
+            break
+        restart = src * deeper
+        np.maximum.accumulate(restart, out=restart)
+        src[1:] = restart[:-1]
+    return depths
 
 
 def _partition_profile(
@@ -257,57 +256,46 @@ def _partition_profile(
     mask: Optional[np.ndarray],
     lines: np.ndarray,
     *,
+    accesses: int,
+    write_accesses: int,
     line_b: int,
     num_sets: int,
     max_assoc: int,
 ) -> StackDistanceProfile:
-    """Measure one partition in a single set-sorted, run-compressed pass.
+    """Measure one partition of a :func:`_compress`-ed trace in one pass.
 
-    ``la`` holds the trace's line addresses and ``lines`` its sorted
-    distinct line addresses.
+    ``lines`` are the sorted distinct line addresses; ``accesses`` and
+    ``write_accesses`` count the full trace.
     """
     if max_assoc == 3:
-        max_assoc = 4  # the 4-deep pass costs no more than a 3-deep one
-    n = int(la.size)
+        max_assoc = 4  # one more level is cheap, and 4 ways also answer 3
     # Set order.  Keys of 16 bits or fewer get numpy's stable radix sort;
     # a power-of-two set count takes a bit mask, much cheaper than int64 %.
     low_bits = num_sets - 1
     keys = la & low_bits if not num_sets & low_bits else la % num_sets
     order = np.argsort(keys.astype(np.min_scalar_type(low_bits)), kind="stable")
-    sorted_lines = la[order]
     # Depth 0: every access that does not start a run.  Equal lines
     # share a set, so runs never span a set boundary.
-    starts = _run_starts(sorted_lines)
-    runs = sorted_lines[starts]
+    sorted_lines = la[order]
+    run_starts = np.flatnonzero(_run_starts(sorted_lines))
+    runs = sorted_lines[run_starts]
 
-    # Depth of every run start: 1 .. max_assoc - 1, or max_assoc (miss).
-    if max_assoc == 1:
-        depths = np.ones(runs.size, dtype=np.uint8)
-    elif max_assoc == 2:
-        depths = np.full(runs.size, 2, dtype=np.uint8)
-        depths[2:] -= runs[2:] == runs[:-2]
-    elif max_assoc == 4:
-        depths = _four_deep_depths(runs)
-    else:
-        depths = _deep_depths(runs, max_assoc)
+    depths = _run_depths(runs, max_assoc)
     hist = np.bincount(depths, minlength=max_assoc + 1)
-    hist[0] = n - runs.size
-
+    hist[0] = accesses - runs.size
+    write_hist = np.zeros(max_assoc + 1, dtype=np.int64)
     if mask is not None:
-        sorted_writes = mask[order]
-        run_writes = sorted_writes[starts]
+        run_writes = mask[order[run_starts]]
         write_hist = np.bincount(depths[run_writes], minlength=max_assoc + 1)
-        write_hist[0] = int(sorted_writes.sum()) - int(run_writes.sum())
-    else:
-        write_hist = np.zeros(max_assoc + 1, dtype=np.int64)
+        write_hist[0] = write_accesses - int(run_writes.sum())
 
     distinct = np.bincount(lines % num_sets, minlength=num_sets)
     return StackDistanceProfile(
         line_b=line_b,
         num_sets=num_sets,
         max_assoc=max_assoc,
-        accesses=n,
-        write_accesses=int(write_hist.sum()),
+        accesses=accesses,
+        write_accesses=write_accesses,
         depth_hist=tuple(hist.tolist()),
         write_depth_hist=tuple(write_hist.tolist()),
         compulsory_misses=int(lines.size),
@@ -334,8 +322,11 @@ def profile_trace(
     addr = _as_addresses(addresses)
     mask = _as_write_mask(writes, int(addr.size))
     lines = _drop_repeats(_distinct_addresses(addr) // line_b)
+    la, la_mask = _compress(addr // line_b, mask)
     return _partition_profile(
-        addr // line_b, mask, lines,
+        la, la_mask, lines,
+        accesses=int(addr.size),
+        write_accesses=0 if mask is None else int(np.count_nonzero(mask)),
         line_b=line_b, num_sets=num_sets, max_assoc=max_assoc,
     )
 
@@ -361,6 +352,7 @@ def simulate_many(
     addr = _as_addresses(addresses)
     mask = _as_write_mask(writes, int(addr.size))
     distinct = _distinct_addresses(addr)
+    write_accesses = 0 if mask is None else int(np.count_nonzero(mask))
 
     by_line: Dict[int, Dict[int, int]] = {}
     for config in unique_configs:
@@ -368,13 +360,19 @@ def simulate_many(
         num_sets = config.num_sets
         partitions[num_sets] = max(partitions.get(num_sets, 0), config.assoc)
 
+    # Line sizes are powers of two, so each coarser line address is a
+    # shift of the finer, already compressed one.
     profiles: Dict[Tuple[int, int], StackDistanceProfile] = {}
-    for line_b, partitions in by_line.items():
-        la = addr // line_b
-        lines = _drop_repeats(distinct // line_b)
-        for num_sets, max_assoc in partitions.items():
+    la, la_mask, lines, shift = addr, mask, distinct, 0
+    for line_b in sorted(by_line):
+        step = line_b.bit_length() - 1 - shift
+        shift += step
+        la, la_mask = _compress(la >> step, la_mask)
+        lines = _drop_repeats(lines >> step)
+        for num_sets, max_assoc in by_line[line_b].items():
             profiles[(line_b, num_sets)] = _partition_profile(
-                la, mask, lines,
+                la, la_mask, lines,
+                accesses=int(addr.size), write_accesses=write_accesses,
                 line_b=line_b, num_sets=num_sets, max_assoc=max_assoc,
             )
 

@@ -108,7 +108,9 @@ class Trace:
         """Distinct 64-byte lines touched (working-set estimate)."""
         if len(self) == 0:
             return 0
-        return int(np.unique(self.addresses // 64).size)
+        # Sort and count changes: same value as np.unique, several times faster.
+        lines = np.sort(self.addresses // 64)
+        return 1 + int(np.count_nonzero(lines[1:] != lines[:-1]))
 
 
 @dataclass(frozen=True)

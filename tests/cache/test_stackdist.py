@@ -14,8 +14,8 @@ from repro.characterization import expand_suite
 from repro.workloads import eembc_suite
 from tests.oracles import simulate_trace_per_config
 
-#: Measuring depths of the engine: direct-mapped, vectorised 2-deep,
-#: 4-deep loop (3 and 4) and the generic loop.
+#: Partition depths: direct-mapped (no stack level), 2-way (one level),
+#: 3-way (measured 4 deep), 4-way (three levels) and 8-way (seven).
 PARTITION_DEPTHS = (1, 2, 3, 4, 8)
 
 
@@ -107,7 +107,7 @@ class TestProfileTrace:
         profile = _profile(
             trace, num_sets=16, max_assoc=max_assoc, writes=writes
         )
-        # A 3-deep request is measured by the 4-deep pass.
+        # A 3-deep request is measured 4 deep.
         assert profile.max_assoc == (4 if max_assoc == 3 else max_assoc)
         miss_only = (0,) * profile.max_assoc + (1,)
         assert profile.depth_hist == profile.write_depth_hist == miss_only
@@ -169,7 +169,7 @@ class TestSimulateMany:
         many = simulate_many([0, 64], ())
         assert many == {}
 
-    def test_deep_assoc_uses_generic_path(self):
+    def test_eight_way_matches_reference(self):
         config = CacheConfig(8, 8, 64)
         rng = np.random.default_rng(5)
         addresses = rng.integers(0, 1 << 14, size=400)
@@ -177,13 +177,36 @@ class TestSimulateMany:
         ref = Cache(config, policy="lru").run_trace(addresses)
         assert many[config] == ref
 
+    @pytest.mark.parametrize("with_writes", [False, True])
+    def test_wide_associativity_matches_reference(self, with_writes):
+        # Single-set caches: 512 and 128 ways at 16B lines share one
+        # 512-deep profile, 256 and 128 ways at 32B one 256-deep profile.
+        # 280 lines cycled twice hit at depth 279, past a uint8 depth
+        # array; the random tail hits anywhere.
+        configs = (
+            CacheConfig(8, 512, 16), CacheConfig(2, 128, 16),
+            CacheConfig(8, 256, 32), CacheConfig(4, 128, 32),
+        )
+        rng = np.random.default_rng(6)
+        lines = np.concatenate(
+            (np.tile(np.arange(280), 2), rng.integers(0, 320, size=100))
+        )
+        addresses = lines * 16 + rng.integers(0, 16, lines.size)
+        writes = rng.random(lines.size) < 0.3 if with_writes else None
+        many = simulate_many(addresses, configs, writes=writes)
+        for config in configs:
+            ref = Cache(config, policy="lru").run_trace(addresses, writes)
+            assert many[config] == ref, config.name
+        profile = _profile(addresses, line_b=16, num_sets=1, max_assoc=512)
+        assert profile.depth_hist[279] >= 280
+
     def test_mismatched_writes_rejected(self):
         with pytest.raises(ValueError, match="writes mask length"):
             simulate_many([0, 64], (CacheConfig(4, 2, 32),), writes=[True])
 
     @pytest.mark.parametrize("trace, first", [([-1], -1), ([0, 64, -70, -1], -70)])
     def test_negative_addresses_rejected_like_cache(self, trace, first):
-        # Line -1 used to collide with the 4-deep pass's empty-slot
+        # Line -1 would collide with the depth pass's empty-slot
         # sentinel and count as a hit.
         message = f"address must be non-negative, got {first}"
         with pytest.raises(ValueError, match=message):
@@ -195,7 +218,7 @@ class TestSimulateMany:
 
 
 class TestDatasetVariantTrace:
-    """Every depth bucket of the 4-deep pass, on a real dataset trace."""
+    """Every depth bucket of a 4-deep partition, on a real dataset trace."""
 
     @pytest.fixture(scope="class")
     def trace(self):

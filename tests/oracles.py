@@ -10,7 +10,9 @@ code kept here:
   access by access, once per configuration;
   :func:`characterize_per_config` builds a full
   :class:`~repro.characterization.explorer.BenchmarkCharacterization`
-  from it.
+  from it.  :func:`deep_depths` walks a list-based LRU stack over the
+  runs of one set-ordered partition: the depths that
+  ``repro.cache.stackdist._run_depths`` measures level by level.
 * **Training oracle** — :func:`train` fits one MLP at a time with
   per-layer backpropagation (:func:`dense_forward` /
   :func:`dense_backward`), :class:`MSELoss` and :class:`Adam`;
@@ -180,6 +182,27 @@ def characterize_per_config(
     return BenchmarkCharacterization(
         benchmark=spec.name, counters=counters, results=results
     )
+
+
+def deep_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
+    """Stack depth (1..max_assoc - 1, or max_assoc for a miss) of every run.
+
+    ``runs`` are line addresses with no two adjacent ones equal, so the
+    most-recently-used slot is never searched.
+    """
+    depths = [max_assoc] * runs.size
+    stack: List[int] = []  # MRU first, truncated at max_assoc lines
+    for i, line in enumerate(runs.tolist()):
+        try:
+            depth = stack.index(line, 1)
+        except ValueError:
+            if len(stack) == max_assoc:
+                stack.pop()
+        else:
+            depths[i] = depth
+            del stack[depth]
+        stack.insert(0, line)
+    return np.asarray(depths, dtype=np.int64)
 
 
 def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:

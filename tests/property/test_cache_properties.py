@@ -1,12 +1,12 @@
 """Property-based tests for the cache substrate."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.cache import Cache, simulate_trace
 from repro.cache.config import DESIGN_SPACE, CacheConfig
-from repro.cache.stackdist import simulate_many
-from tests.oracles import simulate_trace_per_config
+from repro.cache.stackdist import _run_depths, simulate_many
+from tests.oracles import deep_depths, simulate_trace_per_config
 
 configs = st.sampled_from(DESIGN_SPACE)
 
@@ -51,14 +51,35 @@ local_traces = st.lists(
     st.one_of(_runs, _cycles), min_size=1, max_size=30
 ).map(lambda segments: [a for segment in segments for a in segment])
 
-#: Associativities 1-4 (3 included, measured by the 4-deep pass) and a
-#: set count that is not a power of two (3KB direct-mapped: 48 sets).
+#: Associativities 1-4 (3 included, measured as a 4-deep partition) and
+#: a set count that is not a power of two (3KB direct-mapped: 48 sets).
 local_configs = DESIGN_SPACE + (
     CacheConfig(3, 3, 64),
     CacheConfig(6, 3, 32),
     CacheConfig(12, 3, 16),
     CacheConfig(3, 1, 64),
 )
+
+
+#: Run sequences over a 25-line alphabet: cycles of 1-20 distinct lines
+#: (a k-line cycle hits at depth k - 1) mixed with arbitrary stretches.
+_depth_segments = st.one_of(
+    st.builds(
+        lambda lines, k: lines * k,
+        st.lists(st.integers(0, 24), min_size=1, max_size=20, unique=True),
+        st.integers(1, 4),
+    ),
+    st.lists(st.integers(0, 24), max_size=8),
+)
+
+
+def _collapse(segments):
+    """Concatenated segments with adjacent repeats dropped, as runs are."""
+    lines = [line for segment in segments for line in segment]
+    return [line for i, line in enumerate(lines) if not i or line != lines[i - 1]]
+
+
+run_sequences = st.lists(_depth_segments, max_size=8).map(_collapse)
 
 
 def _reference_stats(trace, config, writes=None):
@@ -138,10 +159,26 @@ class TestStackDistanceEngineEquivalence:
     @given(trace=traces)
     @settings(max_examples=20, deadline=None)
     def test_generic_deep_assoc_path(self, trace):
-        # max_assoc > 4 exercises the generic stack fallback.
+        # An 8-way partition: seven stack levels, deeper than Table 1's.
         config = CacheConfig(8, 8, 64)
         many = simulate_many(trace, (config,))
         assert many[config] == _reference_stats(trace, config)
+
+
+class TestRunDepths:
+    """The level-by-level depth pass equals a list-based LRU walk."""
+
+    @given(runs=run_sequences, max_assoc=st.integers(1, 17))
+    @example(runs=[], max_assoc=1)
+    @example(runs=[], max_assoc=17)
+    @example(runs=[7], max_assoc=4)
+    @example(runs=[3, 9], max_assoc=2)
+    @example(runs=[3, 9, 3], max_assoc=2)
+    @settings(max_examples=200, deadline=None)
+    def test_level_pass_matches_lru_walk(self, runs, max_assoc):
+        runs = np.asarray(runs, dtype=np.int64)
+        depths = _run_depths(runs, max_assoc)
+        assert depths.tolist() == deep_depths(runs, max_assoc).tolist()
 
 
 class TestCacheInvariants:
