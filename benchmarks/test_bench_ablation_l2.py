@@ -10,8 +10,9 @@ timed kernel is one full suite pass through the two-level hierarchy.
 """
 
 from repro.analysis import format_table
-from repro.cache import CacheConfig, CacheHierarchy, DEFAULT_L2_CONFIG
+from repro.cache import CacheConfig
 from repro.workloads import eembc_suite
+from tests.ablation.caches import CacheHierarchy, DEFAULT_L2_CONFIG
 
 L1_CONFIGS = (
     CacheConfig(2, 1, 32),

@@ -20,16 +20,17 @@ one k-NN fit+predict pass.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.ann.neighbors import KNNRegressor
 from repro.ann.training import TrainingConfig
-from repro.ann.tree import DecisionTreeRegressor, RandomForestRegressor
-from repro.core.predictor import (
-    AnnPredictor,
-    DomainPredictor,
-    RegressorPredictor,
-)
+from repro.core.predictor import AnnPredictor
 from repro.experiment import default_dataset
 from repro.workloads import EEMBC_DOMAINS, eembc_suite
+from tests.ablation.models import (
+    DecisionTreeRegressor,
+    DomainPredictor,
+    KNNRegressor,
+    RandomForestRegressor,
+    RegressorPredictor,
+)
 
 
 def make_models():

@@ -16,8 +16,9 @@ replay.
 """
 
 from repro.analysis import format_table
-from repro.cache import CacheConfig, SharedL2System, interference_penalty
+from repro.cache import CacheConfig
 from repro.workloads import eembc_benchmark
+from tests.ablation.caches import SharedL2System, interference_penalty
 
 HEAVY = ("cacheb", "matrix", "pntrch", "tblook")
 LIGHT = ("puwmod", "bitmnp", "iirflt", "rspeed")

@@ -21,25 +21,20 @@ from .bagging import (
 from .batched import train_ensemble_batched
 from .layers import Dense
 from .metrics import class_accuracy, confusion_counts, mae, mse, r2_score
-from .neighbors import KNNRegressor
 from .network import MLP, PAPER_TOPOLOGY
 from .preprocessing import StandardScaler, log_transform, snap_to_classes
-from .tree import DecisionTreeRegressor, RandomForestRegressor
 from .training import TrainingConfig, TrainingHistory
 
 __all__ = [
     "ACTIVATION_NAMES",
     "Activation",
     "BaggedRegressor",
-    "DecisionTreeRegressor",
     "Dense",
     "Identity",
-    "KNNRegressor",
     "LeakyReLU",
     "MLP",
     "PAPER_ENSEMBLE_SIZE",
     "PAPER_TOPOLOGY",
-    "RandomForestRegressor",
     "ReLU",
     "Sigmoid",
     "StandardScaler",

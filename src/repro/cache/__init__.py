@@ -5,9 +5,10 @@ simulator: the configuration design space of the paper's Table 1
 (:mod:`repro.cache.config`), the per-access reference model and the fast
 trace path (:mod:`repro.cache.cache`), the single-pass stack-distance
 characterisation engine (:mod:`repro.cache.stackdist`), replacement policies
-(:mod:`repro.cache.replacement`), a two-level private hierarchy
-(:mod:`repro.cache.hierarchy`) and the reconfiguration tuner model
-(:mod:`repro.cache.tuner`).
+(:mod:`repro.cache.replacement`) and the reconfiguration tuner model
+(:mod:`repro.cache.tuner`).  The scheduler needs one configurable L1 per
+core; the private and shared L2 models of ablations A4 and A12 live
+with those benchmarks, in ``tests/ablation/caches.py``.
 """
 
 from .cache import AccessResult, Cache, simulate_trace
@@ -21,8 +22,6 @@ from .config import (
     configs_for_size,
     design_space,
 )
-from .hierarchy import DEFAULT_L2_CONFIG, CacheHierarchy, HierarchyResult
-from .shared import SharedL2Result, SharedL2System, interference_penalty
 from .replacement import (
     FIFOPolicy,
     LRUPolicy,
@@ -42,13 +41,10 @@ __all__ = [
     "CACHE_SIZES_KB",
     "Cache",
     "CacheConfig",
-    "CacheHierarchy",
     "CacheStats",
     "CacheTuner",
-    "DEFAULT_L2_CONFIG",
     "DESIGN_SPACE",
     "FIFOPolicy",
-    "HierarchyResult",
     "LINE_SIZES_B",
     "LRUPolicy",
     "PLRUPolicy",
@@ -56,14 +52,11 @@ __all__ = [
     "RandomPolicy",
     "ReconfigurationCost",
     "ReplacementPolicy",
-    "SharedL2Result",
-    "SharedL2System",
     "StackDistanceProfile",
     "TunerCostModel",
     "associativities_for_size",
     "configs_for_size",
     "design_space",
-    "interference_penalty",
     "make_policy",
     "profile_trace",
     "simulate_many",

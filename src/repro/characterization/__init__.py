@@ -20,7 +20,6 @@ from .explorer import (
 from .instrumentation import SweepTiming, TaskTiming
 from .parallel import SuiteSweepResult, characterize_suite_parallel
 from .store import CharacterizationStore, StoreMeta, design_space_fingerprint
-from .sweep import SweepPoint, sweep_instructions, sweep_working_set
 
 __all__ = [
     "BenchmarkCharacterization",
@@ -31,7 +30,6 @@ __all__ = [
     "GENERATOR_VERSION",
     "StoreMeta",
     "SuiteSweepResult",
-    "SweepPoint",
     "SweepTiming",
     "TaskTiming",
     "build_dataset",
@@ -40,6 +38,4 @@ __all__ = [
     "characterize_suite_parallel",
     "design_space_fingerprint",
     "expand_suite",
-    "sweep_instructions",
-    "sweep_working_set",
 ]

@@ -492,7 +492,12 @@ def _parse_power_grid(args):
 
     caps = [None]
     for raw in args.power_cap or ():
-        cap = None if raw.lower() in ("inf", "none") else float(raw)
+        try:
+            cap = None if raw.lower() in ("inf", "none") else float(raw)
+        except ValueError:
+            raise ValueError(
+                f"--power-cap takes numbers or 'inf', got {raw!r}"
+            ) from None
         if cap not in caps:
             caps.append(cap)
     return power_grid(

@@ -24,10 +24,8 @@ from .modelstore import (
 from .predictor import (
     AnnPredictor,
     BestCorePredictor,
-    DomainPredictor,
     FixedPredictor,
     OraclePredictor,
-    RegressorPredictor,
 )
 from .profiling import ApplicationProfile, ExecutionRecord, ProfilingTable
 from .results import BenchmarkStats, JobRecord, SimulationResult
@@ -44,7 +42,6 @@ __all__ = [
     "BenchmarkStats",
     "BestCorePredictor",
     "CoreSpec",
-    "DomainPredictor",
     "CoreState",
     "EnergyCentricPolicy",
     "ExecutionRecord",
@@ -57,7 +54,6 @@ __all__ = [
     "POLICY_NAMES",
     "ProfilingTable",
     "ProposedPolicy",
-    "RegressorPredictor",
     "SchedulerSimulation",
     "SchedulingPolicy",
     "SimulationResult",

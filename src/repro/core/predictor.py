@@ -9,21 +9,21 @@ These predictors share the :class:`BestCorePredictor` interface:
 
 * :class:`AnnPredictor` — the paper's design: standardised selected
   counters → bagged MLP regression on log2(size) → snap to a legal size.
-* :class:`RegressorPredictor` — the same pipeline over any fit/predict
-  regressor (k-NN, decision tree, random forest), implementing the
-  paper's "different machine learning techniques" future work.
-* :class:`DomainPredictor` — one specialised predictor per application
-  domain (§IV.D's multiple-ANN suggestion).
 * :class:`OraclePredictor` — returns the true best size from a
   characterisation store (the upper bound used to measure the ANN's
   <2 % energy-degradation claim and by ablations).
 * :class:`FixedPredictor` — always the same size (sanity baselines).
+
+The alternative models of ablation A5 (k-NN, decision tree, random
+forest and per-domain predictors, the paper's "different machine
+learning techniques" future work and §IV.D's multiple-ANN suggestion)
+live with that benchmark, in ``tests/ablation/models.py``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from repro.workloads.counters import ANN_SELECTED_FEATURES, HardwareCounters
 __all__ = [
     "BestCorePredictor",
     "AnnPredictor",
-    "RegressorPredictor",
-    "DomainPredictor",
     "OraclePredictor",
     "FixedPredictor",
 ]
@@ -138,165 +136,6 @@ class AnnPredictor(BestCorePredictor):
     ) -> int:
         vector = counters.as_vector(self.feature_names)
         return int(self.predict_sizes_kb(vector[None, :])[0])
-
-
-class RegressorPredictor(BestCorePredictor):
-    """Best-core prediction through any fit/predict regressor.
-
-    The paper's future work proposes "evaluating different machine
-    learning techniques"; this adapter runs the same pipeline as
-    :class:`AnnPredictor` (log-compress → standardise → regress log2
-    size → snap) over any regressor with ``fit(x, y)`` and
-    ``predict(x)`` — e.g. :class:`repro.ann.neighbors.KNNRegressor` or
-    :class:`repro.ann.tree.DecisionTreeRegressor`.
-    """
-
-    def __init__(
-        self,
-        regressor,
-        feature_names: Sequence[str] = ANN_SELECTED_FEATURES,
-        sizes_kb: Sequence[int] = CACHE_SIZES_KB,
-        *,
-        log_features: bool = True,
-    ) -> None:
-        if not feature_names:
-            raise ValueError("need at least one feature")
-        if not sizes_kb:
-            raise ValueError("need at least one cache size class")
-        self.regressor = regressor
-        self.feature_names = tuple(feature_names)
-        self.sizes_kb = tuple(sorted(sizes_kb))
-        self._log_sizes = np.log2(np.array(self.sizes_kb, dtype=float))
-        self.log_features = log_features
-        self.scaler = StandardScaler()
-        self._fitted = False
-
-    def _pre(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        if not self.log_features:
-            return features
-        return log_transform(features)
-
-    def fit(self, dataset: Dataset) -> "RegressorPredictor":
-        """Train the wrapped regressor on a characterised dataset."""
-        if tuple(dataset.feature_names) != self.feature_names:
-            raise ValueError(
-                "dataset feature names do not match the predictor's: "
-                f"{dataset.feature_names} != {self.feature_names}"
-            )
-        x = self.scaler.fit_transform(self._pre(dataset.features))
-        y = np.log2(dataset.labels_kb)
-        self.regressor.fit(x, y)
-        self._fitted = True
-        return self
-
-    def predict_sizes_kb(self, features: np.ndarray) -> np.ndarray:
-        """Vectorised prediction for a raw feature matrix."""
-        if not self._fitted:
-            raise RuntimeError("predictor used before fit()")
-        x = self.scaler.transform(self._pre(features))
-        log_pred = np.asarray(self.regressor.predict(x), dtype=float).ravel()
-        snapped = snap_to_classes(log_pred, self._log_sizes)
-        return np.power(2.0, snapped).astype(int)
-
-    def predict_size_kb(
-        self, benchmark: str, counters: HardwareCounters
-    ) -> int:
-        vector = counters.as_vector(self.feature_names)
-        return int(self.predict_sizes_kb(vector[None, :])[0])
-
-
-class DomainPredictor(BestCorePredictor):
-    """One specialised predictor per application domain (§IV.D).
-
-    "For diverse systems executing different application domains, the
-    scheduler could have multiple ANNs each of which would be
-    specialized for a different domain."  This predictor trains one
-    sub-predictor per domain on that domain's samples only and routes
-    each profiled application to its domain's model (the domain is
-    application metadata, known when the application is installed).
-
-    Parameters
-    ----------
-    domains:
-        Mapping of benchmark *family* → domain label.  Variant names
-        like ``a2time.v3`` resolve through their family prefix.
-    make_predictor:
-        Factory creating one trainable predictor (e.g. an
-        :class:`AnnPredictor`) per domain; called with the domain index
-        for seed decorrelation.
-    """
-
-    def __init__(
-        self,
-        domains,
-        make_predictor=None,
-    ) -> None:
-        if not domains:
-            raise ValueError("need a non-empty family -> domain mapping")
-        self.domains = dict(domains)
-        if make_predictor is None:
-            def make_predictor(index: int) -> AnnPredictor:
-                return AnnPredictor(n_members=10, seed=index)
-        self._make_predictor = make_predictor
-        self.by_domain: dict = {}
-        self._fitted = False
-
-    def _family(self, benchmark: str) -> str:
-        return benchmark.split(".")[0]
-
-    def _domain(self, benchmark: str) -> str:
-        family = self._family(benchmark)
-        try:
-            return self.domains[family]
-        except KeyError:
-            raise KeyError(
-                f"benchmark family {family!r} has no domain assignment"
-            ) from None
-
-    def fit(
-        self,
-        dataset: Dataset,
-        *,
-        config: "TrainingConfig" = None,
-    ) -> "DomainPredictor":
-        """Train one sub-predictor per domain on its rows only."""
-        from repro.ann.training import TrainingConfig as _TrainingConfig
-
-        training = config if config is not None else _TrainingConfig()
-        rows_by_domain: dict = {}
-        for index, family in enumerate(dataset.families):
-            domain = self.domains.get(family)
-            if domain is None:
-                raise KeyError(
-                    f"dataset family {family!r} has no domain assignment"
-                )
-            rows_by_domain.setdefault(domain, []).append(index)
-        import inspect
-
-        for i, (domain, rows) in enumerate(sorted(rows_by_domain.items())):
-            sub = self._make_predictor(i)
-            sub_dataset = dataset.take(rows)
-            if "config" in inspect.signature(sub.fit).parameters:
-                sub.fit(sub_dataset, config=training)
-            else:  # e.g. RegressorPredictor
-                sub.fit(sub_dataset)
-            self.by_domain[domain] = sub
-        self._fitted = True
-        return self
-
-    def predict_size_kb(
-        self, benchmark: str, counters: HardwareCounters
-    ) -> int:
-        if not self._fitted:
-            raise RuntimeError("predictor used before fit()")
-        domain = self._domain(benchmark)
-        sub = self.by_domain.get(domain)
-        if sub is None:
-            raise KeyError(
-                f"no predictor trained for domain {domain!r}"
-            )
-        return sub.predict_size_kb(benchmark, counters)
 
 
 class OraclePredictor(BestCorePredictor):

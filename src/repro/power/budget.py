@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
+from repro._util import check_finite
 from repro.energy.scaling import scaled_charges
 
 from .dvfs import DvfsPoint, DvfsTable
@@ -84,10 +85,7 @@ class PowerConfig:
                 raise ValueError(
                     f"cluster cap must be positive, got {cap!r} for {size}KB"
                 )
-        if self.slack_pct < 0.0:
-            raise ValueError(
-                f"slack_pct must be non-negative, got {self.slack_pct!r}"
-            )
+        check_finite("slack_pct", self.slack_pct, minimum=0)
 
     @property
     def enabled(self) -> bool:

@@ -32,7 +32,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro._util import load_json_document
+from repro._util import check_finite, load_json_document
 
 from .arrivals import JobArrival
 from .eembc import EEMBC_NAMES
@@ -280,8 +280,7 @@ def check_graph_shape(
         raise ValueError("tasks_min must be at least 1")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge_density must be within [0, 1]")
-    if deadline_slack <= 0:
-        raise ValueError("deadline_slack must be positive")
+    check_finite("deadline_slack", deadline_slack)
     if criticality_levels < 1:
         raise ValueError("criticality_levels must be >= 1")
 
@@ -351,12 +350,18 @@ def generate_task_graphs(
             depth[j] = 1 + max((depth[i] for i in preds[j]), default=0)
         tasks = []
         for tid in range(n_tasks):
-            offset = int(
-                depth[tid]
-                * service_estimate_cycles
-                * deadline_slack
-                * deadline_rng.uniform(0.8, 1.2)
-            )
+            try:
+                offset = int(
+                    depth[tid]
+                    * service_estimate_cycles
+                    * deadline_slack
+                    * deadline_rng.uniform(0.8, 1.2)
+                )
+            except OverflowError:
+                raise ValueError(
+                    f"deadline_slack {deadline_slack!r} overflows the "
+                    "deadline offsets"
+                ) from None
             tasks.append(
                 TaskSpec(
                     task_id=tid,

@@ -1,13 +1,21 @@
-"""Shared second-level cache.
+"""Private and shared second-level caches for ablations A4 and A12.
 
-The paper's future work (§VIII) names "additional levels of private and
-shared caches".  :mod:`repro.cache.hierarchy` covers the private L2;
-this module models a *shared* L2 behind several cores' private L1s,
-which introduces the phenomenon private hierarchies cannot show:
-**inter-core interference** — one core's misses evict another core's
-working set from the shared level.
+The paper's core architecture (its Figure 1) gives every core a
+configurable private L1 and a non-configurable private L2.  The paper's
+energy model only involves the L1 and off-chip memory, so the scheduler
+experiments run with the L1 alone.  The paper's future work (§VIII)
+names "additional levels of private and shared caches"; this module
+models both, for the ablation benchmarks only:
 
-The model replays per-core access streams interleaved in a
+* :class:`CacheHierarchy` — a private L1 optionally backed by a private
+  L2 (ablation A4, ``benchmarks/test_bench_ablation_l2.py``).
+* :class:`SharedL2System` — several cores' private L1s in front of one
+  *shared* L2, which introduces the phenomenon private hierarchies
+  cannot show: **inter-core interference** — one core's misses evict
+  another core's working set from the shared level (ablation A12,
+  ``benchmarks/test_bench_ablation_shared_l2.py``).
+
+The shared model replays per-core access streams interleaved in a
 deterministic round-robin of fixed-size windows (approximating
 concurrent execution at equal rates) and reports per-core L2 statistics
 plus the interference penalty versus running alone.
@@ -20,12 +28,128 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cache import Cache
-from .config import CacheConfig
-from .hierarchy import DEFAULT_L2_CONFIG
-from .stats import CacheStats
+from repro.cache.cache import Cache
+from repro.cache.config import CacheConfig
+from repro.cache.stats import CacheStats
 
-__all__ = ["SharedL2Result", "SharedL2System", "interference_penalty"]
+__all__ = [
+    "HierarchyResult",
+    "CacheHierarchy",
+    "DEFAULT_L2_CONFIG",
+    "SharedL2Result",
+    "SharedL2System",
+    "interference_penalty",
+]
+
+#: Fixed private L2 used by the hierarchy ablation: 32 KB, 4-way, 64 B.
+DEFAULT_L2_CONFIG = CacheConfig(size_kb=32, assoc=4, line_b=64)
+
+
+@dataclass(frozen=True)
+class HierarchyResult:
+    """Outcome of one access through the hierarchy."""
+
+    l1_hit: bool
+    #: True when the access missed L1 but hit L2; None with no L2.
+    l2_hit: Optional[bool]
+
+    @property
+    def memory_access(self) -> bool:
+        """Whether the access reached off-chip memory."""
+        if self.l1_hit:
+            return False
+        if self.l2_hit is None:
+            return True
+        return not self.l2_hit
+
+
+class CacheHierarchy:
+    """Private L1 (configurable) optionally backed by a private L2.
+
+    The L1 is inclusive of nothing in particular (no inclusion enforced;
+    both levels fill independently on their own misses), which matches
+    the simple private hierarchies of small embedded cores.
+    """
+
+    def __init__(
+        self,
+        l1_config: CacheConfig,
+        l2_config: Optional[CacheConfig] = None,
+        *,
+        policy: str = "lru",
+        write_back: bool = False,
+        seed: int = 0,
+    ) -> None:
+        self.l1 = Cache(l1_config, policy=policy, write_back=write_back, seed=seed)
+        self.l2: Optional[Cache] = None
+        if l2_config is not None:
+            if l2_config.size_bytes < l1_config.size_bytes:
+                raise ValueError(
+                    "L2 must be at least as large as L1: "
+                    f"{l2_config.name} < {l1_config.name}"
+                )
+            self.l2 = Cache(
+                l2_config, policy=policy, write_back=write_back, seed=seed + 1
+            )
+
+    def access(self, address: int, *, is_write: bool = False) -> HierarchyResult:
+        """Access one address through L1 then (on miss) L2."""
+        l1_result = self.l1.access(address, is_write=is_write)
+        if l1_result.hit:
+            return HierarchyResult(l1_hit=True, l2_hit=None if self.l2 is None else None)
+        if self.l2 is None:
+            return HierarchyResult(l1_hit=False, l2_hit=None)
+        l2_result = self.l2.access(address, is_write=is_write)
+        # An L1 writeback also accesses L2 (write of the victim line).
+        if l1_result.writeback_line_addr is not None:
+            self.l2.access(
+                l1_result.writeback_line_addr * self.l1.config.line_b,
+                is_write=True,
+            )
+        return HierarchyResult(l1_hit=False, l2_hit=l2_result.hit)
+
+    def run_trace(
+        self,
+        addresses: Sequence[int],
+        writes: Optional[Sequence[bool]] = None,
+    ) -> "HierarchyStats":
+        """Run a whole trace; returns per-level stats and memory accesses."""
+        if writes is not None and len(writes) != len(addresses):
+            raise ValueError("writes mask length must match addresses length")
+        memory_accesses = 0
+        for i, address in enumerate(addresses):
+            is_write = bool(writes[i]) if writes is not None else False
+            result = self.access(int(address), is_write=is_write)
+            if result.memory_access:
+                memory_accesses += 1
+        return HierarchyStats(
+            l1=self.l1.stats.copy(),
+            l2=self.l2.stats.copy() if self.l2 is not None else None,
+            memory_accesses=memory_accesses,
+        )
+
+    def flush(self) -> None:
+        """Flush both levels (reconfiguration)."""
+        self.l1.flush()
+        if self.l2 is not None:
+            self.l2.flush()
+
+
+@dataclass
+class HierarchyStats:
+    """Per-level statistics for one trace run through the hierarchy."""
+
+    l1: CacheStats
+    l2: Optional[CacheStats]
+    memory_accesses: int
+
+    @property
+    def global_miss_rate(self) -> float:
+        """Memory accesses per L1 access (misses that escape all levels)."""
+        if self.l1.accesses == 0:
+            return 0.0
+        return self.memory_accesses / self.l1.accesses
+
 
 #: Address-space stride separating cores' streams (keeps one core's data
 #: from aliasing another's at identical trace addresses).
@@ -60,7 +184,7 @@ class SharedL2System:
     l1_configs:
         One L1 configuration per core.
     l2_config:
-        The shared L2 (defaults to the hierarchy module's 32 KB L2).
+        The shared L2 (defaults to the private hierarchy's 32 KB L2).
     window:
         Interleave granularity in accesses: each core executes this many
         references per round-robin turn.

@@ -219,3 +219,36 @@ class TestDirectEngineApi:
                 members, np.zeros((0, 3)), np.zeros((0, 1))
             )
 
+
+
+class TestPaperEnsemble:
+    def test_both_engines_train_identical_members(self):
+        # The paper's 30-member predictor on a variant dataset built
+        # from scratch: the batched fit behind AnnPredictor.fit and the
+        # member-by-member oracle must agree member for member.
+        from repro.ann.bagging import PAPER_ENSEMBLE_SIZE
+        from repro.core.predictor import AnnPredictor
+        from repro.experiment import default_dataset
+        from tests.oracles import fit_predictor_sequential
+
+        dataset, _ = default_dataset(
+            variants_per_family=4, seed=0, cache_path=None
+        )
+        split = dataset.split(seed=0, by_family=False)
+        config = TrainingConfig(epochs=40, seed=0)
+        members = {}
+        for engine in ("sequential", "batched"):
+            predictor = AnnPredictor(n_members=PAPER_ENSEMBLE_SIZE, seed=0)
+            if engine == "sequential":
+                fit_predictor_sequential(predictor, split.train,
+                                         val_dataset=split.val,
+                                         config=config)
+            else:
+                predictor.fit(split.train, val_dataset=split.val,
+                              config=config)
+            x = predictor.scaler.transform(predictor._pre(dataset.features))
+            members[engine] = predictor.ensemble.member_predictions(x)
+        assert members["batched"].shape[0] == PAPER_ENSEMBLE_SIZE
+        np.testing.assert_array_equal(
+            members["sequential"], members["batched"]
+        )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ann.neighbors import KNNRegressor
+from tests.ablation.models import KNNRegressor
 
 
 def grid_data():

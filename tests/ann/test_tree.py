@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ann.tree import DecisionTreeRegressor, RandomForestRegressor
+from tests.ablation.models import DecisionTreeRegressor, RandomForestRegressor
 
 
 def step_data():

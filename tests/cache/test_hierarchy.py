@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.hierarchy import DEFAULT_L2_CONFIG, CacheHierarchy
+from tests.ablation.caches import DEFAULT_L2_CONFIG, CacheHierarchy
 
 L1 = CacheConfig(size_kb=2, assoc=1, line_b=16)
 L2 = CacheConfig(size_kb=8, assoc=2, line_b=16)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.shared import (
+from tests.ablation.caches import (
     CORE_ADDRESS_STRIDE,
     SharedL2System,
     interference_penalty,
@@ -22,7 +22,7 @@ def looping_trace(lines, sweeps, line_b=32):
 class TestSharedL2System:
     def test_single_core_matches_private_hierarchy(self):
         """With one core, the shared L2 *is* a private L2."""
-        from repro.cache.hierarchy import CacheHierarchy
+        from tests.ablation.caches import CacheHierarchy
 
         trace = looping_trace(200, 5)
         shared = SharedL2System([L1], L2).run([trace])

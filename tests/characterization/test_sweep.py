@@ -1,12 +1,19 @@
-"""Tests for benchmark parameter sweeps."""
+"""Tests for the working-set sweep of examples/cache_design_space.py."""
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from repro.characterization.sweep import (
-    sweep_instructions,
-    sweep_working_set,
-)
 from repro.workloads.eembc import eembc_benchmark
+
+_EXAMPLE = (
+    Path(__file__).resolve().parents[2] / "examples" / "cache_design_space.py"
+)
+_spec = importlib.util.spec_from_file_location("cache_design_space", _EXAMPLE)
+cache_design_space = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cache_design_space)
+sweep_working_set = cache_design_space.sweep_working_set
 
 
 class TestWorkingSetSweep:
@@ -47,24 +54,3 @@ class TestWorkingSetSweep:
         with pytest.raises(ValueError):
             sweep_working_set(spec, scales=(0.0,))
 
-
-class TestInstructionSweep:
-    def test_best_size_is_length_invariant(self):
-        # The best cache size is a property of the access pattern, not
-        # the execution length.
-        spec = eembc_benchmark("idctrn")
-        points = sweep_instructions(spec, scales=(0.5, 1.0, 2.0))
-        sizes = {p.best_size_kb for p in points}
-        assert len(sizes) == 1
-
-    def test_energy_grows_with_length(self):
-        spec = eembc_benchmark("puwmod")
-        points = sweep_instructions(spec, scales=(1.0, 3.0))
-        assert points[1].best_energy_nj > points[0].best_energy_nj
-
-    def test_validation(self):
-        spec = eembc_benchmark("puwmod")
-        with pytest.raises(ValueError):
-            sweep_instructions(spec, scales=())
-        with pytest.raises(ValueError):
-            sweep_instructions(spec, scales=(-1.0,))

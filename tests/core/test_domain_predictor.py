@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.ann.neighbors import KNNRegressor
 from repro.ann.training import TrainingConfig
 from repro.cache.config import configs_for_size
 from repro.characterization.dataset import build_dataset
-from repro.core.predictor import AnnPredictor, DomainPredictor, RegressorPredictor
+from repro.core.predictor import AnnPredictor
 from repro.workloads.eembc import EEMBC_DOMAINS, eembc_suite
+from tests.ablation.models import DomainPredictor, KNNRegressor, RegressorPredictor
 
 ALL_CONFIGS = configs_for_size(2) + configs_for_size(4) + configs_for_size(8)
 FAST = TrainingConfig(epochs=60, seed=0)

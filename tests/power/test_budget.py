@@ -45,6 +45,16 @@ class TestPowerConfig:
         with pytest.raises(ValueError, match="slack_pct"):
             PowerConfig(slack_pct=-1.0)
 
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf")])
+    def test_non_finite_slack_rejected(self, slack):
+        # ``slack < 0`` is false for NaN, and an infinite slack turns
+        # ``deadline == arrival`` into a NaN admission limit: both used
+        # to be accepted and then refuse every degraded dispatch.
+        with pytest.raises(ValueError, match="slack_pct"):
+            PowerConfig(cap_nj=4e5, slack_pct=slack)
+        with pytest.raises(ValueError, match="slack_pct"):
+            PowerConfig.from_dict({"cap_nj": 4e5, "slack_pct": slack})
+
     def test_enabled(self):
         assert not PowerConfig().enabled
         assert not PowerConfig(cap_nj=float("inf")).enabled

@@ -18,6 +18,7 @@ front ends must refuse it rather than run a built-in policy instead.
 """
 
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -394,6 +395,27 @@ class TestCampaignEngine:
             assert a.dynamic_energy_nj == b.dynamic_energy_nj
             assert a.mean_waiting_cycles == b.mean_waiting_cycles
             assert a.non_best_decisions == b.non_best_decisions
+
+    def test_congested_cli_campaign_fast_matches_reference(self, tmp_path):
+        # energy_centric under congestion stalls for its predicted size
+        # on every pass; both engines must still write the same rows.
+        from repro.cli import main
+
+        runs = {}
+        for engine in ("fast", "reference"):
+            path = tmp_path / f"congested_{engine}.json"
+            argv = (
+                "campaign --policies energy_centric optimal --seeds 0 1 "
+                "--jobs 400 --interarrival 20000 --predictor oracle "
+                f"--workers 1 --engine {engine} --json {path}"
+            ).split()
+            assert main(argv) == 0
+            runs[engine] = json.loads(path.read_text())
+            for run in runs[engine]:
+                run.pop("seconds")
+                run["spec"].pop("engine")
+        assert len(runs["fast"]) == 4
+        assert runs["fast"] == runs["reference"]
 
     def test_campaign_fast_conflicts_rejected(self, store, oracle):
         # The conflict is raised before any simulation is built, so the

@@ -194,6 +194,22 @@ class TestCommands:
         assert csv_path.exists()
         assert json_path.exists()
 
+    def test_compare_fast_engine(self, capsys):
+        argv = ("compare --jobs 60 --seed 0 --predictor oracle "
+                "--engine fast").split()
+        assert main(argv) == 0
+        assert "Figure 6" in capsys.readouterr().out
+
+    def test_compare_fast_engine_rejects_validate(self, capsys):
+        from repro.core import make_policy, select_engine
+
+        with pytest.raises(ValueError) as rule:
+            select_engine("fast", make_policy("proposed"), hooks=True)
+        argv = ("compare --jobs 60 --seed 0 --predictor oracle "
+                "--engine fast --validate").split()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {rule.value}\n"
+
     def test_campaign_small(self, capsys, tmp_path):
         json_path = tmp_path / "replications.json"
         code = main([
@@ -596,6 +612,32 @@ class TestHostileInput:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,field", [
+        ("compare --jobs 20 --predictor oracle --power-cap 4e5 "
+         "--power-slack nan", "slack_pct"),
+        ("campaign --jobs 20 --predictor oracle --seeds 0 --power-cap 4e5 "
+         "--power-slack nan", "slack_pct"),
+        ("campaign --jobs 20 --predictor oracle --seeds 0 --power-cap abc",
+         "--power-cap"),
+        ("dag generate --count 3 --deadline-slack inf --out d.json",
+         "deadline_slack"),
+        ("dag generate --count 3 --deadline-slack 1e308 --out d.json",
+         "deadline_slack"),
+        ("dag generate --count 3 --deadline-slack nan", "deadline_slack"),
+        ("campaign --jobs 20 --predictor oracle --seeds 0 --dag "
+         "--dag-deadline-slack nan", "deadline_slack"),
+    ])
+    def test_bad_number_names_its_field(self, argv, field, capsys, tmp_path,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(argv.split())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d.json").exists()
 
     @pytest.mark.parametrize("argv,content,kind", [
         ("faults describe {path}", BAD_PLAN, "fault plan"),

@@ -229,6 +229,9 @@ class TestGenerator:
         (dict(mean_interarrival_cycles=-1), "mean_interarrival_cycles"),
         (dict(service_estimate_cycles=0), "service_estimate_cycles"),
         (dict(benchmarks=[]), "at least one benchmark"),
+        (dict(deadline_slack=float("nan")), "deadline_slack"),
+        (dict(deadline_slack=float("inf")), "deadline_slack"),
+        (dict(deadline_slack=1e308), "deadline_slack .* overflows"),
     ])
     def test_parameter_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
