@@ -5,8 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 
-__all__ = ["check_finite", "load_json_document", "stable_seed"]
+__all__ = [
+    "check_finite", "load_json_document", "stable_seed", "write_json_atomic",
+]
 
 
 def stable_seed(*parts: object) -> int:
@@ -37,6 +40,20 @@ def load_json_document(path, kind: str, build):
         return build(payload)
     except (ValueError, TypeError) as error:
         raise ValueError(f"{path} is not a valid {kind}: {error}") from None
+
+
+def write_json_atomic(path, payload) -> None:
+    """Write ``payload`` as JSON to ``path`` through a temporary file.
+
+    The file appears complete or not at all: a process killed mid-write
+    leaves only the temporary file (named for the writing process, so
+    concurrent writers never share one), never a truncated ``path``.
+    """
+    text = json.dumps(payload)  # one C-encoder pass; json.dump is pure Python
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
 
 
 def check_finite(name: str, value, *, minimum: float = None) -> float:

@@ -144,7 +144,7 @@ def characterize_benchmark(
     if write_back:
         stats_by_config = {}
         for config in configs:
-            cache = Cache(config, policy="lru", write_back=True)
+            cache = Cache(config, write_back=True)
             stats_by_config[config] = cache.run_trace(
                 trace.addresses, trace.writes
             )
@@ -164,7 +164,7 @@ def characterize_benchmark(
         base_cycles = results[BASE_CONFIG].total_cycles
     else:
         if write_back:
-            base_cache = Cache(BASE_CONFIG, policy="lru", write_back=True)
+            base_cache = Cache(BASE_CONFIG, write_back=True)
             base_stats = base_cache.run_trace(trace.addresses, trace.writes)
         else:
             base_stats = simulate_trace(

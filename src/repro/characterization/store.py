@@ -19,11 +19,11 @@ of this module (flat JSON, no metadata) still load, with ``meta`` left
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
+from repro._util import load_json_document, write_json_atomic
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
 from repro.energy.model import EnergyBreakdown, ExecutionEstimate
@@ -197,39 +197,51 @@ class CharacterizationStore:
             "meta": asdict(self.meta) if self.meta is not None else None,
             "benchmarks": benchmarks,
         }
-        Path(path).write_text(json.dumps(blob))
+        write_json_atomic(path, blob)
 
     @classmethod
     def from_json(cls, path: Union[str, Path]) -> "CharacterizationStore":
         """Load a store previously saved with :meth:`to_json`.
 
-        Legacy flat files (pre-metadata) load with ``meta = None``.
+        Legacy flat files (pre-metadata) load with ``meta = None``.  A
+        file that is not JSON, not an object, of an unknown ``format`` or
+        missing fields raises :class:`ValueError` naming ``path``.
         """
-        blob = json.loads(Path(path).read_text())
-        if isinstance(blob, dict) and blob.get("format") == STORE_FORMAT:
+        return load_json_document(path, "characterisation store", cls._from_blob)
+
+    @classmethod
+    def _from_blob(cls, blob: dict) -> "CharacterizationStore":
+        if "format" not in blob:  # legacy flat {name: entry} layout
+            meta = None
+            benchmarks = blob
+        elif blob["format"] == STORE_FORMAT:
             meta_blob = blob.get("meta")
             meta = StoreMeta(**meta_blob) if meta_blob is not None else None
             benchmarks = blob["benchmarks"]
-        else:  # legacy flat {name: entry} layout
-            meta = None
-            benchmarks = blob
-        store = cls(meta=meta)
-        for name, entry in benchmarks.items():
-            results = {}
-            for config_name, payload in entry["results"].items():
-                config = CacheConfig.from_name(config_name)
-                results[config] = ConfigResult(
-                    config=config,
-                    stats=_stats_from_dict(payload["stats"]),
-                    estimate=_estimate_from_dict(payload["estimate"]),
-                )
-            store.add(
-                BenchmarkCharacterization(
-                    benchmark=name,
-                    counters=HardwareCounters(**entry["counters"]),
-                    results=results,
-                )
+        else:
+            raise ValueError(
+                f"unknown format {blob['format']!r}, wanted {STORE_FORMAT}"
             )
+        store = cls(meta=meta)
+        try:
+            for name, entry in benchmarks.items():
+                results = {}
+                for config_name, payload in entry["results"].items():
+                    config = CacheConfig.from_name(config_name)
+                    results[config] = ConfigResult(
+                        config=config,
+                        stats=_stats_from_dict(payload["stats"]),
+                        estimate=_estimate_from_dict(payload["estimate"]),
+                    )
+                store.add(
+                    BenchmarkCharacterization(
+                        benchmark=name,
+                        counters=HardwareCounters(**entry["counters"]),
+                        results=results,
+                    )
+                )
+        except (KeyError, AttributeError) as error:
+            raise ValueError(f"malformed entry ({error!r})") from None
         return store
 
     def subset(self, names: Iterable[str]) -> "CharacterizationStore":

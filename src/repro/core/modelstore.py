@@ -27,6 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro._util import write_json_atomic
 from repro.ann.training import TrainingConfig
 from repro.characterization.dataset import Dataset
 
@@ -169,7 +170,7 @@ def save_ann_predictor(
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload))
+    write_json_atomic(path, payload)
     return path
 
 

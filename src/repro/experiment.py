@@ -88,31 +88,41 @@ def _keyed_cache_path(path: Union[str, Path], meta) -> Path:
 
 
 def _load_cached_store(
-    path: Path, meta: StoreMeta, expected_names: set
+    path: Path,
+    meta: StoreMeta,
+    expected_names: Optional[set] = None,
+    kind: str = "store",
 ) -> Optional[CharacterizationStore]:
     """Load a cached store iff its metadata matches and it is complete.
 
     Returns ``None`` (forcing recharacterisation) when the file is
-    missing, predates the metadata format, was produced under different
-    metadata — in particular a different seed — or lacks benchmarks.
+    missing, unreadable (say, truncated by a killed writer), predates the
+    metadata format, was produced under different metadata — in
+    particular a different seed — or lacks any of ``expected_names``.
     """
     if not path.exists():
-        logger.info("store cache miss: %s does not exist", path)
+        logger.info("%s cache miss: %s does not exist", kind, path)
         return None
-    store = CharacterizationStore.from_json(path)
+    try:
+        store = CharacterizationStore.from_json(path)
+    except ValueError as error:
+        logger.warning("%s cache miss: %s", kind, error)
+        return None
     if store.meta != meta:
         logger.info(
-            "store cache miss: %s metadata mismatch (cached %s, wanted %s)",
-            path, store.meta, meta,
+            "%s cache miss: %s metadata mismatch (cached %s, wanted %s)",
+            kind, path, store.meta, meta,
         )
         return None
-    if not expected_names.issubset(set(store.names())):
+    if expected_names is not None and not expected_names.issubset(
+        set(store.names())
+    ):
         logger.info(
-            "store cache miss: %s lacks benchmarks %s",
-            path, sorted(expected_names - set(store.names())),
+            "%s cache miss: %s lacks benchmarks %s",
+            kind, path, sorted(expected_names - set(store.names())),
         )
         return None
-    logger.debug("store cache hit: %s", path)
+    logger.debug("%s cache hit: %s", kind, path)
     return store
 
 
@@ -195,19 +205,13 @@ def default_dataset(
     store = None
     disk_names: Optional[set] = None
     if cache_path is not None:
-        path = _keyed_cache_path(cache_path, meta)
-        if path.exists():
-            cached = CharacterizationStore.from_json(path)
-            if cached.meta == meta:
-                # build_dataset characterises whatever is missing.
-                store = cached
-                disk_names = set(cached.names())
-            else:
-                logger.info(
-                    "dataset cache miss: %s metadata mismatch", path
-                )
-        else:
-            logger.info("dataset cache miss: %s does not exist", path)
+        # A partial store is still a hit: build_dataset characterises
+        # whatever is missing.
+        store = _load_cached_store(
+            _keyed_cache_path(cache_path, meta), meta, kind="dataset"
+        )
+        if store is not None:
+            disk_names = set(store.names())
     if base_store is not None and base_store.meta is not None:
         base_meta = base_store.meta
         if (

@@ -54,15 +54,13 @@ to the reference loop.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
-from repro._util import load_json_document
+from repro._util import load_json_document, write_json_atomic
 from repro.cache.config import CacheConfig
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.scheduler import DISCIPLINES, PREEMPTION_QUANTUM_CYCLES
@@ -2270,7 +2268,4 @@ class StreamingSimulation:
 
     def write_checkpoint(self, path: str) -> None:
         """Atomically write :meth:`snapshot` as JSON to ``path``."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.snapshot(), handle)
-        os.replace(tmp, path)
+        write_json_atomic(path, self.snapshot())

@@ -76,11 +76,9 @@ class CacheHierarchy:
         l1_config: CacheConfig,
         l2_config: Optional[CacheConfig] = None,
         *,
-        policy: str = "lru",
         write_back: bool = False,
-        seed: int = 0,
     ) -> None:
-        self.l1 = Cache(l1_config, policy=policy, write_back=write_back, seed=seed)
+        self.l1 = Cache(l1_config, write_back=write_back)
         self.l2: Optional[Cache] = None
         if l2_config is not None:
             if l2_config.size_bytes < l1_config.size_bytes:
@@ -88,9 +86,7 @@ class CacheHierarchy:
                     "L2 must be at least as large as L1: "
                     f"{l2_config.name} < {l1_config.name}"
                 )
-            self.l2 = Cache(
-                l2_config, policy=policy, write_back=write_back, seed=seed + 1
-            )
+            self.l2 = Cache(l2_config, write_back=write_back)
 
     def access(self, address: int, *, is_write: bool = False) -> HierarchyResult:
         """Access one address through L1 then (on miss) L2."""
@@ -207,8 +203,8 @@ class SharedL2System:
                     f"shared L2 {l2_config.name} smaller than L1 "
                     f"{config.name}"
                 )
-        self.l1s = [Cache(config, policy="lru") for config in l1_configs]
-        self.l2 = Cache(l2_config, policy="lru")
+        self.l1s = [Cache(config) for config in l1_configs]
+        self.l2 = Cache(l2_config)
         self.window = window
 
     def run(

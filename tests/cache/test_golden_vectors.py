@@ -1,6 +1,6 @@
-"""Golden-vector tests: hand-computed hit/miss sequences per policy.
+"""Golden-vector tests: hand-computed hit/miss sequences.
 
-These anchor the replacement policies against worked examples (the kind
+These anchor the LRU cache model against worked examples (the kind
 one computes on paper in an architecture course), so any behavioural
 regression in the cache model is caught by an exact sequence, not just
 aggregate counts.
@@ -22,20 +22,9 @@ def run_sequence(cache, line_ids):
 
 
 class TestFullyAssociativeLRU:
-    def make(self, ways):
-        # ways lines of 16B in one set.
-        return Cache(
-            CacheConfig(size_kb=ways * 16 // 1024 if ways * 16 >= 1024 else 1,
-                        assoc=ways, line_b=16)
-            if ways * 16 >= 1024
-            else CacheConfig(size_kb=1, assoc=64, line_b=16),
-            policy="lru",
-        )
-
     def test_two_way_classic_sequence(self):
         # 2-way fully associative over lines A B A C B: textbook LRU.
-        cache = Cache(CacheConfig(size_kb=1, assoc=2, line_b=16),
-                      policy="lru")
+        cache = Cache(CacheConfig(size_kb=1, assoc=2, line_b=16))
         # This cache has 32 sets; keep every line in set 0 by striding
         # by num_sets * line_b.
         stride = cache.config.num_sets
@@ -45,8 +34,7 @@ class TestFullyAssociativeLRU:
         assert pattern == [False, False, True, False, False]
 
     def test_lru_keeps_recently_used(self):
-        cache = Cache(CacheConfig(size_kb=1, assoc=2, line_b=16),
-                      policy="lru")
+        cache = Cache(CacheConfig(size_kb=1, assoc=2, line_b=16))
         stride = cache.config.num_sets
         a, b, c = 0, stride, 2 * stride
         pattern = run_sequence(cache, [a, b, b, c, b, a])
@@ -54,22 +42,16 @@ class TestFullyAssociativeLRU:
         assert pattern == [False, False, True, False, True, False]
 
 
-class TestFIFOVsLRUDivergence:
+class TestLRUDivergenceVector:
     def test_classic_divergence_sequence(self):
-        """A B A C: LRU evicts B for C (A was touched), FIFO evicts A."""
-        def build(policy):
-            return Cache(CacheConfig(size_kb=1, assoc=2, line_b=16),
-                         policy=policy)
-
-        lru = build("lru")
-        fifo = build("fifo")
-        stride = lru.config.num_sets
+        """A B A C A: LRU evicts B for C because A was touched (FIFO,
+        evicting the first line in, would miss on the last A)."""
+        cache = Cache(CacheConfig(size_kb=1, assoc=2, line_b=16))
+        stride = cache.config.num_sets
         a, b, c = 0, stride, 2 * stride
         seq = [a, b, a, c, a]
         #            LRU: m m h m h   (C evicts B; A survives)
-        assert run_sequence(lru, seq) == [False, False, True, False, True]
-        #            FIFO: m m h m m  (C evicts A, the first in)
-        assert run_sequence(fifo, seq) == [False, False, True, False, False]
+        assert run_sequence(cache, seq) == [False, False, True, False, True]
 
 
 class TestDirectMappedGolden:
@@ -84,26 +66,6 @@ class TestDirectMappedGolden:
         cache = Cache(CacheConfig(size_kb=2, assoc=1, line_b=16))
         pattern = run_sequence(cache, [0, 1, 0, 1])
         assert pattern == [False, False, True, True]
-
-
-class TestPLRUGolden:
-    def test_four_way_tree_victim(self):
-        """Fill ways 0-3 in order, then access 0 and 1: PLRU points the
-        tree away from the {0,1} half, so the next victim is in {2,3}."""
-        cache = Cache(CacheConfig(size_kb=1, assoc=4, line_b=16),
-                      policy="plru")
-        stride = cache.config.num_sets
-        lines = [i * stride for i in range(5)]
-        for line in lines[:4]:
-            assert not cache.access(line * 16).hit
-        cache.access(lines[0] * 16)
-        cache.access(lines[1] * 16)
-        cache.access(lines[4] * 16)  # evicts from the {2,3} half
-        # Probe without touching (access would refill and evict again).
-        assert cache.contains(lines[0] * 16)
-        assert cache.contains(lines[1] * 16)
-        resident = [cache.contains(lines[i] * 16) for i in (2, 3)]
-        assert resident.count(False) == 1  # exactly one was evicted
 
 
 class TestWriteGolden:

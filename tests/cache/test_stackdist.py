@@ -136,7 +136,7 @@ class TestStatsForAssoc:
                 num_sets=config.num_sets, max_assoc=config.assoc,
                 writes=writes,
             )
-            cache = Cache(config, policy="lru")
+            cache = Cache(config)
             ref = cache.run_trace(addresses, writes)
             assert profile.stats_for_assoc(config.assoc) == ref
 
@@ -149,7 +149,7 @@ class TestStatsForAssoc:
         )
         for size_kb, assoc in ((2, 1), (4, 2), (8, 4)):
             config = CacheConfig(size_kb, assoc, 64)
-            ref = Cache(config, policy="lru").run_trace(addresses)
+            ref = Cache(config).run_trace(addresses)
             assert profile.stats_for_assoc(assoc) == ref
 
 
@@ -174,7 +174,7 @@ class TestSimulateMany:
         rng = np.random.default_rng(5)
         addresses = rng.integers(0, 1 << 14, size=400)
         many = simulate_many(addresses, (config,))
-        ref = Cache(config, policy="lru").run_trace(addresses)
+        ref = Cache(config).run_trace(addresses)
         assert many[config] == ref
 
     @pytest.mark.parametrize("with_writes", [False, True])
@@ -195,7 +195,7 @@ class TestSimulateMany:
         writes = rng.random(lines.size) < 0.3 if with_writes else None
         many = simulate_many(addresses, configs, writes=writes)
         for config in configs:
-            ref = Cache(config, policy="lru").run_trace(addresses, writes)
+            ref = Cache(config).run_trace(addresses, writes)
             assert many[config] == ref, config.name
         profile = _profile(addresses, line_b=16, num_sets=1, max_assoc=512)
         assert profile.depth_hist[279] >= 280

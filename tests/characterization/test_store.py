@@ -151,3 +151,24 @@ class TestStoreMeta:
         assert set(loaded.names()) == set(store.names())
         for name in store.names():
             assert loaded.best_config(name) == store.best_config(name)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("text, reason", [
+        ('{"format": 99}', "unknown format 99"),
+        ('{"format": 2, "meta": nul', "not a valid"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"format": 2, "meta": null, "benchmarks": {"x": {}}}', "malformed"),
+    ])
+    def test_rejected_with_path(self, tmp_path, text, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            CharacterizationStore.from_json(path)
+        assert str(path) in str(info.value)
+        assert reason in str(info.value)
+
+    def test_write_leaves_no_temporary_file(self, store, tmp_path):
+        path = tmp_path / "store.json"
+        store.to_json(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["store.json"]

@@ -91,6 +91,26 @@ class TestCompareWithFaults:
             assert main(["report", str(trace_path)]) == 0
             assert ": OK" in capsys.readouterr().out
 
+    def test_generated_plan_round_trip(self, capsys, tmp_path):
+        # generate -> describe -> inject (validated) -> replay every trace.
+        plan = tmp_path / "plan.json"
+        assert main([
+            "faults", "generate", "--seed", "3", "--density", "0.3",
+            "--out", str(plan),
+        ]) == 0
+        assert main(["faults", "describe", str(plan)]) == 0
+        assert main([
+            "compare", "--jobs", "60", "--seed", "0",
+            "--predictor", "oracle", "--faults", str(plan), "--validate",
+            "--trace", str(tmp_path / "chaos.jsonl"),
+        ]) == 0
+        from repro.core.policies import POLICY_NAMES
+
+        for name in POLICY_NAMES:
+            capsys.readouterr()
+            assert main(["report", str(tmp_path / f"chaos.{name}.jsonl")]) == 0
+            assert ": OK" in capsys.readouterr().out
+
     def test_compare_missing_plan_file(self, capsys, tmp_path):
         code = main([
             "compare", "--jobs", "40", "--predictor", "oracle",

@@ -61,6 +61,10 @@ local_configs = DESIGN_SPACE + (
 )
 
 
+#: Table 1 plus one wide single-set cache (1KB of 16B lines, 64-way).
+write_back_configs = st.sampled_from(DESIGN_SPACE + (CacheConfig(1, 64, 16),))
+
+
 #: Run sequences over a 25-line alphabet: cycles of 1-20 distinct lines
 #: (a k-line cycle hits at depth k - 1) mixed with arbitrary stretches.
 _depth_segments = st.one_of(
@@ -82,8 +86,28 @@ def _collapse(segments):
 run_sequences = st.lists(_depth_segments, max_size=8).map(_collapse)
 
 
+def _written_back(addresses, writes, config):
+    """Writebacks of a write-back LRU cache including a final flush: one
+    per residency (fill to eviction) in which the line was written."""
+    sets = [[] for _ in range(config.num_sets)]  # [line, dirty], LRU first
+    count = 0
+    for address, is_write in zip(addresses, writes):
+        line = address // config.line_b
+        ways = sets[line % config.num_sets]
+        entry = next((e for e in ways if e[0] == line), None)
+        if entry is None:
+            if len(ways) == config.assoc:
+                count += ways.pop(0)[1]
+            entry = [line, False]
+        else:
+            ways.remove(entry)
+        entry[1] = entry[1] or is_write
+        ways.append(entry)
+    return count + sum(dirty for ways in sets for _, dirty in ways)
+
+
 def _reference_stats(trace, config, writes=None):
-    cache = Cache(config, policy="lru")
+    cache = Cache(config)
     return cache.run_trace(trace, writes)
 
 
@@ -155,6 +179,24 @@ class TestStackDistanceEngineEquivalence:
             assert many[config] == ref, config.name
             legacy = simulate_trace_per_config(trace, config, writes=writes)
             assert many[config] == legacy, config.name
+
+    @given(data=st.data(), config=write_back_configs)
+    @settings(max_examples=60, deadline=None)
+    def test_write_back_matches_engine_but_writebacks(self, data, config):
+        addresses = data.draw(st.one_of(traces, local_traces))
+        writes = data.draw(st.lists(
+            st.booleans(), min_size=len(addresses), max_size=len(addresses)
+        ))
+        cache = Cache(config, write_back=True)
+        ref = cache.run_trace(addresses, writes).copy()
+        many = simulate_many(addresses, [config], writes=writes)[config]
+        # The engine models write-through: it counts no writebacks.
+        assert ref.writebacks <= ref.evictions
+        assert ref.writebacks + cache.flush() == _written_back(
+            addresses, writes, config
+        )
+        ref.writebacks = many.writebacks
+        assert ref == many
 
     @given(trace=traces)
     @settings(max_examples=20, deadline=None)

@@ -51,8 +51,7 @@ class TestReuseDistanceProperties:
             count for distance, count in histogram.items()
             if 0 <= distance < capacity
         )
-        cache = Cache(CacheConfig(size_kb=1, assoc=capacity, line_b=16),
-                      policy="lru")
+        cache = Cache(CacheConfig(size_kb=1, assoc=capacity, line_b=16))
         stats = cache.run_trace(trace)
         assert stats.hits == predicted
 

@@ -356,7 +356,7 @@ class TestCheckpointFiles:
         assert snapshot["version"] == STREAM_SNAPSHOT_VERSION
         resumed = _engine(*args).resume(snapshot, _process(specs))
         assert resumed == baseline
-        assert not path.with_suffix(".ckpt.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_mid_run_file_resumes(
         self, tmp_path, store, oracle, energy_table, specs

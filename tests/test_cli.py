@@ -346,6 +346,18 @@ class TestCommands:
         assert payload["completions"] == 40
         assert payload["unfinished_jobs"] == []
 
+    def test_validated_run_replays_every_policy(self, capsys, tmp_path):
+        # A --validate run's per-policy traces each replay cleanly.
+        assert main([
+            "compare", "--jobs", "60", "--seed", "0",
+            "--predictor", "oracle", "--validate",
+            "--trace", str(tmp_path / "run.jsonl"),
+        ]) == 0
+        for policy in ("base", "optimal", "energy_centric", "proposed"):
+            capsys.readouterr()
+            assert main(["report", str(tmp_path / f"run.{policy}.jsonl")]) == 0
+            assert ": OK" in capsys.readouterr().out
+
     def test_validate_detects_corrupt_trace(self, capsys, tmp_path):
         trace_template = tmp_path / "run.jsonl"
         assert main([
@@ -940,6 +952,17 @@ class TestDagSubcommand:
         stdout = capsys.readouterr().out
         assert "wrote task-graph set" in stdout
         assert load_graphs(out) == generate_task_graphs(count=4, seed=3)
+
+    def test_generate_is_byte_identical(self, capsys, tmp_path):
+        paths = [tmp_path / "da.json", tmp_path / "db.json"]
+        for path in paths:
+            assert main([
+                "dag", "generate", "--seed", "3", "--count", "6",
+                "--out", str(path),
+            ]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert main(["dag", "describe", str(paths[0])]) == 0
+        assert "6 task graph(s)" in capsys.readouterr().out
 
     def test_describe_prints_graphs(self, capsys, tmp_path):
         from repro.workloads.dag import dump_graphs, generate_task_graphs

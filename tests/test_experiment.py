@@ -86,6 +86,18 @@ class TestDefaultStore:
         assert store.meta == full.meta
         assert set(EEMBC_NAMES) <= set(store.names())
 
+    def test_truncated_cache_is_rebuilt(self, tmp_path):
+        path = tmp_path / "store.json"
+        full = default_store(cache_path=path, seed=0)
+        keyed = _keyed_cache_path(path, full.meta)
+        whole = keyed.read_text()
+        # What a run killed mid-write would leave behind.
+        keyed.write_text(whole[: len(whole) // 3])
+        store = default_store(cache_path=path, seed=0)
+        assert set(EEMBC_NAMES) <= set(store.names())
+        assert keyed.read_text() == whole
+        assert CharacterizationStore.from_json(keyed).meta == full.meta
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = default_store(cache_path=None, seed=0)
         parallel = default_store(cache_path=None, seed=0, workers=2)
@@ -137,6 +149,17 @@ class TestDefaultDataset:
         dataset, _ = default_dataset(2, cache_path=path, seed=0)
         assert len(dataset) == 2 * len(EEMBC_NAMES)
         assert keyed.read_text() != before
+
+    def test_truncated_cache_is_rebuilt(self, tmp_path):
+        path = tmp_path / "dataset.json"
+        default_dataset(2, cache_path=path, seed=0)
+        keyed = list(tmp_path.glob("dataset.*.json"))[0]
+        whole = keyed.read_text()
+        keyed.write_text(whole[: len(whole) // 3])
+        dataset, store = default_dataset(2, cache_path=path, seed=0)
+        assert len(dataset) == 2 * len(EEMBC_NAMES)
+        assert keyed.read_text() == whole
+        assert CharacterizationStore.from_json(keyed).meta == store.meta
 
     def test_base_store_reused_without_recharacterisation(
         self, tmp_path, monkeypatch

@@ -51,7 +51,7 @@ class TestReuseDistance:
             count for distance, count in histogram.items()
             if 0 <= distance < capacity
         )
-        cache = Cache(CacheConfig(1, 32, 32), policy="lru")
+        cache = Cache(CacheConfig(1, 32, 32))
         stats = cache.run_trace(trace)
         assert stats.hits == predicted_hits
 
