@@ -8,7 +8,8 @@ import math
 import os
 
 __all__ = [
-    "check_finite", "load_json_document", "stable_seed", "write_json_atomic",
+    "check_cycles", "check_finite", "load_json_document", "stable_seed",
+    "write_json_atomic",
 ]
 
 
@@ -22,6 +23,17 @@ def stable_seed(*parts: object) -> int:
     """
     digest = hashlib.blake2s(repr(parts).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
+
+
+def check_cycles(name: str, cycles) -> None:
+    """:class:`ValueError` naming ``name`` unless ``cycles``, an arrival
+    clock that numpy draws and casts as int64, stays below 2**63 (NaN
+    fails)."""
+    if not cycles < 2 ** 63:
+        raise ValueError(
+            f"{name} is too large: arrivals would reach cycle "
+            f"{float(cycles):.4g}, beyond the int64 clock (2**63 cycles)"
+        )
 
 
 def load_json_document(path, kind: str, build):

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._util import check_finite
+from repro._util import check_cycles, check_finite
 from repro.characterization.store import CharacterizationStore
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.predictor import BestCorePredictor, OraclePredictor
@@ -613,7 +613,9 @@ def campaign_specs(
     store, predictor or worker exists: each axis needs at least one
     value and no repeated one (a repeat would silently double a cell's
     ``n``), loads must be positive and finite (a stream bounded by
-    ``duration_cycles`` may have no count), the ``dag`` and ``stream``
+    ``duration_cycles`` may have no count), a closed batch's horizon
+    ``count × mean_interarrival_cycles`` must stay below the int64
+    cycle clock, the ``dag`` and ``stream``
     axes exclude each other, and
     :func:`~repro.core.simulation.select_engine` rules once per
     distinct spec shape.  Raises :class:`ValueError` naming the
@@ -648,6 +650,8 @@ def campaign_specs(
         elif count is None or count <= 0:
             raise ValueError("load count must be positive")
         check_finite("mean_interarrival_cycles", gap)
+        if stream is None and dag is None:
+            check_cycles("mean_interarrival_cycles", count * gap)
     if dag is not None and stream is not None:
         raise ValueError(
             "the dag and stream axes are mutually exclusive: task-graph "

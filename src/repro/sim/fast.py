@@ -44,7 +44,7 @@ preemption grid is enforced by
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.cache.config import BASE_CONFIG, CacheConfig
@@ -106,7 +106,7 @@ def core_branch(policy: SchedulingPolicy) -> int:
     return branch
 
 
-_arrival_cycle = attrgetter("arrival_cycle")
+_arrival_cycle = itemgetter(2)  # JobArrival.arrival_cycle
 
 
 class _ArrivalList:
@@ -404,12 +404,12 @@ class FastSimulation:
         if not arrivals:
             raise ValueError("need at least one arrival")
         bids = self.bids
-        for arrival in arrivals:
-            if arrival.benchmark not in bids:
-                raise KeyError(
-                    f"benchmark {arrival.benchmark!r} missing from the "
-                    "characterisation store"
-                )
+        if not bids.keys() >= {arrival[1] for arrival in arrivals}:
+            missing = next(a[1] for a in arrivals if a[1] not in bids)
+            raise KeyError(
+                f"benchmark {missing!r} missing from the "
+                "characterisation store"
+            )
         # Stable by arrival cycle: the order the reference heap pops
         # equal-time arrivals (their sequence numbers follow the input
         # order).  The stream rejects decreasing times.

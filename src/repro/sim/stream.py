@@ -276,25 +276,9 @@ def read_checkpoint(path: str) -> dict:
     return load_json_document(path, "stream checkpoint", _checked_snapshot)
 
 
-def _arrival_to_list(arrival: JobArrival) -> list:
-    return [
-        arrival.job_id,
-        arrival.benchmark,
-        arrival.arrival_cycle,
-        arrival.priority,
-        arrival.deadline_cycle,
-    ]
-
-
-def _arrival_from_list(fields: list) -> JobArrival:
-    job_id, benchmark, arrival_cycle, priority, deadline = fields
-    return JobArrival(
-        job_id=job_id,
-        benchmark=benchmark,
-        arrival_cycle=arrival_cycle,
-        priority=priority,
-        deadline_cycle=deadline,
-    )
+def _arrival_from_list(row: list) -> JobArrival:
+    job_id, benchmark, arrival_cycle, priority, deadline = row
+    return JobArrival(job_id, benchmark, arrival_cycle, priority, deadline)
 
 
 def _session_to_dict(session: TuningSession) -> dict:
@@ -824,7 +808,7 @@ class StreamingSimulation:
             if deferred is not None and len(queue) < capacity:
                 a_admit = deferred
                 deferred = None
-                blocked_cycles += now - a_admit.arrival_cycle
+                blocked_cycles += now - a_admit[2]
             else:
                 if abuf_i >= len(abuf) and not gen_done:
                     # -- chunked refill ---------------------------------
@@ -837,7 +821,7 @@ class StreamingSimulation:
                             gen_done = True
                     if duration is not None:
                         for k in range(take):
-                            if raw[k].arrival_cycle >= duration:
+                            if raw[k][2] >= duration:
                                 take = k
                                 gen_done = True
                                 break
@@ -845,7 +829,7 @@ class StreamingSimulation:
                         raw = raw[:take]
                     generated += take
                     abuf = raw
-                    atimes = [x.arrival_cycle for x in raw]
+                    atimes = [x[2] for x in raw]
                     abuf_i = 0
                 have_arr = deferred is None and abuf_i < len(abuf)
                 if comp_heap and not (
@@ -1037,7 +1021,7 @@ class StreamingSimulation:
                     a_admit = deferred
                     deferred = None
                     forced += 1
-                    blocked_cycles += now - a_admit.arrival_cycle
+                    blocked_cycles += now - a_admit[2]
                 else:
                     if tel is not None:
                         # Final sample at drain, whether or not the
@@ -1064,19 +1048,18 @@ class StreamingSimulation:
 
             # -- admission: allocate (or recycle) a job slot ------------
             if a_admit is not None:
-                b = bids_get(a_admit.benchmark)
+                label, name, cycle, prio, dl = a_admit
+                b = bids_get(name)
                 if b is None:
                     raise KeyError(
-                        f"benchmark {a_admit.benchmark!r} missing from "
+                        f"benchmark {name!r} missing from "
                         "the characterisation store"
                     )
-                prio = a_admit.priority
-                dl = a_admit.deadline_cycle
                 if free_slots:
                     jid = free_slots.pop()
                     jbid[jid] = b
-                    jlab[jid] = a_admit.job_id
-                    jarr[jid] = a_admit.arrival_cycle
+                    jlab[jid] = label
+                    jarr[jid] = cycle
                     jprio[jid] = prio
                     jdl[jid] = dl
                     jstart[jid] = None
@@ -1100,8 +1083,8 @@ class StreamingSimulation:
                 else:
                     jid = len(jbid)
                     jbid.append(b)
-                    jlab.append(a_admit.job_id)
-                    jarr.append(a_admit.arrival_cycle)
+                    jlab.append(label)
+                    jarr.append(cycle)
                     jprio.append(prio)
                     jdl.append(dl)
                     jstart.append(None)
@@ -2044,11 +2027,11 @@ class StreamingSimulation:
             "records": [list(r) for r in s["records"]],
             "queue": list(s["queue"]),
             "comp_heap": [list(e) for e in s["comp_heap"]],
-            "abuf": [_arrival_to_list(a) for a in s["abuf"][abuf_i:]],
+            "abuf": [list(a) for a in s["abuf"][abuf_i:]],
             "deferred": (
                 None
                 if s["deferred"] is None
-                else _arrival_to_list(s["deferred"])
+                else list(s["deferred"])
             ),
             "gen_done": s["gen_done"],
             "cur_job": list(s["cur_job"]),
@@ -2183,7 +2166,7 @@ class StreamingSimulation:
             "queue": dict.fromkeys(engine["queue"], True),
             "comp_heap": [tuple(e) for e in engine["comp_heap"]],
             "abuf": abuf,
-            "atimes": [a.arrival_cycle for a in abuf],
+            "atimes": [a[2] for a in abuf],
             "abuf_i": 0,
             "deferred": (
                 None

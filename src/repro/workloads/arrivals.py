@@ -21,18 +21,26 @@ same no matter how far the stream is eventually advanced, and
 truncated stream is bit-identical to the closed-batch list.  Processes
 expose :meth:`~ArrivalProcess.state_dict` / :meth:`~ArrivalProcess.load_state`
 so a streaming checkpoint can capture and resume the RNG mid-stream.
+
+Each job is a :class:`JobArrival` named tuple, so the simulation core
+unpacks a row by position.  A directly built row is checked field by
+field; the generators instead build each chunk in bulk from the numpy
+columns they draw, checking the columns once (the same messages, plus
+the int64 limit of the arrival clock, which a huge mean gap would
+otherwise wrap negative).
 """
 
 from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro._util import check_finite
+from repro._util import check_cycles, check_finite
 
 from .benchmark import BenchmarkSpec
 
@@ -58,31 +66,73 @@ __all__ = [
 STREAM_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class JobArrival:
+class JobArrival(
+    namedtuple(
+        "JobArrival",
+        ("job_id", "benchmark", "arrival_cycle", "priority",
+         "deadline_cycle"),
+        defaults=(0, None),
+    )
+):
     """One job: which benchmark arrives, and when (in cycles).
 
     ``priority`` and ``deadline_cycle`` feed the priority/deadline
     scheduling extension (paper future work); the defaults reproduce the
     paper's plain FIFO workload.
+
+    A named tuple, so the simulation core reads a row by position.
+    Building one (or :meth:`_replace`) checks the row; ``_make`` does
+    not, and is what the generators below use for whole chunks once
+    their columns are checked (:func:`_chunk_rows`).
     """
 
-    job_id: int
-    benchmark: str
-    arrival_cycle: int
-    priority: int = 0
-    deadline_cycle: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.job_id < 0:
+    def __new__(
+        cls,
+        job_id: int,
+        benchmark: str,
+        arrival_cycle: int,
+        priority: int = 0,
+        deadline_cycle: Optional[int] = None,
+    ) -> "JobArrival":
+        if job_id < 0:
             raise ValueError("job_id must be non-negative")
-        if self.arrival_cycle < 0:
+        if arrival_cycle < 0:
             raise ValueError("arrival_cycle must be non-negative")
-        if (
-            self.deadline_cycle is not None
-            and self.deadline_cycle < self.arrival_cycle
-        ):
+        if deadline_cycle is not None and deadline_cycle < arrival_cycle:
             raise ValueError("deadline cannot precede the arrival")
+        return super().__new__(
+            cls, job_id, benchmark, arrival_cycle, priority, deadline_cycle
+        )
+
+    def _replace(self, **changes) -> "JobArrival":
+        row = type(self)(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return row
+
+
+def _chunk_rows(
+    base: int, names: Sequence[str], clock: np.ndarray
+) -> List[JobArrival]:
+    """One chunk of plain arrivals from its drawn columns.
+
+    ``clock`` holds the chunk's non-decreasing arrival times (float or
+    int); the job ids run from ``base``.  The row checks of
+    :class:`JobArrival` run once over the columns, and the clock is
+    checked against the int64 limit before it is cast.
+    """
+    if base < 0:
+        raise ValueError("job_id must be non-negative")
+    check_cycles("mean_interarrival_cycles", clock[-1].item())
+    cycles = clock.astype(np.int64)
+    if cycles[0] < 0:
+        raise ValueError("arrival_cycle must be non-negative")
+    return list(map(JobArrival._make, zip(
+        range(base, base + len(cycles)), names, cycles.tolist(),
+        repeat(0), repeat(None),
+    )))
 
 
 def _draw_benchmarks(
@@ -91,7 +141,7 @@ def _draw_benchmarks(
     if not specs:
         raise ValueError("need at least one benchmark spec")
     indices = rng.integers(0, len(specs), size=count)
-    return [specs[i].name for i in indices]
+    return [specs[i].name for i in indices.tolist()]
 
 
 def uniform_arrivals(
@@ -119,16 +169,15 @@ def uniform_arrivals(
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
+    horizon_name = "horizon_cycles"
     if horizon_cycles is None:
+        horizon_name = "mean_interarrival_cycles"
         horizon_cycles = count * mean_interarrival_cycles
     check_finite("horizon_cycles", horizon_cycles)
+    check_cycles(horizon_name, horizon_cycles)
     rng = np.random.default_rng(seed)
     times = np.sort(rng.integers(0, horizon_cycles, size=count))
-    names = _draw_benchmarks(specs, count, rng)
-    return [
-        JobArrival(job_id=i, benchmark=name, arrival_cycle=int(t))
-        for i, (name, t) in enumerate(zip(names, times))
-    ]
+    return _chunk_rows(0, _draw_benchmarks(specs, count, rng), times)
 
 
 def poisson_arrivals(
@@ -275,20 +324,14 @@ class PoissonProcess(ArrivalProcess):
         # the whole stream would perform (x + 0.0 is exact for the
         # first chunk), so chunking never perturbs arrival times.
         times = np.cumsum(np.concatenate(((self._clock,), gaps)))[1:]
-        self._clock = float(times[-1])
-        cycles = times.astype(np.int64)
         indices = rng.integers(0, len(self.names), size=chunk)
-        names = self.names
-        base = self._next_id
-        self._next_id = base + chunk
-        return [
-            JobArrival(
-                job_id=base + i,
-                benchmark=names[indices[i]],
-                arrival_cycle=int(cycles[i]),
-            )
-            for i in range(chunk)
-        ]
+        rows = _chunk_rows(
+            self._next_id, list(map(self.names.__getitem__, indices.tolist())),
+            times,
+        )
+        self._clock = float(times[-1])
+        self._next_id += chunk
+        return rows
 
     def params(self) -> Dict[str, object]:
         fingerprint = super().params()
@@ -364,14 +407,14 @@ class MMPPProcess(ArrivalProcess):
         rng = self._rng
         names = self.names
         n_names = len(names)
-        out: List[JobArrival] = []
+        picks: List[str] = []
+        clocks: List[float] = []
         clock = self._clock
         phase = self._phase
         phase_end = self._phase_end
         gap_means = self._gap_means
         sojourn_means = self._sojourn_means
-        base = self._next_id
-        for i in range(self.chunk):
+        for _ in range(self.chunk):
             while True:
                 gap = rng.exponential(gap_means[phase])
                 if clock + gap <= phase_end:
@@ -380,19 +423,14 @@ class MMPPProcess(ArrivalProcess):
                 clock = phase_end
                 phase = 1 - phase
                 phase_end = clock + rng.exponential(sojourn_means[phase])
-            name = names[int(rng.integers(0, n_names))]
-            out.append(
-                JobArrival(
-                    job_id=base + i,
-                    benchmark=name,
-                    arrival_cycle=int(clock),
-                )
-            )
+            picks.append(names[int(rng.integers(0, n_names))])
+            clocks.append(clock)
+        rows = _chunk_rows(self._next_id, picks, np.array(clocks))
         self._clock = clock
         self._phase = phase
         self._phase_end = phase_end
-        self._next_id = base + self.chunk
-        return out
+        self._next_id += self.chunk
+        return rows
 
     def params(self) -> Dict[str, object]:
         fingerprint = super().params()
@@ -465,26 +503,21 @@ class DiurnalProcess(ArrivalProcess):
         amplitude = self.amplitude
         phase = self.phase
         sin = math.sin
-        out: List[JobArrival] = []
+        picks: List[str] = []
+        clocks: List[float] = []
         clock = self._clock
-        base = self._next_id
-        for i in range(self.chunk):
+        for _ in range(self.chunk):
             while True:
                 clock = clock + rng.exponential(peak_gap_mean)
                 rate = (1.0 + amplitude * sin(omega * clock + phase)) / mean
                 if rng.random() * peak_rate <= rate:
                     break
-            name = names[int(rng.integers(0, n_names))]
-            out.append(
-                JobArrival(
-                    job_id=base + i,
-                    benchmark=name,
-                    arrival_cycle=int(clock),
-                )
-            )
+            picks.append(names[int(rng.integers(0, n_names))])
+            clocks.append(clock)
+        rows = _chunk_rows(self._next_id, picks, np.array(clocks))
         self._clock = clock
-        self._next_id = base + self.chunk
-        return out
+        self._next_id += self.chunk
+        return rows
 
     def params(self) -> Dict[str, object]:
         fingerprint = super().params()
@@ -672,6 +705,6 @@ def _annotate_qos(
                 round(deadline_slack * nominal)
             )
         annotated.append(
-            replace(arrival, priority=priority, deadline_cycle=deadline)
+            arrival._replace(priority=priority, deadline_cycle=deadline)
         )
     return annotated

@@ -20,7 +20,6 @@ front ends must refuse it rather than run a built-in policy instead.
 import itertools
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,7 +135,7 @@ class TestGoldenGrid:
         # fast front end sorts the batch stably, the reference heap
         # breaks time ties by input order.
         shuffled = [
-            replace(a, arrival_cycle=a.arrival_cycle - a.arrival_cycle % 60_000)
+            a._replace(arrival_cycle=a.arrival_cycle - a.arrival_cycle % 60_000)
             for a in arrivals
         ]
         random.Random(3).shuffle(shuffled)

@@ -12,6 +12,7 @@ must fail loudly instead of resuming a subtly different run.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -378,6 +379,73 @@ class TestCheckpointFiles:
             read_checkpoint(str(path)), _process(specs, qos=True)
         )
         assert result == baseline
+
+
+#: A version-4 checkpoint written mid-stream by the engine as it stood
+#: when arrivals were frozen dataclasses: ``_fixture_engine()`` started
+#: on ``_fixture_process()``, ``advance(max_events=FIXTURE_EVENTS)``,
+#: then ``write_checkpoint``.  It holds buffered arrival rows and a
+#: deferred (blocked) arrival with a priority and a deadline.
+FIXTURE = Path(__file__).parent / "data" / "stream_v4_block_qos.json"
+FIXTURE_EVENTS = 194
+
+
+def _fixture_process(specs):
+    return QoSProcess(
+        PoissonProcess(
+            specs, mean_interarrival_cycles=25_000.0, seed=SEED, chunk=64
+        ),
+        service_estimate=lambda name: 400_000,
+        priority_levels=4,
+        deadline_fraction=0.5,
+        seed=SEED,
+    )
+
+
+def _fixture_engine(store, oracle, energy_table):
+    return _engine(
+        "proposed", "priority", False, store, oracle, energy_table,
+        config=StreamConfig(
+            max_jobs=N_JOBS, queue_capacity=3, admission="block"
+        ),
+    )
+
+
+class TestCommittedCheckpoint:
+    """Checkpoints are read by later builds than the one that wrote
+    them: the committed file must keep resuming bit-identically."""
+
+    def test_fixture_holds_arrival_rows(self):
+        engine = read_checkpoint(str(FIXTURE))["engine"]
+        assert engine["abuf"]
+        job_id, name, cycle, priority, deadline = engine["deferred"]
+        assert priority > 0 and deadline > cycle
+
+    def test_resume_equals_uninterrupted_run(
+        self, store, oracle, energy_table, specs
+    ):
+        straight = _fixture_engine(store, oracle, energy_table)
+        straight.start(_fixture_process(specs))
+        baseline = _finish(straight)
+
+        resumed = _fixture_engine(store, oracle, energy_table)
+        result = resumed.resume(
+            read_checkpoint(str(FIXTURE)), _fixture_process(specs)
+        )
+        assert result == baseline
+        assert json.dumps(resumed.snapshot()) == json.dumps(
+            straight.snapshot()
+        )
+
+    def test_writer_still_writes_the_same_bytes(
+        self, tmp_path, store, oracle, energy_table, specs
+    ):
+        path = tmp_path / "stream.ckpt"
+        engine = _fixture_engine(store, oracle, energy_table)
+        engine.start(_fixture_process(specs))
+        engine.advance(max_events=FIXTURE_EVENTS)
+        engine.write_checkpoint(str(path))
+        assert path.read_bytes() == FIXTURE.read_bytes()
 
 
 class TestLoudFailures:

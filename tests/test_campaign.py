@@ -600,6 +600,13 @@ class TestValidation:
                                              f"got {gap}"):
             run_campaign(store, loads=((5, gap),))
 
+    @pytest.mark.parametrize("load", [(10, 2 * 10**18), (2, 2**62)])
+    def test_horizon_past_the_cycle_clock(self, store, load):
+        # Rejected up front: numpy's int64 draw would fail in a worker.
+        with pytest.raises(ValueError,
+                           match="^mean_interarrival_cycles is too large"):
+            run_campaign(store, loads=(load,))
+
     def test_count_free_load_needs_a_duration_bound(self, store):
         with pytest.raises(ValueError, match="load count"):
             run_campaign(store, loads=((None, 56_000),))

@@ -566,6 +566,30 @@ class TestStreamCommand:
             json_module.loads(resumed_json.read_text())
         )
 
+    def test_checkpointed_stream_resumes_bit_identically(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        run = "stream --max-jobs 5000 --seed 2 --checkpoint ckpt.json"
+        assert main(f"{run} --checkpoint-every 1000 --json first.json"
+                    .split()) == 0
+        assert main(f"{run} --resume --json again.json".split()) == 0
+        assert (tmp_path / "first.json").read_bytes() == (
+            tmp_path / "again.json").read_bytes()
+        # 12000 jobs cross the histograms' 4096-observation blocks;
+        # telemetry every 7 completions flushes between them.
+        run = ("stream --max-jobs 12000 --seed 2 --checkpoint blocks.json "
+               "--telemetry-out blocks.jsonl --telemetry-every 7")
+        assert main(f"{run} --checkpoint-every 4999 --json blocks-first.json"
+                    .split()) == 0
+        first_telemetry = (tmp_path / "blocks.jsonl").read_bytes()
+        assert main(f"{run} --resume --json blocks-again.json"
+                    .split()) == 0
+        capsys.readouterr()
+        assert (tmp_path / "blocks-first.json").read_bytes() == (
+            tmp_path / "blocks-again.json").read_bytes()
+        assert (tmp_path / "blocks.jsonl").read_bytes() == first_telemetry
+
     def test_campaign_stream_small(self, capsys):
         code = main([
             "campaign", "--policies", "base", "proposed",
@@ -610,6 +634,10 @@ class TestHostileInput:
         "compare --jobs 10 --predictor oracle --sampled-trace s.jsonl "
         "--sampled-trace-every 0",
         "stream --process mmpp --interarrival nan --max-jobs 10",
+        "compare --interarrival 2000000000000000000 --jobs 10 "
+        "--predictor oracle",
+        "campaign --interarrival 2000000000000000000 --jobs 10 --seeds 1 "
+        "--policies base --predictor oracle",
         "train --epochs 0",
         "train --members 0",
         "train --variants 0",
@@ -639,6 +667,10 @@ class TestHostileInput:
         ("dag generate --count 3 --deadline-slack nan", "deadline_slack"),
         ("campaign --jobs 20 --predictor oracle --seeds 0 --dag "
          "--dag-deadline-slack nan", "deadline_slack"),
+        ("compare --interarrival 2000000000000000000 --jobs 10 "
+         "--predictor oracle", "mean_interarrival_cycles"),
+        ("stream --interarrival 1e16 --max-jobs 10 --predictor oracle",
+         "mean_interarrival_cycles"),
     ])
     def test_bad_number_names_its_field(self, argv, field, capsys, tmp_path,
                                         monkeypatch):

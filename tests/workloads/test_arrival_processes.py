@@ -15,6 +15,7 @@ in a fresh process object.
 """
 
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -252,6 +253,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must be .* "
                                              f"and finite, got {value}$"):
             cls(SPECS, **{field: value})
+
+    # A huge mean gap drives the clock past int64 within one chunk; the
+    # cast would wrap it negative (with a RuntimeWarning), so the clock
+    # is rejected first, naming the parameter.
+    @pytest.mark.parametrize("cls,extra", [
+        (PoissonProcess, {}),
+        (MMPPProcess, {"mean_normal_sojourn_cycles": 1e30,
+                       "mean_burst_sojourn_cycles": 1e30}),
+        (DiurnalProcess, {}),
+    ], ids=lambda p: p.__name__ if isinstance(p, type) else "")
+    def test_clock_past_int64_names_the_gap(self, cls, extra):
+        process = cls(SPECS, mean_interarrival_cycles=1e17, **extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="^mean_interarrival_cycles is too "
+                                     "large"):
+                process.next_chunk()
 
     def test_qos_validation(self):
         inner = PoissonProcess(SPECS)

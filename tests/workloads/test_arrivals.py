@@ -89,9 +89,53 @@ class TestPoissonArrivals:
             poisson_arrivals(eembc_suite(), count=5, mean_interarrival_cycles=0)
 
 
+class TestHorizonOverflow:
+    def test_mean_gap_past_the_cycle_clock(self):
+        with pytest.raises(ValueError,
+                           match="^mean_interarrival_cycles is too large"):
+            uniform_arrivals(eembc_suite(), count=10,
+                             mean_interarrival_cycles=2 * 10**18)
+
+    def test_horizon_past_the_cycle_clock(self):
+        with pytest.raises(ValueError, match="^horizon_cycles is too large"):
+            uniform_arrivals(eembc_suite(), count=10, horizon_cycles=2**63)
+
+    def test_largest_horizon_still_draws(self):
+        arrivals = uniform_arrivals(
+            eembc_suite(), count=10, horizon_cycles=2**63 - 1
+        )
+        assert all(0 <= a.arrival_cycle < 2**63 - 1 for a in arrivals)
+
+
 class TestJobArrival:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^job_id must be non-negative$"):
             JobArrival(job_id=-1, benchmark="x", arrival_cycle=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^arrival_cycle must be non-negative$"):
             JobArrival(job_id=0, benchmark="x", arrival_cycle=-1)
+        with pytest.raises(ValueError,
+                           match="^deadline cannot precede the arrival$"):
+            JobArrival(job_id=0, benchmark="x", arrival_cycle=5,
+                       deadline_cycle=4)
+
+    def test_positional_and_default_fields(self):
+        arrival = JobArrival(3, "x", 10)
+        assert arrival == JobArrival(job_id=3, benchmark="x",
+                                     arrival_cycle=10, priority=0,
+                                     deadline_cycle=None)
+        assert arrival == (3, "x", 10, 0, None)
+        assert repr(arrival) == (
+            "JobArrival(job_id=3, benchmark='x', arrival_cycle=10, "
+            "priority=0, deadline_cycle=None)"
+        )
+
+    def test_replace_is_checked(self):
+        arrival = JobArrival(job_id=0, benchmark="x", arrival_cycle=5)
+        moved = arrival._replace(priority=2, deadline_cycle=9)
+        assert type(moved) is JobArrival
+        assert moved == (0, "x", 5, 2, 9)
+        with pytest.raises(ValueError, match="deadline cannot precede"):
+            arrival._replace(deadline_cycle=4)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            arrival._replace(cycle=4)
