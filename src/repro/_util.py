@@ -8,8 +8,8 @@ import math
 import os
 
 __all__ = [
-    "check_cycles", "check_finite", "load_json_document", "stable_seed",
-    "write_json_atomic",
+    "check_cycles", "check_finite", "check_int", "load_json_document",
+    "stable_seed", "write_json_atomic",
 ]
 
 
@@ -34,6 +34,16 @@ def check_cycles(name: str, cycles) -> None:
             f"{name} is too large: arrivals would reach cycle "
             f"{float(cycles):.4g}, beyond the int64 clock (2**63 cycles)"
         )
+
+
+def check_int(name: str, value, *, minimum: int = None) -> int:
+    """``value`` if it is an int (a bool is not) and ``>= minimum``, else
+    :class:`ValueError` naming ``name`` and the value."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 def load_json_document(path, kind: str, build):

@@ -37,6 +37,7 @@ from repro._util import check_cycles, check_finite
 from repro.characterization.store import CharacterizationStore
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.predictor import BestCorePredictor, OraclePredictor
+from repro.core.fastpath import fresh_fast
 from repro.core.simulation import make_simulation, select_engine
 from repro.energy.tables import EnergyTable
 from repro.faults.plan import FaultPlan
@@ -466,6 +467,7 @@ def run_spec(
     energy_table: Optional[EnergyTable] = None,
     discipline: str = "fifo",
     checkpoint: Optional[dict] = None,
+    records: bool = True,
     **sinks,
 ):
     """Run one spec: the only code that turns a spec into a simulation.
@@ -477,7 +479,16 @@ def run_spec(
     ``telemetry``) observe the run and never change its result;
     ``checkpoint`` holds a stream's ``checkpoint_path`` /
     ``checkpoint_every`` / ``resume_from``.
+
+    ``records=False`` (closed-batch specs only) makes ``result`` a dict
+    of the run's totals: the :data:`CAMPAIGN_METRICS` values and the
+    token-pool counts under ``power`` (``None`` unpowered).  A run on
+    the core then builds no per-job records and writes no state back
+    into ``simulation``, which stays as constructed; a run on the
+    reference loop reads the same totals off its result and pool.
     """
+    if not records and (spec.stream is not None or spec.dag is not None):
+        raise ValueError("records=False needs a closed-batch spec")
     simulation = make_simulation(
         spec.policy, store, predictor, energy_table, discipline=discipline,
         faults=spec.fault_plan, engine=spec.engine, power=spec.power,
@@ -500,8 +511,24 @@ def run_spec(
     else:
         load = uniform_arrivals(eembc_suite(), count=spec.count,
                                 **arrival_args)
-        result = simulation.run(load)
+        if records:
+            result = simulation.run(load)
+        elif simulation._resolve_engine() == "fast":
+            totals = fresh_fast(simulation).run(load, records=False)
+            result = {
+                key: totals[key] for key in (*CAMPAIGN_METRICS, "power")
+            }
+        else:
+            result = _result_totals(simulation.run(load), simulation)
     return result, simulation, load
+
+
+def _result_totals(result, simulation) -> dict:
+    """``run_spec(..., records=False)``'s totals of a run with records."""
+    totals = {name: getattr(result, name) for name in CAMPAIGN_METRICS}
+    pool = simulation.power_pool
+    totals["power"] = None if pool is None else pool.counts()
+    return totals
 
 
 # Whether to attach a metrics registry, and run_spec's keyword arguments:
@@ -529,10 +556,16 @@ def _run_replication(spec: ReplicationSpec) -> ReplicationResult:
     registry = (
         MetricsRegistry() if _WORKER_STATE["collect_metrics"] else None
     )
+    # A closed batch reports only totals, so it asks for no records.
+    batch = spec.stream is None and spec.dag is None
     result, simulation, load = run_spec(
-        spec, metrics=registry, **_WORKER_STATE["run_kwargs"]
+        spec, metrics=registry, records=not batch,
+        **_WORKER_STATE["run_kwargs"],
     )
-    if spec.stream is not None:
+    observed = dict(registry.scalars()) if registry is not None else {}
+    if batch:
+        totals = result
+    elif spec.stream is not None:
         # The windowed stream metrics ride back through ``observed``
         # (flat floats, exactly like registry scalars) so cells
         # aggregate the quantile snapshots without retaining per-job
@@ -547,40 +580,58 @@ def _run_replication(spec: ReplicationSpec) -> ReplicationResult:
         ):
             for key, value in snapshot.items():
                 observed[f"{prefix}.{key}"] = value
-        power = result.power
-        mean_waiting_cycles = result.waiting.get("mean", 0.0)
+        totals = {
+            name: getattr(result, name)
+            for name in CAMPAIGN_METRICS
+            if name != "mean_waiting_cycles"
+        }
+        totals["mean_waiting_cycles"] = result.waiting.get("mean", 0.0)
+        totals["power"] = result.power
     else:
-        observed = dict(registry.scalars()) if registry is not None else {}
-        if spec.dag is not None:
-            # Deadline/slack outcomes ride back through ``observed``
-            # alongside any registry scalars, so cells aggregate them
-            # like every other per-replication metric.
-            observed.update({
-                "dag.graphs": float(len(load)),
-                "dag.tasks": float(sum(g.task_count for g in load)),
-                "dag.edges": float(sum(g.edge_count for g in load)),
-                "dag.deadline_jobs": float(result.deadline_jobs),
-                "dag.deadline_misses": float(result.deadline_misses),
-                "dag.deadline_miss_rate": result.deadline_miss_rate,
-            })
-        pool = simulation.power_pool
-        power = None if pool is None else pool.counts()
-        mean_waiting_cycles = result.mean_waiting_cycles
+        # Deadline/slack outcomes ride back through ``observed``
+        # alongside any registry scalars, so cells aggregate them like
+        # every other per-replication metric.
+        observed.update({
+            "dag.graphs": float(len(load)),
+            "dag.tasks": float(sum(g.task_count for g in load)),
+            "dag.edges": float(sum(g.edge_count for g in load)),
+            "dag.deadline_jobs": float(result.deadline_jobs),
+            "dag.deadline_misses": float(result.deadline_misses),
+            "dag.deadline_miss_rate": result.deadline_miss_rate,
+        })
+        totals = _result_totals(result, simulation)
     # A powered run's token-pool account rides back as ``power.*``.
-    for key, value in (power or {}).items():
+    for key, value in (totals.pop("power") or {}).items():
         observed[f"power.{key}"] = float(value)
     return ReplicationResult(
         spec=spec,
-        jobs_completed=result.jobs_completed,
-        makespan_cycles=result.makespan_cycles,
-        total_energy_nj=result.total_energy_nj,
-        idle_energy_nj=result.idle_energy_nj,
-        dynamic_energy_nj=result.dynamic_energy_nj,
-        mean_waiting_cycles=mean_waiting_cycles,
-        non_best_decisions=result.non_best_decisions,
         seconds=time.perf_counter() - start,
         observed=observed,
+        **totals,
     )
+
+
+class _PredictionMemo(BestCorePredictor):
+    """A campaign's predictor, asked once per (benchmark, counters).
+
+    Every replication profiles the same store, so without the memo each
+    one would re-run the predictor (the ANN's forward pass) for every
+    benchmark it profiles.  The key holds the name because a predictor
+    may dispatch on it; an exception is raised again on the next call,
+    never stored.  Pool workers each fill their own copy.
+    """
+
+    def __init__(self, predictor: BestCorePredictor) -> None:
+        self.predictor = predictor
+        self._sizes: Dict[tuple, int] = {}
+
+    def predict_size_kb(self, benchmark, counters) -> int:
+        key = (benchmark, counters)
+        size = self._sizes.get(key)
+        if size is None:
+            size = self.predictor.predict_size_kb(benchmark, counters)
+            self._sizes[key] = size
+        return size
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -819,6 +870,7 @@ def run_campaign(
     )
     if predictor is None:
         predictor = OraclePredictor(store)
+    predictor = _PredictionMemo(predictor)
     if energy_table is None:
         energy_table = EnergyTable()
 

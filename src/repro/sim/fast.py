@@ -45,7 +45,7 @@ preemption grid is enforced by
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cache.config import BASE_CONFIG, CacheConfig
 from repro.characterization.store import CharacterizationStore
@@ -396,8 +396,19 @@ class FastSimulation:
 
     # -- closed-batch front end ----------------------------------------------
 
-    def run(self, arrivals: Sequence[JobArrival]) -> SimulationResult:
-        """Simulate the full arrival stream to completion."""
+    def run(
+        self, arrivals: Sequence[JobArrival], *, records: bool = True
+    ) -> Union[SimulationResult, dict]:
+        """Simulate the full arrival stream to completion.
+
+        Returns the :class:`~repro.core.results.SimulationResult` with
+        its per-job records, or with ``records=False`` only the run's
+        totals as a dict (``StreamingSimulation._batch_totals``: the
+        scalar fields of that result, ``total_energy_nj``,
+        ``mean_waiting_cycles`` and the token-pool counts under
+        ``power``), each equal to the result's, without building a
+        record per job.
+        """
         # Imported here: repro.sim.stream builds on this module.
         from repro.sim.stream import StreamConfig, StreamingSimulation
 
@@ -422,4 +433,4 @@ class FastSimulation:
         stream.start(_ArrivalList(ordered))
         while stream.advance():
             pass
-        return stream.batch_result()
+        return stream.batch_result() if records else stream._batch_totals()

@@ -60,7 +60,9 @@ from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional
 
-from repro._util import load_json_document, write_json_atomic
+from repro._util import (
+    check_cycles, check_int, load_json_document, write_json_atomic,
+)
 from repro.cache.config import CacheConfig
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.scheduler import DISCIPLINES, PREEMPTION_QUANTUM_CYCLES
@@ -264,7 +266,39 @@ def _checked_snapshot(snapshot) -> dict:
             raise ValueError(
                 f"stream snapshot has no {section!r} section"
             )
+    benchmarks = snapshot["fingerprint"].get("benchmarks")
+    if not isinstance(benchmarks, list):
+        raise ValueError("stream snapshot fingerprint has no benchmark list")
+    engine = snapshot["engine"]
+    rows = engine.get("abuf")
+    if not isinstance(rows, list):
+        raise ValueError("stream snapshot has no arrival buffer ('abuf')")
+    deferred = engine.get("deferred")
+    for row in rows if deferred is None else [*rows, deferred]:
+        _check_arrival_row(row, benchmarks)
     return snapshot
+
+
+def _check_arrival_row(row, benchmarks: list) -> None:
+    """Raise :class:`ValueError` unless ``row`` is a checkpointed
+    arrival over ``benchmarks``: ``[job_id, benchmark, arrival_cycle,
+    priority, deadline_cycle or null]``, with the checks of
+    :class:`~repro.workloads.arrivals.JobArrival`."""
+    if not isinstance(row, list) or len(row) != len(JobArrival._fields):
+        raise ValueError(f"an arrival row has 5 fields, got {row!r}")
+    job_id, benchmark, arrival_cycle, priority, deadline = row
+    check_int("arrival job_id", job_id, minimum=0)
+    if not isinstance(benchmark, str) or benchmark not in benchmarks:
+        raise ValueError(
+            f"arrival benchmark {benchmark!r} is not in the snapshot's "
+            "store"
+        )
+    check_int("arrival cycle", arrival_cycle, minimum=0)
+    check_cycles("arrival cycle", arrival_cycle)
+    check_int("arrival priority", priority)
+    if deadline is not None:
+        check_int("arrival deadline", deadline, minimum=arrival_cycle)
+        check_cycles("arrival deadline", deadline)
 
 
 def read_checkpoint(path: str) -> dict:
@@ -274,11 +308,6 @@ def read_checkpoint(path: str) -> dict:
     JSON or not a stream snapshot this build can resume.
     """
     return load_json_document(path, "stream checkpoint", _checked_snapshot)
-
-
-def _arrival_from_list(row: list) -> JobArrival:
-    job_id, benchmark, arrival_cycle, priority, deadline = row
-    return JobArrival(job_id, benchmark, arrival_cycle, priority, deadline)
 
 
 def _session_to_dict(session: TuningSession) -> dict:
@@ -1824,12 +1853,6 @@ class StreamingSimulation:
                 idle_nj += cycles * power
         return idle_nj
 
-    def _core_busy(self) -> Dict[int, int]:
-        core_busy = {}
-        for ci, busy in enumerate(self._s["busy_cycles"]):
-            core_busy[ci] = busy
-        return core_busy
-
     def result(self) -> StreamResult:
         """Summarise a finished run (raises while events remain)."""
         self._require_finished()
@@ -1843,7 +1866,6 @@ class StreamingSimulation:
             sim_result = self._assemble_sim_result(idle_nj)
         pool = f._power_pool
         return StreamResult(
-            policy=f.policy.name,
             discipline=f.discipline,
             admission=config.admission,
             queue_capacity=config.queue_capacity,
@@ -1856,6 +1878,66 @@ class StreamingSimulation:
             forced_admissions=s["forced"],
             blocked_cycles=s["blocked_cycles"],
             observed_jobs=s["observed"],
+            enqueued_total=s["enqueued_total"],
+            max_queue_len=s["max_queue_len"],
+            waiting=self._wait_hist.snapshot(),
+            turnaround=self._turn_hist.snapshot(),
+            sim_result=sim_result,
+            power=None if pool is None else pool.counts(),
+            **self._totals(idle_nj),
+        )
+
+    def batch_result(self) -> SimulationResult:
+        """The closed-batch result of a finished retained run.
+
+        Unlike :meth:`result` it leaves the waiting/turnaround
+        histograms unfed: the batch front end never reads them.
+        """
+        self._require_retained()
+        return self._assemble_sim_result(self._idle_energy())
+
+    def _batch_totals(self) -> dict:
+        """What :meth:`batch_result` sums up, without the job records.
+
+        The run totals of :meth:`_totals` plus ``jobs_completed``,
+        ``total_energy_nj``, ``mean_waiting_cycles`` and the token-pool
+        counts under ``power`` (``None`` when the power axis is off),
+        each equal to what the records' result and the pool report: the
+        waiting times are summed in record order, as
+        :attr:`~repro.core.results.SimulationResult.mean_waiting_cycles`
+        sums them.
+        """
+        self._require_retained()
+        s = self._s
+        records = s["records"]
+        waiting = s["waiting"]
+        totals = self._totals(self._idle_energy())
+        n = len(records)
+        totals["jobs_completed"] = n
+        totals["total_energy_nj"] = (
+            totals["idle_energy_nj"]
+            + totals["busy_static_energy_nj"]
+            + totals["dynamic_energy_nj"]
+        )
+        totals["mean_waiting_cycles"] = (
+            sum([waiting[record[0]] for record in records]) / n if n else 0.0
+        )
+        pool = self.f._power_pool
+        totals["power"] = None if pool is None else pool.counts()
+        return totals
+
+    def _require_retained(self) -> None:
+        self._require_finished()
+        if not self.config.retain_jobs:
+            raise RuntimeError(
+                "batch_result() needs StreamConfig(retain_jobs=True)"
+            )
+
+    def _totals(self, idle_nj: float) -> dict:
+        """The run totals a stream result and a batch result share."""
+        s = self._s
+        return dict(
+            policy=self.f.policy.name,
             makespan_cycles=s["makespan"],
             idle_energy_nj=idle_nj,
             dynamic_energy_nj=(
@@ -1872,27 +1954,8 @@ class StreamingSimulation:
             tuning_executions=s["tuning_executions"],
             profiling_executions=s["profiling_executions"],
             preemption_count=s["preemption_count"],
-            enqueued_total=s["enqueued_total"],
-            max_queue_len=s["max_queue_len"],
-            core_busy_cycles=self._core_busy(),
-            waiting=self._wait_hist.snapshot(),
-            turnaround=self._turn_hist.snapshot(),
-            sim_result=sim_result,
-            power=None if pool is None else pool.counts(),
+            core_busy_cycles=dict(enumerate(s["busy_cycles"])),
         )
-
-    def batch_result(self) -> SimulationResult:
-        """The closed-batch result of a finished retained run.
-
-        Unlike :meth:`result` it leaves the waiting/turnaround
-        histograms unfed: the batch front end never reads them.
-        """
-        self._require_finished()
-        if not self.config.retain_jobs:
-            raise RuntimeError(
-                "batch_result() needs StreamConfig(retain_jobs=True)"
-            )
-        return self._assemble_sim_result(self._idle_energy())
 
     def _assemble_sim_result(self, idle_nj: float) -> SimulationResult:
         """The closed-batch result (retain mode) from the job records."""
@@ -1946,28 +2009,11 @@ class StreamingSimulation:
                 predictions[bench_names[b]] = pred_raw[b]
             exploration_counts[bench_names[b]] = len(executed[b])
         return SimulationResult(
-            policy=f.policy.name,
             jobs_completed=len(job_records),
-            makespan_cycles=s["makespan"],
-            idle_energy_nj=idle_nj,
-            dynamic_energy_nj=(
-                s["dynamic_nj"]
-                + s["reconfig_nj"]
-                + s["profiling_overhead_nj"]
-            ),
-            busy_static_energy_nj=s["busy_static_nj"],
-            reconfig_energy_nj=s["reconfig_nj"],
-            profiling_overhead_nj=s["profiling_overhead_nj"],
-            reconfig_cycles=s["reconfig_cycles"],
-            stall_decisions=s["stall_decisions"],
-            non_best_decisions=s["non_best_decisions"],
-            tuning_executions=s["tuning_executions"],
-            profiling_executions=s["profiling_executions"],
-            preemption_count=s["preemption_count"],
-            core_busy_cycles=self._core_busy(),
             exploration_counts=exploration_counts,
             predictions_kb=predictions,
             jobs=job_records,
+            **self._totals(idle_nj),
         )
 
     # -- checkpoint / resume -------------------------------------------------
@@ -2142,7 +2188,8 @@ class StreamingSimulation:
         process.load_state(snapshot["process"])
 
         engine = snapshot["engine"]
-        abuf = [_arrival_from_list(x) for x in engine["abuf"]]
+        # _checked_snapshot checked every arrival row.
+        abuf = [JobArrival._make(x) for x in engine["abuf"]]
         records = [tuple(r) for r in engine["records"]]
         state = {
             "jbid": list(engine["jbid"]),
@@ -2171,7 +2218,7 @@ class StreamingSimulation:
             "deferred": (
                 None
                 if engine["deferred"] is None
-                else _arrival_from_list(engine["deferred"])
+                else JobArrival._make(engine["deferred"])
             ),
             "gen_done": engine["gen_done"],
             "cur_job": list(engine["cur_job"]),

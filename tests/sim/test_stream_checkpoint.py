@@ -513,3 +513,56 @@ class TestLoudFailures:
         snapshot = engine.snapshot()
         with pytest.raises(RuntimeError, match="freshly constructed"):
             engine.restore(snapshot, _process(specs))
+
+
+def _mutated_fixture(tmp_path, section, value):
+    """A copy of the committed checkpoint with one arrival row replaced:
+    ``section`` is ``"deferred"`` or an index into the arrival buffer."""
+    snapshot = json.loads(FIXTURE.read_text())
+    engine = snapshot["engine"]
+    if section == "deferred":
+        engine["deferred"] = value
+    else:
+        engine["abuf"][section] = value
+    path = tmp_path / "mutated.ckpt"
+    path.write_text(json.dumps(snapshot))
+    return path
+
+
+class TestMistypedArrivalRows:
+    """Every field of every checkpointed arrival row is checked when the
+    checkpoint is read, so a mistyped one is a ``ValueError`` naming the
+    file, never a ``TypeError`` from inside the loop."""
+
+    @pytest.mark.parametrize("section,row,message", [
+        ("deferred", ["x", "puwmod", 0, 0, None], "job_id"),
+        ("deferred", [74, "idctrn", 1907894, True, 3107894], "priority"),
+        ("deferred", [74, "idctrn", 1907894.5, 3, None], "arrival cycle"),
+        ("deferred", [74, "idctrn", 1907894, 3, "late"], "deadline"),
+        ("deferred", [74, "idctrn", 1907894, 3, 5], "deadline"),
+        ("deferred", [74, "idctrn", 2 ** 63, 3, None], "arrival cycle"),
+        ("deferred", [74, "nosuch", 1907894, 3, None], "benchmark"),
+        ("deferred", [74, ["idctrn"], 1907894, 3, None], "benchmark"),
+        ("deferred", [74, "idctrn", 1907894], "5 fields"),
+        (0, [False, "idctrn", 1936604, 3, None], "job_id"),
+        (1, {"job_id": 76}, "5 fields"),
+    ])
+    def test_mistyped_row_names_the_file(
+        self, tmp_path, section, row, message
+    ):
+        path = _mutated_fixture(tmp_path, section, row)
+        with pytest.raises(ValueError) as raised:
+            read_checkpoint(str(path))
+        text = str(raised.value)
+        assert text.startswith(f"{path} is not a valid stream checkpoint")
+        assert message in text
+
+    def test_restore_rejects_before_touching_the_engine(
+        self, tmp_path, store, oracle, energy_table, specs
+    ):
+        snapshot = json.loads(FIXTURE.read_text())
+        snapshot["engine"]["deferred"] = ["x", "puwmod", 0, 0, None]
+        engine = _fixture_engine(store, oracle, energy_table)
+        with pytest.raises(ValueError, match="job_id"):
+            engine.restore(snapshot, _fixture_process(specs))
+        assert not engine.started

@@ -1,5 +1,7 @@
 """Tests for the process-parallel replication campaign runner."""
 
+import collections
+import dataclasses
 import math
 import re
 
@@ -11,17 +13,31 @@ from repro.campaign import (
     MetricAggregate,
     ReplicationSpec,
     StreamLoad,
+    _PredictionMemo,
     _T_CRITICAL_95,
     _aggregate,
+    _init_worker,
+    _run_replication,
     _t_critical,
     run_campaign,
+    run_spec,
 )
-from repro.core.predictor import FixedPredictor
-from repro.core.simulation import SchedulerSimulation
+from repro.ann.training import TrainingConfig
+from repro.characterization.dataset import build_dataset
+from repro.core.fastpath import fresh_fast, run_fast
+from repro.core.predictor import (
+    AnnPredictor,
+    BestCorePredictor,
+    FixedPredictor,
+    OraclePredictor,
+)
+from repro.core.simulation import SchedulerSimulation, make_simulation
 from repro.core.system import base_system
-from repro.core.policies import make_policy
+from repro.core.policies import POLICY_NAMES, make_policy
 from repro.experiment import default_store, run_campaign as exported
+from repro.power import DEFAULT_DVFS_TABLE, PowerConfig
 from repro.workloads import eembc_suite, uniform_arrivals
+from repro.workloads.arrivals import with_qos
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +141,193 @@ class TestReplicationSemantics:
             fixed.cell("proposed").metric("total_energy_nj").mean
             != oracle.cell("proposed").metric("total_energy_nj").mean
         )
+
+
+#: The power settings of the summary oracle: unconstrained, a cap that
+#: throttles every policy at both gaps, and the same cap with DVFS
+#: degradation.
+SUMMARY_POWER = {
+    "none": None,
+    "cap": PowerConfig(cap_nj=300_000.0, slack_pct=10.0),
+    "cap-dvfs": PowerConfig(
+        cap_nj=300_000.0, slack_pct=10.0, dvfs=DEFAULT_DVFS_TABLE
+    ),
+}
+
+
+def _records_totals(result, simulation):
+    """The campaign metrics and power gauges read off per-job records."""
+    pool = simulation.power_pool
+    power = {} if pool is None else {
+        f"power.{key}": float(value) for key, value in pool.counts().items()
+    }
+    return {name: getattr(result, name) for name in CAMPAIGN_METRICS}, power
+
+
+class TestSummaryOracle:
+    """A closed-batch replication reads its totals straight off the core,
+    without per-job records or write-back; every field must equal what
+    the records path computes."""
+
+    @pytest.mark.parametrize("gap", (9_000, 56_000))
+    @pytest.mark.parametrize("power", sorted(SUMMARY_POWER))
+    @pytest.mark.parametrize("discipline,preemptive", [
+        ("fifo", False), ("priority", False), ("priority", True),
+    ])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_replication_equals_records_path(
+        self, store, policy, discipline, preemptive, power, gap
+    ):
+        spec = ReplicationSpec(policy, 3, 40, gap, power=SUMMARY_POWER[power])
+        run_kwargs = dict(
+            store=store, predictor=OraclePredictor(store),
+            energy_table=None, discipline=discipline, validate=False,
+            preemptive=preemptive,
+        )
+        _init_worker(False, run_kwargs)
+        replication = _run_replication(spec)
+        result, simulation, _ = run_spec(spec, **run_kwargs)
+        assert simulation._resolve_engine() == "fast"
+        metrics, power_gauges = _records_totals(result, simulation)
+        assert replication.spec == spec
+        assert {
+            name: getattr(replication, name) for name in CAMPAIGN_METRICS
+        } == metrics
+        assert replication.observed == power_gauges
+        if power != "none":
+            assert power_gauges["power.throttled"] > 0
+
+    @pytest.mark.parametrize("power", sorted(SUMMARY_POWER))
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_core_totals_under_priorities_and_preemption(
+        self, store, policy, power
+    ):
+        """Priorities and deadlines make the preemptive core requeue
+        jobs, which the uniform campaign arrivals never do."""
+        arrivals = with_qos(
+            uniform_arrivals(eembc_suite(), count=60, seed=5,
+                             mean_interarrival_cycles=9_000),
+            service_estimate=lambda name: 400_000,
+            seed=5,
+        )
+
+        def simulation():
+            return make_simulation(
+                policy, store, OraclePredictor(store), discipline="priority",
+                preemptive=True, power=SUMMARY_POWER[power],
+            )
+
+        totals = fresh_fast(simulation()).run(arrivals, records=False)
+        reference = simulation()
+        result = run_fast(reference, arrivals)
+        assert result.preemption_count > 0
+        metrics, power_gauges = _records_totals(result, reference)
+        assert {name: totals[name] for name in CAMPAIGN_METRICS} == metrics
+        assert {
+            f"power.{key}": float(value)
+            for key, value in (totals["power"] or {}).items()
+        } == power_gauges
+
+    def test_run_spec_default_keeps_records_and_write_back(self, store):
+        spec = ReplicationSpec(
+            "proposed", 0, 40, 9_000, power=SUMMARY_POWER["cap-dvfs"]
+        )
+        result, simulation, _ = run_spec(spec, store, OraclePredictor(store))
+        assert len(result.jobs) == 40
+        assert result.mean_waiting_cycles > 0
+        assert simulation.engine.processed > 0
+        assert simulation.power_pool.counts()["grants"] > 0
+        totals, shell, _ = run_spec(
+            spec, store, OraclePredictor(store), records=False
+        )
+        assert set(totals) == {*CAMPAIGN_METRICS, "power"}
+        assert totals["power"] == simulation.power_pool.counts()
+        # The shell of a records-free core run is left as constructed.
+        assert shell.engine.processed == 0
+        assert shell.power_pool.counts()["grants"] == 0
+
+    @pytest.mark.parametrize("load", ["stream", "dag"])
+    def test_records_free_needs_a_closed_batch(self, store, load):
+        spec = ReplicationSpec(
+            "proposed", 0, 10, 9_000,
+            stream=StreamLoad() if load == "stream" else None,
+            dag=DagLoad() if load == "dag" else None,
+        )
+        with pytest.raises(ValueError, match="closed-batch"):
+            run_spec(spec, store, OraclePredictor(store), records=False)
+
+
+class _CountingPredictor(BestCorePredictor):
+    """Counts the calls that reach a wrapped predictor, per key."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = collections.Counter()
+
+    def predict_size_kb(self, benchmark, counters):
+        self.calls[benchmark, counters] += 1
+        return self.inner.predict_size_kb(benchmark, counters)
+
+
+class _BrokenPredictor(BestCorePredictor):
+    def __init__(self, error):
+        self.error = error
+        self.calls = 0
+
+    def predict_size_kb(self, benchmark, counters):
+        self.calls += 1
+        raise self.error
+
+
+@pytest.fixture(scope="module")
+def small_ann():
+    dataset, _ = build_dataset(eembc_suite()[:4], variants_per_family=3)
+    predictor = AnnPredictor(n_members=2, seed=0)
+    return predictor.fit(dataset, config=TrainingConfig(epochs=20, seed=0))
+
+
+class TestPredictionMemo:
+    def test_one_call_per_benchmark_and_counters(self, store):
+        counting = _CountingPredictor(FixedPredictor(4))
+        campaign = run_campaign(
+            store, counting, policies=("energy_centric", "proposed"),
+            seeds=(0, 1, 2), loads=((40, 9_000), (40, 56_000)),
+        )
+        assert len(campaign.replications) == 12
+        assert counting.calls
+        assert set(counting.calls.values()) == {1}
+        assert {name for name, _ in counting.calls} <= set(store.names())
+
+    def test_exceptions_are_raised_and_not_memoised(self, store):
+        error = LookupError("no model for this benchmark")
+        broken = _BrokenPredictor(error)
+        with pytest.raises(LookupError) as raised:
+            run_campaign(store, broken, policies=("proposed",),
+                         seeds=(0,), loads=((10, 9_000),))
+        assert raised.value is error
+        memo = _PredictionMemo(broken)
+        counters = store.counters("a2time")
+        for _ in range(2):
+            with pytest.raises(LookupError):
+                memo.predict_size_kb("a2time", counters)
+        assert broken.calls == 3
+
+    def test_ann_campaign_worker_count_independent(self, store, small_ann):
+        def campaign(workers):
+            return run_campaign(
+                store, small_ann, policies=("energy_centric", "proposed"),
+                seeds=(0, 1), loads=((40, 9_000), (40, 56_000)),
+                workers=workers,
+            )
+
+        serial, parallel = campaign(1), campaign(2)
+        assert parallel.workers == 2
+        assert [dataclasses.replace(r, seconds=0.0)
+                for r in serial.replications] == [
+            dataclasses.replace(r, seconds=0.0)
+            for r in parallel.replications
+        ]
+        assert serial.cells == parallel.cells
 
 
 class TestAggregation:

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -613,6 +615,9 @@ class TestStreamCommand:
 
 #: A fault plan whose core fault has a wrong field and misses the rest.
 BAD_PLAN = '{"name": "x", "core_faults": [{"core": 0}]}'
+CHECKPOINT = (
+    Path(__file__).parent / "sim" / "data" / "stream_v4_block_qos.json"
+)
 
 
 class TestHostileInput:
@@ -714,6 +719,19 @@ class TestHostileInput:
         assert kind in err
         assert "Traceback" not in err
 
+
+    def test_mistyped_checkpoint_arrival_is_named(self, capsys, tmp_path):
+        snapshot = json.loads(CHECKPOINT.read_text())
+        snapshot["engine"]["deferred"] = ["x", "puwmod", 0, 0, None]
+        path = tmp_path / "stream.ckpt"
+        path.write_text(json.dumps(snapshot))
+        code = main(["stream", "--checkpoint", str(path), "--resume",
+                     "--max-jobs", "100", "--predictor", "oracle"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a valid stream checkpoint: arrival "
+            "job_id must be an integer, got 'x'\n"
+        )
 
     @pytest.mark.parametrize("content", [
         b"[1, 2]\n",
@@ -1169,6 +1187,30 @@ class TestPowerCommands:
         ])
         assert code == 2
         assert "--frontier needs --dag" in capsys.readouterr().err
+
+    def test_campaign_grid_worker_count_identity(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A faulted, powered campaign writes the same metrics bytes on
+        one worker and on two."""
+        monkeypatch.chdir(tmp_path)
+        assert main("faults generate --seed 2 --out plan.json".split()) == 0
+        for workers in (1, 2):
+            assert main(
+                "campaign --policies base proposed --seeds 0 1 --jobs 40 "
+                "--interarrival 20000 56000 --predictor oracle "
+                "--faults plan.json --power-cap 400000 --power-slack 10 "
+                f"--metrics-out mW.{workers}.json --workers {workers}"
+                .split()
+            ) == 0
+        capsys.readouterr()
+        serial = (tmp_path / "mW.1.json").read_bytes()
+        assert serial == (tmp_path / "mW.2.json").read_bytes()
+        cells = json.loads(serial)
+        assert len(cells) == 2 * 2 * 2 * 2  # policy x gap x faults x power
+        assert {cell["power"] for cell in cells} == {
+            None, "cap=400000~slack=10"
+        }
 
     def test_campaign_metrics_out_records_power(self, capsys, tmp_path):
         import json as json_module

@@ -1,6 +1,8 @@
 """Tests for internal utilities."""
 
-from repro._util import stable_seed
+import pytest
+
+from repro._util import check_int, stable_seed
 
 
 class TestStableSeed:
@@ -35,3 +37,20 @@ class TestStableSeed:
             capture_output=True, text=True, check=True,
         )
         assert int(out.stdout.strip()) == expected
+
+
+class TestCheckInt:
+    def test_returns_an_int_in_range(self):
+        assert check_int("n", 5, minimum=0) == 5
+        assert check_int("n", -3) == -3
+
+    @pytest.mark.parametrize("value,message", [
+        (True, "must be an integer, got True"),
+        (1.0, "must be an integer, got 1.0"),
+        ("1", "must be an integer, got '1'"),
+        (None, "must be an integer, got None"),
+        (-1, "must be >= 0, got -1"),
+    ])
+    def test_rejects_naming_the_field(self, value, message):
+        with pytest.raises(ValueError, match=f"^n {message}$"):
+            check_int("n", value, minimum=0)
