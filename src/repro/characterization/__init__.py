@@ -3,10 +3,10 @@ energy measurements (the SimpleScalar role), a persistent store, and the
 ANN dataset builder.
 
 Measurement is performed by the single-pass stack-distance engine
-(:mod:`repro.cache.stackdist`); :mod:`repro.characterization.parallel`
-fans suites out over a process pool with timing instrumentation, and the
-store carries content-addressing metadata (:class:`StoreMeta`) so
-on-disk caches are keyed by seed, design space and generator version.
+(:mod:`repro.cache.stackdist`), one benchmark after another in suite
+order.  The store carries
+content-addressing metadata (:class:`StoreMeta`) so on-disk caches are
+keyed by seed, design space and generator version.
 """
 
 from .dataset import Dataset, DatasetSplit, build_dataset, expand_suite
@@ -17,8 +17,6 @@ from .explorer import (
     characterize_benchmark,
     characterize_suite,
 )
-from .instrumentation import SweepTiming, TaskTiming
-from .parallel import SuiteSweepResult, characterize_suite_parallel
 from .store import CharacterizationStore, StoreMeta, design_space_fingerprint
 
 __all__ = [
@@ -29,13 +27,9 @@ __all__ = [
     "DatasetSplit",
     "GENERATOR_VERSION",
     "StoreMeta",
-    "SuiteSweepResult",
-    "SweepTiming",
-    "TaskTiming",
     "build_dataset",
     "characterize_benchmark",
     "characterize_suite",
-    "characterize_suite_parallel",
     "design_space_fingerprint",
     "expand_suite",
 ]

@@ -184,25 +184,13 @@ def characterize_suite(
     energy_model: Optional[EnergyModel] = None,
     *,
     seed: int = 0,
-    workers: Optional[int] = 1,
 ) -> Dict[str, BenchmarkCharacterization]:
     """Characterise a whole suite; returns name → characterisation.
 
-    ``workers`` fans the per-benchmark characterisations out over a
-    process pool (``None`` = one worker per CPU); results are identical
-    to the serial sweep because every task derives its randomness from
-    the same ``(benchmark name, seed)`` pair.  See
-    :mod:`repro.characterization.parallel` for the sweep machinery and
-    its timing instrumentation.
+    Benchmarks are characterised one after another, in suite order; each
+    derives its randomness from its own ``(benchmark name, seed)`` pair.
+    Names must be unique.
     """
-    if workers is None or workers != 1:
-        from .parallel import characterize_suite_parallel
-
-        result = characterize_suite_parallel(
-            specs, configs, energy_model,
-            seed=seed, workers=workers,
-        )
-        return dict(result.characterizations)
     out: Dict[str, BenchmarkCharacterization] = {}
     for spec in specs:
         if spec.name in out:

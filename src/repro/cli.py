@@ -9,8 +9,8 @@ any code:
 * ``train`` — train and evaluate the bagged-ANN predictor;
 * ``suite`` — list the synthetic EEMBC-analogue benchmarks;
 * ``locality`` — miss-ratio curve / working set / reuse distances;
-* ``sweep`` — characterise the whole suite with timing (optionally in
-  parallel, optionally persisting the store);
+* ``sweep`` — characterise the whole suite with its throughput,
+  optionally persisting the store;
 * ``campaign`` — replication campaign over a (policy × seed × load)
   grid, optionally process-parallel, with mean ± 95 % CI aggregates;
   ``--stream`` switches the grid to open-system streaming loads;
@@ -36,7 +36,7 @@ any code:
 ``-v``/``-vv`` (or ``--log-level``) enable the library's diagnostic
 logging — cache rebuilds, model-store misses, campaign fan-out — on
 stderr.  ``--trace`` and ``--metrics-out`` attach the observability
-layer (:mod:`repro.obs`) to ``compare``/``campaign``/``sweep`` runs;
+layer (:mod:`repro.obs`) to ``compare``/``campaign`` runs;
 ``--validate`` attaches the in-run invariant checks and ledger to
 ``compare``/``campaign`` runs.  ``--telemetry-out``/``--sampled-trace``/
 ``--progress`` attach the low-overhead sampled telemetry
@@ -140,17 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="working-set window in accesses")
 
     sweep = sub.add_parser(
-        "sweep",
-        help="characterise the whole suite, with throughput instrumentation",
+        "sweep", help="characterise the whole suite, with its throughput"
     )
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: one per CPU)")
     sweep.add_argument("--out", metavar="PATH",
                        help="write the characterisation store JSON here")
-    sweep.add_argument("--metrics-out", metavar="PATH",
-                       help="write the sweep's metrics-registry snapshot "
-                            "as JSON")
 
     campaign = sub.add_parser(
         "campaign",
@@ -770,37 +764,40 @@ def _cmd_locality(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import time
+
     from repro.cache.config import DESIGN_SPACE
     from repro.characterization import (
         CharacterizationStore,
         StoreMeta,
-        characterize_suite_parallel,
+        characterize_suite,
         design_space_fingerprint,
     )
     from repro.workloads import eembc_suite
 
-    result = characterize_suite_parallel(
-        eembc_suite(), seed=args.seed, workers=args.workers,
-    )
-    rows = []
-    for task in result.timing.tasks:
-        char = result.characterizations[task.name]
-        best = char.best_config()
-        rows.append((
-            task.name,
-            f"{task.accesses:,}",
-            task.configs,
-            best.name,
-            f"{task.seconds * 1e3:.1f}",
-        ))
+    start = time.perf_counter()
+    chars = characterize_suite(eembc_suite(), seed=args.seed)
+    wall = time.perf_counter() - start
+    rows = [
+        (name, f"{char.counters.mem_accesses:,}", len(char.results),
+         char.best_config().name)
+        for name, char in chars.items()
+    ]
     print(format_table(
-        ("benchmark", "accesses", "configs", "best config", "ms"), rows
+        ("benchmark", "accesses", "configs", "best config"), rows
     ))
     print()
-    print(result.timing.summary())
+    accesses = sum(char.counters.mem_accesses for char in chars.values())
+    replays = sum(len(char.results) for char in chars.values())
+    print(
+        f"{len(chars)} benchmarks in {wall:.3f}s: "
+        f"{len(chars) / wall:.1f} traces/s, "
+        f"{accesses / wall:,.0f} accesses/s, "
+        f"{replays / wall:.1f} config-replays/s"
+    )
     if args.out:
         store = CharacterizationStore(
-            result.characterizations,
+            chars,
             meta=StoreMeta(
                 seed=args.seed,
                 configs_fingerprint=design_space_fingerprint(DESIGN_SPACE),
@@ -808,14 +805,6 @@ def _cmd_sweep(args) -> int:
         )
         store.to_json(args.out)
         print(f"wrote characterisation store to {args.out}")
-    if args.metrics_out:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        result.timing.record_into(registry)
-        with open(args.metrics_out, "w") as handle:
-            json.dump(registry.snapshot(), handle, indent=2, sort_keys=True)
-        print(f"wrote sweep metrics to {args.metrics_out}")
     return 0
 
 

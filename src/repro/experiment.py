@@ -130,7 +130,6 @@ def default_store(
     cache_path: Optional[Union[str, Path]] = DEFAULT_CACHE,
     *,
     seed: int = 0,
-    workers: Optional[int] = 1,
 ) -> CharacterizationStore:
     """Characterisation of the 15-benchmark suite over all 18 configs.
 
@@ -138,8 +137,7 @@ def default_store(
     ``cache_path`` (pass ``None`` to disable).  The cache key covers the
     seed, the design-space fingerprint and the generator version, and the
     stored metadata is validated on load, so a store characterised under
-    one seed is never served for another.  ``workers`` fans the
-    characterisation out over a process pool (``None`` = one per CPU).
+    one seed is never served for another.
     """
     meta = StoreMeta(
         seed=seed, configs_fingerprint=design_space_fingerprint(DESIGN_SPACE)
@@ -150,12 +148,9 @@ def default_store(
         cached = _load_cached_store(path, meta, expected)
         if cached is not None:
             return cached
-    logger.info(
-        "characterising the suite from scratch (seed=%d, workers=%s)",
-        seed, workers,
-    )
+    logger.info("characterising the suite from scratch (seed=%d)", seed)
     store = CharacterizationStore(
-        characterize_suite(eembc_suite(), seed=seed, workers=workers),
+        characterize_suite(eembc_suite(), seed=seed),
         meta=meta,
     )
     if cache_path is not None:
@@ -354,10 +349,9 @@ def quick_experiment(
     mean_interarrival_cycles: int = 56_000,
     predictor_kind: str = "ann",
     cache_path: Optional[Union[str, Path]] = DEFAULT_CACHE,
-    workers: Optional[int] = 1,
 ) -> Dict[str, SimulationResult]:
     """End-to-end four-system comparison with default components."""
-    store = default_store(cache_path, seed=seed, workers=workers)
+    store = default_store(cache_path, seed=seed)
     predictor = default_predictor(store, kind=predictor_kind, seed=seed)
     arrivals = uniform_arrivals(
         eembc_suite(),

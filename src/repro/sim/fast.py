@@ -433,4 +433,10 @@ class FastSimulation:
         stream.start(_ArrivalList(ordered))
         while stream.advance():
             pass
-        return stream.batch_result() if records else stream._batch_totals()
+        result = stream.batch_result() if records else stream._batch_totals()
+        # The finished stream keeps its run state for the write-back;
+        # dropping its back-reference leaves no cycle, so the run's job
+        # columns are freed with this object rather than by the
+        # collector.
+        stream.f = None
+        return result

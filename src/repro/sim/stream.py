@@ -276,7 +276,59 @@ def _checked_snapshot(snapshot) -> dict:
     deferred = engine.get("deferred")
     for row in rows if deferred is None else [*rows, deferred]:
         _check_arrival_row(row, benchmarks)
+    _check_engine_state(engine)
+    profiled = snapshot["knowledge"].get("profiled")
+    if not (
+        isinstance(profiled, list)
+        and len(profiled) == len(benchmarks)
+        and all(isinstance(flag, bool) for flag in profiled)
+    ):
+        raise ValueError(
+            f"knowledge 'profiled' must hold one bool per benchmark "
+            f"({len(benchmarks)}), got {profiled!r}"
+        )
     return snapshot
+
+
+#: The engine section's per-slot job columns: parallel lists, one entry
+#: per job slot (free slots keep their last job's values).
+_JOB_COLUMNS = (
+    "jbid", "jlab", "jarr", "jprio", "jdl", "jstart", "jcomp",
+    "remaining", "jpre", "last_enq", "waiting", "charged", "urgency",
+    "sortkey",
+)
+
+
+def _check_engine_state(engine: dict) -> None:
+    """Raise :class:`ValueError` unless the engine section's clock, job
+    columns and ready queue are well formed."""
+    now = check_int("engine now", engine.get("now"), minimum=0)
+    check_cycles("engine now", now)
+    slots = engine.get("jbid")
+    if not isinstance(slots, list):
+        raise ValueError("engine 'jbid' must be a list of job slots")
+    n = len(slots)
+    for key in _JOB_COLUMNS:
+        column = engine.get(key)
+        if not isinstance(column, list) or len(column) != n:
+            raise ValueError(
+                f"engine {key!r} must be a list with one entry per job "
+                f"slot ({n})"
+            )
+    for cycle in engine["jarr"]:
+        check_int("job arrival cycle", cycle, minimum=0)
+        check_cycles("job arrival cycle", cycle)
+    for cycles in engine["waiting"]:
+        check_int("job waiting cycles", cycles, minimum=0)
+    queue = engine.get("queue")
+    if not isinstance(queue, list):
+        raise ValueError(f"engine 'queue' must be a list, got {queue!r}")
+    for slot in queue:
+        check_int("queued job slot", slot, minimum=0)
+        if slot >= n:
+            raise ValueError(
+                f"queued job slot {slot} is not one of the {n} job slots"
+            )
 
 
 def _check_arrival_row(row, benchmarks: list) -> None:

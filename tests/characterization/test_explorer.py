@@ -95,10 +95,22 @@ class TestCharacterizeSuite:
         chars = characterize_suite(subset, configs=configs_for_size(2))
         assert set(chars) == {s.name for s in subset}
 
+    def test_preserves_suite_order(self):
+        subset = eembc_suite()[:4][::-1]
+        chars = characterize_suite(subset, configs=configs_for_size(2))
+        assert list(chars) == [s.name for s in subset]
+
     def test_duplicate_names_rejected(self):
         spec = eembc_benchmark("a2time")
         with pytest.raises(ValueError):
             characterize_suite([spec, spec], configs=configs_for_size(2))
+
+    def test_duplicate_name_later_in_suite_rejected(self):
+        subset = eembc_suite()[:3]
+        with pytest.raises(ValueError, match="duplicate"):
+            characterize_suite(
+                list(subset) + [subset[0]], configs=configs_for_size(2)
+            )
 
 
 class TestMonotoneBehaviour:

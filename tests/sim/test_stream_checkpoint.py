@@ -12,6 +12,7 @@ must fail loudly instead of resuming a subtly different run.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -565,4 +566,61 @@ class TestMistypedArrivalRows:
         engine = _fixture_engine(store, oracle, energy_table)
         with pytest.raises(ValueError, match="job_id"):
             engine.restore(snapshot, _fixture_process(specs))
+        assert not engine.started
+
+
+#: One field of the committed checkpoint's ``engine`` or ``knowledge``
+#: section replaced, and a fragment of the message that must name it.
+MISTYPED_FIELDS = [
+    ("engine", "queue", ["x"], "queued job slot"),
+    ("engine", "queue", [7], "not one of the 7 job slots"),
+    ("engine", "queue", None, "'queue'"),
+    ("engine", "jarr", None, "'jarr'"),
+    ("engine", "jbid", None, "'jbid'"),
+    ("engine", "jarr", [1835274] * 6 + [1.5], "job arrival cycle"),
+    ("engine", "waiting", [1.5], "'waiting'"),
+    ("engine", "waiting", [228] * 6 + [1.5], "job waiting cycles"),
+    ("engine", "waiting", [228] * 6 + [-1], "job waiting cycles"),
+    ("engine", "now", "x", "engine now"),
+    ("engine", "now", 2 ** 63, "engine now"),
+    ("knowledge", "profiled", 5, "profiled"),
+    ("knowledge", "profiled", [True, True, True], "profiled"),
+    ("knowledge", "profiled", [True, True, True, 1], "profiled"),
+]
+
+
+class TestMistypedEngineFields:
+    """The engine clock, job columns and ready queue, and the knowledge
+    section's profiled flags, are checked when a checkpoint is read, so
+    a mistyped one never reaches ``restore`` as a ``TypeError``, an
+    ``IndexError`` or a silently resumed run."""
+
+    @staticmethod
+    def _mutated(section, key, value):
+        snapshot = json.loads(FIXTURE.read_text())
+        snapshot[section][key] = value
+        return snapshot
+
+    @pytest.mark.parametrize("section,key,value,message", MISTYPED_FIELDS)
+    def test_mistyped_field_names_the_file(
+        self, tmp_path, section, key, value, message
+    ):
+        path = tmp_path / "mutated.ckpt"
+        path.write_text(json.dumps(self._mutated(section, key, value)))
+        with pytest.raises(ValueError) as raised:
+            read_checkpoint(str(path))
+        text = str(raised.value)
+        assert text.startswith(f"{path} is not a valid stream checkpoint")
+        assert message in text
+
+    @pytest.mark.parametrize("section,key,value,message", MISTYPED_FIELDS)
+    def test_resume_rejects_before_touching_the_engine(
+        self, section, key, value, message,
+        store, oracle, energy_table, specs,
+    ):
+        engine = _fixture_engine(store, oracle, energy_table)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            engine.resume(
+                self._mutated(section, key, value), _fixture_process(specs)
+            )
         assert not engine.started

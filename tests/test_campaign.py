@@ -2,8 +2,10 @@
 
 import collections
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import pytest
 
@@ -257,6 +259,27 @@ class TestSummaryOracle:
             run_spec(spec, store, OraclePredictor(store), records=False)
 
 
+class TestFinishedRunIsAcyclic:
+    """A finished closed-batch run leaves no reference cycle, so its job
+    columns are freed as soon as the caller drops the simulation, not at
+    the next cyclic collection."""
+
+    def test_records_free_replication_freed_without_collector(self, store):
+        spec = ReplicationSpec("proposed", 0, 40, 56_000)
+        gc.collect()
+        gc.disable()
+        try:
+            _, simulation, _ = run_spec(
+                spec, store, OraclePredictor(store), records=False
+            )
+            fast = weakref.ref(simulation._fast)
+            assert fast().stream is not None
+            del simulation
+            assert fast() is None
+        finally:
+            gc.enable()
+
+
 class _CountingPredictor(BestCorePredictor):
     """Counts the calls that reach a wrapped predictor, per key."""
 
@@ -495,37 +518,6 @@ class TestMetricsCollection:
         )
         for a, b in zip(with_metrics.cells, without.cells):
             assert a.metrics == b.metrics
-
-
-class TestSweepTimingAbsorption:
-    def test_record_into_registry(self):
-        from repro.characterization.instrumentation import (
-            SweepTiming,
-            TaskTiming,
-        )
-        from repro.obs.metrics import MetricsRegistry
-
-        timing = SweepTiming(
-            tasks=(
-                TaskTiming(name="a", seconds=0.5, accesses=1000, configs=18),
-                TaskTiming(name="b", seconds=1.5, accesses=3000, configs=18),
-            ),
-            wall_seconds=2.0,
-            workers=2,
-        )
-        registry = MetricsRegistry()
-        timing.record_into(registry)
-        scalars = registry.scalars()
-        assert scalars["sweep.benchmarks"] == 2.0
-        assert scalars["sweep.accesses"] == 4000.0
-        assert scalars["sweep.config_replays"] == 36.0
-        assert scalars["sweep.wall_seconds"] == 2.0
-        assert scalars["sweep.traces_per_second"] == 1.0
-        assert scalars["sweep.task_seconds.count"] == 2.0
-        assert scalars["sweep.task_seconds.mean"] == 1.0
-        # Counters accumulate across sweeps.
-        timing.record_into(registry)
-        assert registry.scalars()["sweep.benchmarks"] == 4.0
 
 
 class TestStreamAxis:

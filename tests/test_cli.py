@@ -45,8 +45,15 @@ class TestParser:
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.seed == 0
-        assert args.workers is None
         assert args.out is None
+
+    def test_sweep_options(self):
+        (sub,) = [action for action in build_parser()._actions
+                  if action.dest == "command"]
+        assert {option for action in sub.choices["sweep"]._actions
+                for option in action.option_strings} == {
+            "-h", "--help", "--seed", "--out",
+        }
 
     def test_sweep_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
@@ -144,10 +151,6 @@ class TestParser:
             ["campaign", "--metrics-out", "m.json"]
         )
         assert args.metrics_out == "m.json"
-        args = build_parser().parse_args(
-            ["sweep", "--metrics-out", "m.json"]
-        )
-        assert args.metrics_out == "m.json"
 
 
 class TestCommands:
@@ -169,17 +172,19 @@ class TestCommands:
 
     def test_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "store.json"
-        assert main([
-            "sweep", "--workers", "1", "--out", str(out_path),
-        ]) == 0
+        assert main(["sweep", "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "a2time" in out
         assert "traces/s" in out
         from repro.characterization import CharacterizationStore
+        from repro.experiment import default_store
 
         store = CharacterizationStore.from_json(out_path)
         assert len(store) == 15
         assert store.meta is not None and store.meta.seed == 0
+        expected = tmp_path / "expected.json"
+        default_store(cache_path=None, seed=0).to_json(expected)
+        assert out_path.read_bytes() == expected.read_bytes()
 
     def test_compare_oracle_small(self, capsys, tmp_path):
         csv_path = tmp_path / "summary.csv"
@@ -720,6 +725,19 @@ class TestHostileInput:
         assert "Traceback" not in err
 
 
+    def test_mistyped_checkpoint_queue_is_named(self, capsys, tmp_path):
+        snapshot = json.loads(CHECKPOINT.read_text())
+        snapshot["engine"]["queue"] = ["x"]
+        path = tmp_path / "stream.ckpt"
+        path.write_text(json.dumps(snapshot))
+        code = main(["stream", "--checkpoint", str(path), "--resume",
+                     "--max-jobs", "100", "--predictor", "oracle"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a valid stream checkpoint: queued job "
+            "slot must be an integer, got 'x'\n"
+        )
+
     def test_mistyped_checkpoint_arrival_is_named(self, capsys, tmp_path):
         snapshot = json.loads(CHECKPOINT.read_text())
         snapshot["engine"]["deferred"] = ["x", "puwmod", 0, 0, None]
@@ -1211,6 +1229,52 @@ class TestPowerCommands:
         assert {cell["power"] for cell in cells} == {
             None, "cap=400000~slack=10"
         }
+
+    def test_powered_dvfs_dag_worker_count_identity(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Powered DVFS task graphs write the same metrics bytes on one
+        worker and on two."""
+        monkeypatch.chdir(tmp_path)
+        for workers in (1, 2):
+            assert main(
+                "campaign --policies proposed --seeds 0 1 --jobs 40 "
+                "--interarrival 9000 --dag --dag-deadline-slack 1.3 "
+                "--power-cap 250000 --power-slack 25 --dvfs "
+                f"--metrics-out mP.{workers}.json --workers {workers}"
+                .split()
+            ) == 0
+        capsys.readouterr()
+        serial = (tmp_path / "mP.1.json").read_bytes()
+        assert serial == (tmp_path / "mP.2.json").read_bytes()
+
+    def test_cap_sweep_frontier_is_monotone(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """Tightening the cap never raises the consumed tokens and never
+        lowers the deadline-miss rate."""
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            "campaign --policies proposed --seeds 0 1 --jobs 40 "
+            "--interarrival 9000 --dag --dag-deadline-slack 1.3 "
+            "--power-cap 1000000 500000 250000 125000 --power-slack 25 "
+            "--frontier --metrics-out power_cells.json".split()
+        ) == 0
+        capsys.readouterr()
+        cells = json.loads((tmp_path / "power_cells.json").read_text())
+        caps = {"cap=1e+06~slack=25": 1e6, "cap=500000~slack=25": 5e5,
+                "cap=250000~slack=25": 2.5e5,
+                "cap=125000~slack=25": 1.25e5}
+        rows = sorted((c for c in cells if c["power"]),
+                      key=lambda c: -caps[c["power"]])
+        assert len(rows) == len(caps)
+        consumed = [c["observed"]["power.consumed_nj"]["mean"] for c in rows]
+        base = next(c for c in cells if c["power"] is None)
+        miss = [base["observed"]["dag.deadline_miss_rate"]["mean"]] + [
+            c["observed"]["dag.deadline_miss_rate"]["mean"] for c in rows
+        ]
+        assert all(a >= b for a, b in zip(consumed, consumed[1:])), consumed
+        assert all(a <= b for a, b in zip(miss, miss[1:])), miss
 
     def test_campaign_metrics_out_records_power(self, capsys, tmp_path):
         import json as json_module

@@ -98,13 +98,6 @@ class TestDefaultStore:
         assert keyed.read_text() == whole
         assert CharacterizationStore.from_json(keyed).meta == full.meta
 
-    def test_parallel_workers_match_serial(self, tmp_path):
-        serial = default_store(cache_path=None, seed=0)
-        parallel = default_store(cache_path=None, seed=0, workers=2)
-        for name in EEMBC_NAMES:
-            assert serial.counters(name) == parallel.counters(name)
-            assert serial.best_config(name) == parallel.best_config(name)
-
 
 class TestDefaultDataset:
     def test_variant_expansion(self, tmp_path):
