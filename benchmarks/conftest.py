@@ -80,3 +80,10 @@ def arrivals():
 def four_results(store, predictor, arrivals):
     """Base / optimal / energy-centric / proposed at paper scale."""
     return run_four_systems(arrivals, store, predictor)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: long-running benchmark check (minutes, not seconds)",
+    )

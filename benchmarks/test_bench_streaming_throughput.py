@@ -25,13 +25,23 @@ its engine's construction, which is small next to the runs.
 The measured numbers are written to ``BENCH_streaming_throughput.json``
 so CI can upload them as an artifact.
 
+``test_memory_bound_smoke`` (marked ``slow``) repeats the memory bound
+on its own: a fresh interpreter streams one million jobs and reports its
+peak-RSS growth, which must stay under ``MAX_RSS_GROWTH_MIB``.  A fresh
+process is the only clean reading, since ``ru_maxrss`` never falls.
+
 Run with ``pytest benchmarks/test_bench_streaming_throughput.py -s`` to
 see the throughput table.
 """
 
 import json
+import os
 import resource
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import interleaved_min_seconds
 
@@ -201,3 +211,56 @@ def test_bench_streaming_throughput(benchmark, store):
         f"streaming is {slowdown:.2f}x slower than the closed batch "
         f"(allowed: {MAX_SLOWDOWN:.1f}x)"
     )
+
+
+#: The memory-bound smoke run, in a fresh interpreter: stream
+#: STREAM_JOBS jobs and print the peak-RSS growth as one JSON line.
+_SMOKE_SCRIPT = f"""
+import json
+import resource
+
+from repro.core import OraclePredictor, make_policy, paper_system
+from repro.experiment import default_store
+from repro.sim.stream import StreamConfig, StreamingSimulation
+from repro.workloads import PoissonProcess, eembc_suite
+
+store = default_store()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+streaming = StreamingSimulation(
+    paper_system(), make_policy("proposed"), store,
+    predictor=OraclePredictor(store),
+    config=StreamConfig(max_jobs={STREAM_JOBS}),
+)
+result = streaming.run(PoissonProcess(
+    eembc_suite(), mean_interarrival_cycles={MEAN_GAP}, seed={SEED},
+))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({{
+    "jobs_completed": result.jobs_completed,
+    "growth_mib": (after - before) / 1024,
+    "job_slots": len(streaming._s["jbid"]),
+}}))
+"""
+
+
+@pytest.mark.slow
+def test_memory_bound_smoke():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=src if not inherited else src + os.pathsep + inherited,
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _SMOKE_SCRIPT],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(completed.stdout.splitlines()[-1])
+    assert report["jobs_completed"] == STREAM_JOBS
+    growth_mib = report["growth_mib"]
+    assert growth_mib < MAX_RSS_GROWTH_MIB, (
+        f"peak RSS grew {growth_mib:.0f} MiB"
+    )
+    print(f"\n{STREAM_JOBS:,} jobs in O(window) memory: peak RSS grew "
+          f"{growth_mib:.0f} MiB, {report['job_slots']} job slots")

@@ -243,9 +243,11 @@ class ReplicationResult:
     dynamic_energy_nj: float
     mean_waiting_cycles: float
     non_best_decisions: int
-    #: Wall time of this replication (instrumentation only; never part
-    #: of the aggregates, so it cannot break worker-count independence).
-    seconds: float
+    #: Wall time of this replication (instrumentation only: never part
+    #: of the aggregates, of equality or of ``repro campaign --json``,
+    #: so it cannot break worker-count independence or byte-identical
+    #: output).
+    seconds: float = field(compare=False)
     #: Flat per-replication metric snapshot
     #: (:meth:`~repro.obs.metrics.MetricsRegistry.scalars`); empty unless
     #: the campaign ran with ``collect_metrics=True``.

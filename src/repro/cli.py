@@ -888,10 +888,12 @@ def _cmd_campaign(args) -> int:
             print(f"error: {error.args[0]}", file=sys.stderr)
             return 2
     if args.json:
-        payload = [
-            dataclasses.asdict(replication)
-            for replication in result.replications
-        ]
+        # Wall times are left out so the file is byte-reproducible.
+        payload = []
+        for replication in result.replications:
+            row = dataclasses.asdict(replication)
+            del row["seconds"]
+            payload.append(row)
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2)
         print(f"\nwrote replication results JSON to {args.json}")

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional
@@ -102,6 +103,36 @@ OBSERVE_BLOCK = 4096
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
+
+
+def _lane_push(lane: list, heads: list, entry: tuple) -> None:
+    """Queue ``entry`` in its benchmark's ``lane``.
+
+    A lane holds one benchmark's queued ``(sortkey, order, slot)``
+    entries in service order; ``heads`` holds the first entry of every
+    non-empty lane, also in service order.  Both stay sorted.
+    """
+    if lane and entry < lane[-1]:
+        insort(lane, entry)
+        if lane[0] is not entry:
+            return
+        heads.remove(lane[1])
+    else:
+        lane.append(entry)
+        if len(lane) > 1:
+            return
+    insort(heads, entry)
+
+
+def _lane_remove(lane: list, heads: list, entry: tuple) -> None:
+    """Take ``entry`` out of its ``lane`` (see :func:`_lane_push`)."""
+    if lane[0] == entry:
+        del lane[0]
+        heads.remove(entry)
+        if lane:
+            insort(heads, lane[0])
+    else:
+        del lane[bisect_left(lane, entry)]
 
 
 @dataclass(frozen=True)
@@ -276,7 +307,10 @@ def _checked_snapshot(snapshot) -> dict:
     deferred = engine.get("deferred")
     for row in rows if deferred is None else [*rows, deferred]:
         _check_arrival_row(row, benchmarks)
-    _check_engine_state(engine)
+    cores = snapshot["fingerprint"].get("core_sizes")
+    if not isinstance(cores, list):
+        raise ValueError("stream snapshot fingerprint has no core list")
+    _check_engine_state(engine, len(benchmarks), len(cores))
     profiled = snapshot["knowledge"].get("profiled")
     if not (
         isinstance(profiled, list)
@@ -299,9 +333,10 @@ _JOB_COLUMNS = (
 )
 
 
-def _check_engine_state(engine: dict) -> None:
+def _check_engine_state(engine: dict, benchmarks: int, cores: int) -> None:
     """Raise :class:`ValueError` unless the engine section's clock, job
-    columns and ready queue are well formed."""
+    columns, ready queue and running jobs are well formed for a run
+    over ``benchmarks`` benchmarks on ``cores`` cores."""
     now = check_int("engine now", engine.get("now"), minimum=0)
     check_cycles("engine now", now)
     slots = engine.get("jbid")
@@ -315,11 +350,33 @@ def _check_engine_state(engine: dict) -> None:
                 f"engine {key!r} must be a list with one entry per job "
                 f"slot ({n})"
             )
+    for b in slots:
+        check_int("job benchmark index", b, minimum=0)
+        if b >= benchmarks:
+            raise ValueError(
+                f"job benchmark index {b} is not one of the snapshot's "
+                f"{benchmarks} benchmarks"
+            )
+    for key in engine["sortkey"]:
+        if key != _INF:
+            check_int("job sort key", key)
     for cycle in engine["jarr"]:
         check_int("job arrival cycle", cycle, minimum=0)
         check_cycles("job arrival cycle", cycle)
     for cycles in engine["waiting"]:
         check_int("job waiting cycles", cycles, minimum=0)
+    running = engine.get("cur_job")
+    if not isinstance(running, list) or len(running) != cores:
+        raise ValueError(
+            f"engine 'cur_job' must be a list with one entry per core "
+            f"({cores}), got {running!r}"
+        )
+    for slot in running:
+        check_int("running job slot", slot, minimum=-1)
+        if slot >= n:
+            raise ValueError(
+                f"running job slot {slot} is not one of the {n} job slots"
+            )
     queue = engine.get("queue")
     if not isinstance(queue, list):
         raise ValueError(f"engine 'queue' must be a list, got {queue!r}")
@@ -329,6 +386,13 @@ def _check_engine_state(engine: dict) -> None:
             raise ValueError(
                 f"queued job slot {slot} is not one of the {n} job slots"
             )
+    if len(set(queue)) != len(queue):
+        raise ValueError(f"engine 'queue' repeats a job slot: {queue!r}")
+    both = set(queue).intersection(running)
+    if both:
+        raise ValueError(
+            f"queued job slot {min(both)} is also running on a core"
+        )
 
 
 def _check_arrival_row(row, benchmarks: list) -> None:
@@ -732,7 +796,6 @@ class StreamingSimulation:
         core_range = range(C)
         sessions = f.sessions
         disc = DISCIPLINES.index(f.discipline)
-        fifo = disc == 0
 
         # Power axis locals.  ``pool is None`` is the only extra branch
         # the power-off loop pays.
@@ -846,7 +909,25 @@ class StreamingSimulation:
             else:
                 tr_comp_next = tr_start_next = -1
 
-        view: Optional[list] = None
+        # Per-benchmark ready lanes (see _lane_push), rebuilt from the
+        # queue here and kept current wherever the queue changes; never
+        # persisted.  An entry's ``order`` is ``enqueued_total`` when
+        # the job was queued (numbered below it for the jobs already
+        # queued), so ``(sortkey, order)`` is the stable
+        # ``sorted(queue, key=sort_key)`` order and, under FIFO (every
+        # sortkey 0), the queue's own.
+        lanes: List[list] = [[] for _ in bench_names]
+        for order, jid in enumerate(queue, enqueued_total - len(queue)):
+            lanes[jbid[jid]].append((sort_key[jid], order, jid))
+        heads = []
+        for lane in lanes:
+            if lane:
+                lane.sort()
+                heads.append(lane[0])
+        heads.sort()
+        # Proposed's stalled entries of the current pass that have later
+        # jobs in their lane.
+        stalled: list = []
         # True while every queued job is known to be blocked under the
         # current cores and knowledge (see the dispatch scan below).
         # Never persisted: a resumed run starts unsettled.
@@ -1074,21 +1155,15 @@ class StreamingSimulation:
                             processed += 1
                             ev_done += 1
                             continue
-                        # shed: evict the least-entitled queued job
-                        # (last in service order; under FIFO the
+                        # shed: evict the least-entitled queued job,
+                        # the last in service order (under FIFO the
                         # youngest, otherwise the worst sort key with
-                        # latest-arrival tie-break, which is exactly
-                        # the last element of the stable-sorted view).
-                        if fifo:
-                            victim = next(reversed(queue))
-                        else:
-                            if view is None:
-                                view = sorted(
-                                    queue, key=sort_key.__getitem__
-                                )
-                            victim = view[-1]
+                        # latest-enqueue tie-break): the greatest lane
+                        # tail.
+                        tail = max([lane[-1] for lane in lanes if lane])
+                        victim = tail[2]
+                        _lane_remove(lanes[jbid[victim]], heads, tail)
                         del queue[victim]
-                        view = None
                         shed += 1
                         if recycle:
                             free_slots.append(victim)
@@ -1187,7 +1262,16 @@ class StreamingSimulation:
                         urgency.append(0.0)
                         sort_key.append(0)
                 queue[jid] = True
-                view = None
+                new_e = (sort_key[jid], enqueued_total, jid)
+                # _lane_push, with its two common cases inline.
+                lane = lanes[b]
+                if not lane:
+                    lane.append(new_e)
+                    insort(heads, new_e)
+                elif lane[-1] < new_e:  # always under FIFO
+                    lane.append(new_e)
+                else:
+                    _lane_push(lane, heads, new_e)
                 enqueued_total += 1
                 admitted += 1
                 if len(queue) > max_queue_len:
@@ -1211,45 +1295,36 @@ class StreamingSimulation:
                     # occupancy and the knowledge state (plus ``now``
                     # in proposed's stall test), none of which changes
                     # until a start ends the pass.  Two consequences:
-                    # * ``blocked`` memoises, per pass, each benchmark
-                    #   that found no placement, with its stall-counter
-                    #   increment; a repeat is skipped and repeats the
-                    #   increment.
+                    # * The pass walks the lane heads, one job per
+                    #   benchmark, in service order.  A benchmark that
+                    #   finds no placement leaves the pass: its other
+                    #   queued jobs would block too.  Only the power
+                    #   gate's throttle judges a job rather than its
+                    #   benchmark; a throttled job yields to its lane's
+                    #   next one.  Proposed's stall counter counts one
+                    #   decision per queued job the full scan would
+                    #   visit, so when the pass ends each stalled
+                    #   benchmark adds its jobs between the stalled one
+                    #   and the pass's end.
                     # * A pass that places nothing leaves the queue
                     #   ``settled``: until a start, a completion (stale
                     #   ones too) or a preemption, every queued job
                     #   stays blocked, so an arrival's round tests only
                     #   the job just admitted.  Proposed never settles
-                    #   (its stall test reads ``now`` and bumps the
-                    #   counter per visit), nor does a pass in which
-                    #   the power gate throttled a job (the degradation
-                    #   slack test reads ``now`` and the pool).
-                    # Under FIFO the dict's insertion order IS the
-                    # view, so iterate it live (the only mutation —
-                    # del on assignment — is immediately followed by
-                    # a break).
-                    if settled:
-                        v = (jid,)
-                    elif fifo:
-                        v = queue
-                    elif view is not None:
-                        v = view
-                    else:
-                        v = view = sorted(
-                            queue, key=sort_key.__getitem__
-                        )
+                    #   (its stall test reads ``now``), nor does a pass
+                    #   in which the power gate throttled a job (the
+                    #   degradation slack test reads ``now`` and the
+                    #   pool).
+                    v = [new_e] if settled else heads[:]
                     settled = may_settle
                     assigned = False
-                    blocked = {}
-                    for jid in v:
+                    for e in v:
                         # ---- placement decision --------------------
                         # Idleness is just ``cur_job[ci] < 0``;
-                        # ``continue`` means this job waits and the
-                        # scan moves to the next one.
+                        # ``continue`` means this job's benchmark waits
+                        # and the scan moves to the next head.
+                        jid = e[2]
                         b = jbid[jid]
-                        if b in blocked:
-                            stall_decisions += blocked[b]
-                            continue
                         assignment = None
                         if requires_profiling and not profiled[b]:
                             # Unprofiled: profiling core, base config.
@@ -1260,7 +1335,6 @@ class StreamingSimulation:
                                     )
                                     break
                             if assignment is None:
-                                blocked[b] = 0
                                 continue
                         elif pol == 0:  # base
                             for ci in core_range:
@@ -1333,7 +1407,6 @@ class StreamingSimulation:
                                         )
                                         break
                                 if assignment is None:
-                                    blocked[b] = 0
                                     continue
                             else:
                                 # proposed — a best-size match wins
@@ -1384,7 +1457,8 @@ class StreamingSimulation:
                                         )
                                         if not best_done:
                                             stall_decisions += 1
-                                            blocked[b] = 1
+                                            if lanes[b][-1] is not e:
+                                                stalled.append(e)
                                             continue
                                         if best_cid < 0:
                                             raise KeyError(best_cfg)
@@ -1393,7 +1467,8 @@ class StreamingSimulation:
                                             # table-eviction guard
                                             # (fault-only).
                                             stall_decisions += 1
-                                            blocked[b] = 1
+                                            if lanes[b][-1] is not e:
+                                                stalled.append(e)
                                             continue
                                         eb = est[b]
                                         cand_ci = -1
@@ -1434,7 +1509,8 @@ class StreamingSimulation:
                                             <= eb[cand_cid][3]
                                         ):
                                             stall_decisions += 1
-                                            blocked[b] = 1
+                                            if lanes[b][-1] is not e:
+                                                stalled.append(e)
                                             continue
                                         non_best_decisions += 1
                                         non_best_pending = True
@@ -1495,11 +1571,28 @@ class StreamingSimulation:
                                 else:
                                     pool.throttled += 1
                                     settled = False
+                                    # The lane's next job joins the
+                                    # pass after ``e`` (``v`` is this
+                                    # pass's own sorted list, and a
+                                    # list iterator sees items inserted
+                                    # past its position).
+                                    lane = lanes[b]
+                                    i = bisect_right(lane, e)
+                                    if i < len(lane):
+                                        insort(v, lane[i])
                                     continue
 
                         # ---- job start -----------------------------
                         del queue[jid]
-                        view = None
+                        # _lane_remove, with the lane head's case inline.
+                        lane = lanes[b]
+                        if lane[0] is e:
+                            del lane[0]
+                            heads.remove(e)
+                            if lane:
+                                insort(heads, lane[0])
+                        else:
+                            _lane_remove(lane, heads, e)
                         ci, cid, prof, tun = assignment
                         prev = cur_cfg[ci]
                         if cid != prev:
@@ -1662,6 +1755,14 @@ class StreamingSimulation:
                             )
                         assigned = True
                         break  # core states changed; rescan
+                    if stalled:
+                        for se in stalled:
+                            lane = lanes[jbid[se[2]]]
+                            stall_decisions += (
+                                bisect_left(lane, e) if assigned
+                                else len(lane)
+                            ) - bisect_right(lane, se)
+                        stalled.clear()
                     if assigned:
                         settled = False
                         continue
@@ -1694,62 +1795,57 @@ class StreamingSimulation:
                     if victim_ci < 0 or u < victim_urgency:
                         victim_ci = ci
                         victim_urgency = u
-                if fifo:
-                    v = queue
-                elif view is not None:
-                    v = view
-                else:
-                    v = view = sorted(queue, key=sort_key.__getitem__)
-                preempted = False
-                for jid in v:
-                    if urgency[jid] <= victim_urgency:
-                        continue
-                    # Preempt the victim core; requeue the remaining
-                    # work.
-                    (vjid, _, _, _, fraction_at_start, dync, stac,
-                     ovhc, _, _, _) = pending[victim_ci]
-                    pending[victim_ci] = None
-                    service = (
-                        busy_until[victim_ci] - run_started[victim_ci]
-                    )
-                    ran = now - run_started[victim_ci]
-                    fraction_run = ran / service if service else 0.0
-                    unused = busy_until[victim_ci] - now
-                    busy_cycles[victim_ci] -= unused
-                    res_busy[victim_ci] -= unused
-                    cur_job[victim_ci] = -1
-                    n_busy -= 1
-                    busy_until[victim_ci] = now
-                    epoch[victim_ci] += 1
-                    preempted_now.add(jlab[vjid])
-                    preemption_count += 1
-                    refund = 1.0 - fraction_run
-                    refund_dynamic = dync * refund
-                    refund_static = stac * refund
-                    refund_overhead = ovhc * refund
-                    dynamic_nj -= refund_dynamic
-                    busy_static_nj -= refund_static
-                    profiling_overhead_nj -= refund_overhead
-                    charged[vjid] -= refund_dynamic + refund_static
-                    if pool is not None:
-                        pool.refund(
-                            jlab[vjid], refund_dynamic + refund_static
-                        )
-                    remaining[vjid] = (
-                        fraction_at_start * (1.0 - fraction_run)
-                    )
-                    jpre[vjid] += 1
-                    last_enq[vjid] = now
-                    queue[vjid] = True
-                    view = None
-                    enqueued_total += 1
-                    if len(queue) > max_queue_len:
-                        max_queue_len = len(queue)
-                    settled = False
-                    preempted = True
+                # Urgency never rises along service order (priority and
+                # edf sort by falling urgency; under FIFO it is 0.0
+                # throughout), so preemption is for the global head or
+                # for no queued job.
+                if not heads or urgency[heads[0][2]] <= victim_urgency:
                     break
-                if not preempted:
-                    break
+                # Preempt the victim core; requeue the remaining
+                # work.
+                (vjid, _, _, _, fraction_at_start, dync, stac,
+                 ovhc, _, _, _) = pending[victim_ci]
+                pending[victim_ci] = None
+                service = (
+                    busy_until[victim_ci] - run_started[victim_ci]
+                )
+                ran = now - run_started[victim_ci]
+                fraction_run = ran / service if service else 0.0
+                unused = busy_until[victim_ci] - now
+                busy_cycles[victim_ci] -= unused
+                res_busy[victim_ci] -= unused
+                cur_job[victim_ci] = -1
+                n_busy -= 1
+                busy_until[victim_ci] = now
+                epoch[victim_ci] += 1
+                preempted_now.add(jlab[vjid])
+                preemption_count += 1
+                refund = 1.0 - fraction_run
+                refund_dynamic = dync * refund
+                refund_static = stac * refund
+                refund_overhead = ovhc * refund
+                dynamic_nj -= refund_dynamic
+                busy_static_nj -= refund_static
+                profiling_overhead_nj -= refund_overhead
+                charged[vjid] -= refund_dynamic + refund_static
+                if pool is not None:
+                    pool.refund(
+                        jlab[vjid], refund_dynamic + refund_static
+                    )
+                remaining[vjid] = (
+                    fraction_at_start * (1.0 - fraction_run)
+                )
+                jpre[vjid] += 1
+                last_enq[vjid] = now
+                queue[vjid] = True
+                _lane_push(
+                    lanes[jbid[vjid]], heads,
+                    (sort_key[vjid], enqueued_total, vjid),
+                )
+                enqueued_total += 1
+                if len(queue) > max_queue_len:
+                    max_queue_len = len(queue)
+                settled = False
 
         # -- write scalars (and rebound buffers) back -------------------
         if abuf_i:

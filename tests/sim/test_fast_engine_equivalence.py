@@ -20,6 +20,7 @@ front ends must refuse it rather than run a built-in policy instead.
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,8 @@ from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.simulation import SchedulerSimulation
 from repro.core.system import paper_system
 from repro.obs import ListRecorder, MetricsRegistry
+from repro.power.budget import PowerConfig
+from repro.power.dvfs import DEFAULT_DVFS_TABLE
 from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads.arrivals import JobArrival, PoissonProcess
 from repro.workloads.eembc import eembc_benchmark
@@ -187,6 +190,107 @@ class TestGoldenGrid:
         assert ref.run(arrivals) == fast.run(arrivals)
         _assert_state_parity(ref, fast)
         assert ref.queue.max_length >= 20
+
+
+#: A cap that throttles while the queue is backed up; the DVFS ladder
+#: and slack let some throttled dispatches degrade instead.
+LANE_CAP = PowerConfig(
+    cap_nj=300_000.0, slack_pct=25.0, dvfs=DEFAULT_DVFS_TABLE,
+)
+
+
+def _lane_paths(events):
+    """How often a reference trace takes the two dispatch paths that
+    the core's per-benchmark lanes must reproduce job by job.
+
+    Within one dispatch pass (the events of one cycle up to a
+    dispatch's ``energy_accrued``):
+
+    * ``throttled_then_same``: a job throttled by the power gate
+      (``wait``) and a later job of the same benchmark placed;
+    * ``stalled_behind``: two or more stall decisions for one benchmark
+      and then a job of another benchmark placed.
+    """
+    paths = Counter()
+    cycle = None
+    pass_events = []
+    for event in events:
+        if getattr(event, "cycle", None) != cycle:
+            cycle = getattr(event, "cycle", None)
+            pass_events = []
+        if event.kind == "power_throttled" and event.reason == "wait":
+            pass_events.append(("throttled", event.benchmark, event.job_id))
+        elif event.kind == "stall_decision":
+            pass_events.append(("stalled", event.benchmark, event.job_id))
+        elif event.kind == "energy_accrued":
+            if any(
+                kind == "throttled" and benchmark == event.benchmark
+                and job_id != event.job_id
+                for kind, benchmark, job_id in pass_events
+            ):
+                paths["throttled_then_same"] += 1
+            stalls = Counter(
+                benchmark for kind, benchmark, _ in pass_events
+                if kind == "stalled"
+            )
+            if any(
+                count >= 2 and benchmark != event.benchmark
+                for benchmark, count in stalls.items()
+            ):
+                paths["stalled_behind"] += 1
+            pass_events = []
+    return paths
+
+
+class TestCongestedLanes:
+    """The core's dispatch pass visits one job per benchmark: a lane's
+    head stands for the benchmark, a throttled head yields to the
+    lane's next job, and proposed's stall counter adds the jobs the
+    pass skipped.  Every one of those shortcuts must be invisible."""
+
+    @pytest.mark.parametrize("capped", (False, True))
+    @pytest.mark.parametrize("discipline,preemptive", (
+        ("fifo", False), ("priority", False), ("priority", True),
+        ("edf", False),
+    ))
+    @pytest.mark.parametrize("policy", ("energy_centric", "proposed"))
+    def test_congested_lanes_match_reference(
+        self, policy, discipline, preemptive, capped, store, oracle,
+        energy_table,
+    ):
+        arrivals = (
+            qos_arrivals(repeats=30, gap=5_000)
+            if discipline != "fifo"
+            else arrivals_for(SUITE_NAMES * 30, gap=5_000)
+        )
+        power = LANE_CAP if capped else None
+        recorder = ListRecorder()
+        ref = make_simulation(
+            policy, store, predictor=oracle, energy_table=energy_table,
+            engine="reference", recorder=recorder, discipline=discipline,
+            preemptive=preemptive, power=power,
+        )
+        fast = make_simulation(
+            policy, store, predictor=oracle, energy_table=energy_table,
+            engine="fast", discipline=discipline, preemptive=preemptive,
+            power=power,
+        )
+        ref_result = ref.run(arrivals)
+        assert fast.run(arrivals) == ref_result
+        _assert_state_parity(ref, fast)
+        assert ref.queue.max_length >= 20
+        paths = _lane_paths(recorder.events)
+        if capped:
+            assert ref.power_pool.throttled > 0
+            assert fast.power_pool.throttled == ref.power_pool.throttled
+            assert fast.power_pool.degraded == ref.power_pool.degraded
+            if preemptive:
+                # A preempted job's remaining work is cheaper, so it
+                # can be placed right after its lane's head throttled.
+                assert paths["throttled_then_same"] > 0
+        if policy == "proposed":
+            assert ref_result.stall_decisions > 0
+            assert paths["stalled_behind"] > 0
 
 
 def _jobs(max_cycle):
@@ -411,7 +515,6 @@ class TestCampaignEngine:
             assert main(argv) == 0
             runs[engine] = json.loads(path.read_text())
             for run in runs[engine]:
-                run.pop("seconds")
                 run["spec"].pop("engine")
         assert len(runs["fast"]) == 4
         assert runs["fast"] == runs["reference"]

@@ -269,6 +269,49 @@ class TestCongestedResume:
             assert result == baseline
             assert json.dumps(resumed.snapshot(), sort_keys=True) == final
 
+    @pytest.mark.parametrize("discipline,preemptive", (
+        ("fifo", False), ("priority", True), ("edf", False),
+    ))
+    @pytest.mark.parametrize("policy", ("energy_centric", "proposed"))
+    def test_shedding_resume_is_bit_identical(
+        self, policy, discipline, preemptive, store, oracle, energy_table,
+        specs,
+    ):
+        # The core rebuilds its per-benchmark lanes from the restored
+        # queue; a resumed run must shed, place and count stalls as if
+        # it had never stopped, with 20 or more jobs queued at the kill.
+        def process():
+            return QoSProcess(
+                PoissonProcess(
+                    specs, mean_interarrival_cycles=12_000.0, seed=SEED
+                ),
+                service_estimate=lambda name: 400_000,
+                priority_levels=4,
+                deadline_fraction=0.5,
+                seed=SEED,
+            )
+
+        config = StreamConfig(
+            max_jobs=N_JOBS, queue_capacity=24, admission="shed",
+        )
+        args = (policy, discipline, preemptive, store, oracle, energy_table)
+        straight = _engine(*args, config=config)
+        straight.start(process())
+        baseline = _finish(straight)
+        assert baseline.jobs_shed > 0
+        final = json.dumps(straight.snapshot(), sort_keys=True)
+
+        for kill_at in (15, 30):
+            killed = _engine(*args, config=config)
+            killed.start(process())
+            killed.advance(max_completions=kill_at)
+            snapshot = json.loads(json.dumps(killed.snapshot()))
+            assert len(snapshot["engine"]["queue"]) >= 20
+
+            resumed = _engine(*args, config=config)
+            assert resumed.resume(snapshot, process()) == baseline
+            assert json.dumps(resumed.snapshot(), sort_keys=True) == final
+
 
 class TestBlockBoundaries:
     """Kill points on and beside a histogram block boundary.
@@ -583,6 +626,19 @@ MISTYPED_FIELDS = [
     ("engine", "waiting", [228] * 6 + [-1], "job waiting cycles"),
     ("engine", "now", "x", "engine now"),
     ("engine", "now", 2 ** 63, "engine now"),
+    ("engine", "jbid", [2, 1, 2, "x", 2, 3, 1], "job benchmark index"),
+    ("engine", "jbid", [2, 1, 2, True, 2, 3, 1], "job benchmark index"),
+    ("engine", "jbid", [2, 1, 2, 99, 2, 3, 1],
+     "not one of the snapshot's 4 benchmarks"),
+    ("engine", "sortkey", [-1, -1, -1, "x", 0, -2, -3], "job sort key"),
+    ("engine", "sortkey", [-1, -1, -1, None, 0, -2, -3], "job sort key"),
+    ("engine", "queue", [3, 3, 6, 2], "repeats a job slot"),
+    ("engine", "queue", [3, 6, 2, 5], "slot 5 is also running"),
+    ("engine", "cur_job", [5, 1], "one entry per core (4)"),
+    ("engine", "cur_job", None, "one entry per core (4)"),
+    ("engine", "cur_job", [5, 1, 4, 9], "running job slot 9"),
+    ("engine", "cur_job", [5, 1, 4, "x"], "running job slot"),
+    ("engine", "cur_job", [5, 1, 4, -2], "running job slot"),
     ("knowledge", "profiled", 5, "profiled"),
     ("knowledge", "profiled", [True, True, True], "profiled"),
     ("knowledge", "profiled", [True, True, True, 1], "profiled"),
@@ -590,10 +646,10 @@ MISTYPED_FIELDS = [
 
 
 class TestMistypedEngineFields:
-    """The engine clock, job columns and ready queue, and the knowledge
-    section's profiled flags, are checked when a checkpoint is read, so
-    a mistyped one never reaches ``restore`` as a ``TypeError``, an
-    ``IndexError`` or a silently resumed run."""
+    """The engine clock, job columns, ready queue and running jobs, and
+    the knowledge section's profiled flags, are checked when a
+    checkpoint is read, so a mistyped one never reaches ``restore`` as
+    a ``TypeError``, an ``IndexError`` or a silently resumed run."""
 
     @staticmethod
     def _mutated(section, key, value):

@@ -29,6 +29,8 @@ import pytest
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.system import base_system, paper_system
 from repro.obs import MetricsRegistry, Telemetry
+from repro.power.budget import PowerConfig
+from repro.power.dvfs import DEFAULT_DVFS_TABLE
 from repro.sim.fast import FastSimulation
 from repro.sim.stream import (
     ADMISSION_POLICIES,
@@ -200,6 +202,41 @@ class TestClosedBatchEquivalence:
         while stepped.advance(max_events=17):
             pass
         assert stepped.result() == whole
+
+    @pytest.mark.parametrize("policy,discipline,preemptive", (
+        ("energy_centric", "priority", True),
+        ("proposed", "edf", False),
+    ))
+    def test_one_event_per_call_under_congestion(
+        self, policy, discipline, preemptive, store, oracle, energy_table,
+        specs,
+    ):
+        # Every call rebuilds the core's per-benchmark lanes from the
+        # queue it left, here a shedding, power-throttled backlog.
+        def run(budget):
+            streaming = _streaming(
+                policy, store, oracle, energy_table,
+                StreamConfig(
+                    max_jobs=120, queue_capacity=20, admission="shed",
+                ),
+                discipline=discipline, preemptive=preemptive,
+                power=PowerConfig(
+                    cap_nj=300_000.0, slack_pct=25.0,
+                    dvfs=DEFAULT_DVFS_TABLE,
+                ),
+            )
+            streaming.start(_process(specs, qos=True, mean_gap=9_000.0))
+            while streaming.advance(max_events=budget):
+                pass
+            return streaming
+
+        whole, stepped = run(None), run(1)
+        result = whole.result()
+        assert result.jobs_shed > 0 and result.power["throttled"] > 0
+        assert stepped.result() == result
+        assert json.dumps(stepped.snapshot(), sort_keys=True) == json.dumps(
+            whole.snapshot(), sort_keys=True
+        )
 
 
 class TestBoundedMemory:

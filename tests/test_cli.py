@@ -235,6 +235,23 @@ class TestCommands:
         assert payload[0]["spec"]["policy"] == "base"
         assert payload[0]["jobs_completed"] == 40
 
+    def test_campaign_json_is_byte_reproducible(self, capsys, tmp_path):
+        """The replication file holds simulated outputs only: running
+        the same grid twice writes the same bytes."""
+        paths = [tmp_path / f"replications.{run}.json" for run in (1, 2)]
+        for path in paths:
+            assert main(
+                "campaign --policies energy_centric proposed --seeds 0 1 "
+                "--jobs 40 --interarrival 20000 --predictor oracle "
+                f"--power-cap 400000 --workers 1 --json {path}".split()
+            ) == 0
+        capsys.readouterr()
+        first = paths[0].read_bytes()
+        assert first == paths[1].read_bytes()
+        rows = json.loads(first)
+        assert len(rows) == 2 * 2 * 2  # policy x seed x power
+        assert all("seconds" not in row for row in rows)
+
     def test_compare_with_trace_and_metrics(self, capsys, tmp_path):
         trace_template = tmp_path / "run.jsonl"
         metrics_path = tmp_path / "metrics.json"
