@@ -8,8 +8,9 @@ import math
 import os
 
 __all__ = [
-    "check_cycles", "check_finite", "check_int", "load_json_document",
-    "stable_seed", "write_json_atomic",
+    "check_bool", "check_cycles", "check_finite", "check_int",
+    "check_number", "load_json_document", "stable_seed",
+    "write_json_atomic",
 ]
 
 
@@ -43,6 +44,29 @@ def check_int(name: str, value, *, minimum: int = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def check_bool(name: str, value) -> bool:
+    """``value`` if it is a bool, else :class:`ValueError` naming
+    ``name`` and the value."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+def check_number(name: str, value, *, finite: bool = True):
+    """``value`` if it is an int or a float (a bool is not), not NaN, and
+    not infinite unless ``finite=False``; else :class:`ValueError`
+    naming ``name`` and the value."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or value != value
+        or (finite and value in (math.inf, -math.inf))
+    ):
+        kind = "a finite number" if finite else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     return value
 
 

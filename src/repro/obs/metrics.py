@@ -27,6 +27,8 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro._util import check_int, check_number
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -237,14 +239,43 @@ class P2Quantile:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore the exact state captured by :meth:`state_dict`."""
-        if state["p"] != self.p:
+        """Restore the exact state captured by :meth:`state_dict`.
+
+        Every field is checked first, so a missing or mistyped one is a
+        :class:`ValueError` naming it, with the estimator untouched.
+        """
+        if not isinstance(state, dict):
+            raise ValueError(f"a P² state is a JSON object, got {state!r}")
+        if state.get("p") != self.p:
             raise ValueError(
-                f"state is for p={state['p']}, estimator tracks p={self.p}"
+                f"state is for p={state.get('p')}, estimator tracks "
+                f"p={self.p}"
             )
-        self._heights = [float(x) for x in state["heights"]]
-        self._positions = [int(x) for x in state["positions"]]
-        self._desired = [float(x) for x in state["desired"]]
+        fields = {}
+        # Fewer than five observations keep fewer than five heights.
+        for key, check, lengths in (
+            ("heights", check_number, range(6)),
+            ("positions", check_int, (5,)),
+            ("desired", check_number, (5,)),
+        ):
+            values = state.get(key)
+            name = f"P² p={self.p} {key!r}"
+            if not (isinstance(values, list) and len(values) in lengths):
+                raise ValueError(
+                    f"{name} must be a list of marker values, got {values!r}"
+                )
+            fields[key] = [check(name, value) for value in values]
+        heights, positions = fields["heights"], fields["positions"]
+        if heights != sorted(heights) or positions[0] != 1 or any(
+            low >= high for low, high in zip(positions, positions[1:])
+        ):
+            raise ValueError(
+                f"P² p={self.p} markers must be ordered: heights {heights}, "
+                f"positions {positions}"
+            )
+        self._heights = [float(x) for x in fields["heights"]]
+        self._positions = fields["positions"]
+        self._desired = [float(x) for x in fields["desired"]]
 
 
 #: The quantiles every histogram tracks (reported as p50 / p90 / p99).
@@ -342,19 +373,36 @@ class Histogram:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore the exact state captured by :meth:`state_dict`."""
-        estimators = state["estimators"]
-        if len(estimators) != len(self._estimators):
+        """Restore the exact state captured by :meth:`state_dict`.
+
+        Every field is checked first, so a missing or mistyped one is a
+        :class:`ValueError` naming it, with the histogram untouched.
+        """
+        name = f"histogram {self.name!r}"
+        if not isinstance(state, dict):
+            raise ValueError(f"{name} state is a JSON object, got {state!r}")
+        estimators = state.get("estimators")
+        if not isinstance(estimators, list) or len(estimators) != len(
+            self._estimators
+        ):
             raise ValueError(
-                f"state has {len(estimators)} estimators, histogram "
-                f"{self.name!r} tracks {len(self._estimators)}"
+                f"{name} 'estimators' must list "
+                f"{len(self._estimators)} estimator states"
             )
-        self.count = int(state["count"])
-        self.total = float(state["total"])
-        self.min = float(state["min"])
-        self.max = float(state["max"])
-        for estimator, sub in zip(self._estimators, estimators):
+        count = check_int(f"{name} 'count'", state.get("count"), minimum=0)
+        total = check_number(f"{name} 'total'", state.get("total"))
+        low, high = (
+            check_number(f"{name} {key!r}", state.get(key), finite=False)
+            for key in ("min", "max")
+        )
+        fresh = tuple(P2Quantile(e.p) for e in self._estimators)
+        for estimator, sub in zip(fresh, estimators):
             estimator.load_state(sub)
+        self.count = count
+        self.total = float(total)
+        self.min = float(low)
+        self.max = float(high)
+        self._estimators = fresh
 
 
 class MetricsRegistry:

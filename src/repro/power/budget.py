@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro._util import check_finite
+from repro._util import check_finite, check_int, check_number
 from repro.energy.scaling import scaled_charges
 
 from .dvfs import DvfsPoint, DvfsTable
@@ -363,15 +363,41 @@ class TokenPool:
         }
 
     def load_state(self, state: Mapping[str, object]) -> None:
-        self._held = {
-            int(job_id): (float(grant), int(size))
-            for job_id, grant, size in state["held"]
+        """Restore the account :meth:`state_dict` wrote.
+
+        Every field is checked first, so a missing or mistyped one is a
+        :class:`ValueError` naming it, with the pool untouched.
+        """
+        if not isinstance(state, Mapping):
+            raise ValueError(
+                f"a token pool state is a JSON object, got {state!r}"
+            )
+        rows = state.get("held")
+        if not isinstance(rows, list):
+            raise ValueError(f"token pool 'held' must be a list, got {rows!r}")
+        held = {}
+        for row in rows:
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValueError(
+                    "a token pool 'held' row is [job_id, grant_nj, size_kb], "
+                    f"got {row!r}"
+                )
+            job_id, grant, size = row
+            held[check_int("token pool held job_id", job_id, minimum=0)] = (
+                float(check_number("token pool held grant_nj", grant)),
+                check_int("token pool held size_kb", size, minimum=1),
+            )
+        totals = {
+            key: float(check_number(f"token pool {key!r}", state.get(key)))
+            for key in ("granted_nj", "refunded_nj")
         }
+        counts = {
+            key: check_int(f"token pool {key!r}", state.get(key), minimum=0)
+            for key in (
+                "grants", "refunds", "throttled", "degraded", "overdrafts",
+            )
+        }
+        self._held = held
         self._resum()
-        self.granted_nj = float(state["granted_nj"])
-        self.refunded_nj = float(state["refunded_nj"])
-        self.grants = int(state["grants"])
-        self.refunds = int(state["refunds"])
-        self.throttled = int(state["throttled"])
-        self.degraded = int(state["degraded"])
-        self.overdrafts = int(state["overdrafts"])
+        for key, value in {**totals, **counts}.items():
+            setattr(self, key, value)

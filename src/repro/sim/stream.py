@@ -57,21 +57,24 @@ from __future__ import annotations
 import math
 
 from bisect import bisect_left, bisect_right, insort
+from copy import copy
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro._util import (
-    check_cycles, check_int, load_json_document, write_json_atomic,
+    check_bool, check_cycles, check_int, check_number, load_json_document,
+    write_json_atomic,
 )
-from repro.cache.config import CacheConfig
+from repro.cache.config import BASE_CONFIG, CacheConfig, configs_for_size
+from repro.core.policies import make_policy
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.scheduler import DISCIPLINES, PREEMPTION_QUANTUM_CYCLES
 from repro.core.tuning import TuningSession
 from repro.energy.scaling import scaled_charges
 from repro.obs.events import CATEGORIES as _CATEGORIES
 from repro.obs.metrics import Histogram
-from repro.power.budget import pick_degraded
+from repro.power.budget import PowerConfig, TokenPool, pick_degraded
 from repro.sim.fast import FastSimulation, core_branch
 from repro.workloads.arrivals import ArrivalProcess, JobArrival
 
@@ -281,9 +284,358 @@ class StreamResult:
 #: is optional).
 _SNAPSHOT_SECTIONS = ("fingerprint", "process", "engine", "knowledge", "stats")
 
+# -- entry checks ------------------------------------------------------------
+# ``check(label, value, bounds)`` raises ValueError naming ``label``
+# unless ``value`` is well formed.  ``bounds`` (from _checked_snapshot)
+# counts the job slots, cores, configurations, benchmarks and dispatch
+# categories ids may name, and holds the benchmark names and core sizes.
+
+
+def _integer(minimum=None, cycles=False):
+    def check(label, value, bounds):
+        check_int(label, value, minimum=minimum)
+        if cycles:  # a clock compared with the int64 arrival clock
+            check_cycles(label, value)
+    return check
+
+
+def _number(finite=True, low=-_INF, high=_INF):
+    def check(label, value, bounds):
+        if not low <= check_number(label, value, finite=finite) <= high:
+            raise ValueError(
+                f"{label} must be in [{low}, {high}], got {value!r}"
+            )
+    return check
+
+
+def _id(kind: str, what: str):
+    """An index below ``bounds[kind]``."""
+    def check(label, value, bounds):
+        if check_int(label, value, minimum=0) >= bounds[kind]:
+            raise ValueError(
+                f"{label} {value} is not one of the "
+                f"{what.format(bounds[kind])}"
+            )
+    return check
+
+
+_count, _int, _cycle = _integer(0), _integer(), _integer(0, cycles=True)
+_nj, _fraction = _number(), _number(low=0.0, high=1.0)
+_urgency = _number(finite=False)  # -inf: an edf job without a deadline
+_slot, _core = _id("slots", "{} job slots"), _id("cores", "{} cores")
+_config = _id("configs", "{} configurations")
+_benchmark = _id("benchmarks", "snapshot's {} benchmarks")
+_category = _id("categories", "{} dispatch categories")
+
+
+def _flag(label, value, bounds):
+    check_bool(label, value)
+
+
+def _text(label, value, bounds):
+    if not isinstance(value, str):
+        raise ValueError(f"{label} must be a string, got {value!r}")
+
+
+def _sort_key(label, value, bounds):
+    if value != _INF:  # infinity: an edf job without a deadline
+        check_int(label, value)
+
+
+def _running(label, value, bounds):
+    if check_int(label, value, minimum=-1) >= 0:
+        _slot(label, value, bounds)
+
+
+def _size(label, value, bounds):
+    if check_int(label, value) not in bounds["sizes"]:
+        raise ValueError(f"{label} {value} is no core's cache size")
+
+
+def _arrival(label, row, bounds):
+    """``[job_id, benchmark, arrival_cycle, priority, deadline or null]``,
+    with the checks of :class:`~repro.workloads.arrivals.JobArrival`."""
+    if not isinstance(row, list) or len(row) != len(JobArrival._fields):
+        raise ValueError(f"an arrival row has 5 fields, got {row!r}")
+    job_id, benchmark, arrival_cycle, priority, deadline = row
+    check_int("arrival job_id", job_id, minimum=0)
+    if not isinstance(benchmark, str) or benchmark not in bounds["names"]:
+        raise ValueError(
+            f"arrival benchmark {benchmark!r} is not in the snapshot's "
+            "store"
+        )
+    check_int("arrival cycle", arrival_cycle, minimum=0)
+    check_cycles("arrival cycle", arrival_cycle)
+    check_int("arrival priority", priority)
+    if deadline is not None:
+        check_int("arrival deadline", deadline, minimum=arrival_cycle)
+        check_cycles("arrival deadline", deadline)
+
+
+def _pool(label, value, bounds):
+    """A token pool state: loading it into a spare pool checks it."""
+    TokenPool(PowerConfig()).load_state(value)
+
+
+def _session(label, row, bounds):
+    """``[benchmark, size_kb, session]`` (see :func:`_session_from_dict`)."""
+    _row(_benchmark, _size, _tuning)(label, row, bounds)
+    if row[2]["size_kb"] != row[1]:
+        raise ValueError(f"{label} for {row[1]} KB tunes another size")
+
+
+def _tuning(label, value, bounds):
+    """A tuning session's fields, checked as they are read."""
+    _session_from_dict(value)
+
+
+def _optional(check):
+    def optional(label, value, bounds):
+        if value is not None:
+            check(label, value, bounds)
+    return optional
+
+
+def _row(*checks):
+    """A list of one field per check (field ``i`` is ``label[i]``)."""
+    def row(label, value, bounds):
+        if not isinstance(value, list) or len(value) != len(checks):
+            raise ValueError(
+                f"{label} must be a list of {len(checks)} fields, "
+                f"got {value!r}"
+            )
+        for i, (check, field) in enumerate(zip(checks, value)):
+            check(f"{label}[{i}]", field, bounds)
+    return row
+
+
+def _each(check, entry: str, unique: str = None):
+    """A list of values ``check`` calls ``entry``; no two equal when
+    ``unique`` names what they are."""
+    def each(label, value, bounds):
+        if not isinstance(value, list):
+            raise ValueError(f"{label} must be a list, got {value!r}")
+        for item in value:
+            check(entry, item, bounds)
+        if unique and len(set(value)) != len(value):
+            raise ValueError(f"{label} repeats a {unique}: {value!r}")
+    return each
+
+
+# -- the field table ---------------------------------------------------------
+
+
+def _copy(value):
+    """Lists copied, everything else as it is."""
+    return list(value) if isinstance(value, list) else value
+
+
+def _map(convert):
+    return lambda values: [convert(value) for value in values]
+
+
+def _maybe(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+class _Field(NamedTuple):
+    """One persisted run-state field (a row of :data:`_RUN_STATE`)."""
+
+    #: ``"engine"`` (the run state) or ``"knowledge"`` (the
+    #: FastSimulation attribute of the same name).
+    section: str
+    key: str
+    #: ``"slots"``, ``"cores"`` or ``"benchmarks"``: a list of one entry
+    #: per job slot, core or benchmark, each passing ``check``; ``None``:
+    #: the whole value passes ``check``.
+    per: Optional[str]
+    check: Callable
+    #: What ``check`` calls the value, or each entry when ``per`` is set
+    #: (default ``<section> '<key>'``).
+    label: Optional[str] = None
+    #: A fresh run's value (of each entry, when ``per`` is set).
+    initial: object = None
+    load: Callable = _copy  # JSON value -> run-state value
+    dump: Callable = _copy  # run-state value -> JSON value
+
+
+def _scalars(check, initial, *keys) -> tuple:
+    return tuple(
+        _Field("engine", key, None, check, initial=initial) for key in keys
+    )
+
+
+_ROWS = {"load": _map(tuple), "dump": _map(list)}
+_UNITS = {"slots": "job slot", "cores": "core", "benchmarks": "benchmark"}
+
+#: The core's persisted run state in snapshot key order: the one
+#: declaration that start(), snapshot(), restore() and
+#: _checked_snapshot() loop over.  ``power`` is the FastSimulation's
+#: token pool, when the power axis is on; _install derives the rest.
+_RUN_STATE = (
+    # per-job slots: parallel lists, recycled via free_slots
+    _Field("engine", "jbid", "slots", _benchmark, "job benchmark index"),
+    _Field("engine", "jlab", "slots", _count, "job label"),
+    _Field("engine", "jarr", "slots", _cycle, "job arrival cycle"),
+    _Field("engine", "jprio", "slots", _int, "job priority"),
+    _Field("engine", "jdl", "slots", _optional(_cycle), "job deadline"),
+    _Field("engine", "jstart", "slots", _optional(_count), "job start cycle"),
+    _Field("engine", "jcomp", "slots", _count, "job completion cycle"),
+    _Field("engine", "remaining", "slots", _fraction, "job remaining work"),
+    _Field("engine", "jpre", "slots", _count, "job preemption count"),
+    _Field("engine", "last_enq", "slots", _optional(_count), "job enqueue"),
+    _Field("engine", "waiting", "slots", _count, "job waiting cycles"),
+    _Field("engine", "charged", "slots", _nj, "job energy"),
+    _Field("engine", "urgency", "slots", _urgency, "job urgency"),
+    _Field("engine", "sortkey", "slots", _sort_key, "job sort key"),
+    _Field(
+        "engine", "free_slots", None,
+        _each(_slot, "free job slot", "job slot"), initial=[],
+    ),
+    _Field(
+        "engine", "records", None,
+        _each(_row(_slot, _core, _config, _flag, _flag), "job record"),
+        initial=[], **_ROWS,
+    ),
+    # event/queue state
+    _Field(
+        "engine", "queue", None,
+        _each(_slot, "queued job slot", "job slot"), initial={},
+        load=lambda slots: dict.fromkeys(slots, True), dump=list,
+    ),
+    _Field(
+        "engine", "comp_heap", None,
+        _each(_row(_count, _count, _core, _count), "completion event"),
+        initial=[], **_ROWS,
+    ),
+    _Field(
+        "engine", "abuf", None, _each(_arrival, "buffered arrival"),
+        initial=[], load=_map(JobArrival._make), dump=_map(list),
+    ),
+    _Field(
+        "engine", "deferred", None, _optional(_arrival),
+        load=_maybe(JobArrival._make), dump=_maybe(list),
+    ),
+    _Field("engine", "gen_done", None, _flag, initial=False),
+    # per-core state
+    _Field("engine", "cur_job", "cores", _running, "running job slot", -1),
+    _Field("engine", "busy_until", "cores", _count, "core busy-until", 0),
+    _Field("engine", "busy_cycles", "cores", _count, "core busy cycles", 0),
+    _Field("engine", "run_started", "cores", _count, "core run start", 0),
+    _Field("engine", "epoch", "cores", _count, "core epoch", 0),
+    _Field("engine", "execs", "cores", _count, "core executions", 0),
+    # start() installs each core's reset configuration
+    _Field("engine", "cur_cfg", "cores", _config, "core configuration"),
+    _Field("engine", "recfg_count", "cores", _count, "core reconfigs", 0),
+    _Field("engine", "recfg_cycles_core", "cores", _count, "recfg cycles", 0),
+    _Field("engine", "recfg_nj_core", "cores", _nj, "recfg energy", 0.0),
+    _Field(
+        "engine", "res_closed", "cores",
+        _each(_row(_count, _count, _config, _count), "residency interval"),
+        "core residency intervals", [], _map(_map(tuple)), _map(_map(list)),
+    ),
+    _Field("engine", "res_start", "cores", _count, "residency start", 0),
+    _Field("engine", "res_busy", "cores", _count, "residency busy cycles", 0),
+    _Field(
+        "engine", "pending", "cores",
+        _optional(_row(
+            _slot, _config, _flag, _flag, _fraction, _nj, _nj, _nj, _count,
+            _nj, _category,
+        )),
+        "pending execution", None, _map(_maybe(tuple)), _map(_maybe(list)),
+    ),
+    _Field(
+        "engine", "per_power", "cores",
+        _each(_row(_nj, _count), "idle cycles at a power"),
+        "core idle ledger", {}, _map(dict),
+        _map(lambda ledger: [list(item) for item in ledger.items()]),
+    ),
+    _Field(
+        "engine", "preempted_now", None,
+        _each(_count, "preempted job label", "job label"), initial=set(),
+        load=set, dump=sorted,
+    ),
+    _Field("engine", "core_dvfs", "cores", _optional(_text), "DVFS point"),
+    _Field("engine", "power", None, _optional(_pool)),
+    # scalars
+    _Field("engine", "now", None, _cycle, "engine now", 0),
+    *_scalars(
+        _count, 0,
+        "seq", "processed", "n_busy", "enqueued_total", "max_queue_len",
+    ),
+    *_scalars(_nj, 0.0, "dynamic_nj", "busy_static_nj", "reconfig_nj"),
+    *_scalars(_count, 0, "reconfig_cycles"),
+    *_scalars(_nj, 0.0, "profiling_overhead_nj"),
+    *_scalars(
+        _count, 0,
+        "stall_decisions", "non_best_decisions", "tuning_executions",
+        "profiling_executions", "preemption_count",
+    ),
+    *_scalars(_flag, False, "non_best_pending"),
+    *_scalars(_int, -1, "preempted_now_cycle"),
+    *_scalars(
+        _count, 0,
+        "generated", "admitted", "completed", "dropped", "shed", "forced",
+        "blocked_cycles", "observed", "makespan", "last_arrival_cycle",
+    ),
+    # knowledge state (FastSimulation initialises it)
+    _Field("knowledge", "profiled", "benchmarks", _flag, "profiled flag"),
+    _Field(
+        "knowledge", "pred_raw", "benchmarks", _optional(_integer(1)),
+        "predicted size",
+    ),
+    _Field(
+        "knowledge", "pred_size", "benchmarks", _optional(_size),
+        "predicted core size",
+    ),
+    _Field(
+        "knowledge", "executed", "benchmarks",
+        _each(_config, "explored configuration", "configuration"),
+        "explored configurations",
+        load=_map(lambda cids: dict.fromkeys(cids, True)), dump=_map(list),
+    ),
+    _Field(
+        "knowledge", "best_known", "benchmarks",
+        _each(_row(_size, _nj, _config), "best-known execution"),
+        "best-known executions",
+        load=_map(lambda rows: {size: (nj, cid) for size, nj, cid in rows}),
+        dump=_map(lambda best: [
+            [size, nj, cid] for size, (nj, cid) in best.items()
+        ]),
+    ),
+    _Field(
+        "knowledge", "tuned", "benchmarks",
+        _each(_size, "tuned size", "size"), "tuned sizes",
+        load=_map(set), dump=_map(sorted),
+    ),
+    _Field("knowledge", "touched", "benchmarks", _flag, "touched flag"),
+    _Field(
+        "knowledge", "touch_order", None,
+        _each(_benchmark, "touched benchmark", "benchmark"),
+    ),
+    _Field(
+        "knowledge", "sessions", None, _each(_session, "tuning session"),
+        load=lambda rows: {
+            (b, size_kb): _session_from_dict(state)
+            for b, size_kb, state in rows
+        },
+        dump=lambda sessions: [
+            [b, size_kb, _session_to_dict(session)]
+            for (b, size_kb), session in sessions.items()
+        ],
+    ),
+)
+
 
 def _checked_snapshot(snapshot) -> dict:
-    """``snapshot``, if it has this build's version and sections."""
+    """``snapshot``, if this build can resume it.
+
+    Checks the version and sections, then every :data:`_RUN_STATE`
+    field against the counts the fingerprint carries, how the fields
+    fit together (:func:`_check_invariants`) and the ``stats``
+    histograms, so a bad field is a :class:`ValueError` naming it
+    before anything is restored.
+    """
     if not isinstance(snapshot, dict):
         raise ValueError("a stream snapshot is a JSON object")
     version = snapshot.get("version")
@@ -297,124 +649,122 @@ def _checked_snapshot(snapshot) -> dict:
             raise ValueError(
                 f"stream snapshot has no {section!r} section"
             )
-    benchmarks = snapshot["fingerprint"].get("benchmarks")
-    if not isinstance(benchmarks, list):
-        raise ValueError("stream snapshot fingerprint has no benchmark list")
-    engine = snapshot["engine"]
-    rows = engine.get("abuf")
-    if not isinstance(rows, list):
-        raise ValueError("stream snapshot has no arrival buffer ('abuf')")
-    deferred = engine.get("deferred")
-    for row in rows if deferred is None else [*rows, deferred]:
-        _check_arrival_row(row, benchmarks)
-    cores = snapshot["fingerprint"].get("core_sizes")
-    if not isinstance(cores, list):
-        raise ValueError("stream snapshot fingerprint has no core list")
-    _check_engine_state(engine, len(benchmarks), len(cores))
-    profiled = snapshot["knowledge"].get("profiled")
-    if not (
-        isinstance(profiled, list)
-        and len(profiled) == len(benchmarks)
-        and all(isinstance(flag, bool) for flag in profiled)
+    fingerprint, engine = snapshot["fingerprint"], snapshot["engine"]
+    names = fingerprint.get("benchmarks")
+    if not isinstance(names, list) or not all(
+        isinstance(name, str) for name in names
     ):
-        raise ValueError(
-            f"knowledge 'profiled' must hold one bool per benchmark "
-            f"({len(benchmarks)}), got {profiled!r}"
+        raise ValueError("stream snapshot fingerprint has no benchmark list")
+    sizes = fingerprint.get("core_sizes")
+    if not isinstance(sizes, list):
+        raise ValueError("stream snapshot fingerprint has no core list")
+    if not isinstance(engine.get("jbid"), list):
+        raise ValueError("engine 'jbid' must be a list of job slots")
+    bounds = {
+        "names": names, "benchmarks": len(names), "cores": len(sizes),
+        "sizes": [check_int("core size", size) for size in sizes],
+        # as FastSimulation interns them: every core's configurations
+        # and the base one (a size outside Table 1 is a ValueError)
+        "configs": len({BASE_CONFIG}.union(*map(configs_for_size, sizes))),
+        "slots": len(engine["jbid"]), "categories": len(_CATEGORIES),
+    }
+    for field in _RUN_STATE:
+        name = f"{field.section} {field.key!r}"
+        if field.key not in snapshot[field.section]:
+            raise ValueError(f"stream snapshot has no {name}")
+        value = snapshot[field.section][field.key]
+        if field.per is None:
+            field.check(field.label or name, value, bounds)
+        elif isinstance(value, list) and len(value) == bounds[field.per]:
+            for entry in value:
+                field.check(field.label, entry, bounds)
+        else:
+            raise ValueError(
+                f"{name} must be a list with one entry per "
+                f"{_UNITS[field.per]} ({bounds[field.per]})"
+            )
+    _check_invariants(snapshot)
+    for key in ("waiting", "turnaround"):
+        Histogram(f"stream.{key}_cycles").load_state(
+            snapshot["stats"].get(key)
         )
     return snapshot
 
 
-#: The engine section's per-slot job columns: parallel lists, one entry
-#: per job slot (free slots keep their last job's values).
-_JOB_COLUMNS = (
-    "jbid", "jlab", "jarr", "jprio", "jdl", "jstart", "jcomp",
-    "remaining", "jpre", "last_enq", "waiting", "charged", "urgency",
-    "sortkey",
-)
-
-
-def _check_engine_state(engine: dict, benchmarks: int, cores: int) -> None:
-    """Raise :class:`ValueError` unless the engine section's clock, job
-    columns, ready queue and running jobs are well formed for a run
-    over ``benchmarks`` benchmarks on ``cores`` cores."""
-    now = check_int("engine now", engine.get("now"), minimum=0)
-    check_cycles("engine now", now)
-    slots = engine.get("jbid")
-    if not isinstance(slots, list):
-        raise ValueError("engine 'jbid' must be a list of job slots")
-    n = len(slots)
-    for key in _JOB_COLUMNS:
-        column = engine.get(key)
-        if not isinstance(column, list) or len(column) != n:
-            raise ValueError(
-                f"engine {key!r} must be a list with one entry per job "
-                f"slot ({n})"
-            )
-    for b in slots:
-        check_int("job benchmark index", b, minimum=0)
-        if b >= benchmarks:
-            raise ValueError(
-                f"job benchmark index {b} is not one of the snapshot's "
-                f"{benchmarks} benchmarks"
-            )
-    for key in engine["sortkey"]:
-        if key != _INF:
-            check_int("job sort key", key)
-    for cycle in engine["jarr"]:
-        check_int("job arrival cycle", cycle, minimum=0)
-        check_cycles("job arrival cycle", cycle)
-    for cycles in engine["waiting"]:
-        check_int("job waiting cycles", cycles, minimum=0)
-    running = engine.get("cur_job")
-    if not isinstance(running, list) or len(running) != cores:
+def _check_invariants(snapshot: dict) -> None:
+    """Raise :class:`ValueError` unless the fields of a snapshot whose
+    every field is well formed also fit together as a run leaves them."""
+    fingerprint, engine = snapshot["fingerprint"], snapshot["engine"]
+    cur_job = engine["cur_job"]
+    running = [slot for slot in cur_job if slot >= 0]
+    if len(set(running)) != len(running) or engine["n_busy"] != len(running):
         raise ValueError(
-            f"engine 'cur_job' must be a list with one entry per core "
-            f"({cores}), got {running!r}"
+            f"engine 'cur_job' {cur_job} and 'n_busy' {engine['n_busy']} "
+            "must count distinct running job slots"
         )
-    for slot in running:
-        check_int("running job slot", slot, minimum=-1)
-        if slot >= n:
+    live = {(ci, epoch) for _, _, ci, epoch in engine["comp_heap"]}
+    for ci, (slot, execution) in enumerate(zip(cur_job, engine["pending"])):
+        if (None if execution is None else execution[0]) != (
+            None if slot < 0 else slot
+        ) or slot >= 0 and (ci, engine["epoch"][ci]) not in live:
             raise ValueError(
-                f"running job slot {slot} is not one of the {n} job slots"
+                f"core {ci}'s pending execution and completion event do "
+                f"not match its running job slot {slot}"
             )
-    queue = engine.get("queue")
-    if not isinstance(queue, list):
-        raise ValueError(f"engine 'queue' must be a list, got {queue!r}")
-    for slot in queue:
-        check_int("queued job slot", slot, minimum=0)
-        if slot >= n:
+    now = engine["now"]
+    if any(event[0] < now for event in engine["comp_heap"]):
+        raise ValueError(
+            f"engine 'comp_heap' holds a completion event before now ({now})"
+        )
+    for ci, (start, busy, until) in enumerate(
+        zip(engine["res_start"], engine["res_busy"], engine["busy_until"])
+    ):
+        # The interval's busy cycles fit between its start and the end
+        # of the core's last job (or now, when it has run none since).
+        if start + busy > max(until, now):
             raise ValueError(
-                f"queued job slot {slot} is not one of the {n} job slots"
+                f"core {ci}'s residency interval is busier than its clock"
             )
-    if len(set(queue)) != len(queue):
-        raise ValueError(f"engine 'queue' repeats a job slot: {queue!r}")
-    both = set(queue).intersection(running)
+    cycles = [row[2] for row in engine["abuf"]]
+    if cycles != sorted(cycles) or engine["last_arrival_cycle"] > min(
+        cycles, default=_INF
+    ):
+        raise ValueError(
+            "engine 'abuf' must hold arrivals in time order, none before "
+            "'last_arrival_cycle'"
+        )
+    both = set(engine["queue"]).intersection(running)
     if both:
         raise ValueError(
             f"queued job slot {min(both)} is also running on a core"
         )
-
-
-def _check_arrival_row(row, benchmarks: list) -> None:
-    """Raise :class:`ValueError` unless ``row`` is a checkpointed
-    arrival over ``benchmarks``: ``[job_id, benchmark, arrival_cycle,
-    priority, deadline_cycle or null]``, with the checks of
-    :class:`~repro.workloads.arrivals.JobArrival`."""
-    if not isinstance(row, list) or len(row) != len(JobArrival._fields):
-        raise ValueError(f"an arrival row has 5 fields, got {row!r}")
-    job_id, benchmark, arrival_cycle, priority, deadline = row
-    check_int("arrival job_id", job_id, minimum=0)
-    if not isinstance(benchmark, str) or benchmark not in benchmarks:
+    taken = set(engine["free_slots"]).intersection(engine["queue"] + running)
+    if taken:
+        raise ValueError(f"free job slot {min(taken)} is queued or running")
+    policy = fingerprint.get("policy")
+    predicts = isinstance(policy, str) and make_policy(policy).uses_predictor
+    knowledge = snapshot["knowledge"]
+    for b, (profiled, raw, size) in enumerate(zip(
+        knowledge["profiled"], knowledge["pred_raw"], knowledge["pred_size"]
+    )):
+        # A predictor policy predicts at the end of every profiling run.
+        if (raw is None) != (size is None) or predicts and profiled and (
+            raw is None
+        ):
+            raise ValueError(
+                f"benchmark {b} has a predicted size {raw} and a core size "
+                f"{size} (profiled: {profiled})"
+            )
+    if (engine["power"] is None) != (fingerprint.get("power") is None):
         raise ValueError(
-            f"arrival benchmark {benchmark!r} is not in the snapshot's "
-            "store"
+            "engine 'power' must hold a token pool state exactly when the "
+            "fingerprint has a power configuration"
         )
-    check_int("arrival cycle", arrival_cycle, minimum=0)
-    check_cycles("arrival cycle", arrival_cycle)
-    check_int("arrival priority", priority)
-    if deadline is not None:
-        check_int("arrival deadline", deadline, minimum=arrival_cycle)
-        check_cycles("arrival deadline", deadline)
+    # Every running job holds one grant, and no other job does.
+    if engine["power"] is not None and sorted(
+        job_id for job_id, _, _ in engine["power"]["held"]
+    ) != sorted(engine["jlab"][slot] for slot in running):
+        raise ValueError("token pool 'held' must list the running jobs")
 
 
 def read_checkpoint(path: str) -> dict:
@@ -445,28 +795,72 @@ def _session_to_dict(session: TuningSession) -> dict:
     }
 
 
-def _session_from_dict(state: dict) -> TuningSession:
-    def cfg(fields: Optional[list]) -> Optional[CacheConfig]:
-        if fields is None:
-            return None
-        size_kb, assoc, line_b = fields
-        return CacheConfig(size_kb=size_kb, assoc=assoc, line_b=line_b)
+def _session_from_dict(state) -> TuningSession:
+    """The session :func:`_session_to_dict` wrote; a missing or
+    mistyped field is a :class:`ValueError` naming it."""
+    if not isinstance(state, dict):
+        raise ValueError(f"a tuning session is a JSON object, got {state!r}")
 
+    def field(key, check=check_int, **options):
+        return check(f"tuning session {key!r}", state.get(key), **options)
+
+    phase = state.get("phase")
+    if phase not in ("first", "second", "done"):
+        raise ValueError(
+            "tuning session 'phase' must be first, second or done, "
+            f"got {phase!r}"
+        )
     session = TuningSession(
-        size_kb=state["size_kb"],
-        line_first=state["line_first"],
-        phase=state["phase"],
+        size_kb=field("size_kb"),
+        line_first=field("line_first", check_bool),
+        phase=phase,
     )
-    session.best_config = cfg(state["best_config"])
-    session.best_energy_nj = float(state["best_energy_nj"])
-    session.explored = [cfg(c) for c in state["explored"]]
-    session._first_index = int(state["first_index"])
-    session._second_index = int(state["second_index"])
-    session._chosen_first = (
-        None
-        if state["chosen_first"] is None
-        else int(state["chosen_first"])
+    configs = configs_for_size(session.size_kb)
+
+    def cfg(fields) -> CacheConfig:
+        for config in configs:
+            if [config.size_kb, config.assoc, config.line_b] == fields:
+                return config
+        raise ValueError(
+            f"tuning session config {fields!r} is not one of a "
+            f"{session.size_kb} KB core's"
+        )
+
+    best = state.get("best_config")
+    if best is None and phase != "first":
+        raise ValueError(
+            f"a tuning session in phase {phase!r} must have a 'best_config'"
+        )
+    session.best_config = None if best is None else cfg(best)
+    session.best_energy_nj = float(
+        field("best_energy_nj", check_number, finite=False)
     )
+    explored = state.get("explored")
+    if not isinstance(explored, list):
+        raise ValueError(
+            f"tuning session 'explored' must be a list, got {explored!r}"
+        )
+    session.explored = [cfg(c) for c in explored]
+    first = field("first_index", minimum=0)
+    second = field("second_index", minimum=0)
+    # Only a finished second sweep stands past its last value.
+    if first >= len(session._first_values) or second >= len(
+        session._second_values
+    ) + (phase == "done"):
+        raise ValueError(
+            f"tuning session 'first_index' {first} or 'second_index' "
+            f"{second} is past the end of its sweep"
+        )
+    session._first_index = first
+    session._second_index = second
+    chosen = state.get("chosen_first")
+    if chosen is not None or phase != "first":
+        if field("chosen_first") not in session._first_values:
+            raise ValueError(
+                f"tuning session 'chosen_first' {chosen} is not one of "
+                f"{session._first_values}"
+            )
+    session._chosen_first = chosen
     return session
 
 
@@ -580,77 +974,31 @@ class StreamingSimulation:
         if self._s is not None:
             raise RuntimeError("a StreamingSimulation runs exactly once")
         self.process = process
-        C = self.f.n_cores
-        self._s = {
-            # per-job slots (parallel lists, recycled via free_slots)
-            "jbid": [], "jlab": [], "jarr": [], "jprio": [], "jdl": [],
-            "jstart": [], "jcomp": [], "remaining": [], "jpre": [],
-            "last_enq": [], "waiting": [], "charged": [],
-            "urgency": [], "sortkey": [],
-            "free_slots": [],
-            "records": [],
-            # retained records already fed into the histograms
-            "fed": 0,
-            # event/queue state
-            "queue": {},
-            "comp_heap": [],
-            "abuf": [],
-            "atimes": [],
-            "abuf_i": 0,
-            "deferred": None,
-            "gen_done": False,
-            # per-core state
-            "cur_job": [-1] * C,
-            "busy_until": [0] * C,
-            "busy_cycles": [0] * C,
-            "run_started": [0] * C,
-            "epoch": [0] * C,
-            "execs": [0] * C,
-            "cur_cfg": list(self.f.core_reset_cid),
-            "recfg_count": [0] * C,
-            "recfg_cycles_core": [0] * C,
-            "recfg_nj_core": [0.0] * C,
-            "res_closed": [[] for _ in range(C)],
-            "res_start": [0] * C,
-            "res_busy": [0] * C,
-            "pending": [None] * C,
-            "per_power": [dict() for _ in range(C)],
-            "core_dvfs": [None] * C,
-            # scalars
-            "now": 0,
-            "seq": 0,
-            "processed": 0,
-            "n_busy": 0,
-            "enqueued_total": 0,
-            "max_queue_len": 0,
-            "dynamic_nj": 0.0,
-            "busy_static_nj": 0.0,
-            "reconfig_nj": 0.0,
-            "reconfig_cycles": 0,
-            "profiling_overhead_nj": 0.0,
-            "stall_decisions": 0,
-            "non_best_decisions": 0,
-            "tuning_executions": 0,
-            "profiling_executions": 0,
-            "preemption_count": 0,
-            "non_best_pending": False,
-            "preempted_now": set(),
-            "preempted_now_cycle": -1,
-            "generated": 0,
-            "admitted": 0,
-            "completed": 0,
-            "dropped": 0,
-            "shed": 0,
-            "forced": 0,
-            "blocked_cycles": 0,
-            "observed": 0,
-            "makespan": 0,
-            "last_arrival_cycle": 0,
-            # per-(benchmark, size) session cache, rebuilt lazily
-            "sess_state": [dict() for _ in self.f.bench_names],
+        entries = {"slots": 0, "cores": self.f.n_cores}
+        s = {
+            field.key: (
+                copy(field.initial) if field.per is None
+                else [copy(field.initial) for _ in range(entries[field.per])]
+            )
+            for field in _RUN_STATE
+            if field.section == "engine" and field.key != "power"
         }
+        s["cur_cfg"] = list(self.f.core_reset_cid)
+        self._install(s)
         if self.telemetry is not None:
             self.telemetry.begin(self._telemetry_header())
+
+    def _install(self, s: dict) -> None:
+        """Run on ``s``, the persisted run state, plus what derives
+        from it."""
+        # retained records already fed into the histograms (snapshot()
+        # feeds every one before writing)
+        s["fed"] = len(s["records"])
+        s["atimes"] = [a[2] for a in s["abuf"]]
+        s["abuf_i"] = 0
+        # per-(benchmark, size) session cache, rebuilt lazily
+        s["sess_state"] = [dict() for _ in self.f.bench_names]
+        self._s = s
 
     def _telemetry_header(self) -> dict:
         """Deterministic run metadata for the telemetry header line."""
@@ -2186,13 +2534,13 @@ class StreamingSimulation:
     def snapshot(self) -> dict:
         """Versioned, JSON-serialisable image of the entire run state.
 
-        Everything the event loop reads is captured — job slots, queue
-        order, the completion heap, buffered arrivals, the arrival
-        process's RNG, per-core state, the idle-energy ledger,
-        knowledge state (profiling table, tuning sessions) and the P²
-        accumulators — so restoring into a freshly constructed engine
-        continues bit-identically.  Floats survive the JSON round trip
-        exactly (repr-based serialisation).
+        Everything the event loop reads is captured — every
+        :data:`_RUN_STATE` field (job slots, queue order, the completion
+        heap, buffered arrivals, per-core state, the idle-energy
+        ledger, knowledge state), the token pool, the arrival process's
+        RNG and the P² accumulators — so restoring into a freshly
+        constructed engine continues bit-identically.  Floats survive
+        the JSON round trip exactly (repr-based serialisation).
         """
         s = self._s
         if s is None:
@@ -2200,90 +2548,20 @@ class StreamingSimulation:
         if self.config.retain_jobs:
             # The P² state must cover every record the snapshot holds.
             self._feed_retained()
-        f = self.f
-        abuf_i = s["abuf_i"]
-        engine = {
-            "jbid": list(s["jbid"]),
-            "jlab": list(s["jlab"]),
-            "jarr": list(s["jarr"]),
-            "jprio": list(s["jprio"]),
-            "jdl": list(s["jdl"]),
-            "jstart": list(s["jstart"]),
-            "jcomp": list(s["jcomp"]),
-            "remaining": list(s["remaining"]),
-            "jpre": list(s["jpre"]),
-            "last_enq": list(s["last_enq"]),
-            "waiting": list(s["waiting"]),
-            "charged": list(s["charged"]),
-            "urgency": list(s["urgency"]),
-            "sortkey": list(s["sortkey"]),
-            "free_slots": list(s["free_slots"]),
-            "records": [list(r) for r in s["records"]],
-            "queue": list(s["queue"]),
-            "comp_heap": [list(e) for e in s["comp_heap"]],
-            "abuf": [list(a) for a in s["abuf"][abuf_i:]],
-            "deferred": (
-                None
-                if s["deferred"] is None
-                else list(s["deferred"])
-            ),
-            "gen_done": s["gen_done"],
-            "cur_job": list(s["cur_job"]),
-            "busy_until": list(s["busy_until"]),
-            "busy_cycles": list(s["busy_cycles"]),
-            "run_started": list(s["run_started"]),
-            "epoch": list(s["epoch"]),
-            "execs": list(s["execs"]),
-            "cur_cfg": list(s["cur_cfg"]),
-            "recfg_count": list(s["recfg_count"]),
-            "recfg_cycles_core": list(s["recfg_cycles_core"]),
-            "recfg_nj_core": list(s["recfg_nj_core"]),
-            "res_closed": [
-                [list(interval) for interval in intervals]
-                for intervals in s["res_closed"]
-            ],
-            "res_start": list(s["res_start"]),
-            "res_busy": list(s["res_busy"]),
-            "pending": [
-                None if p is None else list(p) for p in s["pending"]
-            ],
-            "per_power": [
-                [[power, cycles] for power, cycles in pp.items()]
-                for pp in s["per_power"]
-            ],
-            "preempted_now": sorted(s["preempted_now"]),
-            "core_dvfs": list(s["core_dvfs"]),
-            "power": (
-                None
-                if f._power_pool is None
-                else f._power_pool.state_dict()
-            ),
-        }
-        for key in self._SCALAR_KEYS:
-            engine[key] = s[key]
-        knowledge = {
-            "profiled": list(f.profiled),
-            "pred_raw": list(f.pred_raw),
-            "pred_size": list(f.pred_size),
-            "executed": [list(d) for d in f.executed],
-            "best_known": [
-                [[size, e, cid] for size, (e, cid) in d.items()]
-                for d in f.best_known
-            ],
-            "tuned": [sorted(sizes) for sizes in f.tuned],
-            "touched": list(f.touched),
-            "touch_order": list(f.touch_order),
-            "sessions": [
-                [b, size_kb, _session_to_dict(session)]
-                for (b, size_kb), session in f.sessions.items()
-            ],
-        }
+        pool = self.f._power_pool
+        homes = {"engine": s, "knowledge": vars(self.f)}
+        sections = {"engine": {}, "knowledge": {}}
+        for field in _RUN_STATE:
+            if field.key == "power":
+                value = None if pool is None else pool.state_dict()
+            else:
+                value = field.dump(homes[field.section][field.key])
+            sections[field.section][field.key] = value
         return {
             "version": STREAM_SNAPSHOT_VERSION,
             "fingerprint": self._fingerprint(),
             "process": self.process.state_dict(),
-            "engine": engine,
-            "knowledge": knowledge,
+            **sections,
             "stats": {
                 "waiting": self._wait_hist.state_dict(),
                 "turnaround": self._turn_hist.state_dict(),
@@ -2295,25 +2573,15 @@ class StreamingSimulation:
             ),
         }
 
-    _SCALAR_KEYS = (
-        "now", "seq", "processed", "n_busy", "enqueued_total",
-        "max_queue_len", "dynamic_nj", "busy_static_nj", "reconfig_nj",
-        "reconfig_cycles", "profiling_overhead_nj", "stall_decisions",
-        "non_best_decisions", "tuning_executions",
-        "profiling_executions", "preemption_count", "non_best_pending",
-        "preempted_now_cycle", "generated", "admitted", "completed",
-        "dropped", "shed", "forced", "blocked_cycles", "observed",
-        "makespan", "last_arrival_cycle",
-    )
-
     def restore(self, snapshot: dict, process: ArrivalProcess) -> None:
         """Load a snapshot into this (freshly constructed) engine.
 
-        The snapshot must carry the supported schema version and a
-        fingerprint matching this engine's configuration and the given
-        process's parameters — mismatches fail loudly rather than
-        resuming a subtly different run.  ``process`` is rewound to the
-        snapshot's RNG position.
+        Every field is checked (:func:`_checked_snapshot`), and the
+        fingerprint must match this engine's configuration and the given
+        process's parameters, before anything is restored: a bad or
+        mismatched snapshot fails loudly with the engine untouched
+        rather than resuming a subtly different run.  ``process`` is
+        rewound to the snapshot's RNG position.
         """
         if self._s is not None:
             raise RuntimeError(
@@ -2333,114 +2601,34 @@ class StreamingSimulation:
                 "snapshot fingerprint does not match this engine "
                 f"configuration (differs in: {', '.join(diff)})"
             )
-        process.load_state(snapshot["process"])
-
-        engine = snapshot["engine"]
-        # _checked_snapshot checked every arrival row.
-        abuf = [JobArrival._make(x) for x in engine["abuf"]]
-        records = [tuple(r) for r in engine["records"]]
-        state = {
-            "jbid": list(engine["jbid"]),
-            "jlab": list(engine["jlab"]),
-            "jarr": list(engine["jarr"]),
-            "jprio": list(engine["jprio"]),
-            "jdl": list(engine["jdl"]),
-            "jstart": list(engine["jstart"]),
-            "jcomp": list(engine["jcomp"]),
-            "remaining": list(engine["remaining"]),
-            "jpre": list(engine["jpre"]),
-            "last_enq": list(engine["last_enq"]),
-            "waiting": list(engine["waiting"]),
-            "charged": list(engine["charged"]),
-            "urgency": list(engine["urgency"]),
-            "sortkey": list(engine["sortkey"]),
-            "free_slots": list(engine["free_slots"]),
-            "records": records,
-            # snapshot() feeds every retained record before writing
-            "fed": len(records),
-            "queue": dict.fromkeys(engine["queue"], True),
-            "comp_heap": [tuple(e) for e in engine["comp_heap"]],
-            "abuf": abuf,
-            "atimes": [a[2] for a in abuf],
-            "abuf_i": 0,
-            "deferred": (
-                None
-                if engine["deferred"] is None
-                else JobArrival._make(engine["deferred"])
-            ),
-            "gen_done": engine["gen_done"],
-            "cur_job": list(engine["cur_job"]),
-            "busy_until": list(engine["busy_until"]),
-            "busy_cycles": list(engine["busy_cycles"]),
-            "run_started": list(engine["run_started"]),
-            "epoch": list(engine["epoch"]),
-            "execs": list(engine["execs"]),
-            "cur_cfg": list(engine["cur_cfg"]),
-            "recfg_count": list(engine["recfg_count"]),
-            "recfg_cycles_core": list(engine["recfg_cycles_core"]),
-            "recfg_nj_core": list(engine["recfg_nj_core"]),
-            "res_closed": [
-                [tuple(interval) for interval in intervals]
-                for intervals in engine["res_closed"]
-            ],
-            "res_start": list(engine["res_start"]),
-            "res_busy": list(engine["res_busy"]),
-            "pending": [
-                None if p is None else tuple(p)
-                for p in engine["pending"]
-            ],
-            "per_power": [
-                {power: cycles for power, cycles in pairs}
-                for pairs in engine["per_power"]
-            ],
-            "preempted_now": set(engine["preempted_now"]),
-            "core_dvfs": list(engine["core_dvfs"]),
-            "sess_state": [dict() for _ in self.f.bench_names],
-        }
-        for key in self._SCALAR_KEYS:
-            state[key] = engine[key]
-        self._s = state
-
-        f = self.f
-        if engine["power"] is not None:
-            f._power_pool.load_state(engine["power"])
-        knowledge = snapshot["knowledge"]
-        f.profiled = list(knowledge["profiled"])
-        f.pred_raw = list(knowledge["pred_raw"])
-        f.pred_size = list(knowledge["pred_size"])
-        f.executed = [
-            dict.fromkeys(keys, True) for keys in knowledge["executed"]
-        ]
-        f.best_known = [
-            {size: (energy, cid) for size, energy, cid in entries}
-            for entries in knowledge["best_known"]
-        ]
-        f.tuned = [set(sizes) for sizes in knowledge["tuned"]]
-        f.touched = list(knowledge["touched"])
-        f.touch_order = list(knowledge["touch_order"])
-        f.sessions = {
-            (b, size_kb): _session_from_dict(session)
-            for b, size_kb, session in knowledge["sessions"]
-        }
-
-        stats = snapshot["stats"]
-        self._wait_hist.load_state(stats["waiting"])
-        self._turn_hist.load_state(stats["turnaround"])
-
         tel_state = snapshot.get("telemetry")
+        if tel_state is not None and self.telemetry is None:
+            raise ValueError(
+                "the snapshot carries telemetry state; attach a "
+                "matching Telemetry (e.g. --telemetry-out) before "
+                "resuming, or delete the telemetry files and the "
+                "checkpoint to start over"
+            )
+        process.load_state(snapshot["process"])
         if tel_state is not None:
-            if self.telemetry is None:
-                raise ValueError(
-                    "the snapshot carries telemetry state; attach a "
-                    "matching Telemetry (e.g. --telemetry-out) before "
-                    "resuming, or delete the telemetry files and the "
-                    "checkpoint to start over"
-                )
             # Truncate the output files back to the checkpointed byte
             # offsets, then reopen for append: the resumed stream
             # rewrites exactly the samples the kill discarded, so the
             # final files are byte-identical to an uninterrupted run.
             self.telemetry.load_state(tel_state)
+
+        f = self.f
+        s = {}
+        homes = {"engine": s, "knowledge": vars(f)}
+        for field in _RUN_STATE:
+            value = snapshot[field.section][field.key]
+            if field.key != "power":
+                homes[field.section][field.key] = field.load(value)
+            elif value is not None:
+                f._power_pool.load_state(value)
+        self._wait_hist.load_state(snapshot["stats"]["waiting"])
+        self._turn_hist.load_state(snapshot["stats"]["turnaround"])
+        self._install(s)
         if self.telemetry is not None:
             self.telemetry.begin(self._telemetry_header())
 

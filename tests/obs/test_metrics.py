@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,40 @@ def test_histogram_load_state_rejects_estimator_mismatch():
     histogram = Histogram("h")
     with pytest.raises(ValueError, match="estimators"):
         histogram.load_state(state)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("count", "x", "'count'"),
+    ("count", -1, "'count'"),
+    ("total", None, "'total'"),
+    ("min", "x", "'min'"),
+    ("estimators", None, "'estimators'"),
+])
+def test_histogram_load_state_checks_every_field_first(key, value, message):
+    donor = Histogram("h")
+    donor.observe(1.0, 2.0)
+    histogram = Histogram("h")
+    before = histogram.state_dict()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        histogram.load_state({**donor.state_dict(), key: value})
+    assert histogram.state_dict() == before
+
+
+@pytest.mark.parametrize("key,value", [
+    ("heights", [1.0, "x"]),
+    ("heights", [0.0] * 6),
+    ("positions", [1, 2, 3, 4]),
+    ("positions", [1, 2, 3, 4, 5.5]),
+    ("desired", None),
+])
+def test_p2_load_state_checks_every_field_first(key, value):
+    donor = P2Quantile(0.5)
+    donor.observe(*range(10))
+    estimator = P2Quantile(0.5)
+    before = estimator.state_dict()
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        estimator.load_state({**donor.state_dict(), key: value})
+    assert estimator.state_dict() == before
 
 
 def test_histogram_snapshot():

@@ -1,5 +1,7 @@
 """Unit tests for the power package: config, pool, ladder, DVFS."""
 
+import re
+
 import pytest
 
 from repro.campaign import power_grid
@@ -148,6 +150,25 @@ class TestTokenPool:
         assert clone.state_dict() == pool.state_dict()
         assert clone.outstanding_nj == pool.outstanding_nj
         assert clone.consumed_nj == pool.consumed_nj
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("held", [["x", 1.0, 4]], "held job_id"),
+        ("held", [[3, 1.0]], "[job_id, grant_nj, size_kb]"),
+        ("held", None, "'held'"),
+        ("granted_nj", "x", "'granted_nj'"),
+        ("refunded_nj", float("nan"), "'refunded_nj'"),
+        ("grants", -1, "'grants'"),
+        ("overdrafts", None, "'overdrafts'"),
+    ])
+    def test_load_state_checks_every_field_first(self, key, value, message):
+        pool = TokenPool(PowerConfig(cap_nj=1000.0))
+        pool.grant(3, 120.0, 4)
+        state = pool.state_dict()
+        fresh = TokenPool(PowerConfig(cap_nj=1000.0))
+        before = fresh.state_dict()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fresh.load_state({**state, key: value})
+        assert fresh.state_dict() == before
 
 
 class TestSlackAndLadder:

@@ -310,6 +310,21 @@ class TestPoweredCheckpointResume:
             resumed.snapshot(), sort_keys=True
         ) == json.dumps(straight.snapshot(), sort_keys=True)
 
+    def test_pool_must_hold_the_running_jobs(
+        self, small_store, oracle, energy_table
+    ):
+        donor = _stream_engine(small_store, oracle, energy_table)
+        donor.start(_stream_process())
+        donor.advance(max_completions=10)
+        snapshot = json.loads(json.dumps(donor.snapshot()))
+        held = snapshot["engine"]["power"]["held"]
+        assert held
+        del held[0]
+        engine = _stream_engine(small_store, oracle, energy_table)
+        with pytest.raises(ValueError, match="must list the running jobs"):
+            engine.restore(snapshot, _stream_process())
+        assert not engine.started
+
     def test_power_fingerprint_mismatch_fails_loudly(
         self, small_store, oracle, energy_table
     ):

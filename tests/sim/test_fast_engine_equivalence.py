@@ -176,8 +176,8 @@ class TestGoldenGrid:
         self, policy, discipline, preemptive, store, oracle, energy_table
     ):
         # A backed-up queue: most dispatch passes place nothing, so the
-        # core's per-pass placement memo and its settled-queue arrival
-        # rounds carry the run.
+        # core's per-benchmark ready lanes (one visit per lane head) and
+        # its settled-queue arrival rounds carry the run.
         arrivals = (
             qos_arrivals(repeats=30, gap=5_000)
             if discipline != "fifo"

@@ -612,8 +612,14 @@ class TestMistypedArrivalRows:
         assert not engine.started
 
 
-#: One field of the committed checkpoint's ``engine`` or ``knowledge``
-#: section replaced, and a fragment of the message that must name it.
+#: The committed checkpoint's first tuning session (``[3, 2, {...}]``)
+#: and waiting-time histogram.
+SESSION = json.loads(FIXTURE.read_text())["knowledge"]["sessions"][0]
+WAITING = json.loads(FIXTURE.read_text())["stats"]["waiting"]
+
+#: One field of the committed checkpoint's ``engine``, ``knowledge`` or
+#: ``stats`` section replaced, and a fragment of the message that must
+#: name it.
 MISTYPED_FIELDS = [
     ("engine", "queue", ["x"], "queued job slot"),
     ("engine", "queue", [7], "not one of the 7 job slots"),
@@ -642,14 +648,65 @@ MISTYPED_FIELDS = [
     ("knowledge", "profiled", 5, "profiled"),
     ("knowledge", "profiled", [True, True, True], "profiled"),
     ("knowledge", "profiled", [True, True, True, 1], "profiled"),
+    ("engine", "free_slots", ["x"], "free job slot"),
+    ("engine", "free_slots", [3], "free job slot 3 is queued or running"),
+    ("engine", "gen_done", "x", "engine 'gen_done'"),
+    ("engine", "core_dvfs", [None], "'core_dvfs'"),
+    ("engine", "epoch", [1], "'epoch'"),
+    ("engine", "cur_cfg", [99, 0, 0, 0], "not one of the 18 configurations"),
+    ("engine", "cur_job", [5, 1, 0, 4], "core 2's pending execution"),
+    ("engine", "n_busy", 3, "'n_busy' 3"),
+    ("engine", "busy_until", None, "'busy_until'"),
+    ("engine", "comp_heap", ["x"], "completion event"),
+    ("engine", "comp_heap", [[3841470, 67, 9, 12]], "completion event[2] 9"),
+    ("engine", "pending", [1, None, None], "'pending'"),
+    ("engine", "records", [5], "job record"),
+    ("engine", "processed", "x", "engine 'processed'"),
+    ("engine", "dynamic_nj", "x", "engine 'dynamic_nj'"),
+    ("engine", "remaining", [1.0] * 6 + ["x"], "job remaining work"),
+    ("engine", "charged", [0.0] * 6 + [None], "job energy"),
+    ("engine", "per_power", [[[0.5, "x"]], [], [], []], "idle cycles"),
+    ("engine", "res_closed", [5, [], [], []], "core residency intervals"),
+    ("engine", "preempted_now", ["x"], "preempted job label"),
+    ("engine", "power", {
+        "held": [], "granted_nj": 0.0, "refunded_nj": 0.0, "grants": 0,
+        "refunds": 0, "throttled": 0, "degraded": 0, "overdrafts": 0,
+    }, "engine 'power'"),
+    ("knowledge", "tuned", [[1], [2], [3], "x"], "tuned size 1"),
+    ("knowledge", "touch_order", [9], "touched benchmark 9"),
+    ("knowledge", "pred_raw", None, "'pred_raw'"),
+    ("knowledge", "executed", 5, "'executed'"),
+    ("knowledge", "best_known", [[[8, "x", 9]], [], [], []],
+     "best-known execution[1]"),
+    ("knowledge", "sessions", [[0, 4, {}]], "tuning session 'phase'"),
+    ("knowledge", "sessions", [[3, 2, {**SESSION[2], "first_index": 9}]],
+     "tuning session 'first_index'"),
+    ("knowledge", "sessions", [[3, 4, SESSION[2]]], "tunes another size"),
+    ("knowledge", "sessions", [[3, 2, {**SESSION[2], "best_config": None}]],
+     "must have a 'best_config'"),
+    ("knowledge", "pred_size", [2, 4, 8, None], "benchmark 3"),
+    ("engine", "epoch", [13, 12, 27, 20], "core 3's pending execution"),
+    ("engine", "last_arrival_cycle", 2 ** 62, "'last_arrival_cycle'"),
+    ("engine", "comp_heap", [
+        [99, 67, 1, 12], [3934094, 69, 3, 19], [3933866, 68, 2, 27],
+        [3985334, 70, 0, 13],
+    ], "before now"),
+    ("engine", "res_busy", [558612, 219476, 282692, 2 ** 62],
+     "core 3's residency interval"),
+    ("stats", "waiting", {**WAITING, "estimators": [
+        {**WAITING["estimators"][0], "positions": [1, 1, 2, 3, 4]},
+        *WAITING["estimators"][1:],
+    ]}, "markers must be ordered"),
+    ("stats", "turnaround", {}, "histogram 'stream.turnaround_cycles'"),
+    ("stats", "waiting", 5, "histogram 'stream.waiting_cycles'"),
 ]
 
 
 class TestMistypedEngineFields:
-    """The engine clock, job columns, ready queue and running jobs, and
-    the knowledge section's profiled flags, are checked when a
-    checkpoint is read, so a mistyped one never reaches ``restore`` as
-    a ``TypeError``, an ``IndexError`` or a silently resumed run."""
+    """Every field of the engine, knowledge and stats sections is
+    checked when a checkpoint is read, so a mistyped one never reaches
+    ``restore`` as a ``TypeError``, an ``IndexError``, a half-restored
+    engine or a silently resumed run."""
 
     @staticmethod
     def _mutated(section, key, value):
@@ -668,6 +725,15 @@ class TestMistypedEngineFields:
         text = str(raised.value)
         assert text.startswith(f"{path} is not a valid stream checkpoint")
         assert message in text
+
+    def test_profiled_benchmark_has_a_prediction(self, tmp_path):
+        snapshot = json.loads(FIXTURE.read_text())
+        snapshot["knowledge"]["pred_raw"][3] = None
+        snapshot["knowledge"]["pred_size"][3] = None
+        path = tmp_path / "mutated.ckpt"
+        path.write_text(json.dumps(snapshot))
+        with pytest.raises(ValueError, match="profiled: True"):
+            read_checkpoint(str(path))
 
     @pytest.mark.parametrize("section,key,value,message", MISTYPED_FIELDS)
     def test_resume_rejects_before_touching_the_engine(

@@ -755,6 +755,19 @@ class TestHostileInput:
             "slot must be an integer, got 'x'\n"
         )
 
+    def test_mistyped_checkpoint_free_slot_is_named(self, capsys, tmp_path):
+        snapshot = json.loads(CHECKPOINT.read_text())
+        snapshot["engine"]["free_slots"] = ["x"]
+        path = tmp_path / "stream.ckpt"
+        path.write_text(json.dumps(snapshot))
+        code = main(["stream", "--checkpoint", str(path), "--resume",
+                     "--max-jobs", "100", "--predictor", "oracle"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a valid stream checkpoint: free job "
+            "slot must be an integer, got 'x'\n"
+        )
+
     def test_mistyped_checkpoint_arrival_is_named(self, capsys, tmp_path):
         snapshot = json.loads(CHECKPOINT.read_text())
         snapshot["engine"]["deferred"] = ["x", "puwmod", 0, 0, None]
@@ -924,6 +937,23 @@ class TestTelemetryCli:
         assert main(base_args + ["--resume"]) == 0
         capsys.readouterr()
         assert tel.read_bytes() == baseline
+
+    def test_golden_stream_telemetry(self, capsys, tmp_path, monkeypatch):
+        """Two stream runs at ``compare``'s telemetry cadence write the
+        same telemetry and sampled-trace bytes, which ``report`` reads."""
+        monkeypatch.chdir(tmp_path)
+        for run in ("a", "b"):
+            assert main(
+                "stream --max-jobs 3000 "
+                f"--telemetry-out st{run}.jsonl --telemetry-every 500 "
+                f"--sampled-trace ss{run}.jsonl --sampled-trace-every 50"
+                .split()
+            ) == 0
+        for name in ("st", "ss"):
+            first = (tmp_path / f"{name}a.jsonl").read_bytes()
+            assert first == (tmp_path / f"{name}b.jsonl").read_bytes()
+        assert main(["report", "sta.jsonl"]) == 0
+        capsys.readouterr()
 
     def test_stream_samples_every_n_completions(self, capsys, tmp_path):
         from repro.obs import read_telemetry
