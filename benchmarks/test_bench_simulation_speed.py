@@ -2,14 +2,15 @@
 
 The headline number of the fast-engine work: the fig6-style proposed
 system run (1500 jobs, paper arrival intensity) measured on the
-struct-of-arrays engine (:mod:`repro.sim.fast`) against the reference
+struct-of-arrays engine (:mod:`repro.sim.stream`) against the reference
 event loop.  Both engines consume the same arrival stream through the
 same :class:`SchedulerSimulation` front end and must return bit-identical
 :class:`SimulationResult` objects — the speedup is pure engine, not a
 change in what gets computed.
 
 Timing protocol: simulations are constructed outside the timed region
-(the fast engine precompiles its tables at construction), rounds are
+(the fast side builds its core, tables included, when it runs, as every
+fast-engine run does), rounds are
 interleaved with the engine that runs first alternating, so drift hits
 both engines alike, and the ratio is of the per-side minima
 (``interleaved_min_seconds``) — the least-noise estimate of the true

@@ -37,13 +37,18 @@ def check_cycles(name: str, cycles) -> None:
         )
 
 
-def check_int(name: str, value, *, minimum: int = None) -> int:
-    """``value`` if it is an int (a bool is not) and ``>= minimum``, else
-    :class:`ValueError` naming ``name`` and the value."""
+def check_int(
+    name: str, value, *, minimum: int = None, maximum: int = None
+) -> int:
+    """``value`` if it is an int (a bool is not), ``>= minimum`` and
+    ``<= maximum``, else :class:`ValueError` naming ``name`` and the
+    value."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
     return value
 
 

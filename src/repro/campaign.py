@@ -37,13 +37,15 @@ from repro._util import check_cycles, check_finite
 from repro.characterization.store import CharacterizationStore
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.predictor import BestCorePredictor, OraclePredictor
-from repro.core.fastpath import fresh_fast
+from repro.core.fastpath import build_fast
 from repro.core.simulation import make_simulation, select_engine
+from repro.core.system import base_system, paper_system
 from repro.energy.tables import EnergyTable
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.power.budget import PowerConfig, normalize_power
 from repro.power.dvfs import DvfsTable
+from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads.arrivals import make_process, uniform_arrivals
 from repro.workloads.dag import check_graph_shape, generate_task_graphs
 from repro.workloads.eembc import eembc_suite
@@ -116,8 +118,6 @@ class StreamLoad:
 
     def config(self, max_jobs: Optional[int]):
         """The :class:`~repro.sim.stream.StreamConfig` of one replication."""
-        from repro.sim.stream import StreamConfig
-
         return StreamConfig(
             max_jobs=max_jobs,
             duration_cycles=self.duration_cycles,
@@ -476,11 +476,16 @@ def run_spec(
 
     Builds the spec's load (uniform arrivals, task graphs or an arrival
     process) and simulation, runs it, and returns ``(result, simulation,
-    load)``.  The store, predictor, energy table and discipline are run
-    context.  ``sinks`` (``recorder``, ``metrics``, ``validate``,
-    ``telemetry``) observe the run and never change its result;
-    ``checkpoint`` holds a stream's ``checkpoint_path`` /
-    ``checkpoint_every`` / ``resume_from``.
+    load)``.  The simulation is a
+    :class:`~repro.core.simulation.SchedulerSimulation` for a batch or
+    task graphs, and for a stream the
+    :class:`~repro.sim.stream.StreamingSimulation` core that ran it.
+    The store, predictor, energy table and discipline are run context.
+    ``sinks`` (``recorder``, ``metrics``, ``validate``, ``telemetry``)
+    observe the run and never change its result; ``checkpoint`` holds a
+    stream's ``checkpoint_path`` / ``checkpoint_every`` /
+    ``resume_from`` (a snapshot dict, as
+    :func:`~repro.sim.stream.read_checkpoint` returns).
 
     ``records=False`` (closed-batch specs only) makes ``result`` a dict
     of the run's totals: the :data:`CAMPAIGN_METRICS` values and the
@@ -491,20 +496,27 @@ def run_spec(
     """
     if not records and (spec.stream is not None or spec.dag is not None):
         raise ValueError("records=False needs a closed-batch spec")
+    arrival_args = dict(
+        seed=spec.seed, mean_interarrival_cycles=spec.mean_interarrival_cycles
+    )
+    if spec.stream is not None:
+        core = _stream_core(spec, store, predictor, energy_table,
+                            discipline, **sinks)
+        load = make_process(spec.stream.process, eembc_suite(),
+                            **arrival_args, **dict(spec.stream.process_args))
+        checkpoint = dict(checkpoint or {})
+        snapshot = checkpoint.pop("resume_from", None)
+        if snapshot is None:
+            result = core.run(load, **checkpoint)
+        else:
+            result = core.resume(snapshot, load, **checkpoint)
+        return result, core, load
     simulation = make_simulation(
         spec.policy, store, predictor, energy_table, discipline=discipline,
         faults=spec.fault_plan, engine=spec.engine, power=spec.power,
         **sinks,
     )
-    arrival_args = dict(
-        seed=spec.seed, mean_interarrival_cycles=spec.mean_interarrival_cycles
-    )
-    if spec.stream is not None:
-        load = make_process(spec.stream.process, eembc_suite(),
-                            **arrival_args, **dict(spec.stream.process_args))
-        config = spec.stream.config(spec.count)
-        result = simulation.stream(load, config, **(checkpoint or {}))
-    elif spec.dag is not None:
+    if spec.dag is not None:
         load = generate_task_graphs(
             count=spec.count, benchmarks=[s.name for s in eembc_suite()],
             **arrival_args, **dataclasses.asdict(spec.dag),
@@ -516,13 +528,45 @@ def run_spec(
         if records:
             result = simulation.run(load)
         elif simulation._resolve_engine() == "fast":
-            totals = fresh_fast(simulation).run(load, records=False)
+            totals = build_fast(simulation).run_batch(load, records=False)
             result = {
                 key: totals[key] for key in (*CAMPAIGN_METRICS, "power")
             }
         else:
             result = _result_totals(simulation.run(load), simulation)
     return result, simulation, load
+
+
+def _stream_core(
+    spec: ReplicationSpec, store, predictor, energy_table, discipline, *,
+    recorder=None, metrics=None, validate=False, telemetry=None, **options,
+) -> StreamingSimulation:
+    """The simulation core a stream spec runs on, on the spec's
+    conventional system (as :func:`~repro.core.simulation.make_simulation`
+    picks it), once :func:`select_engine` accepts the stream."""
+    policy = make_policy(spec.policy)
+    select_engine(
+        spec.engine, policy,
+        hooks=(
+            (recorder is not None and recorder.enabled)
+            or metrics is not None or bool(validate)
+            or spec.fault_plan is not None
+        ),
+        telemetry=telemetry is not None,
+        load="stream",
+    )
+    return StreamingSimulation(
+        base_system() if spec.policy == "base" else paper_system(),
+        policy,
+        store,
+        predictor=predictor if policy.uses_predictor else None,
+        energy_table=energy_table,
+        discipline=discipline,
+        config=spec.stream.config(spec.count),
+        telemetry=telemetry,
+        power=spec.power,
+        **options,
+    )
 
 
 def _result_totals(result, simulation) -> dict:

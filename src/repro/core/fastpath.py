@@ -1,15 +1,14 @@
 """Glue between :class:`SchedulerSimulation` and the simulation core.
 
-:func:`run_fast` runs an arrival batch through the
-:class:`~repro.sim.fast.FastSimulation` front end of a configured
+:func:`run_fast` runs an arrival batch on a
+:class:`~repro.sim.stream.StreamingSimulation` built for a configured
 :class:`~repro.core.simulation.SchedulerSimulation`, then writes the
-finished stream's run state and the fast tables' knowledge state back
-into the reference object — engine clock and counters, core
-occupancy/tuner/residency state, the profiling table, tuning sessions
-and the decision accumulators — so post-run introspection
-(``sim.engine.processed``, ``sim.cores[i].busy_cycles``,
-``sim.table``, ``sim.heuristic``) observes exactly what a reference run
-would have left behind.
+finished core's run state and knowledge state back into the reference
+object — engine clock and counters, core occupancy/tuner/residency
+state, the profiling table, tuning sessions and the decision
+accumulators — so post-run introspection (``sim.engine.processed``,
+``sim.cores[i].busy_cycles``, ``sim.table``, ``sim.heuristic``)
+observes exactly what a reference run would have left behind.
 """
 
 from __future__ import annotations
@@ -19,15 +18,16 @@ from typing import Sequence
 from repro.core.profiling import ExecutionRecord, ProfilingTable
 from repro.core.results import SimulationResult
 from repro.core.tuning import TuningHeuristic
-from repro.sim.fast import FastSimulation
+from repro.sim.stream import StreamingSimulation
 from repro.workloads.arrivals import JobArrival
 
-__all__ = ["build_fast", "fresh_fast", "run_fast"]
+__all__ = ["build_fast", "run_fast"]
 
 
-def build_fast(sim) -> FastSimulation:
-    """A :class:`FastSimulation` mirroring ``sim``'s configuration."""
-    return FastSimulation(
+def build_fast(sim) -> StreamingSimulation:
+    """A fresh simulation core mirroring ``sim``'s configuration, for
+    one :meth:`~repro.sim.stream.StreamingSimulation.run_batch`."""
+    return StreamingSimulation(
         sim.system,
         sim.policy,
         sim.store,
@@ -42,34 +42,23 @@ def build_fast(sim) -> FastSimulation:
     )
 
 
-def fresh_fast(sim) -> FastSimulation:
-    """``sim``'s prebuilt :class:`FastSimulation`, or a new one.
-
-    The prebuilt engine is used while it is still unused: engine
-    selection can change between construction and run if the caller
-    toggles hooks, and one FastSimulation backs exactly one run.
-    """
-    fast = sim._fast
-    if fast is None or fast.stream is not None:
-        fast = build_fast(sim)
-    return fast
-
-
 def run_fast(sim, arrivals: Sequence[JobArrival]) -> SimulationResult:
     """Run ``sim``'s configuration on the fast engine.
 
     ``sim`` must have been constructed with the obs/validate/faults
     hooks all off (engine resolution guarantees this).
     """
-    fast = fresh_fast(sim)
-    result = fast.run(arrivals)
+    fast = build_fast(sim)
+    result = fast.run_batch(arrivals)
     _write_back(sim, fast, result)
     return result
 
 
-def _write_back(sim, fast: FastSimulation, result: SimulationResult) -> None:
+def _write_back(
+    sim, fast: StreamingSimulation, result: SimulationResult
+) -> None:
     """Install the finished run's state on the reference object."""
-    s = fast.stream._s
+    s = fast._s
     cfg_objs = fast.cfg_objs
     engine = sim.engine
     engine._now = s["now"]

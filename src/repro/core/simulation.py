@@ -66,8 +66,8 @@ from repro.power.budget import (
 )
 from repro.sim.engine import EventEngine
 from repro.sim.events import Event, EventKind
-from repro.sim.fast import CORE_POLICIES, core_branch
 from repro.sim.queueing import ReadyQueue
+from repro.sim.stream import CORE_POLICIES, core_branch
 from repro.workloads.arrivals import JobArrival
 
 __all__ = ["ENGINES", "LOADS", "SchedulerSimulation", "make_simulation",
@@ -79,7 +79,8 @@ ENGINES = ("auto", "fast", "reference")
 #: Load shapes :func:`select_engine` rules on: a closed arrival batch
 #: (:meth:`SchedulerSimulation.run`), task graphs
 #: (:meth:`~SchedulerSimulation.run_dags`) or an open-system stream
-#: (:meth:`~SchedulerSimulation.stream`).
+#: (:meth:`~repro.sim.stream.StreamingSimulation.run`, which
+#: :func:`~repro.campaign.run_spec` builds for a stream spec).
 LOADS = ("batch", "dag", "stream")
 
 #: Counters pre-registered when a metrics registry is attached, so every
@@ -139,13 +140,15 @@ def select_engine(
 
     The one engine × feature rule (tabulated in ``docs/performance.md``,
     "Engine selection").  :class:`SchedulerSimulation`,
-    :func:`~repro.campaign.run_campaign` and the CLI all ask it, so every
-    front end accepts and rejects the same runs with the same message.
+    :func:`~repro.campaign.run_spec` (for a stream spec, before it
+    builds the core), :func:`~repro.campaign.run_campaign` and the CLI
+    all ask it, so every front end accepts and rejects the same runs
+    with the same message.
     ``hooks`` says whether a trace recorder, metrics registry, validation
     or fault injection is attached, ``telemetry`` whether sampled
     telemetry is, and ``load`` is one of :data:`LOADS`.  The simulation
     core runs exactly the policy classes in
-    :data:`~repro.sim.fast.CORE_POLICIES`; every other class needs the
+    :data:`~repro.sim.stream.CORE_POLICIES`; every other class needs the
     reference loop.  A combination no engine runs raises
     :class:`ValueError` naming the conflict.
     """
@@ -308,17 +311,20 @@ class SchedulerSimulation:
     engine:
         Which event loop executes :meth:`run`.  ``"reference"`` is the
         oracle loop in this module; ``"fast"`` is the struct-of-arrays
-        engine (:mod:`repro.sim.fast`) with the obs/validate/faults
-        hooks compiled out — bit-identical results, an order of
-        magnitude faster.  The default ``"auto"`` picks the fast engine
-        whenever it can run the simulation.  :func:`select_engine` is
-        the rule; a combination no engine runs raises
-        :class:`ValueError` here, or in :meth:`run_dags` /
-        :meth:`stream` for those loads (see ``docs/performance.md``).
+        simulation core (:class:`~repro.sim.stream.StreamingSimulation`,
+        built when :meth:`run` runs) with the obs/validate/faults hooks
+        compiled out — bit-identical results, an order of magnitude
+        faster.  The default ``"auto"`` picks the fast engine whenever
+        it can run the simulation.  :func:`select_engine` is the rule; a
+        combination no engine runs raises :class:`ValueError` here, or
+        in :meth:`run_dags` for task graphs (see
+        ``docs/performance.md``).  Streams run on the core alone: build
+        a :class:`~repro.sim.stream.StreamingSimulation`, or a stream
+        spec through :func:`~repro.campaign.run_spec`.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` sink.  Unlike
         the four per-event hooks above it is *sampled* observability —
-        fed at chunk boundaries by the fast and streaming engines, so
+        fed every ``sample_every`` completions by the simulation core, so
         attaching it keeps ``engine="auto"`` on the fast path and the
         results bit-identical.  Requires the fast engine.  See
         ``docs/observability.md``.
@@ -476,20 +482,10 @@ class SchedulerSimulation:
                     for name in _POWER_COUNTERS:
                         metrics.counter(name)
 
-        resolved = self._resolve_engine()
+        self._resolve_engine()
 
         if preload_profiles:
             self._preload_profiles()
-
-        # When the fast engine is already known to run, build it now:
-        # its lookup tables (config interning, characterisation rows,
-        # reconfiguration costs) are construction-time state, exactly
-        # like the reference's preloaded profiles above.
-        self._fast = None
-        if resolved == "fast":
-            from repro.core.fastpath import build_fast
-
-            self._fast = build_fast(self)
 
     # -- engine selection ----------------------------------------------------
 
@@ -614,64 +610,6 @@ class SchedulerSimulation:
             self.metrics.counter("sim.non_best_decisions").inc()
         if job is not None:
             self._non_best_next = job.job_id
-
-    # -- open-system streaming ----------------------------------------------
-
-    def stream(
-        self,
-        process,
-        config,
-        *,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-        resume_from=None,
-    ):
-        """Open-system run: consume an unbounded arrival process.
-
-        Drives a :class:`~repro.sim.stream.StreamingSimulation` over
-        this simulation's fast-engine tables — the one event loop fed
-        in bounded chunks from ``process``, with streaming
-        metric accumulation, admission control and deterministic
-        checkpoint/resume — and returns its
-        :class:`~repro.sim.stream.StreamResult`.
-
-        ``config`` is a :class:`~repro.sim.stream.StreamConfig`
-        bounding the run (``max_jobs`` and/or ``duration_cycles``).
-        ``checkpoint_path`` enables periodic atomic snapshots every
-        ``checkpoint_every`` completions; ``resume_from`` (a snapshot
-        dict or a checkpoint file path) continues a previous run
-        bit-identically instead of starting fresh.
-
-        Streaming runs on the simulation core only: an unbounded run
-        cannot retain per-event traces, per-job records or mid-run hook
-        state, so :func:`select_engine` rejects the hooks up front.
-        Sampled telemetry (the ``telemetry`` constructor argument) is
-        the exception: it fires every ``sample_every`` completions in
-        O(1) memory, so it rides along on the fast path and into the
-        stream's checkpoints.
-        """
-        self._resolve_engine("stream")
-        from repro.core.fastpath import fresh_fast
-        from repro.sim.stream import StreamingSimulation, read_checkpoint
-
-        streaming = StreamingSimulation.over(fresh_fast(self), config)
-        if resume_from is not None:
-            snapshot = (
-                read_checkpoint(resume_from)
-                if isinstance(resume_from, str)
-                else resume_from
-            )
-            return streaming.resume(
-                snapshot,
-                process,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every=checkpoint_every,
-            )
-        return streaming.run(
-            process,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-        )
 
     # -- main loop -----------------------------------------------------------
 

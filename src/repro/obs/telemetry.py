@@ -1,8 +1,9 @@
 """Low-overhead sampled telemetry for the fast and streaming engines.
 
 The simulation core behind both engines — one event loop,
-:meth:`repro.sim.stream.StreamingSimulation.advance`, with the
-closed-batch front end in :mod:`repro.sim.fast` — compiles the
+:meth:`repro.sim.stream.StreamingSimulation.advance`, which also runs
+closed batches (:meth:`~repro.sim.stream.StreamingSimulation.run_batch`)
+— compiles the
 per-event observability hooks out of its hot loop; that is what makes
 it fast.  A run at the scale the ROADMAP cares about (millions of
 jobs, sustained load) would otherwise be a black box until the final
@@ -45,6 +46,8 @@ import json
 import os
 import time
 from typing import Dict, List, Optional, TextIO, Tuple, Union
+
+from repro._util import check_bool, check_int
 
 from .events import EnergyAccrued, JobCompleted
 from .recorder import iter_jsonl
@@ -311,48 +314,63 @@ class Telemetry:
             "finalized": self.finalized,
         }
 
+    @staticmethod
+    def _checked_state(state) -> dict:
+        """The counters :meth:`load_state` restores from ``state``, a
+        :meth:`state_dict` of this schema; a missing or mistyped field
+        is a :class:`ValueError` naming it."""
+        if not isinstance(state, dict):
+            raise ValueError(
+                f"a telemetry state is a JSON object, got {state!r}"
+            )
+        schema = state.get("schema")
+        if check_int("telemetry 'schema'", schema) != TELEMETRY_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported telemetry schema {schema!r}; this build "
+                f"reads version {TELEMETRY_SCHEMA_VERSION}"
+            )
+        values = {
+            key: check_int(f"telemetry {key!r}", state.get(key), minimum=0)
+            for key in ("samples", "out_bytes", "trace_events", "trace_bytes")
+        }
+        values["finalized"] = check_bool(
+            "telemetry 'finalized'", state.get("finalized", False)
+        )
+        return values
+
     def load_state(self, state: dict) -> None:
         """Restore a checkpointed sink into this (fresh) ``Telemetry``.
 
         Reopens the configured output paths in append mode after
         truncating them to the recorded byte offsets, discarding any
         samples written after the checkpoint was taken — that is what
-        makes kill/resume byte-identical to an uninterrupted run.
+        makes kill/resume byte-identical to an uninterrupted run.  The
+        state's fields and both files are checked before either file is
+        truncated.
         """
         if self.samples or self.out_bytes or self.trace_bytes:
             raise RuntimeError(
                 "telemetry state must be loaded into a fresh Telemetry"
             )
-        schema = state.get("schema")
-        if schema != TELEMETRY_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported telemetry schema {schema!r}; this build "
-                f"reads version {TELEMETRY_SCHEMA_VERSION}"
-            )
-        self.samples = int(state["samples"])
-        self.out_bytes = int(state["out_bytes"])
-        self.trace_events = int(state["trace_events"])
-        self.trace_bytes = int(state["trace_bytes"])
-        self.finalized = bool(state.get("finalized", False))
-        handle = self._resume_file(
-            self._out, self._out_path, self.out_bytes, "--telemetry-out"
-        )
-        if handle is not None:
-            self._out = handle
+        values = self._checked_state(state)
+        self._check_resume(self._out, self._out_path, values["out_bytes"],
+                           "--telemetry-out")
+        self._check_resume(self._trace, self._trace_path,
+                           values["trace_bytes"], "--sampled-trace")
+        vars(self).update(values)
+        if self.out_bytes:
+            self._out = self._reopen(self._out_path, self.out_bytes)
             self._owns_out = True
-        handle = self._resume_file(
-            self._trace, self._trace_path, self.trace_bytes,
-            "--sampled-trace",
-        )
-        if handle is not None:
-            self._trace = handle
+        if self.trace_bytes:
+            self._trace = self._reopen(self._trace_path, self.trace_bytes)
             self._owns_trace = True
 
     @staticmethod
-    def _resume_file(handle, path, offset, flag):
-        """Truncate ``path`` to ``offset`` and reopen it for append."""
+    def _check_resume(handle, path, offset, flag) -> None:
+        """Raise unless ``path`` can resume at ``offset`` (0: nothing
+        was written, so begin() starts fresh)."""
         if offset == 0:
-            return None  # nothing was written; begin() starts fresh
+            return
         if path is None:
             if handle is not None:
                 raise ValueError(
@@ -370,6 +388,10 @@ class Telemetry:
                 f"but the checkpoint expects at least {offset}; it is "
                 "not the file this checkpoint was writing"
             )
+
+    @staticmethod
+    def _reopen(path, offset):
+        """Truncate ``path`` to ``offset`` and reopen it for append."""
         with open(path, "rb+") as raw:
             raw.truncate(offset)
         return open(path, "a", encoding="utf-8", newline="\n")

@@ -1,15 +1,16 @@
 """Discrete-event simulation substrate: events, a deterministic event
 engine, the FIFO ready queue, and the simulation core — one
-struct-of-arrays event loop (:class:`StreamingSimulation`) with an
-open-system and a closed-batch (:class:`FastSimulation`) front end.
+struct-of-arrays object (:class:`StreamingSimulation`) holding the
+tables, the knowledge state and one run of the event loop, over an
+open-system stream or a closed batch.
 """
 
 from .engine import EventEngine
 from .events import Event, EventKind
-from .fast import CORE_POLICIES, FastSimulation
 from .queueing import ReadyQueue
 from .stream import (
     ADMISSION_POLICIES,
+    CORE_POLICIES,
     STREAM_SNAPSHOT_VERSION,
     StreamConfig,
     StreamingSimulation,
@@ -23,7 +24,6 @@ __all__ = [
     "Event",
     "EventEngine",
     "EventKind",
-    "FastSimulation",
     "ReadyQueue",
     "STREAM_SNAPSHOT_VERSION",
     "StreamConfig",

@@ -1,17 +1,20 @@
-"""The scheduler's one event loop, and its open-system front end.
+"""The simulation core: one object, one event loop.
 
 :meth:`StreamingSimulation.advance` is the only copy of the scheduler's
 hot loop outside the reference engine: profile once, predict the best
 core, stall or run on a non-best core, tune — with the same policies,
 event ordering and floating-point operation order as
-:class:`~repro.core.simulation.SchedulerSimulation`.  It reads the
-construction-time tables and knowledge state of a
-:class:`~repro.sim.fast.FastSimulation` and has two front ends:
+:class:`~repro.core.simulation.SchedulerSimulation`.  The
+:class:`StreamingSimulation` that owns it also holds the flat tables
+the loop reads (interned configurations, characterisation rows, the
+system layout), the knowledge state it updates, the run state and the
+checkpoint.  :data:`CORE_POLICIES` is the only answer to "can the core
+run this policy?".  A core runs arrivals once, one of two ways:
 
 * **the open-system stream** (:meth:`StreamingSimulation.run`) against
   an *unbounded* :class:`~repro.workloads.arrivals.ArrivalProcess`, in
   bounded memory;
-* **the closed batch** (:meth:`~repro.sim.fast.FastSimulation.run`): a
+* **the closed batch** (:meth:`StreamingSimulation.run_batch`): a
   finite stream fed from a sorted list with ``retain_jobs=True``.
 
 What the loop carries beyond the scheduler itself:
@@ -48,8 +51,8 @@ Bounded-queue and warm-up machinery never touches the arithmetic of
 the simulation itself, so an unbounded-queue stream truncated to N jobs
 is bit-identical to the closed batch ``poisson_arrivals(count=N)`` —
 enforced by ``tests/sim/test_streaming_engine.py``, while
-``tests/sim/test_fast_engine_equivalence.py`` holds the batch front end
-to the reference loop.
+``tests/sim/test_fast_engine_equivalence.py`` holds the batch route to
+the reference loop.
 """
 
 from __future__ import annotations
@@ -60,31 +63,58 @@ from bisect import bisect_left, bisect_right, insort
 from copy import copy
 from dataclasses import asdict, dataclass, field
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, NamedTuple, Optional
+from operator import itemgetter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 from repro._util import (
     check_bool, check_cycles, check_int, check_number, load_json_document,
     write_json_atomic,
 )
 from repro.cache.config import BASE_CONFIG, CacheConfig, configs_for_size
-from repro.core.policies import make_policy
+from repro.core.policies import (
+    BasePolicy,
+    EnergyCentricPolicy,
+    OptimalPolicy,
+    ProposedPolicy,
+    SchedulingPolicy,
+    make_policy,
+)
 from repro.core.results import JobRecord, SimulationResult
-from repro.core.scheduler import DISCIPLINES, PREEMPTION_QUANTUM_CYCLES
+from repro.core.scheduler import (
+    DISCIPLINES,
+    PREEMPTION_QUANTUM_CYCLES,
+    TUNER_COSTS,
+    check_run_options,
+)
 from repro.core.tuning import TuningSession
 from repro.energy.scaling import scaled_charges
+from repro.energy.tables import EnergyTable
 from repro.obs.events import CATEGORIES as _CATEGORIES
 from repro.obs.metrics import Histogram
-from repro.power.budget import PowerConfig, TokenPool, pick_degraded
-from repro.sim.fast import FastSimulation, core_branch
-from repro.workloads.arrivals import ArrivalProcess, JobArrival
+from repro.obs.telemetry import Telemetry
+from repro.power.budget import (
+    PowerConfig,
+    TokenPool,
+    degradation_ladder,
+    nominal_prices,
+    normalize_power,
+    pick_degraded,
+)
+from repro.workloads.arrivals import (
+    ArrivalProcess,
+    JobArrival,
+    _checked_process_state,
+)
 
 __all__ = [
     "ADMISSION_POLICIES",
+    "CORE_POLICIES",
     "OBSERVE_BLOCK",
     "STREAM_SNAPSHOT_VERSION",
     "StreamConfig",
     "StreamResult",
     "StreamingSimulation",
+    "core_branch",
     "read_checkpoint",
 ]
 
@@ -106,6 +136,53 @@ OBSERVE_BLOCK = 4096
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
+
+#: The policies the simulation core implements, keyed by exact class,
+#: and the placement branch of :meth:`StreamingSimulation.advance` each
+#: one takes.  A subclass is not in the table even when it only renames
+#: its parent: the loop inlines these four ``choose`` methods, so it
+#: cannot run an override.
+CORE_POLICIES = {
+    BasePolicy: 0,
+    OptimalPolicy: 1,
+    EnergyCentricPolicy: 2,
+    ProposedPolicy: 3,
+}
+
+
+def core_branch(policy: SchedulingPolicy) -> int:
+    """``policy``'s branch in :data:`CORE_POLICIES`.
+
+    Raises :class:`ValueError` naming the class when the simulation
+    core does not implement it.
+    """
+    branch = CORE_POLICIES.get(type(policy))
+    if branch is None:
+        names = ", ".join(cls.__name__ for cls in CORE_POLICIES)
+        raise ValueError(
+            "the fast engine and streaming run the simulation core, which "
+            f"implements exactly the policy classes {names}; "
+            f"{type(policy).__name__} (policy {policy.name!r}) is not one "
+            "of them, so neither its own choose() nor a policy-ordered "
+            "ready queue runs there.  Use engine='auto' or 'reference' "
+            "for batches and task graphs, or discipline='edf' "
+            "(--discipline edf) in a stream"
+        )
+    return branch
+
+
+_arrival_cycle = itemgetter(2)  # JobArrival.arrival_cycle
+
+
+class _ArrivalList:
+    """A finite arrival source: the whole sorted batch as one chunk."""
+
+    def __init__(self, arrivals: List[JobArrival]) -> None:
+        self._arrivals = arrivals
+
+    def next_chunk(self) -> List[JobArrival]:
+        chunk, self._arrivals = self._arrivals, []
+        return chunk
 
 
 def _lane_push(lane: list, heads: list, entry: tuple) -> None:
@@ -441,8 +518,8 @@ def _maybe(convert):
 class _Field(NamedTuple):
     """One persisted run-state field (a row of :data:`_RUN_STATE`)."""
 
-    #: ``"engine"`` (the run state) or ``"knowledge"`` (the
-    #: FastSimulation attribute of the same name).
+    #: ``"engine"`` (the run state) or ``"knowledge"`` (the core's
+    #: attribute of the same name).
     section: str
     key: str
     #: ``"slots"``, ``"cores"`` or ``"benchmarks"``: a list of one entry
@@ -470,7 +547,7 @@ _UNITS = {"slots": "job slot", "cores": "core", "benchmarks": "benchmark"}
 
 #: The core's persisted run state in snapshot key order: the one
 #: declaration that start(), snapshot(), restore() and
-#: _checked_snapshot() loop over.  ``power`` is the FastSimulation's
+#: _checked_snapshot() loop over.  ``power`` is the core's
 #: token pool, when the power axis is on; _install derives the rest.
 _RUN_STATE = (
     # per-job slots: parallel lists, recycled via free_slots
@@ -578,7 +655,7 @@ _RUN_STATE = (
         "generated", "admitted", "completed", "dropped", "shed", "forced",
         "blocked_cycles", "observed", "makespan", "last_arrival_cycle",
     ),
-    # knowledge state (FastSimulation initialises it)
+    # knowledge state (the constructor initialises it)
     _Field("knowledge", "profiled", "benchmarks", _flag, "profiled flag"),
     _Field(
         "knowledge", "pred_raw", "benchmarks", _optional(_integer(1)),
@@ -631,10 +708,12 @@ def _checked_snapshot(snapshot) -> dict:
     """``snapshot``, if this build can resume it.
 
     Checks the version and sections, then every :data:`_RUN_STATE`
-    field against the counts the fingerprint carries, how the fields
-    fit together (:func:`_check_invariants`) and the ``stats``
-    histograms, so a bad field is a :class:`ValueError` naming it
-    before anything is restored.
+    field against the counts the fingerprint carries, the arrival
+    process's and the telemetry sink's states as their own
+    ``load_state`` checks them, how the fields fit together
+    (:func:`_check_invariants`) and the ``stats`` histograms, so a bad
+    field is a :class:`ValueError` naming it before anything is
+    restored.
     """
     if not isinstance(snapshot, dict):
         raise ValueError("a stream snapshot is a JSON object")
@@ -663,7 +742,7 @@ def _checked_snapshot(snapshot) -> dict:
     bounds = {
         "names": names, "benchmarks": len(names), "cores": len(sizes),
         "sizes": [check_int("core size", size) for size in sizes],
-        # as FastSimulation interns them: every core's configurations
+        # as the core interns them: every core's configurations
         # and the base one (a size outside Table 1 is a ValueError)
         "configs": len({BASE_CONFIG}.union(*map(configs_for_size, sizes))),
         "slots": len(engine["jbid"]), "categories": len(_CATEGORIES),
@@ -683,6 +762,9 @@ def _checked_snapshot(snapshot) -> dict:
                 f"{name} must be a list with one entry per "
                 f"{_UNITS[field.per]} ({bounds[field.per]})"
             )
+    _checked_process_state(fingerprint.get("process"), snapshot["process"])
+    if snapshot.get("telemetry") is not None:
+        Telemetry._checked_state(snapshot["telemetry"])
     _check_invariants(snapshot)
     for key in ("waiting", "turnaround"):
         Histogram(f"stream.{key}_cycles").load_state(
@@ -732,6 +814,25 @@ def _check_invariants(snapshot: dict) -> None:
         raise ValueError(
             "engine 'abuf' must hold arrivals in time order, none before "
             "'last_arrival_cycle'"
+        )
+    # The arrival source generated every arrival the engine has taken.
+    source = snapshot["process"]
+    while "inner" in source:  # a QoS process annotates its inner one
+        source = source["inner"]
+    arrivals = engine["abuf"] + [
+        row for row in [engine["deferred"]] if row is not None
+    ]
+    last = max([row[2] for row in arrivals] + [engine["last_arrival_cycle"]])
+    if source["clock"] < last:
+        raise ValueError(
+            f"process 'clock' {source['clock']!r} is before cycle {last}, "
+            "the last arrival the engine took from it"
+        )
+    need = max([row[0] + 1 for row in arrivals] + [engine["generated"]])
+    if source["next_id"] < need:
+        raise ValueError(
+            f"process 'next_id' {source['next_id']} is below {need}, the "
+            "arrivals the engine took from it"
         )
     both = set(engine["queue"]).intersection(running)
     if both:
@@ -865,90 +966,287 @@ def _session_from_dict(state) -> TuningSession:
 
 
 class StreamingSimulation:
-    """One run of the simulation core's event loop over arrivals.
+    """The simulation core: its tables, knowledge state and one run.
 
-    Construction mirrors :class:`FastSimulation` (same arguments, same
-    validation) plus a :class:`StreamConfig`; :meth:`over` instead
-    runs on an existing :class:`FastSimulation`'s tables.  Drive it
-    either with :meth:`run` (to completion, with optional periodic
-    checkpoints) or with :meth:`start` + :meth:`advance` for stepwise
-    control; :meth:`result` summarises a finished run.
+    Construction mirrors
+    :class:`~repro.core.simulation.SchedulerSimulation` (same defaults,
+    same validation errors) and also rejects a policy class outside
+    :data:`CORE_POLICIES`.  The observability / validation / fault
+    hooks are deliberately absent — use the reference engine when any
+    of them is needed.  The one observability surface the core does
+    carry is the sampled :class:`~repro.obs.telemetry.Telemetry` sink,
+    fed every ``sample_every`` completions (never per event) from state
+    the loop already maintains, so results stay bit-identical
+    telemetry-on vs telemetry-off.
+
+    A core runs once, either way: drive a stream with :meth:`run` (to
+    completion, with optional periodic checkpoints) or with
+    :meth:`start` + :meth:`advance` for stepwise control, and
+    :meth:`result` summarises it; a stream needs ``config``.
     :meth:`snapshot` / :meth:`restore` implement deterministic
-    checkpoint/resume.
+    checkpoint/resume.  :meth:`run_batch` replays a closed batch on a
+    core constructed without ``config``.
     """
 
     def __init__(
         self,
         system,
-        policy,
+        policy: SchedulingPolicy,
         store,
         *,
         predictor=None,
-        energy_table=None,
+        energy_table: Optional[EnergyTable] = None,
         profiling_overhead_fraction: float = 0.003,
         discipline: str = "fifo",
         preemptive: bool = False,
         preload_profiles: bool = False,
-        config: StreamConfig = None,
+        config: Optional[StreamConfig] = None,
         telemetry=None,
         power=None,
     ) -> None:
-        if config is None:
-            raise ValueError("a StreamConfig is required")
-        fast = FastSimulation(
-            system,
-            policy,
-            store,
-            predictor=predictor,
-            energy_table=energy_table,
-            profiling_overhead_fraction=profiling_overhead_fraction,
-            discipline=discipline,
-            preemptive=preemptive,
-            preload_profiles=preload_profiles,
-            telemetry=telemetry,
-            power=power,
+        check_run_options(
+            policy, predictor, profiling_overhead_fraction, discipline,
+            preemptive,
         )
-        self._attach(fast, config, "stream")
-
-    @classmethod
-    def over(
-        cls,
-        fast: FastSimulation,
-        config: StreamConfig,
-        *,
-        front_end: str = "stream",
-    ) -> "StreamingSimulation":
-        """A stream running on ``fast``'s tables and knowledge state.
-
-        The stream consumes ``fast``: its knowledge state evolves with
-        the run, so one :class:`FastSimulation` backs one stream.
-        ``front_end`` names the caller in the telemetry header and
-        samples (``"fast"`` for the closed-batch front end).
-        """
-        stream = cls.__new__(cls)
-        stream._attach(fast, config, front_end)
-        return stream
-
-    def _attach(
-        self, fast: FastSimulation, config: StreamConfig, front_end: str
-    ) -> None:
-        if config is None:
-            raise ValueError("a StreamConfig is required")
-        if fast.stream is not None:
-            raise RuntimeError("a FastSimulation runs exactly once")
-        fast.stream = self
-        self.f = fast
+        core_branch(policy)
+        self.system = system
+        self.policy = policy
+        self.store = store
+        self.predictor = predictor
+        self.energy_table = (
+            energy_table if energy_table is not None else EnergyTable()
+        )
+        self.profiling_overhead_fraction = profiling_overhead_fraction
+        self.discipline = discipline
+        self.preemptive = preemptive
         self.config = config
-        self.front_end = front_end
+        #: Names the caller in the telemetry header and samples
+        #: (:meth:`run_batch` sets ``"fast"``).
+        self.front_end = "stream"
         # Sampled telemetry sink (repro.obs.telemetry), fed every
         # ``sample_every`` completions plus a final sample at drain.
-        # Its byte offsets ride in the checkpoint, so kill/resume
-        # reproduces byte-identical files.
-        self.telemetry = fast.telemetry
+        # Unlike the per-event hooks the loop compiles out, it keeps the
+        # results bit-identical.  Its byte offsets ride in the
+        # checkpoint, so kill/resume reproduces byte-identical files.
+        self.telemetry = telemetry
         self.process: Optional[ArrivalProcess] = None
         self._s: Optional[dict] = None
         self._wait_hist = Histogram("stream.waiting_cycles")
         self._turn_hist = Histogram("stream.turnaround_cycles")
+        # Power axis (cap + DVFS).  The preferred operating point is
+        # always the table's nominal one, as in the reference loop; the
+        # gate can still *degrade* to a lower point.  ``None`` keeps the
+        # loop's pre-power code paths byte-for-byte.
+        self.power = normalize_power(power)
+        self._power_pool = (
+            TokenPool(self.power) if self.power is not None else None
+        )
+        #: (benchmark id, core size, pinned config id or None) →
+        #: ``(ladder, prices)`` of a full execution (:meth:`_power_ladder`);
+        #: derived state, so it stays out of snapshots.
+        self._power_ladders: Dict[tuple, tuple] = {}
+
+        # -- configuration interning ------------------------------------
+        # Config ids ascend in CacheConfig's natural (size, assoc, line)
+        # order so integer comparisons reproduce config tie-breaks.
+        # spec.configs materialises fresh CacheConfig objects on every
+        # access; read it once per core.
+        spec_configs = [list(spec.configs) for spec in system.cores]
+        cfg_set = {BASE_CONFIG}
+        for spec, configs in zip(system.cores, spec_configs):
+            cfg_set.update(configs)
+            cfg_set.add(spec.reset_config)
+        self.cfg_objs: List[CacheConfig] = sorted(cfg_set)
+        self.cfg_ids: Dict[CacheConfig, int] = {
+            cfg: i for i, cfg in enumerate(self.cfg_objs)
+        }
+        K = len(self.cfg_objs)
+        self.cfg_sizes = [cfg.size_kb for cfg in self.cfg_objs]
+        # CacheConfig.name formats a string on every access; the result
+        # assembly needs one per job record.
+        self.cfg_names = [cfg.name for cfg in self.cfg_objs]
+        self.cfg_static_nj = [
+            self.energy_table.get(cfg).static_per_cycle_nj
+            for cfg in self.cfg_objs
+        ]
+        # Reconfiguration cost depends only on the *outgoing* config
+        # (its line count is what gets flushed).
+        self.recfg_cycles_from = [
+            TUNER_COSTS.control_cycles
+            + TUNER_COSTS.flush_cycles_per_line * cfg.num_lines
+            for cfg in self.cfg_objs
+        ]
+        self.recfg_nj_from = [
+            TUNER_COSTS.control_energy_nj
+            + TUNER_COSTS.flush_energy_per_line_nj * cfg.num_lines
+            for cfg in self.cfg_objs
+        ]
+
+        # -- benchmark interning + characterisation rows ----------------
+        self.bench_names: List[str] = list(store.names())
+        self.bids: Dict[str, int] = {
+            name: i for i, name in enumerate(self.bench_names)
+        }
+        B = len(self.bench_names)
+        # The (benchmark × config) characterisation table, one row of
+        # (cycles, dynamic_nj, static_nj, total_nj) scalars per
+        # benchmark (None = the store was never characterised for that
+        # config).  Total uses the same addition order as
+        # EnergyBreakdown.total_nj.
+        cfg_ids_get = self.cfg_ids.get
+        rows: List[List[Optional[tuple]]] = []
+        for name in self.bench_names:
+            row: List[Optional[tuple]] = [None] * K
+            for cfg, res in store.get(name).results.items():
+                k = cfg_ids_get(cfg)
+                if k is None:
+                    continue
+                estimate = res.estimate
+                energy = estimate.energy
+                row[k] = (
+                    estimate.total_cycles,
+                    energy.dynamic_nj,
+                    energy.static_nj,
+                    energy.static_nj + energy.dynamic_nj,
+                )
+            rows.append(row)
+        self._est = rows
+
+        # -- system layout ----------------------------------------------
+        cores = system.cores
+        self.n_cores = len(cores)
+        self.core_sizes = [spec.cache_size_kb for spec in cores]
+        # Sorted ascending so "first unexplored" == min(unexplored).
+        self.core_cfg_ids = [
+            sorted(self.cfg_ids[c] for c in configs)
+            for configs in spec_configs
+        ]
+        self.core_reset_cid = [
+            self.cfg_ids[spec.reset_config] for spec in cores
+        ]
+        self.core_names = [spec.name for spec in cores]
+        self.base_cid = self.cfg_ids[BASE_CONFIG]
+        # Profiling cores primary-first, with their BASE support flag.
+        self.profiling_order = [
+            (spec.index, spec.supports(BASE_CONFIG))
+            for spec in system.profiling_cores
+        ]
+        self.cores_by_size: Dict[int, List[int]] = {}
+        for spec in cores:
+            self.cores_by_size.setdefault(spec.cache_size_kb, []).append(
+                spec.index
+            )
+        self.sizes_kb = list(system.cache_sizes_kb)
+        self._nearest: Dict[int, int] = {}
+
+        # -- knowledge state (profiling table + tuning heuristic) -------
+        # The "knowledge" rows of _RUN_STATE, updated in place by the run.
+        self.profiled = [False] * B
+        self.pred_raw: List[Optional[int]] = [None] * B
+        #: Nearest machine size for the raw prediction (pure function of
+        #: ``pred_raw``; cached at prediction time, read on every choose).
+        self.pred_size: List[Optional[int]] = [None] * B
+        #: Explored config ids per benchmark; dict for O(1) membership
+        #: with stable insertion order.
+        self.executed: List[Dict[int, bool]] = [dict() for _ in range(B)]
+        #: Incremental min-by-(energy, config) per (benchmark, size).
+        self.best_known: List[Dict[int, tuple]] = [dict() for _ in range(B)]
+        self.tuned: List[set] = [set() for _ in range(B)]
+        self.touched = [False] * B
+        self.touch_order: List[int] = []
+        self.sessions: Dict[tuple, TuningSession] = {}
+
+        if preload_profiles:
+            self._preload_profiles()
+
+    # -- knowledge-state helpers (cold paths) --------------------------------
+
+    def _nearest_size(self, size_kb: int) -> int:
+        cached = self._nearest.get(size_kb)
+        if cached is None:
+            cached = self.system.nearest_size_kb(size_kb)
+            self._nearest[size_kb] = cached
+        return cached
+
+    def _touch(self, b: int) -> None:
+        if not self.touched[b]:
+            self.touched[b] = True
+            self.touch_order.append(b)
+
+    def _session(self, b: int, size_kb: int) -> TuningSession:
+        key = (b, size_kb)
+        session = self.sessions.get(key)
+        if session is None:
+            session = TuningSession(size_kb=size_kb)
+            self.sessions[key] = session
+        return session
+
+    def _record_execution(self, b: int, cid: int, tot_energy: float) -> None:
+        """Mirror ``ProfilingTable.record_execution`` on flat state.
+
+        Re-executions overwrite with identical deterministic values, so
+        only the first insertion can move the best-known minimum.
+        """
+        self._touch(b)
+        ex = self.executed[b]
+        if cid not in ex:
+            ex[cid] = True
+            size = self.cfg_sizes[cid]
+            best = self.best_known[b].get(size)
+            if (
+                best is None
+                or tot_energy < best[0]
+                or (tot_energy == best[0] and cid < best[1])
+            ):
+                self.best_known[b][size] = (tot_energy, cid)
+
+    def _preload_profiles(self) -> None:
+        """Mirror of ``SchedulerSimulation._preload_profiles`` (§IV.B)."""
+        store = self.store
+        uses_predictor = self.policy.uses_predictor
+        for name in store.names():
+            b = self.bids[name]
+            counters = store.counters(name)
+            self._touch(b)
+            self.profiled[b] = True
+            if not uses_predictor:
+                continue
+            size = self.predictor.predict_size_kb(name, counters)
+            if size <= 0:
+                raise ValueError("predicted size must be positive")
+            self.pred_raw[b] = size
+            self.pred_size[b] = self._nearest_size(size)
+            for size_kb in self.sizes_kb:
+                session = self._session(b, size_kb)
+                while not session.done:
+                    config = session.next_config()
+                    cid = self.cfg_ids.get(config)
+                    est = self._est[b][cid] if cid is not None else None
+                    if est is None:
+                        # Surface the same KeyError the reference raises.
+                        self.store.estimate(name, config)
+                    self._record_execution(b, cid, est[3])
+                    session.record(config, est[3])
+                self.tuned[b].add(size_kb)
+                self._touch(b)
+
+    def _power_ladder(
+        self, b: int, ci: int, pin: Optional[int], fraction: float
+    ) -> tuple:
+        """``(ladder, prices)`` for ``fraction`` of benchmark ``b`` on
+        core ``ci``: the sorted degradation ladder over the core's
+        config ids (or the pinned one) × the DVFS table, and each id's
+        price at the nominal point.  Mirrors
+        ``SchedulerSimulation._power_ladder``."""
+        table = self.power.dvfs
+        points = (None,) if table is None else tuple(table)
+        est = self._est[b]
+        rows = []
+        for cid in self.core_cfg_ids[ci] if pin is None else (pin,):
+            entry = est[cid]
+            rows.append(None if entry is None else (cid,) + entry[:3])
+        ladder = degradation_ladder(rows, points, fraction)
+        return ladder, nominal_prices(ladder)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -973,8 +1271,9 @@ class StreamingSimulation:
         """Attach the arrival process and initialise fresh run state."""
         if self._s is not None:
             raise RuntimeError("a StreamingSimulation runs exactly once")
+        self._require_config()
         self.process = process
-        entries = {"slots": 0, "cores": self.f.n_cores}
+        entries = {"slots": 0, "cores": self.n_cores}
         s = {
             field.key: (
                 copy(field.initial) if field.per is None
@@ -983,7 +1282,7 @@ class StreamingSimulation:
             for field in _RUN_STATE
             if field.section == "engine" and field.key != "power"
         }
-        s["cur_cfg"] = list(self.f.core_reset_cid)
+        s["cur_cfg"] = list(self.core_reset_cid)
         self._install(s)
         if self.telemetry is not None:
             self.telemetry.begin(self._telemetry_header())
@@ -997,17 +1296,20 @@ class StreamingSimulation:
         s["atimes"] = [a[2] for a in s["abuf"]]
         s["abuf_i"] = 0
         # per-(benchmark, size) session cache, rebuilt lazily
-        s["sess_state"] = [dict() for _ in self.f.bench_names]
+        s["sess_state"] = [dict() for _ in self.bench_names]
         self._s = s
+
+    def _require_config(self) -> None:
+        if self.config is None:
+            raise ValueError("a stream needs a StreamConfig")
 
     def _telemetry_header(self) -> dict:
         """Deterministic run metadata for the telemetry header line."""
-        f = self.f
         return {
             "engine": self.front_end,
-            "policy": f.policy.name,
-            "discipline": f.discipline,
-            "preemptive": f.preemptive,
+            "policy": self.policy.name,
+            "discipline": self.discipline,
+            "preemptive": self.preemptive,
             "admission": self.config.admission,
             "max_jobs": self.config.max_jobs,
             "duration_cycles": self.config.duration_cycles,
@@ -1049,6 +1351,51 @@ class StreamingSimulation:
         self.restore(snapshot, process)
         return self._drive(checkpoint_path, checkpoint_every)
 
+    def run_batch(
+        self, arrivals: Sequence[JobArrival], *, records: bool = True
+    ) -> Union[SimulationResult, dict]:
+        """Simulate a closed batch of arrivals to completion.
+
+        The core must be fresh and constructed without ``config``: the
+        batch is a finite stream with
+        ``StreamConfig(max_jobs=len(arrivals), retain_jobs=True)``, fed
+        as one chunk, and its telemetry is labelled ``"fast"``.  Returns
+        the :class:`~repro.core.results.SimulationResult` with its
+        per-job records, or with ``records=False`` only the run's
+        totals as a dict (:meth:`_batch_totals`), each equal to the
+        result's, without building a record per job.
+        """
+        if self.config is not None:
+            raise RuntimeError(
+                "run_batch() needs a fresh core constructed without a "
+                "StreamConfig: a closed batch sets its own, and a core "
+                "runs exactly once"
+            )
+        if not arrivals:
+            raise ValueError("need at least one arrival")
+        bids = self.bids
+        if not bids.keys() >= {arrival[1] for arrival in arrivals}:
+            missing = next(a[1] for a in arrivals if a[1] not in bids)
+            raise KeyError(
+                f"benchmark {missing!r} missing from the "
+                "characterisation store"
+            )
+        # Stable by arrival cycle: the order the reference heap pops
+        # equal-time arrivals (their sequence numbers follow the input
+        # order).  The stream rejects decreasing times.
+        ordered = sorted(arrivals, key=_arrival_cycle)
+        self.config = StreamConfig(max_jobs=len(ordered), retain_jobs=True)
+        self.front_end = "fast"
+        self.start(_ArrivalList(ordered))
+        while self.advance():
+            pass
+        # The waiting/turnaround histograms stay unfed: a batch never
+        # reads them.
+        idle_nj = self._idle_energy()
+        if records:
+            return self._assemble_sim_result(idle_nj)
+        return self._batch_totals(idle_nj)
+
     def _drive(
         self,
         checkpoint_path: Optional[str],
@@ -1087,7 +1434,6 @@ class StreamingSimulation:
         if s is None:
             raise RuntimeError("call start() or restore() first")
         process = self.process
-        f = self.f
         config = self.config
 
         ev_budget = math.inf if max_events is None else max_events
@@ -1106,55 +1452,55 @@ class StreamingSimulation:
         retain = config.retain_jobs
         recycle = not retain
 
-        # -- knowledge-state locals (owned by the FastSimulation) -------
-        est = f._est
-        executed = f.executed
-        best_known = f.best_known
-        profiled = f.profiled
-        pred_raw = f.pred_raw
-        pred_size = f.pred_size
-        tuned = f.tuned
-        cfg_sizes = f.cfg_sizes
-        cfg_static = f.cfg_static_nj
-        cfg_objs = f.cfg_objs
-        cfg_ids = f.cfg_ids
-        cfg_names = f.cfg_names
-        recfg_cycles_from = f.recfg_cycles_from
-        recfg_nj_from = f.recfg_nj_from
-        core_sizes = f.core_sizes
-        core_cfg_ids = f.core_cfg_ids
-        cores_by_size = f.cores_by_size
-        profiling_order = f.profiling_order
-        base_cid = f.base_cid
-        bench_names = f.bench_names
-        bids_get = f.bids.get
-        store = f.store
-        predictor = f.predictor
-        pof = f.profiling_overhead_fraction
-        policy = f.policy
+        # -- table and knowledge-state locals ---------------------------
+        est = self._est
+        executed = self.executed
+        best_known = self.best_known
+        profiled = self.profiled
+        pred_raw = self.pred_raw
+        pred_size = self.pred_size
+        tuned = self.tuned
+        cfg_sizes = self.cfg_sizes
+        cfg_static = self.cfg_static_nj
+        cfg_objs = self.cfg_objs
+        cfg_ids = self.cfg_ids
+        cfg_names = self.cfg_names
+        recfg_cycles_from = self.recfg_cycles_from
+        recfg_nj_from = self.recfg_nj_from
+        core_sizes = self.core_sizes
+        core_cfg_ids = self.core_cfg_ids
+        cores_by_size = self.cores_by_size
+        profiling_order = self.profiling_order
+        base_cid = self.base_cid
+        bench_names = self.bench_names
+        bids_get = self.bids.get
+        store = self.store
+        predictor = self.predictor
+        pof = self.profiling_overhead_fraction
+        policy = self.policy
         requires_profiling = policy.requires_profiling
         uses_predictor = policy.uses_predictor
         pol = core_branch(policy)
-        preemptive = f.preemptive
+        preemptive = self.preemptive
         quantum = PREEMPTION_QUANTUM_CYCLES
-        touched = f.touched
-        touch_order = f.touch_order
-        nearest_size = f._nearest_size
-        C = f.n_cores
+        touched = self.touched
+        touch_order = self.touch_order
+        nearest_size = self._nearest_size
+        C = self.n_cores
         core_range = range(C)
-        sessions = f.sessions
-        disc = DISCIPLINES.index(f.discipline)
+        sessions = self.sessions
+        disc = DISCIPLINES.index(self.discipline)
 
         # Power axis locals.  ``pool is None`` is the only extra branch
         # the power-off loop pays.
-        pool = f._power_pool
-        ladders = f._power_ladders
+        pool = self._power_pool
+        ladders = self._power_ladders
         nominal_point = None
         slack_pct = 0.0
         if pool is not None:
-            table = f.power.dvfs
+            table = self.power.dvfs
             nominal_point = None if table is None else table.default
-            slack_pct = f.power.slack_pct
+            slack_pct = self.power.slack_pct
 
         # -- run-state locals (scalars written back on exit) ------------
         jbid = s["jbid"]
@@ -1882,7 +2228,9 @@ class StreamingSimulation:
                                 key = (b, csize, pin)
                                 cached = ladders.get(key)
                                 if cached is None:
-                                    cached = f._power_ladder(b, ci, pin, 1.0)
+                                    cached = self._power_ladder(
+                                        b, ci, pin, 1.0
+                                    )
                                     ladders[key] = cached
                                 ladder, prices = cached
                                 price = prices.get(cid)
@@ -1900,7 +2248,7 @@ class StreamingSimulation:
                             dvfs_point = nominal_point
                             if not pool.affordable(price, csize):
                                 if ladder is None:
-                                    ladder, _ = f._power_ladder(
+                                    ladder, _ = self._power_ladder(
                                         b, ci, pin, fraction
                                     )
                                 chosen = pick_degraded(
@@ -2292,7 +2640,7 @@ class StreamingSimulation:
         place.
         """
         s = self._s
-        cfg_names = self.f.cfg_names
+        cfg_names = self.cfg_names
         cores = []
         for busy, cid in zip(s["busy_cycles"], s["cur_cfg"]):
             cores.append([busy, cfg_names[cid]])
@@ -2329,19 +2677,18 @@ class StreamingSimulation:
         like a walk over the residency intervals.
         """
         s = self._s
-        f = self.f
-        cfg_static = f.cfg_static_nj
+        cfg_static = self.cfg_static_nj
         makespan = s["makespan"]
         res_start = s["res_start"]
         res_busy = s["res_busy"]
         cur_cfg = s["cur_cfg"]
         idle_nj = 0.0
-        for ci in range(f.n_cores):
+        for ci in range(self.n_cores):
             pp = dict(s["per_power"][ci])
             idle_cycles = (makespan - res_start[ci]) - res_busy[ci]
             if idle_cycles < 0:  # pragma: no cover - invariant
                 raise RuntimeError(
-                    f"{f.core_names[ci]} busy beyond the makespan"
+                    f"{self.core_names[ci]} busy beyond the makespan"
                 )
             power = cfg_static[cur_cfg[ci]]
             pp[power] = pp.get(power, 0) + idle_cycles
@@ -2353,16 +2700,15 @@ class StreamingSimulation:
         """Summarise a finished run (raises while events remain)."""
         self._require_finished()
         s = self._s
-        f = self.f
         config = self.config
         idle_nj = self._idle_energy()
         sim_result = None
         if config.retain_jobs:
             self._feed_retained()
             sim_result = self._assemble_sim_result(idle_nj)
-        pool = f._power_pool
+        pool = self._power_pool
         return StreamResult(
-            discipline=f.discipline,
+            discipline=self.discipline,
             admission=config.admission,
             queue_capacity=config.queue_capacity,
             warmup_cycles=config.warmup_cycles,
@@ -2383,17 +2729,9 @@ class StreamingSimulation:
             **self._totals(idle_nj),
         )
 
-    def batch_result(self) -> SimulationResult:
-        """The closed-batch result of a finished retained run.
-
-        Unlike :meth:`result` it leaves the waiting/turnaround
-        histograms unfed: the batch front end never reads them.
-        """
-        self._require_retained()
-        return self._assemble_sim_result(self._idle_energy())
-
-    def _batch_totals(self) -> dict:
-        """What :meth:`batch_result` sums up, without the job records.
+    def _batch_totals(self, idle_nj: float) -> dict:
+        """What :meth:`_assemble_sim_result` sums up, without the job
+        records.
 
         The run totals of :meth:`_totals` plus ``jobs_completed``,
         ``total_energy_nj``, ``mean_waiting_cycles`` and the token-pool
@@ -2403,11 +2741,10 @@ class StreamingSimulation:
         :attr:`~repro.core.results.SimulationResult.mean_waiting_cycles`
         sums them.
         """
-        self._require_retained()
         s = self._s
         records = s["records"]
         waiting = s["waiting"]
-        totals = self._totals(self._idle_energy())
+        totals = self._totals(idle_nj)
         n = len(records)
         totals["jobs_completed"] = n
         totals["total_energy_nj"] = (
@@ -2418,22 +2755,15 @@ class StreamingSimulation:
         totals["mean_waiting_cycles"] = (
             sum([waiting[record[0]] for record in records]) / n if n else 0.0
         )
-        pool = self.f._power_pool
+        pool = self._power_pool
         totals["power"] = None if pool is None else pool.counts()
         return totals
-
-    def _require_retained(self) -> None:
-        self._require_finished()
-        if not self.config.retain_jobs:
-            raise RuntimeError(
-                "batch_result() needs StreamConfig(retain_jobs=True)"
-            )
 
     def _totals(self, idle_nj: float) -> dict:
         """The run totals a stream result and a batch result share."""
         s = self._s
         return dict(
-            policy=self.f.policy.name,
+            policy=self.policy.name,
             makespan_cycles=s["makespan"],
             idle_energy_nj=idle_nj,
             dynamic_energy_nj=(
@@ -2456,7 +2786,6 @@ class StreamingSimulation:
     def _assemble_sim_result(self, idle_nj: float) -> SimulationResult:
         """The closed-batch result (retain mode) from the job records."""
         s = self._s
-        f = self.f
         jlab = s["jlab"]
         jbid = s["jbid"]
         jarr = s["jarr"]
@@ -2467,8 +2796,8 @@ class StreamingSimulation:
         jpre = s["jpre"]
         waiting = s["waiting"]
         charged = s["charged"]
-        bench_names = f.bench_names
-        cfg_names = f.cfg_names
+        bench_names = self.bench_names
+        cfg_names = self.cfg_names
         # JobRecord is a frozen dataclass: its generated __init__ routes
         # every field through object.__setattr__ and then validates
         # invariants the simulation already guarantees (arrival <= start
@@ -2498,9 +2827,9 @@ class StreamingSimulation:
             job_records.append(record)
         predictions = {}
         exploration_counts = {}
-        pred_raw = f.pred_raw
-        executed = f.executed
-        for b in f.touch_order:
+        pred_raw = self.pred_raw
+        executed = self.executed
+        for b in self.touch_order:
             if pred_raw[b] is not None:
                 predictions[bench_names[b]] = pred_raw[b]
             exploration_counts[bench_names[b]] = len(executed[b])
@@ -2516,19 +2845,18 @@ class StreamingSimulation:
 
     def _fingerprint(self) -> dict:
         """Compatibility key a snapshot embeds and restore() verifies."""
-        f = self.f
         return {
-            "policy": f.policy.name,
-            "discipline": f.discipline,
-            "preemptive": f.preemptive,
+            "policy": self.policy.name,
+            "discipline": self.discipline,
+            "preemptive": self.preemptive,
             # Still fingerprinted so existing v4 checkpoints resume.
             "preemption_quantum_cycles": PREEMPTION_QUANTUM_CYCLES,
-            "profiling_overhead_fraction": f.profiling_overhead_fraction,
-            "core_sizes": list(f.core_sizes),
-            "benchmarks": list(f.bench_names),
+            "profiling_overhead_fraction": self.profiling_overhead_fraction,
+            "core_sizes": list(self.core_sizes),
+            "benchmarks": list(self.bench_names),
             "config": asdict(self.config),
             "process": self.process.params(),
-            "power": None if f.power is None else f.power.to_dict(),
+            "power": None if self.power is None else self.power.to_dict(),
         }
 
     def snapshot(self) -> dict:
@@ -2548,8 +2876,8 @@ class StreamingSimulation:
         if self.config.retain_jobs:
             # The P² state must cover every record the snapshot holds.
             self._feed_retained()
-        pool = self.f._power_pool
-        homes = {"engine": s, "knowledge": vars(self.f)}
+        pool = self._power_pool
+        homes = {"engine": s, "knowledge": vars(self)}
         sections = {"engine": {}, "knowledge": {}}
         for field in _RUN_STATE:
             if field.key == "power":
@@ -2587,6 +2915,7 @@ class StreamingSimulation:
             raise RuntimeError(
                 "restore() needs a freshly constructed engine"
             )
+        self._require_config()
         _checked_snapshot(snapshot)
         self.process = process
         expected = self._fingerprint()
@@ -2617,15 +2946,14 @@ class StreamingSimulation:
             # final files are byte-identical to an uninterrupted run.
             self.telemetry.load_state(tel_state)
 
-        f = self.f
         s = {}
-        homes = {"engine": s, "knowledge": vars(f)}
+        homes = {"engine": s, "knowledge": vars(self)}
         for field in _RUN_STATE:
             value = snapshot[field.section][field.key]
             if field.key != "power":
                 homes[field.section][field.key] = field.load(value)
             elif value is not None:
-                f._power_pool.load_state(value)
+                self._power_pool.load_state(value)
         self._wait_hist.load_state(snapshot["stats"]["waiting"])
         self._turn_hist.load_state(snapshot["stats"]["turnaround"])
         self._install(s)

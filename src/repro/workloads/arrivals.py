@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro._util import check_cycles, check_finite
+from repro._util import check_cycles, check_finite, check_int, check_number
 
 from .benchmark import BenchmarkSpec
 
@@ -210,7 +210,24 @@ def _rng_state(rng: np.random.Generator) -> dict:
     return rng.bit_generator.state
 
 
-def _restore_rng(state: dict) -> np.random.Generator:
+def _checked_rng(label: str, state) -> np.random.Generator:
+    """A generator at ``state``, a PCG64 position :func:`_rng_state`
+    wrote: both 128-bit words (``inc`` odd) and the buffered 32-bit
+    half are checked first, each a :class:`ValueError` naming it."""
+    if not isinstance(state, dict) or state.get("bit_generator") != "PCG64":
+        raise ValueError(f"{label} must be a PCG64 generator state, got "
+                         f"{state!r}")
+    words = state.get("state")
+    if not isinstance(words, dict):
+        raise ValueError(f"{label} 'state' must be an object, got {words!r}")
+    for key, value, bits in (
+        ("state", words.get("state"), 128), ("inc", words.get("inc"), 128),
+        ("has_uint32", state.get("has_uint32"), 1),
+        ("uinteger", state.get("uinteger"), 32),
+    ):
+        check_int(f"{label} {key}", value, minimum=0, maximum=2 ** bits - 1)
+    if words["inc"] % 2 == 0:
+        raise ValueError(f"{label} inc must be odd, got {words['inc']!r}")
     rng = np.random.default_rng(0)
     rng.bit_generator.state = state
     return rng
@@ -249,6 +266,8 @@ class ArrivalProcess:
         self.chunk = chunk
         self._rng = np.random.default_rng(seed)
         self._next_id = 0
+        #: Time of the last arrival drawn.
+        self._clock = 0.0
 
     def next_chunk(self) -> List[JobArrival]:
         """The next ``chunk`` arrivals (advances the stream)."""
@@ -282,12 +301,42 @@ class ArrivalProcess:
         return {
             "rng": _rng_state(self._rng),
             "next_id": self._next_id,
+            "clock": self._clock,
+        }
+
+    @classmethod
+    def _checked_state(cls, state, params: dict) -> dict:
+        """The attributes :meth:`load_state` sets from ``state``, a
+        position :meth:`state_dict` wrote for a process with ``params``
+        (:meth:`params`).  A missing or mistyped field is a
+        :class:`ValueError` naming it."""
+        if not isinstance(state, dict):
+            raise ValueError(
+                f"a {cls.kind} process state is a JSON object, got {state!r}"
+            )
+        label = f"{cls.kind} process"
+        clock = check_number(f"{label} 'clock'", state.get("clock"))
+        if clock < 0:
+            raise ValueError(f"{label} 'clock' must be >= 0, got {clock!r}")
+        check_cycles(f"{label} 'clock'", clock)
+        return {
+            "_rng": _checked_rng(f"{label} 'rng'", state.get("rng")),
+            "_next_id": check_int(
+                f"{label} 'next_id'", state.get("next_id"), minimum=0
+            ),
+            "_clock": float(clock),
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a position previously captured by :meth:`state_dict`."""
-        self._rng = _restore_rng(state["rng"])
-        self._next_id = int(state["next_id"])
+        """Restore a position previously captured by :meth:`state_dict`.
+
+        Every field is checked first, so a bad one is a
+        :class:`ValueError` naming it, with the process untouched.
+        """
+        self._install(self._checked_state(state, self.params()))
+
+    def _install(self, values: dict) -> None:
+        vars(self).update(values)
 
 
 class PoissonProcess(ArrivalProcess):
@@ -313,7 +362,6 @@ class PoissonProcess(ArrivalProcess):
         self.mean_interarrival_cycles = check_finite(
             "mean_interarrival_cycles", mean_interarrival_cycles
         )
-        self._clock = 0.0
 
     def next_chunk(self) -> List[JobArrival]:
         rng = self._rng
@@ -339,15 +387,6 @@ class PoissonProcess(ArrivalProcess):
             self.mean_interarrival_cycles
         )
         return fingerprint
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["clock"] = self._clock
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._clock = float(state["clock"])
 
 
 class MMPPProcess(ArrivalProcess):
@@ -397,7 +436,6 @@ class MMPPProcess(ArrivalProcess):
             self.mean_normal_sojourn_cycles,
             self.mean_burst_sojourn_cycles,
         )
-        self._clock = 0.0
         self._phase = 0
         self._phase_end = float(
             self._rng.exponential(self._sojourn_means[0])
@@ -444,18 +482,27 @@ class MMPPProcess(ArrivalProcess):
 
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state.update(
-            clock=self._clock,
-            phase=self._phase,
-            phase_end=self._phase_end,
-        )
+        state.update(phase=self._phase, phase_end=self._phase_end)
         return state
 
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._clock = float(state["clock"])
-        self._phase = int(state["phase"])
-        self._phase_end = float(state["phase_end"])
+    @classmethod
+    def _checked_state(cls, state, params: dict) -> dict:
+        values = super()._checked_state(state, params)
+        clock = values["_clock"]
+        values["_phase"] = check_int(
+            "mmpp process 'phase'", state.get("phase"), minimum=0, maximum=1
+        )
+        # A phase ends no earlier than the arrivals drawn inside it.
+        phase_end = check_number(
+            "mmpp process 'phase_end'", state.get("phase_end")
+        )
+        if phase_end < clock:
+            raise ValueError(
+                f"mmpp process 'phase_end' {phase_end!r} is before its "
+                f"'clock' {clock!r}"
+            )
+        values["_phase_end"] = float(phase_end)
+        return values
 
 
 class DiurnalProcess(ArrivalProcess):
@@ -490,7 +537,6 @@ class DiurnalProcess(ArrivalProcess):
             raise ValueError("amplitude must be within [0, 1)")
         self.amplitude = float(amplitude)
         self.phase = float(phase)
-        self._clock = 0.0
 
     def next_chunk(self) -> List[JobArrival]:
         rng = self._rng
@@ -528,15 +574,6 @@ class DiurnalProcess(ArrivalProcess):
             phase=self.phase,
         )
         return fingerprint
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["clock"] = self._clock
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._clock = float(state["clock"])
 
 
 class QoSProcess(ArrivalProcess):
@@ -597,13 +634,47 @@ class QoSProcess(ArrivalProcess):
             "inner": self.inner.state_dict(),
         }
 
-    def load_state(self, state: dict) -> None:
-        self._rng = _restore_rng(state["rng"])
-        self.inner.load_state(state["inner"])
+    @classmethod
+    def _checked_state(cls, state, params: dict) -> dict:
+        if not isinstance(state, dict):
+            raise ValueError(
+                f"a qos process state is a JSON object, got {state!r}"
+            )
+        return {
+            "_rng": _checked_rng("qos process 'rng'", state.get("rng")),
+            "inner": _checked_process_state(
+                params.get("inner"), state.get("inner")
+            ),
+        }
+
+    def _install(self, values: dict) -> None:
+        self.inner._install(values.pop("inner"))
+        vars(self).update(values)
 
 
 #: Factory-constructible process kinds (CLI / campaign surface).
 PROCESS_KINDS = ("poisson", "mmpp", "diurnal")
+
+#: Every process class by its ``kind``, for checking a saved state
+#: without a process object.
+_CLASSES = {
+    cls.kind: cls
+    for cls in (
+        ArrivalProcess, PoissonProcess, MMPPProcess, DiurnalProcess,
+        QoSProcess,
+    )
+}
+
+
+def _checked_process_state(params, state) -> dict:
+    """What a process with ``params`` (its :meth:`~ArrivalProcess.params`)
+    restores from ``state``: its class's field checks, run without a
+    process object (a checkpoint is checked before anything is
+    restored)."""
+    kind = params.get("kind") if isinstance(params, dict) else None
+    if kind not in _CLASSES:
+        raise ValueError(f"unknown arrival process kind {kind!r}")
+    return _CLASSES[kind]._checked_state(state, params)
 
 
 def make_process(

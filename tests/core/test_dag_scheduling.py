@@ -26,6 +26,7 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.system import base_system, paper_system
+from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads.dag import TaskGraph, TaskSpec, dag_arrivals
 
 from tests.scenarios import congested_dag_graphs, dag_test_graphs
@@ -242,9 +243,12 @@ class TestEngineLimits:
 
     def test_stream_rejects_ordering_policy(self, small_store, oracle,
                                             energy_table):
-        sim = make_simulation("edf", small_store, oracle, energy_table)
+        # Streams run on the core alone, which refuses the policy.
         with pytest.raises(ValueError, match="discipline='edf'"):
-            sim.stream(None, None)
+            StreamingSimulation(
+                paper_system(), make_policy("edf"), small_store,
+                energy_table=energy_table, config=StreamConfig(max_jobs=4),
+            )
 
     def test_run_dags_rejects_empty_set(self, small_store, oracle,
                                         energy_table):

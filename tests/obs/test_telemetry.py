@@ -22,6 +22,7 @@ paths fail loudly.
 import dataclasses
 import itertools
 import json
+import re
 
 import pytest
 
@@ -391,6 +392,28 @@ class TestTelemetrySink:
     def test_load_state_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
             Telemetry().load_state({"schema": 999})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("out_bytes", -5, "telemetry 'out_bytes' must be >= 0"),
+        ("samples", None, "telemetry 'samples'"),
+        ("finalized", "x", "telemetry 'finalized'"),
+        ("trace_bytes", 20, "holds 10 bytes"),
+    ])
+    def test_bad_state_truncates_nothing(self, tmp_path, field, value,
+                                         message):
+        """Every field, and both files, are checked before either file
+        is truncated."""
+        out, trace = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
+        out.write_text("x" * 100)
+        trace.write_text("y" * 10)
+        state = {"schema": 1, "samples": 1, "out_bytes": 50,
+                 "trace_events": 1, "trace_bytes": 5, "finalized": False,
+                 field: value}
+        tel = Telemetry(out=out, trace_out=trace, trace_every=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tel.load_state(state)
+        assert (out.stat().st_size, trace.stat().st_size) == (100, 10)
+        assert (tel.samples, tel.out_bytes) == (0, 0)
 
     def test_finalized_round_trips_through_state(self, tmp_path):
         tel = Telemetry(out=tmp_path / "t.jsonl")

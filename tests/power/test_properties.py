@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.config import configs_for_size
+from repro.core.fastpath import build_fast
 from repro.core.policies import make_policy
 from repro.core.system import paper_system
 from repro.power.budget import PowerConfig, TokenPool
@@ -199,8 +200,9 @@ class TestPinnedMonotoneFrontier:
         for benchmark, size, pin in memo:
             assert pin is None or pin.size_kb == size
 
-        # The fast engine memoised the same ladders, on interned ids.
-        engine = fast_sim._fast
+        # The core memoised the same ladders, on interned ids.
+        engine = build_fast(fast_sim)
+        assert engine.run_batch(_pinned_arrivals()) == fast
         fast_memo = {
             (engine.bench_names[b], size,
              None if pin is None else engine.cfg_objs[pin]):

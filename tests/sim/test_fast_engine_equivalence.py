@@ -1,9 +1,11 @@
 """Oracle equivalence of the struct-of-arrays fast engine.
 
-The fast engine (:mod:`repro.sim.fast`) must be *bit-identical* to the
-reference event loop — same :class:`SimulationResult` down to every
-float, and the same post-run object state (cores, profiling table,
-tuning sessions, accumulators) after the glue layer's write-back.  The
+The fast engine (the simulation core's closed-batch route,
+:meth:`repro.sim.stream.StreamingSimulation.run_batch`) must be
+*bit-identical* to the reference event loop — same
+:class:`SimulationResult` down to every float, and the same post-run
+object state (cores, profiling table, tuning sessions, accumulators)
+after the glue layer's write-back.  The
 reference loop is the oracle: these tests run both engines on the same
 inputs and compare, across the full policy x discipline x preemption
 grid, under preloaded profiles, and on Hypothesis-generated streams.
@@ -12,9 +14,9 @@ Engine *selection* is pinned here too: ``auto`` must pick the fast
 engine exactly when tracing, metrics, validation and fault injection
 are all off, and an explicit ``engine="fast"`` with any hook attached
 must be rejected up front.  A plug-in policy (any class outside
-:data:`~repro.sim.fast.CORE_POLICIES`, even a subclass of a paper
-policy) must run on the reference loop under ``auto``, and the core's
-front ends must refuse it rather than run a built-in policy instead.
+:data:`~repro.sim.stream.CORE_POLICIES`, even a subclass of a paper
+policy) must run on the reference loop under ``auto``, and the core
+must refuse it rather than run a built-in policy instead.
 """
 
 import itertools
@@ -33,8 +35,7 @@ from repro.obs import ListRecorder, MetricsRegistry
 from repro.power.budget import PowerConfig
 from repro.power.dvfs import DEFAULT_DVFS_TABLE
 from repro.sim.stream import StreamConfig, StreamingSimulation
-from repro.workloads.arrivals import JobArrival, PoissonProcess
-from repro.workloads.eembc import eembc_benchmark
+from repro.workloads.arrivals import JobArrival
 
 from tests.scenarios import (
     CUSTOM_POLICIES,
@@ -396,16 +397,17 @@ class TestEngineSelection:
         assert sim._resolve_engine() == "reference"
 
     def test_fast_engine_runs_once(self, store, oracle, energy_table):
-        from repro.sim.fast import FastSimulation
+        from repro.core.fastpath import build_fast
 
-        fast = make_simulation("proposed", store, predictor=oracle,
-                               energy_table=energy_table,
-                               engine="fast")._fast
-        assert isinstance(fast, FastSimulation)
+        fast = build_fast(make_simulation("proposed", store,
+                                          predictor=oracle,
+                                          energy_table=energy_table,
+                                          engine="fast"))
+        assert isinstance(fast, StreamingSimulation)
         arrivals = arrivals_for(SUITE_NAMES, gap=50_000)
-        fast.run(arrivals)
+        fast.run_batch(arrivals)
         with pytest.raises(RuntimeError, match="runs exactly once"):
-            fast.run(arrivals)
+            fast.run_batch(arrivals)
 
 
 class TestCustomPolicies:
@@ -444,28 +446,16 @@ class TestCustomPolicies:
                              ids=lambda cls: cls.__name__)
     def test_core_front_ends_refuse(self, cls, store, oracle,
                                     energy_table):
-        from repro.sim.fast import FastSimulation
-
         name = cls.__name__
         with pytest.raises(ValueError, match=name):
             self._sim(cls, store, oracle, energy_table, engine="fast")
-        process = PoissonProcess(
-            [eembc_benchmark(n) for n in SUITE_NAMES],
-            mean_interarrival_cycles=30_000, seed=0,
-        )
-        config = StreamConfig(max_jobs=8)
-        with pytest.raises(ValueError, match=name):
-            self._sim(cls, store, oracle, energy_table).stream(
-                process, config
-            )
-        with pytest.raises(ValueError, match=name):
-            StreamingSimulation(
-                paper_system(), cls(), store, predictor=oracle,
-                energy_table=energy_table, config=config,
-            )
-        with pytest.raises(ValueError, match=name):
-            FastSimulation(paper_system(), cls(), store, predictor=oracle,
-                           energy_table=energy_table)
+        # The core itself, for a stream and for a closed batch.
+        for config in (StreamConfig(max_jobs=8), None):
+            with pytest.raises(ValueError, match=name):
+                StreamingSimulation(
+                    paper_system(), cls(), store, predictor=oracle,
+                    energy_table=energy_table, config=config,
+                )
 
 
 class TestCampaignEngine:

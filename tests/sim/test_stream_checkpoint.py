@@ -612,13 +612,21 @@ class TestMistypedArrivalRows:
         assert not engine.started
 
 
-#: The committed checkpoint's first tuning session (``[3, 2, {...}]``)
-#: and waiting-time histogram.
+#: The committed checkpoint's first tuning session (``[3, 2, {...}]``),
+#: waiting-time histogram, QoS process RNG and inner Poisson process.
 SESSION = json.loads(FIXTURE.read_text())["knowledge"]["sessions"][0]
 WAITING = json.loads(FIXTURE.read_text())["stats"]["waiting"]
+RNG = json.loads(FIXTURE.read_text())["process"]["rng"]
+INNER = json.loads(FIXTURE.read_text())["process"]["inner"]
+#: A telemetry state as a run with a sink checkpoints it.
+TELEMETRY = {
+    "schema": 1, "samples": 0, "out_bytes": 0, "trace_events": 0,
+    "trace_bytes": 0, "finalized": False,
+}
 
-#: One field of the committed checkpoint's ``engine``, ``knowledge`` or
-#: ``stats`` section replaced, and a fragment of the message that must
+#: One field of the committed checkpoint's ``engine``, ``knowledge``,
+#: ``stats`` or ``process`` section replaced (or the whole ``telemetry``
+#: section, for key ``None``), and a fragment of the message that must
 #: name it.
 MISTYPED_FIELDS = [
     ("engine", "queue", ["x"], "queued job slot"),
@@ -699,19 +707,56 @@ MISTYPED_FIELDS = [
     ]}, "markers must be ordered"),
     ("stats", "turnaround", {}, "histogram 'stream.turnaround_cycles'"),
     ("stats", "waiting", 5, "histogram 'stream.waiting_cycles'"),
+    ("process", "rng", 5, "qos process 'rng' must be a PCG64"),
+    ("process", "rng", {}, "qos process 'rng' must be a PCG64"),
+    ("process", "rng", {**RNG, "state": {}}, "'rng' state must be an"),
+    ("process", "rng", {**RNG, "state": {**RNG["state"], "state": -1}},
+     "'rng' state must be >= 0"),
+    ("process", "rng", {**RNG, "state": {**RNG["state"], "inc": 2 ** 128}},
+     "'rng' inc must be <= "),
+    ("process", "rng", {**RNG, "state": {**RNG["state"], "inc": 2}},
+     "'rng' inc must be odd"),
+    ("process", "rng", {**RNG, "uinteger": None}, "'rng' uinteger"),
+    ("process", "rng", {**RNG, "has_uint32": 2}, "'rng' has_uint32"),
+    ("process", "inner", 5, "a poisson process state is a JSON object"),
+    ("process", "inner", {**INNER, "rng": {}}, "poisson process 'rng'"),
+    ("process", "inner", {**INNER, "next_id": "x"},
+     "poisson process 'next_id'"),
+    ("process", "inner", {**INNER, "next_id": 3}, "'next_id' 3 is below 128"),
+    ("process", "inner", {**INNER, "clock": None}, "poisson process 'clock'"),
+    ("process", "inner", {**INNER, "clock": -1.0}, "'clock' must be >= 0"),
+    ("process", "inner", {**INNER, "clock": 2.0 ** 63},
+     "'clock' is too large"),
+    ("process", "inner", {**INNER, "clock": 5.0}, "'clock' 5.0 is before"),
+    ("telemetry", None, 5, "a telemetry state is a JSON object"),
+    ("telemetry", None, {**TELEMETRY, "schema": 2},
+     "unsupported telemetry schema 2"),
+    ("telemetry", None, {**TELEMETRY, "schema": True}, "telemetry 'schema'"),
+    ("telemetry", None, {**TELEMETRY, "samples": None},
+     "telemetry 'samples'"),
+    ("telemetry", None, {**TELEMETRY, "out_bytes": -5},
+     "telemetry 'out_bytes' must be >= 0"),
+    ("telemetry", None, {**TELEMETRY, "trace_bytes": "x"},
+     "telemetry 'trace_bytes'"),
+    ("telemetry", None, {**TELEMETRY, "finalized": "x"},
+     "telemetry 'finalized'"),
 ]
 
 
 class TestMistypedEngineFields:
-    """Every field of the engine, knowledge and stats sections is
-    checked when a checkpoint is read, so a mistyped one never reaches
-    ``restore`` as a ``TypeError``, an ``IndexError``, a half-restored
-    engine or a silently resumed run."""
+    """Every field of the engine, knowledge, stats, process and
+    telemetry sections is checked when a checkpoint is read, so a
+    mistyped one never reaches ``restore`` as a ``TypeError``, an
+    ``IndexError``, a half-restored engine or process, or a silently
+    resumed run."""
 
     @staticmethod
     def _mutated(section, key, value):
         snapshot = json.loads(FIXTURE.read_text())
-        snapshot[section][key] = value
+        if key is None:
+            snapshot[section] = value
+        else:
+            snapshot[section][key] = value
         return snapshot
 
     @pytest.mark.parametrize("section,key,value,message", MISTYPED_FIELDS)
@@ -741,8 +786,9 @@ class TestMistypedEngineFields:
         store, oracle, energy_table, specs,
     ):
         engine = _fixture_engine(store, oracle, energy_table)
+        process = _fixture_process(specs)
+        fresh = process.state_dict()
         with pytest.raises(ValueError, match=re.escape(message)):
-            engine.resume(
-                self._mutated(section, key, value), _fixture_process(specs)
-            )
+            engine.resume(self._mutated(section, key, value), process)
         assert not engine.started
+        assert process.state_dict() == fresh

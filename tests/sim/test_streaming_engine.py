@@ -7,17 +7,17 @@ Its correctness contract has two halves:
 * **Closed-batch equivalence** — a finite stream (``max_jobs=N``, no
   admission bound, per-job retention on) must produce a
   :class:`SimulationResult` *bit-identical* to
-  ``FastSimulation.run(poisson_arrivals(count=N))``, across the full
-  policy × discipline × preemption grid.  The batch engine is the
-  oracle.
+  ``StreamingSimulation.run_batch(poisson_arrivals(count=N))``, across
+  the full policy × discipline × preemption grid.  The batch route is
+  the oracle.
 * **Open-system semantics** — admission control (drop / shed / block),
   warm-up truncation, duration bounds, bounded slot tables and the
   windowed quantile metrics, none of which have a batch counterpart.
 
-The streaming front end on :class:`SchedulerSimulation` is pinned here
-too, including the up-front rejection of hook-bearing configurations
-(the campaign stream axis lives in ``tests/test_campaign.py``, which
-has the full-suite store streaming replications need).
+The up-front rejection of hook-bearing stream specs by
+:func:`~repro.campaign.run_spec` is pinned here too (a stream spec's
+results, which need the full-suite store, are pinned in
+``tests/test_run_spec.py`` and ``tests/test_campaign.py``).
 """
 
 import io
@@ -26,12 +26,12 @@ import json
 
 import pytest
 
+from repro.campaign import ReplicationSpec, StreamLoad, run_spec
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.system import base_system, paper_system
 from repro.obs import MetricsRegistry, Telemetry
 from repro.power.budget import PowerConfig
 from repro.power.dvfs import DEFAULT_DVFS_TABLE
-from repro.sim.fast import FastSimulation
 from repro.sim.stream import (
     ADMISSION_POLICIES,
     OBSERVE_BLOCK,
@@ -52,7 +52,6 @@ from tests.scenarios import (
     build_energy_table,
     build_oracle,
     build_small_store,
-    make_simulation,
 )
 
 DISCIPLINES = ("fifo", "priority", "edf")
@@ -106,7 +105,7 @@ def _process(specs, *, qos=False, mean_gap=MEAN_GAP, seed=SEED):
     return process
 
 
-def _streaming(policy_name, store, oracle, energy_table, config,
+def _streaming(policy_name, store, oracle, energy_table, config=None,
                **kwargs):
     policy = make_policy(policy_name)
     system = (
@@ -119,21 +118,6 @@ def _streaming(policy_name, store, oracle, energy_table, config,
         predictor=oracle if policy.uses_predictor else None,
         energy_table=energy_table,
         config=config,
-        **kwargs,
-    )
-
-
-def _fast(policy_name, store, oracle, energy_table, **kwargs):
-    policy = make_policy(policy_name)
-    system = (
-        base_system() if policy_name == "base" else paper_system()
-    )
-    return FastSimulation(
-        system,
-        policy,
-        store,
-        predictor=oracle if policy.uses_predictor else None,
-        energy_table=energy_table,
         **kwargs,
     )
 
@@ -156,10 +140,10 @@ class TestClosedBatchEquivalence:
                 priority_levels=4,
                 seed=SEED,
             )
-        batch = _fast(
+        batch = _streaming(
             policy, store, oracle, energy_table,
             discipline=discipline, preemptive=preemptive,
-        ).run(arrivals)
+        ).run_batch(arrivals)
         streaming = _streaming(
             policy, store, oracle, energy_table,
             StreamConfig(max_jobs=N_JOBS, retain_jobs=True),
@@ -178,10 +162,10 @@ class TestClosedBatchEquivalence:
             specs, count=N_JOBS,
             mean_interarrival_cycles=MEAN_GAP, seed=SEED,
         )
-        batch = _fast(
+        batch = _streaming(
             "proposed", store, oracle, energy_table,
             preload_profiles=True,
-        ).run(arrivals)
+        ).run_batch(arrivals)
         streaming = _streaming(
             "proposed", store, oracle, energy_table,
             StreamConfig(max_jobs=N_JOBS, retain_jobs=True),
@@ -528,12 +512,34 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"retain_jobs.*{value!r}"):
             StreamConfig(max_jobs=10, retain_jobs=value)
 
-    def test_engine_requires_config(self, store, oracle, energy_table):
+    def test_engine_requires_config(
+        self, store, oracle, energy_table, specs
+    ):
+        # Only a closed batch runs without one (it sets its own).
+        unconfigured = _streaming("proposed", store, oracle, energy_table)
         with pytest.raises(ValueError, match="StreamConfig"):
-            StreamingSimulation(
-                paper_system(), make_policy("proposed"), store,
-                predictor=oracle, energy_table=energy_table,
-            )
+            unconfigured.run(_process(specs))
+        with pytest.raises(ValueError, match="StreamConfig"):
+            unconfigured.resume({}, _process(specs))
+        assert not unconfigured.started
+
+    def test_batch_needs_a_core_without_config(
+        self, store, oracle, energy_table, specs
+    ):
+        streaming = _streaming(
+            "proposed", store, oracle, energy_table,
+            StreamConfig(max_jobs=20),
+        )
+        arrivals = poisson_arrivals(specs, count=20, seed=SEED)
+        with pytest.raises(RuntimeError, match="without a StreamConfig"):
+            streaming.run_batch(arrivals)
+        assert not streaming.started
+        batch = _streaming("proposed", store, oracle, energy_table)
+        batch.run_batch(arrivals)
+        with pytest.raises(RuntimeError, match="runs exactly once"):
+            batch.run_batch(arrivals)
+        with pytest.raises(RuntimeError, match="runs exactly once"):
+            batch.run(_process(specs))
 
     def test_runs_exactly_once(
         self, store, oracle, energy_table, specs
@@ -570,36 +576,20 @@ class TestValidation:
             streaming.run(_process(foreign))
 
 
-class TestSchedulerSimulationFrontEnd:
-    def test_stream_matches_direct_engine(
-        self, store, oracle, energy_table, specs
-    ):
-        sim = make_simulation(
-            "proposed", store, predictor=oracle,
-            energy_table=energy_table,
-        )
-        config = StreamConfig(max_jobs=N_JOBS, retain_jobs=True)
-        via_front_end = sim.stream(_process(specs), config)
-        direct = _streaming(
-            "proposed", store, oracle, energy_table, config
-        ).run(_process(specs))
-        assert via_front_end == direct
-
+class TestStreamSpecFrontEnd:
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs,engine",
         (
-            {"metrics": MetricsRegistry()},
-            {"validate": True},
-            {"engine": "reference"},
+            ({"metrics": MetricsRegistry()}, "auto"),
+            ({"validate": True}, "auto"),
+            ({}, "reference"),
         ),
         ids=("metrics", "validate", "reference"),
     )
-    def test_hooked_simulation_rejected_up_front(
-        self, kwargs, store, oracle, energy_table, specs
+    def test_hooked_stream_spec_rejected_up_front(
+        self, kwargs, engine, store, oracle
     ):
-        sim = make_simulation(
-            "proposed", store, predictor=oracle,
-            energy_table=energy_table, **kwargs,
-        )
+        spec = ReplicationSpec("proposed", 0, 10, 30_000, engine=engine,
+                               stream=StreamLoad())
         with pytest.raises(ValueError, match="windowed metrics"):
-            sim.stream(_process(specs), StreamConfig(max_jobs=10))
+            run_spec(spec, store, oracle, **kwargs)

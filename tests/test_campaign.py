@@ -26,7 +26,7 @@ from repro.campaign import (
 )
 from repro.ann.training import TrainingConfig
 from repro.characterization.dataset import build_dataset
-from repro.core.fastpath import fresh_fast, run_fast
+from repro.core.fastpath import build_fast, run_fast
 from repro.core.predictor import (
     AnnPredictor,
     BestCorePredictor,
@@ -219,7 +219,7 @@ class TestSummaryOracle:
                 preemptive=True, power=SUMMARY_POWER[power],
             )
 
-        totals = fresh_fast(simulation()).run(arrivals, records=False)
+        totals = build_fast(simulation()).run_batch(arrivals, records=False)
         reference = simulation()
         result = run_fast(reference, arrivals)
         assert result.preemption_count > 0
@@ -260,22 +260,44 @@ class TestSummaryOracle:
 
 
 class TestFinishedRunIsAcyclic:
-    """A finished closed-batch run leaves no reference cycle, so its job
-    columns are freed as soon as the caller drops the simulation, not at
-    the next cyclic collection."""
+    """A finished core leaves no reference cycle, so its job columns are
+    freed as soon as the caller drops it, not at the next cyclic
+    collection."""
 
     def test_records_free_replication_freed_without_collector(self, store):
         spec = ReplicationSpec("proposed", 0, 40, 56_000)
+        simulation = make_simulation("proposed", store,
+                                     OraclePredictor(store))
+        arrivals = uniform_arrivals(eembc_suite(), count=40, seed=0,
+                                    mean_interarrival_cycles=56_000)
         gc.collect()
         gc.disable()
         try:
-            _, simulation, _ = run_spec(
-                spec, store, OraclePredictor(store), records=False
-            )
-            fast = weakref.ref(simulation._fast)
-            assert fast().stream is not None
-            del simulation
-            assert fast() is None
+            # What run_spec(spec, records=False) runs, minus the drop.
+            core = build_fast(simulation)
+            totals = core.run_batch(arrivals, records=False)
+            assert core.finished
+            finished = weakref.ref(core)
+            del core
+            assert finished() is None
+        finally:
+            gc.enable()
+        expected, _, _ = run_spec(
+            spec, store, OraclePredictor(store), records=False
+        )
+        assert {key: totals[key] for key in expected} == expected
+
+    def test_streamed_run_spec_freed_without_collector(self, store):
+        spec = ReplicationSpec("proposed", 0, 40, 56_000,
+                               stream=StreamLoad())
+        gc.collect()
+        gc.disable()
+        try:
+            _, core, _ = run_spec(spec, store, OraclePredictor(store))
+            assert core.finished
+            finished = weakref.ref(core)
+            del core
+            assert finished() is None
         finally:
             gc.enable()
 

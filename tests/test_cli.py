@@ -781,6 +781,30 @@ class TestHostileInput:
             "job_id must be an integer, got 'x'\n"
         )
 
+    @pytest.mark.parametrize("section,value,message", [
+        ("process", {"rng": 5},
+         "qos process 'rng' must be a PCG64 generator state, got 5"),
+        ("telemetry", {"schema": 1, "samples": 0, "out_bytes": -5,
+                       "trace_events": 0, "trace_bytes": 0},
+         "telemetry 'out_bytes' must be >= 0, got -5"),
+    ], ids=["process-rng", "telemetry-offset"])
+    def test_mistyped_checkpoint_section_is_named(
+        self, section, value, message, capsys, tmp_path
+    ):
+        snapshot = json.loads(CHECKPOINT.read_text())
+        if section == "process":
+            snapshot[section].update(value)
+        else:
+            snapshot[section] = value
+        path = tmp_path / "stream.ckpt"
+        path.write_text(json.dumps(snapshot))
+        code = main(["stream", "--checkpoint", str(path), "--resume",
+                     "--max-jobs", "100", "--predictor", "oracle"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a valid stream checkpoint: {message}\n"
+        )
+
     @pytest.mark.parametrize("content", [
         b"[1, 2]\n",
         b'{"kind": "job_arrived"}\n',
@@ -953,6 +977,72 @@ class TestTelemetryCli:
             first = (tmp_path / f"{name}a.jsonl").read_bytes()
             assert first == (tmp_path / f"{name}b.jsonl").read_bytes()
         assert main(["report", "sta.jsonl"]) == 0
+        capsys.readouterr()
+
+    @staticmethod
+    def _compare_twice(flag_sets):
+        """Run ``compare --jobs 60 --seed 0 --predictor oracle`` once per
+        flag list; each must exit 0."""
+        for flags in flag_sets:
+            assert main(
+                "compare --jobs 60 --seed 0 --predictor oracle".split()
+                + flags.split()
+            ) == 0
+
+    @staticmethod
+    def _same_per_policy(tmp_path, first, second):
+        """Byte-identical per-policy files ``{first,second}.<policy>.jsonl``;
+        returns the first run's files by policy."""
+        files = {}
+        for policy in ("base", "optimal", "energy_centric", "proposed"):
+            files[policy] = (tmp_path / f"{first}.{policy}.jsonl").read_bytes()
+            assert files[policy] == (
+                tmp_path / f"{second}.{policy}.jsonl"
+            ).read_bytes(), policy
+        return files
+
+    def test_golden_trace(self, capsys, tmp_path, monkeypatch):
+        """Two traced four-system runs write the same trace bytes per
+        policy, and ``report`` reads (and ledger-replays) them."""
+        monkeypatch.chdir(tmp_path)
+        self._compare_twice(["--trace a.jsonl", "--trace b.jsonl"])
+        self._same_per_policy(tmp_path, "a", "b")
+        assert main(["report", "a.proposed.jsonl"]) == 0
+        capsys.readouterr()
+
+    def test_golden_power_trace(self, capsys, tmp_path, monkeypatch):
+        """The same under a power cap with DVFS, whose proposed trace
+        carries token grants and throttled dispatches."""
+        monkeypatch.chdir(tmp_path)
+        power = "--power-cap 500000 --power-slack 25 --dvfs"
+        self._compare_twice(
+            [f"{power} --trace pa.jsonl", f"{power} --trace pb.jsonl"]
+        )
+        proposed = self._same_per_policy(tmp_path, "pa", "pb")["proposed"]
+        assert b"token_grant" in proposed
+        assert b"power_throttled" in proposed
+        assert main(["report", "pa.proposed.jsonl"]) == 0
+        capsys.readouterr()
+
+    def test_golden_telemetry(self, capsys, tmp_path, monkeypatch):
+        """Two four-system runs on the core write the same telemetry and
+        sampled-trace bytes per policy, under the batch front end's
+        ``"engine":"fast"`` header, and ``report`` reads both."""
+        monkeypatch.chdir(tmp_path)
+        self._compare_twice([
+            f"--telemetry-out t{run}.jsonl --telemetry-every 10 "
+            f"--sampled-trace s{run}.jsonl --sampled-trace-every 5"
+            for run in ("a", "b")
+        ])
+        telemetry = self._same_per_policy(tmp_path, "ta", "tb")
+        for policy, data in telemetry.items():
+            header = json.loads(data.splitlines()[0])
+            assert header["engine"] == "fast", policy
+            assert header["policy"] == policy
+        self._same_per_policy(tmp_path, "sa", "sb")
+        assert main(["report", "ta.proposed.jsonl", "--prom", "ta.prom"]) == 0
+        assert (tmp_path / "ta.prom").stat().st_size > 0
+        assert main(["report", "sa.proposed.jsonl"]) == 0
         capsys.readouterr()
 
     def test_stream_samples_every_n_completions(self, capsys, tmp_path):

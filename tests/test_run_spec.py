@@ -23,9 +23,12 @@ from repro.campaign import (
     run_spec,
 )
 from repro.cli import main
-from repro.core import POLICY_NAMES, OraclePredictor
+from repro.core import POLICY_NAMES, OraclePredictor, make_policy
+from repro.core.system import paper_system
 from repro.experiment import default_store
 from repro.power.dvfs import DEFAULT_DVFS_TABLE
+from repro.sim.stream import StreamConfig, StreamingSimulation
+from repro.workloads import eembc_suite, make_process
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,24 @@ def test_stream_is_one_spec(argv, load, count, gap, store, tmp_path,
     assert json.loads(cli_json.read_text()) == json.loads(
         json.dumps(payload)
     )
+
+
+def test_stream_spec_is_the_core(store):
+    """A stream spec builds the simulation core directly and returns it:
+    the same result as the core constructed by hand."""
+    spec = ReplicationSpec(policy="proposed", seed=4, count=300,
+                           mean_interarrival_cycles=40_000,
+                           stream=StreamLoad(queue_capacity=6))
+    result, core, _ = run_spec(spec, store, OraclePredictor(store))
+    assert isinstance(core, StreamingSimulation)
+    assert core.finished
+    direct = StreamingSimulation(
+        paper_system(), make_policy("proposed"), store,
+        predictor=OraclePredictor(store),
+        config=StreamConfig(max_jobs=300, queue_capacity=6),
+    ).run(make_process("poisson", eembc_suite(), seed=4,
+                       mean_interarrival_cycles=40_000))
+    assert result == direct
 
 
 @pytest.mark.parametrize("axis", [

@@ -15,6 +15,7 @@ in a fresh process object.
 """
 
 import json
+import re
 import warnings
 
 import pytest
@@ -191,6 +192,31 @@ class TestCheckpointing:
         restored = build()
         restored.load_state(state)
         assert restored.take(800) == original.take(800)
+
+    @pytest.mark.parametrize("kind,key,value,message", [
+        ("poisson", "next_id", -1, "poisson process 'next_id' must be >= 0"),
+        ("poisson", "rng", None, "poisson process 'rng' must be a PCG64"),
+        ("diurnal", "clock", "x", "diurnal process 'clock'"),
+        ("diurnal", "clock", float("nan"), "diurnal process 'clock'"),
+        ("mmpp", "clock", -2.0, "mmpp process 'clock' must be >= 0"),
+        ("mmpp", "phase", 2, "mmpp process 'phase' must be <= 1"),
+        ("mmpp", "phase", "x", "mmpp process 'phase'"),
+        ("mmpp", "phase_end", None, "mmpp process 'phase_end'"),
+        ("mmpp", "phase_end", 1.0, "'phase_end' 1.0 is before its 'clock'"),
+    ])
+    def test_bad_state_is_named_and_loads_nothing(
+        self, kind, key, value, message
+    ):
+        """Every field is checked before any is restored."""
+        original = make_process(kind, SPECS, seed=6)
+        original.take(STREAM_CHUNK)
+        state = json.loads(json.dumps(original.state_dict()))
+        state[key] = value
+        fresh = make_process(kind, SPECS, seed=6)
+        before = fresh.state_dict()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fresh.load_state(state)
+        assert fresh.state_dict() == before
 
     @pytest.mark.parametrize("kind", PROCESS_KINDS)
     def test_params_fingerprint_carries_configuration(self, kind):
