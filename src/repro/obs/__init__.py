@@ -9,7 +9,7 @@ reproduction:
 * :mod:`repro.obs.recorder` — recorder implementations; the default
   :data:`NULL_RECORDER` is near-zero overhead, and
   :class:`JsonlRecorder` streams byte-deterministic JSONL traces;
-* :mod:`repro.obs.metrics` — counters, gauges and streaming-quantile
+* :mod:`repro.obs.metrics` — counters, gauges and log-bucket
   histograms behind one :class:`MetricsRegistry` shared by sweeps,
   training, simulations and campaigns;
 * :mod:`repro.obs.report` — per-core timeline and decision-breakdown
@@ -49,7 +49,7 @@ from .events import (
     event_from_dict,
     validate_event_dict,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, P2Quantile
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import (
     NULL_RECORDER,
     JsonlRecorder,
@@ -102,7 +102,6 @@ __all__ = [
     "MetricsRegistry",
     "NonBestDispatch",
     "NullRecorder",
-    "P2Quantile",
     "PowerThrottled",
     "ProfilingCompleted",
     "ProfilingStarted",

@@ -11,8 +11,8 @@ result.  :class:`Telemetry` closes that gap without reopening the hot
 path: the loop feeds it once every ``sample_every`` completions on
 both front ends, plus a final sample at drain, where it *reads* engine
 state — queue depth, per-core busy cycles and cache configuration,
-jobs done, P² wait quantiles, energy accrued, throughput — and appends
-one versioned JSONL sample.
+jobs done, log-bucket wait quantiles, energy accrued, throughput — and
+appends one versioned JSONL sample.
 
 Three invariants make it safe and resumable:
 

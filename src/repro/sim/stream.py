@@ -27,16 +27,16 @@ What the loop carries beyond the scheduler itself:
   the full closed-batch :class:`~repro.core.results.SimulationResult`),
   so job memory is O(in-flight jobs), not O(jobs ever);
 * **streaming accumulation** — waiting/turnaround distributions flow
-  into :class:`~repro.obs.metrics.Histogram` P² estimators
-  (P50/P90/P99), energy into scalar accumulators, and idle leakage into
-  per-core per-power integer cycle counts folded at each
-  reconfiguration.  A recycled run buffers its observations and feeds
+  into :class:`~repro.obs.metrics.Histogram` log-bucket counts
+  (P50/P90/P99 within 0.4 % of exact), energy into scalar
+  accumulators, and idle leakage into per-core per-power integer cycle
+  counts folded at each reconfiguration.  A recycled run buffers its observations and feeds
   the histograms in blocks of :data:`OBSERVE_BLOCK`, flushing before a
   telemetry sample and before :meth:`~StreamingSimulation.advance`
   returns, so no buffered value is ever part of a snapshot.  A retained
   run keeps every job record, so it feeds the two histograms lazily
-  from those records, in completion order, only when a result,
-  snapshot or telemetry sample reads them;
+  from those records, only when a result, snapshot or telemetry sample
+  reads them;
 * **admission control** — an optional bounded ready queue with
   ``drop`` (reject the arrival), ``shed`` (evict the least-entitled
   queued job) or ``block`` (delay the arrival source) policies, so
@@ -44,8 +44,9 @@ What the loop carries beyond the scheduler itself:
 * **checkpoint/resume** — :meth:`StreamingSimulation.snapshot` captures
   a versioned, JSON-serialisable image of every piece of run state
   (job slots, queue, completion heap, RNG streams, knowledge state,
-  accumulators, P² markers) such that restoring it into a fresh engine
-  and finishing the run is bit-identical to never having stopped.
+  accumulators, histogram bucket counts) such that restoring it into a
+  fresh engine and finishing the run is bit-identical to never having
+  stopped.
 
 Bounded-queue and warm-up machinery never touches the arithmetic of
 the simulation itself, so an unbounded-queue stream truncated to N jobs
@@ -123,15 +124,16 @@ __all__ = [
 #: ``telemetry`` section (sample count + output byte offsets); v3 added
 #: the power axis (token-pool account + per-core DVFS points); v4 added
 #: the closed residency intervals of retained runs and moved telemetry
-#: samples from arrival refills to completion counts.
-STREAM_SNAPSHOT_VERSION = 4
+#: samples from arrival refills to completion counts; v5 replaced the
+#: ``stats`` histograms' P² markers with ``[bucket, count]`` pairs.
+STREAM_SNAPSHOT_VERSION = 5
 
 #: Bounded-queue admission policies.
 ADMISSION_POLICIES = ("drop", "shed", "block")
 
 #: Observations a recycled run buffers before feeding the waiting and
 #: turnaround histograms one block at a time (bounded memory, one
-#: P² call per block instead of one per job).
+#: ``observe`` call per block instead of one per job).
 OBSERVE_BLOCK = 4096
 
 _NEG_INF = float("-inf")
@@ -970,8 +972,10 @@ class StreamingSimulation:
 
     Construction mirrors
     :class:`~repro.core.simulation.SchedulerSimulation` (same defaults,
-    same validation errors) and also rejects a policy class outside
-    :data:`CORE_POLICIES`.  The observability / validation / fault
+    same validation errors) and refuses what
+    :func:`~repro.core.simulation.select_engine` refuses a core run (a
+    policy class outside :data:`CORE_POLICIES`, with or without
+    telemetry), in its words.  The observability / validation / fault
     hooks are deliberately absent — use the reference engine when any
     of them is needed.  The one observability surface the core does
     carry is the sampled :class:`~repro.obs.telemetry.Telemetry` sink,
@@ -1008,7 +1012,13 @@ class StreamingSimulation:
             policy, predictor, profiling_overhead_fraction, discipline,
             preemptive,
         )
-        core_branch(policy)
+        # The one engine rule words every refusal (imported here: the
+        # rule's module imports this one).
+        from repro.core.simulation import select_engine
+        select_engine(
+            "fast", policy, telemetry=telemetry is not None,
+            load="batch" if config is None else "stream",
+        )
         self.system = system
         self.policy = policy
         self.store = store
@@ -1774,8 +1784,8 @@ class StreamingSimulation:
                             makespan = now
                         if retain:
                             # Statistics come from the records later
-                            # (see _feed_retained): two P² observations
-                            # per job would dominate a short batch.
+                            # (see _feed_retained), and only if a
+                            # result, snapshot or sample reads them.
                             records.append((jid, ci, cid, prof, tun))
                         elif jarr[jid] >= warmup:
                             observed += 1
@@ -2595,10 +2605,9 @@ class StreamingSimulation:
         """Feed retained completions into the waiting/turnaround stats.
 
         A retained run keeps every record, so its histograms are fed
-        here — in completion order, with the warm-up filter — only when
-        something reads them.  P² state depends on the order of the
-        observations, not on when they are made, so this equals feeding
-        at every completion.
+        here, with the warm-up filter, only when something reads them.
+        Fed in completion order and blocks, as a recycled run feeds
+        them, they end in the same state.
         """
         s = self._s
         records = s["records"]
@@ -2849,7 +2858,7 @@ class StreamingSimulation:
             "policy": self.policy.name,
             "discipline": self.discipline,
             "preemptive": self.preemptive,
-            # Still fingerprinted so existing v4 checkpoints resume.
+            # A build constant: another quantum would resume another run.
             "preemption_quantum_cycles": PREEMPTION_QUANTUM_CYCLES,
             "profiling_overhead_fraction": self.profiling_overhead_fraction,
             "core_sizes": list(self.core_sizes),
@@ -2866,7 +2875,7 @@ class StreamingSimulation:
         :data:`_RUN_STATE` field (job slots, queue order, the completion
         heap, buffered arrivals, per-core state, the idle-energy
         ledger, knowledge state), the token pool, the arrival process's
-        RNG and the P² accumulators — so restoring into a freshly
+        RNG and the histogram bucket counts — so restoring into a freshly
         constructed engine continues bit-identically.  Floats survive
         the JSON round trip exactly (repr-based serialisation).
         """
@@ -2874,7 +2883,7 @@ class StreamingSimulation:
         if s is None:
             raise RuntimeError("call start() or restore() first")
         if self.config.retain_jobs:
-            # The P² state must cover every record the snapshot holds.
+            # The histograms must cover every record the snapshot holds.
             self._feed_retained()
         pool = self._power_pool
         homes = {"engine": s, "knowledge": vars(self)}

@@ -1,23 +1,22 @@
-"""Counters, gauges, P² streaming quantiles and the registry."""
+"""Counters, gauges, log-bucket histograms and the registry."""
 
 import json
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    P2Quantile,
-)
+from repro.core import OraclePredictor, make_policy, paper_system
+from repro.experiment import default_store
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.sim.stream import StreamConfig, StreamingSimulation
+from repro.workloads import PoissonProcess, eembc_suite
 
-from tests.oracles import HistogramOracle
+from tests.oracles import SampleOracle
 
 
 def test_counter():
@@ -35,172 +34,6 @@ def test_gauge():
     gauge.set(3)
     gauge.set(1.5)
     assert gauge.value == 1.5
-
-
-def test_p2_rejects_bad_quantile():
-    with pytest.raises(ValueError):
-        P2Quantile(0.0)
-    with pytest.raises(ValueError):
-        P2Quantile(1.0)
-
-
-def test_p2_exact_under_five_samples():
-    estimator = P2Quantile(0.5)
-    assert estimator.value == 0.0
-    estimator.observe(10.0)
-    assert estimator.value == 10.0
-    estimator.observe(20.0)
-    assert estimator.value == 15.0  # interpolated median of {10, 20}
-    estimator.observe(30.0)
-    assert estimator.value == 20.0
-
-
-def test_p2_converges_on_uniform():
-    rng = random.Random(7)
-    samples = [rng.random() for _ in range(20_000)]
-    for p in (0.5, 0.9, 0.99):
-        estimator = P2Quantile(p)
-        for x in samples:
-            estimator.observe(x)
-        exact = sorted(samples)[int(p * len(samples))]
-        assert estimator.value == pytest.approx(exact, abs=0.02)
-
-
-def test_p2_is_deterministic():
-    rng = random.Random(3)
-    samples = [rng.gauss(0, 1) for _ in range(5000)]
-
-    def run():
-        estimator = P2Quantile(0.9)
-        for x in samples:
-            estimator.observe(x)
-        return estimator.value
-
-    assert run() == run()
-
-
-def test_p2_heavy_duplicates():
-    """Long runs of identical values must not divide by zero or drift.
-
-    Duplicate-heavy streams are the classic P² killer: adjacent markers
-    collapse onto the same height and naive implementations divide by a
-    zero position gap in the parabolic step.
-    """
-    estimator = P2Quantile(0.9)
-    for _ in range(10_000):
-        estimator.observe(7.0)
-    assert estimator.value == 7.0
-    assert estimator.count == 10_000
-
-    # Duplicates with a sprinkle of outliers: estimate stays on the
-    # dominant value (90% of mass IS 5.0).
-    mixed = P2Quantile(0.5)
-    rng = random.Random(11)
-    for _ in range(20_000):
-        mixed.observe(5.0 if rng.random() < 0.9 else 100.0)
-    assert mixed.value == pytest.approx(5.0, abs=1e-6)
-
-
-def test_p2_marker_heights_stay_monotone():
-    """q0 <= q1 <= q2 <= q3 <= q4 after every observation.
-
-    The marker heights are order statistics of the stream; the
-    parabolic/linear adjustment must never let one cross a neighbour.
-    """
-    rng = random.Random(13)
-    estimator = P2Quantile(0.9)
-    for i in range(30_000):
-        # A nasty mix: heavy tails, duplicates and constants.
-        bucket = i % 4
-        if bucket == 0:
-            x = rng.gauss(0, 1)
-        elif bucket == 1:
-            x = rng.expovariate(1e-3)
-        elif bucket == 2:
-            x = 42.0
-        else:
-            x = rng.random()
-        estimator.observe(x)
-        q = estimator._heights
-        if len(q) == 5:
-            assert q[0] <= q[1] <= q[2] <= q[3] <= q[4], i
-            n = estimator._positions
-            assert n[0] < n[1] < n[2] < n[3] < n[4], i
-
-
-def test_p2_tiny_sample_exactness():
-    """With fewer than five samples the estimate is the exact
-    linear-interpolated quantile, for every p, in any feed order."""
-    samples = [3.0, 1.0, 4.0, 1.5]
-    for p in (0.25, 0.5, 0.75, 0.9):
-        estimator = P2Quantile(p)
-        for x in samples:
-            estimator.observe(x)
-        data = sorted(samples)
-        rank = p * (len(data) - 1)
-        low = int(rank)
-        exact = data[low] + (data[low + 1] - data[low]) * (rank - low)
-        assert estimator.value == exact
-        assert estimator.count == 4
-
-
-def test_p2_snapshot_is_merge_free():
-    """snapshot() reads without perturbing: the estimate sequence is
-    identical whether or not snapshots are interleaved."""
-    rng = random.Random(5)
-    samples = [rng.gauss(10, 3) for _ in range(4_000)]
-
-    plain = P2Quantile(0.9)
-    for x in samples:
-        plain.observe(x)
-
-    snapshotted = P2Quantile(0.9)
-    views = []
-    for i, x in enumerate(samples):
-        snapshotted.observe(x)
-        if i % 7 == 0:
-            views.append(snapshotted.snapshot())
-
-    assert snapshotted.value == plain.value
-    assert snapshotted.state_dict() == plain.state_dict()
-    last = views[-1]
-    assert last["p"] == 0.9
-    assert last["count"] == 3998.0  # last i with i % 7 == 0 is 3997
-    # Snapshots are plain floats (windowed reporting serialises them).
-    assert all(isinstance(v, float) for v in last.values())
-
-
-def test_p2_state_round_trip_continues_bit_identically():
-    """Checkpoint mid-stream, restore, and the tail of the stream
-    produces the same estimate as the uninterrupted run."""
-    rng = random.Random(17)
-    samples = [rng.expovariate(0.01) for _ in range(6_000)]
-
-    straight = P2Quantile(0.99)
-    for x in samples:
-        straight.observe(x)
-
-    first = P2Quantile(0.99)
-    for x in samples[:2_500]:
-        first.observe(x)
-    import json
-    state = json.loads(json.dumps(first.state_dict()))
-
-    resumed = P2Quantile(0.99)
-    resumed.load_state(state)
-    for x in samples[2_500:]:
-        resumed.observe(x)
-
-    assert resumed.value == straight.value
-    assert resumed.state_dict() == straight.state_dict()
-
-
-def test_p2_load_state_rejects_wrong_quantile():
-    donor = P2Quantile(0.5)
-    donor.observe(1.0)
-    estimator = P2Quantile(0.9)
-    with pytest.raises(ValueError, match="p=0.5"):
-        estimator.load_state(donor.state_dict())
 
 
 def test_histogram_state_round_trip():
@@ -224,13 +57,25 @@ def test_histogram_state_round_trip():
 
 
 def test_histogram_load_state_rejects_estimator_mismatch():
-    donor = Histogram("h")
-    donor.observe(1.0)
-    state = donor.state_dict()
-    state["estimators"] = state["estimators"][:1]
+    """A state that carries P² estimators instead of bucket counts (a
+    version-4 checkpoint's histogram) is refused, naming the field."""
+    state = {
+        "count": 1, "total": 1.0, "min": 1.0, "max": 1.0,
+        "estimators": [
+            {"p": p, "heights": [1.0], "positions": [1, 2, 3, 4, 5],
+             "desired": [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]}
+            for p in (0.5, 0.9, 0.99)
+        ],
+    }
     histogram = Histogram("h")
-    with pytest.raises(ValueError, match="estimators"):
+    with pytest.raises(ValueError, match="'buckets'"):
         histogram.load_state(state)
+    assert histogram.count == 0
+
+
+#: The buckets of 1.0 and 2.0.  Checkpoints store bucket keys, so the
+#: keys are part of the checkpoint format.
+ONE, TWO = 137728, 137856
 
 
 @pytest.mark.parametrize("key,value,message", [
@@ -238,33 +83,30 @@ def test_histogram_load_state_rejects_estimator_mismatch():
     ("count", -1, "'count'"),
     ("total", None, "'total'"),
     ("min", "x", "'min'"),
-    ("estimators", None, "'estimators'"),
+    ("buckets", None, "'buckets'"),
+    ("buckets", {str(ONE): 1, str(TWO): 1}, "'buckets'"),
+    ("buckets", [[ONE, 1], [TWO]], "[bucket, count] pair"),
+    ("buckets", [[ONE, 1]], "hold 1 observations, not 'count' 2"),
+    ("buckets", [[ONE, 1], [ONE, 1]], f"bucket must be >= {ONE + 1}"),
+    ("buckets", [[TWO, 1], [ONE, 1]], f"bucket must be >= {TWO + 1}"),
+    ("buckets", [[float(ONE), 1], [TWO, 1]], "bucket must be an integer"),
+    ("buckets", [[True, 1], [TWO, 1]], "bucket must be an integer"),
+    ("buckets", [[5, 1], [TWO, 1]], "bucket 5 is not a bucket key"),
+    ("buckets", [[ONE, 1], [10 ** 6, 1]], "bucket must be <= "),
+    ("buckets", [[ONE, 0], [TWO, 2]], f"bucket {ONE}'s count must be >= 1"),
+    ("buckets", [[ONE, 1.0], [TWO, 1]], "count must be an integer"),
 ])
 def test_histogram_load_state_checks_every_field_first(key, value, message):
     donor = Histogram("h")
     donor.observe(1.0, 2.0)
+    assert donor.state_dict()["buckets"] == [[ONE, 1], [TWO, 1]]
     histogram = Histogram("h")
+    histogram.observe(5.0)
     before = histogram.state_dict()
     with pytest.raises(ValueError, match=re.escape(message)):
         histogram.load_state({**donor.state_dict(), key: value})
     assert histogram.state_dict() == before
-
-
-@pytest.mark.parametrize("key,value", [
-    ("heights", [1.0, "x"]),
-    ("heights", [0.0] * 6),
-    ("positions", [1, 2, 3, 4]),
-    ("positions", [1, 2, 3, 4, 5.5]),
-    ("desired", None),
-])
-def test_p2_load_state_checks_every_field_first(key, value):
-    donor = P2Quantile(0.5)
-    donor.observe(*range(10))
-    estimator = P2Quantile(0.5)
-    before = estimator.state_dict()
-    with pytest.raises(ValueError, match=re.escape(repr(key))):
-        estimator.load_state({**donor.state_dict(), key: value})
-    assert estimator.state_dict() == before
+    assert histogram.snapshot()["p50"] == 5.0
 
 
 def test_histogram_snapshot():
@@ -282,23 +124,25 @@ def test_histogram_snapshot():
     assert snap["mean"] == 2.5
     assert snap["min"] == 1.0
     assert snap["max"] == 4.0
-    assert histogram.quantile(0.5) == 2.5
+    # The observation of rank round(0.5 * 3) = 2 (halves up), exact:
+    # integers below 2**8 have buckets of their own.
+    assert histogram.quantile(0.5) == 3.0
     with pytest.raises(KeyError):
         histogram.quantile(0.42)
 
 
-#: Observation values: ints and floats, with a small pool of repeated
-#: values (negatives and zero among them) so ties are common.
+#: Finite observations with heavy tails: floats from subnormal to 1e300
+#: in magnitude (few enough per list that no sum overflows), integers,
+#: and a pool of repeated values, negatives and zeros among them, so
+#: ties are common.
 _VALUES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
     st.integers(min_value=-10**6, max_value=10**6),
-    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
-    st.sampled_from([-3.0, -1, 0, 0.0, 2.5, 7, 7.0]),
+    st.sampled_from([-3.0, -1, 0, 0.0, -0.0, 2.5, 7, 7.0, 1e-9]),
 )
 
 _SEQUENCES = st.one_of(
-    # Fewer than five values: the exact-interpolation regime.
-    st.lists(_VALUES, max_size=5),
-    st.lists(_VALUES, min_size=6, max_size=600),
+    st.lists(_VALUES, max_size=200),
     # A long run of one value between two random stretches.
     st.tuples(
         st.lists(_VALUES, max_size=40),
@@ -309,11 +153,9 @@ _SEQUENCES = st.one_of(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(values=_SEQUENCES, data=st.data())
-def test_histogram_block_feed_matches_per_value_oracle(values, data):
-    """Any split of any sequence into blocks ends where the per-value
-    update (tests/oracles.py) ends, down to every marker."""
+def _fed_in_blocks(values, data, read=None) -> Histogram:
+    """A histogram fed ``values`` in blocks cut where ``data`` says;
+    ``read(histogram, fed)`` runs after each block."""
     cuts = sorted(data.draw(st.lists(
         st.integers(min_value=0, max_value=len(values)), max_size=12
     )))
@@ -321,15 +163,157 @@ def test_histogram_block_feed_matches_per_value_oracle(values, data):
     histogram = Histogram("h")
     for lo, hi in zip(bounds, bounds[1:]):
         histogram.observe(*values[lo:hi])
+        if read is not None:
+            read(histogram, hi)
+    return histogram
 
-    oracle = HistogramOracle()
+
+def _assert_quantiles_ordered(snapshot):
+    if snapshot["count"]:
+        assert snapshot["min"] <= snapshot["p50"] <= snapshot["p90"]
+        assert snapshot["p90"] <= snapshot["p99"] <= snapshot["max"]
+
+
+@settings(deadline=None)
+@given(values=_SEQUENCES, data=st.data())
+def test_histogram_block_feed_matches_per_value_oracle(values, data):
+    """Any split of any sequence into blocks ends where one value per
+    call ends; after every block, count/sum/min/max equal the exact
+    sample's, and each quantile is within the stated bound of its order
+    statistic."""
+    def read(histogram, fed):
+        snapshot = histogram.snapshot()
+        assert SampleOracle(values[:fed]).mismatches(snapshot) == []
+        _assert_quantiles_ordered(snapshot)
+
+    histogram = _fed_in_blocks(values, data, read)
+    one_by_one = Histogram("h")
     for value in values:
-        oracle.observe(value)
-
+        one_by_one.observe(value)
     assert json.dumps(histogram.state_dict()) == json.dumps(
-        oracle.state_dict()
+        one_by_one.state_dict()
     )
-    assert histogram.snapshot() == oracle.snapshot()
+
+
+@settings(deadline=None)
+@given(
+    values=_SEQUENCES,
+    ints=st.lists(st.integers(min_value=-10**9, max_value=10**9),
+                  max_size=200),
+    data=st.data(),
+)
+def test_histogram_ignores_order_and_block_split(values, ints, data):
+    """Shuffled and split differently, a sequence leaves the same bucket
+    counts, count, min, max and quantiles; the float sum too when it is
+    exact, as a sum of integers is."""
+    straight = Histogram("h")
+    straight.observe(*values)
+    shuffled = _fed_in_blocks(data.draw(st.permutations(values)), data)
+    scalars = ("count", "min", "max", "buckets")
+    assert {k: shuffled.state_dict()[k] for k in scalars} == {
+        k: straight.state_dict()[k] for k in scalars
+    }
+    assert {
+        k: v for k, v in shuffled.snapshot().items()
+        if k not in ("sum", "mean")
+    } == {
+        k: v for k, v in straight.snapshot().items()
+        if k not in ("sum", "mean")
+    }
+
+    straight = Histogram("h")
+    straight.observe(*ints)
+    shuffled = _fed_in_blocks(data.draw(st.permutations(ints)), data)
+    assert shuffled.state_dict() == straight.state_dict()
+    assert shuffled.snapshot() == straight.snapshot()
+
+
+@settings(deadline=None)
+@given(values=_SEQUENCES, data=st.data())
+def test_histogram_state_dict_round_trips_exactly(values, data):
+    """``state_dict`` through JSON and ``load_state`` restores the
+    histogram exactly, and it goes on as if never stopped."""
+    cut = data.draw(st.integers(min_value=0, max_value=len(values)))
+    first = Histogram("h")
+    first.observe(*values[:cut])
+    resumed = Histogram("h")
+    resumed.load_state(json.loads(json.dumps(first.state_dict())))
+    assert resumed.state_dict() == first.state_dict()
+    assert resumed.snapshot() == first.snapshot()
+    first.observe(*values[cut:])
+    resumed.observe(*values[cut:])
+    assert json.dumps(resumed.state_dict()) == json.dumps(
+        first.state_dict()
+    )
+
+
+@pytest.mark.parametrize("values", [
+    [sys.float_info.max],
+    [-sys.float_info.max, sys.float_info.max],
+    [-5e-324, 0.0, -0.0, 5e-324],
+], ids=["largest", "both-signs", "subnormal"])
+def test_histogram_holds_the_float_extremes(values):
+    """The largest floats round to 2**1024, which no float holds: the
+    quantile clamps to ``max``."""
+    histogram = Histogram("h")
+    histogram.observe(*values)
+    snapshot = histogram.snapshot()
+    assert SampleOracle(values).mismatches(snapshot) == []
+    restored = Histogram("h")
+    restored.load_state(json.loads(json.dumps(histogram.state_dict())))
+    assert restored.snapshot() == snapshot
+
+
+def _ar1(count, phi, seed):
+    """An autocorrelated AR(1) walk mapped through ``exp``, so it is
+    heavy-tailed and trends for long stretches, like queueing waits."""
+    rng = random.Random(seed)
+    level = 0.0
+    values = []
+    for _ in range(count):
+        level = phi * level + rng.gauss(0.0, 1.0)
+        values.append(math.exp(level / 4) * 1e5)
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    _ar1(20_000, 0.999, seed=5),
+    sorted(_ar1(20_000, 0.9, seed=6)),
+    sorted(_ar1(20_000, 0.9, seed=7), reverse=True),
+], ids=["ar1", "rising", "falling"])
+def test_histogram_is_exact_within_bound_on_trending_input(values):
+    """Trending input, which drove P² markers off (p99 below p90 on a
+    stream's waits), changes nothing for bucket counts."""
+    histogram = Histogram("h")
+    for lo in range(0, len(values), 4096):
+        histogram.observe(*values[lo:lo + 4096])
+    snapshot = histogram.snapshot()
+    assert SampleOracle(values).mismatches(snapshot) == []
+    _assert_quantiles_ordered(snapshot)
+
+
+@pytest.fixture(scope="module")
+def stream_steady_shape():
+    """A retained stream of the benchmark's ``stream-steady`` shape
+    (``proposed``, seed 1, Poisson gap 56k cycles), with the oracle
+    predictor and 10,000 jobs.  P² read p90 3.58M and p99 4.48M cycles
+    on it; the exact values are about 1.47M and 4.64M."""
+    store = default_store(cache_path=None)
+    return StreamingSimulation(
+        paper_system(), make_policy("proposed"), store,
+        predictor=OraclePredictor(store),
+        config=StreamConfig(max_jobs=10_000, retain_jobs=True),
+    ).run(PoissonProcess(
+        eembc_suite(), mean_interarrival_cycles=56_000, seed=1
+    ))
+
+
+def test_stream_waiting_quantiles_are_exact_within_bound(
+    stream_steady_shape,
+):
+    waits = [job.waiting_cycles for job in stream_steady_shape.sim_result.jobs]
+    assert SampleOracle(waits).mismatches(stream_steady_shape.waiting) == []
+    _assert_quantiles_ordered(stream_steady_shape.waiting)
 
 
 def test_histogram_empty_block_is_a_no_op():

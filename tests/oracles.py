@@ -1,10 +1,11 @@
 """Reference implementations the product's engines are checked against.
 
 ``src/`` has one cache-measurement engine (:mod:`repro.cache.stackdist`),
-one ensemble trainer (:mod:`repro.ann.batched`), one block-fed
+one ensemble trainer (:mod:`repro.ann.batched`), one log-bucket
 histogram and one power-gate ladder walk.  Each is an optimised
 rewrite that promises bit-identical results to the straightforward
-code kept here:
+code kept here, except the histogram's quantiles, which promise a
+stated error bound:
 
 * **Cache oracle** — :func:`simulate_trace_per_config` replays a trace
   access by access, once per configuration;
@@ -19,10 +20,10 @@ code kept here:
   :func:`fit_sequential` and :func:`fit_predictor_sequential` run it
   member by member over a :class:`~repro.ann.bagging.BaggedRegressor`
   or an :class:`~repro.core.predictor.AnnPredictor`.
-* **Streaming-statistics oracle** — :class:`HistogramOracle` keeps
-  count/sum/min/max and three :class:`P2Oracle` estimators fed one
-  value at a time, the update :class:`~repro.obs.metrics.Histogram`
-  runs over whole blocks.
+* **Streaming-statistics oracle** — :class:`SampleOracle` keeps every
+  observation: count/sum/min/max as
+  :class:`~repro.obs.metrics.Histogram` folds them, and the exact
+  order statistics its log-bucket quantiles approximate.
 * **Power-gate oracle** — :func:`degradation_candidates` enumerates a
   degradation ladder unsorted, with the per-dispatch arithmetic of
   :func:`~repro.energy.scaling.scaled_charges` written out inline, and
@@ -474,137 +475,73 @@ def fit_predictor_sequential(
     return predictor
 
 
-class P2Oracle:
-    """One P² quantile estimator [Jain & Chlamtac 1985], fed one value
-    per call: the per-value update that
-    :meth:`repro.obs.metrics.P2Quantile.observe` runs over a block with
-    its markers in local variables."""
+class SampleOracle:
+    """Every observation kept: the exact distribution that
+    :class:`~repro.obs.metrics.Histogram` summarises in log buckets.
 
-    def __init__(self, p: float) -> None:
-        self.p = p
-        self._heights: List[float] = []
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
-        self._increments = [0.0, p / 2, p, (1 + p) / 2, 1.0]
-
-    def observe(self, x: float) -> None:
-        q = self._heights
-        if len(q) < 5:
-            q.append(x)
-            q.sort()
-            return
-        n = self._positions
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            for i in range(1, 4):
-                if x >= q[i]:
-                    k = i
-        for i in range(k + 1, 5):
-            n[i] += 1
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            d = desired[i] - n[i]
-            if (d >= 1 and n[i + 1] - n[i] > 1) or (
-                d <= -1 and n[i - 1] - n[i] < -1
-            ):
-                step = 1 if d >= 0 else -1
-                candidate = self._parabolic(i, step)
-                if q[i - 1] < candidate < q[i + 1]:
-                    q[i] = candidate
-                else:
-                    q[i] = self._linear(i, step)
-                n[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
-
-    @property
-    def value(self) -> float:
-        q = self._heights
-        if not q:
-            return 0.0
-        if len(q) < 5:
-            rank = self.p * (len(q) - 1)
-            low = int(rank)
-            high = min(low + 1, len(q) - 1)
-            return q[low] + (q[high] - q[low]) * (rank - low)
-        return q[2]
-
-    def state_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
-
-
-class HistogramOracle:
-    """:class:`~repro.obs.metrics.Histogram` fed one value per call:
-    the same ``state_dict()`` and ``snapshot()`` layouts, tracking
-    p50/p90/p99 with :class:`P2Oracle`."""
+    Count, sum (added in feed order), mean, min and max come out as the
+    histogram folds them, so they must match it exactly; the
+    p-quantile's exact order statistic is the sorted sample's entry at
+    rank ``round(p * (count - 1))`` (halves up), which the histogram's
+    quantile must be within :data:`RELATIVE_ERROR` of.
+    """
 
     QUANTILES = {"p50": 0.5, "p90": 0.9, "p99": 0.99}
 
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.estimators = {
-            key: P2Oracle(p) for key, p in self.QUANTILES.items()
-        }
+    #: The error bound the histogram documents, relative to the
+    #: magnitude of the order statistic.
+    RELATIVE_ERROR = 2.0 ** -8
+
+    def __init__(self, values: Sequence[float] = ()) -> None:
+        self.values: List[float] = []
+        for value in values:
+            self.observe(value)
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for estimator in self.estimators.values():
-            estimator.observe(value)
+        self.values.append(float(value))
 
-    def snapshot(self) -> Dict[str, float]:
-        empty = self.count == 0
-        summary = {
-            "count": float(self.count),
-            "sum": self.total,
-            "mean": self.total / self.count if self.count else 0.0,
-            "min": 0.0 if empty else self.min,
-            "max": 0.0 if empty else self.max,
-        }
-        for key, estimator in self.estimators.items():
-            summary[key] = estimator.value
-        return summary
-
-    def state_dict(self) -> dict:
+    def scalars(self) -> Dict[str, float]:
+        """``count``/``sum``/``mean``/``min``/``max`` (zeros when
+        empty), as :meth:`~repro.obs.metrics.Histogram.snapshot`
+        reports them."""
+        values = self.values
+        total = 0.0
+        for value in values:
+            total += value
+        count = len(values)
         return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "estimators": [
-                e.state_dict() for e in self.estimators.values()
-            ],
+            "count": float(count),
+            "sum": total,
+            "mean": total / count if count else 0.0,
+            "min": min(values) if values else 0.0,
+            "max": max(values) if values else 0.0,
         }
+
+    def order_statistics(self) -> Dict[str, float]:
+        """``p50``/``p90``/``p99`` as exact order statistics (zeros when
+        empty)."""
+        if not self.values:
+            return {key: 0.0 for key in self.QUANTILES}
+        ordered = np.sort(np.asarray(self.values, dtype=np.float64))
+        last = len(ordered) - 1
+        return {
+            key: float(ordered[int(p * last + 0.5)])
+            for key, p in self.QUANTILES.items()
+        }
+
+    def mismatches(self, snapshot: Dict[str, float]) -> List[str]:
+        """What in a histogram ``snapshot`` disagrees with the sample:
+        a scalar that differs, or a quantile outside the bound."""
+        wrong = [
+            f"{key} {snapshot[key]!r} != {value!r}"
+            for key, value in self.scalars().items()
+            if snapshot[key] != value
+        ]
+        for key, exact in self.order_statistics().items():
+            if abs(snapshot[key] - exact) > self.RELATIVE_ERROR * abs(exact):
+                wrong.append(f"{key} {snapshot[key]!r} is not within "
+                             f"2**-8 of {exact!r}")
+        return wrong
 
 
 def degradation_candidates(

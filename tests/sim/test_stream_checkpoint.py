@@ -259,7 +259,7 @@ class TestCongestedResume:
             killed.start(self._process(specs, discipline))
             killed.advance(max_completions=kill_at)
             snapshot = json.loads(json.dumps(killed.snapshot()))
-            assert snapshot["version"] == STREAM_SNAPSHOT_VERSION == 4
+            assert snapshot["version"] == STREAM_SNAPSHOT_VERSION == 5
             assert len(snapshot["engine"]["queue"]) >= self.CAPACITY - 2
 
             resumed = _engine(*args, config=config)
@@ -425,12 +425,14 @@ class TestCheckpointFiles:
         assert result == baseline
 
 
-#: A version-4 checkpoint written mid-stream by the engine as it stood
-#: when arrivals were frozen dataclasses: ``_fixture_engine()`` started
-#: on ``_fixture_process()``, ``advance(max_events=FIXTURE_EVENTS)``,
-#: then ``write_checkpoint``.  It holds buffered arrival rows and a
-#: deferred (blocked) arrival with a priority and a deadline.
-FIXTURE = Path(__file__).parent / "data" / "stream_v4_block_qos.json"
+#: A version-5 checkpoint written mid-stream: ``_fixture_engine()``
+#: started on ``_fixture_process()``,
+#: ``advance(max_events=FIXTURE_EVENTS)``, then ``write_checkpoint``.
+#: It holds buffered arrival rows and a deferred (blocked) arrival with
+#: a priority and a deadline.  Its ``engine``, ``knowledge`` and
+#: ``process`` sections are those of the version-4 file beside it,
+#: written when arrivals were frozen dataclasses.
+FIXTURE = Path(__file__).parent / "data" / "stream_v5_block_qos.json"
 FIXTURE_EVENTS = 194
 
 
@@ -613,9 +615,11 @@ class TestMistypedArrivalRows:
 
 
 #: The committed checkpoint's first tuning session (``[3, 2, {...}]``),
-#: waiting-time histogram, QoS process RNG and inner Poisson process.
+#: waiting- and turnaround-time histograms, QoS process RNG and inner
+#: Poisson process.
 SESSION = json.loads(FIXTURE.read_text())["knowledge"]["sessions"][0]
 WAITING = json.loads(FIXTURE.read_text())["stats"]["waiting"]
+TURNAROUND = json.loads(FIXTURE.read_text())["stats"]["turnaround"]
 RNG = json.loads(FIXTURE.read_text())["process"]["rng"]
 INNER = json.loads(FIXTURE.read_text())["process"]["inner"]
 #: A telemetry state as a run with a sink checkpoints it.
@@ -701,10 +705,14 @@ MISTYPED_FIELDS = [
     ], "before now"),
     ("engine", "res_busy", [558612, 219476, 282692, 2 ** 62],
      "core 3's residency interval"),
-    ("stats", "waiting", {**WAITING, "estimators": [
-        {**WAITING["estimators"][0], "positions": [1, 1, 2, 3, 4]},
-        *WAITING["estimators"][1:],
-    ]}, "markers must be ordered"),
+    ("stats", "waiting", {**WAITING, "buckets": WAITING["buckets"][::-1]},
+     "histogram 'stream.waiting_cycles' bucket must be >= "),
+    ("stats", "waiting", {**WAITING, "buckets": WAITING["buckets"][1:]},
+     "'buckets' hold 55 observations, not 'count' 67"),
+    ("stats", "waiting", {**WAITING, "buckets": [[0, 67.0]]},
+     "bucket 0's count must be an integer"),
+    ("stats", "turnaround", {**TURNAROUND, "buckets": [[-7, 67]]},
+     "bucket -7 is not a bucket key"),
     ("stats", "turnaround", {}, "histogram 'stream.turnaround_cycles'"),
     ("stats", "waiting", 5, "histogram 'stream.waiting_cycles'"),
     ("process", "rng", 5, "qos process 'rng' must be a PCG64"),

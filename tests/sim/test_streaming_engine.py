@@ -46,7 +46,7 @@ from repro.workloads.arrivals import (
 )
 from repro.workloads.eembc import eembc_benchmark
 
-from tests.oracles import HistogramOracle
+from tests.oracles import SampleOracle
 from tests.scenarios import (
     SUITE_NAMES,
     build_energy_table,
@@ -396,7 +396,7 @@ class TestStreamBounds:
 
 
 class TestBlockFeed:
-    """Statistics fed in blocks equal the per-value oracle's.
+    """Statistics fed in blocks agree with the exact sample's.
 
     The run spans more than two histogram blocks, with a warm-up, so
     block flushes, telemetry flushes and the warm-up filter all occur.
@@ -434,16 +434,14 @@ class TestBlockFeed:
         assert 2 * OBSERVE_BLOCK < len(observed) < self.LONG_JOBS
         assert recycled.observed_jobs == len(observed)
 
-        waiting, turnaround = HistogramOracle(), HistogramOracle()
-        for job in observed:
-            waiting.observe(job.waiting_cycles)
-            turnaround.observe(job.completion_cycle - job.arrival_cycle)
-        assert recycled.waiting == retained.waiting == waiting.snapshot()
-        assert (
-            recycled.turnaround
-            == retained.turnaround
-            == turnaround.snapshot()
+        waiting = SampleOracle(job.waiting_cycles for job in observed)
+        turnaround = SampleOracle(
+            job.completion_cycle - job.arrival_cycle for job in observed
         )
+        assert recycled.waiting == retained.waiting
+        assert recycled.turnaround == retained.turnaround
+        assert waiting.mismatches(recycled.waiting) == []
+        assert turnaround.mismatches(recycled.turnaround) == []
 
     def test_telemetry_samples_match_oracle(
         self, retained, specs, store, oracle, energy_table
@@ -458,14 +456,14 @@ class TestBlockFeed:
         assert len(samples) >= self.LONG_JOBS // 7
 
         jobs = retained.sim_result.jobs
-        waiting = HistogramOracle()
+        waiting = SampleOracle()
         fed = 0
         for sample in samples:
             # A sample reads the histogram after ``done`` completions.
             for job in self._observed(jobs[fed:sample["done"]]):
                 waiting.observe(job.waiting_cycles)
             fed = sample["done"]
-            assert sample["waiting"] == waiting.snapshot(), sample["i"]
+            assert waiting.mismatches(sample["waiting"]) == [], sample["i"]
         assert fed == self.LONG_JOBS
 
 

@@ -638,8 +638,10 @@ class TestStreamCommand:
 #: A fault plan whose core fault has a wrong field and misses the rest.
 BAD_PLAN = '{"name": "x", "core_faults": [{"core": 0}]}'
 CHECKPOINT = (
-    Path(__file__).parent / "sim" / "data" / "stream_v4_block_qos.json"
+    Path(__file__).parent / "sim" / "data" / "stream_v5_block_qos.json"
 )
+#: The same checkpoint as a version-4 build wrote it (P² histograms).
+CHECKPOINT_V4 = CHECKPOINT.with_name("stream_v4_block_qos.json")
 
 
 class TestHostileInput:
@@ -741,6 +743,18 @@ class TestHostileInput:
         assert kind in err
         assert "Traceback" not in err
 
+
+    def test_older_checkpoint_version_is_named(self, capsys, tmp_path):
+        path = tmp_path / "stream.ckpt"
+        path.write_bytes(CHECKPOINT_V4.read_bytes())
+        code = main(["stream", "--checkpoint", str(path), "--resume",
+                     "--max-jobs", "100", "--predictor", "oracle"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a valid stream checkpoint: unsupported "
+            "stream snapshot version 4; this build reads version 5\n"
+        )
+        assert path.read_bytes() == CHECKPOINT_V4.read_bytes()
 
     def test_mistyped_checkpoint_queue_is_named(self, capsys, tmp_path):
         snapshot = json.loads(CHECKPOINT.read_text())

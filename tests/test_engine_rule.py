@@ -6,7 +6,7 @@ verdict, and every front end that can express the row must agree with
 it: :class:`~repro.core.simulation.SchedulerSimulation` (``run`` /
 ``run_dags``), the simulation core
 (:class:`~repro.sim.stream.StreamingSimulation`, for the stream rows
-its constructor can express: no hook, no telemetry, no engine choice),
+its constructor can express: no hook, no engine choice),
 :func:`~repro.campaign.run_spec` (the one run path behind ``compare``,
 ``stream`` and campaigns), :func:`~repro.campaign.run_campaign` and the
 CLI all accept the row, or all reject it with the rule's message.
@@ -87,12 +87,10 @@ def verdict(call):
     return None
 
 
-def core_expresses(engine, hook, telemetry):
-    """Whether the core's constructor can express a stream row.  It
-    picks no engine and takes no hook; and where the rule reports a
-    telemetry conflict first, it names the policy class it does not
-    implement."""
-    return engine != "reference" and hook == "none" and not telemetry
+def core_expresses(engine, hook):
+    """Whether the core's constructor can express a stream row: it
+    picks no engine and takes no hook."""
+    return engine != "reference" and hook == "none"
 
 
 def simulate(store, engine, hook, telemetry, policy, load):
@@ -105,6 +103,7 @@ def simulate(store, engine, hook, telemetry, policy, load):
         return StreamingSimulation(
             paper_system(), policy, store, predictor=OraclePredictor(store),
             config=StreamConfig(max_jobs=6),
+            telemetry=Telemetry() if telemetry else None,
         ).run(make_process("poisson", eembc_suite(),
                            mean_interarrival_cycles=56_000, seed=0))
     kwargs = dict(
@@ -198,7 +197,7 @@ def test_front_ends_agree_with_the_rule(row, store, capsys, tmp_path):
         telemetry=telemetry, load=load,
     ))
 
-    if load != "stream" or core_expresses(engine, hook, telemetry):
+    if load != "stream" or core_expresses(engine, hook):
         assert verdict(lambda: simulate(store, *row)) == expected
     assert verdict(lambda: spec_run(store, *row)) == expected
     if not telemetry:
@@ -252,7 +251,7 @@ def test_plugin_policies_run_on_the_reference_loop(cls, engine, load,
     else:
         assert expected is None
         assert select_engine(engine, cls(), load=load) == "reference"
-    if load != "stream" or core_expresses(engine, "none", False):
+    if load != "stream" or core_expresses(engine, "none"):
         assert verdict(
             lambda: simulate(store, engine, "none", False, cls, load)
         ) == expected
@@ -265,15 +264,22 @@ def test_plugin_policies_run_on_the_reference_loop(cls, engine, load,
 @pytest.mark.parametrize("cls", CUSTOM_POLICIES,
                          ids=lambda cls: cls.__name__)
 def test_core_constructors_refuse_plugin_policies(cls, store):
-    with pytest.raises(ValueError, match=cls.__name__) as refused:
-        StreamingSimulation(
-            paper_system(), cls(), store,
-            predictor=OraclePredictor(store),
-            config=StreamConfig(max_jobs=6),
-        )
-    assert str(refused.value) == verdict(
-        lambda: select_engine("fast", cls())
-    )
+    """The core refuses a plug-in policy, as a fast batch or a stream,
+    with a telemetry sink or without, in the rule's words."""
+    for engine, load, config in (
+        ("fast", "batch", None), ("auto", "stream", StreamConfig(max_jobs=6)),
+    ):
+        for telemetry in (None, Telemetry()):
+            expected = verdict(lambda: select_engine(
+                engine, cls(), telemetry=telemetry is not None, load=load,
+            ))
+            assert expected is not None
+            assert verdict(lambda: StreamingSimulation(
+                paper_system(), cls(), store,
+                predictor=OraclePredictor(store), config=config,
+                telemetry=telemetry,
+            )) == expected
+    assert cls.__name__ in verdict(lambda: select_engine("fast", cls()))
 
 
 #: Column features of the engine table in docs/performance.md, in order.

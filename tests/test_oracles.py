@@ -4,8 +4,8 @@ An oracle that called the engine it checks would pass every
 equivalence test while checking nothing, so the module may import
 none of the engines: not the module, and none of the names it exports.
 The engines are the stack-distance cache engine, the batched ensemble
-trainer, the block-fed P² update of the streaming histograms and the
-power gate's ladder builder and walk.
+trainer, the log-bucket histogram and the power gate's ladder builder
+and walk.
 """
 
 import ast
