@@ -6,10 +6,16 @@ the paper's 30-member ensemble multiplies every forward/backward/
 optimiser dispatch by 30 on matrices of at most a few hundred floats.
 This engine trains **all members in one stacked pass**:
 
-* parameters are held as ``(members, in, out)`` tensors, one stack per
-  layer, and the forward/backward passes are batched matmuls
+* parameters live in one ``(members, P)`` buffer, each member's row
+  holding every layer's weights then bias; each layer sees
+  ``(members, in, out)`` and ``(members, out)`` views of it, and the
+  forward/backward passes are batched matmuls
   (``(M, B, in) @ (M, in, out)``) — numpy dispatches the same GEMM per
   member slice, so per-member arithmetic is identical to the reference;
+* gradients land in views of a matching buffer, so the Adam step is 14
+  elementwise operations over the whole ``(members, P)`` state, not 14
+  per layer and tensor: the same operands in the same order, so every
+  element gets the reference's IEEE result;
 * every member trains on its own rows of a per-member bootstrap index
   matrix, gathered into an ``(M, n, features)`` tensor up front;
 * per-member early stopping is an *active-member mask*: members whose
@@ -28,7 +34,7 @@ The loss is MSE and the optimiser Adam, the reference's only settings.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +59,23 @@ def _validate_members(members: Sequence[MLP]) -> None:
                 raise ValueError(
                     "batched training needs identical member activations"
                 )
+
+
+def _layer_views(
+    flat: np.ndarray, shapes: Sequence[Tuple[int, int]]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per-layer ``(weights, bias)`` views into a ``(members, P)`` buffer."""
+    views = []
+    offset = 0
+    for n_in, n_out in shapes:
+        size = n_in * n_out
+        weights = flat[:, offset : offset + size].reshape(
+            flat.shape[0], n_in, n_out
+        )
+        offset += size
+        views.append((weights, flat[:, offset : offset + n_out]))
+        offset += n_out
+    return views
 
 
 def train_ensemble_batched(
@@ -132,18 +155,18 @@ def train_ensemble_batched(
 
     n_layers = len(members[0].layers)
     activations = [layer.activation for layer in members[0].layers]
-    # Stacked parameters and Adam state, compacted to active members.
-    weights = [
-        np.stack([m.layers[l].weights for m in members])
-        for l in range(n_layers)
-    ]
-    biases = [
-        np.stack([m.layers[l].bias for m in members]) for l in range(n_layers)
-    ]
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    shapes = [layer.weights.shape for layer in members[0].layers]
+    # Parameters, gradients and Adam state as flat buffers, compacted to
+    # the active members; the per-layer views are re-derived on compaction.
+    params = np.stack([
+        np.concatenate([a.ravel() for w_b in m.get_weights() for a in w_b])
+        for m in members
+    ])
+    layers = _layer_views(params, shapes)
+    grads = np.empty_like(params)
+    grad_layers = _layer_views(grads, shapes)
+    m_adam = np.zeros_like(params)
+    v_adam = np.zeros_like(params)
     lr = config.learning_rate
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0  # Adam step count — shared: active members step in lockstep.
@@ -152,8 +175,7 @@ def train_ensemble_batched(
     # Early-stopping state, indexed by original member id.
     best_val = np.full(n_members, np.inf)
     since_best = np.zeros(n_members, dtype=int)
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best_params = params.copy()
     has_best = np.zeros(n_members, dtype=bool)
     ids = np.arange(n_members)  # original id of each compacted row
 
@@ -180,39 +202,34 @@ def train_ensemble_batched(
             out = xb
             inputs: List[np.ndarray] = []
             preacts: List[np.ndarray] = []
-            for l in range(n_layers):
+            for (weights, bias), activation in zip(layers, activations):
                 inputs.append(out)
-                z = out @ weights[l] + biases[l][:, None, :]
+                z = out @ weights + bias[:, None, :]
                 preacts.append(z)
-                out = activations[l].forward(z)
+                out = activation.forward(z)
             diff = out - yb
             epoch_loss += mean_per_member(diff * diff)
             batches += 1
             # Backward (MSE gradient, same evaluation order as the
             # reference: (2 * diff) / per-member prediction size).
             grad = 2.0 * diff / diff[0].size
-            grads_w: List[np.ndarray] = [None] * n_layers  # type: ignore
-            grads_b: List[np.ndarray] = [None] * n_layers  # type: ignore
             for l in reversed(range(n_layers)):
                 grad_z = activations[l].backward(preacts[l], grad)
-                grads_w[l] = np.matmul(inputs[l].transpose(0, 2, 1), grad_z)
-                grads_b[l] = grad_z.sum(axis=1)
-                grad = np.matmul(grad_z, weights[l].transpose(0, 2, 1))
+                grad_w, grad_b = grad_layers[l]
+                np.matmul(inputs[l].transpose(0, 2, 1), grad_z, out=grad_w)
+                grad_z.sum(axis=1, out=grad_b)
+                grad = np.matmul(grad_z, layers[l][0].transpose(0, 2, 1))
             # Adam step; bias corrections are scalars because every
-            # active member has taken exactly t steps.
+            # active member has taken exactly t steps.  Each line keeps
+            # the reference's operands and order of operations.
             t += 1
             c1 = 1 - beta1**t
             c2 = 1 - beta2**t
-            for l in range(n_layers):
-                for params, grads, ms, vs in (
-                    (weights, grads_w, m_w, v_w),
-                    (biases, grads_b, m_b, v_b),
-                ):
-                    ms[l] = beta1 * ms[l] + (1 - beta1) * grads[l]
-                    vs[l] = beta2 * vs[l] + (1 - beta2) * grads[l] * grads[l]
-                    m_hat = ms[l] / c1
-                    v_hat = vs[l] / c2
-                    params[l] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m_adam *= beta1
+            m_adam += (1 - beta1) * grads
+            v_adam *= beta2
+            v_adam += (1 - beta2) * grads * grads
+            params -= lr * (m_adam / c1) / (np.sqrt(v_adam / c2) + eps)
 
         mean_loss = epoch_loss / max(batches, 1)
         for row, member_id in enumerate(ids):
@@ -221,10 +238,8 @@ def train_ensemble_batched(
         if not has_val:
             continue
         out = x_val[None, :, :]
-        for l in range(n_layers):
-            out = activations[l].forward(
-                out @ weights[l] + biases[l][:, None, :]
-            )
+        for (weights, bias), activation in zip(layers, activations):
+            out = activation.forward(out @ weights + bias[:, None, :])
         val_diff = out - y_val[None, :, :]
         val_values = mean_per_member(val_diff * val_diff)
         for row, member_id in enumerate(ids):
@@ -238,9 +253,7 @@ def train_ensemble_batched(
         has_best[improved_ids] = True
         for member_id in improved_ids:
             histories[member_id].best_epoch = epoch
-        for l in range(n_layers):
-            best_weights[l][improved_ids] = weights[l][improved]
-            best_biases[l][improved_ids] = biases[l][improved]
+        best_params[improved_ids] = params[improved]
 
         if config.patience is None:
             continue
@@ -252,31 +265,24 @@ def train_ensemble_batched(
         # Compact every stacked tensor down to the surviving members.
         ids = ids[keep]
         xs, ys = xs[keep], ys[keep]
-        for l in range(n_layers):
-            weights[l] = weights[l][keep]
-            biases[l] = biases[l][keep]
-            m_w[l], v_w[l] = m_w[l][keep], v_w[l][keep]
-            m_b[l], v_b[l] = m_b[l][keep], v_b[l][keep]
+        params, m_adam, v_adam = params[keep], m_adam[keep], v_adam[keep]
+        grads = np.empty_like(params)
+        layers = _layer_views(params, shapes)
+        grad_layers = _layer_views(grads, shapes)
 
-    # Scatter surviving members' final weights into the snapshot stacks,
+    # Scatter surviving members' final weights into the snapshot buffer,
     # then hand each member its reference-equivalent final parameters:
     # best-validation weights when a validation set drove the run, the
     # final weights otherwise.
-    final_weights = [w.copy() for w in best_weights]
-    final_biases = [b.copy() for b in best_biases]
     if has_val:
         keep_final = ~has_best[ids]  # never-improved members keep final
     else:
         keep_final = np.ones(ids.size, dtype=bool)
-    for l in range(n_layers):
-        final_weights[l][ids[keep_final]] = weights[l][keep_final]
-        final_biases[l][ids[keep_final]] = biases[l][keep_final]
+    best_params[ids[keep_final]] = params[keep_final]
+    final_layers = _layer_views(best_params, shapes)
     for member_id, member in enumerate(members):
         member.set_weights(
-            [
-                (final_weights[l][member_id], final_biases[l][member_id])
-                for l in range(n_layers)
-            ]
+            [(w[member_id], b[member_id]) for w, b in final_layers]
         )
         if not has_val:
             history = histories[member_id]

@@ -32,7 +32,11 @@ set-sorted, run-compressed pass:
   set's accesses contiguous, still in trace order;
 * **depth 0** — an access repeating the line before it in set order
   hits at depth 0; collapsing those repeats leaves *runs*, each run's
-  line differing from the previous run's;
+  line differing from the previous run's.  A set count that a smaller
+  measured one divides sorts that partition's runs instead of the
+  trace, and gets the same runs: each of its sets lies within one
+  coarser set.  Table 1's 32, 64 and 128 sets per line size thus sort
+  the trace once and then ever fewer runs;
 * **deeper** — one numpy pass per stack level: a reset-and-count
   recurrence (one running maximum) over the runs locates each stack
   slot (:func:`_run_depths`).  Lines of an earlier set never match.
@@ -251,9 +255,39 @@ def _run_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
     return depths
 
 
+def _set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
+    """Set index of every line address.
+
+    A power-of-two set count takes a bit mask, much cheaper than int64 %.
+    """
+    low_bits = num_sets - 1
+    return lines & low_bits if not num_sets & low_bits else lines % num_sets
+
+
+def _set_runs(
+    la: np.ndarray, mask: Optional[np.ndarray], num_sets: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The runs of one partition, and the write flag of each run's first access.
+
+    ``la`` lists line addresses in trace order, or the runs of a coarser
+    partition whose set count divides ``num_sets``: every finer set then
+    lies within one coarser set, so the coarser runs of a finer set are
+    its accesses in trace order with some repeats already collapsed, and
+    this pass yields the same runs either way.
+    """
+    # Set order.  Keys of 16 bits or fewer get numpy's stable radix sort.
+    keys = _set_index(la, num_sets).astype(np.min_scalar_type(num_sets - 1))
+    order = np.argsort(keys, kind="stable")
+    # Depth 0: every access that does not start a run.  Equal lines
+    # share a set, so runs never span a set boundary.
+    sorted_lines = la[order]
+    starts = np.flatnonzero(_run_starts(sorted_lines))
+    return sorted_lines[starts], None if mask is None else mask[order[starts]]
+
+
 def _partition_profile(
-    la: np.ndarray,
-    mask: Optional[np.ndarray],
+    runs: np.ndarray,
+    run_writes: Optional[np.ndarray],
     lines: np.ndarray,
     *,
     accesses: int,
@@ -262,34 +296,22 @@ def _partition_profile(
     num_sets: int,
     max_assoc: int,
 ) -> StackDistanceProfile:
-    """Measure one partition of a :func:`_compress`-ed trace in one pass.
+    """Measure one partition from its :func:`_set_runs`.
 
     ``lines`` are the sorted distinct line addresses; ``accesses`` and
     ``write_accesses`` count the full trace.
     """
     if max_assoc == 3:
         max_assoc = 4  # one more level is cheap, and 4 ways also answer 3
-    # Set order.  Keys of 16 bits or fewer get numpy's stable radix sort;
-    # a power-of-two set count takes a bit mask, much cheaper than int64 %.
-    low_bits = num_sets - 1
-    keys = la & low_bits if not num_sets & low_bits else la % num_sets
-    order = np.argsort(keys.astype(np.min_scalar_type(low_bits)), kind="stable")
-    # Depth 0: every access that does not start a run.  Equal lines
-    # share a set, so runs never span a set boundary.
-    sorted_lines = la[order]
-    run_starts = np.flatnonzero(_run_starts(sorted_lines))
-    runs = sorted_lines[run_starts]
-
     depths = _run_depths(runs, max_assoc)
     hist = np.bincount(depths, minlength=max_assoc + 1)
     hist[0] = accesses - runs.size
     write_hist = np.zeros(max_assoc + 1, dtype=np.int64)
-    if mask is not None:
-        run_writes = mask[order[run_starts]]
+    if run_writes is not None:
         write_hist = np.bincount(depths[run_writes], minlength=max_assoc + 1)
         write_hist[0] = write_accesses - int(run_writes.sum())
 
-    distinct = np.bincount(lines % num_sets, minlength=num_sets)
+    distinct = np.bincount(_set_index(lines, num_sets), minlength=num_sets)
     return StackDistanceProfile(
         line_b=line_b,
         num_sets=num_sets,
@@ -324,7 +346,7 @@ def profile_trace(
     lines = _drop_repeats(_distinct_addresses(addr) // line_b)
     la, la_mask = _compress(addr // line_b, mask)
     return _partition_profile(
-        la, la_mask, lines,
+        *_set_runs(la, la_mask, num_sets), lines,
         accesses=int(addr.size),
         write_accesses=0 if mask is None else int(np.count_nonzero(mask)),
         line_b=line_b, num_sets=num_sets, max_assoc=max_assoc,
@@ -361,7 +383,9 @@ def simulate_many(
         partitions[num_sets] = max(partitions.get(num_sets, 0), config.assoc)
 
     # Line sizes are powers of two, so each coarser line address is a
-    # shift of the finer, already compressed one.
+    # shift of the finer, already compressed one.  The compressed trace
+    # is the runs of the one-set partition; each set count refines the
+    # runs of the largest set count measured so far that divides it.
     profiles: Dict[Tuple[int, int], StackDistanceProfile] = {}
     la, la_mask, lines, shift = addr, mask, distinct, 0
     for line_b in sorted(by_line):
@@ -369,11 +393,17 @@ def simulate_many(
         shift += step
         la, la_mask = _compress(la >> step, la_mask)
         lines = _drop_repeats(lines >> step)
-        for num_sets, max_assoc in by_line[line_b].items():
+        runs_by_sets = {1: (la, la_mask)}
+        for num_sets in sorted(by_line[line_b]):
+            coarse = max(c for c in runs_by_sets if num_sets % c == 0)
+            runs_by_sets[num_sets] = _set_runs(
+                *runs_by_sets[coarse], num_sets
+            )
             profiles[(line_b, num_sets)] = _partition_profile(
-                la, la_mask, lines,
+                *runs_by_sets[num_sets], lines,
                 accesses=int(addr.size), write_accesses=write_accesses,
-                line_b=line_b, num_sets=num_sets, max_assoc=max_assoc,
+                line_b=line_b, num_sets=num_sets,
+                max_assoc=by_line[line_b][num_sets],
             )
 
     return {

@@ -163,7 +163,10 @@ def build_dataset(
     Returns the dataset and the characterisation store backing it (so
     callers can reuse or persist the expensive measurements).  If
     ``store`` is given, benchmarks already present are not re-simulated.
+    One energy model serves every benchmark, so its per-configuration
+    CACTI figures are computed once.
     """
+    model = energy_model if energy_model is not None else EnergyModel()
     expanded = expand_suite(specs, variants_per_family, jitter=jitter)
     out_store = store if store is not None else CharacterizationStore()
 
@@ -174,7 +177,7 @@ def build_dataset(
     for spec in expanded:
         if spec.name not in out_store:
             out_store.add(
-                characterize_benchmark(spec, configs, energy_model, seed=seed)
+                characterize_benchmark(spec, configs, model, seed=seed)
             )
         char = out_store.get(spec.name)
         rows.append(char.counters.as_vector(feature_names))

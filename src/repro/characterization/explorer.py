@@ -189,13 +189,15 @@ def characterize_suite(
 
     Benchmarks are characterised one after another, in suite order; each
     derives its randomness from its own ``(benchmark name, seed)`` pair.
-    Names must be unique.
+    Names must be unique.  One energy model serves every benchmark, so
+    its per-configuration CACTI figures are computed once.
     """
+    model = energy_model if energy_model is not None else EnergyModel()
     out: Dict[str, BenchmarkCharacterization] = {}
     for spec in specs:
         if spec.name in out:
             raise ValueError(f"duplicate benchmark name: {spec.name}")
         out[spec.name] = characterize_benchmark(
-            spec, configs, energy_model, seed=seed
+            spec, configs, model, seed=seed
         )
     return out

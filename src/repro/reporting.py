@@ -88,8 +88,11 @@ def write_report(
 ) -> Path:
     """Regenerate the evaluation into ``output_dir``; returns its path.
 
-    Writes ``REPORT.md``, ``summary.csv``, ``results.json`` (with
-    per-job records) and ``jobs_proposed.csv``.
+    Writes ``REPORT.md``, ``summary.csv``, ``results.json`` and
+    ``jobs_proposed.csv``.  ``results.json`` holds every system's
+    summary and per-job records, compactly encoded (see
+    :func:`~repro.analysis.export.results_to_json`);
+    ``jobs_proposed.csv`` holds the proposed system's jobs alone.
     """
     if n_jobs <= 0:
         raise ValueError(f"n_jobs must be positive, got {n_jobs}")

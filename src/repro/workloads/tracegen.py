@@ -233,22 +233,25 @@ def interleave_chunks(
     """
     if chunk <= 0:
         raise ValueError(f"chunk must be positive, got {chunk}")
-    streams = [s for s in streams if len(s)]
+    streams = [np.asarray(s) for s in streams if len(s)]
     if not streams:
         return np.zeros(0, dtype=np.int64)
-    pieces: List[np.ndarray] = []
-    positions = [0] * len(streams)
-    remaining = sum(len(s) for s in streams)
-    while remaining > 0:
-        for i, stream in enumerate(streams):
-            start = positions[i]
-            if start >= len(stream):
-                continue
-            stop = min(start + chunk, len(stream))
-            pieces.append(stream[start:stop])
-            positions[i] = stop
-            remaining -= stop - start
-    return np.concatenate(pieces)
+    # Round k takes taken[k, i] accesses from stream i, so a chunk's
+    # first access lands after every access of earlier rounds and of
+    # earlier streams in its round: an exclusive running sum, round-major.
+    lengths = np.array([s.size for s in streams])
+    offsets = chunk * np.arange(-(-int(lengths.max()) // chunk))
+    taken = np.clip(lengths - offsets[:, None], 0, chunk)
+    starts = (np.cumsum(taken) - taken.ravel()).reshape(taken.shape)
+    # Stream i's access j, in chunk k, goes to starts[k, i] + j - k*chunk.
+    shifts = starts - offsets[:, None]
+    out = np.empty(int(lengths.sum()), dtype=np.result_type(*streams))
+    for i, stream in enumerate(streams):
+        n_chunks = -(-stream.size // chunk)
+        out[np.arange(stream.size) + np.repeat(
+            shifts[:n_chunks, i], taken[:n_chunks, i]
+        )] = stream
+    return out
 
 
 @dataclass(frozen=True)

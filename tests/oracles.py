@@ -2,7 +2,8 @@
 
 ``src/`` has one cache-measurement engine (:mod:`repro.cache.stackdist`),
 one ensemble trainer (:mod:`repro.ann.batched`), one log-bucket
-histogram and one power-gate ladder walk.  Each is an optimised
+histogram, one power-gate ladder walk and one chunk interleaver for
+traces.  Each is an optimised
 rewrite that promises bit-identical results to the straightforward
 code kept here, except the histogram's quantiles, which promise a
 stated error bound:
@@ -14,6 +15,10 @@ stated error bound:
   from it.  :func:`deep_depths` walks a list-based LRU stack over the
   runs of one set-ordered partition: the depths that
   ``repro.cache.stackdist._run_depths`` measures level by level.
+* **Trace oracle** — :func:`interleave_chunks_loop` interleaves address
+  streams chunk by chunk in a Python loop: the order that
+  :func:`repro.workloads.tracegen.interleave_chunks` computes in closed
+  form.
 * **Training oracle** — :func:`train` fits one MLP at a time with
   per-layer backpropagation (:func:`dense_forward` /
   :func:`dense_backward`), :class:`MSELoss` and :class:`Adam`;
@@ -204,6 +209,29 @@ def deep_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
             del stack[depth]
         stack.insert(0, line)
     return np.asarray(depths, dtype=np.int64)
+
+
+def interleave_chunks_loop(
+    streams: Sequence[np.ndarray], chunk: int
+) -> np.ndarray:
+    """Round-robin ``chunk`` accesses from each non-exhausted stream in
+    turn, one slice at a time."""
+    streams = [s for s in streams if len(s)]
+    if not streams:
+        return np.zeros(0, dtype=np.int64)
+    pieces: List[np.ndarray] = []
+    positions = [0] * len(streams)
+    remaining = sum(len(s) for s in streams)
+    while remaining > 0:
+        for i, stream in enumerate(streams):
+            start = positions[i]
+            if start >= len(stream):
+                continue
+            stop = min(start + chunk, len(stream))
+            pieces.append(stream[start:stop])
+            positions[i] = stop
+            remaining -= stop - start
+    return np.concatenate(pieces)
 
 
 def _check_shapes(pred: np.ndarray, target: np.ndarray) -> None:

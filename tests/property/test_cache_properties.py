@@ -61,6 +61,25 @@ local_configs = DESIGN_SPACE + (
 )
 
 
+#: Set counts that ``simulate_many`` measures by refining a smaller
+#: one's runs, and three it sorts from the trace; every refined partition
+#: is at least 2 ways deep, so its write flags reach several depths.
+#: 64B lines: 32 sets (8KB 4-way) sorts the trace; 64 refines 32, and
+#: 3 ways are measured 4 deep; 128 refines 64; 48 sets (3KB
+#: direct-mapped) has no measured divisor and sorts the trace; 96
+#: refines 48.  32B lines: 32 sets sorts the trace and 64 refines it.
+refined_configs = (
+    CacheConfig(8, 4, 64),
+    CacheConfig(12, 3, 64),
+    CacheConfig(4, 1, 64),
+    CacheConfig(16, 2, 64),
+    CacheConfig(3, 1, 64),
+    CacheConfig(12, 2, 64),
+    CacheConfig(2, 2, 32),
+    CacheConfig(8, 4, 32),
+)
+
+
 #: Table 1 plus one wide single-set cache (1KB of 16B lines, 64-way).
 write_back_configs = st.sampled_from(DESIGN_SPACE + (CacheConfig(1, 64, 16),))
 
@@ -197,6 +216,24 @@ class TestStackDistanceEngineEquivalence:
         )
         ref.writebacks = many.writebacks
         assert ref == many
+
+    @given(
+        trace=st.one_of(traces, local_traces),
+        seed=st.integers(0, 2**16),
+        with_writes=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_refined_partitions_match_reference(self, trace, seed, with_writes):
+        # simulate_trace measures one configuration, so it sorts the
+        # trace for every set count; simulate_many refines.
+        writes = None
+        if with_writes:
+            writes = (np.random.default_rng(seed).random(len(trace)) < 0.4).tolist()
+        many = simulate_many(trace, refined_configs, writes=writes)
+        for config in refined_configs:
+            ref = _reference_stats(trace, config, writes)
+            assert many[config] == ref, config.name
+            assert simulate_trace(trace, config, writes=writes) == ref, config.name
 
     @given(trace=traces)
     @settings(max_examples=20, deadline=None)

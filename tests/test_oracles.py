@@ -4,8 +4,8 @@ An oracle that called the engine it checks would pass every
 equivalence test while checking nothing, so the module may import
 none of the engines: not the module, and none of the names it exports.
 The engines are the stack-distance cache engine, the batched ensemble
-trainer, the log-bucket histogram and the power gate's ladder builder
-and walk.
+trainer, the log-bucket histogram, the power gate's ladder builder
+and walk, and the trace generator's chunk interleaver.
 """
 
 import ast
@@ -18,17 +18,18 @@ from repro.power import budget
 
 ENGINE_MODULES = {
     "repro.cache.stackdist", "repro.ann.batched", "repro.obs.metrics",
-    "repro.power.budget",
+    "repro.power.budget", "repro.workloads.tracegen",
 }
 
 #: What the engines export, plus ``simulate_trace``, the one-config
-#: front end of the stack-distance engine.
+#: front end of the stack-distance engine, and ``interleave_chunks``,
+#: the one engine of the trace generator.
 ENGINE_NAMES = (
     set(stackdist.__all__)
     | set(batched.__all__)
     | set(metrics.__all__)
     | set(budget.__all__)
-    | {"simulate_trace"}
+    | {"simulate_trace", "interleave_chunks"}
 )
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.workloads.tracegen import (
     HotspotAccess,
@@ -13,6 +14,7 @@ from repro.workloads.tracegen import (
     TraceMix,
     interleave_chunks,
 )
+from tests.oracles import interleave_chunks_loop
 
 
 def rng():
@@ -166,6 +168,27 @@ class TestInterleave:
     def test_invalid_chunk(self):
         with pytest.raises(ValueError):
             interleave_chunks([np.arange(3)], chunk=0)
+
+    @given(
+        streams=st.lists(
+            st.tuples(
+                st.integers(0, 300),
+                st.sampled_from((np.int64, np.int32, np.uint16)),
+            ),
+            max_size=4,
+        ),
+        chunk=st.integers(1, 70),
+    )
+    def test_matches_loop_oracle(self, streams, chunk):
+        # Distinct values, so that any access out of place shows.
+        arrays = [
+            np.arange(1000 * i, 1000 * i + length).astype(dtype)
+            for i, (length, dtype) in enumerate(streams)
+        ]
+        mixed = interleave_chunks(arrays, chunk=chunk)
+        expected = interleave_chunks_loop(arrays, chunk)
+        assert mixed.dtype == expected.dtype
+        assert mixed.tolist() == expected.tolist()
 
 
 class TestTraceMix:
