@@ -39,18 +39,21 @@ set-sorted, run-compressed pass:
   the trace once and then ever fewer runs;
 * **deeper** — one numpy pass per stack level: a reset-and-count
   recurrence (one running maximum) over the runs locates each stack
-  slot (:func:`_run_depths`).  Lines of an earlier set never match.
+  slot, and the runs still deeper than the level are counted as it is
+  walked (:func:`_deeper_counts`).  Lines of an earlier set never
+  match.  A direct-mapped partition walks no level.
 
 Distinct lines, hence compulsory misses and per-set occupancy, come
 from one sort of the trace's distinct byte addresses, shared by every
-line size.  The engine is bit-for-bit equivalent to the reference
+line size.  Addresses below 2**31 are measured as int32, which halves
+that sort and every line array derived from the trace.  The engine is bit-for-bit equivalent to the reference
 :class:`~repro.cache.cache.Cache` model (property-tested).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +68,8 @@ __all__ = [
 
 #: Sentinel "no line" value; negative addresses are rejected up front.
 _EMPTY = -1
+
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,9 @@ class StackDistanceProfile:
     write_depth_hist: Tuple[int, ...]
     compulsory_misses: int
     set_distinct: Tuple[int, ...]
+    #: Final occupancy of every answerable associativity, derived from
+    #: ``set_distinct`` once, not on every :meth:`stats_for_assoc` call.
+    _occupancy: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.depth_hist) != self.max_assoc + 1:
@@ -120,6 +128,9 @@ class StackDistanceProfile:
             raise ValueError("write_depth_hist must have max_assoc + 1 buckets")
         if len(self.set_distinct) != self.num_sets:
             raise ValueError("set_distinct must have one entry per set")
+        object.__setattr__(self, "_occupancy", _occupancy_curve(
+            np.asarray(self.set_distinct, dtype=np.int64), self.max_assoc
+        ))
 
     def hits_for_assoc(self, assoc: int) -> int:
         """Hit count of an ``assoc``-way LRU cache on this partition."""
@@ -140,7 +151,7 @@ class StackDistanceProfile:
         write_hits = sum(self.write_depth_hist[:assoc])
         misses = self.accesses - hits
         write_misses = self.write_accesses - write_hits
-        occupancy = int(np.minimum(self.set_distinct, assoc).sum())
+        occupancy = self._occupancy[assoc - 1]
         stats = CacheStats(
             accesses=self.accesses,
             hits=hits,
@@ -165,11 +176,31 @@ class StackDistanceProfile:
             )
 
 
+def _occupancy_curve(set_distinct: np.ndarray, max_assoc: int) -> Tuple[int, ...]:
+    """``sum(min(set_distinct, a))`` for ``a = 1 .. max_assoc``.
+
+    With LRU an ``a``-way set keeps ``min(distinct, a)`` lines forever
+    after.  The curve adds, per way, the sets holding at least that
+    many lines.
+    """
+    capped = np.bincount(
+        np.minimum(set_distinct, max_assoc), minlength=max_assoc + 1
+    )
+    at_least = set_distinct.size - np.cumsum(capped[:-1])
+    return tuple(np.cumsum(at_least).tolist())
+
+
 def _as_addresses(addresses: Sequence[int]) -> np.ndarray:
-    """Byte addresses as a one-dimensional int64 array."""
+    """Byte addresses as a one-dimensional integer array.
+
+    int32 when every address fits, which halves the sorts and every line
+    array derived from them; int64 otherwise.
+    """
     addr = np.asarray(addresses, dtype=np.int64)
     if addr.ndim != 1:
         raise ValueError("addresses must be one-dimensional")
+    if addr.size and _INT32.min <= addr.min() and addr.max() <= _INT32.max:
+        return addr.astype(np.int32)
     return addr
 
 
@@ -219,12 +250,19 @@ def _compress(
     and never starts a set-order run, so the runs, and the write flag of
     each run's first access, are those of the full trace.
     """
-    keep = _run_starts(la)
+    keep = np.flatnonzero(_run_starts(la))
     return la[keep], None if mask is None else mask[keep]
 
 
-def _run_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
-    """Stack depth (1 .. max_assoc - 1, or max_assoc for a miss) of every run.
+def _deeper_counts(
+    runs: np.ndarray, run_writes: Optional[np.ndarray], max_assoc: int
+) -> Tuple[List[int], Optional[List[int]]]:
+    """Runs deeper than each stack level ``0 .. max_assoc - 1``, and write runs.
+
+    Every run is deeper than level 0; a run at depth ``d`` is deeper
+    than level ``d - 1`` but not level ``d``, and one deeper than level
+    ``max_assoc - 1`` misses.  The counts replace a per-run depth array
+    and its histogram: a direct-mapped partition walks no level.
 
     Exact LRU, level by level.  With ``suffix_L[k]`` the length of the
     longest stretch of runs ending at run ``k`` that holds at most ``L``
@@ -235,24 +273,42 @@ def _run_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
     at a depth <= ``L``, else ``suffix_L[k - 1] + 1``.  The loop carries
     ``src[i] = i - suffix_L[i - 1]``, an index into ``[no line] + runs``;
     it is non-decreasing, so the next level's ``src[i]`` is its running
-    maximum over the runs before ``i`` deeper than ``L``.  A run's depth
-    is one plus the number of levels it is deeper than.  A set's runs
+    maximum over the runs before ``i`` deeper than ``L``.  A set's runs
     are contiguous, so an earlier set's lines never match.
     """
-    depths = np.ones(runs.size, dtype=np.min_scalar_type(max_assoc))
-    slots = np.concatenate(([_EMPTY], runs))
+    counts = [runs.size]
+    write_counts = None
+    if run_writes is not None:
+        write_counts = [int(np.count_nonzero(run_writes))]
+    if max_assoc == 1:
+        return counts, write_counts
+    slots = np.empty(runs.size + 1, dtype=runs.dtype)
+    slots[0] = _EMPTY
+    slots[1:] = runs
     src = np.arange(-1, runs.size - 1)
     src[:1] = 0
     deeper = np.ones(runs.size, dtype=bool)
     for level in range(1, max_assoc):
         deeper &= slots[src] != runs
-        depths += deeper
+        counts.append(int(np.count_nonzero(deeper)))
+        if run_writes is not None:
+            write_counts.append(int(np.count_nonzero(deeper & run_writes)))
         if level == max_assoc - 1:
             break
         restart = src * deeper
         np.maximum.accumulate(restart, out=restart)
         src[1:] = restart[:-1]
-    return depths
+    return counts, write_counts
+
+
+def _depth_hist(accesses: int, deeper: List[int]) -> Tuple[int, ...]:
+    """Accesses per stack depth, from the runs deeper than each level.
+
+    ``accesses`` counts every access of the runs; those that do not
+    start a run hit at depth 0.
+    """
+    steps = (above - below for above, below in zip(deeper, deeper[1:]))
+    return (accesses - deeper[0], *steps, deeper[-1])
 
 
 def _set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
@@ -303,14 +359,7 @@ def _partition_profile(
     """
     if max_assoc == 3:
         max_assoc = 4  # one more level is cheap, and 4 ways also answer 3
-    depths = _run_depths(runs, max_assoc)
-    hist = np.bincount(depths, minlength=max_assoc + 1)
-    hist[0] = accesses - runs.size
-    write_hist = np.zeros(max_assoc + 1, dtype=np.int64)
-    if run_writes is not None:
-        write_hist = np.bincount(depths[run_writes], minlength=max_assoc + 1)
-        write_hist[0] = write_accesses - int(run_writes.sum())
-
+    deeper, write_deeper = _deeper_counts(runs, run_writes, max_assoc)
     distinct = np.bincount(_set_index(lines, num_sets), minlength=num_sets)
     return StackDistanceProfile(
         line_b=line_b,
@@ -318,8 +367,11 @@ def _partition_profile(
         max_assoc=max_assoc,
         accesses=accesses,
         write_accesses=write_accesses,
-        depth_hist=tuple(hist.tolist()),
-        write_depth_hist=tuple(write_hist.tolist()),
+        depth_hist=_depth_hist(accesses, deeper),
+        write_depth_hist=(
+            (0,) * (max_assoc + 1) if write_deeper is None
+            else _depth_hist(write_accesses, write_deeper)
+        ),
         compulsory_misses=int(lines.size),
         set_distinct=tuple(distinct.tolist()),
     )

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Union
 
 from repro.ann.training import TrainingConfig
 from repro.cache.config import DESIGN_SPACE
-from repro.characterization.dataset import build_dataset, expand_suite
+from repro.characterization.dataset import build_dataset
 from repro.characterization.explorer import characterize_suite
 from repro.characterization.store import (
     CharacterizationStore,
@@ -227,11 +227,7 @@ def default_dataset(
     )
     store.meta = meta
     if cache_path is not None:
-        expected = {
-            spec.name
-            for spec in expand_suite(eembc_suite(), variants_per_family)
-        }
-        if disk_names is None or not expected.issubset(disk_names):
+        if disk_names is None or not disk_names.issuperset(dataset.names):
             path = _keyed_cache_path(cache_path, meta)
             path.parent.mkdir(parents=True, exist_ok=True)
             store.to_json(path)

@@ -136,7 +136,9 @@ def collect_counters(
         miss_rate=base_stats.miss_rate,
         stall_cycles=stall_cycles,
         compulsory_misses=base_stats.compulsory_misses,
-        unique_lines=trace.unique_lines_64b,
+        # BASE_CONFIG has 64 B lines, so its compulsory misses are the
+        # trace's distinct 64 B lines: no second sort of the trace.
+        unique_lines=base_stats.compulsory_misses,
         compute_intensity=(
             (spec.int_ops + spec.fp_ops) / mem_accesses if mem_accesses else 0.0
         ),

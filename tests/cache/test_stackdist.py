@@ -7,6 +7,7 @@ from repro.cache.cache import Cache
 from repro.cache.config import DESIGN_SPACE, CacheConfig
 from repro.cache.stackdist import (
     StackDistanceProfile,
+    _as_addresses,
     profile_trace,
     simulate_many,
 )
@@ -215,6 +216,30 @@ class TestSimulateMany:
             simulate_many(trace, DESIGN_SPACE)
         with pytest.raises(ValueError, match=message):
             _profile(trace, max_assoc=4)
+
+    @pytest.mark.parametrize("trace, dtype", [
+        ([0, 2**31 - 1], np.int32),
+        ([0, 2**31], np.int64),
+        ([2**62, 64], np.int64),
+        ([-(2**31), 0], np.int32),
+        ([-(2**31) - 1, 0], np.int64),
+    ])
+    def test_addresses_narrowed_only_when_they_fit(self, trace, dtype):
+        addr = _as_addresses(trace)
+        assert addr.dtype == dtype
+        assert addr.tolist() == trace
+
+    @pytest.mark.parametrize("trace, first", [
+        ([0, -(2**40), 2**40], -(2**40)),
+        ([2**31, -(2**31) - 1], -(2**31) - 1),
+        ([-(2**31), 64], -(2**31)),
+    ])
+    def test_wide_negative_addresses_rejected_like_cache(self, trace, first):
+        message = f"address must be non-negative, got {first}"
+        with pytest.raises(ValueError, match=message):
+            Cache(DESIGN_SPACE[0]).run_trace(trace)
+        with pytest.raises(ValueError, match=message):
+            simulate_many(trace, DESIGN_SPACE)
 
 
 class TestDatasetVariantTrace:

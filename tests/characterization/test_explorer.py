@@ -157,3 +157,20 @@ class TestWriteBackCharacterisation:
                 wt.result(config).stats.misses
                 == wb.result(config).stats.misses
             )
+
+
+class TestUniqueLinesCounter:
+    """``unique_lines`` is read off the base configuration's compulsory
+    misses instead of sorting the trace again; it must stay the trace's
+    distinct 64 B lines."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        list(eembc_suite())
+        + [spec.variant(index) for spec in eembc_suite()[:3] for index in (1, 2)],
+        ids=lambda spec: spec.name,
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_trace_distinct_lines(self, spec, seed):
+        counters = characterize_benchmark(spec, seed=seed).counters
+        assert counters.unique_lines == spec.generate_trace(seed).unique_lines_64b

@@ -12,9 +12,13 @@ stated error bound:
   access by access, once per configuration;
   :func:`characterize_per_config` builds a full
   :class:`~repro.characterization.explorer.BenchmarkCharacterization`
-  from it.  :func:`deep_depths` walks a list-based LRU stack over the
-  runs of one set-ordered partition: the depths that
-  ``repro.cache.stackdist._run_depths`` measures level by level.
+  from it.  :func:`depth_histograms_reference` measures one partition's
+  depth histograms the way the engine did before it counted them while
+  walking the stack levels: a per-run depth array from the level
+  recurrence (:func:`run_depths`), then one ``bincount`` of it and one
+  of the write runs' depths.  :func:`deep_depths` walks a list-based
+  LRU stack over the runs of one set-ordered partition: the depths
+  that :func:`run_depths` computes level by level.
 * **Trace oracle** — :func:`interleave_chunks_loop` interleaves address
   streams chunk by chunk in a Python loop: the order that
   :func:`repro.workloads.tracegen.interleave_chunks` computes in closed
@@ -209,6 +213,72 @@ def deep_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
             del stack[depth]
         stack.insert(0, line)
     return np.asarray(depths, dtype=np.int64)
+
+
+def run_depths(runs: np.ndarray, max_assoc: int) -> np.ndarray:
+    """Stack depth (1 .. max_assoc - 1, or max_assoc for a miss) of every run.
+
+    Exact LRU, level by level.  With ``suffix_L[k]`` the length of the
+    longest stretch of runs ending at run ``k`` that holds at most ``L``
+    distinct lines, stack slot ``L`` before run ``i`` holds
+    ``runs[i - 1 - suffix_L[i - 1]]`` (no line if negative).
+    ``suffix_1`` is all ones, as adjacent runs differ, and
+    ``suffix_{L+1}[k]`` is ``suffix_{L+1}[k - 1] + 1`` if run ``k`` hit
+    at a depth <= ``L``, else ``suffix_L[k - 1] + 1``.  The loop carries
+    ``src[i] = i - suffix_L[i - 1]``, an index into ``[no line] + runs``;
+    it is non-decreasing, so the next level's ``src[i]`` is its running
+    maximum over the runs before ``i`` deeper than ``L``.  A run's depth
+    is one plus the number of levels it is deeper than.  A set's runs
+    are contiguous, so an earlier set's lines never match.
+    """
+    depths = np.ones(runs.size, dtype=np.min_scalar_type(max_assoc))
+    slots = np.concatenate(([-1], runs))
+    src = np.arange(-1, runs.size - 1)
+    src[:1] = 0
+    deeper = np.ones(runs.size, dtype=bool)
+    for level in range(1, max_assoc):
+        deeper &= slots[src] != runs
+        depths += deeper
+        if level == max_assoc - 1:
+            break
+        restart = src * deeper
+        np.maximum.accumulate(restart, out=restart)
+        src[1:] = restart[:-1]
+    return depths
+
+
+def depth_histograms_reference(
+    addresses: Sequence[int],
+    *,
+    line_b: int,
+    num_sets: int,
+    max_assoc: int,
+    writes: Optional[Sequence[bool]] = None,
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(depth_hist, write_depth_hist)`` of one partition, by binning depths.
+
+    Sorts the whole trace stably by set (no compression, no refinement),
+    collapses repeats into runs, takes every run's depth from
+    :func:`run_depths` and bins them; accesses that do not start a run
+    hit at depth 0.  Addresses must be non-negative.
+    """
+    addr = np.asarray(addresses, dtype=np.int64)
+    lines = addr // line_b
+    order = np.argsort(lines % num_sets, kind="stable")
+    sorted_lines = lines[order]
+    starts = np.ones(sorted_lines.size, dtype=bool)
+    starts[1:] = sorted_lines[1:] != sorted_lines[:-1]
+    runs = sorted_lines[starts]
+    depths = run_depths(runs, max_assoc)
+    hist = np.bincount(depths, minlength=max_assoc + 1)
+    hist[0] = addr.size - runs.size
+    write_hist = np.zeros(max_assoc + 1, dtype=np.int64)
+    if writes is not None:
+        mask = np.asarray(writes, dtype=bool)
+        run_writes = mask[order][starts]
+        write_hist = np.bincount(depths[run_writes], minlength=max_assoc + 1)
+        write_hist[0] = int(mask.sum()) - int(run_writes.sum())
+    return tuple(hist.tolist()), tuple(write_hist.tolist())
 
 
 def interleave_chunks_loop(

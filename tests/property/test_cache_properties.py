@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.cache import Cache, simulate_trace
 from repro.cache.config import DESIGN_SPACE, CacheConfig
-from repro.cache.stackdist import _run_depths, simulate_many
-from tests.oracles import deep_depths, simulate_trace_per_config
+from repro.cache.stackdist import simulate_many
+from tests.oracles import deep_depths, run_depths, simulate_trace_per_config
 
 configs = st.sampled_from(DESIGN_SPACE)
 
@@ -77,6 +77,29 @@ refined_configs = (
     CacheConfig(12, 2, 64),
     CacheConfig(2, 2, 32),
     CacheConfig(8, 4, 32),
+)
+
+
+#: Bases that keep ``simulate_many`` on its int64 path: a trace
+#: straddling 2**31 (the int32 path ends at 2**31 - 1), one at and above
+#: 2**31 and 2**32, and traces near 2**62.
+_WIDE_BASES = (2**31 - 32 * 1024, 2**31, 2**32 + 4096, 2**62 - 32 * 1024, 2**62)
+
+#: Byte addresses at and above 2**31: a low trace shifted up, or low and
+#: high addresses mixed in one trace.
+wide_traces = st.one_of(
+    st.builds(
+        lambda trace, base: [base + a for a in trace],
+        st.one_of(traces, local_traces), st.sampled_from(_WIDE_BASES),
+    ),
+    st.lists(
+        st.one_of(
+            st.integers(0, 64 * 1024 - 1),
+            st.integers(2**31, 2**31 + 64 * 1024),
+            st.integers(2**62, 2**62 + 64 * 1024),
+        ),
+        min_size=1, max_size=400,
+    ),
 )
 
 
@@ -235,6 +258,20 @@ class TestStackDistanceEngineEquivalence:
             assert many[config] == ref, config.name
             assert simulate_trace(trace, config, writes=writes) == ref, config.name
 
+    @given(trace=wide_traces, seed=st.integers(0, 2**16), with_writes=st.booleans())
+    @example(trace=[2**31 - 1, 2**31, 2**31 - 1, 0], seed=0, with_writes=True)
+    @example(trace=[2**62 + 64, 64, 2**62 + 64], seed=0, with_writes=False)
+    @settings(max_examples=40, deadline=None)
+    def test_int64_addresses_match_reference(self, trace, seed, with_writes):
+        writes = None
+        if with_writes:
+            writes = (np.random.default_rng(seed).random(len(trace)) < 0.4).tolist()
+        many = simulate_many(trace, local_configs, writes=writes)
+        for config in local_configs:
+            ref = _reference_stats(trace, config, writes)
+            assert many[config] == ref, config.name
+            assert simulate_trace(trace, config, writes=writes) == ref, config.name
+
     @given(trace=traces)
     @settings(max_examples=20, deadline=None)
     def test_generic_deep_assoc_path(self, trace):
@@ -245,7 +282,7 @@ class TestStackDistanceEngineEquivalence:
 
 
 class TestRunDepths:
-    """The level-by-level depth pass equals a list-based LRU walk."""
+    """The level-by-level depth recurrence equals a list-based LRU walk."""
 
     @given(runs=run_sequences, max_assoc=st.integers(1, 17))
     @example(runs=[], max_assoc=1)
@@ -256,7 +293,7 @@ class TestRunDepths:
     @settings(max_examples=200, deadline=None)
     def test_level_pass_matches_lru_walk(self, runs, max_assoc):
         runs = np.asarray(runs, dtype=np.int64)
-        depths = _run_depths(runs, max_assoc)
+        depths = run_depths(runs, max_assoc)
         assert depths.tolist() == deep_depths(runs, max_assoc).tolist()
 
 

@@ -22,14 +22,16 @@ ENGINE_MODULES = {
 }
 
 #: What the engines export, plus ``simulate_trace``, the one-config
-#: front end of the stack-distance engine, and ``interleave_chunks``,
-#: the one engine of the trace generator.
+#: front end of the stack-distance engine, its level-counting helpers,
+#: which ``depth_histograms_reference`` checks, and
+#: ``interleave_chunks``, the one engine of the trace generator.
 ENGINE_NAMES = (
     set(stackdist.__all__)
     | set(batched.__all__)
     | set(metrics.__all__)
     | set(budget.__all__)
     | {"simulate_trace", "interleave_chunks"}
+    | {stackdist._deeper_counts.__name__, stackdist._depth_hist.__name__}
 )
 
 
