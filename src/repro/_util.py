@@ -8,7 +8,7 @@ import math
 import os
 
 __all__ = [
-    "check_bool", "check_cycles", "check_finite", "check_int",
+    "check_cycles", "check_finite", "check_int",
     "check_number", "load_json_document", "stable_seed",
     "write_json_atomic",
 ]
@@ -49,14 +49,6 @@ def check_int(
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
-    return value
-
-
-def check_bool(name: str, value) -> bool:
-    """``value`` if it is a bool, else :class:`ValueError` naming
-    ``name`` and the value."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
     return value
 
 

@@ -468,7 +468,6 @@ def run_spec(
     *,
     energy_table: Optional[EnergyTable] = None,
     discipline: str = "fifo",
-    checkpoint: Optional[dict] = None,
     records: bool = True,
     **sinks,
 ):
@@ -482,10 +481,7 @@ def run_spec(
     :class:`~repro.sim.stream.StreamingSimulation` core that ran it.
     The store, predictor, energy table and discipline are run context.
     ``sinks`` (``recorder``, ``metrics``, ``validate``, ``telemetry``)
-    observe the run and never change its result; ``checkpoint`` holds a
-    stream's ``checkpoint_path`` / ``checkpoint_every`` /
-    ``resume_from`` (a snapshot dict, as
-    :func:`~repro.sim.stream.read_checkpoint` returns).
+    observe the run and never change its result.
 
     ``records=False`` (closed-batch specs only) makes ``result`` a dict
     of the run's totals: the :data:`CAMPAIGN_METRICS` values and the
@@ -504,13 +500,7 @@ def run_spec(
                             discipline, **sinks)
         load = make_process(spec.stream.process, eembc_suite(),
                             **arrival_args, **dict(spec.stream.process_args))
-        checkpoint = dict(checkpoint or {})
-        snapshot = checkpoint.pop("resume_from", None)
-        if snapshot is None:
-            result = core.run(load, **checkpoint)
-        else:
-            result = core.resume(snapshot, load, **checkpoint)
-        return result, core, load
+        return core.run(load), core, load
     simulation = make_simulation(
         spec.policy, store, predictor, energy_table, discipline=discipline,
         faults=spec.fault_plan, engine=spec.engine, power=spec.power,

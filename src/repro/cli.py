@@ -16,7 +16,7 @@ any code:
   ``--stream`` switches the grid to open-system streaming loads;
 * ``stream`` — open-system streaming run (:mod:`repro.sim.stream`):
   unbounded generator-backed arrivals in bounded memory, with
-  admission control and deterministic ``--checkpoint``/``--resume``;
+  admission control;
 * ``faults`` — generate or describe deterministic fault-injection
   plans (:mod:`repro.faults`); ``--faults plan.json`` injects one into
   ``compare``/``campaign`` runs;
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="open-system streaming run: unbounded arrivals in bounded "
-             "memory, with checkpoint/resume",
+             "memory, with admission control",
     )
     stream.add_argument("--policy",
                         choices=("base", "optimal", "energy_centric",
@@ -216,15 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--seed", type=int, default=1)
     _add_admission_args(stream, note="")
     _add_run_args(stream, predictor="oracle", hooks=False, sweep=False)
-    stream.add_argument("--checkpoint", metavar="PATH",
-                        help="write an atomic snapshot here "
-                             "periodically and at the end")
-    stream.add_argument("--checkpoint-every", type=int, default=None,
-                        help="completions between snapshots "
-                             "(default: 100000)")
-    stream.add_argument("--resume", action="store_true",
-                        help="resume from the --checkpoint file "
-                             "(bit-identical to an uninterrupted run)")
     stream.add_argument("--burst-factor", type=float, default=4.0,
                         help="mmpp: burst-phase arrival-rate multiplier")
     stream.add_argument("--amplitude", type=float, default=0.5,
@@ -918,20 +909,10 @@ def _cmd_stream(args) -> int:
     from repro.campaign import StreamLoad, campaign_specs, run_spec
     from repro.core import make_policy
     from repro.experiment import default_predictor, default_store
-    from repro.sim.stream import read_checkpoint
 
     if args.max_jobs is None and args.duration is None:
         print(
             "error: bound the stream with --max-jobs and/or --duration",
-            file=sys.stderr,
-        )
-        return 2
-    if args.resume and not args.checkpoint:
-        print("error: --resume needs --checkpoint PATH", file=sys.stderr)
-        return 2
-    if args.resume and not Path(args.checkpoint).exists():
-        print(
-            f"error: no checkpoint file at {args.checkpoint}",
             file=sys.stderr,
         )
         return 2
@@ -957,7 +938,6 @@ def _cmd_stream(args) -> int:
             power_configs=(power,), stream=load,
             telemetry=_wants_telemetry(args),
         )
-        snapshot = read_checkpoint(args.checkpoint) if args.resume else None
         telemetry = _make_telemetry(args, label=f"stream:{args.policy}")
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -974,11 +954,6 @@ def _cmd_stream(args) -> int:
             spec, store, predictor,
             discipline=args.discipline,
             telemetry=telemetry,
-            checkpoint=dict(
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                resume_from=snapshot,
-            ),
         )
     except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -987,8 +962,7 @@ def _cmd_stream(args) -> int:
         if telemetry is not None:
             telemetry.close()
 
-    verb = "resumed" if args.resume else "ran"
-    print(f"{verb} {args.policy} on a {args.process} stream "
+    print(f"ran {args.policy} on a {args.process} stream "
           f"({args.discipline}, admission={result.admission}"
           + (f", capacity={result.queue_capacity}"
              if result.queue_capacity is not None else "")
@@ -1019,8 +993,6 @@ def _cmd_stream(args) -> int:
               f"mean={snapshot['mean'] / 1e3:.1f}")
     if result.power is not None:
         print(f"power ({power.label}): {_power_counts(result.power)}")
-    if args.checkpoint:
-        print(f"checkpoint: {args.checkpoint}")
     if args.telemetry_out:
         print(f"wrote telemetry time series to {args.telemetry_out}")
     if args.sampled_trace:

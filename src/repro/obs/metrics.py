@@ -31,8 +31,6 @@ from contextlib import contextmanager
 from itertools import accumulate, islice
 from typing import Dict, Iterator, List
 
-from repro._util import check_int, check_number
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -82,10 +80,9 @@ SUB_BUCKETS = 128
 #: A positive value's key adds ``_BIAS`` so that it is positive (frexp's
 #: exponent goes down to -1073).
 _BIAS = 1074 * SUB_BUCKETS
-#: The keys of positive values run from ``_MIN_KEY`` (``2**-1074``, the
-#: least positive float) to ``_MAX_KEY`` (``2**1024``, where the largest
-#: floats round to); negative values take the negated keys.
-_MIN_KEY = 2 * SUB_BUCKETS
+#: The keys of positive values run up to ``_MAX_KEY`` (``2**1024``,
+#: where the largest floats round to); negative values take the negated
+#: keys.
 _MAX_KEY = _BIAS + 1026 * SUB_BUCKETS
 
 
@@ -247,72 +244,6 @@ class Histogram:
         for p, value in zip(QUANTILES, self._quantiles()):
             summary[_quantile_key(p)] = value
         return summary
-
-    def state_dict(self) -> dict:
-        """Exact JSON-serialisable state (for checkpoint/resume): the
-        scalars and the ``[bucket, count]`` pairs in bucket order."""
-        counts = self._counts
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": [[key, counts[key]] for key in sorted(counts)],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore the exact state captured by :meth:`state_dict`.
-
-        Every field is checked first, so a missing or mistyped one is a
-        :class:`ValueError` naming it, with the histogram untouched.
-        ``buckets`` must hold ``[key, count]`` int pairs with keys
-        :meth:`observe` can produce, in increasing order, positive
-        counts, and counts summing to ``count``.
-        """
-        name = f"histogram {self.name!r}"
-        if not isinstance(state, dict):
-            raise ValueError(f"{name} state is a JSON object, got {state!r}")
-        count = check_int(f"{name} 'count'", state.get("count"), minimum=0)
-        total = check_number(f"{name} 'total'", state.get("total"))
-        low, high = (
-            check_number(f"{name} {key!r}", state.get(key), finite=False)
-            for key in ("min", "max")
-        )
-        pairs = state.get("buckets")
-        if not isinstance(pairs, list):
-            raise ValueError(
-                f"{name} 'buckets' must be a list of [bucket, count] "
-                f"pairs, got {pairs!r}"
-            )
-        counts: Dict[int, int] = {}
-        previous = -_MAX_KEY - 1
-        for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError(
-                    f"{name} 'buckets' entry must be a [bucket, count] "
-                    f"pair, got {pair!r}"
-                )
-            key = check_int(
-                f"{name} bucket", pair[0], minimum=previous + 1,
-                maximum=_MAX_KEY,
-            )
-            if key and abs(key) < _MIN_KEY:
-                raise ValueError(f"{name} bucket {key} is not a bucket key")
-            counts[key] = check_int(
-                f"{name} bucket {key}'s count", pair[1], minimum=1
-            )
-            previous = key
-        if sum(counts.values()) != count:
-            raise ValueError(
-                f"{name} 'buckets' hold {sum(counts.values())} "
-                f"observations, not 'count' {count}"
-            )
-        self.count = count
-        self.total = float(total)
-        self.min = float(low)
-        self.max = float(high)
-        self._counts = counts
-        self._keys = []
 
 
 class MetricsRegistry:

@@ -14,7 +14,7 @@ state — queue depth, per-core busy cycles and cache configuration,
 jobs done, log-bucket wait quantiles, energy accrued, throughput — and
 appends one versioned JSONL sample.
 
-Three invariants make it safe and resumable:
+Two invariants make it safe:
 
 * **Non-perturbation** — telemetry only reads state the engine already
   maintains; a telemetry-on run is bit-identical (results and post-run
@@ -26,11 +26,6 @@ Three invariants make it safe and resumable:
   separators, ASCII), so a fixed run always produces byte-identical
   telemetry files.  Wall-clock rates appear only on the ephemeral
   ``--progress`` stderr line.
-* **Resumability** — :meth:`Telemetry.state_dict` records the sample
-  count and exact byte offsets of both output files; the streaming
-  checkpoint folds that in, and :meth:`Telemetry.load_state` truncates
-  the files back to the recorded offsets on resume, so a killed and
-  resumed stream reproduces byte-identical telemetry JSONL.
 
 On top of the samples, every ``trace_every``-th dispatch/completion is
 re-emitted through the typed :mod:`repro.obs.events` schema (marked
@@ -45,9 +40,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional, TextIO, Tuple, Union
-
-from repro._util import check_bool, check_int
+from typing import List, Optional, TextIO, Tuple, Union
 
 from .events import EnergyAccrued, JobCompleted
 from .recorder import iter_jsonl
@@ -68,10 +61,7 @@ DEFAULT_SAMPLE_EVERY = 1000
 
 
 def _encode(payload: dict) -> str:
-    """Canonical one-line JSON: sorted keys, compact, pure ASCII.
-
-    ASCII output means ``len(str) == len(bytes)`` for offset tracking.
-    """
+    """Canonical one-line JSON: sorted keys, compact, pure ASCII."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -133,9 +123,6 @@ class Telemetry:
 
         #: Samples emitted so far (the ``i`` field of the next sample).
         self.samples = 0
-        #: Exact byte offsets of the two output files (resume points).
-        self.out_bytes = 0
-        self.trace_bytes = 0
         #: Sampled trace events emitted so far.
         self.trace_events = 0
         #: The last sample payload (what ``render_prometheus`` exposes).
@@ -162,12 +149,11 @@ class Telemetry:
     # -- run lifecycle -------------------------------------------------------
 
     def begin(self, header: Optional[dict] = None) -> None:
-        """Open outputs and write the versioned header line (once).
+        """Open outputs and write the versioned header line.
 
-        Engines call this at run start (and again on resume, where the
-        already-nonzero byte offset suppresses a second header).  The
-        header must only carry deterministic run metadata — never
-        wall-clock values — so reruns stay byte-identical.
+        Engines call this once, at run start.  The header must only
+        carry deterministic run metadata — never wall-clock values — so
+        reruns stay byte-identical.
         """
         if self._t0 is None:
             self._t0 = time.perf_counter()
@@ -181,7 +167,7 @@ class Telemetry:
                 self._trace_path, "w", encoding="utf-8", newline="\n"
             )
             self._owns_trace = True
-        if self._out is not None and self.out_bytes == 0:
+        if self._out is not None:
             payload = {
                 "kind": "telemetry",
                 "schema": TELEMETRY_SCHEMA_VERSION,
@@ -190,10 +176,8 @@ class Telemetry:
             }
             if header:
                 payload.update(header)
-            line = _encode(payload) + "\n"
-            self._out.write(line)
+            self._out.write(_encode(payload) + "\n")
             self._out.flush()
-            self.out_bytes += len(line)
 
     def close(self) -> None:
         """Close owned file handles; finish the progress line if shown."""
@@ -221,8 +205,8 @@ class Telemetry:
 
         Every value must be simulation-derived (deterministic); the
         sink adds only the ``kind``/``i`` envelope and the ``final``
-        marker.  Each line is flushed immediately so the file on disk
-        is never behind the byte offset a checkpoint records.
+        marker.  Each line is flushed immediately, so the file can be
+        tailed while the run is live.
         """
         if self.finalized:
             return
@@ -233,10 +217,8 @@ class Telemetry:
             payload["final"] = True
             self.finalized = True
         if self._out is not None:
-            line = _encode(payload) + "\n"
-            self._out.write(line)
+            self._out.write(_encode(payload) + "\n")
             self._out.flush()
-            self.out_bytes += len(line)
         self.samples += 1
         self.last_sample = payload
         self._repaint_progress(payload, final=final)
@@ -288,113 +270,9 @@ class Telemetry:
             return
         payload = event.to_dict()
         payload["sampled"] = True
-        line = _encode(payload) + "\n"
-        self._trace.write(line)
+        self._trace.write(_encode(payload) + "\n")
         self._trace.flush()
-        self.trace_bytes += len(line)
         self.trace_events += 1
-
-    # -- checkpoint/resume ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Resume state: sample count plus exact output byte offsets.
-
-        Every write is flushed before a checkpoint can observe the
-        offsets, so the files on disk are always at least this long;
-        :meth:`load_state` truncates back to exactly these offsets.
-        """
-        return {
-            "schema": TELEMETRY_SCHEMA_VERSION,
-            "samples": self.samples,
-            "out_bytes": self.out_bytes,
-            "trace_events": self.trace_events,
-            "trace_bytes": self.trace_bytes,
-            # A checkpoint taken after the final sample must not emit
-            # a second one on resume.
-            "finalized": self.finalized,
-        }
-
-    @staticmethod
-    def _checked_state(state) -> dict:
-        """The counters :meth:`load_state` restores from ``state``, a
-        :meth:`state_dict` of this schema; a missing or mistyped field
-        is a :class:`ValueError` naming it."""
-        if not isinstance(state, dict):
-            raise ValueError(
-                f"a telemetry state is a JSON object, got {state!r}"
-            )
-        schema = state.get("schema")
-        if check_int("telemetry 'schema'", schema) != TELEMETRY_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported telemetry schema {schema!r}; this build "
-                f"reads version {TELEMETRY_SCHEMA_VERSION}"
-            )
-        values = {
-            key: check_int(f"telemetry {key!r}", state.get(key), minimum=0)
-            for key in ("samples", "out_bytes", "trace_events", "trace_bytes")
-        }
-        values["finalized"] = check_bool(
-            "telemetry 'finalized'", state.get("finalized", False)
-        )
-        return values
-
-    def load_state(self, state: dict) -> None:
-        """Restore a checkpointed sink into this (fresh) ``Telemetry``.
-
-        Reopens the configured output paths in append mode after
-        truncating them to the recorded byte offsets, discarding any
-        samples written after the checkpoint was taken — that is what
-        makes kill/resume byte-identical to an uninterrupted run.  The
-        state's fields and both files are checked before either file is
-        truncated.
-        """
-        if self.samples or self.out_bytes or self.trace_bytes:
-            raise RuntimeError(
-                "telemetry state must be loaded into a fresh Telemetry"
-            )
-        values = self._checked_state(state)
-        self._check_resume(self._out, self._out_path, values["out_bytes"],
-                           "--telemetry-out")
-        self._check_resume(self._trace, self._trace_path,
-                           values["trace_bytes"], "--sampled-trace")
-        vars(self).update(values)
-        if self.out_bytes:
-            self._out = self._reopen(self._out_path, self.out_bytes)
-            self._owns_out = True
-        if self.trace_bytes:
-            self._trace = self._reopen(self._trace_path, self.trace_bytes)
-            self._owns_trace = True
-
-    @staticmethod
-    def _check_resume(handle, path, offset, flag) -> None:
-        """Raise unless ``path`` can resume at ``offset`` (0: nothing
-        was written, so begin() starts fresh)."""
-        if offset == 0:
-            return
-        if path is None:
-            if handle is not None:
-                raise ValueError(
-                    "cannot resume telemetry into an open handle; pass "
-                    f"a file path ({flag}) instead"
-                )
-            raise ValueError(
-                f"the checkpoint recorded {offset} telemetry bytes but "
-                f"no matching output is configured; pass {flag}"
-            )
-        size = os.path.getsize(path) if os.path.exists(path) else -1
-        if size < offset:
-            raise ValueError(
-                f"telemetry file {path!r} holds {max(size, 0)} bytes "
-                f"but the checkpoint expects at least {offset}; it is "
-                "not the file this checkpoint was writing"
-            )
-
-    @staticmethod
-    def _reopen(path, offset):
-        """Truncate ``path`` to ``offset`` and reopen it for append."""
-        with open(path, "rb+") as raw:
-            raw.truncate(offset)
-        return open(path, "a", encoding="utf-8", newline="\n")
 
     # -- live progress -------------------------------------------------------
 

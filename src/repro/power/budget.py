@@ -11,11 +11,12 @@ optional DVFS table.
 The :class:`TokenPool` is the runtime account.  It is deliberately
 engine-agnostic: the reference, fast and streaming engines all drive the
 same pool through ``affordable`` / ``grant`` / ``refund`` / ``consume``,
-and its :meth:`TokenPool.state_dict` round-trips through streaming
-checkpoints.  Outstanding tokens are tracked per held grant (bounded by
-the core count), and every grant, refund or settlement re-sums them
-with ``math.fsum``, so availability checks are exact — no drift from
-running-sum accumulation — and read a stored total.
+and :meth:`TokenPool.state_dict` / :meth:`TokenPool.load_state` copy an
+account from one pool to another.  Outstanding tokens are tracked per
+held grant (bounded by the core count), and every grant, refund or
+settlement re-sums them with ``math.fsum``, so availability checks are
+exact — no drift from running-sum accumulation — and read a stored
+total.
 
 An unaffordable dispatch walks a *degradation ladder*: the cheaper
 (config × DVFS point) options on the same core.
@@ -345,7 +346,7 @@ class TokenPool:
         self._resum()
         return grant
 
-    # -- checkpoint ---------------------------------------------------
+    # -- account copy -------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
         return {

@@ -11,11 +11,9 @@ from .queueing import ReadyQueue
 from .stream import (
     ADMISSION_POLICIES,
     CORE_POLICIES,
-    STREAM_SNAPSHOT_VERSION,
     StreamConfig,
     StreamingSimulation,
     StreamResult,
-    read_checkpoint,
 )
 
 __all__ = [
@@ -25,9 +23,7 @@ __all__ = [
     "EventEngine",
     "EventKind",
     "ReadyQueue",
-    "STREAM_SNAPSHOT_VERSION",
     "StreamConfig",
     "StreamResult",
     "StreamingSimulation",
-    "read_checkpoint",
 ]

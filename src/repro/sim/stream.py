@@ -7,9 +7,10 @@ event ordering and floating-point operation order as
 :class:`~repro.core.simulation.SchedulerSimulation`.  The
 :class:`StreamingSimulation` that owns it also holds the flat tables
 the loop reads (interned configurations, characterisation rows, the
-system layout), the knowledge state it updates, the run state and the
-checkpoint.  :data:`CORE_POLICIES` is the only answer to "can the core
-run this policy?".  A core runs arrivals once, one of two ways:
+system layout), the knowledge state it updates and the run state.
+:data:`CORE_POLICIES` is the only answer to "can the core run this
+policy?".  A core runs arrivals once, from start to drain, one of two
+ways:
 
 * **the open-system stream** (:meth:`StreamingSimulation.run`) against
   an *unbounded* :class:`~repro.workloads.arrivals.ArrivalProcess`, in
@@ -30,23 +31,20 @@ What the loop carries beyond the scheduler itself:
   into :class:`~repro.obs.metrics.Histogram` log-bucket counts
   (P50/P90/P99 within 0.4 % of exact), energy into scalar
   accumulators, and idle leakage into per-core per-power integer cycle
-  counts folded at each reconfiguration.  A recycled run buffers its observations and feeds
-  the histograms in blocks of :data:`OBSERVE_BLOCK`, flushing before a
-  telemetry sample and before :meth:`~StreamingSimulation.advance`
-  returns, so no buffered value is ever part of a snapshot.  A retained
-  run keeps every job record, so it feeds the two histograms lazily
-  from those records, only when a result, snapshot or telemetry sample
-  reads them;
+  counts folded at each reconfiguration.  A recycled run buffers its
+  observations and feeds the histograms in blocks of
+  :data:`OBSERVE_BLOCK`, flushing before a telemetry sample and before
+  :meth:`~StreamingSimulation.advance` returns.  A retained run keeps
+  every job record, so it feeds the two histograms lazily from those
+  records, only when a result or telemetry sample reads them;
 * **admission control** — an optional bounded ready queue with
   ``drop`` (reject the arrival), ``shed`` (evict the least-entitled
   queued job) or ``block`` (delay the arrival source) policies, so
-  saturating loads degrade gracefully instead of growing the heap;
-* **checkpoint/resume** — :meth:`StreamingSimulation.snapshot` captures
-  a versioned, JSON-serialisable image of every piece of run state
-  (job slots, queue, completion heap, RNG streams, knowledge state,
-  accumulators, histogram bucket counts) such that restoring it into a
-  fresh engine and finishing the run is bit-identical to never having
-  stopped.
+  saturating loads degrade gracefully instead of growing the heap.
+
+A run is reproduced from its inputs, not from saved state: the arrival
+processes are prefix-stable, so a seed and the process parameters
+regenerate any stream exactly.
 
 Bounded-queue and warm-up machinery never touches the arithmetic of
 the simulation itself, so an unbounded-queue stream truncated to N jobs
@@ -58,27 +56,19 @@ the reference loop.
 
 from __future__ import annotations
 
-import math
-
 from bisect import bisect_left, bisect_right, insort
-from copy import copy
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro._util import (
-    check_bool, check_cycles, check_int, check_number, load_json_document,
-    write_json_atomic,
-)
-from repro.cache.config import BASE_CONFIG, CacheConfig, configs_for_size
+from repro.cache.config import BASE_CONFIG, CacheConfig
 from repro.core.policies import (
     BasePolicy,
     EnergyCentricPolicy,
     OptimalPolicy,
     ProposedPolicy,
     SchedulingPolicy,
-    make_policy,
 )
 from repro.core.results import JobRecord, SimulationResult
 from repro.core.scheduler import (
@@ -94,39 +84,23 @@ from repro.obs.events import CATEGORIES as _CATEGORIES
 from repro.obs.metrics import Histogram
 from repro.obs.telemetry import Telemetry
 from repro.power.budget import (
-    PowerConfig,
     TokenPool,
     degradation_ladder,
     nominal_prices,
     normalize_power,
     pick_degraded,
 )
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    JobArrival,
-    _checked_process_state,
-)
+from repro.workloads.arrivals import ArrivalProcess, JobArrival
 
 __all__ = [
     "ADMISSION_POLICIES",
     "CORE_POLICIES",
     "OBSERVE_BLOCK",
-    "STREAM_SNAPSHOT_VERSION",
     "StreamConfig",
     "StreamResult",
     "StreamingSimulation",
     "core_branch",
-    "read_checkpoint",
 ]
-
-#: Snapshot schema version; bumped on any layout change.  Loading a
-#: snapshot with a different version fails loudly.  v2 added the
-#: ``telemetry`` section (sample count + output byte offsets); v3 added
-#: the power axis (token-pool account + per-core DVFS points); v4 added
-#: the closed residency intervals of retained runs and moved telemetry
-#: samples from arrival refills to completion counts; v5 replaced the
-#: ``stats`` histograms' P² markers with ``[bucket, count]`` pairs.
-STREAM_SNAPSHOT_VERSION = 5
 
 #: Bounded-queue admission policies.
 ADMISSION_POLICIES = ("drop", "shed", "block")
@@ -359,614 +333,6 @@ class StreamResult:
         }
 
 
-#: Sections every snapshot carries besides its version (``telemetry``
-#: is optional).
-_SNAPSHOT_SECTIONS = ("fingerprint", "process", "engine", "knowledge", "stats")
-
-# -- entry checks ------------------------------------------------------------
-# ``check(label, value, bounds)`` raises ValueError naming ``label``
-# unless ``value`` is well formed.  ``bounds`` (from _checked_snapshot)
-# counts the job slots, cores, configurations, benchmarks and dispatch
-# categories ids may name, and holds the benchmark names and core sizes.
-
-
-def _integer(minimum=None, cycles=False):
-    def check(label, value, bounds):
-        check_int(label, value, minimum=minimum)
-        if cycles:  # a clock compared with the int64 arrival clock
-            check_cycles(label, value)
-    return check
-
-
-def _number(finite=True, low=-_INF, high=_INF):
-    def check(label, value, bounds):
-        if not low <= check_number(label, value, finite=finite) <= high:
-            raise ValueError(
-                f"{label} must be in [{low}, {high}], got {value!r}"
-            )
-    return check
-
-
-def _id(kind: str, what: str):
-    """An index below ``bounds[kind]``."""
-    def check(label, value, bounds):
-        if check_int(label, value, minimum=0) >= bounds[kind]:
-            raise ValueError(
-                f"{label} {value} is not one of the "
-                f"{what.format(bounds[kind])}"
-            )
-    return check
-
-
-_count, _int, _cycle = _integer(0), _integer(), _integer(0, cycles=True)
-_nj, _fraction = _number(), _number(low=0.0, high=1.0)
-_urgency = _number(finite=False)  # -inf: an edf job without a deadline
-_slot, _core = _id("slots", "{} job slots"), _id("cores", "{} cores")
-_config = _id("configs", "{} configurations")
-_benchmark = _id("benchmarks", "snapshot's {} benchmarks")
-_category = _id("categories", "{} dispatch categories")
-
-
-def _flag(label, value, bounds):
-    check_bool(label, value)
-
-
-def _text(label, value, bounds):
-    if not isinstance(value, str):
-        raise ValueError(f"{label} must be a string, got {value!r}")
-
-
-def _sort_key(label, value, bounds):
-    if value != _INF:  # infinity: an edf job without a deadline
-        check_int(label, value)
-
-
-def _running(label, value, bounds):
-    if check_int(label, value, minimum=-1) >= 0:
-        _slot(label, value, bounds)
-
-
-def _size(label, value, bounds):
-    if check_int(label, value) not in bounds["sizes"]:
-        raise ValueError(f"{label} {value} is no core's cache size")
-
-
-def _arrival(label, row, bounds):
-    """``[job_id, benchmark, arrival_cycle, priority, deadline or null]``,
-    with the checks of :class:`~repro.workloads.arrivals.JobArrival`."""
-    if not isinstance(row, list) or len(row) != len(JobArrival._fields):
-        raise ValueError(f"an arrival row has 5 fields, got {row!r}")
-    job_id, benchmark, arrival_cycle, priority, deadline = row
-    check_int("arrival job_id", job_id, minimum=0)
-    if not isinstance(benchmark, str) or benchmark not in bounds["names"]:
-        raise ValueError(
-            f"arrival benchmark {benchmark!r} is not in the snapshot's "
-            "store"
-        )
-    check_int("arrival cycle", arrival_cycle, minimum=0)
-    check_cycles("arrival cycle", arrival_cycle)
-    check_int("arrival priority", priority)
-    if deadline is not None:
-        check_int("arrival deadline", deadline, minimum=arrival_cycle)
-        check_cycles("arrival deadline", deadline)
-
-
-def _pool(label, value, bounds):
-    """A token pool state: loading it into a spare pool checks it."""
-    TokenPool(PowerConfig()).load_state(value)
-
-
-def _session(label, row, bounds):
-    """``[benchmark, size_kb, session]`` (see :func:`_session_from_dict`)."""
-    _row(_benchmark, _size, _tuning)(label, row, bounds)
-    if row[2]["size_kb"] != row[1]:
-        raise ValueError(f"{label} for {row[1]} KB tunes another size")
-
-
-def _tuning(label, value, bounds):
-    """A tuning session's fields, checked as they are read."""
-    _session_from_dict(value)
-
-
-def _optional(check):
-    def optional(label, value, bounds):
-        if value is not None:
-            check(label, value, bounds)
-    return optional
-
-
-def _row(*checks):
-    """A list of one field per check (field ``i`` is ``label[i]``)."""
-    def row(label, value, bounds):
-        if not isinstance(value, list) or len(value) != len(checks):
-            raise ValueError(
-                f"{label} must be a list of {len(checks)} fields, "
-                f"got {value!r}"
-            )
-        for i, (check, field) in enumerate(zip(checks, value)):
-            check(f"{label}[{i}]", field, bounds)
-    return row
-
-
-def _each(check, entry: str, unique: str = None):
-    """A list of values ``check`` calls ``entry``; no two equal when
-    ``unique`` names what they are."""
-    def each(label, value, bounds):
-        if not isinstance(value, list):
-            raise ValueError(f"{label} must be a list, got {value!r}")
-        for item in value:
-            check(entry, item, bounds)
-        if unique and len(set(value)) != len(value):
-            raise ValueError(f"{label} repeats a {unique}: {value!r}")
-    return each
-
-
-# -- the field table ---------------------------------------------------------
-
-
-def _copy(value):
-    """Lists copied, everything else as it is."""
-    return list(value) if isinstance(value, list) else value
-
-
-def _map(convert):
-    return lambda values: [convert(value) for value in values]
-
-
-def _maybe(convert):
-    return lambda value: None if value is None else convert(value)
-
-
-class _Field(NamedTuple):
-    """One persisted run-state field (a row of :data:`_RUN_STATE`)."""
-
-    #: ``"engine"`` (the run state) or ``"knowledge"`` (the core's
-    #: attribute of the same name).
-    section: str
-    key: str
-    #: ``"slots"``, ``"cores"`` or ``"benchmarks"``: a list of one entry
-    #: per job slot, core or benchmark, each passing ``check``; ``None``:
-    #: the whole value passes ``check``.
-    per: Optional[str]
-    check: Callable
-    #: What ``check`` calls the value, or each entry when ``per`` is set
-    #: (default ``<section> '<key>'``).
-    label: Optional[str] = None
-    #: A fresh run's value (of each entry, when ``per`` is set).
-    initial: object = None
-    load: Callable = _copy  # JSON value -> run-state value
-    dump: Callable = _copy  # run-state value -> JSON value
-
-
-def _scalars(check, initial, *keys) -> tuple:
-    return tuple(
-        _Field("engine", key, None, check, initial=initial) for key in keys
-    )
-
-
-_ROWS = {"load": _map(tuple), "dump": _map(list)}
-_UNITS = {"slots": "job slot", "cores": "core", "benchmarks": "benchmark"}
-
-#: The core's persisted run state in snapshot key order: the one
-#: declaration that start(), snapshot(), restore() and
-#: _checked_snapshot() loop over.  ``power`` is the core's
-#: token pool, when the power axis is on; _install derives the rest.
-_RUN_STATE = (
-    # per-job slots: parallel lists, recycled via free_slots
-    _Field("engine", "jbid", "slots", _benchmark, "job benchmark index"),
-    _Field("engine", "jlab", "slots", _count, "job label"),
-    _Field("engine", "jarr", "slots", _cycle, "job arrival cycle"),
-    _Field("engine", "jprio", "slots", _int, "job priority"),
-    _Field("engine", "jdl", "slots", _optional(_cycle), "job deadline"),
-    _Field("engine", "jstart", "slots", _optional(_count), "job start cycle"),
-    _Field("engine", "jcomp", "slots", _count, "job completion cycle"),
-    _Field("engine", "remaining", "slots", _fraction, "job remaining work"),
-    _Field("engine", "jpre", "slots", _count, "job preemption count"),
-    _Field("engine", "last_enq", "slots", _optional(_count), "job enqueue"),
-    _Field("engine", "waiting", "slots", _count, "job waiting cycles"),
-    _Field("engine", "charged", "slots", _nj, "job energy"),
-    _Field("engine", "urgency", "slots", _urgency, "job urgency"),
-    _Field("engine", "sortkey", "slots", _sort_key, "job sort key"),
-    _Field(
-        "engine", "free_slots", None,
-        _each(_slot, "free job slot", "job slot"), initial=[],
-    ),
-    _Field(
-        "engine", "records", None,
-        _each(_row(_slot, _core, _config, _flag, _flag), "job record"),
-        initial=[], **_ROWS,
-    ),
-    # event/queue state
-    _Field(
-        "engine", "queue", None,
-        _each(_slot, "queued job slot", "job slot"), initial={},
-        load=lambda slots: dict.fromkeys(slots, True), dump=list,
-    ),
-    _Field(
-        "engine", "comp_heap", None,
-        _each(_row(_count, _count, _core, _count), "completion event"),
-        initial=[], **_ROWS,
-    ),
-    _Field(
-        "engine", "abuf", None, _each(_arrival, "buffered arrival"),
-        initial=[], load=_map(JobArrival._make), dump=_map(list),
-    ),
-    _Field(
-        "engine", "deferred", None, _optional(_arrival),
-        load=_maybe(JobArrival._make), dump=_maybe(list),
-    ),
-    _Field("engine", "gen_done", None, _flag, initial=False),
-    # per-core state
-    _Field("engine", "cur_job", "cores", _running, "running job slot", -1),
-    _Field("engine", "busy_until", "cores", _count, "core busy-until", 0),
-    _Field("engine", "busy_cycles", "cores", _count, "core busy cycles", 0),
-    _Field("engine", "run_started", "cores", _count, "core run start", 0),
-    _Field("engine", "epoch", "cores", _count, "core epoch", 0),
-    _Field("engine", "execs", "cores", _count, "core executions", 0),
-    # start() installs each core's reset configuration
-    _Field("engine", "cur_cfg", "cores", _config, "core configuration"),
-    _Field("engine", "recfg_count", "cores", _count, "core reconfigs", 0),
-    _Field("engine", "recfg_cycles_core", "cores", _count, "recfg cycles", 0),
-    _Field("engine", "recfg_nj_core", "cores", _nj, "recfg energy", 0.0),
-    _Field(
-        "engine", "res_closed", "cores",
-        _each(_row(_count, _count, _config, _count), "residency interval"),
-        "core residency intervals", [], _map(_map(tuple)), _map(_map(list)),
-    ),
-    _Field("engine", "res_start", "cores", _count, "residency start", 0),
-    _Field("engine", "res_busy", "cores", _count, "residency busy cycles", 0),
-    _Field(
-        "engine", "pending", "cores",
-        _optional(_row(
-            _slot, _config, _flag, _flag, _fraction, _nj, _nj, _nj, _count,
-            _nj, _category,
-        )),
-        "pending execution", None, _map(_maybe(tuple)), _map(_maybe(list)),
-    ),
-    _Field(
-        "engine", "per_power", "cores",
-        _each(_row(_nj, _count), "idle cycles at a power"),
-        "core idle ledger", {}, _map(dict),
-        _map(lambda ledger: [list(item) for item in ledger.items()]),
-    ),
-    _Field(
-        "engine", "preempted_now", None,
-        _each(_count, "preempted job label", "job label"), initial=set(),
-        load=set, dump=sorted,
-    ),
-    _Field("engine", "core_dvfs", "cores", _optional(_text), "DVFS point"),
-    _Field("engine", "power", None, _optional(_pool)),
-    # scalars
-    _Field("engine", "now", None, _cycle, "engine now", 0),
-    *_scalars(
-        _count, 0,
-        "seq", "processed", "n_busy", "enqueued_total", "max_queue_len",
-    ),
-    *_scalars(_nj, 0.0, "dynamic_nj", "busy_static_nj", "reconfig_nj"),
-    *_scalars(_count, 0, "reconfig_cycles"),
-    *_scalars(_nj, 0.0, "profiling_overhead_nj"),
-    *_scalars(
-        _count, 0,
-        "stall_decisions", "non_best_decisions", "tuning_executions",
-        "profiling_executions", "preemption_count",
-    ),
-    *_scalars(_flag, False, "non_best_pending"),
-    *_scalars(_int, -1, "preempted_now_cycle"),
-    *_scalars(
-        _count, 0,
-        "generated", "admitted", "completed", "dropped", "shed", "forced",
-        "blocked_cycles", "observed", "makespan", "last_arrival_cycle",
-    ),
-    # knowledge state (the constructor initialises it)
-    _Field("knowledge", "profiled", "benchmarks", _flag, "profiled flag"),
-    _Field(
-        "knowledge", "pred_raw", "benchmarks", _optional(_integer(1)),
-        "predicted size",
-    ),
-    _Field(
-        "knowledge", "pred_size", "benchmarks", _optional(_size),
-        "predicted core size",
-    ),
-    _Field(
-        "knowledge", "executed", "benchmarks",
-        _each(_config, "explored configuration", "configuration"),
-        "explored configurations",
-        load=_map(lambda cids: dict.fromkeys(cids, True)), dump=_map(list),
-    ),
-    _Field(
-        "knowledge", "best_known", "benchmarks",
-        _each(_row(_size, _nj, _config), "best-known execution"),
-        "best-known executions",
-        load=_map(lambda rows: {size: (nj, cid) for size, nj, cid in rows}),
-        dump=_map(lambda best: [
-            [size, nj, cid] for size, (nj, cid) in best.items()
-        ]),
-    ),
-    _Field(
-        "knowledge", "tuned", "benchmarks",
-        _each(_size, "tuned size", "size"), "tuned sizes",
-        load=_map(set), dump=_map(sorted),
-    ),
-    _Field("knowledge", "touched", "benchmarks", _flag, "touched flag"),
-    _Field(
-        "knowledge", "touch_order", None,
-        _each(_benchmark, "touched benchmark", "benchmark"),
-    ),
-    _Field(
-        "knowledge", "sessions", None, _each(_session, "tuning session"),
-        load=lambda rows: {
-            (b, size_kb): _session_from_dict(state)
-            for b, size_kb, state in rows
-        },
-        dump=lambda sessions: [
-            [b, size_kb, _session_to_dict(session)]
-            for (b, size_kb), session in sessions.items()
-        ],
-    ),
-)
-
-
-def _checked_snapshot(snapshot) -> dict:
-    """``snapshot``, if this build can resume it.
-
-    Checks the version and sections, then every :data:`_RUN_STATE`
-    field against the counts the fingerprint carries, the arrival
-    process's and the telemetry sink's states as their own
-    ``load_state`` checks them, how the fields fit together
-    (:func:`_check_invariants`) and the ``stats`` histograms, so a bad
-    field is a :class:`ValueError` naming it before anything is
-    restored.
-    """
-    if not isinstance(snapshot, dict):
-        raise ValueError("a stream snapshot is a JSON object")
-    version = snapshot.get("version")
-    if version != STREAM_SNAPSHOT_VERSION:
-        raise ValueError(
-            f"unsupported stream snapshot version {version!r}; "
-            f"this build reads version {STREAM_SNAPSHOT_VERSION}"
-        )
-    for section in _SNAPSHOT_SECTIONS:
-        if not isinstance(snapshot.get(section), dict):
-            raise ValueError(
-                f"stream snapshot has no {section!r} section"
-            )
-    fingerprint, engine = snapshot["fingerprint"], snapshot["engine"]
-    names = fingerprint.get("benchmarks")
-    if not isinstance(names, list) or not all(
-        isinstance(name, str) for name in names
-    ):
-        raise ValueError("stream snapshot fingerprint has no benchmark list")
-    sizes = fingerprint.get("core_sizes")
-    if not isinstance(sizes, list):
-        raise ValueError("stream snapshot fingerprint has no core list")
-    if not isinstance(engine.get("jbid"), list):
-        raise ValueError("engine 'jbid' must be a list of job slots")
-    bounds = {
-        "names": names, "benchmarks": len(names), "cores": len(sizes),
-        "sizes": [check_int("core size", size) for size in sizes],
-        # as the core interns them: every core's configurations
-        # and the base one (a size outside Table 1 is a ValueError)
-        "configs": len({BASE_CONFIG}.union(*map(configs_for_size, sizes))),
-        "slots": len(engine["jbid"]), "categories": len(_CATEGORIES),
-    }
-    for field in _RUN_STATE:
-        name = f"{field.section} {field.key!r}"
-        if field.key not in snapshot[field.section]:
-            raise ValueError(f"stream snapshot has no {name}")
-        value = snapshot[field.section][field.key]
-        if field.per is None:
-            field.check(field.label or name, value, bounds)
-        elif isinstance(value, list) and len(value) == bounds[field.per]:
-            for entry in value:
-                field.check(field.label, entry, bounds)
-        else:
-            raise ValueError(
-                f"{name} must be a list with one entry per "
-                f"{_UNITS[field.per]} ({bounds[field.per]})"
-            )
-    _checked_process_state(fingerprint.get("process"), snapshot["process"])
-    if snapshot.get("telemetry") is not None:
-        Telemetry._checked_state(snapshot["telemetry"])
-    _check_invariants(snapshot)
-    for key in ("waiting", "turnaround"):
-        Histogram(f"stream.{key}_cycles").load_state(
-            snapshot["stats"].get(key)
-        )
-    return snapshot
-
-
-def _check_invariants(snapshot: dict) -> None:
-    """Raise :class:`ValueError` unless the fields of a snapshot whose
-    every field is well formed also fit together as a run leaves them."""
-    fingerprint, engine = snapshot["fingerprint"], snapshot["engine"]
-    cur_job = engine["cur_job"]
-    running = [slot for slot in cur_job if slot >= 0]
-    if len(set(running)) != len(running) or engine["n_busy"] != len(running):
-        raise ValueError(
-            f"engine 'cur_job' {cur_job} and 'n_busy' {engine['n_busy']} "
-            "must count distinct running job slots"
-        )
-    live = {(ci, epoch) for _, _, ci, epoch in engine["comp_heap"]}
-    for ci, (slot, execution) in enumerate(zip(cur_job, engine["pending"])):
-        if (None if execution is None else execution[0]) != (
-            None if slot < 0 else slot
-        ) or slot >= 0 and (ci, engine["epoch"][ci]) not in live:
-            raise ValueError(
-                f"core {ci}'s pending execution and completion event do "
-                f"not match its running job slot {slot}"
-            )
-    now = engine["now"]
-    if any(event[0] < now for event in engine["comp_heap"]):
-        raise ValueError(
-            f"engine 'comp_heap' holds a completion event before now ({now})"
-        )
-    for ci, (start, busy, until) in enumerate(
-        zip(engine["res_start"], engine["res_busy"], engine["busy_until"])
-    ):
-        # The interval's busy cycles fit between its start and the end
-        # of the core's last job (or now, when it has run none since).
-        if start + busy > max(until, now):
-            raise ValueError(
-                f"core {ci}'s residency interval is busier than its clock"
-            )
-    cycles = [row[2] for row in engine["abuf"]]
-    if cycles != sorted(cycles) or engine["last_arrival_cycle"] > min(
-        cycles, default=_INF
-    ):
-        raise ValueError(
-            "engine 'abuf' must hold arrivals in time order, none before "
-            "'last_arrival_cycle'"
-        )
-    # The arrival source generated every arrival the engine has taken.
-    source = snapshot["process"]
-    while "inner" in source:  # a QoS process annotates its inner one
-        source = source["inner"]
-    arrivals = engine["abuf"] + [
-        row for row in [engine["deferred"]] if row is not None
-    ]
-    last = max([row[2] for row in arrivals] + [engine["last_arrival_cycle"]])
-    if source["clock"] < last:
-        raise ValueError(
-            f"process 'clock' {source['clock']!r} is before cycle {last}, "
-            "the last arrival the engine took from it"
-        )
-    need = max([row[0] + 1 for row in arrivals] + [engine["generated"]])
-    if source["next_id"] < need:
-        raise ValueError(
-            f"process 'next_id' {source['next_id']} is below {need}, the "
-            "arrivals the engine took from it"
-        )
-    both = set(engine["queue"]).intersection(running)
-    if both:
-        raise ValueError(
-            f"queued job slot {min(both)} is also running on a core"
-        )
-    taken = set(engine["free_slots"]).intersection(engine["queue"] + running)
-    if taken:
-        raise ValueError(f"free job slot {min(taken)} is queued or running")
-    policy = fingerprint.get("policy")
-    predicts = isinstance(policy, str) and make_policy(policy).uses_predictor
-    knowledge = snapshot["knowledge"]
-    for b, (profiled, raw, size) in enumerate(zip(
-        knowledge["profiled"], knowledge["pred_raw"], knowledge["pred_size"]
-    )):
-        # A predictor policy predicts at the end of every profiling run.
-        if (raw is None) != (size is None) or predicts and profiled and (
-            raw is None
-        ):
-            raise ValueError(
-                f"benchmark {b} has a predicted size {raw} and a core size "
-                f"{size} (profiled: {profiled})"
-            )
-    if (engine["power"] is None) != (fingerprint.get("power") is None):
-        raise ValueError(
-            "engine 'power' must hold a token pool state exactly when the "
-            "fingerprint has a power configuration"
-        )
-    # Every running job holds one grant, and no other job does.
-    if engine["power"] is not None and sorted(
-        job_id for job_id, _, _ in engine["power"]["held"]
-    ) != sorted(engine["jlab"][slot] for slot in running):
-        raise ValueError("token pool 'held' must list the running jobs")
-
-
-def read_checkpoint(path: str) -> dict:
-    """Load a checkpoint file written by :meth:`write_checkpoint`.
-
-    Raises :class:`ValueError` naming ``path`` when the file is not
-    JSON or not a stream snapshot this build can resume.
-    """
-    return load_json_document(path, "stream checkpoint", _checked_snapshot)
-
-
-def _session_to_dict(session: TuningSession) -> dict:
-    def cfg(config: Optional[CacheConfig]) -> Optional[list]:
-        if config is None:
-            return None
-        return [config.size_kb, config.assoc, config.line_b]
-
-    return {
-        "size_kb": session.size_kb,
-        "line_first": session.line_first,
-        "phase": session.phase,
-        "best_config": cfg(session.best_config),
-        "best_energy_nj": session.best_energy_nj,
-        "explored": [cfg(c) for c in session.explored],
-        "first_index": session._first_index,
-        "second_index": session._second_index,
-        "chosen_first": session._chosen_first,
-    }
-
-
-def _session_from_dict(state) -> TuningSession:
-    """The session :func:`_session_to_dict` wrote; a missing or
-    mistyped field is a :class:`ValueError` naming it."""
-    if not isinstance(state, dict):
-        raise ValueError(f"a tuning session is a JSON object, got {state!r}")
-
-    def field(key, check=check_int, **options):
-        return check(f"tuning session {key!r}", state.get(key), **options)
-
-    phase = state.get("phase")
-    if phase not in ("first", "second", "done"):
-        raise ValueError(
-            "tuning session 'phase' must be first, second or done, "
-            f"got {phase!r}"
-        )
-    session = TuningSession(
-        size_kb=field("size_kb"),
-        line_first=field("line_first", check_bool),
-        phase=phase,
-    )
-    configs = configs_for_size(session.size_kb)
-
-    def cfg(fields) -> CacheConfig:
-        for config in configs:
-            if [config.size_kb, config.assoc, config.line_b] == fields:
-                return config
-        raise ValueError(
-            f"tuning session config {fields!r} is not one of a "
-            f"{session.size_kb} KB core's"
-        )
-
-    best = state.get("best_config")
-    if best is None and phase != "first":
-        raise ValueError(
-            f"a tuning session in phase {phase!r} must have a 'best_config'"
-        )
-    session.best_config = None if best is None else cfg(best)
-    session.best_energy_nj = float(
-        field("best_energy_nj", check_number, finite=False)
-    )
-    explored = state.get("explored")
-    if not isinstance(explored, list):
-        raise ValueError(
-            f"tuning session 'explored' must be a list, got {explored!r}"
-        )
-    session.explored = [cfg(c) for c in explored]
-    first = field("first_index", minimum=0)
-    second = field("second_index", minimum=0)
-    # Only a finished second sweep stands past its last value.
-    if first >= len(session._first_values) or second >= len(
-        session._second_values
-    ) + (phase == "done"):
-        raise ValueError(
-            f"tuning session 'first_index' {first} or 'second_index' "
-            f"{second} is past the end of its sweep"
-        )
-    session._first_index = first
-    session._second_index = second
-    chosen = state.get("chosen_first")
-    if chosen is not None or phase != "first":
-        if field("chosen_first") not in session._first_values:
-            raise ValueError(
-                f"tuning session 'chosen_first' {chosen} is not one of "
-                f"{session._first_values}"
-            )
-    session._chosen_first = chosen
-    return session
-
-
 class StreamingSimulation:
     """The simulation core: its tables, knowledge state and one run.
 
@@ -983,13 +349,11 @@ class StreamingSimulation:
     the loop already maintains, so results stay bit-identical
     telemetry-on vs telemetry-off.
 
-    A core runs once, either way: drive a stream with :meth:`run` (to
-    completion, with optional periodic checkpoints) or with
-    :meth:`start` + :meth:`advance` for stepwise control, and
+    A core runs once, from start to drain, either way: drive a stream
+    with :meth:`run` (or :meth:`start` then :meth:`advance`) and
     :meth:`result` summarises it; a stream needs ``config``.
-    :meth:`snapshot` / :meth:`restore` implement deterministic
-    checkpoint/resume.  :meth:`run_batch` replays a closed batch on a
-    core constructed without ``config``.
+    :meth:`run_batch` replays a closed batch on a core constructed
+    without ``config``.
     """
 
     def __init__(
@@ -1036,8 +400,7 @@ class StreamingSimulation:
         # Sampled telemetry sink (repro.obs.telemetry), fed every
         # ``sample_every`` completions plus a final sample at drain.
         # Unlike the per-event hooks the loop compiles out, it keeps the
-        # results bit-identical.  Its byte offsets ride in the
-        # checkpoint, so kill/resume reproduces byte-identical files.
+        # results bit-identical.
         self.telemetry = telemetry
         self.process: Optional[ArrivalProcess] = None
         self._s: Optional[dict] = None
@@ -1052,8 +415,7 @@ class StreamingSimulation:
             TokenPool(self.power) if self.power is not None else None
         )
         #: (benchmark id, core size, pinned config id or None) →
-        #: ``(ladder, prices)`` of a full execution (:meth:`_power_ladder`);
-        #: derived state, so it stays out of snapshots.
+        #: ``(ladder, prices)`` of a full execution (:meth:`_power_ladder`).
         self._power_ladders: Dict[tuple, tuple] = {}
 
         # -- configuration interning ------------------------------------
@@ -1150,7 +512,7 @@ class StreamingSimulation:
         self._nearest: Dict[int, int] = {}
 
         # -- knowledge state (profiling table + tuning heuristic) -------
-        # The "knowledge" rows of _RUN_STATE, updated in place by the run.
+        # Updated in place by the run.
         self.profiled = [False] * B
         self.pred_raw: List[Optional[int]] = [None] * B
         #: Nearest machine size for the raw prediction (pure function of
@@ -1278,40 +640,49 @@ class StreamingSimulation:
         )
 
     def start(self, process: ArrivalProcess) -> None:
-        """Attach the arrival process and initialise fresh run state."""
+        """Attach the arrival process and initialise a fresh run's state."""
         if self._s is not None:
             raise RuntimeError("a StreamingSimulation runs exactly once")
-        self._require_config()
-        self.process = process
-        entries = {"slots": 0, "cores": self.n_cores}
-        s = {
-            field.key: (
-                copy(field.initial) if field.per is None
-                else [copy(field.initial) for _ in range(entries[field.per])]
-            )
-            for field in _RUN_STATE
-            if field.section == "engine" and field.key != "power"
-        }
-        s["cur_cfg"] = list(self.core_reset_cid)
-        self._install(s)
-        if self.telemetry is not None:
-            self.telemetry.begin(self._telemetry_header())
-
-    def _install(self, s: dict) -> None:
-        """Run on ``s``, the persisted run state, plus what derives
-        from it."""
-        # retained records already fed into the histograms (snapshot()
-        # feeds every one before writing)
-        s["fed"] = len(s["records"])
-        s["atimes"] = [a[2] for a in s["abuf"]]
-        s["abuf_i"] = 0
-        # per-(benchmark, size) session cache, rebuilt lazily
-        s["sess_state"] = [dict() for _ in self.bench_names]
-        self._s = s
-
-    def _require_config(self) -> None:
         if self.config is None:
             raise ValueError("a stream needs a StreamConfig")
+        self.process = process
+        n = self.n_cores
+        self._s = {
+            # per-job slots: parallel lists, recycled via free_slots
+            "jbid": [], "jlab": [], "jarr": [], "jprio": [], "jdl": [],
+            "jstart": [], "jcomp": [], "remaining": [], "jpre": [],
+            "last_enq": [], "waiting": [], "charged": [], "urgency": [],
+            "sortkey": [], "free_slots": [],
+            # a retained run's (slot, core, config id, profiled, tuning)
+            # per completion, and how many the histograms were fed
+            "records": [], "fed": 0,
+            # event/queue state
+            "queue": {}, "comp_heap": [], "abuf": [], "deferred": None,
+            "gen_done": False,
+            # per-core state
+            "cur_job": [-1] * n, "busy_until": [0] * n,
+            "busy_cycles": [0] * n, "run_started": [0] * n,
+            "epoch": [0] * n, "execs": [0] * n,
+            "cur_cfg": list(self.core_reset_cid), "recfg_count": [0] * n,
+            "recfg_cycles_core": [0] * n, "recfg_nj_core": [0.0] * n,
+            "res_closed": [[] for _ in range(n)], "res_start": [0] * n,
+            "res_busy": [0] * n, "pending": [None] * n,
+            "per_power": [{} for _ in range(n)], "core_dvfs": [None] * n,
+            "preempted_now": set(), "preempted_now_cycle": -1,
+            # scalars
+            "now": 0, "seq": 0, "processed": 0, "n_busy": 0,
+            "enqueued_total": 0, "max_queue_len": 0,
+            "dynamic_nj": 0.0, "busy_static_nj": 0.0, "reconfig_nj": 0.0,
+            "reconfig_cycles": 0, "profiling_overhead_nj": 0.0,
+            "stall_decisions": 0, "non_best_decisions": 0,
+            "tuning_executions": 0, "profiling_executions": 0,
+            "preemption_count": 0, "non_best_pending": False,
+            "generated": 0, "admitted": 0, "completed": 0, "dropped": 0,
+            "shed": 0, "forced": 0, "blocked_cycles": 0, "observed": 0,
+            "makespan": 0, "last_arrival_cycle": 0,
+        }
+        if self.telemetry is not None:
+            self.telemetry.begin(self._telemetry_header())
 
     def _telemetry_header(self) -> dict:
         """Deterministic run metadata for the telemetry header line."""
@@ -1325,41 +696,11 @@ class StreamingSimulation:
             "duration_cycles": self.config.duration_cycles,
         }
 
-    def run(
-        self,
-        process: ArrivalProcess,
-        *,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-    ) -> StreamResult:
-        """Drive the stream to completion and summarise it.
-
-        With ``checkpoint_path`` set, a snapshot is written atomically
-        every ``checkpoint_every`` completions (and once at the end),
-        so a killed run can resume from the last file.
-        """
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
-        if checkpoint_path is not None and checkpoint_every is None:
-            checkpoint_every = 100_000
+    def run(self, process: ArrivalProcess) -> StreamResult:
+        """Drive the stream to completion and summarise it."""
         self.start(process)
-        return self._drive(checkpoint_path, checkpoint_every)
-
-    def resume(
-        self,
-        snapshot: dict,
-        process: ArrivalProcess,
-        *,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
-    ) -> StreamResult:
-        """Restore a snapshot and drive the rest of the run."""
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise ValueError("checkpoint_every must be positive")
-        if checkpoint_path is not None and checkpoint_every is None:
-            checkpoint_every = 100_000
-        self.restore(snapshot, process)
-        return self._drive(checkpoint_path, checkpoint_every)
+        self.advance()
+        return self.result()
 
     def run_batch(
         self, arrivals: Sequence[JobArrival], *, records: bool = True
@@ -1397,8 +738,7 @@ class StreamingSimulation:
         self.config = StreamConfig(max_jobs=len(ordered), retain_jobs=True)
         self.front_end = "fast"
         self.start(_ArrivalList(ordered))
-        while self.advance():
-            pass
+        self.advance()
         # The waiting/turnaround histograms stay unfed: a batch never
         # reads them.
         idle_nj = self._idle_energy()
@@ -1406,52 +746,25 @@ class StreamingSimulation:
             return self._assemble_sim_result(idle_nj)
         return self._batch_totals(idle_nj)
 
-    def _drive(
-        self,
-        checkpoint_path: Optional[str],
-        checkpoint_every: Optional[int],
-    ) -> StreamResult:
-        if checkpoint_path is None:
-            while self.advance():
-                pass
-        else:
-            while self.advance(max_completions=checkpoint_every):
-                self.write_checkpoint(checkpoint_path)
-            self.write_checkpoint(checkpoint_path)
-        return self.result()
-
     # -- the event loop ------------------------------------------------------
 
-    def advance(
-        self,
-        max_events: Optional[int] = None,
-        max_completions: Optional[int] = None,
-    ) -> bool:
-        """Process events until a budget is hit or the stream drains.
+    def advance(self) -> None:
+        """Process every event of the run, until the stream drains.
 
-        Returns ``True`` while events may remain (call again), ``False``
-        once the run is finished.  The per-decision helpers (choose /
-        start / complete / preempt / dispatch) are inlined into this
-        one loop body: in CPython a variable captured by a nested
-        function (or, before 3.12, by a comprehension) becomes a closure
-        cell everywhere in the frame, so hot state stays out of every
-        closure — only the cold-path ``sess`` helper captures anything —
-        and each access is a plain local load.  Every state mutation
-        lands in structures owned by ``self._s``, so stopping between
-        any two events is exact.
+        The per-decision helpers (choose / start / complete / preempt /
+        dispatch) are inlined into this one loop body: in CPython a
+        variable captured by a nested function (or, before 3.12, by a
+        comprehension) becomes a closure cell everywhere in the frame,
+        so hot state stays out of every closure — only the cold-path
+        ``sess`` helper captures anything — and each access is a plain
+        local load.  The loop mutates the run state's lists in place and
+        writes its scalars back when the stream drains.
         """
         s = self._s
         if s is None:
-            raise RuntimeError("call start() or restore() first")
+            raise RuntimeError("call start() first")
         process = self.process
         config = self.config
-
-        ev_budget = math.inf if max_events is None else max_events
-        comp_budget = (
-            math.inf if max_completions is None else max_completions
-        )
-        ev_done = 0
-        comp_done = 0
 
         # -- configuration locals ---------------------------------------
         capacity = config.queue_capacity
@@ -1532,8 +845,9 @@ class StreamingSimulation:
         queue = s["queue"]
         comp_heap = s["comp_heap"]
         abuf = s["abuf"]
-        atimes = s["atimes"]
-        abuf_i = s["abuf_i"]
+        # arrival times of the buffered chunk, and the next one's index
+        atimes: list = []
+        abuf_i = 0
         deferred = s["deferred"]
         gen_done = s["gen_done"]
         cur_job = s["cur_job"]
@@ -1581,63 +895,47 @@ class StreamingSimulation:
         observed = s["observed"]
         makespan = s["makespan"]
         last_arrival_cycle = s["last_arrival_cycle"]
-        sess_state = s["sess_state"]
+        # per-(benchmark, size) tuning-session state cache (see sess)
+        sess_state: List[dict] = [dict() for _ in bench_names]
         # Observed waiting/turnaround values awaiting their block feed:
         # flushed when full, before a telemetry sample reads the
-        # histograms and before returning, so they are always empty
-        # between calls and never part of a snapshot.
+        # histograms and before returning.
         wait_block: list = []
         turn_block: list = []
         wait_push = wait_block.append
         turn_push = turn_block.append
         flush_at = observed + OBSERVE_BLOCK
 
-        # Telemetry thresholds, recomputed from the persisted
-        # ``completed``/``seq`` counters, so a resumed run samples and
-        # re-emits exactly what an uninterrupted run would, without
-        # checkpointing the thresholds themselves.  Telemetry-off parks
-        # them all at -1: one int compare per completion/start is the
-        # entire hot-loop cost.  Everything a sample reads is state the
-        # loop already maintains, which keeps telemetry-on bit-identical.
+        # Telemetry thresholds: the completion count of the next sample
+        # and the completion/start counts of the next sampled trace
+        # events.  Telemetry-off parks them all at -1: one int compare
+        # per completion/start is the entire hot-loop cost.  Everything
+        # a sample reads is state the loop already maintains, which
+        # keeps telemetry-on bit-identical.
         tel = self.telemetry
         if tel is None:
             tel_every = tr_every = 0
             tel_next = tr_comp_next = tr_start_next = -1
         else:
-            tel_every = tel.sample_every
-            tel_next = tel_every * (completed // tel_every) + tel_every
+            tel_every = tel_next = tel.sample_every
             tr_every = tel.trace_every
-            if tr_every > 0:
-                tr_comp_next = tr_every * (completed // tr_every) + tr_every
-                tr_start_next = tr_every * (seq // tr_every) + tr_every
-            else:
-                tr_comp_next = tr_start_next = -1
+            tr_comp_next = tr_start_next = tr_every if tr_every > 0 else -1
 
-        # Per-benchmark ready lanes (see _lane_push), rebuilt from the
-        # queue here and kept current wherever the queue changes; never
-        # persisted.  An entry's ``order`` is ``enqueued_total`` when
-        # the job was queued (numbered below it for the jobs already
-        # queued), so ``(sortkey, order)`` is the stable
-        # ``sorted(queue, key=sort_key)`` order and, under FIFO (every
-        # sortkey 0), the queue's own.
+        # Per-benchmark ready lanes (see _lane_push), kept current
+        # wherever the queue changes.  An entry's ``order`` is
+        # ``enqueued_total`` when the job was queued, so
+        # ``(sortkey, order)`` is the stable ``sorted(queue,
+        # key=sort_key)`` order and, under FIFO (every sortkey 0), the
+        # queue's own.
         lanes: List[list] = [[] for _ in bench_names]
-        for order, jid in enumerate(queue, enqueued_total - len(queue)):
-            lanes[jbid[jid]].append((sort_key[jid], order, jid))
-        heads = []
-        for lane in lanes:
-            if lane:
-                lane.sort()
-                heads.append(lane[0])
-        heads.sort()
+        heads: list = []
         # Proposed's stalled entries of the current pass that have later
         # jobs in their lane.
         stalled: list = []
         # True while every queued job is known to be blocked under the
         # current cores and knowledge (see the dispatch scan below).
-        # Never persisted: a resumed run starts unsettled.
         settled = False
         may_settle = pol != 3
-        more = True
 
         def sess(b: int, size_kb: int) -> tuple:
             # Per-(benchmark, size) tuning-session state cache:
@@ -1663,9 +961,6 @@ class StreamingSimulation:
             return state
 
         while True:
-            if ev_done >= ev_budget or comp_done >= comp_budget:
-                break
-
             # -- next event ---------------------------------------------
             # Admission of a blocked arrival takes priority the moment
             # space exists: it was the earliest unserved arrival, so
@@ -1779,13 +1074,12 @@ class StreamingSimulation:
                                     )
                         # ---- streaming accumulation ----------------
                         completed += 1
-                        comp_done += 1
                         if now > makespan:
                             makespan = now
                         if retain:
                             # Statistics come from the records later
                             # (see _feed_retained), and only if a
-                            # result, snapshot or sample reads them.
+                            # result or sample reads them.
                             records.append((jid, ci, cid, prof, tun))
                         elif jarr[jid] >= warmup:
                             observed += 1
@@ -1838,8 +1132,8 @@ class StreamingSimulation:
                         )
                     last_arrival_cycle = t
                     # Blocking backpressure can pause the source while
-                    # completions advance the clock, so a resumed
-                    # arrival may carry a timestamp in the simulated
+                    # completions advance the clock, so the arrival
+                    # after a pause may carry a timestamp in the simulated
                     # past; it is handled at the current instant.  In
                     # an unblocked run the merge order guarantees
                     # t >= now and this is the plain `now = t`.
@@ -1852,12 +1146,10 @@ class StreamingSimulation:
                         if adm == 0:  # drop: reject the arrival
                             dropped += 1
                             processed += 1
-                            ev_done += 1
                             continue
                         if adm == 2:  # block: pause the source
                             deferred = a
                             processed += 1
-                            ev_done += 1
                             continue
                         # shed: evict the least-entitled queued job,
                         # the last in service order (under FIFO the
@@ -1903,7 +1195,6 @@ class StreamingSimulation:
                             non_best=non_best_decisions,
                             preemptions=preemption_count,
                         )
-                    more = False
                     break
 
             # -- admission: allocate (or recycle) a job slot ------------
@@ -1981,7 +1272,6 @@ class StreamingSimulation:
                 if len(queue) > max_queue_len:
                     max_queue_len = len(queue)
             processed += 1
-            ev_done += 1
             # A dispatch round is skipped when every core is occupied
             # and preemption is off: the reference's dispatch scans for
             # an idle core before consulting the policy, so an all-busy
@@ -2553,13 +1843,8 @@ class StreamingSimulation:
                     max_queue_len = len(queue)
                 settled = False
 
-        # -- write scalars (and rebound buffers) back -------------------
-        if abuf_i:
-            abuf = abuf[abuf_i:]
-            atimes = atimes[abuf_i:]
-        s["abuf"] = abuf
-        s["atimes"] = atimes
-        s["abuf_i"] = 0
+        # -- write scalars (and the rebound buffer) back ----------------
+        s["abuf"] = abuf[abuf_i:]
         s["deferred"] = deferred
         s["gen_done"] = gen_done
         s["now"] = now
@@ -2593,11 +1878,10 @@ class StreamingSimulation:
             self._observe(wait_block, turn_block)
         s["makespan"] = makespan
         s["last_arrival_cycle"] = last_arrival_cycle
-        if not more and queue:
+        if queue:
             raise RuntimeError(
                 f"stream drained with {len(queue)} jobs still queued"
             )
-        return more
 
     # -- statistics and telemetry (cold paths) -------------------------------
 
@@ -2670,7 +1954,7 @@ class StreamingSimulation:
 
     def _require_finished(self) -> None:
         if self._s is None:
-            raise RuntimeError("call start() or restore() first")
+            raise RuntimeError("call start() first")
         if not self.finished:
             raise RuntimeError(
                 "the stream still has pending events; advance() to "
@@ -2849,126 +2133,3 @@ class StreamingSimulation:
             jobs=job_records,
             **self._totals(idle_nj),
         )
-
-    # -- checkpoint / resume -------------------------------------------------
-
-    def _fingerprint(self) -> dict:
-        """Compatibility key a snapshot embeds and restore() verifies."""
-        return {
-            "policy": self.policy.name,
-            "discipline": self.discipline,
-            "preemptive": self.preemptive,
-            # A build constant: another quantum would resume another run.
-            "preemption_quantum_cycles": PREEMPTION_QUANTUM_CYCLES,
-            "profiling_overhead_fraction": self.profiling_overhead_fraction,
-            "core_sizes": list(self.core_sizes),
-            "benchmarks": list(self.bench_names),
-            "config": asdict(self.config),
-            "process": self.process.params(),
-            "power": None if self.power is None else self.power.to_dict(),
-        }
-
-    def snapshot(self) -> dict:
-        """Versioned, JSON-serialisable image of the entire run state.
-
-        Everything the event loop reads is captured — every
-        :data:`_RUN_STATE` field (job slots, queue order, the completion
-        heap, buffered arrivals, per-core state, the idle-energy
-        ledger, knowledge state), the token pool, the arrival process's
-        RNG and the histogram bucket counts — so restoring into a freshly
-        constructed engine continues bit-identically.  Floats survive
-        the JSON round trip exactly (repr-based serialisation).
-        """
-        s = self._s
-        if s is None:
-            raise RuntimeError("call start() or restore() first")
-        if self.config.retain_jobs:
-            # The histograms must cover every record the snapshot holds.
-            self._feed_retained()
-        pool = self._power_pool
-        homes = {"engine": s, "knowledge": vars(self)}
-        sections = {"engine": {}, "knowledge": {}}
-        for field in _RUN_STATE:
-            if field.key == "power":
-                value = None if pool is None else pool.state_dict()
-            else:
-                value = field.dump(homes[field.section][field.key])
-            sections[field.section][field.key] = value
-        return {
-            "version": STREAM_SNAPSHOT_VERSION,
-            "fingerprint": self._fingerprint(),
-            "process": self.process.state_dict(),
-            **sections,
-            "stats": {
-                "waiting": self._wait_hist.state_dict(),
-                "turnaround": self._turn_hist.state_dict(),
-            },
-            "telemetry": (
-                None
-                if self.telemetry is None
-                else self.telemetry.state_dict()
-            ),
-        }
-
-    def restore(self, snapshot: dict, process: ArrivalProcess) -> None:
-        """Load a snapshot into this (freshly constructed) engine.
-
-        Every field is checked (:func:`_checked_snapshot`), and the
-        fingerprint must match this engine's configuration and the given
-        process's parameters, before anything is restored: a bad or
-        mismatched snapshot fails loudly with the engine untouched
-        rather than resuming a subtly different run.  ``process`` is
-        rewound to the snapshot's RNG position.
-        """
-        if self._s is not None:
-            raise RuntimeError(
-                "restore() needs a freshly constructed engine"
-            )
-        self._require_config()
-        _checked_snapshot(snapshot)
-        self.process = process
-        expected = self._fingerprint()
-        found = snapshot["fingerprint"]
-        if found != expected:
-            diff = [
-                key
-                for key in expected
-                if found.get(key) != expected[key]
-            ]
-            raise ValueError(
-                "snapshot fingerprint does not match this engine "
-                f"configuration (differs in: {', '.join(diff)})"
-            )
-        tel_state = snapshot.get("telemetry")
-        if tel_state is not None and self.telemetry is None:
-            raise ValueError(
-                "the snapshot carries telemetry state; attach a "
-                "matching Telemetry (e.g. --telemetry-out) before "
-                "resuming, or delete the telemetry files and the "
-                "checkpoint to start over"
-            )
-        process.load_state(snapshot["process"])
-        if tel_state is not None:
-            # Truncate the output files back to the checkpointed byte
-            # offsets, then reopen for append: the resumed stream
-            # rewrites exactly the samples the kill discarded, so the
-            # final files are byte-identical to an uninterrupted run.
-            self.telemetry.load_state(tel_state)
-
-        s = {}
-        homes = {"engine": s, "knowledge": vars(self)}
-        for field in _RUN_STATE:
-            value = snapshot[field.section][field.key]
-            if field.key != "power":
-                homes[field.section][field.key] = field.load(value)
-            elif value is not None:
-                self._power_pool.load_state(value)
-        self._wait_hist.load_state(snapshot["stats"]["waiting"])
-        self._turn_hist.load_state(snapshot["stats"]["turnaround"])
-        self._install(s)
-        if self.telemetry is not None:
-            self.telemetry.begin(self._telemetry_header())
-
-    def write_checkpoint(self, path: str) -> None:
-        """Atomically write :meth:`snapshot` as JSON to ``path``."""
-        write_json_atomic(path, self.snapshot())

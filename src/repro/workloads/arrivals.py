@@ -18,9 +18,8 @@ the run lasts.  Every process draws its randomness in a fixed per-chunk
 order, which makes streams **prefix-stable**: the first N jobs are the
 same no matter how far the stream is eventually advanced, and
 :func:`poisson_arrivals` delegates to :class:`PoissonProcess` so a
-truncated stream is bit-identical to the closed-batch list.  Processes
-expose :meth:`~ArrivalProcess.state_dict` / :meth:`~ArrivalProcess.load_state`
-so a streaming checkpoint can capture and resume the RNG mid-stream.
+truncated stream is bit-identical to the closed-batch list.  A seed
+and a process's parameters therefore regenerate any stream exactly.
 
 Each job is a :class:`JobArrival` named tuple, so the simulation core
 unpacks a row by position.  A directly built row is checked field by
@@ -36,11 +35,11 @@ import math
 
 from collections import namedtuple
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro._util import check_cycles, check_finite, check_int, check_number
+from repro._util import check_cycles, check_finite
 
 from .benchmark import BenchmarkSpec
 
@@ -205,34 +204,6 @@ def poisson_arrivals(
 # -- open-system arrival processes ------------------------------------------
 
 
-def _rng_state(rng: np.random.Generator) -> dict:
-    """JSON-serialisable generator state (plain dicts and ints)."""
-    return rng.bit_generator.state
-
-
-def _checked_rng(label: str, state) -> np.random.Generator:
-    """A generator at ``state``, a PCG64 position :func:`_rng_state`
-    wrote: both 128-bit words (``inc`` odd) and the buffered 32-bit
-    half are checked first, each a :class:`ValueError` naming it."""
-    if not isinstance(state, dict) or state.get("bit_generator") != "PCG64":
-        raise ValueError(f"{label} must be a PCG64 generator state, got "
-                         f"{state!r}")
-    words = state.get("state")
-    if not isinstance(words, dict):
-        raise ValueError(f"{label} 'state' must be an object, got {words!r}")
-    for key, value, bits in (
-        ("state", words.get("state"), 128), ("inc", words.get("inc"), 128),
-        ("has_uint32", state.get("has_uint32"), 1),
-        ("uinteger", state.get("uinteger"), 32),
-    ):
-        check_int(f"{label} {key}", value, minimum=0, maximum=2 ** bits - 1)
-    if words["inc"] % 2 == 0:
-        raise ValueError(f"{label} inc must be odd, got {words['inc']!r}")
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = state
-    return rng
-
-
 class ArrivalProcess:
     """An unbounded arrival stream, generated one chunk at a time.
 
@@ -241,14 +212,7 @@ class ArrivalProcess:
     consecutive ``job_id`` values.  All randomness is drawn in a fixed
     per-chunk order, so the stream is *prefix-stable*: the first N jobs
     never depend on how far the stream is later advanced.
-
-    :meth:`state_dict` / :meth:`load_state` capture and restore the
-    full generator state (RNG, clock, next job id) for checkpointing;
-    :meth:`params` is the compatibility fingerprint a checkpoint embeds
-    so resuming against a differently-configured process fails loudly.
     """
-
-    kind = "arrival"
 
     def __init__(
         self,
@@ -287,57 +251,6 @@ class ArrivalProcess:
             out.extend(self.next_chunk())
         return out[:count]
 
-    def params(self) -> Dict[str, object]:
-        """Stream-identity fingerprint (checked on checkpoint resume)."""
-        return {
-            "kind": self.kind,
-            "names": list(self.names),
-            "seed": self.seed,
-            "chunk": self.chunk,
-        }
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable stream position (RNG, clock, next id)."""
-        return {
-            "rng": _rng_state(self._rng),
-            "next_id": self._next_id,
-            "clock": self._clock,
-        }
-
-    @classmethod
-    def _checked_state(cls, state, params: dict) -> dict:
-        """The attributes :meth:`load_state` sets from ``state``, a
-        position :meth:`state_dict` wrote for a process with ``params``
-        (:meth:`params`).  A missing or mistyped field is a
-        :class:`ValueError` naming it."""
-        if not isinstance(state, dict):
-            raise ValueError(
-                f"a {cls.kind} process state is a JSON object, got {state!r}"
-            )
-        label = f"{cls.kind} process"
-        clock = check_number(f"{label} 'clock'", state.get("clock"))
-        if clock < 0:
-            raise ValueError(f"{label} 'clock' must be >= 0, got {clock!r}")
-        check_cycles(f"{label} 'clock'", clock)
-        return {
-            "_rng": _checked_rng(f"{label} 'rng'", state.get("rng")),
-            "_next_id": check_int(
-                f"{label} 'next_id'", state.get("next_id"), minimum=0
-            ),
-            "_clock": float(clock),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a position previously captured by :meth:`state_dict`.
-
-        Every field is checked first, so a bad one is a
-        :class:`ValueError` naming it, with the process untouched.
-        """
-        self._install(self._checked_state(state, self.params()))
-
-    def _install(self, values: dict) -> None:
-        vars(self).update(values)
-
 
 class PoissonProcess(ArrivalProcess):
     """Homogeneous Poisson arrivals (exponential inter-arrival gaps).
@@ -347,8 +260,6 @@ class PoissonProcess(ArrivalProcess):
     fixed chunk granularity so any prefix of the stream matches the
     closed-batch list bit for bit.
     """
-
-    kind = "poisson"
 
     def __init__(
         self,
@@ -381,13 +292,6 @@ class PoissonProcess(ArrivalProcess):
         self._next_id += chunk
         return rows
 
-    def params(self) -> Dict[str, object]:
-        fingerprint = super().params()
-        fingerprint["mean_interarrival_cycles"] = (
-            self.mean_interarrival_cycles
-        )
-        return fingerprint
-
 
 class MMPPProcess(ArrivalProcess):
     """Bursty arrivals: a two-state Markov-modulated Poisson process.
@@ -401,8 +305,6 @@ class MMPPProcess(ArrivalProcess):
     far (hence prefix-stable at any truncation point, not just chunk
     multiples).
     """
-
-    kind = "mmpp"
 
     def __init__(
         self,
@@ -470,40 +372,6 @@ class MMPPProcess(ArrivalProcess):
         self._next_id += self.chunk
         return rows
 
-    def params(self) -> Dict[str, object]:
-        fingerprint = super().params()
-        fingerprint.update(
-            mean_interarrival_cycles=self.mean_interarrival_cycles,
-            burst_factor=self.burst_factor,
-            mean_normal_sojourn_cycles=self.mean_normal_sojourn_cycles,
-            mean_burst_sojourn_cycles=self.mean_burst_sojourn_cycles,
-        )
-        return fingerprint
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state.update(phase=self._phase, phase_end=self._phase_end)
-        return state
-
-    @classmethod
-    def _checked_state(cls, state, params: dict) -> dict:
-        values = super()._checked_state(state, params)
-        clock = values["_clock"]
-        values["_phase"] = check_int(
-            "mmpp process 'phase'", state.get("phase"), minimum=0, maximum=1
-        )
-        # A phase ends no earlier than the arrivals drawn inside it.
-        phase_end = check_number(
-            "mmpp process 'phase_end'", state.get("phase_end")
-        )
-        if phase_end < clock:
-            raise ValueError(
-                f"mmpp process 'phase_end' {phase_end!r} is before its "
-                f"'clock' {clock!r}"
-            )
-        values["_phase_end"] = float(phase_end)
-        return values
-
 
 class DiurnalProcess(ArrivalProcess):
     """Non-homogeneous Poisson arrivals under a sinusoidal rate curve.
@@ -514,8 +382,6 @@ class DiurnalProcess(ArrivalProcess):
     interleave per accepted job, so the stream is prefix-stable at any
     truncation point.
     """
-
-    kind = "diurnal"
 
     def __init__(
         self,
@@ -565,16 +431,6 @@ class DiurnalProcess(ArrivalProcess):
         self._next_id += self.chunk
         return rows
 
-    def params(self) -> Dict[str, object]:
-        fingerprint = super().params()
-        fingerprint.update(
-            mean_interarrival_cycles=self.mean_interarrival_cycles,
-            period_cycles=self.period_cycles,
-            amplitude=self.amplitude,
-            phase=self.phase,
-        )
-        return fingerprint
-
 
 class QoSProcess(ArrivalProcess):
     """Wrap a process with :func:`with_qos`-style priorities/deadlines.
@@ -584,8 +440,6 @@ class QoSProcess(ArrivalProcess):
     ``QoSProcess(inner).take(N)`` equals
     ``with_qos(inner.take(N), ...)`` with the same seed.
     """
-
-    kind = "qos"
 
     def __init__(
         self,
@@ -618,64 +472,9 @@ class QoSProcess(ArrivalProcess):
             self.deadline_fraction,
         )
 
-    def params(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "priority_levels": self.priority_levels,
-            "deadline_slack": self.deadline_slack,
-            "deadline_fraction": self.deadline_fraction,
-            "inner": self.inner.params(),
-        }
-
-    def state_dict(self) -> dict:
-        return {
-            "rng": _rng_state(self._rng),
-            "inner": self.inner.state_dict(),
-        }
-
-    @classmethod
-    def _checked_state(cls, state, params: dict) -> dict:
-        if not isinstance(state, dict):
-            raise ValueError(
-                f"a qos process state is a JSON object, got {state!r}"
-            )
-        return {
-            "_rng": _checked_rng("qos process 'rng'", state.get("rng")),
-            "inner": _checked_process_state(
-                params.get("inner"), state.get("inner")
-            ),
-        }
-
-    def _install(self, values: dict) -> None:
-        self.inner._install(values.pop("inner"))
-        vars(self).update(values)
-
 
 #: Factory-constructible process kinds (CLI / campaign surface).
 PROCESS_KINDS = ("poisson", "mmpp", "diurnal")
-
-#: Every process class by its ``kind``, for checking a saved state
-#: without a process object.
-_CLASSES = {
-    cls.kind: cls
-    for cls in (
-        ArrivalProcess, PoissonProcess, MMPPProcess, DiurnalProcess,
-        QoSProcess,
-    )
-}
-
-
-def _checked_process_state(params, state) -> dict:
-    """What a process with ``params`` (its :meth:`~ArrivalProcess.params`)
-    restores from ``state``: its class's field checks, run without a
-    process object (a checkpoint is checked before anything is
-    restored)."""
-    kind = params.get("kind") if isinstance(params, dict) else None
-    if kind not in _CLASSES:
-        raise ValueError(f"unknown arrival process kind {kind!r}")
-    return _CLASSES[kind]._checked_state(state, params)
-
 
 def make_process(
     kind: str,

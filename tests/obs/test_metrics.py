@@ -3,7 +3,6 @@
 import json
 import math
 import random
-import re
 import sys
 
 import pytest
@@ -36,77 +35,13 @@ def test_gauge():
     assert gauge.value == 1.5
 
 
-def test_histogram_state_round_trip():
-    rng = random.Random(23)
-    samples = [rng.gauss(50, 20) for _ in range(3_000)]
-
-    straight = Histogram("h")
-    for x in samples:
-        straight.observe(x)
-
-    first = Histogram("h")
-    for x in samples[:1_000]:
-        first.observe(x)
-    resumed = Histogram("h")
-    resumed.load_state(first.state_dict())
-    for x in samples[1_000:]:
-        resumed.observe(x)
-
-    assert resumed.snapshot() == straight.snapshot()
-    assert resumed.state_dict() == straight.state_dict()
-
-
-def test_histogram_load_state_rejects_estimator_mismatch():
-    """A state that carries P² estimators instead of bucket counts (a
-    version-4 checkpoint's histogram) is refused, naming the field."""
-    state = {
-        "count": 1, "total": 1.0, "min": 1.0, "max": 1.0,
-        "estimators": [
-            {"p": p, "heights": [1.0], "positions": [1, 2, 3, 4, 5],
-             "desired": [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]}
-            for p in (0.5, 0.9, 0.99)
-        ],
+def _state(histogram: Histogram) -> dict:
+    """Everything a histogram holds: its scalars and bucket counts."""
+    return {
+        "count": histogram.count, "total": histogram.total,
+        "min": histogram.min, "max": histogram.max,
+        "buckets": sorted(histogram._counts.items()),
     }
-    histogram = Histogram("h")
-    with pytest.raises(ValueError, match="'buckets'"):
-        histogram.load_state(state)
-    assert histogram.count == 0
-
-
-#: The buckets of 1.0 and 2.0.  Checkpoints store bucket keys, so the
-#: keys are part of the checkpoint format.
-ONE, TWO = 137728, 137856
-
-
-@pytest.mark.parametrize("key,value,message", [
-    ("count", "x", "'count'"),
-    ("count", -1, "'count'"),
-    ("total", None, "'total'"),
-    ("min", "x", "'min'"),
-    ("buckets", None, "'buckets'"),
-    ("buckets", {str(ONE): 1, str(TWO): 1}, "'buckets'"),
-    ("buckets", [[ONE, 1], [TWO]], "[bucket, count] pair"),
-    ("buckets", [[ONE, 1]], "hold 1 observations, not 'count' 2"),
-    ("buckets", [[ONE, 1], [ONE, 1]], f"bucket must be >= {ONE + 1}"),
-    ("buckets", [[TWO, 1], [ONE, 1]], f"bucket must be >= {TWO + 1}"),
-    ("buckets", [[float(ONE), 1], [TWO, 1]], "bucket must be an integer"),
-    ("buckets", [[True, 1], [TWO, 1]], "bucket must be an integer"),
-    ("buckets", [[5, 1], [TWO, 1]], "bucket 5 is not a bucket key"),
-    ("buckets", [[ONE, 1], [10 ** 6, 1]], "bucket must be <= "),
-    ("buckets", [[ONE, 0], [TWO, 2]], f"bucket {ONE}'s count must be >= 1"),
-    ("buckets", [[ONE, 1.0], [TWO, 1]], "count must be an integer"),
-])
-def test_histogram_load_state_checks_every_field_first(key, value, message):
-    donor = Histogram("h")
-    donor.observe(1.0, 2.0)
-    assert donor.state_dict()["buckets"] == [[ONE, 1], [TWO, 1]]
-    histogram = Histogram("h")
-    histogram.observe(5.0)
-    before = histogram.state_dict()
-    with pytest.raises(ValueError, match=re.escape(message)):
-        histogram.load_state({**donor.state_dict(), key: value})
-    assert histogram.state_dict() == before
-    assert histogram.snapshot()["p50"] == 5.0
 
 
 def test_histogram_snapshot():
@@ -190,9 +125,7 @@ def test_histogram_block_feed_matches_per_value_oracle(values, data):
     one_by_one = Histogram("h")
     for value in values:
         one_by_one.observe(value)
-    assert json.dumps(histogram.state_dict()) == json.dumps(
-        one_by_one.state_dict()
-    )
+    assert json.dumps(_state(histogram)) == json.dumps(_state(one_by_one))
 
 
 @settings(deadline=None)
@@ -210,8 +143,8 @@ def test_histogram_ignores_order_and_block_split(values, ints, data):
     straight.observe(*values)
     shuffled = _fed_in_blocks(data.draw(st.permutations(values)), data)
     scalars = ("count", "min", "max", "buckets")
-    assert {k: shuffled.state_dict()[k] for k in scalars} == {
-        k: straight.state_dict()[k] for k in scalars
+    assert {k: _state(shuffled)[k] for k in scalars} == {
+        k: _state(straight)[k] for k in scalars
     }
     assert {
         k: v for k, v in shuffled.snapshot().items()
@@ -224,27 +157,8 @@ def test_histogram_ignores_order_and_block_split(values, ints, data):
     straight = Histogram("h")
     straight.observe(*ints)
     shuffled = _fed_in_blocks(data.draw(st.permutations(ints)), data)
-    assert shuffled.state_dict() == straight.state_dict()
+    assert _state(shuffled) == _state(straight)
     assert shuffled.snapshot() == straight.snapshot()
-
-
-@settings(deadline=None)
-@given(values=_SEQUENCES, data=st.data())
-def test_histogram_state_dict_round_trips_exactly(values, data):
-    """``state_dict`` through JSON and ``load_state`` restores the
-    histogram exactly, and it goes on as if never stopped."""
-    cut = data.draw(st.integers(min_value=0, max_value=len(values)))
-    first = Histogram("h")
-    first.observe(*values[:cut])
-    resumed = Histogram("h")
-    resumed.load_state(json.loads(json.dumps(first.state_dict())))
-    assert resumed.state_dict() == first.state_dict()
-    assert resumed.snapshot() == first.snapshot()
-    first.observe(*values[cut:])
-    resumed.observe(*values[cut:])
-    assert json.dumps(resumed.state_dict()) == json.dumps(
-        first.state_dict()
-    )
 
 
 @pytest.mark.parametrize("values", [
@@ -259,9 +173,6 @@ def test_histogram_holds_the_float_extremes(values):
     histogram.observe(*values)
     snapshot = histogram.snapshot()
     assert SampleOracle(values).mismatches(snapshot) == []
-    restored = Histogram("h")
-    restored.load_state(json.loads(json.dumps(histogram.state_dict())))
-    assert restored.snapshot() == snapshot
 
 
 def _ar1(count, phi, seed):
@@ -319,9 +230,9 @@ def test_stream_waiting_quantiles_are_exact_within_bound(
 def test_histogram_empty_block_is_a_no_op():
     histogram = Histogram("h")
     histogram.observe(3.0, 1.0)
-    before = histogram.state_dict()
+    before = _state(histogram)
     histogram.observe()
-    assert histogram.state_dict() == before
+    assert _state(histogram) == before
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -333,17 +244,17 @@ def test_histogram_rejects_non_finite_values(bad):
     histogram = Histogram("latency")
     for value in first:
         histogram.observe(value)
-    before = histogram.state_dict()
+    before = _state(histogram)
     with pytest.raises(ValueError, match="'latency'"):
         histogram.observe(bad)
     with pytest.raises(ValueError, match="'latency'"):
         histogram.observe(1.0, bad, 2.0)
-    assert histogram.state_dict() == before
+    assert _state(histogram) == before
     histogram.observe(*rest)
 
     clean = Histogram("latency")
     clean.observe(*first, *rest)
-    assert histogram.state_dict() == clean.state_dict()
+    assert _state(histogram) == _state(clean)
     assert histogram.snapshot() == clean.snapshot()
     assert math.isfinite(histogram.snapshot()["mean"])
 

@@ -1,6 +1,6 @@
-"""Sampled telemetry: non-perturbation, determinism, resumability.
+"""Sampled telemetry: non-perturbation and determinism.
 
-The telemetry contract (:mod:`repro.obs.telemetry`) has three legs,
+The telemetry contract (:mod:`repro.obs.telemetry`) has two legs,
 each pinned here:
 
 * **Non-perturbation** — a telemetry-on run is bit-identical to a
@@ -9,9 +9,6 @@ each pinned here:
   preemption grid.
 * **Determinism** — a fixed run always produces byte-identical
   telemetry and sampled-trace files (no wall-clock leaks into them).
-* **Resumability** — kill a checkpointed streaming run at any point
-  (even with post-checkpoint samples already written), resume, and the
-  telemetry files come out byte-identical to an uninterrupted run.
 
 Plus the integration seams: sampled trace events round-trip through
 the typed-event schema and the trace report, the fast/auto engine
@@ -22,7 +19,6 @@ paths fail loudly.
 import dataclasses
 import itertools
 import json
-import re
 
 import pytest
 
@@ -41,11 +37,7 @@ from repro.obs import (
 )
 from repro.obs.events import EnergyAccrued, JobCompleted
 from repro.obs.report import per_core_timeline, render_trace_report
-from repro.sim.stream import (
-    STREAM_SNAPSHOT_VERSION,
-    StreamConfig,
-    StreamingSimulation,
-)
+from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads.arrivals import PoissonProcess
 from repro.workloads.eembc import eembc_benchmark
 
@@ -140,8 +132,7 @@ def _process(specs):
 
 
 def _finish(engine):
-    while engine.advance():
-        pass
+    engine.advance()
     return engine.result()
 
 
@@ -212,98 +203,6 @@ class TestStreamingNonPerturbation:
         assert header["engine"] == "stream"
         assert samples[-1]["final"] is True
         assert samples[-1]["done"] == N_STREAM_JOBS
-
-
-class TestKillResumeByteIdentity:
-    @pytest.mark.parametrize("kill_at", (1, 50, 120))
-    def test_resumed_telemetry_files_are_byte_identical(
-        self, kill_at, store, oracle, energy_table, specs, tmp_path,
-    ):
-        args = ("proposed", "fifo", False, store, oracle, energy_table)
-
-        base_tel = _telemetry(tmp_path, "base")
-        straight = _stream_engine(*args, telemetry=base_tel)
-        straight.start(_process(specs))
-        baseline = _finish(straight)
-        base_tel.close()
-
-        kr_tel = _telemetry(tmp_path, "kr")
-        killed = _stream_engine(*args, telemetry=kr_tel)
-        killed.start(_process(specs))
-        killed.advance(max_completions=kill_at)
-        snapshot = json.loads(json.dumps(killed.snapshot()))
-        assert snapshot["version"] == STREAM_SNAPSHOT_VERSION
-        assert snapshot["telemetry"]["schema"] == TELEMETRY_SCHEMA_VERSION
-        # The process dies *after* the checkpoint: more samples land in
-        # the files than the snapshot records.  Resume must truncate.
-        killed.advance(max_completions=10)
-        kr_tel.close()
-
-        resumed_tel = _telemetry(tmp_path, "kr")
-        resumed = _stream_engine(*args, telemetry=resumed_tel)
-        result = resumed.resume(snapshot, _process(specs))
-        while resumed.advance():
-            pass
-        result = resumed.result()
-        resumed_tel.close()
-
-        assert dataclasses.asdict(result) == dataclasses.asdict(baseline)
-        assert (tmp_path / "kr.jsonl").read_bytes() == \
-            (tmp_path / "base.jsonl").read_bytes()
-        assert (tmp_path / "kr.trace.jsonl").read_bytes() == \
-            (tmp_path / "base.trace.jsonl").read_bytes()
-
-    def test_resume_from_final_checkpoint_appends_nothing(
-        self, store, oracle, energy_table, specs, tmp_path,
-    ):
-        args = ("proposed", "fifo", False, store, oracle, energy_table)
-        tel = _telemetry(tmp_path, "full")
-        engine = _stream_engine(*args, telemetry=tel)
-        engine.start(_process(specs))
-        _finish(engine)
-        snapshot = json.loads(json.dumps(engine.snapshot()))
-        tel.close()
-        before = (tmp_path / "full.jsonl").read_bytes()
-
-        tel2 = _telemetry(tmp_path, "full")
-        resumed = _stream_engine(*args, telemetry=tel2)
-        resumed.resume(snapshot, _process(specs))
-        while resumed.advance():
-            pass
-        tel2.close()
-        assert (tmp_path / "full.jsonl").read_bytes() == before
-
-    def test_resume_without_sink_fails_loudly(
-        self, store, oracle, energy_table, specs, tmp_path,
-    ):
-        args = ("proposed", "fifo", False, store, oracle, energy_table)
-        tel = _telemetry(tmp_path, "orphan")
-        killed = _stream_engine(*args, telemetry=tel)
-        killed.start(_process(specs))
-        killed.advance(max_completions=30)
-        snapshot = json.loads(json.dumps(killed.snapshot()))
-        tel.close()
-
-        resumed = _stream_engine(*args)  # no telemetry attached
-        with pytest.raises(ValueError, match="telemetry"):
-            resumed.resume(snapshot, _process(specs))
-
-    def test_resume_with_wrong_file_fails_loudly(
-        self, store, oracle, energy_table, specs, tmp_path,
-    ):
-        args = ("proposed", "fifo", False, store, oracle, energy_table)
-        tel = _telemetry(tmp_path, "short")
-        killed = _stream_engine(*args, telemetry=tel)
-        killed.start(_process(specs))
-        killed.advance(max_completions=30)
-        snapshot = json.loads(json.dumps(killed.snapshot()))
-        tel.close()
-        (tmp_path / "short.jsonl").write_text("{}\n")
-
-        tel2 = _telemetry(tmp_path, "short")
-        resumed = _stream_engine(*args, telemetry=tel2)
-        with pytest.raises(ValueError, match="checkpoint expects"):
-            resumed.resume(snapshot, _process(specs))
 
 
 class TestSampledTrace:
@@ -380,69 +279,18 @@ class TestTelemetrySink:
         with pytest.raises(ValueError, match="trace_every"):
             Telemetry(trace_out=tmp_path / "t.jsonl", trace_every=0)
 
-    def test_load_state_needs_fresh_sink(self, tmp_path):
-        tel = Telemetry(out=tmp_path / "t.jsonl")
-        tel.begin({"engine": "fast"})
-        tel.sample(done=1)
-        state = tel.state_dict()
-        tel.close()
-        with pytest.raises(RuntimeError, match="fresh"):
-            tel.load_state(state)
-
-    def test_load_state_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            Telemetry().load_state({"schema": 999})
-
-    @pytest.mark.parametrize("field,value,message", [
-        ("out_bytes", -5, "telemetry 'out_bytes' must be >= 0"),
-        ("samples", None, "telemetry 'samples'"),
-        ("finalized", "x", "telemetry 'finalized'"),
-        ("trace_bytes", 20, "holds 10 bytes"),
-    ])
-    def test_bad_state_truncates_nothing(self, tmp_path, field, value,
-                                         message):
-        """Every field, and both files, are checked before either file
-        is truncated."""
-        out, trace = tmp_path / "t.jsonl", tmp_path / "s.jsonl"
-        out.write_text("x" * 100)
-        trace.write_text("y" * 10)
-        state = {"schema": 1, "samples": 1, "out_bytes": 50,
-                 "trace_events": 1, "trace_bytes": 5, "finalized": False,
-                 field: value}
-        tel = Telemetry(out=out, trace_out=trace, trace_every=1)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            tel.load_state(state)
-        assert (out.stat().st_size, trace.stat().st_size) == (100, 10)
-        assert (tel.samples, tel.out_bytes) == (0, 0)
-
-    def test_finalized_round_trips_through_state(self, tmp_path):
-        tel = Telemetry(out=tmp_path / "t.jsonl")
-        tel.begin()
-        tel.sample(done=1, final=True)
-        state = json.loads(json.dumps(tel.state_dict()))
-        tel.close()
-        fresh = Telemetry(out=tmp_path / "t.jsonl")
-        fresh.load_state(state)
-        assert fresh.finalized is True
-        fresh.sample(done=2)  # must be a no-op after the final sample
-        assert fresh.samples == state["samples"]
-        fresh.close()
-
-    def test_header_written_once_across_resume(self, tmp_path):
+    def test_samples_after_the_final_are_ignored(self, tmp_path):
         path = tmp_path / "t.jsonl"
         tel = Telemetry(out=path)
         tel.begin({"engine": "fast"})
-        tel.sample(done=1)
-        state = tel.state_dict()
+        tel.sample(done=1, final=True)
+        tel.sample(done=2)
+        tel.sample(done=3, final=True)
         tel.close()
-        fresh = Telemetry(out=path)
-        fresh.load_state(state)
-        fresh.begin({"engine": "fast"})
-        fresh.sample(done=2)
-        fresh.close()
+        assert tel.finalized and tel.samples == 1
         kinds = [json.loads(line)["kind"]
                  for line in path.read_text().splitlines()]
-        assert kinds == ["telemetry", "sample", "sample"]
+        assert kinds == ["telemetry", "sample"]
 
     def test_read_telemetry_rejects_malformed(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -23,6 +23,8 @@ from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads.arrivals import PoissonProcess, QoSProcess
 from repro.workloads.eembc import eembc_benchmark
 
+from tests.scenarios import run_state
+
 from .conftest import (
     SUITE_NAMES,
     arrivals_for,
@@ -179,21 +181,17 @@ class TestDisabledPowerStreaming:
     ):
         qos = discipline != "fifo"
         results = {}
-        snapshots = {}
+        states = {}
         for key, power in (("base", None), ("disabled", DISABLED)):
             engine = self._engine(
                 policy, discipline, preemptive, small_store, oracle,
                 energy_table, power,
             )
-            engine.start(self._process(qos))
-            while engine.advance():
-                pass
-            results[key] = engine.result()
-            snapshots[key] = json.dumps(
-                engine.snapshot(), sort_keys=True
-            )
+            results[key] = engine.run(self._process(qos))
+            states[key] = run_state(engine)
         assert results["base"] == results["disabled"]
         assert results["disabled"].power is None
-        # The strong form: the entire serialised state agrees byte for
-        # byte, including the snapshot's null power account.
-        assert snapshots["base"] == snapshots["disabled"]
+        # The strong form: the entire post-run state agrees, down to
+        # each value's type, including the absent power account.
+        assert states["base"] == states["disabled"]
+        assert repr(states["base"]) == repr(states["disabled"])

@@ -9,12 +9,9 @@ matters and pinned where the scenario is the specification:
 * a pinned congested sweep shows the energy / deadline trade-off:
   tokens consumed monotone non-increasing and the deadline-miss rate
   monotone non-decreasing as the cap tightens;
-* DVFS/pool state survives ``state_dict``/``load_state`` exactly, and a
-  powered streaming run killed at any point resumes bit-identically
-  (byte-identical final snapshots, same settled token account).
+* DVFS/pool state survives ``state_dict``/``load_state`` exactly.
 """
 
-import json
 import math
 
 import pytest
@@ -23,18 +20,10 @@ from hypothesis import strategies as st
 
 from repro.cache.config import configs_for_size
 from repro.core.fastpath import build_fast
-from repro.core.policies import make_policy
 from repro.core.system import paper_system
 from repro.power.budget import PowerConfig, TokenPool
 from repro.power.dvfs import DEFAULT_DVFS_TABLE
-from repro.sim.stream import (
-    STREAM_SNAPSHOT_VERSION,
-    StreamConfig,
-    StreamingSimulation,
-)
 from repro.validate.ledger import REL_TOLERANCE
-from repro.workloads.arrivals import PoissonProcess, QoSProcess
-from repro.workloads.eembc import eembc_benchmark
 
 from .conftest import SUITE_NAMES, make_simulation, qos_arrivals
 
@@ -248,94 +237,3 @@ LADDER_POWER = PowerConfig(
     slack_pct=25.0,
     dvfs=DEFAULT_DVFS_TABLE,
 )
-
-STREAM_POWER = PowerConfig(
-    cap_nj=300_000.0,
-    cluster_caps_nj=((4, 150_000.0),),
-    slack_pct=25.0,
-    dvfs=DEFAULT_DVFS_TABLE,
-)
-
-N_JOBS = 120
-
-
-def _stream_engine(store, oracle, energy_table, power=STREAM_POWER):
-    policy = make_policy("proposed")
-    return StreamingSimulation(
-        paper_system(),
-        policy,
-        store,
-        predictor=oracle,
-        energy_table=energy_table,
-        config=StreamConfig(max_jobs=N_JOBS),
-        discipline="priority",
-        preemptive=True,
-        power=power,
-    )
-
-
-def _stream_process():
-    specs = [eembc_benchmark(name) for name in SUITE_NAMES]
-    return QoSProcess(
-        PoissonProcess(specs, mean_interarrival_cycles=10_000.0, seed=3),
-        service_estimate=lambda name: 400_000,
-        priority_levels=4,
-        seed=3,
-    )
-
-
-class TestPoweredCheckpointResume:
-    @given(kill_at=st.integers(min_value=1, max_value=N_JOBS - 1))
-    @settings(max_examples=10, deadline=None)
-    def test_kill_resume_byte_identical(self, kill_at, small_store,
-                                        oracle, energy_table):
-        straight = _stream_engine(small_store, oracle, energy_table)
-        straight.start(_stream_process())
-        while straight.advance():
-            pass
-        baseline = straight.result()
-        assert baseline.power is not None
-        assert baseline.power["grants"] >= N_JOBS
-
-        killed = _stream_engine(small_store, oracle, energy_table)
-        killed.start(_stream_process())
-        killed.advance(max_completions=kill_at)
-        snapshot = json.loads(json.dumps(killed.snapshot()))
-        assert snapshot["version"] == STREAM_SNAPSHOT_VERSION
-        assert snapshot["engine"]["power"] is not None
-
-        resumed = _stream_engine(small_store, oracle, energy_table)
-        result = resumed.resume(snapshot, _stream_process())
-        assert result == baseline
-        assert result.power == baseline.power
-        assert json.dumps(
-            resumed.snapshot(), sort_keys=True
-        ) == json.dumps(straight.snapshot(), sort_keys=True)
-
-    def test_pool_must_hold_the_running_jobs(
-        self, small_store, oracle, energy_table
-    ):
-        donor = _stream_engine(small_store, oracle, energy_table)
-        donor.start(_stream_process())
-        donor.advance(max_completions=10)
-        snapshot = json.loads(json.dumps(donor.snapshot()))
-        held = snapshot["engine"]["power"]["held"]
-        assert held
-        del held[0]
-        engine = _stream_engine(small_store, oracle, energy_table)
-        with pytest.raises(ValueError, match="must list the running jobs"):
-            engine.restore(snapshot, _stream_process())
-        assert not engine.started
-
-    def test_power_fingerprint_mismatch_fails_loudly(
-        self, small_store, oracle, energy_table
-    ):
-        donor = _stream_engine(small_store, oracle, energy_table)
-        donor.start(_stream_process())
-        donor.advance(max_completions=10)
-        snapshot = donor.snapshot()
-        unpowered = _stream_engine(
-            small_store, oracle, energy_table, power=None
-        )
-        with pytest.raises(ValueError, match="power"):
-            unpowered.restore(snapshot, _stream_process())

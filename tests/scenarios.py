@@ -34,7 +34,14 @@ __all__ = [
     "make_simulation",
     "qos_arrivals",
     "qos_headline_arrivals",
+    "run_state",
 ]
+
+#: The simulation core's knowledge attributes, updated in place by a run.
+KNOWLEDGE = (
+    "profiled", "pred_raw", "pred_size", "executed", "best_known", "tuned",
+    "touched", "touch_order", "sessions",
+)
 
 #: Small mixed-best-size suite: 2KB, 4KB and 8KB winners.
 SUITE_NAMES = ("puwmod", "idctrn", "pntrch", "a2time")
@@ -152,3 +159,21 @@ def qos_headline_arrivals(store, count=1500, seed=5,
         deadline_slack=deadline_slack,
         seed=seed,
     )
+
+
+def run_state(core) -> dict:
+    """Everything a finished simulation core holds, for ``==``.
+
+    ``core`` is a :class:`~repro.sim.stream.StreamingSimulation` after
+    its run: the run state, the knowledge attributes, both latency
+    histograms' summaries and the token-pool account (``None`` when the
+    core has no pool).
+    """
+    pool = core._power_pool
+    return {
+        "run": core._s,
+        "knowledge": {name: getattr(core, name) for name in KNOWLEDGE},
+        "waiting": core._wait_hist.snapshot(),
+        "turnaround": core._turn_hist.snapshot(),
+        "pool": None if pool is None else pool.state_dict(),
+    }

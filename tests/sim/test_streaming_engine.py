@@ -30,8 +30,6 @@ from repro.campaign import ReplicationSpec, StreamLoad, run_spec
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.system import base_system, paper_system
 from repro.obs import MetricsRegistry, Telemetry
-from repro.power.budget import PowerConfig
-from repro.power.dvfs import DEFAULT_DVFS_TABLE
 from repro.sim.stream import (
     ADMISSION_POLICIES,
     OBSERVE_BLOCK,
@@ -172,55 +170,6 @@ class TestClosedBatchEquivalence:
             preload_profiles=True,
         )
         assert streaming.run(_process(specs)).sim_result == batch
-
-    def test_stepwise_advance_matches_single_drive(
-        self, store, oracle, energy_table, specs
-    ):
-        config = StreamConfig(max_jobs=N_JOBS, retain_jobs=True)
-        one = _streaming("proposed", store, oracle, energy_table, config)
-        whole = one.run(_process(specs))
-        stepped = _streaming(
-            "proposed", store, oracle, energy_table, config
-        )
-        stepped.start(_process(specs))
-        while stepped.advance(max_events=17):
-            pass
-        assert stepped.result() == whole
-
-    @pytest.mark.parametrize("policy,discipline,preemptive", (
-        ("energy_centric", "priority", True),
-        ("proposed", "edf", False),
-    ))
-    def test_one_event_per_call_under_congestion(
-        self, policy, discipline, preemptive, store, oracle, energy_table,
-        specs,
-    ):
-        # Every call rebuilds the core's per-benchmark lanes from the
-        # queue it left, here a shedding, power-throttled backlog.
-        def run(budget):
-            streaming = _streaming(
-                policy, store, oracle, energy_table,
-                StreamConfig(
-                    max_jobs=120, queue_capacity=20, admission="shed",
-                ),
-                discipline=discipline, preemptive=preemptive,
-                power=PowerConfig(
-                    cap_nj=300_000.0, slack_pct=25.0,
-                    dvfs=DEFAULT_DVFS_TABLE,
-                ),
-            )
-            streaming.start(_process(specs, qos=True, mean_gap=9_000.0))
-            while streaming.advance(max_events=budget):
-                pass
-            return streaming
-
-        whole, stepped = run(None), run(1)
-        result = whole.result()
-        assert result.jobs_shed > 0 and result.power["throttled"] > 0
-        assert stepped.result() == result
-        assert json.dumps(stepped.snapshot(), sort_keys=True) == json.dumps(
-            whole.snapshot(), sort_keys=True
-        )
 
 
 class TestBoundedMemory:
@@ -517,8 +466,6 @@ class TestValidation:
         unconfigured = _streaming("proposed", store, oracle, energy_table)
         with pytest.raises(ValueError, match="StreamConfig"):
             unconfigured.run(_process(specs))
-        with pytest.raises(ValueError, match="StreamConfig"):
-            unconfigured.resume({}, _process(specs))
         assert not unconfigured.started
 
     def test_batch_needs_a_core_without_config(
@@ -558,7 +505,6 @@ class TestValidation:
             StreamConfig(max_jobs=200),
         )
         streaming.start(_process(specs))
-        streaming.advance(max_events=5)
         with pytest.raises(RuntimeError, match="pending events"):
             streaming.result()
 

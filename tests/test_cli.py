@@ -2,7 +2,6 @@
 
 import json
 import re
-from pathlib import Path
 
 import pytest
 
@@ -54,6 +53,30 @@ class TestParser:
                 for option in action.option_strings} == {
             "-h", "--help", "--seed", "--out",
         }
+
+    def test_stream_options(self):
+        (sub,) = [action for action in build_parser()._actions
+                  if action.dest == "command"]
+        assert {option for action in sub.choices["stream"]._actions
+                for option in action.option_strings} == {
+            "-h", "--help", "--policy", "--process", "--max-jobs",
+            "--duration", "--interarrival", "--seed", "--queue-capacity",
+            "--admission", "--warmup", "--predictor", "--discipline",
+            "--burst-factor", "--amplitude", "--period", "--json",
+            "--power-cap", "--power-slack", "--dvfs", "--telemetry-out",
+            "--telemetry-every", "--sampled-trace", "--sampled-trace-every",
+            "--progress",
+        }
+
+    def test_stream_rejects_checkpoint_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stream", "--max-jobs", "10", "--checkpoint", "x"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "repro: error: unrecognized arguments: --checkpoint x"
+        )
+        assert "Traceback" not in err
 
     def test_sweep_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
@@ -489,8 +512,6 @@ class TestStreamParser:
         assert args.interarrival == 56_000.0
         assert args.admission == "block"
         assert args.queue_capacity is None
-        assert args.checkpoint is None
-        assert not args.resume
 
     def test_options(self):
         args = build_parser().parse_args([
@@ -498,8 +519,7 @@ class TestStreamParser:
             "--max-jobs", "5000", "--duration", "1000000",
             "--queue-capacity", "32", "--admission", "shed",
             "--warmup", "200000", "--discipline", "edf",
-            "--checkpoint", "c.json", "--checkpoint-every", "500",
-            "--resume", "--burst-factor", "6",
+            "--burst-factor", "6",
         ])
         assert args.policy == "base"
         assert args.process == "mmpp"
@@ -509,9 +529,6 @@ class TestStreamParser:
         assert args.admission == "shed"
         assert args.warmup == 200_000
         assert args.discipline == "edf"
-        assert args.checkpoint == "c.json"
-        assert args.checkpoint_every == 500
-        assert args.resume
         assert args.burst_factor == 6.0
 
     def test_rejects_unknown_process(self):
@@ -554,66 +571,6 @@ class TestStreamCommand:
         assert main(["stream"]) == 2
         assert "--max-jobs" in capsys.readouterr().err
 
-    def test_resume_needs_checkpoint_path(self, capsys):
-        assert main(["stream", "--max-jobs", "10", "--resume"]) == 2
-        assert "--checkpoint" in capsys.readouterr().err
-
-    def test_resume_needs_existing_file(self, capsys, tmp_path):
-        code = main([
-            "stream", "--max-jobs", "10", "--resume",
-            "--checkpoint", str(tmp_path / "missing.json"),
-        ])
-        assert code == 2
-        assert "no checkpoint file" in capsys.readouterr().err
-
-    def test_checkpoint_and_resume_round_trip(self, capsys, tmp_path):
-        import json as json_module
-
-        ckpt = tmp_path / "stream.ckpt"
-        first_json = tmp_path / "first.json"
-        resumed_json = tmp_path / "resumed.json"
-        base_args = [
-            "stream", "--max-jobs", "300", "--seed", "2",
-            "--checkpoint", str(ckpt), "--checkpoint-every", "100",
-        ]
-        assert main(base_args + ["--json", str(first_json)]) == 0
-        assert ckpt.exists()
-
-        # Resuming the final checkpoint replays no events and reports
-        # the identical result — the bit-identity contract end to end.
-        code = main(
-            base_args + ["--resume", "--json", str(resumed_json)]
-        )
-        assert code == 0
-        assert "resumed proposed" in capsys.readouterr().out
-        assert json_module.loads(first_json.read_text()) == (
-            json_module.loads(resumed_json.read_text())
-        )
-
-    def test_checkpointed_stream_resumes_bit_identically(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        run = "stream --max-jobs 5000 --seed 2 --checkpoint ckpt.json"
-        assert main(f"{run} --checkpoint-every 1000 --json first.json"
-                    .split()) == 0
-        assert main(f"{run} --resume --json again.json".split()) == 0
-        assert (tmp_path / "first.json").read_bytes() == (
-            tmp_path / "again.json").read_bytes()
-        # 12000 jobs cross the histograms' 4096-observation blocks;
-        # telemetry every 7 completions flushes between them.
-        run = ("stream --max-jobs 12000 --seed 2 --checkpoint blocks.json "
-               "--telemetry-out blocks.jsonl --telemetry-every 7")
-        assert main(f"{run} --checkpoint-every 4999 --json blocks-first.json"
-                    .split()) == 0
-        first_telemetry = (tmp_path / "blocks.jsonl").read_bytes()
-        assert main(f"{run} --resume --json blocks-again.json"
-                    .split()) == 0
-        capsys.readouterr()
-        assert (tmp_path / "blocks-first.json").read_bytes() == (
-            tmp_path / "blocks-again.json").read_bytes()
-        assert (tmp_path / "blocks.jsonl").read_bytes() == first_telemetry
-
     def test_campaign_stream_small(self, capsys):
         code = main([
             "campaign", "--policies", "base", "proposed",
@@ -637,13 +594,6 @@ class TestStreamCommand:
 
 #: A fault plan whose core fault has a wrong field and misses the rest.
 BAD_PLAN = '{"name": "x", "core_faults": [{"core": 0}]}'
-CHECKPOINT = (
-    Path(__file__).parent / "sim" / "data" / "stream_v5_block_qos.json"
-)
-#: The same checkpoint as a version-4 build wrote it (P² histograms).
-CHECKPOINT_V4 = CHECKPOINT.with_name("stream_v4_block_qos.json")
-
-
 class TestHostileInput:
     @pytest.mark.parametrize("argv", [
         "campaign --policies base --seeds 1 --jobs 0",
@@ -724,10 +674,6 @@ class TestHostileInput:
         ("dag describe {path}", '{"graphs": [{"graph_id": 0}]}',
          "task-graph document"),
         ("dag describe {path}", "not json", "task-graph document"),
-        ("stream --checkpoint {path} --resume --max-jobs 100",
-         '{"version": 4}', "stream checkpoint"),
-        ("stream --checkpoint {path} --resume --max-jobs 100",
-         '{"version": 4, "fingerprint": {"pol', "stream checkpoint"),
         ("report {path}",
          '{"kind": "telemetry", "schema": %d}\ngarbage\n'
          % TELEMETRY_SCHEMA_VERSION, "not valid JSON"),
@@ -743,81 +689,6 @@ class TestHostileInput:
         assert kind in err
         assert "Traceback" not in err
 
-
-    def test_older_checkpoint_version_is_named(self, capsys, tmp_path):
-        path = tmp_path / "stream.ckpt"
-        path.write_bytes(CHECKPOINT_V4.read_bytes())
-        code = main(["stream", "--checkpoint", str(path), "--resume",
-                     "--max-jobs", "100", "--predictor", "oracle"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {path} is not a valid stream checkpoint: unsupported "
-            "stream snapshot version 4; this build reads version 5\n"
-        )
-        assert path.read_bytes() == CHECKPOINT_V4.read_bytes()
-
-    def test_mistyped_checkpoint_queue_is_named(self, capsys, tmp_path):
-        snapshot = json.loads(CHECKPOINT.read_text())
-        snapshot["engine"]["queue"] = ["x"]
-        path = tmp_path / "stream.ckpt"
-        path.write_text(json.dumps(snapshot))
-        code = main(["stream", "--checkpoint", str(path), "--resume",
-                     "--max-jobs", "100", "--predictor", "oracle"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {path} is not a valid stream checkpoint: queued job "
-            "slot must be an integer, got 'x'\n"
-        )
-
-    def test_mistyped_checkpoint_free_slot_is_named(self, capsys, tmp_path):
-        snapshot = json.loads(CHECKPOINT.read_text())
-        snapshot["engine"]["free_slots"] = ["x"]
-        path = tmp_path / "stream.ckpt"
-        path.write_text(json.dumps(snapshot))
-        code = main(["stream", "--checkpoint", str(path), "--resume",
-                     "--max-jobs", "100", "--predictor", "oracle"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {path} is not a valid stream checkpoint: free job "
-            "slot must be an integer, got 'x'\n"
-        )
-
-    def test_mistyped_checkpoint_arrival_is_named(self, capsys, tmp_path):
-        snapshot = json.loads(CHECKPOINT.read_text())
-        snapshot["engine"]["deferred"] = ["x", "puwmod", 0, 0, None]
-        path = tmp_path / "stream.ckpt"
-        path.write_text(json.dumps(snapshot))
-        code = main(["stream", "--checkpoint", str(path), "--resume",
-                     "--max-jobs", "100", "--predictor", "oracle"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {path} is not a valid stream checkpoint: arrival "
-            "job_id must be an integer, got 'x'\n"
-        )
-
-    @pytest.mark.parametrize("section,value,message", [
-        ("process", {"rng": 5},
-         "qos process 'rng' must be a PCG64 generator state, got 5"),
-        ("telemetry", {"schema": 1, "samples": 0, "out_bytes": -5,
-                       "trace_events": 0, "trace_bytes": 0},
-         "telemetry 'out_bytes' must be >= 0, got -5"),
-    ], ids=["process-rng", "telemetry-offset"])
-    def test_mistyped_checkpoint_section_is_named(
-        self, section, value, message, capsys, tmp_path
-    ):
-        snapshot = json.loads(CHECKPOINT.read_text())
-        if section == "process":
-            snapshot[section].update(value)
-        else:
-            snapshot[section] = value
-        path = tmp_path / "stream.ckpt"
-        path.write_text(json.dumps(snapshot))
-        code = main(["stream", "--checkpoint", str(path), "--resume",
-                     "--max-jobs", "100", "--predictor", "oracle"])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: {path} is not a valid stream checkpoint: {message}\n"
-        )
 
     @pytest.mark.parametrize("content", [
         b"[1, 2]\n",
@@ -960,22 +831,6 @@ class TestTelemetryCli:
 
         assert json_module.loads(out_json.read_text())["ledger"] is None
 
-    def test_stream_telemetry_resume_is_byte_identical(
-        self, capsys, tmp_path
-    ):
-        tel = tmp_path / "t.jsonl"
-        ckpt = tmp_path / "stream.ckpt"
-        base_args = [
-            "stream", "--max-jobs", "300", "--seed", "2",
-            "--telemetry-out", str(tel),
-            "--checkpoint", str(ckpt), "--checkpoint-every", "100",
-        ]
-        assert main(base_args) == 0
-        baseline = tel.read_bytes()
-        assert main(base_args + ["--resume"]) == 0
-        capsys.readouterr()
-        assert tel.read_bytes() == baseline
-
     def test_golden_stream_telemetry(self, capsys, tmp_path, monkeypatch):
         """Two stream runs at ``compare``'s telemetry cadence write the
         same telemetry and sampled-trace bytes, which ``report`` reads."""
@@ -1073,24 +928,6 @@ class TestTelemetryCli:
         assert samples[-1]["final"] is True
         assert samples[-1]["done"] == 300
         assert [s["done"] for s in samples[:-1]] == list(range(40, 300, 40))
-
-    def test_stream_resume_with_telemetry_needs_the_flag(
-        self, capsys, tmp_path
-    ):
-        tel = tmp_path / "t.jsonl"
-        ckpt = tmp_path / "stream.ckpt"
-        assert main([
-            "stream", "--max-jobs", "300", "--seed", "2",
-            "--telemetry-out", str(tel),
-            "--checkpoint", str(ckpt), "--checkpoint-every", "100",
-        ]) == 0
-        capsys.readouterr()
-        code = main([
-            "stream", "--max-jobs", "300", "--seed", "2",
-            "--checkpoint", str(ckpt), "--resume",
-        ])
-        assert code == 2
-        assert "--telemetry-out" in capsys.readouterr().err
 
     def test_compare_writes_per_policy_telemetry(self, capsys, tmp_path):
         code = main([

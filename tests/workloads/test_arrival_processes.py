@@ -1,4 +1,4 @@
-"""Streaming arrival processes: prefix equivalence and checkpointing.
+"""Streaming arrival processes: prefix equivalence.
 
 Satellite of the open-system streaming work.  The load-bearing property
 is **prefix equivalence**: a streaming generator with a given seed must
@@ -6,16 +6,10 @@ emit exactly what the closed-batch materialiser produces with the same
 seed — for any truncation point, including ones that are not chunk
 multiples.  That is what makes a finite stream bit-identical to a
 closed-batch run, which in turn is what makes the streaming engine
-testable against the fast-engine oracle at all.
-
-The second property is exact resumability: ``state_dict()`` /
-``load_state()`` must capture the full stream position (RNG, clock,
-phase, next job id) so a checkpointed stream continues bit-identically
-in a fresh process object.
+testable against the fast-engine oracle at all.  It is also what
+reproduces any stream from its seed and process parameters alone.
 """
 
-import json
-import re
 import warnings
 
 import pytest
@@ -163,73 +157,6 @@ class TestStreamWellFormedness:
             if (j.arrival_cycle % period) < period / 2
         )
         assert high > 0.55 * len(jobs)
-
-
-class TestCheckpointing:
-    @pytest.mark.parametrize("kind", PROCESS_KINDS)
-    def test_state_round_trip_mid_stream(self, kind):
-        """Snapshot at an arbitrary point, restore, continue identically."""
-        original = make_process(kind, SPECS, seed=6)
-        original.take(2 * STREAM_CHUNK)  # advance to a mid-stream point
-        state = json.loads(json.dumps(original.state_dict()))
-
-        restored = make_process(kind, SPECS, seed=6)
-        restored.load_state(state)
-        assert restored.take(1_500) == original.take(1_500)
-
-    def test_qos_state_round_trip(self):
-        def build():
-            return QoSProcess(
-                PoissonProcess(SPECS, seed=6),
-                service_estimate=lambda name: 400_000,
-                priority_levels=4,
-                seed=8,
-            )
-
-        original = build()
-        original.take(STREAM_CHUNK + 10)
-        state = json.loads(json.dumps(original.state_dict()))
-        restored = build()
-        restored.load_state(state)
-        assert restored.take(800) == original.take(800)
-
-    @pytest.mark.parametrize("kind,key,value,message", [
-        ("poisson", "next_id", -1, "poisson process 'next_id' must be >= 0"),
-        ("poisson", "rng", None, "poisson process 'rng' must be a PCG64"),
-        ("diurnal", "clock", "x", "diurnal process 'clock'"),
-        ("diurnal", "clock", float("nan"), "diurnal process 'clock'"),
-        ("mmpp", "clock", -2.0, "mmpp process 'clock' must be >= 0"),
-        ("mmpp", "phase", 2, "mmpp process 'phase' must be <= 1"),
-        ("mmpp", "phase", "x", "mmpp process 'phase'"),
-        ("mmpp", "phase_end", None, "mmpp process 'phase_end'"),
-        ("mmpp", "phase_end", 1.0, "'phase_end' 1.0 is before its 'clock'"),
-    ])
-    def test_bad_state_is_named_and_loads_nothing(
-        self, kind, key, value, message
-    ):
-        """Every field is checked before any is restored."""
-        original = make_process(kind, SPECS, seed=6)
-        original.take(STREAM_CHUNK)
-        state = json.loads(json.dumps(original.state_dict()))
-        state[key] = value
-        fresh = make_process(kind, SPECS, seed=6)
-        before = fresh.state_dict()
-        with pytest.raises(ValueError, match=re.escape(message)):
-            fresh.load_state(state)
-        assert fresh.state_dict() == before
-
-    @pytest.mark.parametrize("kind", PROCESS_KINDS)
-    def test_params_fingerprint_carries_configuration(self, kind):
-        process = make_process(
-            kind, SPECS, mean_interarrival_cycles=33_000.0, seed=12
-        )
-        params = process.params()
-        assert params["kind"] == kind
-        assert params["seed"] == 12
-        assert params["mean_interarrival_cycles"] == 33_000.0
-        assert params["names"] == [s.name for s in SPECS]
-        # JSON-serialisable: it is embedded in checkpoint files.
-        assert json.loads(json.dumps(params)) == params
 
 
 class TestValidation:
