@@ -2029,14 +2029,15 @@ class StreamingSimulation:
         The run totals of :meth:`_totals` plus ``jobs_completed``,
         ``total_energy_nj``, ``mean_waiting_cycles`` and the token-pool
         counts under ``power`` (``None`` when the power axis is off),
-        each equal to what the records' result and the pool report: the
-        waiting times are summed in record order, as
-        :attr:`~repro.core.results.SimulationResult.mean_waiting_cycles`
-        sums them.
+        each equal to what the records' result and the pool report.  A
+        closed batch never recycles or drops a slot and completes every
+        admitted job, so its waiting times are the whole ``waiting``
+        column: integer cycle counts, whose sum in slot order equals
+        :attr:`~repro.core.results.SimulationResult.mean_waiting_cycles`'s
+        sum in record order.
         """
         s = self._s
         records = s["records"]
-        waiting = s["waiting"]
         totals = self._totals(idle_nj)
         n = len(records)
         totals["jobs_completed"] = n
@@ -2046,7 +2047,7 @@ class StreamingSimulation:
             + totals["dynamic_energy_nj"]
         )
         totals["mean_waiting_cycles"] = (
-            sum([waiting[record[0]] for record in records]) / n if n else 0.0
+            sum(s["waiting"]) / n if n else 0.0
         )
         pool = self._power_pool
         totals["power"] = None if pool is None else pool.counts()

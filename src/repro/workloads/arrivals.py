@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 
 from collections import namedtuple
+from functools import partial
 from itertools import repeat
 from typing import Callable, List, Optional, Sequence
 
@@ -80,9 +81,9 @@ class JobArrival(
     paper's plain FIFO workload.
 
     A named tuple, so the simulation core reads a row by position.
-    Building one (or :meth:`_replace`) checks the row; ``_make`` does
-    not, and is what the generators below use for whole chunks once
-    their columns are checked (:func:`_chunk_rows`).
+    Building one (or :meth:`_replace`) checks the row; the generators
+    below check whole columns instead and build a chunk's rows with
+    ``tuple.__new__``, in C (:func:`_chunk_rows`).
     """
 
     __slots__ = ()
@@ -120,7 +121,9 @@ def _chunk_rows(
     ``clock`` holds the chunk's non-decreasing arrival times (float or
     int); the job ids run from ``base``.  The row checks of
     :class:`JobArrival` run once over the columns, and the clock is
-    checked against the int64 limit before it is cast.
+    checked against the int64 limit before it is cast.  Each row is
+    ``tuple.__new__(JobArrival, fields)`` mapped over the zipped
+    columns: no Python frame runs per job (``JobArrival._make`` is one).
     """
     if base < 0:
         raise ValueError("job_id must be non-negative")
@@ -128,7 +131,7 @@ def _chunk_rows(
     cycles = clock.astype(np.int64)
     if cycles[0] < 0:
         raise ValueError("arrival_cycle must be non-negative")
-    return list(map(JobArrival._make, zip(
+    return list(map(partial(tuple.__new__, JobArrival), zip(
         range(base, base + len(cycles)), names, cycles.tolist(),
         repeat(0), repeat(None),
     )))

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -11,7 +12,13 @@ from hypothesis import strategies as st
 
 from repro.core import OraclePredictor, make_policy, paper_system
 from repro.experiment import default_store
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (
+    _NUMPY_BLOCK,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads import PoissonProcess, eembc_suite
 
@@ -42,6 +49,14 @@ def _state(histogram: Histogram) -> dict:
         "min": histogram.min, "max": histogram.max,
         "buckets": sorted(histogram._counts.items()),
     }
+
+
+def _one_by_one(values) -> Histogram:
+    """A histogram fed ``values`` one per call (the per-value loop)."""
+    histogram = Histogram("h")
+    for value in values:
+        histogram.observe(value)
+    return histogram
 
 
 def test_histogram_snapshot():
@@ -77,29 +92,35 @@ _VALUES = st.one_of(
 )
 
 _SEQUENCES = st.one_of(
-    st.lists(_VALUES, max_size=200),
+    st.lists(_VALUES, max_size=3 * _NUMPY_BLOCK),
     # A long run of one value between two random stretches.
     st.tuples(
         st.lists(_VALUES, max_size=40),
         _VALUES,
-        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=3 * _NUMPY_BLOCK),
         st.lists(_VALUES, max_size=40),
     ).map(lambda t: t[0] + [t[1]] * t[2] + t[3]),
 )
 
+#: A block length on either side of the cut-off between
+#: ``Histogram.observe``'s per-value loop and its numpy pass.
+_BLOCK_LENGTHS = st.one_of(
+    st.integers(min_value=1, max_value=_NUMPY_BLOCK - 1),
+    st.integers(min_value=_NUMPY_BLOCK, max_value=2 * _NUMPY_BLOCK),
+)
+
 
 def _fed_in_blocks(values, data, read=None) -> Histogram:
-    """A histogram fed ``values`` in blocks cut where ``data`` says;
-    ``read(histogram, fed)`` runs after each block."""
-    cuts = sorted(data.draw(st.lists(
-        st.integers(min_value=0, max_value=len(values)), max_size=12
-    )))
-    bounds = [0] + cuts + [len(values)]
+    """A histogram fed ``values`` in blocks of lengths ``data`` draws,
+    short and long; ``read(histogram, fed)`` runs after each block."""
     histogram = Histogram("h")
-    for lo, hi in zip(bounds, bounds[1:]):
+    lo = 0
+    while lo < len(values):
+        hi = min(lo + data.draw(_BLOCK_LENGTHS), len(values))
         histogram.observe(*values[lo:hi])
         if read is not None:
             read(histogram, hi)
+        lo = hi
     return histogram
 
 
@@ -122,10 +143,9 @@ def test_histogram_block_feed_matches_per_value_oracle(values, data):
         _assert_quantiles_ordered(snapshot)
 
     histogram = _fed_in_blocks(values, data, read)
-    one_by_one = Histogram("h")
-    for value in values:
-        one_by_one.observe(value)
-    assert json.dumps(_state(histogram)) == json.dumps(_state(one_by_one))
+    assert json.dumps(_state(histogram)) == json.dumps(
+        _state(_one_by_one(values))
+    )
 
 
 @settings(deadline=None)
@@ -161,18 +181,41 @@ def test_histogram_ignores_order_and_block_split(values, ints, data):
     assert shuffled.snapshot() == straight.snapshot()
 
 
-@pytest.mark.parametrize("values", [
+def _inside_a_long_block(values):
+    """``values`` amid padding, so that one ``observe`` call takes the
+    numpy pass."""
+    pad = [1.0] * (_NUMPY_BLOCK // 2)
+    return pad + list(values) + pad
+
+
+def _short_and_long(argname, cases, ids):
+    """Parametrize ``argname`` over ``cases`` in a short block, under
+    ``ids``, and inside a long one (the numpy pass), under ``<id>-long``;
+    ``block`` makes the block from a case."""
+    return pytest.mark.parametrize(
+        f"{argname},block",
+        [(case, list) for case in cases]
+        + [(case, _inside_a_long_block) for case in cases],
+        ids=list(ids) + [f"{id_}-long" for id_ in ids],
+    )
+
+
+@_short_and_long("values", [
     [sys.float_info.max],
     [-sys.float_info.max, sys.float_info.max],
     [-5e-324, 0.0, -0.0, 5e-324],
 ], ids=["largest", "both-signs", "subnormal"])
-def test_histogram_holds_the_float_extremes(values):
+def test_histogram_holds_the_float_extremes(values, block):
     """The largest floats round to 2**1024, which no float holds: the
     quantile clamps to ``max``."""
+    values = block(values)
     histogram = Histogram("h")
     histogram.observe(*values)
     snapshot = histogram.snapshot()
     assert SampleOracle(values).mismatches(snapshot) == []
+    assert json.dumps(_state(histogram)) == json.dumps(
+        _state(_one_by_one(values))
+    )
 
 
 def _ar1(count, phi, seed):
@@ -227,6 +270,62 @@ def test_stream_waiting_quantiles_are_exact_within_bound(
     _assert_quantiles_ordered(stream_steady_shape.waiting)
 
 
+def test_stream_waits_end_alike_in_blocks_and_one_by_one(
+    stream_steady_shape,
+):
+    """The stream's waits fed in its blocks of 4096 and one per call
+    leave the same count, sum, min, max and bucket counts."""
+    waits = [job.waiting_cycles for job in stream_steady_shape.sim_result.jobs]
+    blocks = Histogram("h")
+    for lo in range(0, len(waits), 4096):
+        blocks.observe(*waits[lo:lo + 4096])
+    assert _state(blocks) == _state(_one_by_one(waits))
+
+
+def test_histogram_sum_folds_left_to_right():
+    """The sum adds each value to the running total in order, in a long
+    block too: 2**-53 is half an ulp of 1.0, so every addition rounds
+    back to 1.0, where a pairwise or compensated sum would not."""
+    values = [1.0] + [2.0 ** -53] * (2 * _NUMPY_BLOCK)
+    histogram = Histogram("h")
+    histogram.observe(*values)
+    assert histogram.total == _one_by_one(values).total == 1.0
+
+
+@pytest.mark.parametrize("zeros,sign", [
+    ([0.0, -0.0], 1.0),
+    ([-0.0, 0.0], -1.0),
+], ids=["positive-first", "negative-first"])
+def test_histogram_min_and_max_keep_the_first_signed_zero(zeros, sign):
+    """Zeros compare equal, so min and max keep the first one seen, in
+    a block or across blocks, as the per-value loop does."""
+    first, other = zeros
+    for feed in (
+        [[first, other] * _NUMPY_BLOCK],
+        [[first], [other, first] * _NUMPY_BLOCK],
+    ):
+        histogram = Histogram("h")
+        for block in feed:
+            histogram.observe(*block)
+        assert math.copysign(1.0, histogram.min) == sign
+        assert math.copysign(1.0, histogram.max) == sign
+
+
+def test_histogram_negative_keys_round_toward_zero():
+    """A negative value's key is its magnitude's key negated: the
+    numpy pass rounds ``m * 256 - 0.5`` toward zero, as the loop's
+    ``int`` does."""
+    values = [-(1.0 + i / 7) * 10.0 ** (i % 9) for i in range(_NUMPY_BLOCK)]
+    block = Histogram("h")
+    block.observe(*values)
+    mirror = Histogram("h")
+    mirror.observe(*(-value for value in values))
+    assert _state(block) == _state(_one_by_one(values))
+    assert sorted(block._counts.items()) == sorted(
+        (-key, count) for key, count in mirror._counts.items()
+    )
+
+
 def test_histogram_empty_block_is_a_no_op():
     histogram = Histogram("h")
     histogram.observe(3.0, 1.0)
@@ -235,20 +334,26 @@ def test_histogram_empty_block_is_a_no_op():
     assert _state(histogram) == before
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_histogram_rejects_non_finite_values(bad):
-    """A non-finite value raises, names the histogram and changes
-    nothing: the histogram goes on as if it had never been offered."""
+@_short_and_long(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+def test_histogram_rejects_non_finite_values(bad, block):
+    """A non-finite value raises, names the histogram and the first bad
+    value, and changes nothing: the histogram goes on as if it had never
+    been offered."""
     first = [12.0 + i / 1000 for i in range(10)]
     rest = [12.0, 11.999, 12.001, 12.0, 12.0]
     histogram = Histogram("latency")
     for value in first:
         histogram.observe(value)
     before = _state(histogram)
-    with pytest.raises(ValueError, match="'latency'"):
-        histogram.observe(bad)
-    with pytest.raises(ValueError, match="'latency'"):
-        histogram.observe(1.0, bad, 2.0)
+    message = re.escape(
+        f"histogram 'latency' takes finite values only, got {bad!r}"
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        histogram.observe(*block([bad]))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        histogram.observe(*block([1.0, bad, 2.0, -bad, math.nan]))
     assert _state(histogram) == before
     histogram.observe(*rest)
 
@@ -260,10 +365,19 @@ def test_histogram_rejects_non_finite_values(bad):
 
 
 def test_histogram_rejects_an_overflowing_sum():
+    """In a short block and inside a long one; the second sum is back
+    in range in any other order of addition, but folded left to right
+    it stays at inf."""
     histogram = Histogram("h")
-    with pytest.raises(ValueError, match="sum"):
-        histogram.observe(1e308, 1e308)
-    assert histogram.count == 0
+    histogram.observe(3.0, -2.0)
+    before = _state(histogram)
+    for values in ([1e308, 1e308], [1e308, 1e308, -1e308, -1e308]):
+        for block in (list, _inside_a_long_block):
+            with pytest.raises(ValueError, match=(
+                r"^histogram 'h' takes finite values only, got a sum of inf$"
+            )):
+                histogram.observe(*block(values))
+    assert _state(histogram) == before
 
 
 def test_registry_create_on_first_use():

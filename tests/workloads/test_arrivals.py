@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.workloads.arrivals import JobArrival, poisson_arrivals, uniform_arrivals
+from repro.workloads.arrivals import (
+    DiurnalProcess,
+    JobArrival,
+    MMPPProcess,
+    PoissonProcess,
+    QoSProcess,
+    poisson_arrivals,
+    uniform_arrivals,
+)
 from repro.workloads.eembc import EEMBC_NAMES, eembc_suite
 
 
@@ -139,3 +147,36 @@ class TestJobArrival:
             arrival._replace(deadline_cycle=4)
         with pytest.raises(ValueError, match="unexpected field names"):
             arrival._replace(cycle=4)
+
+
+_SUITE = eembc_suite()
+
+#: Every generator that builds its rows in bulk, one small draw each.
+_GENERATORS = {
+    "uniform": lambda: uniform_arrivals(_SUITE, count=300, seed=4),
+    "poisson": lambda: poisson_arrivals(_SUITE, count=300, seed=4),
+    "PoissonProcess": lambda: PoissonProcess(_SUITE, seed=4).next_chunk(),
+    "MMPPProcess": lambda: MMPPProcess(_SUITE, seed=4).next_chunk(),
+    "DiurnalProcess": lambda: DiurnalProcess(_SUITE, seed=4).next_chunk(),
+    "QoSProcess": lambda: QoSProcess(
+        PoissonProcess(_SUITE, seed=4),
+        service_estimate=lambda name: 400_000,
+        deadline_fraction=0.5, seed=4,
+    ).next_chunk(),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(_GENERATORS))
+def test_generated_rows_are_plain_job_arrivals(generator):
+    """Rows built in C, without ``JobArrival.__new__``'s checks, are
+    still exact ``JobArrival``s of plain Python values (no numpy
+    scalars), equal to the checked row built from the same fields."""
+    rows = _GENERATORS[generator]()
+    assert rows
+    for row in rows:
+        assert type(row) is JobArrival
+        job_id, benchmark, arrival_cycle, priority, deadline = row
+        assert type(job_id) is int and type(arrival_cycle) is int
+        assert type(benchmark) is str and type(priority) is int
+        assert deadline is None or type(deadline) is int
+        assert row == JobArrival(*row)
