@@ -113,6 +113,11 @@ OBSERVE_BLOCK = 4096
 _NEG_INF = float("-inf")
 _INF = float("inf")
 
+#: The placement plans that carry no data (see
+#: :meth:`StreamingSimulation._placement_plan`).
+_WAIT = (1, None)
+_STALL = (2, None)
+
 #: The policies the simulation core implements, keyed by exact class,
 #: and the placement branch of :meth:`StreamingSimulation.advance` each
 #: one takes.  A subclass is not in the table even when it only renames
@@ -527,6 +532,9 @@ class StreamingSimulation:
         self.touched = [False] * B
         self.touch_order: List[int] = []
         self.sessions: Dict[tuple, TuningSession] = {}
+        #: ``_tuning_state`` per (benchmark, size) session, dropped when
+        #: the session records a run.
+        self._tuning_states: Dict[tuple, tuple] = {}
 
         if preload_profiles:
             self._preload_profiles()
@@ -571,6 +579,112 @@ class StreamingSimulation:
                 or (tot_energy == best[0] and cid < best[1])
             ):
                 self.best_known[b][size] = (tot_energy, cid)
+
+    def _tuning_state(self, b: int, size_kb: int) -> tuple:
+        """``(done, cid, config)`` of the (benchmark, size) tuning
+        session: ``config`` is its best config (done) or the next sweep
+        config (in progress), and ``cid`` its interned id, or -1 when
+        that config is not in this system's design space."""
+        key = (b, size_kb)
+        state = self._tuning_states.get(key)
+        if state is None:
+            session = self._session(b, size_kb)
+            done = session.done
+            cfg = session.best_config if done else session.next_config()
+            state = (done, self.cfg_ids.get(cfg, -1), cfg)
+            self._tuning_states[key] = state
+        return state
+
+    def _placement_plan(self, b: int, idle_mask: int) -> tuple:
+        """Where :meth:`advance` places a job of benchmark ``b`` while
+        exactly the cores in ``idle_mask`` (bit ``ci``) are idle.
+
+        The policies' ``choose`` on interned ids, for everything but
+        ``base`` (whose choice reads the live config).  What it returns
+        depends only on ``b``'s knowledge and the idle set, so
+        :meth:`advance` keeps it until either changes:
+
+        * ``(0, (ci, cid, profiling, tuning))`` — place there;
+        * :data:`_WAIT` — no idle core fits, the job waits;
+        * :data:`_STALL` — ``proposed`` stalls for its best size;
+        * ``(3, (assignment, e_best, e_cand, best_cores))`` —
+          ``proposed`` weighs stalling for the busy ``best_cores``
+          against the non-best ``assignment``: it stalls when
+          ``e_best`` plus the static energy of waiting (the earliest
+          best core's remaining cycles at the candidate's current
+          config) is at most ``e_cand``.
+
+        Raises the reference's ``KeyError`` or ``RuntimeError`` at the
+        decision that meets the missing entry.
+        """
+        idle = [ci for ci in range(self.n_cores) if idle_mask >> ci & 1]
+        pol = core_branch(self.policy)
+        if self.policy.requires_profiling and not self.profiled[b]:
+            # Unprofiled: profiling core, base config.
+            for ci, supports_base in self.profiling_order:
+                if idle_mask >> ci & 1 and supports_base:
+                    return (0, (ci, self.base_cid, True, False))
+            return _WAIT
+        core_sizes = self.core_sizes
+        if pol == 1:  # optimal
+            if not idle:
+                return _WAIT
+            ex = self.executed[b]
+            for ci in idle:
+                for cid in self.core_cfg_ids[ci]:
+                    if cid not in ex:
+                        return (0, (ci, cid, False, True))
+            bk = self.best_known[b]
+            best_ci = min(idle, key=lambda ci: (bk[core_sizes[ci]][0], ci))
+            return (0, (best_ci, bk[core_sizes[best_ci]][1], False, False))
+        # Predictor-driven policies share the size lookup.
+        if self.pred_raw[b] is None:
+            raise RuntimeError(
+                f"{self.bench_names[b]} has no prediction; profiling must "
+                "precede prediction-based scheduling"
+            )
+        size_kb = self.pred_size[b]
+        for ci in idle:
+            if core_sizes[ci] == size_kb:
+                done, cid, cfg = self._tuning_state(b, size_kb)
+                if cid < 0:
+                    raise KeyError(cfg)
+                return (0, (ci, cid, False, not done))
+        if pol == 2 or not idle:  # energy_centric, or no idle core
+            return _WAIT
+        # proposed, with only non-best sizes idle: tune one first.
+        nb = []
+        for ci in idle:
+            done, cid, cfg = self._tuning_state(b, core_sizes[ci])
+            if not done:
+                if cid < 0:
+                    raise KeyError(cfg)
+                return (0, (ci, cid, False, True))
+            nb.append((ci, cid, cfg))
+        best_done, best_cid, best_cfg = self._tuning_state(b, size_kb)
+        if not best_done:
+            return _STALL
+        if best_cid < 0:
+            raise KeyError(best_cfg)
+        if best_cid not in self.executed[b]:
+            # Parity with the table-eviction guard (fault-only).
+            return _STALL
+        eb = self._est[b]
+        cand_ci = cand_cid = -1
+        cand_key = None
+        for ci, scid, scfg in nb:
+            if scid < 0:
+                raise KeyError(scfg)
+            key = (eb[scid][3], ci)
+            if cand_key is None or key < cand_key:
+                cand_key = key
+                cand_ci = ci
+                cand_cid = scid
+        best_cores = self.cores_by_size[size_kb]
+        return (3, (
+            (cand_ci, cand_cid, False, False),
+            eb[best_cid][3], eb[cand_cid][3], best_cores,
+        ))
 
     def _preload_profiles(self) -> None:
         """Mirror of ``SchedulerSimulation._preload_profiles`` (§IV.B)."""
@@ -755,8 +869,7 @@ class StreamingSimulation:
         dispatch) are inlined into this one loop body: in CPython a
         variable captured by a nested function (or, before 3.12, by a
         comprehension) becomes a closure cell everywhere in the frame,
-        so hot state stays out of every closure — only the cold-path
-        ``sess`` helper captures anything — and each access is a plain
+        so nothing in the frame is captured and each access is a plain
         local load.  The loop mutates the run state's lists in place and
         writes its scalars back when the stream drains.
         """
@@ -786,22 +899,16 @@ class StreamingSimulation:
         cfg_sizes = self.cfg_sizes
         cfg_static = self.cfg_static_nj
         cfg_objs = self.cfg_objs
-        cfg_ids = self.cfg_ids
         cfg_names = self.cfg_names
         recfg_cycles_from = self.recfg_cycles_from
         recfg_nj_from = self.recfg_nj_from
         core_sizes = self.core_sizes
-        core_cfg_ids = self.core_cfg_ids
-        cores_by_size = self.cores_by_size
-        profiling_order = self.profiling_order
-        base_cid = self.base_cid
         bench_names = self.bench_names
         bids_get = self.bids.get
         store = self.store
         predictor = self.predictor
         pof = self.profiling_overhead_fraction
         policy = self.policy
-        requires_profiling = policy.requires_profiling
         uses_predictor = policy.uses_predictor
         pol = core_branch(policy)
         preemptive = self.preemptive
@@ -809,9 +916,11 @@ class StreamingSimulation:
         touched = self.touched
         touch_order = self.touch_order
         nearest_size = self._nearest_size
+        sessions = self.sessions
+        tuning_state = self._tuning_state
+        tuning_states = self._tuning_states
         C = self.n_cores
         core_range = range(C)
-        sessions = self.sessions
         disc = DISCIPLINES.index(self.discipline)
 
         # Power axis locals.  ``pool is None`` is the only extra branch
@@ -895,11 +1004,9 @@ class StreamingSimulation:
         observed = s["observed"]
         makespan = s["makespan"]
         last_arrival_cycle = s["last_arrival_cycle"]
-        # per-(benchmark, size) tuning-session state cache (see sess)
-        sess_state: List[dict] = [dict() for _ in bench_names]
         # Observed waiting/turnaround values awaiting their block feed:
-        # flushed when full, before a telemetry sample reads the
-        # histograms and before returning.
+        # flushed when full and before returning, and the waiting
+        # values also before a telemetry sample reads their histogram.
         wait_block: list = []
         turn_block: list = []
         wait_push = wait_block.append
@@ -936,29 +1043,16 @@ class StreamingSimulation:
         # current cores and knowledge (see the dispatch scan below).
         settled = False
         may_settle = pol != 3
-
-        def sess(b: int, size_kb: int) -> tuple:
-            # Per-(benchmark, size) tuning-session state cache:
-            # ``(done, cid, config)`` where ``cid`` is the interned id of
-            # the best config (done) or the next sweep config (in
-            # progress), or -1 when that config is not in this system's
-            # design space.  The steady state (every session done) costs
-            # two int-keyed dict reads per decision.
-            state = sess_state[b].get(size_kb)
-            if state is None:
-                key = (b, size_kb)
-                session = sessions.get(key)
-                if session is None:
-                    session = TuningSession(size_kb=size_kb)
-                    sessions[key] = session
-                cfg = (
-                    session.best_config
-                    if session.done
-                    else session.next_config()
-                )
-                state = (session.done, cfg_ids.get(cfg, -1), cfg)
-                sess_state[b][size_kb] = state
-            return state
+        # Bit ``ci`` set while core ``ci`` is idle (``cur_job[ci] < 0``),
+        # kept current at every start, completion and preemption.
+        idle_mask = 0
+        for ci in core_range:
+            if cur_job[ci] < 0:
+                idle_mask |= 1 << ci
+        # Per-benchmark placement plans keyed by ``idle_mask``
+        # (_placement_plan), cleared whenever the benchmark's knowledge
+        # changes.  ``base`` places by its direct scan.
+        plans: List[dict] = [{} for _ in bench_names]
 
         while True:
             # -- next event ---------------------------------------------
@@ -1004,6 +1098,7 @@ class StreamingSimulation:
                          _, _, _, _, e_tot, cat) = pending[ci]
                         pending[ci] = None
                         cur_job[ci] = -1
+                        idle_mask |= 1 << ci
                         n_busy -= 1
                         jcomp[jid] = now
                         remaining[jid] = 0.0
@@ -1020,6 +1115,7 @@ class StreamingSimulation:
                             ex = executed[b]
                             if cid not in ex:
                                 ex[cid] = True
+                                plans[b].clear()
                                 size = cfg_sizes[cid]
                                 bk = best_known[b]
                                 best = bk.get(size)
@@ -1036,6 +1132,10 @@ class StreamingSimulation:
                             if not touched[b]:
                                 touched[b] = True
                                 touch_order.append(b)
+                            # No plans[b].clear() of its own: b's
+                            # first profiling run is its first run of
+                            # the base config, whose execution record
+                            # just dropped them.
                             profiled[b] = True
                             if uses_predictor:
                                 size = predictor.predict_size_kb(
@@ -1049,29 +1149,20 @@ class StreamingSimulation:
                                 pred_raw[b] = size
                                 pred_size[b] = nearest_size(size)
                         if full and tun and uses_predictor:
+                            # Another core may have recorded this
+                            # config of the sweep already.
                             size_kb = cfg_sizes[cid]
-                            done, next_cid, _ = sess(b, size_kb)
+                            done, next_cid, _ = tuning_state(b, size_kb)
                             if not done and next_cid == cid:
                                 session = sessions[(b, size_kb)]
                                 session.record(cfg_objs[cid], e_tot)
+                                del tuning_states[(b, size_kb)]
+                                plans[b].clear()
                                 if session.done:
-                                    best = session.best_config
-                                    sess_state[b][size_kb] = (
-                                        True,
-                                        cfg_ids.get(best, -1),
-                                        best,
-                                    )
                                     if not touched[b]:
                                         touched[b] = True
                                         touch_order.append(b)
                                     tuned[b].add(size_kb)
-                                else:
-                                    nxt = session.next_config()
-                                    sess_state[b][size_kb] = (
-                                        False,
-                                        cfg_ids.get(nxt, -1),
-                                        nxt,
-                                    )
                         # ---- streaming accumulation ----------------
                         completed += 1
                         if now > makespan:
@@ -1090,7 +1181,11 @@ class StreamingSimulation:
                                 self._observe(wait_block, turn_block)
                         if completed == tel_next:
                             tel_next += tel_every
-                            self._observe(wait_block, turn_block)
+                            # A sample reads only the waiting histogram:
+                            # the turnaround block stays pending until
+                            # it is full.
+                            self._wait_hist.observe(*wait_block)
+                            wait_block.clear()
                             self._sample(
                                 now=now, done=completed,
                                 generated=generated, admitted=admitted,
@@ -1314,204 +1409,55 @@ class StreamingSimulation:
                     assigned = False
                     for e in v:
                         # ---- placement decision --------------------
-                        # Idleness is just ``cur_job[ci] < 0``;
                         # ``continue`` means this job's benchmark waits
                         # and the scan moves to the next head.
                         jid = e[2]
                         b = jbid[jid]
-                        assignment = None
-                        if requires_profiling and not profiled[b]:
-                            # Unprofiled: profiling core, base config.
-                            for ci, supports_base in profiling_order:
-                                if cur_job[ci] < 0 and supports_base:
-                                    assignment = (
-                                        ci, base_cid, True, False,
-                                    )
-                                    break
-                            if assignment is None:
-                                continue
-                        elif pol == 0:  # base
+                        if pol == 0:  # base: first idle core, as it is
                             for ci in core_range:
                                 if cur_job[ci] < 0:
                                     assignment = (
                                         ci, cur_cfg[ci], False, False,
                                     )
                                     break
-                            if assignment is None:
-                                continue
-                        elif pol == 1:  # optimal
-                            idle = []
-                            for ci in core_range:
-                                if cur_job[ci] < 0:
-                                    idle.append(ci)
-                            if not idle:
-                                continue
-                            ex = executed[b]
-                            for ci in idle:
-                                for cid in core_cfg_ids[ci]:
-                                    if cid not in ex:
-                                        assignment = (
-                                            ci, cid, False, True,
-                                        )
-                                        break
-                                if assignment is not None:
-                                    break
-                            if assignment is None:
-                                best_ci = -1
-                                best_key = None
-                                for ci in idle:
-                                    key = (
-                                        best_known[b][core_sizes[ci]][0],
-                                        ci,
-                                    )
-                                    if best_key is None or key < best_key:
-                                        best_key = key
-                                        best_ci = ci
-                                assignment = (
-                                    best_ci,
-                                    best_known[b][core_sizes[best_ci]][1],
-                                    False,
-                                    False,
-                                )
-                        else:
-                            # Predictor-driven policies share the size
-                            # lookup.
-                            if pred_raw[b] is None:
-                                raise RuntimeError(
-                                    f"{bench_names[b]} has no "
-                                    "prediction; profiling must "
-                                    "precede prediction-based "
-                                    "scheduling"
-                                )
-                            size_kb = pred_size[b]
-                            if pol == 2:  # energy_centric
-                                for ci in core_range:
-                                    if (
-                                        cur_job[ci] < 0
-                                        and core_sizes[ci] == size_kb
-                                    ):
-                                        done, cid, cfg = (
-                                            sess_state[b].get(size_kb)
-                                            or sess(b, size_kb)
-                                        )
-                                        if cid < 0:
-                                            raise KeyError(cfg)
-                                        assignment = (
-                                            ci, cid, False, not done,
-                                        )
-                                        break
-                                if assignment is None:
-                                    continue
                             else:
-                                # proposed — a best-size match wins
-                                # outright, so the scan can stop at
-                                # the first one; idle_nb only matters
-                                # when none exists.
-                                best_size_ci = -1
-                                idle_nb = []
-                                for ci in core_range:
-                                    if cur_job[ci] < 0:
-                                        if core_sizes[ci] == size_kb:
-                                            best_size_ci = ci
-                                            break
-                                        idle_nb.append(ci)
-                                if best_size_ci >= 0:
-                                    done, cid, cfg = (
-                                        sess_state[b].get(size_kb)
-                                        or sess(b, size_kb)
-                                    )
-                                    if cid < 0:
-                                        raise KeyError(cfg)
-                                    assignment = (
-                                        best_size_ci, cid,
-                                        False, not done,
-                                    )
-                                elif not idle_nb:
+                                continue
+                        else:
+                            plan = plans[b].get(idle_mask)
+                            if plan is None:
+                                plan = self._placement_plan(b, idle_mask)
+                                plans[b][idle_mask] = plan
+                            kind, assignment = plan
+                            if kind:
+                                if kind == 1:  # wait
                                     continue
+                                if kind == 3:
+                                    # proposed weighs the stall live:
+                                    # every best-size core is busy.
+                                    (assignment, e_best, e_cand,
+                                     best_cores) = assignment
+                                    until = busy_until[best_cores[0]]
+                                    for bc in best_cores:
+                                        if busy_until[bc] < until:
+                                            until = busy_until[bc]
+                                    wait_cycles = (
+                                        until - now if until > now else 0
+                                    )
+                                    stall = (
+                                        e_best
+                                        + wait_cycles
+                                        * cfg_static[cur_cfg[assignment[0]]]
+                                        <= e_cand
+                                    )
                                 else:
-                                    stb = sess_state[b]
-                                    nb = []
-                                    for ci in idle_nb:
-                                        sz = core_sizes[ci]
-                                        done, cid, cfg = (
-                                            stb.get(sz) or sess(b, sz)
-                                        )
-                                        if not done:
-                                            if cid < 0:
-                                                raise KeyError(cfg)
-                                            assignment = (
-                                                ci, cid, False, True,
-                                            )
-                                            break
-                                        nb.append((ci, cid, cfg))
-                                    if assignment is None:
-                                        best_done, best_cid, best_cfg = (
-                                            stb.get(size_kb)
-                                            or sess(b, size_kb)
-                                        )
-                                        if not best_done:
-                                            stall_decisions += 1
-                                            if lanes[b][-1] is not e:
-                                                stalled.append(e)
-                                            continue
-                                        if best_cid < 0:
-                                            raise KeyError(best_cfg)
-                                        if best_cid not in executed[b]:
-                                            # Parity with the
-                                            # table-eviction guard
-                                            # (fault-only).
-                                            stall_decisions += 1
-                                            if lanes[b][-1] is not e:
-                                                stalled.append(e)
-                                            continue
-                                        eb = est[b]
-                                        cand_ci = -1
-                                        cand_cid = -1
-                                        cand_key = None
-                                        for ci, scid, scfg in nb:
-                                            if scid < 0:
-                                                raise KeyError(scfg)
-                                            key = (eb[scid][3], ci)
-                                            if (
-                                                cand_key is None
-                                                or key < cand_key
-                                            ):
-                                                cand_key = key
-                                                cand_ci = ci
-                                                cand_cid = scid
-                                        wait_cycles = None
-                                        for ci in cores_by_size[size_kb]:
-                                            rem = (
-                                                busy_until[ci] - now
-                                                if cur_job[ci] >= 0
-                                                else 0
-                                            )
-                                            if rem < 0:
-                                                rem = 0
-                                            if (
-                                                wait_cycles is None
-                                                or rem < wait_cycles
-                                            ):
-                                                wait_cycles = rem
-                                        stall_energy = (
-                                            eb[best_cid][3]
-                                            + wait_cycles
-                                            * cfg_static[cur_cfg[cand_ci]]
-                                        )
-                                        if (
-                                            stall_energy
-                                            <= eb[cand_cid][3]
-                                        ):
-                                            stall_decisions += 1
-                                            if lanes[b][-1] is not e:
-                                                stalled.append(e)
-                                            continue
-                                        non_best_decisions += 1
-                                        non_best_pending = True
-                                        assignment = (
-                                            cand_ci, cand_cid,
-                                            False, False,
-                                        )
+                                    stall = True
+                                if stall:
+                                    stall_decisions += 1
+                                    if lanes[b][-1] is not e:
+                                        stalled.append(e)
+                                    continue
+                                non_best_decisions += 1
+                                non_best_pending = True
 
                         # ---- power gate ----------------------------
                         # SchedulerSimulation._power_gate on interned
@@ -1709,6 +1655,7 @@ class StreamingSimulation:
                         )
                         last_enq[jid] = None
                         cur_job[ci] = jid
+                        idle_mask ^= 1 << ci
                         n_busy += 1
                         run_started[ci] = now
                         busy_until[ci] = now + service
@@ -1811,6 +1758,7 @@ class StreamingSimulation:
                 busy_cycles[victim_ci] -= unused
                 res_busy[victim_ci] -= unused
                 cur_job[victim_ci] = -1
+                idle_mask |= 1 << victim_ci
                 n_busy -= 1
                 busy_until[victim_ci] = now
                 epoch[victim_ci] += 1
