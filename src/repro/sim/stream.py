@@ -113,6 +113,11 @@ OBSERVE_BLOCK = 4096
 _NEG_INF = float("-inf")
 _INF = float("inf")
 
+#: Placement plans a benchmark's table holds before it is emptied: every
+#: idle-core set of an eight-core system fits, and a wider system's
+#: table stays bounded however many sets a long stream meets.
+_PLAN_TABLE_CAP = 256
+
 #: The placement plans that carry no data (see
 #: :meth:`StreamingSimulation._placement_plan`).
 _WAIT = (1, None)
@@ -1051,7 +1056,7 @@ class StreamingSimulation:
                 idle_mask |= 1 << ci
         # Per-benchmark placement plans keyed by ``idle_mask``
         # (_placement_plan), cleared whenever the benchmark's knowledge
-        # changes.  ``base`` places by its direct scan.
+        # changes.  ``base`` places on the lowest idle bit.
         plans: List[dict] = [{} for _ in bench_names]
 
         while True:
@@ -1414,19 +1419,18 @@ class StreamingSimulation:
                         jid = e[2]
                         b = jbid[jid]
                         if pol == 0:  # base: first idle core, as it is
-                            for ci in core_range:
-                                if cur_job[ci] < 0:
-                                    assignment = (
-                                        ci, cur_cfg[ci], False, False,
-                                    )
-                                    break
-                            else:
+                            if not idle_mask:
                                 continue
+                            ci = (idle_mask & -idle_mask).bit_length() - 1
+                            assignment = (ci, cur_cfg[ci], False, False)
                         else:
                             plan = plans[b].get(idle_mask)
                             if plan is None:
                                 plan = self._placement_plan(b, idle_mask)
-                                plans[b][idle_mask] = plan
+                                table = plans[b]
+                                if len(table) >= _PLAN_TABLE_CAP:
+                                    table.clear()
+                                table[idle_mask] = plan
                             kind, assignment = plan
                             if kind:
                                 if kind == 1:  # wait

@@ -38,6 +38,7 @@ from repro.energy.model import EnergyBreakdown
 from repro.obs import ListRecorder, MetricsRegistry
 from repro.power.budget import PowerConfig
 from repro.power.dvfs import DEFAULT_DVFS_TABLE
+from repro.sim import stream as stream_module
 from repro.sim.stream import StreamConfig, StreamingSimulation
 from repro.workloads.arrivals import JobArrival
 
@@ -410,6 +411,38 @@ class TestPropertyEquivalence:
             store, oracle = revisit_store, revisit_oracle
         self._check(raw, policy, discipline, preemptive, system, store,
                     oracle, energy_table)
+
+    @pytest.mark.parametrize(
+        "policy", ("optimal", "energy_centric", "proposed")
+    )
+    def test_wide_system_plan_tables_bounded(
+        self, policy, store, oracle, energy_table, monkeypatch,
+    ):
+        # Sixteen cores give up to 2**16 idle-core sets, more than a
+        # benchmark's plan table keeps.  A table at its cap is emptied
+        # before the next plan goes in, so a small cap must cost more
+        # plan misses and still place every job as the reference does.
+        system = scaled_system((2, 4, 8, 8) * 4)
+        rng = random.Random(16)
+        raw = [
+            (rng.choice(SUITE_NAMES), rng.randrange(3_000_000),
+             rng.randrange(4), False)
+            for _ in range(300)
+        ]
+        misses = []
+        plan = StreamingSimulation._placement_plan
+
+        def counted(sim, b, idle_mask):
+            misses[-1] += 1
+            return plan(sim, b, idle_mask)
+
+        monkeypatch.setattr(StreamingSimulation, "_placement_plan", counted)
+        for cap in (stream_module._PLAN_TABLE_CAP, 2):
+            monkeypatch.setattr(stream_module, "_PLAN_TABLE_CAP", cap)
+            misses.append(0)
+            self._check(raw, policy, "priority", True, system, store,
+                        oracle, energy_table)
+        assert misses[1] > misses[0] > 0
 
     @staticmethod
     def _check(raw, policy, discipline, preemptive, system, store, oracle,
