@@ -41,7 +41,6 @@ from repro.core.fastpath import build_fast
 from repro.core.simulation import make_simulation, select_engine
 from repro.core.system import base_system, paper_system
 from repro.energy.tables import EnergyTable
-from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.power.budget import PowerConfig, normalize_power
 from repro.power.dvfs import DvfsTable
@@ -88,7 +87,7 @@ class StreamLoad:
     grid's ``(count, gap)`` loads become ``(max_jobs,
     mean_interarrival_cycles)`` of the stream, and the replication seed
     seeds the process.  Hashable/picklable pure data, like
-    :class:`~repro.faults.plan.FaultPlan`; construction runs
+    :class:`~repro.power.budget.PowerConfig`; construction runs
     :class:`~repro.sim.stream.StreamConfig`'s checks on the fields and
     the arrival process's checks on ``process_args``.  ``repro stream``
     is one spec with this load.
@@ -139,8 +138,8 @@ class DagLoad:
     ``(graph count, mean graph interarrival)``, and the replication
     seed keys the generator.  Deadline/slack outcomes ride back through
     :attr:`CampaignCell.observed` under ``dag.*`` keys.  DAG campaigns
-    are reference-engine territory, so the metrics/validation/fault
-    hooks all compose with this axis; the open-system ``stream`` axis
+    are reference-engine territory, so the metrics and validation
+    hooks compose with this axis; the open-system ``stream`` axis
     does not.  Hashable/picklable pure data, like :class:`StreamLoad`;
     construction runs the generator's shape checks
     (:func:`~repro.workloads.dag.check_graph_shape`).
@@ -205,7 +204,7 @@ def power_grid(
 @dataclass(frozen=True)
 class ReplicationSpec:
     """One simulated run (a campaign replication, one of ``compare``'s
-    four, or ``stream``): policy × load × fault plan × power × seed."""
+    four, or ``stream``): policy × load × power × seed."""
 
     policy: str
     seed: int
@@ -214,10 +213,6 @@ class ReplicationSpec:
     count: Optional[int]
     #: Mean gap between arrivals (smaller = heavier load).
     mean_interarrival_cycles: int
-    #: Fault plan injected into the replication (``None`` = clean run).
-    #: :class:`~repro.faults.plan.FaultPlan` is hashable/picklable pure
-    #: data, so the spec stays frozen and pool-shippable.
-    fault_plan: Optional[FaultPlan] = None
     #: Simulation engine (``auto`` / ``fast`` / ``reference``), forwarded
     #: to :class:`~repro.core.simulation.SchedulerSimulation`.
     engine: str = "auto"
@@ -227,7 +222,7 @@ class ReplicationSpec:
     dag: Optional[DagLoad] = None
     #: Power budget / DVFS configuration (``None`` = unconstrained).
     #: :class:`~repro.power.budget.PowerConfig` is hashable/picklable
-    #: pure data, like :class:`~repro.faults.plan.FaultPlan`.
+    #: pure data, so the spec stays frozen and pool-shippable.
     power: Optional[PowerConfig] = None
 
 
@@ -272,15 +267,13 @@ class MetricAggregate:
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """Aggregates of every replication sharing (policy, load, plan)."""
+    """Aggregates of every replication sharing one spec but the seed."""
 
     policy: str
     count: int
     mean_interarrival_cycles: int
     metrics: Dict[str, MetricAggregate]
     n: int
-    #: Name of the injected fault plan (``None`` = clean cell).
-    faults: Optional[str] = None
     #: Engine mode the cell's replications ran under.  Part of the cell
     #: label whenever it is not the default ``auto``, so results from
     #: explicitly pinned engines are never silently aggregated with
@@ -330,10 +323,9 @@ _T_CRITICAL_95 = {
 
 
 #: Cell fields that mark a cell's summary label when away from their
-#: default (``base+plan@reference~poisson^dag%cap=...``).
+#: default (``base@reference~poisson^dag%cap=...``).
 _LABEL_MARKS = (
-    ("faults", "+{}"), ("engine", "@{}"), ("stream", "~{}"),
-    ("dag", "^dag"), ("power", "%{}"),
+    ("engine", "@{}"), ("stream", "~{}"), ("dag", "^dag"), ("power", "%{}"),
 )
 
 
@@ -383,15 +375,14 @@ class CampaignResult:
         """The unique cell of ``policy`` matching the selectors.
 
         Each selector names a :class:`CampaignCell` field (``count``,
-        ``mean_interarrival_cycles``, ``faults``, ``power``,
-        ``engine``, ``stream``, ``dag``, ...).  ``None`` matches every
-        cell, so a selector may be omitted when the campaign swept one
-        value of that axis; the string ``"none"`` selects the cells
-        whose field is ``None`` (the clean / unconstrained /
-        closed-batch cell of a mixed campaign); any other value must
-        equal the field (``faults`` is the plan name, ``power`` the
-        :attr:`~repro.power.budget.PowerConfig.label`).  Ambiguous or
-        empty selections raise ``KeyError``.
+        ``mean_interarrival_cycles``, ``power``, ``engine``,
+        ``stream``, ``dag``, ...).  ``None`` matches every cell, so a
+        selector may be omitted when the campaign swept one value of
+        that axis; the string ``"none"`` selects the cells whose field
+        is ``None`` (the unconstrained / closed-batch cell of a mixed
+        campaign); any other value must equal the field (``power`` is
+        the :attr:`~repro.power.budget.PowerConfig.label`).  Ambiguous
+        or empty selections raise ``KeyError``.
         """
         names = [f.name for f in dataclasses.fields(CampaignCell)]
         unknown = sorted(set(selectors) - set(names))
@@ -416,7 +407,7 @@ class CampaignResult:
         if len(matches) > 1:
             raise KeyError(
                 f"{len(matches)} campaign cells match {wanted}; pass "
-                "count= / mean_interarrival_cycles= / faults= / power= "
+                "count= / mean_interarrival_cycles= / power= "
                 "(or another cell field) to disambiguate"
             )
         return matches[0]
@@ -503,7 +494,7 @@ def run_spec(
         return core.run(load), core, load
     simulation = make_simulation(
         spec.policy, store, predictor, energy_table, discipline=discipline,
-        faults=spec.fault_plan, engine=spec.engine, power=spec.power,
+        engine=spec.engine, power=spec.power,
         **sinks,
     )
     if spec.dag is not None:
@@ -540,7 +531,6 @@ def _stream_core(
         hooks=(
             (recorder is not None and recorder.enabled)
             or metrics is not None or bool(validate)
-            or spec.fault_plan is not None
         ),
         telemetry=telemetry is not None,
         load="stream",
@@ -682,7 +672,6 @@ def campaign_specs(
     policies: Sequence[str] = POLICY_NAMES,
     seeds: Sequence[int] = (0,),
     loads: Sequence[Tuple[int, int]] = ((1000, 56_000),),
-    fault_plans: Sequence[Optional[FaultPlan]] = (None,),
     power_configs: Sequence[Optional[PowerConfig]] = (None,),
     engine: str = "auto",
     stream: Optional[StreamLoad] = None,
@@ -694,7 +683,7 @@ def campaign_specs(
 
     Takes :func:`run_campaign`'s axis arguments and returns the
     cartesian product of the axes as specs, in grid order (policy,
-    load, fault plan, power configuration, seed).  ``hooks`` and
+    load, power configuration, seed).  ``hooks`` and
     ``telemetry`` say whether the runs attach per-event hooks or
     sampled telemetry.  Every spec-shaped check runs here, before a
     store, predictor or worker exists: each axis needs at least one
@@ -713,8 +702,6 @@ def campaign_specs(
     axes = (
         ("policies", policies, str),
         ("loads", loads, tuple),
-        ("fault_plans", fault_plans,
-         lambda plan: "clean" if plan is None else plan.name),
         ("power_configs", [normalize_power(p) for p in power_configs],
          lambda power: "unconstrained" if power is None else power.label),
         ("seeds", seeds, int),
@@ -751,13 +738,12 @@ def campaign_specs(
             seed=seed,
             count=count,
             mean_interarrival_cycles=gap,
-            fault_plan=plan,
             engine=engine,
             stream=stream,
             dag=dag,
             power=power,
         )
-        for policy, (count, gap), plan, power, seed in itertools.product(
+        for policy, (count, gap), power, seed in itertools.product(
             *(values for _, values, _ in axes)
         )
     )
@@ -765,14 +751,11 @@ def campaign_specs(
         load = "stream"
     else:
         load = "batch" if dag is None else "dag"
-    shapes = dict.fromkeys(
-        (spec.policy, spec.fault_plan is not None) for spec in specs
-    )
-    for policy, faulted in shapes:
+    for policy in dict.fromkeys(spec.policy for spec in specs):
         select_engine(
             engine,
             make_policy(policy),
-            hooks=hooks or faulted,
+            hooks=hooks,
             telemetry=telemetry,
             load=load,
         )
@@ -791,14 +774,13 @@ def run_campaign(
     workers: Optional[int] = 1,
     collect_metrics: bool = False,
     validate: bool = False,
-    fault_plans: Sequence[Optional[FaultPlan]] = (None,),
     engine: str = "auto",
     stream: Optional[StreamLoad] = None,
     dag: Optional[DagLoad] = None,
     power_configs: Sequence[Optional[PowerConfig]] = (None,),
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> CampaignResult:
-    """Run a (policy × load × fault plan × seed) grid, optionally parallel.
+    """Run a (policy × load × power × seed) grid, optionally parallel.
 
     The grid and every check on it come from :func:`campaign_specs`,
     before any worker starts; which engine runs which combination is
@@ -843,13 +825,6 @@ def run_campaign(
         violation raises :class:`~repro.validate.ledger.ValidationError`
         out of the failing worker.  Results are unchanged when all
         checks pass.
-    fault_plans:
-        Fault plans to sweep as a grid axis (see :mod:`repro.faults`);
-        each entry is a :class:`~repro.faults.plan.FaultPlan` or
-        ``None`` for a clean run.  The default single-``None`` axis
-        leaves campaign behaviour bit-identical to before the axis
-        existed.  Plan names must be unique within the sweep (they key
-        the cells).
     engine:
         Simulation engine for every replication (``auto`` / ``fast`` /
         ``reference``, see
@@ -897,7 +872,6 @@ def run_campaign(
         policies=policies,
         seeds=seeds,
         loads=loads,
-        fault_plans=fault_plans,
         power_configs=power_configs,
         engine=engine,
         stream=stream,
@@ -978,9 +952,6 @@ def run_campaign(
                     )
                     for key in keys
                 },
-                faults=(
-                    None if spec.fault_plan is None else spec.fault_plan.name
-                ),
                 engine=spec.engine,
                 stream=(
                     None if spec.stream is None else spec.stream.process

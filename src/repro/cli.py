@@ -17,9 +17,6 @@ any code:
 * ``stream`` — open-system streaming run (:mod:`repro.sim.stream`):
   unbounded generator-backed arrivals in bounded memory, with
   admission control;
-* ``faults`` — generate or describe deterministic fault-injection
-  plans (:mod:`repro.faults`); ``--faults plan.json`` injects one into
-  ``compare``/``campaign`` runs;
 * ``dag`` — generate or describe deterministic task-graph workloads
   (:mod:`repro.workloads.dag`); ``campaign --dag`` switches the grid
   to DAG replications with deadline-aware ``edf``/``heft`` policies;
@@ -99,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=1)
     compare.add_argument("--interarrival", type=int, default=56_000,
                          help="mean inter-arrival gap in cycles")
-    _add_run_args(compare, predictor="ann", hooks=True, sweep=False)
+    _add_run_args(compare, predictor="ann", hooks=True)
     compare.add_argument("--csv", metavar="PATH",
                          help="write per-system summary CSV")
     compare.add_argument("--json", metavar="PATH",
@@ -164,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--interarrival", nargs="+", type=int,
                           default=[56_000],
                           help="mean inter-arrival gaps (cycles) to sweep")
-    _add_run_args(campaign, predictor="oracle", hooks=True, sweep=True)
+    _add_run_args(campaign, predictor="oracle", hooks=True)
     campaign.add_argument("--workers", type=int, default=None,
                           help="worker processes (default: one per CPU)")
     campaign.add_argument("--json", metavar="PATH",
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mean inter-arrival gap in cycles")
     stream.add_argument("--seed", type=int, default=1)
     _add_admission_args(stream, note="")
-    _add_run_args(stream, predictor="oracle", hooks=False, sweep=False)
+    _add_run_args(stream, predictor="oracle", hooks=False)
     stream.add_argument("--burst-factor", type=float, default=4.0,
                         help="mmpp: burst-phase arrival-rate multiplier")
     stream.add_argument("--amplitude", type=float, default=0.5,
@@ -226,34 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the stream result as JSON")
     _add_power_args(stream, sweep=False)
     _add_telemetry_args(stream, per_policy=False)
-
-    faults = sub.add_parser(
-        "faults",
-        help="generate or describe a deterministic fault-injection plan",
-    )
-    faults.add_argument("action", choices=("generate", "describe"),
-                        help="generate a plan from a seed, or describe "
-                             "an existing plan JSON")
-    faults.add_argument("path", nargs="?",
-                        help="plan JSON to describe (describe only)")
-    faults.add_argument("--out", metavar="PATH",
-                        help="write the generated plan JSON here "
-                             "(generate only)")
-    faults.add_argument("--seed", type=int, default=0,
-                        help="generation seed (the plan is a pure "
-                             "function of it)")
-    faults.add_argument("--density", type=float, default=0.25,
-                        help="fault density in [0, 1] scaling window "
-                             "counts and rates")
-    faults.add_argument("--horizon", type=int, default=3_000_000,
-                        help="cycle horizon the fault windows span")
-    faults.add_argument("--cores", type=int, default=4,
-                        help="number of cores the plan targets")
-    faults.add_argument("--classes", nargs="+", metavar="CLASS",
-                        help="restrict the plan to these fault classes "
-                             "(default: all)")
-    faults.add_argument("--name", help="plan name (default: derived "
-                                       "from the seed)")
 
     dag = sub.add_parser(
         "dag",
@@ -307,13 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_run_args(
     parser: argparse.ArgumentParser, *, predictor: str, hooks: bool,
-    sweep: bool,
 ) -> None:
     """The simulation flag group shared by compare, campaign and stream.
 
     ``predictor`` is the ``--predictor`` default.  ``hooks`` adds
-    ``--engine`` and the full-fidelity hooks; ``sweep`` makes
-    ``--faults`` take several plans (a campaign grid axis).
+    ``--engine`` and the full-fidelity hooks.
     """
     parser.add_argument("--predictor", choices=("ann", "oracle"),
                         default=predictor)
@@ -332,16 +299,6 @@ def _add_run_args(
     parser.add_argument("--validate", action="store_true",
                         help="attach the energy-conservation ledger and "
                              "invariant checks to every run")
-    if sweep:
-        parser.add_argument("--faults", nargs="+", metavar="PATH",
-                            help="fault-plan JSON files to add as a grid "
-                                 "axis (a clean no-fault cell is always "
-                                 "included)")
-    else:
-        parser.add_argument("--faults", metavar="PATH",
-                            help="inject the fault plan in this JSON file "
-                                 "into every policy's run (see the "
-                                 "faults subcommand)")
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="attach a metrics registry to every run and "
                              "write the snapshots (per policy, or per "
@@ -544,23 +501,12 @@ def _cmd_compare(args) -> int:
     from repro.experiment import default_predictor, default_store
     from repro.obs import JsonlRecorder, MetricsRegistry
 
-    fault_plan = None
-    if args.faults:
-        from repro.faults import load_plan
-
-        try:
-            fault_plan = load_plan(args.faults)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(f"injecting fault plan '{fault_plan.name}' "
-              f"({', '.join(fault_plan.classes()) or 'empty'})")
     try:
         power = _parse_power(args)
         specs = campaign_specs(
             policies=POLICY_NAMES, seeds=(args.seed,),
             loads=((args.jobs, args.interarrival),),
-            fault_plans=(fault_plan,), power_configs=(power,),
+            power_configs=(power,),
             engine=args.engine, telemetry=_wants_telemetry(args),
             hooks=bool(args.trace or args.metrics_out or args.validate),
         )
@@ -817,23 +763,11 @@ def _cmd_campaign(args) -> int:
             file=sys.stderr,
         )
         return 2
-    fault_plans = (None,)
-    if args.faults:
-        from repro.faults import load_plan
-
-        try:
-            fault_plans = (None,) + tuple(
-                load_plan(path) for path in args.faults
-            )
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
     try:
         grid = dict(
             policies=tuple(args.policies),
             seeds=tuple(args.seeds),
             loads=list(itertools.product(args.jobs, args.interarrival)),
-            fault_plans=fault_plans,
             power_configs=_parse_power_grid(args),
             engine=args.engine,
             stream=None if args.stream is None else StreamLoad(
@@ -1003,47 +937,6 @@ def _cmd_stream(args) -> int:
         with open(args.json, "w") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"wrote stream result JSON to {args.json}")
-    return 0
-
-
-def _cmd_faults(args) -> int:
-    from repro.faults import FAULT_CLASSES, generate_plan, load_plan
-
-    if args.action == "describe":
-        if not args.path:
-            print("error: describe needs a plan JSON path",
-                  file=sys.stderr)
-            return 2
-        try:
-            plan = load_plan(args.path)
-        except (OSError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(plan.describe())
-        return 0
-
-    if args.path:
-        print("error: generate takes no positional path (use --out)",
-              file=sys.stderr)
-        return 2
-    classes = tuple(args.classes) if args.classes else FAULT_CLASSES
-    unknown = sorted(set(classes) - set(FAULT_CLASSES))
-    if unknown:
-        print(f"error: unknown fault classes {unknown}; "
-              f"choose from {list(FAULT_CLASSES)}", file=sys.stderr)
-        return 2
-    try:
-        plan = generate_plan(
-            args.seed, density=args.density, horizon_cycles=args.horizon,
-            cores=args.cores, classes=classes, name=args.name,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(plan.describe())
-    if args.out:
-        plan.to_json(args.out)
-        print(f"\nwrote fault plan to {args.out}")
     return 0
 
 
@@ -1252,7 +1145,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "campaign": _cmd_campaign,
     "stream": _cmd_stream,
-    "faults": _cmd_faults,
     "dag": _cmd_dag,
     "report": _cmd_report,
     "reproduce": _cmd_reproduce,

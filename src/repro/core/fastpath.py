@@ -45,8 +45,8 @@ def build_fast(sim) -> StreamingSimulation:
 def run_fast(sim, arrivals: Sequence[JobArrival]) -> SimulationResult:
     """Run ``sim``'s configuration on the fast engine.
 
-    ``sim`` must have been constructed with the obs/validate/faults
-    hooks all off (engine resolution guarantees this).
+    ``sim`` must have been constructed with the obs/validate hooks
+    all off (engine resolution guarantees this).
     """
     fast = build_fast(sim)
     result = fast.run_batch(arrivals)

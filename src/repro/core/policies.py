@@ -243,13 +243,6 @@ class ProposedPolicy(SchedulingPolicy):
         best_record = sim.table.execution(
             job.benchmark, best_session.best_config
         )
-        if best_record is None:
-            # Profiling-table eviction can drop the record out from
-            # under a finished session; without the best core's energy
-            # the §IV.E comparison cannot run — stall conservatively
-            # (the record reappears when the configuration re-executes).
-            sim.count_stall_decision(job)
-            return None
 
         def run_energy(core: CoreState) -> Tuple[float, int]:
             config = sim.heuristic.session(
@@ -264,21 +257,10 @@ class ProposedPolicy(SchedulingPolicy):
         candidate_config = sim.heuristic.session(
             job.benchmark, candidate.size_kb
         ).best_config
-        best_size_cores = [
-            core
-            for core in sim.cores
-            if core.size_kb == size_kb and not core.failed
-        ]
-        if not best_size_cores:
-            # Every best-size core is down (fault injection): waiting
-            # has unbounded cost, so run on the cheapest tuned idle
-            # core instead of stalling on a core that may never return.
-            sim.count_non_best_decision(job)
-            return Assignment(
-                core_index=candidate.index, config=candidate_config
-            )
         wait_cycles = min(
-            core.remaining_cycles(sim.now) for core in best_size_cores
+            core.remaining_cycles(sim.now)
+            for core in sim.cores
+            if core.size_kb == size_kb
         )
         decision = evaluate_stall_decision(
             best_core_energy_nj=best_record.total_energy_nj,

@@ -176,57 +176,6 @@ class ProfilingTable:
         """All benchmarks with any recorded information."""
         return tuple(self._profiles)
 
-    # -- fault-injection degradation (see repro.faults) ----------------------
-
-    def evict_counters(self, benchmark: str) -> None:
-        """Drop a benchmark's profiling counters (forces re-profiling).
-
-        The prediction and execution records survive: they are keyed
-        knowledge in their own right, and keeping them means in-flight
-        scheduling decisions for already-queued jobs stay well-defined.
-        """
-        entry = self._profiles.get(benchmark)
-        if entry is not None:
-            entry.counters = None
-
-    def evict_size(self, benchmark: str, size_kb: int) -> None:
-        """Drop one cache size's execution records and tuned mark.
-
-        Leaves the profile internally consistent: the size reads as
-        never explored, so exploration restarts from scratch (callers
-        must also invalidate the matching
-        :class:`~repro.core.tuning.TuningHeuristic` session).
-        """
-        entry = self._profiles.get(benchmark)
-        if entry is None:
-            return
-        for config in [c for c in entry.executions if c.size_kb == size_kb]:
-            del entry.executions[config]
-        entry.tuned_sizes.discard(size_kb)
-
-    def corrupt_execution(
-        self, benchmark: str, config: CacheConfig, factor: float
-    ) -> None:
-        """Scale one recorded execution's energy by ``factor`` (> 0).
-
-        Models a bit-flipped/stale table entry: subsequent decisions
-        trust the wrong energy until the configuration re-executes and
-        overwrites the record.
-        """
-        if factor <= 0:
-            raise ValueError("corruption factor must be positive")
-        entry = self._profiles.get(benchmark)
-        if entry is None:
-            return
-        record = entry.executions.get(config)
-        if record is None:
-            return
-        entry.executions[config] = ExecutionRecord(
-            config=record.config,
-            total_energy_nj=record.total_energy_nj * factor,
-            total_cycles=record.total_cycles,
-        )
-
     def exploration_counts(self) -> Mapping[str, int]:
         """Configurations explored per benchmark (tuning-efficiency metric)."""
         return {

@@ -160,10 +160,6 @@ class CoreState:
         self.busy_until = 0
         self.busy_cycles = 0
         self.executions = 0
-        #: Whether the core is inside a fault-injected failure window;
-        #: a down core accepts no dispatches and its occupant (if any)
-        #: was requeued when the window opened.
-        self.failed = False
         #: Start time of the in-flight execution (for preemption).
         self.run_started_at = 0
         #: Operating-point name of the most recent dispatch when the
@@ -203,14 +199,9 @@ class CoreState:
         finishes or is preempted, and ``busy_until`` guards against a
         core being handed a job before its release time has been
         reached (they coincide today only because dispatch runs at
-        event boundaries).  A failed core (fault injection) is never
-        idle: it cannot accept work until its failure window closes.
+        event boundaries).
         """
-        return (
-            not self.failed
-            and self.current_job is None
-            and now >= self.busy_until
-        )
+        return self.current_job is None and now >= self.busy_until
 
     def begin(self, job: Job, now: int, service_cycles: int) -> None:
         """Occupy the core with a job for ``service_cycles``."""

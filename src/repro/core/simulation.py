@@ -144,8 +144,8 @@ def select_engine(
     builds the core), :func:`~repro.campaign.run_campaign` and the CLI
     all ask it, so every front end accepts and rejects the same runs
     with the same message.
-    ``hooks`` says whether a trace recorder, metrics registry, validation
-    or fault injection is attached, ``telemetry`` whether sampled
+    ``hooks`` says whether a trace recorder, metrics registry or
+    validation is attached, ``telemetry`` whether sampled
     telemetry is, and ``load`` is one of :data:`LOADS`.  The simulation
     core runs exactly the policy classes in
     :data:`~repro.sim.stream.CORE_POLICIES`; every other class needs the
@@ -166,7 +166,7 @@ def select_engine(
             "this run needs (hooks, a policy class the simulation core "
             "does not implement, task graphs or engine='reference'); the "
             "reference engine has the full-fidelity hooks (--trace/"
-            "--metrics-out/--validate/--faults) instead.  Drop one side"
+            "--metrics-out/--validate) instead.  Drop one side"
         )
     if engine != "fast" and load != "stream":
         return "reference" if needs_reference else "fast"
@@ -175,7 +175,7 @@ def select_engine(
     if hooks:
         raise ValueError(
             "the fast engine and streaming are incompatible with tracing, "
-            "metrics, validation and fault injection: the simulation core "
+            "metrics and validation: the simulation core "
             "compiles those hooks out.  Drop them or use "
             "engine='reference' for a batch; for visibility on the core, "
             "attach sampled telemetry (--telemetry-out, --progress) or "
@@ -300,19 +300,11 @@ class SchedulerSimulation:
         attached, emits an ``invariant_violation`` event first).
         Validation only reads simulation state — a validated run is
         bit-identical to an unvalidated one.
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan`; when present a
-        :class:`~repro.faults.injector.FaultInjector` drives seeded
-        core failures/slowdowns, predictor outages/mispredictions,
-        profiling noise, table eviction/corruption, reconfiguration
-        pinning and dispatch failures through the simulation's fault
-        checkpoints (see ``docs/faults.md``).  An *empty* plan injects
-        nothing and the run is bit-identical to ``faults=None``.
     engine:
         Which event loop executes :meth:`run`.  ``"reference"`` is the
         oracle loop in this module; ``"fast"`` is the struct-of-arrays
         simulation core (:class:`~repro.sim.stream.StreamingSimulation`,
-        built when :meth:`run` runs) with the obs/validate/faults hooks
+        built when :meth:`run` runs) with the obs/validate hooks
         compiled out — bit-identical results, an order of magnitude
         faster.  The default ``"auto"`` picks the fast engine whenever
         it can run the simulation.  :func:`select_engine` is the rule; a
@@ -359,7 +351,6 @@ class SchedulerSimulation:
         recorder: Optional[TraceRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
         validate: bool = False,
-        faults=None,
         engine: str = "auto",
         telemetry=None,
         power=None,
@@ -454,17 +445,6 @@ class SchedulerSimulation:
         else:
             self._validator = None
 
-        if faults is not None:
-            # Imported lazily: the default path stays free of the fault
-            # layer entirely.
-            from repro.faults.injector import FaultInjector
-
-            self._faults: Optional[FaultInjector] = FaultInjector(
-                self, faults
-            )
-        else:
-            self._faults = None
-
         #: Normalised power configuration (``None`` when nothing is
         #: enabled, so every power-off path is byte-for-byte the
         #: pre-power code) and its runtime token pool.
@@ -499,7 +479,6 @@ class SchedulerSimulation:
                 self.recorder.enabled
                 or self.metrics is not None
                 or self._validator is not None
-                or self._faults is not None
             ),
             telemetry=self.telemetry is not None,
             load=load,
@@ -651,8 +630,6 @@ class SchedulerSimulation:
             self.engine.schedule_at(
                 job.arrival_cycle, EventKind.ARRIVAL, payload=job
             )
-        if self._faults is not None:
-            self._faults.schedule_windows()
         self.engine.run(self._handle)
         if self.queue:
             raise RuntimeError(
@@ -764,15 +741,8 @@ class SchedulerSimulation:
                         benchmark=job.benchmark,
                     )
                 )
-        elif event.kind is EventKind.COMPLETION:
+        else:
             self._complete(event.payload)
-        elif event.kind is EventKind.GENERIC and self._faults is not None:
-            # Fault edges and retry wakeups; at equal timestamps the
-            # engine orders COMPLETION < ARRIVAL < GENERIC, so a core
-            # failing at cycle t never kills a job that finished at t.
-            self._faults.handle(event.payload)
-        else:  # pragma: no cover - no other generic events exist
-            raise ValueError(f"unexpected event kind {event.kind}")
         self._dispatch()
         if self._validator is not None:
             self._validator.after_event()
@@ -820,24 +790,13 @@ class SchedulerSimulation:
 
     def _dispatch(self) -> None:
         """Assign queued jobs until no further assignment is possible."""
-        faults = self._faults
         while True:
             assigned = False
             if any(core.is_idle(self.now) for core in self.cores):
                 for job in self._queue_view():
-                    if faults is not None and not faults.eligible(job):
-                        continue  # dispatch-failure backoff pending
-                    assignment = None
-                    if faults is not None:
-                        assignment = faults.surrender_assignment(job)
-                    if assignment is None:
-                        assignment = self._choose(job)
+                    assignment = self._choose(job)
                     if assignment is None:
                         continue
-                    if faults is not None:
-                        assignment = faults.filter_dispatch(job, assignment)
-                        if assignment is None:
-                            continue  # dispatch failed; backoff scheduled
                     if self._power_pool is not None:
                         assignment = self._power_gate(job, assignment)
                         if assignment is None:
@@ -850,13 +809,6 @@ class SchedulerSimulation:
                 continue
             if self.preemptive and self._try_preempt():
                 continue
-            if faults is not None:
-                forced = faults.break_deadlock()
-                if forced is not None:
-                    job, assignment = forced
-                    self.queue.remove(job)
-                    self._start(job, assignment)
-                    continue
             return
 
     # -- preemption ----------------------------------------------------------
@@ -904,26 +856,16 @@ class SchedulerSimulation:
         return False
 
     def _preempt_core(self, core: CoreState) -> None:
-        """Halt a core's execution; requeue the victim's remaining work."""
-        self._requeue_from_core(core, reason="preemption")
+        """Halt a core's execution; requeue the victim's remaining work.
 
-    def _requeue_from_core(self, core: CoreState, *, reason: str) -> None:
-        """Shared requeue path for preemptions and core failures.
-
-        Both interruption kinds follow the exact same accounting —
-        pro-rata refund of the charges made at start, remaining-fraction
-        bookkeeping, ``waiting_cycles`` resumption via
-        ``last_enqueue_cycle`` — so the PR-4 refund semantics hold
-        identically under fault injection.  Only the scheduler-facing
-        side effects differ: a ``preemption`` counts toward the
-        preemption statistics and the per-timestamp churn guard, a
-        ``core_failure`` toward the ``sim.faults.requeued`` counter.
+        The charges made at start are refunded pro rata, the victim
+        keeps its remaining fraction, and its ``waiting_cycles`` resume
+        from ``last_enqueue_cycle``.
         """
         pending = self._pending.pop(core.index)
         victim, fraction_run = core.preempt(self.now)
-        if reason == "preemption":
-            self._preempted_now.add(victim.job_id)
-            self._preemption_count += 1
+        self._preempted_now.add(victim.job_id)
+        self._preemption_count += 1
         # Refund the unexecuted share of the charges made at start.
         refund = 1.0 - fraction_run
         refund_dynamic = pending.dynamic_charged_nj * refund
@@ -958,10 +900,7 @@ class SchedulerSimulation:
                 token_nj=token_refund,
             )
         if self.metrics is not None:
-            if reason == "preemption":
-                self.metrics.counter("sim.preemptions").inc()
-            else:
-                self.metrics.counter("sim.faults.requeued").inc()
+            self.metrics.counter("sim.preemptions").inc()
         if self.recorder.enabled:
             self.recorder.emit(
                 JobPreempted(
@@ -974,7 +913,7 @@ class SchedulerSimulation:
                     refunded_dynamic_nj=refund_dynamic,
                     refunded_static_nj=refund_static,
                     refunded_overhead_nj=refund_overhead,
-                    reason=reason,
+                    reason="preemption",
                 )
             )
 
@@ -1215,11 +1154,6 @@ class SchedulerSimulation:
         job.charged_energy_nj += dynamic_charge + static_charge
 
         service = work_cycles + cost.cycles + overhead_cycles
-        if self._faults is not None:
-            # Transient slowdown dilates occupancy only; energy charges
-            # stay estimate-based, so the ledger's busy/idle split (both
-            # derived from the same dilated busy cycles) stays balanced.
-            service = self._faults.scale_service(core.index, service, job)
         if job.start_cycle is None:
             job.start_cycle = self.now
         enqueued_at = (
@@ -1396,8 +1330,6 @@ class SchedulerSimulation:
 
         if assignment.profiling:
             counters = self._counters(benchmark)
-            if self._faults is not None:
-                counters = self._faults.perturb_counters(benchmark, counters)
             self.table.record_profiling(benchmark, counters)
             if self.recorder.enabled:
                 self.recorder.emit(
@@ -1409,42 +1341,24 @@ class SchedulerSimulation:
                     )
                 )
             if self.policy.uses_predictor:
-                if (
-                    self._faults is not None
-                    and not self._faults.predictor_available()
-                ):
-                    # Predictor outage: fall back to the base-config
-                    # size heuristic (no hit/miss accounting — no
-                    # prediction was made).
-                    size = self._faults.fallback_prediction(job, core_index)
-                    self.table.record_prediction(benchmark, size)
-                else:
-                    size = self.predictor.predict_size_kb(
-                        benchmark, counters
-                    )
-                    if self._faults is not None:
-                        size = self._faults.perturb_prediction(
-                            job, core_index, size
-                        )
-                    self.table.record_prediction(benchmark, size)
-                    if self.metrics is not None or self.recorder.enabled:
-                        best = self.store.best_size_kb(benchmark)
-                        if self.metrics is not None:
-                            hit = "hits" if size == best else "misses"
-                            self.metrics.counter(
-                                f"sim.predictor_{hit}"
-                            ).inc()
-                        if self.recorder.enabled:
-                            self.recorder.emit(
-                                SizePredicted(
-                                    cycle=self.now,
-                                    job_id=job.job_id,
-                                    core_index=core_index,
-                                    benchmark=benchmark,
-                                    size_kb=size,
-                                    best_size_kb=best,
-                                )
+                size = self.predictor.predict_size_kb(benchmark, counters)
+                self.table.record_prediction(benchmark, size)
+                if self.metrics is not None or self.recorder.enabled:
+                    best = self.store.best_size_kb(benchmark)
+                    if self.metrics is not None:
+                        hit = "hits" if size == best else "misses"
+                        self.metrics.counter(f"sim.predictor_{hit}").inc()
+                    if self.recorder.enabled:
+                        self.recorder.emit(
+                            SizePredicted(
+                                cycle=self.now,
+                                job_id=job.job_id,
+                                core_index=core_index,
+                                benchmark=benchmark,
+                                size_kb=size,
+                                best_size_kb=best,
                             )
+                        )
 
         if full_run and assignment.tuning and self.policy.uses_predictor:
             session = self.heuristic.session(
@@ -1478,11 +1392,6 @@ class SchedulerSimulation:
                 waiting_cycles=waiting,
             )
         )
-
-        if self._faults is not None:
-            # Table eviction/corruption draws happen once per
-            # completion, after all knowledge updates for this job.
-            self._faults.after_completion(benchmark)
 
         if self._validator is not None:
             self._validator.on_complete(job, core_index)
@@ -1682,7 +1591,7 @@ def make_simulation(policy_name, store, predictor=None, energy_table=None,
     ``base`` runs on the homogeneous baseline system, everything else on
     the paper's heterogeneous four-core system; the predictor is only
     attached when the policy consults one.  Extra ``kwargs`` (recorder,
-    metrics, discipline, validate, faults, engine, power, ...) pass
+    metrics, discipline, validate, engine, power, ...) pass
     straight through to :class:`SchedulerSimulation`.
     """
     policy = make_policy(policy_name)

@@ -169,16 +169,6 @@ class TuningHeuristic:
             self._sessions[key] = existing
         return existing
 
-    def invalidate(self, benchmark: str, size_kb: int) -> None:
-        """Forget one session (fault injection: table eviction).
-
-        The next :meth:`session` call creates a fresh one, so
-        exploration restarts from the first configuration — keeping the
-        state machine consistent with a profiling table whose records
-        for this (benchmark, size) were just evicted.
-        """
-        self._sessions.pop((benchmark, size_kb), None)
-
     def sessions(self) -> dict:
         """All sessions, keyed by (benchmark, size_kb)."""
         return dict(self._sessions)

@@ -26,12 +26,8 @@ an untraced one.
 from .events import (
     EVENT_TYPES,
     ConfigInstalled,
-    CoreDown,
-    CoreUp,
     DeadlineMiss,
     EnergyAccrued,
-    FallbackDecision,
-    FaultInjected,
     InvariantViolation,
     JobArrived,
     JobCompleted,
@@ -83,14 +79,10 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "Telemetry",
     "ConfigInstalled",
-    "CoreDown",
-    "CoreUp",
     "Counter",
     "DeadlineMiss",
     "EnergyAccrued",
     "ExecutionSegment",
-    "FallbackDecision",
-    "FaultInjected",
     "Gauge",
     "Histogram",
     "InvariantViolation",

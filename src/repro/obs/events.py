@@ -33,10 +33,6 @@ __all__ = [
     "JobCompleted",
     "EnergyAccrued",
     "InvariantViolation",
-    "FaultInjected",
-    "CoreDown",
-    "CoreUp",
-    "FallbackDecision",
     "TaskReady",
     "DeadlineMiss",
     "TokenGrant",
@@ -195,10 +191,8 @@ class JobPreempted(TraceEvent):
     refunded_dynamic_nj: float
     refunded_static_nj: float
     refunded_overhead_nj: float
-    #: Why the job was requeued: a scheduler ``preemption`` (default)
-    #: or a fault-injected ``core_failure``.  Both reasons share one
-    #: requeue/refund code path, so the accounting semantics of this
-    #: event are identical either way.
+    #: Why the job was requeued; always ``preemption``, the one path
+    #: that requeues a running job.
     reason: str = "preemption"
 
 
@@ -256,63 +250,6 @@ class EnergyAccrued(TraceEvent):
     static_nj: float
     overhead_nj: float
     service_cycles: int
-
-
-@dataclass(frozen=True)
-class FaultInjected(TraceEvent):
-    """One fault fired from the active plan (see :mod:`repro.faults`).
-
-    ``fault`` is the fault class (``dispatch_failure``,
-    ``reconfig_pin``, ``core_slowdown``, ``misprediction``,
-    ``counter_noise``, ``table_eviction``, ``table_corruption``);
-    ``site`` names where it struck (a core, a benchmark); ``detail`` is
-    the human-readable specifics.  Core failure/recovery edges have
-    their own :class:`CoreDown`/:class:`CoreUp` events.
-    """
-
-    kind = "fault_injected"
-    cycle: int
-    fault: str
-    site: str
-    detail: str = ""
-    job_id: Optional[int] = None
-    core_index: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class CoreDown(TraceEvent):
-    """A core entered a fault-injected failure window."""
-
-    kind = "core_down"
-    cycle: int
-    core_index: int
-
-
-@dataclass(frozen=True)
-class CoreUp(TraceEvent):
-    """A core's failure window closed; it accepts dispatches again."""
-
-    kind = "core_up"
-    cycle: int
-    core_index: int
-
-
-@dataclass(frozen=True)
-class FallbackDecision(TraceEvent):
-    """The scheduler degraded gracefully instead of its normal path.
-
-    ``reason`` is one of ``predictor_outage`` (base-config size
-    heuristic used), ``retries_exhausted`` (dispatch surrendered to any
-    idle core) or ``forced_dispatch`` (deadlock breaker placed a
-    stranded job).
-    """
-
-    kind = "fallback_decision"
-    cycle: int
-    job_id: int
-    benchmark: str
-    reason: str
-    core_index: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -409,10 +346,6 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         JobCompleted,
         EnergyAccrued,
         InvariantViolation,
-        FaultInjected,
-        CoreDown,
-        CoreUp,
-        FallbackDecision,
         TaskReady,
         DeadlineMiss,
         TokenGrant,
@@ -486,7 +419,7 @@ def validate_event_dict(payload: dict) -> None:
     for name in present:
         value = payload[name]
         if name in ("benchmark", "config", "category", "kind", "check",
-                    "detail", "reason", "fault", "site", "dvfs"):
+                    "detail", "reason", "dvfs"):
             if not isinstance(value, str):
                 raise ValueError(f"{kind}.{name}: expected str")
         elif value is None and str(declared[name]).startswith("Optional"):

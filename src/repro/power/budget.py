@@ -134,7 +134,7 @@ class PowerConfig:
 
 def normalize_power(power: Optional[PowerConfig]) -> Optional[PowerConfig]:
     """``None`` when nothing is enabled, so engines keep their exact
-    pre-power code paths (the empty-fault-plan precedent)."""
+    pre-power code paths."""
     if power is None:
         return None
     if not isinstance(power, PowerConfig):

@@ -23,7 +23,6 @@ class EventKind(enum.IntEnum):
 
     COMPLETION = 0
     ARRIVAL = 1
-    GENERIC = 2
 
 
 @dataclass(frozen=True)

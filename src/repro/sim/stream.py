@@ -351,8 +351,8 @@ class StreamingSimulation:
     same validation errors) and refuses what
     :func:`~repro.core.simulation.select_engine` refuses a core run (a
     policy class outside :data:`CORE_POLICIES`, with or without
-    telemetry), in its words.  The observability / validation / fault
-    hooks are deliberately absent — use the reference engine when any
+    telemetry), in its words.  The observability and validation hooks
+    are deliberately absent — use the reference engine when any
     of them is needed.  The one observability surface the core does
     carry is the sampled :class:`~repro.obs.telemetry.Telemetry` sink,
     fed every ``sample_every`` completions (never per event) from state
@@ -671,9 +671,6 @@ class StreamingSimulation:
             return _STALL
         if best_cid < 0:
             raise KeyError(best_cfg)
-        if best_cid not in self.executed[b]:
-            # Parity with the table-eviction guard (fault-only).
-            return _STALL
         eb = self._est[b]
         cand_ci = cand_cid = -1
         cand_key = None

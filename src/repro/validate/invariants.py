@@ -13,9 +13,7 @@ event, re-derives the structural invariants from the live state:
 * **refund bounds** — preemption refunds are non-negative and never
   exceed what the execution was charged;
 * **fraction bounds** — every dispatch and every requeued victim
-  satisfies ``0 < remaining_fraction <= 1``;
-* **core liveness** — no dispatch to, and no occupancy of, a core
-  inside a fault-injected failure window (``invariant.core_down``).
+  satisfies ``0 < remaining_fraction <= 1``.
 
 A violated invariant raises
 :class:`~repro.validate.ledger.ValidationError`; when the simulation
@@ -89,13 +87,6 @@ class SimulationValidator:
         reconfig_nj,
         token_nj=None,
     ) -> None:
-        if core.failed:
-            self._violate(
-                "invariant.core_down",
-                f"job {job.job_id} dispatched to core {core.index} inside "
-                "a failure window",
-                job_id=job.job_id, core_index=core.index,
-            )
         fraction = job.remaining_fraction
         if not 0.0 < fraction <= 1.0:
             self._violate(
@@ -200,13 +191,6 @@ class SimulationValidator:
                         core_index=core.index,
                     )
             else:
-                if core.failed:
-                    self._violate(
-                        "invariant.core_down",
-                        f"core {core.index} is down but still runs job "
-                        f"{core.current_job.job_id}",
-                        core_index=core.index,
-                    )
                 if pending is None:
                     self._violate(
                         "invariant.core",

@@ -12,9 +12,8 @@ deadlines:
   criticality and the task tuple.  Validated acyclic on construction.
 * :func:`generate_task_graphs` — seed-keyed random generator (layered
   forward edges, slack-scaled deadlines).
-* :func:`dump_graphs` / :func:`load_graphs` — JSON round-trip mirroring
-  :mod:`repro.faults.plan`, so graph sets can be saved, inspected and
-  replayed byte-identically.
+* :func:`dump_graphs` / :func:`load_graphs` — JSON round-trip, so graph
+  sets can be saved, inspected and replayed byte-identically.
 * :func:`dag_arrivals` — lower an *edge-free* graph set to the plain
   :class:`~repro.workloads.arrivals.JobArrival` list the closed-batch
   engines consume; this is the bridge the bit-identity tests use.
@@ -197,7 +196,7 @@ class TaskGraph:
             depth[tid] = 1 + max((depth[p] for p in preds), default=0)
         return max(depth.values())
 
-    # -- serialisation (FaultPlan idiom) -----------------------------
+    # -- serialisation ------------------------------------------------
 
     def to_dict(self) -> Dict:
         return asdict(self)
@@ -314,7 +313,7 @@ def generate_task_graphs(
 
     Randomness is keyed per site (``f"{seed}:arrivals"`` etc.), so each
     aspect of the draw is independently stable under parameter changes
-    elsewhere — the same idiom as :func:`repro.faults.plan.generate_plan`.
+    elsewhere.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")

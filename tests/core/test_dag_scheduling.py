@@ -26,7 +26,9 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.system import base_system, paper_system
+from repro.obs import JobPreempted, ListRecorder, MetricsRegistry
 from repro.sim.stream import StreamConfig, StreamingSimulation
+from repro.validate import replay_trace
 from repro.workloads.dag import TaskGraph, TaskSpec, dag_arrivals
 
 from tests.scenarios import congested_dag_graphs, dag_test_graphs
@@ -115,6 +117,47 @@ class TestPrecedenceGating:
                               validate=True)
         result = sim.run_dags(graphs)
         assert result.jobs_completed == sum(g.task_count for g in graphs)
+
+
+class TestPreemptiveRequeue:
+    """A running task that EDF preempts is requeued with a refund and
+    still releases its successors: the one path that requeues a
+    running DAG task."""
+
+    @pytest.mark.parametrize("policy", ["base", "edf", "heft"])
+    def test_preempted_tasks_finish_in_precedence_order(
+        self, small_store, oracle, energy_table, policy
+    ):
+        graphs = dag_test_graphs(seed=11, count=8, edge_density=0.6,
+                                 tasks_min=3, tasks_max=6,
+                                 mean_interarrival_cycles=60_000)
+        recorder = ListRecorder()
+        metrics = MetricsRegistry()
+        sim = make_simulation(
+            policy, small_store, oracle, energy_table,
+            system=paper_system(), discipline="edf", preemptive=True,
+            recorder=recorder, metrics=metrics, validate=True,
+        )
+        result = sim.run_dags(graphs)
+
+        assert any(isinstance(e, JobPreempted) for e in recorder.events)
+        total_tasks = sum(g.task_count for g in graphs)
+        assert result.jobs_completed == total_tasks
+        records = {r.job_id: r for r in result.jobs}
+        job_id = 0
+        for graph in graphs:
+            by_task = {t.task_id: job_id + i
+                       for i, t in enumerate(graph.tasks)}
+            for i, task in enumerate(graph.tasks):
+                for pred in task.predecessors:
+                    assert records[job_id + i].start_cycle >= \
+                        records[by_task[pred]].completion_cycle
+            job_id += graph.task_count
+
+        assert metrics.counter("sim.validate.violations").value == 0
+        report = replay_trace(recorder.events)
+        assert report.completions == total_tasks
+        assert not report.unfinished_jobs
 
 
 class TestEdgeFreeBitIdentity:

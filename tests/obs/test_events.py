@@ -5,12 +5,8 @@ import pytest
 from repro.obs.events import (
     CATEGORIES,
     EVENT_TYPES,
-    CoreDown,
-    CoreUp,
     DeadlineMiss,
     EnergyAccrued,
-    FallbackDecision,
-    FaultInjected,
     JobArrived,
     JobCompleted,
     JobPreempted,
@@ -39,12 +35,6 @@ SAMPLES = [
     EnergyAccrued(cycle=60, job_id=6, core_index=0, benchmark="idctrn",
                   category="profiling", dynamic_nj=10.0, static_nj=5.0,
                   overhead_nj=0.5, service_cycles=1000),
-    FaultInjected(cycle=70, fault="dispatch_failure", site="job:7",
-                  detail="retry 1 in 2000 cycles", job_id=7),
-    CoreDown(cycle=80, core_index=2),
-    CoreUp(cycle=90, core_index=2),
-    FallbackDecision(cycle=100, job_id=8, benchmark="puwmod",
-                     reason="predictor_outage", core_index=1),
     TaskReady(cycle=110, job_id=9, benchmark="a2time", graph_id=2,
               task_id=3),
     DeadlineMiss(cycle=120, job_id=10, core_index=0, benchmark="idctrn",
@@ -61,7 +51,7 @@ def test_round_trip(event):
 
 
 def test_kinds_are_unique_and_registered():
-    assert len(EVENT_TYPES) == 20
+    assert len(EVENT_TYPES) == 16
     for kind, cls in EVENT_TYPES.items():
         assert cls.kind == kind
 

@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from repro.cache.config import configs_for_size
 from repro.core.fastpath import build_fast
 from repro.core.system import paper_system
+from repro.obs import ListRecorder, MetricsRegistry
 from repro.power.budget import PowerConfig, TokenPool
 from repro.power.dvfs import DEFAULT_DVFS_TABLE
+from repro.validate import replay_trace
 from repro.validate.ledger import REL_TOLERANCE
 
 from .conftest import SUITE_NAMES, make_simulation, qos_arrivals
@@ -97,6 +99,38 @@ class TestTokenConservation:
             pool.consumed_nj, net, rel_tol=REL_TOLERANCE, abs_tol=1e-9
         )
         assert pool.grants >= result.jobs_completed
+
+    @pytest.mark.parametrize("discipline", ("priority", "edf"))
+    def test_preempted_grants_come_back(self, discipline, small_store,
+                                        oracle, energy_table):
+        """Preemption is the one path that requeues a running job: the
+        tokens its victim held return to the pool, and the ledger, the
+        metrics and the trace each count every refund."""
+        recorder = ListRecorder()
+        metrics = MetricsRegistry()
+        sim = make_simulation(
+            "proposed", small_store, oracle, energy_table,
+            discipline=discipline, preemptive=True, recorder=recorder,
+            metrics=metrics, validate=True, power=LADDER_POWER,
+        )
+        arrivals = _pinned_arrivals()
+        result = sim.run(arrivals)
+        assert result.jobs_completed == len(arrivals)
+
+        pool = sim.power_pool
+        ledger = sim._validator.ledger
+        assert pool.idle()
+        assert pool.refunds > 0
+        assert pool.refunds == len(ledger.token_refunds)
+        assert metrics.counter("sim.power.refunds").value == pool.refunds
+        assert metrics.counter("sim.validate.violations").value == 0
+
+        report = replay_trace(recorder.events)
+        assert report.completions == len(arrivals)
+        assert not report.unfinished_jobs
+        assert report.token_grants == pool.grants
+        assert math.isclose(report.tokens_net_nj, pool.consumed_nj,
+                            rel_tol=REL_TOLERANCE, abs_tol=1e-9)
 
 
 class TestPinnedMonotoneFrontier:

@@ -13,7 +13,7 @@ class TestEngineProperties:
     def test_events_pop_in_nondecreasing_time(self, times):
         engine = EventEngine()
         for t in times:
-            engine.schedule_at(t, EventKind.GENERIC)
+            engine.schedule_at(t, EventKind.ARRIVAL)
         popped = []
         while True:
             event = engine.pop()
@@ -27,7 +27,7 @@ class TestEngineProperties:
     def test_equal_times_preserve_insertion_order(self, times):
         engine = EventEngine()
         for i, t in enumerate(times):
-            engine.schedule_at(t, EventKind.GENERIC, payload=i)
+            engine.schedule_at(t, EventKind.ARRIVAL, payload=i)
         order = []
         engine.run(lambda e: order.append((e.time, e.payload)))
         # Stable: among equal times, payloads ascend.
@@ -40,7 +40,7 @@ class TestEngineProperties:
     def test_processed_count(self, times):
         engine = EventEngine()
         for t in times:
-            engine.schedule_at(t, EventKind.GENERIC)
+            engine.schedule_at(t, EventKind.ARRIVAL)
         count = engine.run(lambda e: None)
         assert count == len(times) == engine.processed
         assert engine.pending == 0

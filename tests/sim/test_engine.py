@@ -10,29 +10,29 @@ class TestScheduling:
     def test_pop_in_time_order(self):
         engine = EventEngine()
         for t in (5, 1, 3):
-            engine.schedule_at(t, EventKind.GENERIC)
+            engine.schedule_at(t, EventKind.ARRIVAL)
         times = [engine.pop().time for _ in range(3)]
         assert times == [1, 3, 5]
 
     def test_clock_advances(self):
         engine = EventEngine()
-        engine.schedule_at(10, EventKind.GENERIC)
+        engine.schedule_at(10, EventKind.ARRIVAL)
         assert engine.now == 0
         engine.pop()
         assert engine.now == 10
 
     def test_cannot_schedule_in_past(self):
         engine = EventEngine()
-        engine.schedule_at(10, EventKind.GENERIC)
+        engine.schedule_at(10, EventKind.ARRIVAL)
         engine.pop()
         with pytest.raises(ValueError):
-            engine.schedule_at(5, EventKind.GENERIC)
+            engine.schedule_at(5, EventKind.ARRIVAL)
 
     def test_same_time_allowed(self):
         engine = EventEngine()
-        engine.schedule_at(10, EventKind.GENERIC)
+        engine.schedule_at(10, EventKind.ARRIVAL)
         engine.pop()
-        engine.schedule_at(10, EventKind.GENERIC)  # now == 10 is fine
+        engine.schedule_at(10, EventKind.ARRIVAL)  # now == 10 is fine
         assert engine.pop().time == 10
 
     def test_tie_break_completion_first(self):
@@ -55,7 +55,7 @@ class TestScheduling:
     def test_peek_time(self):
         engine = EventEngine()
         assert engine.peek_time() is None
-        engine.schedule_at(9, EventKind.GENERIC)
+        engine.schedule_at(9, EventKind.ARRIVAL)
         assert engine.peek_time() == 9
         assert engine.pending == 1
 
@@ -65,7 +65,7 @@ class TestRun:
         engine = EventEngine()
         seen = []
         for t in (3, 1, 2):
-            engine.schedule_at(t, EventKind.GENERIC, payload=t)
+            engine.schedule_at(t, EventKind.ARRIVAL, payload=t)
         count = engine.run(lambda e: seen.append(e.payload))
         assert count == 3
         assert seen == [1, 2, 3]
@@ -78,16 +78,16 @@ class TestRun:
         def handler(event):
             seen.append(event.time)
             if event.time < 3:
-                engine.schedule_at(event.time + 1, EventKind.GENERIC)
+                engine.schedule_at(event.time + 1, EventKind.ARRIVAL)
 
-        engine.schedule_at(0, EventKind.GENERIC)
+        engine.schedule_at(0, EventKind.ARRIVAL)
         engine.run(handler)
         assert seen == [0, 1, 2, 3]
 
     def test_until_bound(self):
         engine = EventEngine()
         for t in (1, 2, 10):
-            engine.schedule_at(t, EventKind.GENERIC)
+            engine.schedule_at(t, EventKind.ARRIVAL)
         count = engine.run(lambda e: None, until=5)
         assert count == 2
         assert engine.pending == 1
@@ -95,7 +95,7 @@ class TestRun:
     def test_max_events_bound(self):
         engine = EventEngine()
         for t in range(10):
-            engine.schedule_at(t, EventKind.GENERIC)
+            engine.schedule_at(t, EventKind.ARRIVAL)
         count = engine.run(lambda e: None, max_events=4)
         assert count == 4
         assert engine.pending == 6

@@ -27,8 +27,8 @@ class TestEvent:
         assert a.sort_key(0) < b.sort_key(1)
 
     def test_payload_carried(self):
-        event = Event(time=0, kind=EventKind.GENERIC, payload={"core": 2})
+        event = Event(time=0, kind=EventKind.ARRIVAL, payload={"core": 2})
         assert event.payload == {"core": 2}
 
     def test_kind_priorities(self):
-        assert EventKind.COMPLETION < EventKind.ARRIVAL < EventKind.GENERIC
+        assert EventKind.COMPLETION < EventKind.ARRIVAL

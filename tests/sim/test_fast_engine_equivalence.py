@@ -11,9 +11,9 @@ inputs and compare, across the full policy x discipline x preemption
 grid, under preloaded profiles, and on Hypothesis-generated streams.
 
 Engine *selection* is pinned here too: ``auto`` must pick the fast
-engine exactly when tracing, metrics, validation and fault injection
-are all off, and an explicit ``engine="fast"`` with any hook attached
-must be rejected up front.  A plug-in policy (any class outside
+engine exactly when tracing, metrics and validation are all off, and
+an explicit ``engine="fast"`` with any hook attached must be rejected
+up front.  A plug-in policy (any class outside
 :data:`~repro.sim.stream.CORE_POLICIES`, even a subclass of a paper
 policy) must run on the reference loop under ``auto``, and the core
 must refuse it rather than run a built-in policy instead.
@@ -482,13 +482,6 @@ class TestEngineSelection:
         }[hook]
         sim = make_simulation("proposed", store, predictor=oracle,
                               **kwargs)
-        assert sim._resolve_engine() == "reference"
-
-    def test_auto_falls_back_with_faults(self, store, oracle):
-        from repro.faults import FaultPlan
-
-        sim = make_simulation("proposed", store, predictor=oracle,
-                              faults=FaultPlan(name="empty"))
         assert sim._resolve_engine() == "reference"
 
     def test_explicit_fast_with_hooks_rejected(self, store, oracle):

@@ -150,7 +150,7 @@ class TestParser:
                 build_parser().parse_args(argv)
         (sub,) = [action for action in build_parser()._actions
                   if action.dest == "command"]
-        assert len(sub.choices) == 12
+        assert len(sub.choices) == 11
         assert {option for action in sub.choices["report"]._actions
                 for option in action.option_strings} == {
             "-h", "--help", "--json", "--prom",
@@ -592,8 +592,6 @@ class TestStreamCommand:
         assert "incompatible" in capsys.readouterr().err
 
 
-#: A fault plan whose core fault has a wrong field and misses the rest.
-BAD_PLAN = '{"name": "x", "core_faults": [{"core": 0}]}'
 class TestHostileInput:
     @pytest.mark.parametrize("argv", [
         "campaign --policies base --seeds 1 --jobs 0",
@@ -663,14 +661,6 @@ class TestHostileInput:
         assert not (tmp_path / "d.json").exists()
 
     @pytest.mark.parametrize("argv,content,kind", [
-        ("faults describe {path}", BAD_PLAN, "fault plan"),
-        ("faults describe {path}", "not json", "fault plan"),
-        ("compare --jobs 10 --predictor oracle --faults {path}",
-         BAD_PLAN, "fault plan"),
-        ("compare --jobs 10 --predictor oracle --faults {path}",
-         "not json", "fault plan"),
-        ("campaign --policies base --seeds 1 --jobs 10 --faults {path}",
-         BAD_PLAN, "fault plan"),
         ("dag describe {path}", '{"graphs": [{"graph_id": 0}]}',
          "task-graph document"),
         ("dag describe {path}", "not json", "task-graph document"),
@@ -1197,15 +1187,14 @@ class TestPowerCommands:
     def test_campaign_grid_worker_count_identity(
         self, capsys, tmp_path, monkeypatch
     ):
-        """A faulted, powered campaign writes the same metrics bytes on
-        one worker and on two."""
+        """A powered campaign writes the same metrics bytes on one worker
+        and on two."""
         monkeypatch.chdir(tmp_path)
-        assert main("faults generate --seed 2 --out plan.json".split()) == 0
         for workers in (1, 2):
             assert main(
                 "campaign --policies base proposed --seeds 0 1 --jobs 40 "
                 "--interarrival 20000 56000 --predictor oracle "
-                "--faults plan.json --power-cap 400000 --power-slack 10 "
+                "--power-cap 400000 --power-slack 10 "
                 f"--metrics-out mW.{workers}.json --workers {workers}"
                 .split()
             ) == 0
@@ -1213,7 +1202,7 @@ class TestPowerCommands:
         serial = (tmp_path / "mW.1.json").read_bytes()
         assert serial == (tmp_path / "mW.2.json").read_bytes()
         cells = json.loads(serial)
-        assert len(cells) == 2 * 2 * 2 * 2  # policy x gap x faults x power
+        assert len(cells) == 2 * 2 * 2  # policy x gap x power
         assert {cell["power"] for cell in cells} == {
             None, "cap=400000~slack=10"
         }
