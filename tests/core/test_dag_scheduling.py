@@ -125,7 +125,7 @@ class TestPreemptiveRequeue:
     running DAG task."""
 
     @pytest.mark.parametrize("policy", ["base", "edf", "heft"])
-    def test_preempted_tasks_finish_in_precedence_order(
+    def test_requeued_tasks_keep_precedence(
         self, small_store, oracle, energy_table, policy
     ):
         graphs = dag_test_graphs(seed=11, count=8, edge_density=0.6,
